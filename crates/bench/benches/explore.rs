@@ -12,7 +12,10 @@
 //! on a single-core host the multi-threaded engine rows are **not timed**
 //! (a 1-core "parallel" measurement is pure coordination overhead and
 //! would be quoted as if it meant something) — they are emitted with
-//! `"skipped_single_core": true` and zeroed timing fields instead.
+//! `"skipped_single_core": true` and zeroed timing fields instead. A file
+//! in which *every* multi-threaded row was skipped records no parallel
+//! throughput at all: it is marked `"incomplete": true` and the bench exits
+//! nonzero, so it cannot be committed as a baseline by accident.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -167,13 +170,24 @@ fn main() {
         }
     }
 
-    let json = render_json(&rows);
+    let incomplete = rows
+        .iter()
+        .filter(|r| r.threads > 1)
+        .all(|r| r.skipped_single_core);
+    let json = render_json(&rows, incomplete);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_explore.json");
     std::fs::write(path, &json).expect("write BENCH_explore.json");
     println!("\nwrote {path}");
+    if incomplete {
+        eprintln!(
+            "error: every multi-threaded row was skipped ({cores} core available); \
+             {path} is marked incomplete — re-record on a host with >= 2 cores"
+        );
+        std::process::exit(1);
+    }
 }
 
-fn render_json(rows: &[Row]) -> String {
+fn render_json(rows: &[Row], incomplete: bool) -> String {
     // Detected once and cached (`ft_bench::available_cores`): the old
     // per-call `available_parallelism()` read could land during startup
     // affinity churn and record `1` on multi-core hosts. `ft_threads` is
@@ -182,6 +196,7 @@ fn render_json(rows: &[Row]) -> String {
     let cores = ft_bench::available_cores();
     let mut s = String::from("{\n");
     let _ = writeln!(s, "  \"bench\": \"explore\",");
+    let _ = writeln!(s, "  \"incomplete\": {incomplete},");
     let _ = writeln!(s, "  \"available_cores\": {cores},");
     let _ = writeln!(s, "  \"ft_threads\": {},", ft_bench::parallelism());
     s.push_str("  \"results\": [\n");

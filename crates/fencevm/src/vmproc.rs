@@ -13,6 +13,51 @@ use crate::program::Program;
 /// schedule it fairly), so the interpreter panics rather than spinning.
 const MAX_INTERNAL_RUN: usize = 1_000_000;
 
+/// Locals held inline in a [`VmProc`]; every `simlocks` program declares at
+/// most this many.
+const INLINE_LOCALS: usize = 8;
+
+/// A process's local variables. Up to [`INLINE_LOCALS`] live in a fixed
+/// array, so cloning a [`VmProc`] — which every recorded machine step, every
+/// machine clone and every state key does — allocates nothing; programs
+/// that declare more spill to the heap.
+#[derive(Clone, Debug)]
+enum Locals {
+    Inline { len: u8, vals: [i64; INLINE_LOCALS] },
+    Heap(Vec<i64>),
+}
+
+impl Locals {
+    fn zeroed(len: usize) -> Self {
+        match u8::try_from(len) {
+            Ok(len8) if len <= INLINE_LOCALS => Locals::Inline {
+                len: len8,
+                vals: [0; INLINE_LOCALS],
+            },
+            _ => Locals::Heap(vec![0; len]),
+        }
+    }
+}
+
+impl std::ops::Deref for Locals {
+    type Target = [i64];
+    fn deref(&self) -> &[i64] {
+        match self {
+            Locals::Inline { len, vals } => &vals[..usize::from(*len)],
+            Locals::Heap(v) => v,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Locals {
+    fn deref_mut(&mut self) -> &mut [i64] {
+        match self {
+            Locals::Inline { len, vals } => &mut vals[..usize::from(*len)],
+            Locals::Heap(v) => v,
+        }
+    }
+}
+
 /// One executing instance of a [`Program`].
 ///
 /// The interpreter maintains the invariant that between machine steps the
@@ -28,7 +73,7 @@ const MAX_INTERNAL_RUN: usize = 1_000_000;
 pub struct VmProc {
     prog: Arc<Program>,
     pc: usize,
-    locals: Vec<i64>,
+    locals: Locals,
     annot: u64,
 }
 
@@ -36,7 +81,7 @@ impl VmProc {
     /// Start `prog` at its first instruction with zeroed locals.
     #[must_use]
     pub fn new(prog: Arc<Program>) -> Self {
-        let locals = vec![0; prog.locals_len()];
+        let locals = Locals::zeroed(prog.locals_len());
         let mut p = VmProc {
             prog,
             pc: 0,
@@ -244,7 +289,7 @@ impl PartialEq for VmProc {
     fn eq(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.prog, &other.prog)
             && self.pc == other.pc
-            && self.locals == other.locals
+            && *self.locals == *other.locals
             && self.annot == other.annot
     }
 }
@@ -260,7 +305,10 @@ impl Hash for VmProc {
         // share a digest, so the Hash/Eq contract holds.
         self.prog.digest().hash(state);
         self.pc.hash(state);
-        self.locals.hash(state);
+        state.write_usize(self.locals.len());
+        for &l in self.locals.iter() {
+            state.write_i64(l);
+        }
         self.annot.hash(state);
     }
 }
@@ -384,6 +432,38 @@ mod tests {
         assert_eq!(p1, p2);
         p2.advance(Some(Value::Int(3)));
         assert_ne!(p1, p2);
+    }
+
+    #[test]
+    fn locals_beyond_the_inline_capacity_spill_and_behave_the_same() {
+        // Read register 0 into each of `count` locals in turn and return
+        // their sum: every slot is written, read back, cloned and wiped.
+        for count in [INLINE_LOCALS - 1, INLINE_LOCALS, INLINE_LOCALS + 1, 20] {
+            let mut a = Asm::new("many");
+            let locs: Vec<_> = (0..count).map(|i| a.local(format!("l{i}"))).collect();
+            for &l in &locs {
+                a.read(0i64, l);
+            }
+            for &l in &locs[1..] {
+                a.add(locs[0], locs[0], l);
+            }
+            a.ret(locs[0]);
+            let prog: Arc<Program> = a.assemble().into();
+            let fresh = VmProc::new(prog.clone());
+            assert_eq!(
+                matches!(fresh.locals, Locals::Inline { .. }),
+                count <= INLINE_LOCALS
+            );
+            let mut p = fresh.clone();
+            for _ in 0..count {
+                p.advance(Some(Value::Int(3)));
+            }
+            assert_eq!(p.poised(), Poised::Return(3 * count as u64));
+            assert_eq!(p.clone(), p);
+            assert_ne!(p, fresh);
+            p.crash_recover();
+            assert_eq!(p, fresh, "a crash zeroes every slot");
+        }
     }
 
     #[test]

@@ -30,7 +30,6 @@
 //!    degradation ladder's last rung. With no budget this always
 //!    terminates with a definitive verdict, chaos or no chaos.
 
-use std::collections::HashSet;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -38,6 +37,7 @@ use std::time::{Duration, Instant};
 use ftobs::{Metric, MetricsSnapshot, Recorder, J};
 use modelcheck::{check, resume, CheckConfig, Coverage, LeaseStatus, Stats, Verdict};
 use por::{BaseCounts, ForkPoint, Snapshot};
+use wbmem::FpSet;
 
 use crate::spec::JobSpec;
 use crate::wire::{read_result, write_atomic_bytes};
@@ -250,7 +250,7 @@ pub fn run_fleet(job: &JobSpec, fleet: &FleetConfig, recorder: Recorder) -> Flee
     }
 
     // Accepted state: the supervisor's source of truth.
-    let mut acc_set: HashSet<u128> = prime.visited.iter().copied().collect();
+    let mut acc_set: FpSet = prime.visited.iter().copied().collect();
     let mut acc_base = prime.base;
     let mut acc_metrics = prime.metrics;
     let mut acc_edges = prime.edges.clone();

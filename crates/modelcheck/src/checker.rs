@@ -23,9 +23,8 @@
 //! [`crate::pardpor`]); both keep verdicts bit-identical.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -34,7 +33,9 @@ use std::time::{Duration, Instant};
 
 use ftobs::{Estimate, Gauge, Metric, MetricsSnapshot, Progress, Recorder, TreeEstimator};
 use por::{BaseCounts, ForkPoint, RunMeta, SleepSet, Snapshot};
-use wbmem::{CrashSemantics, Machine, MachineError, Process, SchedElem, StepOutcome, UndoToken};
+use wbmem::{
+    CrashSemantics, FpMap, Machine, MachineError, Process, SchedElem, StepOutcome, UndoToken,
+};
 
 /// Which exploration engine [`check`] runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -641,37 +642,24 @@ impl Verdict {
     }
 }
 
-/// 128-bit state fingerprint. The two 64-bit halves come from hash chains
-/// that differ both in seed and in structure (the second hashes the first
-/// half *and* re-hashes the state), so a collision requires both
-/// independent halves to collide simultaneously — negligible for the
-/// ≤10^7-state spaces this checker targets. A collision's effect would be a
-/// silently pruned state, so we buy the margin. The state is hashed in a
-/// single streaming pass ([`Machine::hash_state`]); no snapshot is
-/// allocated.
-pub(crate) fn fingerprint<P: Process>(m: &Machine<P>) -> u128 {
-    let mut h1 = DefaultHasher::new();
-    0xA5A5_A5A5u32.hash(&mut h1);
-    m.hash_state(&mut h1);
-    let first = h1.finish();
-    let mut h2 = DefaultHasher::new();
-    0x5A5A_5A5Au32.hash(&mut h2);
-    first.hash(&mut h2);
-    m.hash_state(&mut h2);
-    0x9E37_79B9u32.hash(&mut h2);
-    (u128::from(first) << 64) | u128::from(h2.finish())
-}
-
 pub(crate) fn in_cs_count<P: Process>(m: &Machine<P>) -> usize {
     (0..m.n())
         .filter(|&i| m.annotation(wbmem::ProcId::from(i)) == simlocks::ANNOT_IN_CS)
         .count()
 }
 
+/// Whether the processes' return values are exactly `0..n`, each once.
 pub(crate) fn returns_are_permutation<P: Process>(m: &Machine<P>) -> bool {
-    let mut rets: Vec<u64> = m.return_values().into_iter().flatten().collect();
-    rets.sort_unstable();
-    rets == (0..m.n() as u64).collect::<Vec<u64>>()
+    let n = m.n();
+    assert!(n <= 128, "permutation check supports at most 128 processes");
+    let mut seen = 0u128;
+    (0..n).all(|i| match m.return_value(wbmem::ProcId::from(i)) {
+        Some(r) if r < n as u64 && seen & (1 << r) == 0 => {
+            seen |= 1 << r;
+            true
+        }
+        _ => false,
+    })
 }
 
 /// Replay `sched` on a fresh clone of `initial` and render the execution.
@@ -701,7 +689,7 @@ pub(crate) fn render<P: Process>(initial: &Machine<P>, sched: &[SchedElem]) -> C
 /// Dense state ids plus first-visit parents, for counterexample replay.
 #[derive(Default)]
 pub(crate) struct SearchIndex {
-    ids: HashMap<u128, u32>,
+    ids: FpMap<u32>,
     parents: Vec<Option<(u32, SchedElem)>>,
     /// Fingerprint per dense id (inverse of `ids`), so checkpointing can
     /// re-key the id-based edge/terminal lists by stable fingerprints.
@@ -731,6 +719,15 @@ impl SearchIndex {
 
     pub(crate) fn len(&self) -> usize {
         self.ids.len()
+    }
+
+    /// Every fingerprint seen so far, sorted (the checkpoint's visited
+    /// set: the sequential exhaustive engines expand a state exactly when
+    /// they allocate its id).
+    pub(crate) fn sorted_fps(&self) -> Vec<u128> {
+        let mut fps = self.fps.clone();
+        fps.sort_unstable();
+        fps
     }
 
     /// The fingerprint a dense id was allocated for.
@@ -842,24 +839,34 @@ pub(crate) fn poll_observe(
 /// budget, recorder, checkpoint policy, and worker count — those change
 /// *how far and how observably* the space is explored, not *which* space
 /// with *which* properties.
+///
+/// `#[inline]` so that every crate that monomorphizes an engine also
+/// instantiates this fixed-key SipHash `hash_one`: `benchmark/`'s reference
+/// kernel hashes through the same `BuildHasherDefault<DefaultHasher>`,
+/// rustc places both instantiations in one codegen unit, and when the
+/// kernel is the only SipHash user there LLVM specializes it (×2.5 faster),
+/// which rescales every `verdict_x`. The engines stopped hashing with
+/// SipHash; this keeps the kernel compiled as it was when the baselines
+/// were recorded, until `benchmark/` isolates its kernel.
+#[inline]
 pub(crate) fn config_hash(config: &CheckConfig) -> u64 {
-    let mut h = DefaultHasher::new();
-    config.max_states.hash(&mut h);
-    config.check_mutex.hash(&mut h);
-    config.check_permutation.hash(&mut h);
-    config.check_termination.hash(&mut h);
-    config.max_crashes.hash(&mut h);
-    matches!(config.crash_semantics, CrashSemantics::DrainBuffer).hash(&mut h);
-    config.engine.label().hash(&mut h);
-    match config.engine {
+    let reorder_bound = match config.engine {
         Engine::Dpor { reorder_bound } | Engine::ParallelDpor { reorder_bound, .. } => {
             reorder_bound
         }
         _ => None,
-    }
-    .hash(&mut h);
-    config.annotation_invariant.is_some().hash(&mut h);
-    h.finish()
+    };
+    BuildHasherDefault::<DefaultHasher>::default().hash_one((
+        config.max_states,
+        config.check_mutex,
+        config.check_permutation,
+        config.check_termination,
+        config.max_crashes,
+        matches!(config.crash_semantics, CrashSemantics::DrainBuffer),
+        config.engine.label(),
+        reorder_bound,
+        config.annotation_invariant.is_some(),
+    ))
 }
 
 /// Fold a 128-bit state fingerprint to 64 bits (for run ids).
@@ -1013,7 +1020,7 @@ pub fn check<P: Process>(initial: &Machine<P>, config: &CheckConfig) -> Verdict 
     let span_parent = config.recorder.trace_root();
     let run = if tctx.enabled() {
         config.recorder.set_trace_root(espan.id);
-        run_id(config, fingerprint(root))
+        run_id(config, root.fingerprint())
     } else {
         0
     };
@@ -1073,17 +1080,15 @@ fn check_clone_dfs<P: Process>(
     let mut tally = obs.tally();
     let mut est = TreeEstimator::new();
     est.begin_task();
-    let mut visited: HashSet<u128> = HashSet::new();
     let mut stats = Stats::default();
     let mut index = SearchIndex::default();
     let mut edges: Vec<(u32, u32)> = Vec::new();
     let mut terminal: Vec<u32> = Vec::new();
 
-    let root_fp = fingerprint(initial);
+    let root_fp = initial.fingerprint();
     let Some((root_id, _)) = index.id_of(root_fp, None) else {
         return Verdict::Error(stats, CheckError::TooManyStates);
     };
-    visited.insert(root_fp);
     stats.states = 1;
     tally.on_state(0);
 
@@ -1120,7 +1125,7 @@ fn check_clone_dfs<P: Process>(
                 obs,
                 &stats,
                 stack.len() + 1,
-                visited.len(),
+                index.len(),
                 config.budget,
                 deadline,
                 estimate,
@@ -1150,14 +1155,14 @@ fn check_clone_dfs<P: Process>(
         }
         stats.transitions += 1;
         tally.on_transition();
-        let fp = fingerprint(&child);
+        let fp = child.fingerprint();
         let Some((child_id, fresh)) = index.id_of(fp, Some((id, elem))) else {
             return Verdict::Error(stats, CheckError::TooManyStates);
         };
         if config.check_termination {
             edges.push((id, child_id));
         }
-        if !fresh || !visited.insert(fp) {
+        if !fresh {
             tally.dedup_hit();
             est.leaf();
             continue;
@@ -1197,7 +1202,7 @@ fn check_clone_dfs<P: Process>(
         stack.push((child, child_id, child_choices));
     }
 
-    obs.gauge_set(Gauge::DedupOccupancy, visited.len() as u64);
+    obs.gauge_set(Gauge::DedupOccupancy, index.len() as u64);
     if config.check_termination {
         if let Some(stuck) = find_stuck(index.len(), &edges, &terminal) {
             return Verdict::NoTermination(stats, render(initial, &index.path_to(stuck)));
@@ -1234,7 +1239,6 @@ fn undo_snapshot<P: Process>(
     frames: &[Frame<P>],
     arena: &[SchedElem],
     path: &[SchedElem],
-    visited: &HashSet<u128>,
     index: &SearchIndex,
     edges: &[(u32, u32)],
     terminal: &[u32],
@@ -1256,8 +1260,6 @@ fn undo_snapshot<P: Process>(
             span: config.recorder.trace_root().0,
         })
         .collect();
-    let mut vis: Vec<u128> = visited.iter().copied().collect();
-    vis.sort_unstable();
     Snapshot {
         meta: RunMeta {
             engine: config.engine.label().to_string(),
@@ -1272,7 +1274,7 @@ fn undo_snapshot<P: Process>(
         },
         metrics,
         forks,
-        visited: vis,
+        visited: index.sorted_fps(),
         edges: edges
             .iter()
             .map(|&(a, b)| (index.fp_of(a), index.fp_of(b)))
@@ -1298,17 +1300,15 @@ fn check_undo<P: Process>(
     let mut tally = obs.tally();
     let mut est = TreeEstimator::new();
     est.begin_task();
-    let mut visited: HashSet<u128> = HashSet::new();
     let mut stats = Stats::default();
     let mut index = SearchIndex::default();
     let mut edges: Vec<(u32, u32)> = Vec::new();
     let mut terminal: Vec<u32> = Vec::new();
 
-    let root_fp = fingerprint(initial);
+    let root_fp = initial.fingerprint();
     let Some((root_id, _)) = index.id_of(root_fp, None) else {
         return Verdict::Error(stats, CheckError::TooManyStates);
     };
-    visited.insert(root_fp);
     stats.states = 1;
     tally.on_state(0);
 
@@ -1365,7 +1365,6 @@ fn check_undo<P: Process>(
                     &frames,
                     &arena,
                     &path,
-                    &visited,
                     &index,
                     &edges,
                     &terminal,
@@ -1385,13 +1384,13 @@ fn check_undo<P: Process>(
         if iters & DEADLINE_POLL_MASK == 0 {
             let over_occupancy = policy
                 .and_then(|p| p.max_occupancy)
-                .is_some_and(|cap| visited.len() >= cap);
+                .is_some_and(|cap| index.len() >= cap);
             let estimate = est.estimate(stats.states as u64);
             if poll_observe(
                 obs,
                 &stats,
                 frames.len(),
-                visited.len(),
+                index.len(),
                 config.budget,
                 deadline,
                 estimate,
@@ -1407,7 +1406,6 @@ fn check_undo<P: Process>(
                         &frames,
                         &arena,
                         &path,
-                        &visited,
                         &index,
                         &edges,
                         &terminal,
@@ -1435,7 +1433,6 @@ fn check_undo<P: Process>(
                         &frames,
                         &arena,
                         &path,
-                        &visited,
                         &index,
                         &edges,
                         &terminal,
@@ -1470,14 +1467,14 @@ fn check_undo<P: Process>(
         }
         stats.transitions += 1;
         tally.on_transition();
-        let fp = fingerprint(&m);
+        let fp = m.fingerprint();
         let Some((child_id, fresh)) = index.id_of(fp, Some((parent_id, elem))) else {
             return Verdict::Error(stats, CheckError::TooManyStates);
         };
         if config.check_termination {
             edges.push((parent_id, child_id));
         }
-        if !fresh || !visited.insert(fp) {
+        if !fresh {
             tally.dedup_hit();
             est.leaf();
             m.undo(token);
@@ -1524,7 +1521,7 @@ fn check_undo<P: Process>(
         path.push(elem);
     }
 
-    obs.gauge_set(Gauge::DedupOccupancy, visited.len() as u64);
+    obs.gauge_set(Gauge::DedupOccupancy, index.len() as u64);
     if config.check_termination {
         if let Some(stuck) = find_stuck(index.len(), &edges, &terminal) {
             return Verdict::NoTermination(stats, render(initial, &index.path_to(stuck)));
@@ -1600,7 +1597,7 @@ fn check_parallel<P: Process>(
     let cancel = AtomicBool::new(false);
     let budget_hit = AtomicBool::new(false);
 
-    let root_fp = fingerprint(initial);
+    let root_fp = initial.fingerprint();
     visited.insert(root_fp);
     config.recorder.on_state(0);
     if initial.all_done() {
@@ -1711,7 +1708,7 @@ fn check_parallel<P: Process>(
         // reachability as the sequential engines. Ids are arbitrary here —
         // only the existence of a stuck state matters; its identity (and
         // counterexample) comes from the sequential rerun.
-        let mut ids: HashMap<u128, u32> = HashMap::new();
+        let mut ids: FpMap<u32> = FpMap::default();
         let mut edges: Vec<(u32, u32)> = Vec::new();
         let mut terminal: Vec<u32> = Vec::new();
         let Some(root) = merge_id(&mut ids, root_fp) else {
@@ -1753,7 +1750,7 @@ fn check_parallel<P: Process>(
 
 /// Dense id for `fp` in the parallel engines' merge graphs; `None` once
 /// the `u32` id space is exhausted.
-pub(crate) fn merge_id(ids: &mut HashMap<u128, u32>, fp: u128) -> Option<u32> {
+pub(crate) fn merge_id(ids: &mut FpMap<u32>, fp: u128) -> Option<u32> {
     if let Some(&id) = ids.get(&fp) {
         return Some(id);
     }
@@ -1866,7 +1863,7 @@ fn parallel_worker<P: Process>(
         }
         report.transitions += 1;
         tally.on_transition();
-        let fp = fingerprint(&m);
+        let fp = m.fingerprint();
         if config.check_termination {
             report.edges.push((parent_fp, fp));
         }

@@ -25,17 +25,16 @@
 //! the visited states; probes are bookkeeping, not exploration, and are
 //! not counted as transitions.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use ftobs::{Gauge, Metric, MetricsSnapshot, Recorder, TreeEstimator};
 use por::{expand, step_weight, BaseCounts, ForkPoint, RunMeta, SleepSet, Snapshot, VisitTable};
-use wbmem::{Footprint, Machine, Process, SchedElem, StepOutcome, UndoToken};
+use wbmem::{Footprint, FpMap, Machine, Process, SchedElem, StepOutcome, UndoToken};
 
 use crate::checker::{
-    config_hash, find_stuck, fingerprint, in_cs_count, poll_observe, render,
-    returns_are_permutation, violates_invariant, write_checkpoint, CheckConfig, CheckError,
-    Coverage, PeriodicCheckpoint, SearchIndex, Stats, Verdict, DEADLINE_POLL_MASK,
+    config_hash, find_stuck, in_cs_count, poll_observe, render, returns_are_permutation,
+    violates_invariant, write_checkpoint, CheckConfig, CheckError, Coverage, PeriodicCheckpoint,
+    SearchIndex, Stats, Verdict, DEADLINE_POLL_MASK,
 };
 
 /// One frame of the reduced DFS. Unlike the undo engine's arena frames,
@@ -77,7 +76,7 @@ fn probe_slept_edges<P: Process>(
         obs.incr(Metric::SleptProbes);
         let (out, token) = m.step_recorded(e);
         if !matches!(out, StepOutcome::NoOp) {
-            let fp = fingerprint(m);
+            let fp = m.fingerprint();
             let Some((child_id, _)) = index.id_of(fp, Some((parent_id, e))) else {
                 m.undo(token);
                 return Err(CheckError::TooManyStates);
@@ -180,9 +179,9 @@ pub(crate) fn check_dpor<P: Process>(
     let mut terminal: Vec<u32> = Vec::new();
     // Fingerprints currently on the DFS stack (a multiset: re-exploration
     // under a smaller sleep set can nest a state inside itself).
-    let mut on_stack: HashMap<u128, u32> = HashMap::new();
+    let mut on_stack: FpMap<u32> = FpMap::default();
 
-    let root_fp = fingerprint(initial);
+    let root_fp = initial.fingerprint();
     let Some((root_id, _)) = index.id_of(root_fp, None) else {
         return Verdict::Error(stats, CheckError::TooManyStates);
     };
@@ -384,7 +383,7 @@ pub(crate) fn check_dpor<P: Process>(
         let efp = token.footprint();
         stats.transitions += 1;
         tally.on_transition();
-        let fp = fingerprint(&m);
+        let fp = m.fingerprint();
         let Some((child_id, _)) = index.id_of(fp, Some((parent_id, elem))) else {
             return Verdict::Error(stats, CheckError::TooManyStates);
         };

@@ -33,7 +33,7 @@ use std::time::Instant;
 use por::{RunMeta, Snapshot};
 use wbmem::{Machine, Process};
 
-use crate::checker::{config_hash, fingerprint, CheckConfig, Engine};
+use crate::checker::{config_hash, CheckConfig, Engine};
 use crate::pardpor::{check_lease, ResumeSeed};
 
 /// How a lease run ended. Encoded into result files by the fleet crate
@@ -101,9 +101,9 @@ pub fn run_meta<P: Process>(initial: &Machine<P>, config: &CheckConfig) -> RunMe
     let program_hash = if config.max_crashes > 0 {
         let mut m = initial.clone();
         m.set_crash_bound(config.crash_semantics, config.max_crashes);
-        fingerprint(&m)
+        m.fingerprint()
     } else {
-        fingerprint(initial)
+        initial.fingerprint()
     };
     RunMeta {
         engine: config.engine.label().to_string(),

@@ -58,7 +58,6 @@
 //! runs [`check_dpor`] outright — first capped at the threshold, and
 //! only if that overflows does the parallel machinery spin up.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -70,12 +69,12 @@ use por::{
     expand, step_weight, BaseCounts, ForkPoint, ForkQueue, FpTable, RunMeta, SleepSet, Snapshot,
     VisitTable,
 };
-use wbmem::{Machine, Process, SchedElem, StepOutcome, UndoToken};
+use wbmem::{FpMap, FpSet, Machine, Process, SchedElem, StepOutcome, UndoToken};
 
 use crate::checker::{
-    config_hash, find_stuck, fingerprint, in_cs_count, merge_id, panic_message,
-    returns_are_permutation, violates_invariant, without_checkpoint, write_checkpoint, CheckConfig,
-    CheckError, CheckpointPolicy, Coverage, Stats, Verdict,
+    config_hash, find_stuck, in_cs_count, merge_id, panic_message, returns_are_permutation,
+    violates_invariant, without_checkpoint, write_checkpoint, CheckConfig, CheckError,
+    CheckpointPolicy, Coverage, Stats, Verdict,
 };
 use crate::dpor::check_dpor;
 
@@ -242,7 +241,7 @@ pub(crate) fn check_pardpor<P: Process>(
     let policy = config.checkpoint.as_ref();
 
     let table = FpTable::new();
-    let root_fp = fingerprint(initial);
+    let root_fp = initial.fingerprint();
     // Unpack the seed: pre-seed the global first-visit table (resumed
     // workers neither re-count nor re-check states the interrupted run
     // covered) and keep the base counts/metrics/graph for the merge.
@@ -604,7 +603,7 @@ pub(crate) fn check_pardpor<P: Process>(
         // resumed run, the interrupted run's serialized graph, and run
         // the same reverse-reachability pass. Ids are arbitrary; the
         // stuck state's identity and counterexample come from the rerun.
-        let mut ids: HashMap<u128, u32> = HashMap::new();
+        let mut ids: FpMap<u32> = FpMap::default();
         let mut edges: Vec<(u32, u32)> = Vec::new();
         let mut terminal: Vec<u32> = Vec::new();
         let Some(root) = merge_id(&mut ids, root_fp) else {
@@ -727,7 +726,7 @@ pub(crate) fn check_lease<P: Process>(
     let policy = Some(&pol);
 
     let table = FpTable::new();
-    let seed_set: std::collections::HashSet<u128> = seed.visited.iter().copied().collect();
+    let seed_set: FpSet = seed.visited.iter().copied().collect();
     for &fp in &seed.visited {
         table.insert(fp);
     }
@@ -1011,17 +1010,17 @@ impl<P: Process> Worker<'_, P> {
         // failure is a logic error; the panic lands in the coordinator's
         // catch_unwind and degrades to the sequential rerun.
         let mut m = self.initial.clone();
-        let mut on_stack: HashMap<u128, u32> = HashMap::new();
+        let mut on_stack: FpMap<u32> = FpMap::default();
         let mut path: Vec<SchedElem> = Vec::with_capacity(task.path.len() + 32);
         for &e in &task.path {
-            *on_stack.entry(fingerprint(&m)).or_insert(0) += 1;
+            *on_stack.entry(m.fingerprint()).or_insert(0) += 1;
             assert!(
                 m.replay_path(std::slice::from_ref(&e), &mut scratch),
                 "pardpor: fork-point path failed to replay"
             );
             path.push(e);
         }
-        let task_fp = fingerprint(&m);
+        let task_fp = m.fingerprint();
         m.set_recorder(obs.clone());
         let mut tally = obs.tally();
 
@@ -1139,7 +1138,7 @@ impl<P: Process> Worker<'_, P> {
             let efp = token.footprint();
             self.report.transitions += 1;
             tally.on_transition();
-            let fp = fingerprint(&m);
+            let fp = m.fingerprint();
             if self.config.check_termination {
                 self.report.edges.push((parent_fp, fp));
             }
@@ -1247,7 +1246,7 @@ impl<P: Process> Worker<'_, P> {
                     obs.incr(Metric::SleptProbes);
                     let (pout, ptoken) = m.step_recorded(e);
                     if !matches!(pout, StepOutcome::NoOp) {
-                        self.report.edges.push((fp, fingerprint(&m)));
+                        self.report.edges.push((fp, m.fingerprint()));
                     }
                     m.undo(ptoken);
                 }

@@ -41,7 +41,7 @@ use std::time::Instant;
 use por::Snapshot;
 use wbmem::{Machine, Process};
 
-use crate::checker::{fingerprint, fold_fp, run_id, CheckConfig, CheckError, Stats, Verdict};
+use crate::checker::{fold_fp, run_id, CheckConfig, CheckError, Stats, Verdict};
 use crate::lease::{continuation_params, run_meta, validate_meta};
 use crate::pardpor::{check_pardpor, ResumeSeed};
 use ftobs::J;
@@ -132,7 +132,7 @@ pub fn resume<P: Process>(initial: &Machine<P>, config: &CheckConfig, path: &Pat
                     "prev_run",
                     J::U(snap.meta.config_hash ^ fold_fp(snap.meta.program_hash)),
                 ),
-                ("run", J::U(run_id(config, fingerprint(root)))),
+                ("run", J::U(run_id(config, root.fingerprint()))),
                 ("forks", J::U(seeded_forks)),
                 ("verdict", J::s(verdict.label())),
             ],

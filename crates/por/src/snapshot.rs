@@ -49,8 +49,11 @@ pub const MAGIC: [u8; 6] = *b"FTCKPT";
 /// embeds the metric taxonomy's array sizes, so it changes whenever the
 /// taxonomy does — v2 added the fence-synthesis counters; v3 added the
 /// trace counters and the fork points' causal span ids; v4 added the
-/// fleet supervision counters).
-pub const VERSION: u32 = 4;
+/// fleet supervision counters). v5 changed no field: the state
+/// fingerprint function changed, and a file whose visited set, edges and
+/// program hash were computed with the old one must not seed a run that
+/// computes the new one.
+pub const VERSION: u32 = 5;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -714,6 +717,19 @@ mod tests {
         assert_eq!(
             Snapshot::from_bytes(&ver).unwrap_err(),
             SnapshotError::BadVersion(99)
+        );
+    }
+
+    #[test]
+    fn a_version_4_file_is_refused_even_when_otherwise_valid() {
+        // The header sits outside the checksummed payload, so restamping
+        // the version leaves a file that passes every other check.
+        let mut bytes = sample().to_bytes();
+        assert_eq!(bytes[MAGIC.len()..MAGIC.len() + 4], VERSION.to_le_bytes());
+        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&4u32.to_le_bytes());
+        assert_eq!(
+            Snapshot::from_bytes(&bytes).unwrap_err(),
+            SnapshotError::BadVersion(4)
         );
     }
 

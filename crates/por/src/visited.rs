@@ -14,7 +14,7 @@
 //! skipped — iff some recorded visit had `sleep ⊆ current.sleep` **and**
 //! `remaining ≥ current.remaining`.
 
-use std::collections::HashMap;
+use wbmem::FpMap;
 
 use crate::sleep::SleepSet;
 
@@ -28,7 +28,7 @@ struct VisitEntry {
 /// Fingerprint-keyed visit records with sleep-set/budget dominance.
 #[derive(Debug, Default)]
 pub struct VisitTable {
-    map: HashMap<u128, Vec<VisitEntry>>,
+    map: FpMap<Vec<VisitEntry>>,
 }
 
 impl VisitTable {

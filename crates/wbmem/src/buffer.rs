@@ -122,13 +122,13 @@ impl WriteBuffer {
 
     /// The registers whose pending writes the *system* may commit right now:
     /// every buffered register under PSO, only the oldest under TSO.
+    /// Allocates; search loops use
+    /// [`for_each_commit_choice`](Self::for_each_commit_choice).
     #[must_use]
     pub fn commit_choices(&self) -> Vec<RegId> {
-        match self {
-            WriteBuffer::Sc => Vec::new(),
-            WriteBuffer::Tso(q) => q.front().map(|&(r, _)| r).into_iter().collect(),
-            WriteBuffer::Pso(m) => m.keys().copied().collect(),
-        }
+        let mut regs = Vec::new();
+        self.for_each_commit_choice(|reg| regs.push(reg));
+        regs
     }
 
     /// Visit every register in [`commit_choices`](Self::commit_choices)

@@ -72,6 +72,7 @@
 pub mod buffer;
 pub mod counters;
 pub mod event;
+pub mod fingerprint;
 pub mod footprint;
 pub mod machine;
 pub mod model;
@@ -86,6 +87,7 @@ pub mod value;
 pub use buffer::{BufferUndo, WriteBuffer};
 pub use counters::{Counters, ProcCounters};
 pub use event::{Event, EventKind, Trace};
+pub use fingerprint::{FpBuildHasher, FpHasher, FpMap, FpSet};
 pub use footprint::{Footprint, FootprintKind};
 pub use machine::{
     CrashSemantics, Machine, MachineConfig, MachineError, SoloOutcome, StateKey, StepOutcome,

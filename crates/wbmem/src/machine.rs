@@ -5,6 +5,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use crate::buffer::{BufferUndo, WriteBuffer};
 use crate::counters::{Counters, ProcCounters};
 use crate::event::{Event, EventKind, Trace};
+use crate::fingerprint::FpHasher;
 use crate::footprint::{Footprint, FootprintKind};
 use crate::model::MemoryModel;
 use crate::process::{Poised, Process};
@@ -207,7 +208,13 @@ pub struct StateKey<P: Process> {
 /// most two cache entries, one process's counters — so recording it and
 /// reversing it is O(footprint), not O(machine). This is what makes
 /// depth-first search backtrack by undoing instead of cloning whole
-/// configurations.
+/// configurations. The token also carries the step's effect on the state
+/// fingerprint ([`Machine::fingerprint`]) as one XOR delta, so rewinding
+/// the fingerprint costs one XOR however large the state is.
+///
+/// A token owns no heap memory unless the saved program state does (the
+/// `fencevm` interpreter's is inline) or the step was a crash, whose
+/// unbounded pre-image is boxed.
 ///
 /// Tokens must be applied to the machine that produced them, in reverse
 /// order of the steps they record (LIFO).
@@ -237,6 +244,8 @@ pub struct UndoToken<P> {
     crash: Option<Box<CrashUndo>>,
     next_nonce: u64,
     trace_len: usize,
+    /// XOR of the fingerprint components the step removed and added.
+    fp_delta: u128,
 }
 
 impl<P> UndoToken<P> {
@@ -333,6 +342,25 @@ impl<P: Process> UndoSink<P> for UndoToken<P> {
     }
 }
 
+/// Domain tags of the fingerprint components, in the high half of each
+/// component's first hashed word (the low half is the process index, or
+/// zero).
+const FP_MEM: u64 = 1 << 32;
+const FP_BUFFERED: u64 = 2 << 32;
+const FP_PROC: u64 = 3 << 32;
+
+/// The fingerprint component of one `reg ↦ value` entry of the slot family
+/// `tag` — a shared-memory cell ([`FP_MEM`]) or a PSO-buffered write of
+/// process `i` (`FP_BUFFERED | i`); zero for an absent entry.
+fn entry_fp(tag: u64, reg: RegId, value: Option<Value>) -> u128 {
+    use std::hash::{Hash as _, Hasher as _};
+    let Some(value) = value else { return 0 };
+    let mut h = FpHasher::new();
+    h.write_u64(tag);
+    (reg, value).hash(&mut h);
+    h.finish128()
+}
+
 /// A system configuration plus the machinery to evolve it: the paper's
 /// `Exec_A(C; σ)` made executable.
 ///
@@ -347,10 +375,16 @@ pub struct Machine<P: Process> {
     counters: Counters,
     trace: Trace,
     next_nonce: u64,
+    /// The state fingerprint, while it is being kept up to date: set by
+    /// [`step_recorded`](Self::step_recorded) and [`undo`](Self::undo),
+    /// dropped by every other mutation (see
+    /// [`fingerprint`](Self::fingerprint)).
+    fp: Option<u128>,
     // Observability hook: shared (Arc-backed) recorder, disabled by
-    // default. Excluded from `hash_state`/`state_key` (those enumerate
-    // fields explicitly) and from replay semantics; clones share it, so
-    // every clone of an instrumented machine reports to the same sink.
+    // default. Excluded from `fingerprint`/`hash_state`/`state_key` (those
+    // enumerate fields explicitly) and from replay semantics; clones share
+    // it, so every clone of an instrumented machine reports to the same
+    // sink.
     obs: ftobs::Recorder,
 }
 
@@ -377,6 +411,7 @@ impl<P: Process> Machine<P> {
             counters: Counters::new(n),
             trace: Trace::new(),
             next_nonce: 0,
+            fp: None,
             obs: ftobs::Recorder::disabled(),
         }
     }
@@ -411,6 +446,7 @@ impl<P: Process> Machine<P> {
     /// without a step, without accounting, and without granting anyone
     /// commit ownership.
     pub fn init_reg(&mut self, reg: RegId, value: Value) {
+        self.fp = None;
         self.mem.insert(reg, value);
     }
 
@@ -520,10 +556,10 @@ impl<P: Process> Machine<P> {
         &self.locality
     }
 
-    /// Hash the behaviourally relevant state (exactly what
-    /// [`state_key`](Self::state_key) captures) directly into `h`, without
-    /// materializing a snapshot. The model checker fingerprints every
-    /// explored state, so this path must not allocate.
+    /// Stream the behaviourally relevant state (exactly what
+    /// [`state_key`](Self::state_key) captures) into a caller-chosen
+    /// hasher, without materializing a snapshot. O(state); searches that
+    /// key a visited set use [`fingerprint`](Self::fingerprint) instead.
     pub fn hash_state<H: std::hash::Hasher>(&self, h: &mut H) {
         use std::hash::Hash as _;
         self.mem.len().hash(h);
@@ -538,6 +574,106 @@ impl<P: Process> Machine<P> {
             slot.returned.hash(h);
             slot.crashes.hash(h);
         }
+    }
+
+    /// The 128-bit fingerprint of the behaviourally relevant state: equal
+    /// [`state_key`](Self::state_key)s give equal fingerprints, and
+    /// distinct ones collide with probability ~2⁻¹²⁸. It is the XOR of one
+    /// [`FpHasher`] digest per state component — each keyed by the slot it
+    /// fills, so a state never holds two equal components that would
+    /// cancel:
+    ///
+    /// * a memory cell: `(reg, value)`;
+    /// * a PSO buffer entry: `(proc, reg, value)`;
+    /// * a process: `(proc, program state, return value, crash count)`,
+    ///   followed under TSO by its FIFO queue in order (the queue's order
+    ///   is state, a set of entries would lose it).
+    ///
+    /// The value depends on nothing but the state (no random seeds, no
+    /// addresses), so it agrees across threads, OS processes and runs.
+    ///
+    /// [`step_recorded`](Self::step_recorded) and [`undo`](Self::undo) keep
+    /// the fingerprint current in O(step footprint); every other mutation
+    /// ([`step`](Self::step), [`init_reg`](Self::init_reg)) drops it, and
+    /// this method then rehashes the whole state.
+    #[must_use]
+    pub fn fingerprint(&self) -> u128 {
+        self.fp.unwrap_or_else(|| self.fingerprint_from_scratch())
+    }
+
+    fn fingerprint_from_scratch(&self) -> u128 {
+        let mut fp = 0;
+        for (&reg, &value) in &self.mem {
+            fp ^= entry_fp(FP_MEM, reg, Some(value));
+        }
+        for (i, slot) in self.procs.iter().enumerate() {
+            fp ^= self.proc_fp(i);
+            if let WriteBuffer::Pso(entries) = &slot.buffer {
+                for (&reg, &value) in entries {
+                    fp ^= entry_fp(FP_BUFFERED | i as u64, reg, Some(value));
+                }
+            }
+        }
+        fp
+    }
+
+    /// The fingerprint component of process `i`.
+    fn proc_fp(&self, i: usize) -> u128 {
+        use std::hash::{Hash as _, Hasher as _};
+        let slot = &self.procs[i];
+        let mut h = FpHasher::new();
+        h.write_u64(FP_PROC | i as u64);
+        slot.prog.hash(&mut h);
+        slot.returned.hash(&mut h);
+        h.write_u32(slot.crashes);
+        if let WriteBuffer::Tso(queue) = &slot.buffer {
+            h.write_usize(queue.len());
+            for entry in queue {
+                entry.hash(&mut h);
+            }
+        }
+        h.finish128()
+    }
+
+    /// What the step recorded in `token` did to the fingerprint. `proc_before`
+    /// is the moved process's component before the step, or `None` when the
+    /// step cannot have changed it.
+    fn fp_delta(&self, token: &UndoToken<P>, proc_before: Option<u128>) -> u128 {
+        let i = token.proc.index();
+        let buffered = FP_BUFFERED | i as u64;
+        // A cell's change: its component before, XOR its component now.
+        let cell_delta = |reg: RegId, old: Option<Value>| {
+            entry_fp(FP_MEM, reg, old) ^ entry_fp(FP_MEM, reg, self.mem.get(&reg).copied())
+        };
+        let mut delta = proc_before.map_or(0, |before| before ^ self.proc_fp(i));
+        if let Some((reg, old)) = token.mem {
+            delta ^= cell_delta(reg, old);
+        }
+        // TSO queue mutations are part of the process component.
+        match token.buffer {
+            BufferUndo::RestorePso(reg, old) => {
+                let now = self.procs[i].buffer.read(reg);
+                delta ^= entry_fp(buffered, reg, old) ^ entry_fp(buffered, reg, now);
+            }
+            BufferUndo::Insert(reg, v) => delta ^= entry_fp(buffered, reg, Some(v)),
+            BufferUndo::None | BufferUndo::PopBack | BufferUndo::PushFront(..) => {}
+        }
+        if let Some(crash) = &token.crash {
+            // The buffer is empty afterwards under either semantics.
+            if let WriteBuffer::Pso(entries) = &crash.buffer {
+                for (&reg, &v) in entries {
+                    delta ^= entry_fp(buffered, reg, Some(v));
+                }
+            }
+            // A TSO drain can commit one register twice: the first
+            // pre-image is the cell's value before the crash.
+            for (k, &(reg, old)) in crash.mem.iter().enumerate() {
+                if crash.mem[..k].iter().all(|&(r, _)| r != reg) {
+                    delta ^= cell_delta(reg, old);
+                }
+            }
+        }
+        delta
     }
 
     /// A hashable snapshot of the behaviourally relevant state.
@@ -563,6 +699,7 @@ impl<P: Process> Machine<P> {
     /// 3. Otherwise the step performs `p`'s poised operation (read, write,
     ///    fence, or return). If `p` is in a final state, nothing happens.
     pub fn step(&mut self, elem: SchedElem) -> StepOutcome {
+        self.fp = None;
         self.step_impl(elem, &mut ())
     }
 
@@ -572,9 +709,17 @@ impl<P: Process> Machine<P> {
     /// time. A `NoOp` step yields a trivial (but still valid) token.
     pub fn step_recorded(&mut self, elem: SchedElem) -> (StepOutcome, UndoToken<P>) {
         let i = elem.proc.index();
+        let footprint = self.choice_footprint(elem);
+        let fp = self.fingerprint();
+        // A PSO commit moves one buffer entry to memory and leaves the
+        // process component alone; every other step may change it.
+        let proc_before = match (footprint.kind, &self.procs[i].buffer) {
+            (FootprintKind::Commit(_), WriteBuffer::Pso(_)) => None,
+            _ => Some(self.proc_fp(i)),
+        };
         let mut token = UndoToken {
             proc: elem.proc,
-            footprint: self.choice_footprint(elem),
+            footprint,
             prog: None,
             returned: self.procs[i].returned,
             buffer: BufferUndo::None,
@@ -586,8 +731,12 @@ impl<P: Process> Machine<P> {
             crash: None,
             next_nonce: self.next_nonce,
             trace_len: self.trace.len(),
+            fp_delta: 0,
         };
         let out = self.step_impl(elem, &mut token);
+        token.fp_delta = self.fp_delta(&token, proc_before);
+        self.fp = Some(fp ^ token.fp_delta);
+        debug_assert_eq!(self.fp, Some(self.fingerprint_from_scratch()));
         (out, token)
     }
 
@@ -642,6 +791,10 @@ impl<P: Process> Machine<P> {
         *self.counters.proc_mut(i) = token.counters;
         self.next_nonce = token.next_nonce;
         self.trace.truncate(token.trace_len);
+        if let Some(fp) = &mut self.fp {
+            *fp ^= token.fp_delta;
+        }
+        debug_assert_eq!(self.fingerprint(), self.fingerprint_from_scratch());
     }
 
     fn step_impl<U: UndoSink<P>>(&mut self, elem: SchedElem, u: &mut U) -> StepOutcome {

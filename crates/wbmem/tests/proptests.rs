@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use wbmem::{
-    Machine, MachineConfig, MemoryLayout, MemoryModel, Poised, ProcId, Process, RegId, SchedElem,
-    Value, WriteBuffer,
+    CrashSemantics, FpSet, Machine, MachineConfig, MemoryLayout, MemoryModel, Poised, ProcId,
+    Process, RegId, SchedElem, StateKey, StepOutcome, Value, WriteBuffer,
 };
 
 // ---------- buffer-level properties ----------
@@ -84,6 +84,12 @@ impl Process for Script {
     }
     fn advance(&mut self, _v: Option<Value>) {
         self.pc += 1;
+    }
+    fn recoverable(&self) -> bool {
+        true
+    }
+    fn crash_recover(&mut self) {
+        self.pc = 0;
     }
 }
 
@@ -184,5 +190,127 @@ proptest! {
             let stepped = matches!(out, wbmem::StepOutcome::Stepped(_));
             prop_assert!(stepped, "enabled choice {:?} did not step", elem);
         }
+    }
+}
+
+// ---------- state fingerprint ----------
+
+/// Scripts over three registers with CAS and swap, so same-register
+/// double writes (two TSO queue entries, one replaced PSO entry) and
+/// buffer-draining read-modify-writes are common.
+fn arb_rmw_script(max_len: usize) -> impl Strategy<Value = Script> {
+    let op = prop_oneof![
+        (0u32..3).prop_map(|r| Poised::Read(RegId(r))),
+        (0u32..3, 0u64..3).prop_map(|(r, v)| Poised::Write(RegId(r), Value::Int(v))),
+        Just(Poised::Fence),
+        (0u32..3, 0u64..3, 0u64..3).prop_map(|(r, expected, new)| Poised::Cas {
+            reg: RegId(r),
+            expected,
+            new: Value::Int(new),
+        }),
+        (0u32..3, 0u64..3).prop_map(|(r, new)| Poised::Swap {
+            reg: RegId(r),
+            new: Value::Int(new),
+        }),
+    ];
+    prop::collection::vec(op, 0..max_len).prop_map(|mut ops| {
+        ops.push(Poised::Return(0));
+        Script { ops, pc: 0 }
+    })
+}
+
+fn arb_machine_config() -> impl Strategy<Value = MachineConfig> {
+    (
+        prop::sample::select(vec![MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso]),
+        prop::sample::select(vec![
+            None,
+            Some(CrashSemantics::DiscardBuffer),
+            Some(CrashSemantics::DrainBuffer),
+        ]),
+        any::<bool>(),
+    )
+        .prop_map(|(model, crash, tagged)| {
+            let mut config = MachineConfig::new(model, MemoryLayout::unowned());
+            if let Some(semantics) = crash {
+                config = config.with_crashes(semantics, 1);
+            }
+            if tagged {
+                config = config.with_tagged_writes();
+            }
+            config
+        })
+}
+
+/// Every state reachable from `m`, by full state key, with the fingerprint
+/// `step_recorded`/`undo` kept for it.
+fn reachable(
+    m: &mut Machine<Script>,
+    seen: &mut std::collections::HashMap<StateKey<Script>, u128>,
+) {
+    for elem in m.choices() {
+        let (out, token) = m.step_recorded(elem);
+        if matches!(out, StepOutcome::Stepped(_))
+            && seen.insert(m.state_key(), m.fingerprint()).is_none()
+        {
+            reachable(m, seen);
+        }
+        m.undo(token);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Along any walk of recorded steps and undos, the fingerprint the
+    /// machine keeps equals the one a freshly built machine hashes from
+    /// scratch after replaying the same path with plain steps, and every
+    /// undo restores the exact prior value.
+    #[test]
+    fn fingerprint_follows_recorded_steps_and_undo(
+        scripts in prop::collection::vec(arb_rmw_script(8), 1..4),
+        config in arb_machine_config(),
+        walk in prop::collection::vec((0usize..16, 0u8..4), 0..80),
+    ) {
+        let mut m = Machine::new(config.clone(), scripts.clone());
+        let mut path = Vec::new();
+        let mut trail = Vec::new();
+        for (pick, action) in walk {
+            let choices = m.choices();
+            if action == 0 || choices.is_empty() {
+                // Backtrack one step (if any).
+                if let Some((token, fp_before)) = trail.pop() {
+                    m.undo(token);
+                    path.pop();
+                    prop_assert_eq!(m.fingerprint(), fp_before);
+                }
+            } else {
+                let elem = choices[pick % choices.len()];
+                let fp_before = m.fingerprint();
+                let (out, token) = m.step_recorded(elem);
+                prop_assert!(matches!(out, StepOutcome::Stepped(_)));
+                trail.push((token, fp_before));
+                path.push(elem);
+            }
+            let mut fresh = Machine::new(config.clone(), scripts.clone());
+            fresh.run_schedule(&path);
+            prop_assert_eq!(fresh.state_key(), m.state_key());
+            prop_assert_eq!(fresh.fingerprint(), m.fingerprint(), "path {:?}", &path);
+        }
+    }
+
+    /// Over the whole reachable space of small random programs, fingerprints
+    /// and full state keys induce the same partition: as many distinct
+    /// fingerprints as distinct states.
+    #[test]
+    fn fingerprints_partition_reachable_states_exactly(
+        scripts in prop::collection::vec(arb_rmw_script(6), 1..3),
+        config in arb_machine_config(),
+    ) {
+        let mut m = Machine::new(config, scripts);
+        let mut seen = std::collections::HashMap::new();
+        seen.insert(m.state_key(), m.fingerprint());
+        reachable(&mut m, &mut seen);
+        let fps: FpSet = seen.values().copied().collect();
+        prop_assert_eq!(fps.len(), seen.len());
     }
 }
