@@ -1,41 +1,38 @@
-//! The explicit-state checker.
+//! The explicit-state checker: its configuration, verdict and statistics
+//! types, the [`check`] entry point, and the clone-per-transition oracle.
 //!
-//! Three interchangeable exploration engines produce bit-identical verdicts
-//! and statistics (see [`Engine`]):
+//! Five interchangeable exploration engines (see [`Engine`]):
 //!
 //! * [`Engine::CloneDfs`] — the original depth-first search that clones the
-//!   whole machine at every transition. Kept as the differential oracle.
-//! * [`Engine::Undo`] — the default: one machine, mutated in place via
-//!   [`Machine::step_recorded`] and rewound with [`Machine::undo`], so
-//!   backtracking costs O(step footprint) instead of O(machine). A single
-//!   clone is taken at the root (and one more per counterexample replay).
-//! * [`Engine::Parallel`] — N workers sweep disjoint top-level subtrees
-//!   gated on a shared lock-free fingerprint table ([`por::FpTable`]). A
-//!   completed sweep expands every reachable state exactly once, so its
-//!   statistics equal the sequential ones; any violation, state limit, or
-//!   stuck state cancels the sweep and reruns the sequential undo engine,
-//!   whose verdict (including the counterexample) is returned verbatim.
-//!   Either way the result is bit-identical to the sequential engines.
+//!   whole machine at every transition. Kept as the differential oracle;
+//!   it is the only engine with a loop of its own (in this file).
+//! * [`Engine::Undo`] (the default), [`Engine::Parallel`],
+//!   [`Engine::Dpor`] and [`Engine::ParallelDpor`] are the four
+//!   instantiations of the one search kernel (`kernel.rs`): no
+//!   reduction or sleep/ample sets, on a local stack or a work-stealing
+//!   frontier. One machine is stepped with [`Machine::step_recorded`] and
+//!   rewound with [`Machine::undo`], so backtracking costs O(step
+//!   footprint) instead of O(machine).
 //!
-//! Two further engines trade completeness of that statistics contract for
-//! speed: [`Engine::Dpor`] (partial-order reduction, in [`crate::dpor`])
-//! and [`Engine::ParallelDpor`] (work-stealing parallel DPOR, in
-//! [`crate::pardpor`]); both keep verdicts bit-identical.
+//! `CloneDfs`, `Undo` and `Parallel` produce bit-identical verdicts and
+//! statistics; the two reducing engines trade the statistics contract for
+//! speed and keep verdicts bit-identical.
 
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ftobs::{Estimate, Gauge, Metric, MetricsSnapshot, Progress, Recorder, TreeEstimator};
-use por::{BaseCounts, ForkPoint, RunMeta, SleepSet, Snapshot};
-use wbmem::{
-    CrashSemantics, FpMap, Machine, MachineError, Process, SchedElem, StepOutcome, UndoToken,
-};
+use por::{RunMeta, Snapshot};
+use wbmem::{CrashSemantics, FpMap, Machine, MachineError, Process, SchedElem, StepOutcome};
+
+use crate::kernel::sequential;
+use crate::pardpor::check_shared;
 
 /// Which exploration engine [`check`] runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -47,8 +44,12 @@ pub enum Engine {
     /// rewound in place.
     #[default]
     Undo,
-    /// Multi-threaded sweep. `threads == 0` means one worker per available
-    /// core. With one worker this is exactly [`Engine::Undo`].
+    /// [`Engine::Undo`]'s walk on the work-stealing frontier: a completed
+    /// sweep expands every reachable state exactly once, so its
+    /// statistics equal the sequential ones; a violation, state limit, or
+    /// stuck state cancels it and reruns [`Engine::Undo`], whose verdict
+    /// (including the counterexample) is returned verbatim. With one
+    /// worker this is exactly [`Engine::Undo`].
     Parallel {
         /// Worker count (`0` = available parallelism).
         threads: usize,
@@ -67,27 +68,20 @@ pub enum Engine {
         /// are always real. `None`: full (sound and complete) search.
         ///
         /// `Some(u32::MAX)` is a *diagnostic* mode: the bound is
-        /// unreachable, and the engine additionally switches every
-        /// reduction off (empty sleep sets, no ample selection, plain
-        /// visited-set dedup) and consumes choices in the exhaustive
-        /// engines' order. The run then executes the exact edge multiset
-        /// of [`Engine::Undo`], so its [`MetricsSnapshot`] is
+        /// unreachable, and it selects no reduction at all — the run *is*
+        /// [`Engine::Undo`]'s walk, so its [`MetricsSnapshot`] is
         /// bit-identical to the exhaustive engines' — the baseline the
         /// reduction's savings are measured against.
         reorder_bound: Option<u32>,
     },
-    /// Work-stealing parallel DPOR: N workers each run the
-    /// [`Engine::Dpor`] reduced DFS (identical pruning rules), trading
-    /// unexplored fork points through a bounded work-stealing queue and
-    /// deduplicating states in a shared lock-free fingerprint table
-    /// ([`por::FpTable`]). Verdicts are bit-identical to
-    /// [`Engine::Dpor`] with the same `reorder_bound` (violations,
-    /// limits, stuck states, and worker panics defer to a sequential
-    /// rerun, exactly like [`Engine::Parallel`]); in the diagnostic
-    /// disabled-reduction mode the metrics are bit-identical too. Small
-    /// runs short-circuit to the sequential engine (see
-    /// `FT_PARDPOR_SEQ`). See `DESIGN.md` §7 for the fork-point protocol
-    /// and the soundness argument.
+    /// Work-stealing parallel DPOR: [`Engine::Dpor`]'s walk (identical
+    /// pruning rules) on [`Engine::Parallel`]'s frontier. Verdicts are
+    /// bit-identical to [`Engine::Dpor`] with the same `reorder_bound`
+    /// (violations, limits, stuck states, and worker panics defer to a
+    /// sequential rerun); in the diagnostic mode this is
+    /// [`Engine::Parallel`]. Small reduced runs short-circuit to the
+    /// sequential engine (see `FT_PARDPOR_SEQ`). See `DESIGN.md` §7 for
+    /// the fork-point protocol and the soundness argument.
     ParallelDpor {
         /// Worker count (`0` = available parallelism). With one worker
         /// this is exactly [`Engine::Dpor`].
@@ -99,6 +93,27 @@ pub enum Engine {
 }
 
 impl Engine {
+    /// The reorder bound that selects this engine's kernel reduction:
+    /// `Some(u32::MAX)` — the diagnostic bound — is no reduction at all,
+    /// which is what the exhaustive engines run.
+    pub(crate) fn reduction(&self) -> Option<u32> {
+        match *self {
+            Engine::Dpor { reorder_bound } | Engine::ParallelDpor { reorder_bound, .. } => {
+                reorder_bound
+            }
+            Engine::CloneDfs | Engine::Undo | Engine::Parallel { .. } => Some(u32::MAX),
+        }
+    }
+
+    /// Workers the engine runs on (`0` = one per available core); the
+    /// sequential engines continue a checkpoint as one.
+    pub(crate) fn workers(&self) -> usize {
+        match *self {
+            Engine::Parallel { threads } | Engine::ParallelDpor { threads, .. } => threads,
+            Engine::CloneDfs | Engine::Undo | Engine::Dpor { .. } => 1,
+        }
+    }
+
     /// Short machine-readable label (`ftobs` metadata, bench rows).
     #[must_use]
     pub fn label(&self) -> &'static str {
@@ -154,15 +169,14 @@ pub struct CheckConfig {
     /// stamps its final [`MetricsSnapshot`] into the verdict's [`Stats`].
     /// The default, [`Recorder::disabled`], is a no-op.
     pub recorder: Recorder,
-    /// Durable checkpointing (see [`CheckpointPolicy`]). When set, the
-    /// [`Engine::Undo`], [`Engine::Dpor`], and [`Engine::ParallelDpor`]
-    /// engines write a versioned, checksummed snapshot of the unexplored
-    /// frontier on budget expiry, interrupt, or occupancy pressure —
-    /// and periodically if so configured — so the run can be continued
-    /// with [`crate::resume`]. [`Engine::CloneDfs`] and
-    /// [`Engine::Parallel`] ignore the policy (they keep live machine
-    /// clones per frame, which have no serialized form). `None` (the
-    /// default) disables checkpointing entirely.
+    /// Durable checkpointing (see [`CheckpointPolicy`]). When set, every
+    /// engine but the [`Engine::CloneDfs`] oracle writes a versioned,
+    /// checksummed snapshot of the unexplored frontier on budget expiry,
+    /// interrupt, or occupancy pressure — and periodically if so
+    /// configured — so the run can be continued with [`crate::resume`].
+    /// `CloneDfs` ignores the policy (it keeps a live machine clone per
+    /// frame, which has no serialized form). `None` (the default)
+    /// disables checkpointing entirely.
     pub checkpoint: Option<CheckpointPolicy>,
 }
 
@@ -721,15 +735,6 @@ impl SearchIndex {
         self.ids.len()
     }
 
-    /// Every fingerprint seen so far, sorted (the checkpoint's visited
-    /// set: the sequential exhaustive engines expand a state exactly when
-    /// they allocate its id).
-    pub(crate) fn sorted_fps(&self) -> Vec<u128> {
-        let mut fps = self.fps.clone();
-        fps.sort_unstable();
-        fps
-    }
-
     /// The fingerprint a dense id was allocated for.
     pub(crate) fn fp_of(&self, id: u32) -> u128 {
         self.fps[id as usize]
@@ -794,14 +799,13 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// How many loop iterations the sequential engines run between deadline
-/// polls (the parallel workers poll on their existing 256-step cadence).
+/// polls (the parallel workers poll every 256).
 pub(crate) const DEADLINE_POLL_MASK: usize = 1024 - 1;
 
-/// The sequential engines' shared poll point: update the frontier and
+/// The engines' shared poll point: update the frontier and
 /// dedup-occupancy gauges, offer the recorder a (rate-limited) heartbeat,
 /// and report whether the wall-clock deadline has passed. With a disabled
-/// recorder this is exactly the old deadline check — no clock read unless
-/// a deadline exists.
+/// recorder there is no clock read unless a deadline exists.
 pub(crate) fn poll_observe(
     obs: &Recorder,
     stats: &Stats,
@@ -884,15 +888,16 @@ pub(crate) fn run_id(config: &CheckConfig, root_fp: u128) -> u64 {
     config_hash(config) ^ fold_fp(root_fp)
 }
 
-/// `config` with its checkpoint policy stripped, for the parallel
-/// engines' deterministic sequential reruns: a rerun reproduces a
-/// violation/limit/stuck verdict bit-identically, and must not be cut
-/// short by a `stop_after_transitions`/interrupt trigger re-firing on
-/// its restarted transition count.
-pub(crate) fn without_checkpoint(config: &CheckConfig) -> CheckConfig {
-    CheckConfig {
-        checkpoint: None,
-        ..config.clone()
+/// The run metadata stamped into every checkpoint, lease, and result of
+/// the exploration of `config` from the (crash-bounded) root `root_fp`.
+/// `#[inline]` for [`config_hash`]'s reason: this is its call site in the
+/// generic engine code.
+#[inline]
+pub(crate) fn run_meta_of(config: &CheckConfig, root_fp: u128) -> RunMeta {
+    RunMeta {
+        engine: config.engine.label().to_string(),
+        config_hash: config_hash(config),
+        program_hash: root_fp,
     }
 }
 
@@ -906,89 +911,75 @@ pub(crate) fn write_checkpoint(
     policy: &CheckpointPolicy,
     snap: &Snapshot,
 ) -> Option<PathBuf> {
+    use ftobs::J;
     let mut tctx = obs.trace_ctx();
     let span = tctx.begin();
-    let out = write_checkpoint_attempts(obs, policy, snap);
-    if tctx.enabled() {
-        tctx.end(
-            span,
-            "checkpoint",
-            obs.trace_root(),
-            &[
-                (
-                    "run",
-                    ftobs::J::U(snap.meta.config_hash ^ fold_fp(snap.meta.program_hash)),
-                ),
-                ("ok", ftobs::J::B(out.is_some())),
-                ("forks", ftobs::J::U(snap.forks.len() as u64)),
-                ("states", ftobs::J::U(snap.base.states)),
-            ],
-        );
-    }
-    out
-}
-
-fn write_checkpoint_attempts(
-    obs: &Recorder,
-    policy: &CheckpointPolicy,
-    snap: &Snapshot,
-) -> Option<PathBuf> {
+    let path = || ("path", J::s(policy.path.display().to_string()));
+    let forks = || ("forks", J::U(snap.forks.len() as u64));
+    let states = || ("states", J::U(snap.base.states));
     let mut delay = Duration::from_millis(10);
+    let mut written = None;
     for attempt in 1..=3u32 {
         match snap.write_atomic(&policy.path) {
             Ok(bytes) => {
-                if obs.is_enabled() {
-                    obs.incr(Metric::CheckpointWritten);
-                    obs.add(Metric::CheckpointBytes, bytes);
-                    obs.event(
-                        "checkpoint",
-                        &[
-                            ("path", ftobs::J::s(policy.path.display().to_string())),
-                            ("bytes", ftobs::J::U(bytes)),
-                            ("forks", ftobs::J::U(snap.forks.len() as u64)),
-                            ("states", ftobs::J::U(snap.base.states)),
-                        ],
-                    );
-                }
-                return Some(policy.path.clone());
+                obs.incr(Metric::CheckpointWritten);
+                obs.add(Metric::CheckpointBytes, bytes);
+                let bytes = ("bytes", J::U(bytes));
+                obs.event("checkpoint", &[path(), bytes, forks(), states()]);
+                written = Some(policy.path.clone());
+                break;
             }
             Err(e) if attempt < 3 => {
-                if obs.is_enabled() {
-                    obs.event(
-                        "checkpoint_retry",
-                        &[
-                            ("attempt", ftobs::J::U(u64::from(attempt))),
-                            ("error", ftobs::J::s(e.to_string())),
-                        ],
-                    );
-                }
+                let attempt = ("attempt", J::U(u64::from(attempt)));
+                obs.event(
+                    "checkpoint_retry",
+                    &[attempt, ("error", J::s(e.to_string()))],
+                );
                 std::thread::sleep(delay);
                 delay *= 5;
             }
-            Err(e) => {
-                if obs.is_enabled() {
-                    obs.event(
-                        "checkpoint_failed",
-                        &[
-                            ("path", ftobs::J::s(policy.path.display().to_string())),
-                            ("error", ftobs::J::s(e.to_string())),
-                        ],
-                    );
-                }
-            }
+            Err(e) => obs.event(
+                "checkpoint_failed",
+                &[path(), ("error", J::s(e.to_string()))],
+            ),
         }
     }
-    None
+    let run = (
+        "run",
+        J::U(snap.meta.config_hash ^ fold_fp(snap.meta.program_hash)),
+    );
+    let ok = ("ok", J::B(written.is_some()));
+    tctx.end(
+        span,
+        "checkpoint",
+        obs.trace_root(),
+        &[run, ok, forks(), states()],
+    );
+    written
+}
+
+/// `initial` with the configured crash bound applied: the root every
+/// engine explores from and every checkpoint and lease is keyed by. With
+/// `max_crashes > 0` the clone enumerates [`wbmem::SchedElem::crash`]
+/// steps too.
+pub(crate) fn bounded_root<'a, P: Process>(
+    initial: &'a Machine<P>,
+    config: &CheckConfig,
+) -> Cow<'a, Machine<P>> {
+    if config.max_crashes == 0 {
+        return Cow::Borrowed(initial);
+    }
+    let mut m = initial.clone();
+    m.set_crash_bound(config.crash_semantics, config.max_crashes);
+    Cow::Owned(m)
 }
 
 /// Exhaustively explore every schedule of `initial` (process interleavings
 /// *and* commit orders) and check the configured properties.
 ///
-/// With `max_crashes > 0` the root machine is cloned with crash injection
-/// enabled, so every engine also enumerates [`wbmem::SchedElem::crash`]
-/// steps — schedules where processes crash (losing or draining their
-/// buffers per [`CheckConfig::crash_semantics`]) and restart at their
-/// recovery entry.
+/// With `max_crashes > 0` every engine also enumerates crash steps —
+/// schedules where processes crash (losing or draining their buffers per
+/// [`CheckConfig::crash_semantics`]) and restart at their recovery entry.
 ///
 /// The state space must be finite (true for the one-shot lock/object
 /// programs in `simlocks`: tickets are bounded by `n` and every process
@@ -1000,69 +991,84 @@ fn write_checkpoint_attempts(
 /// timing-dependent.
 #[must_use]
 pub fn check<P: Process>(initial: &Machine<P>, config: &CheckConfig) -> Verdict {
+    dispatch(initial, config, None)
+}
+
+/// One run of `config.engine` — from the root, or continuing the
+/// validated checkpoint `seed` ([`crate::resume`]) — inside its causal
+/// span, stamped with the elapsed time and the recorder's metrics.
+pub(crate) fn dispatch<P: Process>(
+    initial: &Machine<P>,
+    config: &CheckConfig,
+    mut seed: Option<Snapshot>,
+) -> Verdict {
     let start = Instant::now();
     let deadline = config.budget.map(|b| start + b);
-    let crash_root;
-    let root = if config.max_crashes > 0 {
-        let mut m = initial.clone();
-        m.set_crash_bound(config.crash_semantics, config.max_crashes);
-        crash_root = m;
-        &crash_root
-    } else {
-        initial
-    };
-    // Causal trace: one `engine` span per dispatch, parented under
-    // whatever enclosing span set the recorder's root (a model sweep, a
-    // resume, nothing). Engine-internal spans nest under it via that
-    // same root while the dispatch runs.
-    let mut tctx = config.recorder.trace_ctx();
-    let espan = tctx.begin();
-    let span_parent = config.recorder.trace_root();
-    let run = if tctx.enabled() {
-        config.recorder.set_trace_root(espan.id);
-        run_id(config, root.fingerprint())
-    } else {
-        0
-    };
-    let mut verdict = match config.engine {
-        Engine::CloneDfs => check_clone_dfs(root, config, deadline),
-        Engine::Undo => check_undo(root, config, deadline),
-        Engine::Parallel { threads } => check_parallel(root, config, threads, deadline),
-        Engine::Dpor { reorder_bound } => {
-            crate::dpor::check_dpor(root, config, reorder_bound, deadline)
+    let root = bounded_root(initial, config);
+    let (root, obs) = (root.as_ref(), &config.recorder);
+    // One `engine` (or `resume`) span per dispatch, parented under
+    // whatever enclosing span set the recorder's root (a model sweep,
+    // nothing). Engine-internal spans nest under it via that same root
+    // while the dispatch runs.
+    let mut tctx = obs.trace_ctx();
+    let span = tctx.begin();
+    let span_parent = obs.trace_root();
+    let mut run = 0;
+    if tctx.enabled() {
+        obs.set_trace_root(span.id);
+        run = run_id(config, root.fingerprint());
+        // Snapshot span ids belong to the writing process; rebase the
+        // seeded forks onto this span so every steal edge in this
+        // process's trace resolves locally.
+        for fork in seed.iter_mut().flat_map(|snap| &mut snap.forks) {
+            fork.span = span.id.0;
         }
-        Engine::ParallelDpor {
-            threads,
-            reorder_bound,
-        } => crate::pardpor::check_pardpor(root, config, threads, reorder_bound, deadline, None),
+    }
+    let resumed = seed.as_ref().map(|snap| (snap.metrics, snap.forks.len()));
+    let mut verdict = match (config.engine, seed) {
+        // `resume` refuses the oracle before it gets here.
+        (Engine::CloneDfs, _) => check_clone_dfs(root, config, deadline),
+        (Engine::Undo | Engine::Dpor { .. }, None) => sequential(root, config, deadline),
+        (_, seed) => check_shared(root, config, deadline, seed),
     };
     verdict.stats_mut().elapsed = start.elapsed();
+    use ftobs::J;
+    let fields = |verdict: &Verdict| {
+        let engine = ("engine", J::s(config.engine.label()));
+        vec![engine, ("verdict", J::s(verdict.label()))]
+    };
     if tctx.enabled() {
-        config.recorder.set_trace_root(span_parent);
-        tctx.end(
-            espan,
-            "engine",
-            span_parent,
-            &[
-                ("run", ftobs::J::U(run)),
-                ("engine", ftobs::J::s(config.engine.label())),
-                ("verdict", ftobs::J::s(verdict.label())),
-                ("states", ftobs::J::U(verdict.stats().states as u64)),
-            ],
-        );
+        obs.set_trace_root(span_parent);
+        let mut fields = fields(&verdict);
+        fields.push(("run", J::U(run)));
+        fields.push(("states", J::U(verdict.stats().states as u64)));
+        if let Some((_, forks)) = resumed {
+            // `prev_run` links the continuation to the interrupted run's
+            // `engine` span: validated metadata means the same run id.
+            fields.push(("prev_run", J::U(run)));
+            fields.push(("forks", J::U(forks as u64)));
+        }
+        let name = resumed.map_or("engine", |_| "resume");
+        tctx.end(span, name, span_parent, &fields);
         tctx.flush();
     }
-    if config.recorder.is_enabled() {
-        verdict.stats_mut().metrics = config.recorder.snapshot();
-        config.recorder.emit_snapshot(&[
-            ("engine", ftobs::J::s(config.engine.label())),
-            ("verdict", ftobs::J::s(verdict.label())),
-            (
-                "elapsed_ms",
-                ftobs::J::U(start.elapsed().as_millis() as u64),
-            ),
-        ]);
-        config.recorder.flush();
+    if obs.is_enabled() {
+        // A resumed Ok/Inconclusive verdict describes the combined run,
+        // so its metrics merge the interrupted run's snapshot with this
+        // one's. Every other verdict came from a standalone sequential
+        // rerun (counters reset first) and stands alone.
+        let own = obs.snapshot();
+        verdict.stats_mut().metrics = match (&verdict, resumed) {
+            (Verdict::Ok(_) | Verdict::Inconclusive(..), Some((prior, _))) => prior.merged(&own),
+            _ => own,
+        };
+        let mut fields = fields(&verdict);
+        if resumed.is_some() {
+            fields.push(("resumed", J::B(true)));
+        }
+        fields.push(("elapsed_ms", J::U(start.elapsed().as_millis() as u64)));
+        obs.emit_snapshot(&fields);
+        obs.flush();
     }
     verdict
 }
@@ -1210,711 +1216,6 @@ fn check_clone_dfs<P: Process>(
     }
 
     Verdict::Ok(stats)
-}
-
-/// One frame of the undo-engine's explicit DFS stack. Its choices live in
-/// `arena[start..]` at push time and are consumed from the back (`next`
-/// counts down to `start`), matching the clone engine's `Vec::pop` order so
-/// both engines visit states in the same order.
-struct Frame<P> {
-    id: u32,
-    start: usize,
-    next: usize,
-    /// How to rewind the machine to this frame's parent (None at the root).
-    token: Option<UndoToken<P>>,
-}
-
-/// Serialize the undo engine's live DFS into a durable [`Snapshot`]: one
-/// [`ForkPoint`] per frame with unconsumed choices (frame `i`'s state is
-/// reached by replaying `path[..i]`), the visited set, and the id-keyed
-/// termination graph re-keyed by fingerprint. Fork points carry empty
-/// sleep/taken sets and an unlimited reorder budget — the exhaustive
-/// engine never prunes, and the resumed continuation must not either.
-#[allow(clippy::too_many_arguments)]
-fn undo_snapshot<P: Process>(
-    config: &CheckConfig,
-    root_fp: u128,
-    stats: &Stats,
-    metrics: MetricsSnapshot,
-    frames: &[Frame<P>],
-    arena: &[SchedElem],
-    path: &[SchedElem],
-    index: &SearchIndex,
-    edges: &[(u32, u32)],
-    terminal: &[u32],
-) -> Snapshot {
-    let forks = frames
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.next > f.start)
-        .map(|(i, f)| ForkPoint {
-            path: path[..i].to_vec(),
-            sleep: SleepSet::default(),
-            taken: Vec::new(),
-            // The undo engine consumes `arena[start..next]` back to
-            // front; a resumed continuation consumes front to back, so
-            // the slice is reversed to preserve exploration order.
-            choices: arena[f.start..f.next].iter().rev().copied().collect(),
-            excluded: Vec::new(),
-            remaining: u32::MAX,
-            span: config.recorder.trace_root().0,
-        })
-        .collect();
-    Snapshot {
-        meta: RunMeta {
-            engine: config.engine.label().to_string(),
-            config_hash: config_hash(config),
-            program_hash: root_fp,
-        },
-        base: BaseCounts {
-            states: stats.states as u64,
-            transitions: stats.transitions as u64,
-            terminal_states: stats.terminal_states as u64,
-            sleep_hits: 0,
-        },
-        metrics,
-        forks,
-        visited: index.sorted_fps(),
-        edges: edges
-            .iter()
-            .map(|&(a, b)| (index.fp_of(a), index.fp_of(b)))
-            .collect(),
-        terminals: terminal.iter().map(|&t| index.fp_of(t)).collect(),
-    }
-}
-
-/// The default engine: a single machine stepped forward with
-/// [`Machine::step_recorded`] and rewound with [`Machine::undo`] on
-/// backtrack. Traversal order, statistics, verdicts, and counterexamples
-/// are identical to [`check_clone_dfs`]; the work per edge drops from
-/// O(machine clone) to O(step footprint), and the choice arena makes the
-/// hot loop allocation-free in steady state.
-fn check_undo<P: Process>(
-    initial: &Machine<P>,
-    config: &CheckConfig,
-    deadline: Option<Instant>,
-) -> Verdict {
-    let obs = &config.recorder;
-    // Batches the per-edge counters; flushed into the recorder on every
-    // exit path by its Drop impl.
-    let mut tally = obs.tally();
-    let mut est = TreeEstimator::new();
-    est.begin_task();
-    let mut stats = Stats::default();
-    let mut index = SearchIndex::default();
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    let mut terminal: Vec<u32> = Vec::new();
-
-    let root_fp = initial.fingerprint();
-    let Some((root_id, _)) = index.id_of(root_fp, None) else {
-        return Verdict::Error(stats, CheckError::TooManyStates);
-    };
-    stats.states = 1;
-    tally.on_state(0);
-
-    if config.check_mutex && in_cs_count(initial) > 1 {
-        return Verdict::MutexViolation(stats, render(initial, &[]));
-    }
-    if violates_invariant(config, initial) {
-        return Verdict::InvariantViolation(stats, render(initial, &[]));
-    }
-    if initial.all_done() {
-        terminal.push(root_id);
-        stats.terminal_states = 1;
-        tally.terminal_state();
-    }
-
-    // The one clone of the run (plus one per rendered counterexample).
-    // It carries the recorder; `initial` stays unrecorded so replays do
-    // not pollute the metrics.
-    let mut m = initial.clone();
-    m.set_recorder(obs.clone());
-    let mut arena: Vec<SchedElem> = Vec::new();
-    let mut scratch: Vec<SchedElem> = Vec::new();
-    let mut frames: Vec<Frame<P>> = Vec::new();
-    let policy = config.checkpoint.as_ref();
-    let mut periodic = policy.map(PeriodicCheckpoint::new);
-    // The schedule from the root to the current top frame's state
-    // (`path[..i]` reaches frame `i`); maintained to serialize fork
-    // points, and cheap enough to keep unconditionally.
-    let mut path: Vec<SchedElem> = Vec::new();
-
-    m.choices_into(&mut scratch);
-    arena.extend_from_slice(&scratch);
-    est.push(scratch.len());
-    frames.push(Frame {
-        id: root_id,
-        start: 0,
-        next: arena.len(),
-        token: None,
-    });
-
-    let mut iters = 0usize;
-    while !frames.is_empty() {
-        iters += 1;
-        if let Some(pol) = policy {
-            // Checked every iteration (not at poll granularity) so the
-            // deterministic stop_after cut is exact.
-            if pol.stop_requested(stats.transitions as u64) {
-                tally.flush();
-                let snap = undo_snapshot(
-                    config,
-                    root_fp,
-                    &stats,
-                    obs.snapshot(),
-                    &frames,
-                    &arena,
-                    &path,
-                    &index,
-                    &edges,
-                    &terminal,
-                );
-                let frontier = frames.len();
-                return Verdict::Inconclusive(
-                    stats,
-                    Coverage {
-                        frontier,
-                        checkpoint: write_checkpoint(obs, pol, &snap),
-                        ..Coverage::default()
-                    }
-                    .with_estimate(est.estimate(stats.states as u64)),
-                );
-            }
-        }
-        if iters & DEADLINE_POLL_MASK == 0 {
-            let over_occupancy = policy
-                .and_then(|p| p.max_occupancy)
-                .is_some_and(|cap| index.len() >= cap);
-            let estimate = est.estimate(stats.states as u64);
-            if poll_observe(
-                obs,
-                &stats,
-                frames.len(),
-                index.len(),
-                config.budget,
-                deadline,
-                estimate,
-            ) || over_occupancy
-            {
-                let checkpoint = policy.and_then(|pol| {
-                    tally.flush();
-                    let snap = undo_snapshot(
-                        config,
-                        root_fp,
-                        &stats,
-                        obs.snapshot(),
-                        &frames,
-                        &arena,
-                        &path,
-                        &index,
-                        &edges,
-                        &terminal,
-                    );
-                    write_checkpoint(obs, pol, &snap)
-                });
-                return Verdict::Inconclusive(
-                    stats,
-                    Coverage {
-                        frontier: frames.len(),
-                        checkpoint,
-                        ..Coverage::default()
-                    }
-                    .with_estimate(estimate),
-                );
-            }
-            if let (Some(pol), Some(per)) = (policy, periodic.as_mut()) {
-                if per.due(pol, stats.transitions as u64) {
-                    tally.flush();
-                    let snap = undo_snapshot(
-                        config,
-                        root_fp,
-                        &stats,
-                        obs.snapshot(),
-                        &frames,
-                        &arena,
-                        &path,
-                        &index,
-                        &edges,
-                        &terminal,
-                    );
-                    let _ = write_checkpoint(obs, pol, &snap);
-                }
-            }
-        }
-        let Some(top) = frames.last_mut() else { break };
-        if top.next == top.start {
-            // Frame exhausted: rewind to the parent state.
-            if let Some(frame) = frames.pop() {
-                est.pop();
-                arena.truncate(frame.start);
-                if let Some(token) = frame.token {
-                    m.undo(token);
-                    path.pop();
-                }
-            }
-            continue;
-        }
-        top.next -= 1;
-        let elem = arena[top.next];
-        let parent_id = top.id;
-
-        let (out, token) = m.step_recorded(elem);
-        if matches!(out, StepOutcome::NoOp) {
-            tally.noop_step();
-            est.leaf();
-            m.undo(token);
-            continue;
-        }
-        stats.transitions += 1;
-        tally.on_transition();
-        let fp = m.fingerprint();
-        let Some((child_id, fresh)) = index.id_of(fp, Some((parent_id, elem))) else {
-            return Verdict::Error(stats, CheckError::TooManyStates);
-        };
-        if config.check_termination {
-            edges.push((parent_id, child_id));
-        }
-        if !fresh {
-            tally.dedup_hit();
-            est.leaf();
-            m.undo(token);
-            continue;
-        }
-        stats.states += 1;
-        tally.on_state(frames.len() as u64);
-        if stats.states > config.max_states {
-            return Verdict::StateLimit(stats);
-        }
-
-        if config.check_mutex && in_cs_count(&m) > 1 {
-            return Verdict::MutexViolation(stats, render(initial, &index.path_to(child_id)));
-        }
-        if violates_invariant(config, &m) {
-            return Verdict::InvariantViolation(stats, render(initial, &index.path_to(child_id)));
-        }
-        if m.all_done() {
-            stats.terminal_states += 1;
-            terminal.push(child_id);
-            tally.terminal_state();
-            est.leaf();
-            if config.check_permutation && !returns_are_permutation(&m) {
-                return Verdict::PermutationViolation(
-                    stats,
-                    render(initial, &index.path_to(child_id)),
-                );
-            }
-            m.undo(token);
-            continue; // no choices from a terminal state
-        }
-
-        let start = arena.len();
-        m.choices_into(&mut scratch);
-        debug_assert!(!scratch.is_empty(), "non-terminal state has no choices");
-        arena.extend_from_slice(&scratch);
-        est.push(scratch.len());
-        frames.push(Frame {
-            id: child_id,
-            start,
-            next: arena.len(),
-            token: Some(token),
-        });
-        path.push(elem);
-    }
-
-    obs.gauge_set(Gauge::DedupOccupancy, index.len() as u64);
-    if config.check_termination {
-        if let Some(stuck) = find_stuck(index.len(), &edges, &terminal) {
-            return Verdict::NoTermination(stats, render(initial, &index.path_to(stuck)));
-        }
-    }
-
-    Verdict::Ok(stats)
-}
-
-/// What one parallel worker reports back.
-#[derive(Default)]
-struct WorkerReport {
-    transitions: usize,
-    /// Fingerprints of the all-done states this worker first visited.
-    terminal_fps: Vec<u128>,
-    /// `(parent fp, child fp)` edges from every state this worker expanded
-    /// (only collected when the termination check is on).
-    edges: Vec<(u128, u128)>,
-    /// Worker saw a property violation (details come from the sequential
-    /// rerun).
-    violated: bool,
-    /// Open DFS frames when the worker stopped on budget expiry (0 on a
-    /// completed sweep).
-    frontier: usize,
-}
-
-/// The parallel engine: split the root's outgoing transitions round-robin
-/// across `threads` workers, each running an undo-log DFS gated on a shared
-/// lock-free fingerprint table ([`por::FpTable`]), so every reachable state
-/// is expanded by exactly one worker. A completed sweep therefore reproduces the sequential `Stats`
-/// exactly (states = visited-set inserts, transitions = out-edges of
-/// expanded states, terminals counted at first insert). Any violation,
-/// state-limit overrun, or stuck state cancels the sweep and defers to the
-/// sequential undo engine so verdicts — counterexamples included — stay
-/// bit-identical to the sequential engines.
-fn check_parallel<P: Process>(
-    initial: &Machine<P>,
-    config: &CheckConfig,
-    threads: usize,
-    deadline: Option<Instant>,
-) -> Verdict {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        threads
-    };
-    if threads <= 1 {
-        return check_undo(initial, config, deadline);
-    }
-
-    // Root-state checks mirror the sequential engines; any violation is
-    // reproduced sequentially for an identical verdict. The invariant is a
-    // user-supplied function, so even the root evaluation is guarded.
-    if config.check_mutex && in_cs_count(initial) > 1 {
-        return check_undo(initial, config, deadline);
-    }
-    match catch_unwind(AssertUnwindSafe(|| violates_invariant(config, initial))) {
-        Ok(false) => {}
-        Ok(true) => return check_undo(initial, config, deadline),
-        Err(payload) => {
-            return Verdict::Error(
-                Stats::default(),
-                CheckError::Panic(format!(
-                    "root invariant: {}",
-                    panic_message(payload.as_ref())
-                )),
-            )
-        }
-    }
-
-    let visited = por::FpTable::new();
-    let state_count = AtomicUsize::new(1); // the root
-    let cancel = AtomicBool::new(false);
-    let budget_hit = AtomicBool::new(false);
-
-    let root_fp = initial.fingerprint();
-    visited.insert(root_fp);
-    config.recorder.on_state(0);
-    if initial.all_done() {
-        config.recorder.incr(Metric::TerminalStates);
-    }
-
-    let root_choices = initial.choices();
-    // Each worker runs under `catch_unwind`: a panicking property closure
-    // (or a bug) must not abort the whole checker. On panic the worker
-    // cancels its peers; the caller then falls back to a deterministic
-    // sequential rerun, itself guarded.
-    let results: Vec<Result<WorkerReport, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let assigned: Vec<SchedElem> = root_choices
-                    .iter()
-                    .copied()
-                    .skip(w)
-                    .step_by(threads)
-                    .collect();
-                let visited = &visited;
-                let state_count = &state_count;
-                let cancel = &cancel;
-                let budget_hit = &budget_hit;
-                scope.spawn(move || {
-                    let out = catch_unwind(AssertUnwindSafe(|| {
-                        parallel_worker(
-                            initial,
-                            config,
-                            root_fp,
-                            assigned,
-                            visited,
-                            state_count,
-                            cancel,
-                            budget_hit,
-                            deadline,
-                        )
-                    }));
-                    if out.is_err() {
-                        cancel.store(true, Ordering::SeqCst);
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(Ok(report)) => Ok(report),
-                Ok(Err(payload)) => Err(panic_message(payload.as_ref())),
-                Err(payload) => Err(panic_message(payload.as_ref())),
-            })
-            .collect()
-    });
-
-    if let Some(msg) = results.iter().find_map(|r| r.as_ref().err().cloned()) {
-        // A worker panicked. Rerun sequentially (deterministic, guarded);
-        // if the panic is deterministic too, surface it as an error
-        // verdict instead of aborting the process. The partial sweep's
-        // metrics are dropped first so the rerun's counts stand alone,
-        // and the checkpoint policy is stripped so a stop trigger cannot
-        // cut the rerun short of the verdict it exists to reproduce.
-        config.recorder.reset_counts();
-        let rerun = without_checkpoint(config);
-        return match catch_unwind(AssertUnwindSafe(|| check_undo(initial, &rerun, deadline))) {
-            Ok(verdict) => verdict,
-            Err(payload) => Verdict::Error(
-                Stats::default(),
-                CheckError::Panic(format!(
-                    "worker: {msg}; sequential rerun: {}",
-                    panic_message(payload.as_ref())
-                )),
-            ),
-        };
-    }
-    let reports: Vec<WorkerReport> = results.into_iter().filter_map(Result::ok).collect();
-
-    let stats = Stats {
-        states: state_count.load(Ordering::SeqCst),
-        transitions: reports.iter().map(|r| r.transitions).sum(),
-        terminal_states: reports.iter().map(|r| r.terminal_fps.len()).sum::<usize>()
-            + usize::from(initial.all_done()),
-        ..Stats::default()
-    };
-
-    let limit_hit = state_count.load(Ordering::SeqCst) > config.max_states;
-    if limit_hit || reports.iter().any(|r| r.violated) {
-        // The sweep stopped early; reproduce the exact sequential verdict
-        // (still honoring the remaining budget). Drop the partial sweep's
-        // metrics so the rerun's counts stand alone — bit-identical to a
-        // direct sequential run — and strip the checkpoint policy so a
-        // stop trigger cannot cut the rerun short.
-        config.recorder.reset_counts();
-        return check_undo(initial, &without_checkpoint(config), deadline);
-    }
-    if budget_hit.load(Ordering::SeqCst) || cancel.load(Ordering::SeqCst) {
-        return Verdict::Inconclusive(
-            stats,
-            Coverage {
-                frontier: reports.iter().map(|r| r.frontier).sum(),
-                ..Coverage::default()
-            },
-        );
-    }
-
-    if config.check_termination {
-        // Merge the per-worker fingerprint graphs and run the same reverse
-        // reachability as the sequential engines. Ids are arbitrary here —
-        // only the existence of a stuck state matters; its identity (and
-        // counterexample) comes from the sequential rerun.
-        let mut ids: FpMap<u32> = FpMap::default();
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        let mut terminal: Vec<u32> = Vec::new();
-        let Some(root) = merge_id(&mut ids, root_fp) else {
-            return Verdict::Error(stats, CheckError::TooManyStates);
-        };
-        if initial.all_done() {
-            terminal.push(root);
-        }
-        for report in &reports {
-            for &(a, b) in &report.edges {
-                match (merge_id(&mut ids, a), merge_id(&mut ids, b)) {
-                    (Some(ia), Some(ib)) => edges.push((ia, ib)),
-                    _ => return Verdict::Error(stats, CheckError::TooManyStates),
-                }
-            }
-            for &t in &report.terminal_fps {
-                let Some(it) = merge_id(&mut ids, t) else {
-                    return Verdict::Error(stats, CheckError::TooManyStates);
-                };
-                terminal.push(it);
-            }
-        }
-        if find_stuck(ids.len(), &edges, &terminal).is_some() {
-            config.recorder.reset_counts();
-            return check_undo(initial, &without_checkpoint(config), deadline);
-        }
-    }
-
-    if config.recorder.is_enabled() {
-        config
-            .recorder
-            .add(Metric::FpContention, visited.contention());
-    }
-    config
-        .recorder
-        .gauge_set(Gauge::DedupOccupancy, visited.len() as u64);
-    Verdict::Ok(stats)
-}
-
-/// Dense id for `fp` in the parallel engines' merge graphs; `None` once
-/// the `u32` id space is exhausted.
-pub(crate) fn merge_id(ids: &mut FpMap<u32>, fp: u128) -> Option<u32> {
-    if let Some(&id) = ids.get(&fp) {
-        return Some(id);
-    }
-    let id = u32::try_from(ids.len()).ok()?;
-    ids.insert(fp, id);
-    Some(id)
-}
-
-/// One parallel worker: an undo-log DFS over the subtrees rooted at its
-/// `assigned` subset of the root's outgoing transitions, expanding only the
-/// states whose fingerprint it was first to insert into the shared visited
-/// set. Aborts promptly (returning a partial report, which the caller
-/// discards) once `cancel` is raised.
-#[allow(clippy::too_many_arguments)]
-fn parallel_worker<P: Process>(
-    initial: &Machine<P>,
-    config: &CheckConfig,
-    root_fp: u128,
-    assigned: Vec<SchedElem>,
-    visited: &por::FpTable,
-    state_count: &AtomicUsize,
-    cancel: &AtomicBool,
-    budget_hit: &AtomicBool,
-    deadline: Option<Instant>,
-) -> WorkerReport {
-    let mut report = WorkerReport::default();
-    if assigned.is_empty() {
-        return report;
-    }
-    let obs = &config.recorder;
-    // Worker-local batch of the per-edge counters; flushed into the shared
-    // recorder when the worker returns (Drop), so a completed sweep's
-    // totals still merge to the sequential run's.
-    let mut tally = obs.tally();
-
-    /// A frame of the worker's DFS; like [`Frame`] but keyed by
-    /// fingerprint (the global id space is only assembled at merge time).
-    struct WFrame<P> {
-        fp: u128,
-        start: usize,
-        next: usize,
-        token: Option<UndoToken<P>>,
-    }
-
-    // All workers share the recorder; its counters are sharded, so the
-    // merged totals equal a sequential run's over a completed sweep.
-    let mut m = initial.clone();
-    m.set_recorder(obs.clone());
-    let mut arena: Vec<SchedElem> = assigned;
-    let mut scratch: Vec<SchedElem> = Vec::new();
-    let mut frames: Vec<WFrame<P>> = Vec::new();
-    frames.push(WFrame {
-        fp: root_fp,
-        start: 0,
-        next: arena.len(),
-        token: None,
-    });
-
-    let mut steps_since_poll = 0usize;
-    while let Some(top) = frames.last_mut() {
-        if top.next == top.start {
-            if let Some(frame) = frames.pop() {
-                arena.truncate(frame.start);
-                if let Some(token) = frame.token {
-                    m.undo(token);
-                }
-            }
-            continue;
-        }
-        top.next -= 1;
-        let elem = arena[top.next];
-        let parent_fp = top.fp;
-
-        steps_since_poll += 1;
-        if steps_since_poll >= 256 {
-            steps_since_poll = 0;
-            if cancel.load(Ordering::Relaxed) {
-                report.frontier = frames.len();
-                return report;
-            }
-            if obs.is_enabled() {
-                obs.gauge_max(Gauge::MaxFrontier, frames.len() as u64);
-                let now = Instant::now();
-                let spent = match (config.budget, deadline) {
-                    (Some(b), Some(d)) => Some(b.saturating_sub(d.saturating_duration_since(now))),
-                    _ => None,
-                };
-                obs.maybe_heartbeat(&Progress {
-                    states: state_count.load(Ordering::Relaxed) as u64,
-                    transitions: report.transitions as u64,
-                    frontier: frames.len() as u64,
-                    budget: config.budget,
-                    spent,
-                    estimate: None,
-                });
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                budget_hit.store(true, Ordering::SeqCst);
-                cancel.store(true, Ordering::SeqCst);
-                report.frontier = frames.len();
-                return report;
-            }
-        }
-
-        let (out, token) = m.step_recorded(elem);
-        if matches!(out, StepOutcome::NoOp) {
-            tally.noop_step();
-            m.undo(token);
-            continue;
-        }
-        report.transitions += 1;
-        tally.on_transition();
-        let fp = m.fingerprint();
-        if config.check_termination {
-            report.edges.push((parent_fp, fp));
-        }
-        let fresh = visited.insert(fp);
-        if !fresh {
-            tally.dedup_hit();
-            m.undo(token);
-            continue;
-        }
-        tally.on_state(frames.len() as u64);
-        let states = state_count.fetch_add(1, Ordering::SeqCst) + 1;
-        if states > config.max_states {
-            cancel.store(true, Ordering::SeqCst);
-            return report;
-        }
-
-        if config.check_mutex && in_cs_count(&m) > 1 {
-            report.violated = true;
-            cancel.store(true, Ordering::SeqCst);
-            return report;
-        }
-        if violates_invariant(config, &m) {
-            report.violated = true;
-            cancel.store(true, Ordering::SeqCst);
-            return report;
-        }
-        if m.all_done() {
-            report.terminal_fps.push(fp);
-            tally.terminal_state();
-            if config.check_permutation && !returns_are_permutation(&m) {
-                report.violated = true;
-                cancel.store(true, Ordering::SeqCst);
-                return report;
-            }
-            m.undo(token);
-            continue;
-        }
-
-        let start = arena.len();
-        m.choices_into(&mut scratch);
-        debug_assert!(!scratch.is_empty(), "non-terminal state has no choices");
-        arena.extend_from_slice(&scratch);
-        frames.push(WFrame {
-            fp,
-            start,
-            next: arena.len(),
-            token: Some(token),
-        });
-    }
-
-    report
 }
 
 #[cfg(test)]

@@ -1,0 +1,750 @@
+//! The search kernel: the one depth-first walk of `Exec_A(C; σ)` behind
+//! every engine except the [`Engine::CloneDfs`](crate::Engine::CloneDfs)
+//! oracle, which shares no loop with what it checks.
+//!
+//! [`Dfs::run`] owns step → fingerprint → first visit → per-state
+//! [`Visitor`] → expand → undo on a single machine, and is statically
+//! generic over two axes (DESIGN.md §5a):
+//!
+//! * a [`Reduction`] decides *which edges are walked*: [`NoReduction`]
+//!   (zero-sized — every enabled choice, in the oracle's order) or
+//!   [`SleepAmple`] (sleep sets, ample sets, reorder bound);
+//! * a [`Frontier`] decides *who owns a state and when the walk stops*:
+//!   [`Local`] (dense ids, exact stop points, verdicts rendered in
+//!   place) or the work-stealing `Shared` frontier of [`crate::pardpor`].
+//!
+//! The four kernel engines are the four pairs: `Undo` = `NoReduction` ×
+//! `Local`, `Parallel` = `NoReduction` × `Shared`, `Dpor` = `SleepAmple`
+//! × `Local`, `ParallelDpor` = `SleepAmple` × `Shared`.
+//!
+//! Every walk starts from a [`ForkPoint`] — a fresh run's is the root's
+//! expansion ([`root_fork`]) — and every open frame serializes back into
+//! one, which is all that checkpoints, donations and leases are. Choices
+//! of all frames live in one arena: a frame owns the window
+//! `arena[lo..hi]` of choices still to take, and the top frame's region
+//! is the arena's tail (where the cycle proviso appends to it).
+
+use std::time::Instant;
+
+use ftobs::{Gauge, Metric, Recorder, Tally, TreeEstimator};
+use por::{BaseCounts, ForkPoint, Snapshot};
+use wbmem::{Footprint, Machine, Process, SchedElem, StepOutcome, UndoToken};
+
+use crate::checker::{
+    find_stuck, in_cs_count, poll_observe, render, returns_are_permutation, run_meta_of,
+    violates_invariant, write_checkpoint, CheckConfig, CheckError, Counterexample, Coverage,
+    PeriodicCheckpoint, SearchIndex, Stats, Verdict, DEADLINE_POLL_MASK,
+};
+use crate::dpor::SleepAmple;
+
+/// The property a visited state broke, as the constructor of its verdict
+/// (e.g. [`Verdict::MutexViolation`]).
+pub(crate) type Violation = fn(Stats, Counterexample) -> Verdict;
+
+/// The per-state work of a walk, called once per distinct state.
+pub(crate) trait Visitor<P: Process> {
+    /// A state was visited for the first time (the root included).
+    fn state(&mut self, m: &Machine<P>) -> Result<(), Violation>;
+    /// That state is all-done and has been counted as terminal. Not
+    /// called for the root: the oracle never permutation-checks it.
+    fn terminal(&mut self, _m: &Machine<P>) -> Result<(), Violation> {
+        Ok(())
+    }
+}
+
+/// [`crate::check`]'s visitor: the configured safety properties.
+pub(crate) struct Properties<'a>(pub(crate) &'a CheckConfig);
+
+impl<P: Process> Visitor<P> for Properties<'_> {
+    fn state(&mut self, m: &Machine<P>) -> Result<(), Violation> {
+        if self.0.check_mutex && in_cs_count(m) > 1 {
+            Err(Verdict::MutexViolation)
+        } else if violates_invariant(self.0, m) {
+            Err(Verdict::InvariantViolation)
+        } else {
+            Ok(())
+        }
+    }
+
+    fn terminal(&mut self, m: &Machine<P>) -> Result<(), Violation> {
+        if self.0.check_permutation && !returns_are_permutation(m) {
+            Err(Verdict::PermutationViolation)
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// One executed edge, as a [`Reduction`] sees it.
+pub(crate) struct Edge {
+    pub(crate) elem: SchedElem,
+    pub(crate) footprint: Footprint,
+    /// Fingerprint of the state the edge landed on.
+    pub(crate) to: u128,
+    /// Whether the frontier saw that state for the first time.
+    pub(crate) fresh: bool,
+    /// Reorder budget left after the step (from [`Reduction::admit`]).
+    pub(crate) budget: u32,
+}
+
+/// Which edges the walk takes. Owns the invariants of pruning: the
+/// exploration *order* (and with it bit-identity to the oracle when
+/// nothing is pruned), the dominance claim, and the cycle proviso.
+pub(crate) trait Reduction<P: Process> {
+    /// Per-frame reduction state.
+    type Frame;
+    /// Frames take choices from the back of their arena window — the
+    /// oracle's `Vec::pop` order — instead of the front.
+    const LIFO: bool;
+
+    /// A task starts: forget the previous task's DFS stack.
+    fn begin_task(&mut self) {}
+    /// The state fingerprinted by `fp` joined the DFS stack: a replayed
+    /// ancestor of the task's state, that state itself, or a pushed child.
+    fn on_stack(&mut self, _fp: impl FnOnce() -> u128) {}
+    /// `frame` left the DFS stack.
+    fn off_stack(&mut self, _frame: &Self::Frame) {}
+    /// Reorder budget of the root state.
+    fn root_budget(&self) -> u32 {
+        u32::MAX
+    }
+    /// The frame that continues `task` at its state `fp`.
+    fn adopt(&mut self, fp: u128, task: &mut ForkPoint) -> Self::Frame;
+    /// Copy `frame`'s reduction state into the fork point serializing it.
+    fn describe(_frame: &Self::Frame, _fork: &mut ForkPoint) {}
+    /// Whether `elem` may be taken from `frame`'s state, and the reorder
+    /// budget left if it is.
+    fn admit(&self, m: &Machine<P>, frame: &Self::Frame, elem: SchedElem) -> Option<u32>;
+    /// `edge` was taken from `top`: the child's frame if its state must
+    /// be (re)explored, `None` (counted as pruned) if it is covered. May
+    /// append reinstated choices for `top` to the arena's tail.
+    fn arrive(
+        &mut self,
+        top: &mut Self::Frame,
+        arena: &mut Vec<SchedElem>,
+        edge: &Edge,
+        tally: &mut Tally,
+    ) -> Option<Self::Frame>;
+    /// Append the choices to walk from `frame`'s state — `m`'s current
+    /// one, with `choices` enabled — to the arena. Returns how many
+    /// enabled choices were asleep.
+    fn expand(
+        &mut self,
+        m: &Machine<P>,
+        choices: &[SchedElem],
+        frame: &mut Self::Frame,
+        arena: &mut Vec<SchedElem>,
+    ) -> usize;
+    /// Whether `elem` is asleep in `frame`.
+    fn asleep(_frame: &Self::Frame, _elem: SchedElem) -> bool {
+        false
+    }
+    /// Edges pruned as redundant so far.
+    fn sleep_hits(&self) -> usize {
+        0
+    }
+}
+
+/// The exhaustive walk: nothing is pruned, a state is entered exactly on
+/// its first visit, and every hook but the choice copy compiles away.
+pub(crate) struct NoReduction;
+
+impl<P: Process> Reduction<P> for NoReduction {
+    type Frame = ();
+    const LIFO: bool = true;
+
+    fn adopt(&mut self, _fp: u128, _task: &mut ForkPoint) {}
+
+    fn admit(&self, _m: &Machine<P>, _frame: &(), _elem: SchedElem) -> Option<u32> {
+        Some(u32::MAX)
+    }
+
+    fn arrive(
+        &mut self,
+        _top: &mut (),
+        _arena: &mut Vec<SchedElem>,
+        edge: &Edge,
+        tally: &mut Tally,
+    ) -> Option<()> {
+        if !edge.fresh {
+            tally.dedup_hit();
+        }
+        edge.fresh.then_some(())
+    }
+
+    fn expand(
+        &mut self,
+        _m: &Machine<P>,
+        choices: &[SchedElem],
+        _frame: &mut (),
+        arena: &mut Vec<SchedElem>,
+    ) -> usize {
+        arena.extend_from_slice(choices);
+        0
+    }
+}
+
+/// Who owns a state and when the walk stops. Owns the first-visit gate
+/// (state counting and property checks happen once per state), the
+/// termination graph, and the stop/checkpoint discipline.
+pub(crate) trait Frontier<P: Process>: Sized {
+    /// How a state is named: a dense id, or its fingerprint.
+    type Node: Copy;
+
+    /// Loop iterations between [`poll`](Self::poll)s, minus one (a
+    /// power-of-two mask; `0` polls before every iteration).
+    fn poll_mask(&self) -> usize;
+    /// Called before loop iteration `iters`; `true` stops the walk
+    /// ([`Halt::Stopped`]) with the details recorded in the frontier.
+    fn poll<R: Reduction<P>>(&mut self, dfs: &mut Dfs<'_, P, R, Self::Node>, iters: usize) -> bool;
+    /// An effective step was executed.
+    fn transition(&mut self);
+    /// The step `elem` from `from` landed on `fp`: its node and whether
+    /// this is the state's first visit (recording the edge under the
+    /// termination check). `None` once node names run out.
+    fn visit(&mut self, fp: u128, from: Self::Node, elem: SchedElem) -> Option<(Self::Node, bool)>;
+    /// A slept edge `elem` from `from` was probed and leads to `fp`:
+    /// record it in the termination graph without visiting `fp`.
+    fn probe(&mut self, fp: u128, from: Self::Node, elem: SchedElem) -> Option<()>;
+    /// Count a first-visited state; returns the total so far.
+    fn count_state(&mut self) -> usize;
+    /// A first-visited state is all-done.
+    fn terminal(&mut self, node: Self::Node);
+}
+
+/// Why [`Dfs::run`] returned before exhausting its task.
+pub(crate) enum Halt<N> {
+    /// The visitor rejected the state `N`.
+    Violation(Violation, N),
+    /// More than `max_states` states were counted.
+    StateLimit,
+    /// [`Frontier::visit`] ran out of node names.
+    TooManyStates,
+    /// [`Frontier::poll`] stopped the walk.
+    Stopped,
+}
+
+struct Frame<P, N, S> {
+    node: N,
+    /// `arena[start..]` is this frame's region while it is on top;
+    /// `arena[lo..hi]` are the choices still to take.
+    start: usize,
+    lo: usize,
+    hi: usize,
+    /// How to rewind the machine to the parent (`None` for the task's
+    /// own state).
+    token: Option<UndoToken<P>>,
+    red: S,
+}
+
+/// One task's walk: a machine, its DFS stack, and the choice arena.
+pub(crate) struct Dfs<'a, P: Process, R: Reduction<P>, N> {
+    m: Machine<P>,
+    red: &'a mut R,
+    pub(crate) est: &'a mut TreeEstimator,
+    /// Batches the per-edge counters; flushed into the recorder on drop.
+    pub(crate) tally: Tally,
+    obs: &'a Recorder,
+    arena: Vec<SchedElem>,
+    scratch: Vec<SchedElem>,
+    frames: Vec<Frame<P, N, R::Frame>>,
+    /// The schedule from the root to the top frame's state: frame `i` is
+    /// reached by its first `base + i` elements. This is the *stack*
+    /// path, not the first-visit parent chain: fork points replay it to
+    /// restore the exact reduction state.
+    path: Vec<SchedElem>,
+    base: usize,
+}
+
+impl<'a, P: Process, R: Reduction<P>, N: Copy> Dfs<'a, P, R, N> {
+    /// Re-materialize `task` — its state named by `node` — on a clone of
+    /// `initial` by replaying its path — unrecorded (the recorder attaches afterwards), so replays
+    /// never pollute the step metrics. The replayed ancestors re-seed the
+    /// reduction's on-stack set, so the cycle proviso fires for a thief
+    /// exactly where it would have for the donor. A path that fails to
+    /// replay is a logic error (the coordinator catches the panic).
+    pub(crate) fn start(
+        initial: &Machine<P>,
+        mut task: ForkPoint,
+        node: impl FnOnce(u128) -> N,
+        red: &'a mut R,
+        est: &'a mut TreeEstimator,
+        obs: &'a Recorder,
+    ) -> Self {
+        let mut m = initial.clone();
+        let mut scratch = Vec::new();
+        red.begin_task();
+        est.begin_task();
+        for e in &task.path {
+            red.on_stack(|| m.fingerprint());
+            assert!(
+                m.replay_path(std::slice::from_ref(e), &mut scratch),
+                "fork-point path failed to replay"
+            );
+        }
+        let fp = m.fingerprint();
+        red.on_stack(|| fp);
+        m.set_recorder(obs.clone());
+        let mut arena = std::mem::take(&mut task.choices);
+        if R::LIFO {
+            arena.reverse();
+        }
+        est.push(arena.len());
+        let root = Frame {
+            node: node(fp),
+            start: 0,
+            lo: 0,
+            hi: arena.len(),
+            token: None,
+            red: red.adopt(fp, &mut task),
+        };
+        Dfs {
+            m,
+            red,
+            est,
+            tally: obs.tally(),
+            obs,
+            arena,
+            scratch,
+            frames: vec![root],
+            base: task.path.len(),
+            path: task.path,
+        }
+    }
+
+    /// Open frames.
+    pub(crate) fn depth(&self) -> usize {
+        self.frames.len()
+    }
+
+    pub(crate) fn sleep_hits(&self) -> usize {
+        self.red.sleep_hits()
+    }
+
+    /// Choices frame `i` has still to take.
+    pub(crate) fn open(&self, i: usize) -> usize {
+        self.frames[i].hi - self.frames[i].lo
+    }
+
+    /// The bottom-most frame below the top with choices to take — the
+    /// largest subtrees sit lowest, and the owner keeps its top frame so
+    /// it never strands itself.
+    pub(crate) fn donor(&self) -> Option<usize> {
+        (0..self.frames.len() - 1).find(|&i| self.open(i) > 0)
+    }
+
+    /// Frame `i`'s unexplored remainder as a fork point: its choices in
+    /// exploration order plus the exact reduction state, so whoever
+    /// continues it prunes no more and no less than this walk would.
+    pub(crate) fn fork_at(&self, i: usize, span: u64) -> ForkPoint {
+        let f = &self.frames[i];
+        let mut choices = self.arena[f.lo..f.hi].to_vec();
+        if R::LIFO {
+            choices.reverse();
+        }
+        let mut fork = ForkPoint {
+            path: self.path[..self.base + i].to_vec(),
+            choices,
+            remaining: u32::MAX,
+            span,
+            ..ForkPoint::default()
+        };
+        R::describe(&f.red, &mut fork);
+        fork
+    }
+
+    /// Frame `i`'s remainder now belongs to someone else.
+    pub(crate) fn close(&mut self, i: usize) {
+        self.frames[i].lo = self.frames[i].hi;
+    }
+
+    /// Every open frame with choices to take, as fork points.
+    pub(crate) fn open_forks(&self, span: u64) -> Vec<ForkPoint> {
+        (0..self.frames.len())
+            .filter(|&i| self.open(i) > 0)
+            .map(|i| self.fork_at(i, span))
+            .collect()
+    }
+
+    /// Walk the task to exhaustion, or until something halts it.
+    pub(crate) fn run<F: Frontier<P, Node = N>, V: Visitor<P>>(
+        &mut self,
+        config: &CheckConfig,
+        frontier: &mut F,
+        visitor: &mut V,
+    ) -> Option<Halt<N>> {
+        let (poll_mask, mut iters) = (frontier.poll_mask(), 0usize);
+        while !self.frames.is_empty() {
+            iters += 1;
+            if iters & poll_mask == 0 && frontier.poll(self, iters) {
+                return Some(Halt::Stopped);
+            }
+            let depth = self.frames.len();
+            let top = self.frames.last_mut().expect("non-empty stack");
+            if top.lo == top.hi {
+                // Frame exhausted: rewind to the parent state.
+                let frame = self.frames.pop().expect("non-empty stack");
+                self.est.pop();
+                self.red.off_stack(&frame.red);
+                self.arena.truncate(frame.start);
+                if let Some(token) = frame.token {
+                    self.m.undo(token);
+                    self.path.pop();
+                }
+                continue;
+            }
+            let elem = if R::LIFO {
+                top.hi -= 1;
+                self.arena[top.hi]
+            } else {
+                top.lo += 1;
+                self.arena[top.lo - 1]
+            };
+            let Some(budget) = self.red.admit(&self.m, &top.red, elem) else {
+                self.est.leaf();
+                continue; // beyond the reorder bound: neither taken nor slept
+            };
+
+            let (out, token) = self.m.step_recorded(elem);
+            if matches!(out, StepOutcome::NoOp) {
+                self.tally.noop_step();
+                self.est.leaf();
+                self.m.undo(token);
+                continue;
+            }
+            frontier.transition();
+            self.tally.on_transition();
+            let fp = self.m.fingerprint();
+            let Some((node, fresh)) = frontier.visit(fp, top.node, elem) else {
+                return Some(Halt::TooManyStates);
+            };
+            let edge = Edge {
+                elem,
+                footprint: token.footprint(),
+                to: fp,
+                fresh,
+                budget,
+            };
+            let child = self
+                .red
+                .arrive(&mut top.red, &mut self.arena, &edge, &mut self.tally);
+            if !R::LIFO {
+                top.hi = self.arena.len();
+            }
+            let Some(mut child) = child else {
+                self.est.leaf();
+                self.m.undo(token);
+                continue;
+            };
+
+            let done = self.m.all_done();
+            if fresh {
+                self.tally.on_state(depth as u64);
+                if frontier.count_state() > config.max_states {
+                    return Some(Halt::StateLimit);
+                }
+                if let Err(v) = visitor.state(&self.m) {
+                    return Some(Halt::Violation(v, node));
+                }
+                if done {
+                    frontier.terminal(node);
+                    self.tally.terminal_state();
+                    if let Err(v) = visitor.terminal(&self.m) {
+                        return Some(Halt::Violation(v, node));
+                    }
+                }
+            }
+            if done {
+                // Nothing to expand (fresh, or re-entered under a
+                // smaller sleep set).
+                self.est.leaf();
+                self.m.undo(token);
+                continue;
+            }
+
+            let start = self.arena.len();
+            self.m.choices_into(&mut self.scratch);
+            debug_assert!(
+                !self.scratch.is_empty(),
+                "non-terminal state has no choices"
+            );
+            let slept = self
+                .red
+                .expand(&self.m, &self.scratch, &mut child, &mut self.arena);
+            if config.check_termination && slept > 0 {
+                // Sleep sets prune edges, not states, but the termination
+                // pass needs every edge: step each slept choice once,
+                // record where it leads, and undo. Bookkeeping, not
+                // exploration — probes are not counted as transitions.
+                for &e in &self.scratch {
+                    if !R::asleep(&child, e) {
+                        continue;
+                    }
+                    self.obs.incr(Metric::SleptProbes);
+                    let (out, probe) = self.m.step_recorded(e);
+                    let named = matches!(out, StepOutcome::NoOp)
+                        || frontier.probe(self.m.fingerprint(), node, e).is_some();
+                    self.m.undo(probe);
+                    if !named {
+                        return Some(Halt::TooManyStates);
+                    }
+                }
+            }
+            self.red.on_stack(|| fp);
+            self.est.push(self.arena.len() - start);
+            self.path.push(elem);
+            self.frames.push(Frame {
+                node,
+                start,
+                lo: start,
+                hi: self.arena.len(),
+                token: Some(token),
+                red: child,
+            });
+        }
+        None
+    }
+}
+
+/// The root state's expansion as the fork point a fresh run starts from.
+/// The root's sleep set is empty, so nothing is slept here.
+pub(crate) fn root_fork<P: Process, R: Reduction<P>>(
+    initial: &Machine<P>,
+    red: &mut R,
+    span: u64,
+) -> ForkPoint {
+    let mut fork = ForkPoint {
+        remaining: red.root_budget(),
+        span,
+        ..ForkPoint::default()
+    };
+    let mut frame = red.adopt(initial.fingerprint(), &mut fork);
+    let mut choices = Vec::new();
+    red.expand(initial, &initial.choices(), &mut frame, &mut choices);
+    if R::LIFO {
+        choices.reverse();
+    }
+    R::describe(&frame, &mut fork);
+    fork.choices = choices;
+    fork
+}
+
+/// The single-threaded frontier: dense [`SearchIndex`] ids with
+/// first-visit parents, stop triggers polled at every transition
+/// boundary (so the `stop_after` cut is exact), and verdicts —
+/// counterexamples included — rendered in place.
+pub(crate) struct Local<'a> {
+    config: &'a CheckConfig,
+    deadline: Option<Instant>,
+    stats: Stats,
+    index: SearchIndex,
+    /// Ids a slept-edge probe allocated that no walked edge has reached
+    /// yet: their first arrival is still a first visit.
+    probe_only: Vec<bool>,
+    edges: Vec<(u32, u32)>,
+    terminal: Vec<u32>,
+    periodic: Option<PeriodicCheckpoint>,
+    /// Set when [`Frontier::poll`] stops the walk.
+    coverage: Option<Coverage>,
+}
+
+impl Local<'_> {
+    /// Serialize the live walk into a durable [`Snapshot`] and write it.
+    fn checkpoint<P: Process, R: Reduction<P>>(
+        &self,
+        dfs: &mut Dfs<'_, P, R, u32>,
+    ) -> Option<std::path::PathBuf> {
+        let policy = self.config.checkpoint.as_ref()?;
+        let obs = &self.config.recorder;
+        dfs.tally.flush();
+        let fp = |id: &u32| self.index.fp_of(*id);
+        let probe_only = |id: &u32| self.probe_only.get(*id as usize) == Some(&true);
+        let mut visited: Vec<u128> = (0..self.index.len() as u32)
+            .filter(|id| !probe_only(id))
+            .map(|id| fp(&id))
+            .collect();
+        visited.sort_unstable();
+        let snap = Snapshot {
+            meta: run_meta_of(self.config, self.index.fp_of(0)),
+            base: BaseCounts {
+                states: self.stats.states as u64,
+                transitions: self.stats.transitions as u64,
+                terminal_states: self.stats.terminal_states as u64,
+                sleep_hits: dfs.sleep_hits() as u64,
+            },
+            metrics: obs.snapshot(),
+            forks: dfs.open_forks(obs.trace_root().0),
+            visited,
+            edges: self.edges.iter().map(|(a, b)| (fp(a), fp(b))).collect(),
+            terminals: self.terminal.iter().map(fp).collect(),
+        };
+        write_checkpoint(obs, policy, &snap)
+    }
+}
+
+impl<P: Process> Frontier<P> for Local<'_> {
+    type Node = u32;
+
+    fn poll_mask(&self) -> usize {
+        // Stop triggers are checked at every transition boundary, so the
+        // deterministic `stop_after` cut is exact.
+        match self.config.checkpoint {
+            Some(_) => 0,
+            None => DEADLINE_POLL_MASK,
+        }
+    }
+
+    #[inline(never)]
+    fn poll<R: Reduction<P>>(&mut self, dfs: &mut Dfs<'_, P, R, u32>, iters: usize) -> bool {
+        let config = self.config;
+        let policy = config.checkpoint.as_ref();
+        let transitions = self.stats.transitions as u64;
+        let mut stop = policy.is_some_and(|p| p.stop_requested(transitions));
+        if !stop && iters & DEADLINE_POLL_MASK == 0 {
+            let states = self.stats.states;
+            stop = poll_observe(
+                &config.recorder,
+                &self.stats,
+                dfs.depth(),
+                states,
+                config.budget,
+                self.deadline,
+                dfs.est.estimate(states as u64),
+            ) || policy
+                .and_then(|p| p.max_occupancy)
+                .is_some_and(|cap| states >= cap);
+            if let (false, Some(pol), Some(per)) = (stop, policy, self.periodic.as_mut()) {
+                if per.due(pol, transitions) {
+                    let _ = self.checkpoint(dfs);
+                }
+            }
+        }
+        if stop {
+            self.coverage = Some(
+                Coverage {
+                    frontier: dfs.depth(),
+                    sleep_hits: dfs.sleep_hits(),
+                    checkpoint: self.checkpoint(dfs),
+                    ..Coverage::default()
+                }
+                .with_estimate(dfs.est.estimate(self.stats.states as u64)),
+            );
+        }
+        stop
+    }
+
+    fn transition(&mut self) {
+        self.stats.transitions += 1;
+    }
+
+    fn visit(&mut self, fp: u128, from: u32, elem: SchedElem) -> Option<(u32, bool)> {
+        let (id, new) = self.index.id_of(fp, Some((from, elem)))?;
+        if self.config.check_termination {
+            self.edges.push((from, id));
+        }
+        let probed = self.probe_only.get_mut(id as usize);
+        Some((id, new || probed.is_some_and(std::mem::take)))
+    }
+
+    fn probe(&mut self, fp: u128, from: u32, elem: SchedElem) -> Option<()> {
+        let (id, new) = self.index.id_of(fp, Some((from, elem)))?;
+        if new {
+            self.probe_only.resize(id as usize + 1, false);
+            self.probe_only[id as usize] = true;
+        }
+        self.edges.push((from, id));
+        Some(())
+    }
+
+    fn count_state(&mut self) -> usize {
+        self.stats.states += 1;
+        self.stats.states
+    }
+
+    fn terminal(&mut self, id: u32) {
+        self.stats.terminal_states += 1;
+        self.terminal.push(id);
+    }
+}
+
+/// The sequential engines: `reduction` × [`Local`], one task, the root's.
+pub(crate) fn run_local<P: Process, R: Reduction<P>, V: Visitor<P>>(
+    initial: &Machine<P>,
+    config: &CheckConfig,
+    deadline: Option<Instant>,
+    mut reduction: R,
+    visitor: &mut V,
+) -> Verdict {
+    let obs = &config.recorder;
+    let mut local = Local {
+        config,
+        deadline,
+        stats: Stats::default(),
+        index: SearchIndex::default(),
+        probe_only: Vec::new(),
+        edges: Vec::new(),
+        terminal: Vec::new(),
+        periodic: config.checkpoint.as_ref().map(PeriodicCheckpoint::new),
+        coverage: None,
+    };
+    let (root, _) = local
+        .index
+        .id_of(initial.fingerprint(), None)
+        .expect("the first id");
+    local.stats.states = 1;
+    obs.on_state(0);
+    if let Err(v) = visitor.state(initial) {
+        return v(local.stats, render(initial, &[]));
+    }
+    let mut halt = None;
+    if initial.all_done() {
+        Frontier::<P>::terminal(&mut local, root);
+        obs.incr(Metric::TerminalStates);
+    } else {
+        let task = root_fork(initial, &mut reduction, obs.trace_root().0);
+        let mut est = TreeEstimator::new();
+        let mut dfs = Dfs::start(initial, task, |_| root, &mut reduction, &mut est, obs);
+        halt = dfs.run(config, &mut local, visitor);
+    }
+    let (stats, index) = (local.stats, &local.index);
+    match halt {
+        Some(Halt::Violation(v, id)) => v(stats, render(initial, &index.path_to(id))),
+        Some(Halt::StateLimit) => Verdict::StateLimit(stats),
+        Some(Halt::TooManyStates) => Verdict::Error(stats, CheckError::TooManyStates),
+        Some(Halt::Stopped) => {
+            let coverage = local.coverage.expect("poll records coverage when it stops");
+            Verdict::Inconclusive(stats, coverage)
+        }
+        None => {
+            obs.gauge_set(Gauge::DedupOccupancy, stats.states as u64);
+            let stuck = config
+                .check_termination
+                .then(|| find_stuck(index.len(), &local.edges, &local.terminal))
+                .flatten();
+            match stuck {
+                Some(id) => Verdict::NoTermination(stats, render(initial, &index.path_to(id))),
+                None => Verdict::Ok(stats),
+            }
+        }
+    }
+}
+
+/// The sequential engine of `config.engine`'s reduction, checking
+/// `config`'s properties: the diagnostic bound `Some(u32::MAX)` selects
+/// the exhaustive walk ([`Engine::Undo`](crate::Engine::Undo) itself),
+/// anything else the reduced one.
+pub(crate) fn sequential<P: Process>(
+    initial: &Machine<P>,
+    config: &CheckConfig,
+    deadline: Option<Instant>,
+) -> Verdict {
+    let visitor = &mut Properties(config);
+    match config.engine.reduction() {
+        Some(u32::MAX) => run_local(initial, config, deadline, NoReduction, visitor),
+        bound => {
+            let mut reduction = SleepAmple::new(initial, config, bound);
+            reduction.claim_root(initial.fingerprint());
+            run_local(initial, config, deadline, reduction, visitor)
+        }
+    }
+}

@@ -11,10 +11,12 @@
 //! accumulated totals.
 //!
 //! [`run_lease`] validates the lease against this process's program and
-//! configuration (the same three checks [`crate::resume`] applies),
-//! runs the seeded work-stealing sweep with the verdict discipline
-//! stripped — no sequential rerun, no local termination pass — and
-//! returns the raw outcome plus a result snapshot ready to ship back.
+//! configuration (the checks [`crate::resume`] applies), runs the seeded
+//! work-stealing sweep (`pardpor.rs`) without the coordinator's
+//! verdict discipline — no sequential rerun, and no local termination
+//! pass: a worker process sees only its slice of the graph, which would
+//! report bogus stuck states — and returns the raw outcome plus a result
+//! snapshot ready to ship back.
 //!
 //! ## Why results are exact
 //!
@@ -30,11 +32,11 @@
 
 use std::time::Instant;
 
-use por::{RunMeta, Snapshot};
-use wbmem::{Machine, Process};
+use por::{BaseCounts, RunMeta, Snapshot};
+use wbmem::{FpSet, Machine, Process};
 
-use crate::checker::{config_hash, CheckConfig, Engine};
-use crate::pardpor::{check_lease, ResumeSeed};
+use crate::checker::{bounded_root, run_meta_of, CheckConfig, Engine};
+use crate::pardpor::sweep;
 
 /// How a lease run ended. Encoded into result files by the fleet crate
 /// via [`code`](LeaseStatus::code)/[`from_code`](LeaseStatus::from_code).
@@ -98,24 +100,13 @@ pub struct LeaseOutcome {
 /// configuration injects crashes, exactly as the engines hash it.
 #[must_use]
 pub fn run_meta<P: Process>(initial: &Machine<P>, config: &CheckConfig) -> RunMeta {
-    let program_hash = if config.max_crashes > 0 {
-        let mut m = initial.clone();
-        m.set_crash_bound(config.crash_semantics, config.max_crashes);
-        m.fingerprint()
-    } else {
-        initial.fingerprint()
-    };
-    RunMeta {
-        engine: config.engine.label().to_string(),
-        config_hash: config_hash(config),
-        program_hash,
-    }
+    run_meta_of(config, bounded_root(initial, config).fingerprint())
 }
 
 /// Validate a snapshot's metadata against the expected metadata for this
-/// process's program and configuration. Error messages name the first
-/// mismatch; shared by [`crate::resume`] and [`run_lease`] so the two
-/// read paths cannot drift.
+/// process's program and configuration, and that the engine can continue
+/// one at all. Error messages name the first mismatch; shared by
+/// [`crate::resume`] and [`run_lease`] so the two read paths cannot drift.
 pub fn validate_meta(meta: &RunMeta, expect: &RunMeta) -> Result<(), String> {
     if meta.engine != expect.engine {
         return Err(format!(
@@ -135,27 +126,16 @@ pub fn validate_meta(meta: &RunMeta, expect: &RunMeta) -> Result<(), String> {
             "program mismatch: checkpoint was written for a different initial state".to_string(),
         );
     }
-    Ok(())
-}
-
-/// Map a checkpointing engine onto the seeded continuation coordinator's
-/// `(threads, reorder_bound)` parameters — one worker in diagnostic mode
-/// replays the undo engine exactly, one worker with the original bound
-/// replays the DPOR engine, and the parallel engine continues as itself.
-/// Errors for engines that do not support checkpoint/resume.
-pub fn continuation_params(engine: Engine) -> Result<(usize, Option<u32>), String> {
-    match engine {
-        Engine::Undo => Ok((1, Some(u32::MAX))),
-        Engine::Dpor { reorder_bound } => Ok((1, reorder_bound)),
-        Engine::ParallelDpor {
-            threads,
-            reorder_bound,
-        } => Ok((threads, reorder_bound)),
-        Engine::CloneDfs | Engine::Parallel { .. } => Err(format!(
-            "engine `{}` does not support checkpoint/resume",
-            engine.label()
-        )),
+    // Every kernel engine can continue a checkpoint (a sequential one as
+    // one worker, a parallel one as itself); the oracle has no
+    // serialized form.
+    if expect.engine == Engine::CloneDfs.label() {
+        let label = &expect.engine;
+        return Err(format!(
+            "engine `{label}` does not support checkpoint/resume"
+        ));
     }
+    Ok(())
 }
 
 /// Execute one lease in this process and return the delta result.
@@ -178,48 +158,51 @@ pub fn run_lease<P: Process>(
     let start = Instant::now();
     let expect = run_meta(initial, config);
     validate_meta(&lease.meta, &expect)?;
-    let (threads, reorder_bound) = continuation_params(config.engine)?;
 
-    let crash_root;
-    let root = if config.max_crashes > 0 {
-        let mut m = initial.clone();
-        m.set_crash_bound(config.crash_semantics, config.max_crashes);
-        crash_root = m;
-        &crash_root
-    } else {
-        initial
-    };
-
+    let root = bounded_root(initial, config);
+    // The lease's visited set pre-seeds the first-visit table, so this
+    // run claims only states no earlier accepted run claimed, and
+    // `base.states` carries the global state count. No watchdog: worker
+    // processes are supervised externally via heartbeat files.
     let deadline = config.budget.map(|b| start + b);
-    let seed = ResumeSeed {
-        visited: lease.visited,
-        forks: lease.forks,
-        base: lease.base,
-        metrics: lease.metrics,
-        edges: Vec::new(),
-        terminals: Vec::new(),
-    };
-    let run = check_lease(root, config, threads, reorder_bound, deadline, seed);
+    let seed = (
+        lease.visited.as_slice(),
+        Some(lease.forks),
+        lease.base.states as usize,
+    );
+    let (run, table) = sweep(&root, config, deadline, None, seed);
     if let Some(msg) = run.panicked {
         return Err(format!("lease worker panicked: {msg}"));
     }
+    config
+        .recorder
+        .gauge_set(ftobs::Gauge::DedupOccupancy, table.len() as u64);
     let status = if run.violated {
         LeaseStatus::Violated
-    } else if run.limit_hit {
+    } else if run.states > config.max_states {
         LeaseStatus::LimitHit
     } else if run.budget_hit {
         LeaseStatus::BudgetHit
     } else {
         LeaseStatus::Completed
     };
+    // Deltas only: what this run claimed first and counted itself.
+    let seeded: FpSet = lease.visited.iter().copied().collect();
+    let mut visited = table.export();
+    visited.retain(|fp| !seeded.contains(fp));
     Ok(LeaseOutcome {
         status,
         result: Snapshot {
             meta: expect,
-            base: run.base,
+            base: BaseCounts {
+                states: (run.states as u64).saturating_sub(lease.base.states),
+                transitions: run.transitions as u64,
+                terminal_states: run.terminals.len() as u64,
+                sleep_hits: run.sleep_hits as u64,
+            },
             metrics: config.recorder.snapshot(),
             forks: run.forks,
-            visited: run.claimed,
+            visited,
             edges: run.edges,
             terminals: run.terminals,
         },

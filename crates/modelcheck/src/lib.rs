@@ -40,6 +40,7 @@ pub mod checker;
 mod dpor;
 pub mod driver;
 pub mod elision;
+mod kernel;
 pub mod lease;
 pub mod outcomes;
 mod pardpor;

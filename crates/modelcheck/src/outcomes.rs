@@ -11,7 +11,10 @@
 
 use std::collections::BTreeSet;
 
-use wbmem::{Machine, Process, StepOutcome};
+use wbmem::{Machine, Process};
+
+use crate::checker::CheckConfig;
+use crate::kernel::{run_local, NoReduction, Violation, Visitor};
 
 /// One observable outcome: sorted `(register, payload)` memory pairs plus
 /// per-process return values. Payloads (not tagged values) so outcomes are
@@ -28,42 +31,33 @@ pub fn terminal_outcomes<P: Process>(
     initial: &Machine<P>,
     max_states: usize,
 ) -> Option<BTreeSet<Outcome>> {
-    let mut visited = std::collections::HashSet::new();
-    let mut outcomes = BTreeSet::new();
-    let mut stack = vec![initial.clone()];
-    visited.insert(initial.state_key());
+    // The exhaustive sequential engine's walk, with this module's visitor
+    // in place of the property checks.
+    let config = CheckConfig {
+        max_states,
+        check_termination: false,
+        ..CheckConfig::default()
+    };
+    let mut outcomes = Outcomes(BTreeSet::new());
+    let verdict = run_local(initial, &config, None, NoReduction, &mut outcomes);
+    verdict.is_ok().then_some(outcomes.0)
+}
 
-    while let Some(m) = stack.pop() {
+/// The kernel visitor that collects the outcome of every all-done state.
+struct Outcomes(BTreeSet<Outcome>);
+
+impl<P: Process> Visitor<P> for Outcomes {
+    fn state(&mut self, m: &Machine<P>) -> Result<(), Violation> {
         if m.all_done() {
-            outcomes.insert(outcome_of(&m));
-            continue;
+            self.0.insert(outcome_of(m));
         }
-        for elem in m.choices() {
-            let mut child = m.clone();
-            if matches!(child.step(elem), StepOutcome::NoOp) {
-                continue;
-            }
-            if visited.insert(child.state_key()) {
-                if visited.len() > max_states {
-                    return None;
-                }
-                stack.push(child);
-            }
-        }
+        Ok(())
     }
-    Some(outcomes)
 }
 
 fn outcome_of<P: Process>(m: &Machine<P>) -> Outcome {
-    // Registers only matter up to the highest one mentioned; probe a
-    // generous fixed range and drop ⊥ entries so layouts of different
-    // widths compare naturally.
-    let mem: Vec<(u32, u64)> = (0..4096u32)
-        .filter_map(|r| {
-            let v = m.memory(wbmem::RegId(r));
-            (!v.is_bot()).then_some((r, v.payload()))
-        })
-        .collect();
+    // ⊥ cells are dropped so layouts of different widths compare naturally.
+    let mem = m.memory_cells().map(|(r, v)| (r.0, v.payload())).collect();
     let rets: Vec<u64> = m
         .return_values()
         .into_iter()
@@ -115,6 +109,27 @@ mod tests {
         }
     }
 
+    /// Two racing unfenced writers to register `reg`, nothing else.
+    fn racing_writers(reg: i64) -> simlocks::OrderingInstance {
+        use std::sync::Arc;
+        let mut alloc = simlocks::RegAlloc::new();
+        let _r0 = alloc.alloc(None);
+        let mk = |who: i64| {
+            let mut asm = fencevm::Asm::new(format!("w{who}"));
+            asm.write(reg, 10 + who);
+            asm.fence();
+            asm.ret(who);
+            Arc::new(asm.assemble())
+        };
+        simlocks::OrderingInstance {
+            name: "racing-writers".into(),
+            n: 2,
+            programs: vec![mk(0), mk(1)],
+            layout: alloc.into_layout(),
+            fence_sites: 0,
+        }
+    }
+
     #[test]
     fn fenceless_writes_add_strictly_more_outcomes_under_buffering() {
         // Two racing unfenced writers to one register: under SC the final
@@ -122,23 +137,7 @@ mod tests {
         // second independent choice. The nesting still holds, and here the
         // inclusion SC ⊆ PSO is witnessed strict... actually both orders
         // are already reachable under SC; assert nesting plus nonemptiness.
-        use std::sync::Arc;
-        let mut alloc = simlocks::RegAlloc::new();
-        let _r0 = alloc.alloc(None);
-        let mk = |who: i64| {
-            let mut asm = fencevm::Asm::new(format!("w{who}"));
-            asm.write(0i64, 10 + who);
-            asm.fence();
-            asm.ret(who);
-            Arc::new(asm.assemble())
-        };
-        let inst = simlocks::OrderingInstance {
-            name: "racing-writers".into(),
-            n: 2,
-            programs: vec![mk(0), mk(1)],
-            layout: alloc.into_layout(),
-            fence_sites: 0,
-        };
+        let inst = racing_writers(0);
         let sc = outcomes_for(&inst, MemoryModel::Sc);
         let pso = outcomes_for(&inst, MemoryModel::Pso);
         assert!(sc.is_subset(&pso));
@@ -148,6 +147,38 @@ mod tests {
             .map(|(mem, _)| mem.first().expect("r0 written").1)
             .collect();
         assert_eq!(finals, BTreeSet::from([10, 11]));
+    }
+
+    #[test]
+    fn registers_past_any_fixed_probe_range_distinguish_outcomes() {
+        // The only written register sits above the 4096 registers the
+        // outcome used to probe: the two final values must still be two
+        // outcomes, not one empty memory.
+        let pso = outcomes_for(&racing_writers(5000), MemoryModel::Pso);
+        let mems: BTreeSet<Vec<(u32, u64)>> = pso.into_iter().map(|(mem, _)| mem).collect();
+        let expect = [vec![(5000, 10)], vec![(5000, 11)]];
+        assert_eq!(mems, BTreeSet::from(expect));
+    }
+
+    #[test]
+    fn the_outcome_walk_visits_exactly_the_undo_engines_states() {
+        // The walk fits a state budget iff it visits no more states than
+        // that, so the budget boundary pins its visit count exactly.
+        let weak = build_mutex(LockKind::Peterson, 2, FenceMask::only(&[1, 2]));
+        let counter = build_ordering(LockKind::Peterson, 2, ObjectKind::Counter);
+        for inst in [weak, counter, racing_writers(0)] {
+            for model in [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso] {
+                let m = inst.machine(model);
+                let config = crate::CheckConfig {
+                    check_mutex: false,
+                    check_termination: false,
+                    ..crate::CheckConfig::default()
+                };
+                let states = crate::check(&m, &config).stats().states;
+                let fits = |budget| terminal_outcomes(&m, budget).is_some();
+                assert!(fits(states) && !fits(states - 1), "{} {model}", inst.name);
+            }
+        }
     }
 
     #[test]

@@ -213,6 +213,62 @@ fn engines_agree_on_crash_schedules() {
     }
 }
 
+/// The four kernel engines are the four `Reduction` × `Frontier` pairs;
+/// the degenerate parameters of each must select the pair they name:
+/// one worker *is* the sequential engine, and the diagnostic bound *is*
+/// the exhaustive walk — statistics and deterministic metrics included.
+#[test]
+fn engine_parameters_select_the_kernel_pair_they_name() {
+    let same = |a: Engine, b: Engine, termination: bool| {
+        for (kind, n, mask) in [
+            (LockKind::Peterson, 2usize, FenceMask::ALL),
+            (LockKind::Peterson, 2, FenceMask::NONE),
+            (LockKind::Ttas, 3, FenceMask::ALL),
+        ] {
+            let inst = build_mutex(kind, n, mask);
+            let run = |engine| {
+                let config = CheckConfig {
+                    check_termination: termination,
+                    ..CheckConfig::default()
+                }
+                .with_engine(engine)
+                .with_recorder(modelcheck::Recorder::builder().quiet(true).build());
+                check(&inst.machine(MemoryModel::Pso), &config)
+            };
+            let (va, vb) = (run(a), run(b));
+            let ctx = format!("{} term={termination}: {a:?} vs {b:?}", inst.name);
+            assert_eq!(va.label(), vb.label(), "{ctx}");
+            assert_eq!(va.stats(), vb.stats(), "{ctx}: stats + metrics");
+            assert_eq!(
+                va.counterexample().map(|c| &c.schedule),
+                vb.counterexample().map(|c| &c.schedule),
+                "{ctx}: counterexamples"
+            );
+        }
+    };
+    for termination in [false, true] {
+        same(Engine::Parallel { threads: 1 }, Engine::Undo, termination);
+        let diagnostic = Some(u32::MAX);
+        same(
+            Engine::Dpor {
+                reorder_bound: diagnostic,
+            },
+            Engine::Undo,
+            termination,
+        );
+        for reorder_bound in [None, Some(1), diagnostic] {
+            same(
+                Engine::ParallelDpor {
+                    threads: 1,
+                    reorder_bound,
+                },
+                Engine::Dpor { reorder_bound },
+                termination,
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

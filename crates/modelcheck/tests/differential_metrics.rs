@@ -124,6 +124,34 @@ fn all_engines_emit_bit_identical_metrics_on_the_n2_matrix() {
     }
 }
 
+/// `Engine::Parallel { threads: 2 }` is never gated to the sequential
+/// engine: even on the smallest cell it is a real two-worker sweep with
+/// no reduction (fork points are taken off the queue), and because the
+/// shared first-visit table partitions the edge multiset between the
+/// workers, the merged metrics still equal `Engine::Undo`'s bit for bit.
+/// `FT_PARDPOR_SEQ=0` keeps that true should the gate ever be extended
+/// to unreduced sweeps.
+#[test]
+fn two_worker_exhaustive_sweep_runs_on_the_workers_and_matches_undo() {
+    std::env::set_var("FT_PARDPOR_SEQ", "0");
+    for (kind, mask, name) in matrix() {
+        let (undo, undo_rec) = run(Engine::Undo, kind, mask, MemoryModel::Pso);
+        let (par, par_rec) = run(
+            Engine::Parallel { threads: 2 },
+            kind,
+            mask,
+            MemoryModel::Pso,
+        );
+        assert_eq!(undo.label(), par.label(), "{name}");
+        assert_eq!(undo.stats(), par.stats(), "{name}: stamped stats + metrics");
+        assert_eq!(undo_rec.snapshot(), par_rec.snapshot(), "{name}: recorders");
+        // A violating sweep defers to the sequential rerun, which resets
+        // the sweep's counters.
+        let stolen = par_rec.snapshot().get(ftobs::Metric::ForkStolen);
+        assert_eq!(stolen > 0, par.is_ok(), "{name}: {stolen} tasks taken");
+    }
+}
+
 #[test]
 fn crash_workload_metrics_agree_and_count_crashes() {
     let engines = engines();

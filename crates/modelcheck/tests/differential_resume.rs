@@ -56,7 +56,7 @@ const MODELS: [MemoryModel; 4] = [
 /// making combined state/transition counts exactly comparable?
 fn is_exhaustive(engine: &Engine) -> bool {
     match engine {
-        Engine::Undo => true,
+        Engine::Undo | Engine::Parallel { .. } => true,
         Engine::Dpor { reorder_bound } | Engine::ParallelDpor { reorder_bound, .. } => {
             *reorder_bound == Some(u32::MAX)
         }
@@ -249,6 +249,7 @@ fn diagnostic_merged_metrics_are_bit_identical() {
             threads: 2,
             reorder_bound: Some(u32::MAX),
         },
+        Engine::Parallel { threads: 2 },
     ];
     for (kind, mask, model) in [
         (LockKind::Peterson, FenceMask::ALL, MemoryModel::Tso),
@@ -297,6 +298,65 @@ fn diagnostic_merged_metrics_are_bit_identical() {
             let _ = std::fs::remove_file(&cp);
         }
     }
+}
+
+/// `Engine::Parallel` used to ignore the checkpoint policy and was
+/// refused by `resume`. On the shared coordinator it stops, snapshots
+/// and resumes like every other kernel engine: interrupted + resumed
+/// equals the uninterrupted `Engine::Undo` run in statistics and
+/// deterministic metrics, and an expired budget carries an estimate.
+/// The oracle keeps its typed refusal.
+#[test]
+fn parallel_checkpoints_and_resumes_like_undo() {
+    force_parallel();
+    let quiet = || modelcheck::Recorder::builder().quiet(true).build();
+    let parallel = CheckConfig::default().with_engine(Engine::Parallel { threads: 2 });
+    for (kind, n, model) in [
+        (LockKind::Peterson, 2, MemoryModel::Pso),
+        (LockKind::Ttas, 3, MemoryModel::Pso),
+    ] {
+        let inst = build_mutex(kind, n, FenceMask::ALL);
+        let m = inst.machine(model);
+        let undo = check(
+            &m,
+            &CheckConfig::default()
+                .with_engine(Engine::Undo)
+                .with_recorder(quiet()),
+        );
+        assert!(undo.is_ok(), "{kind}: reference cell is correct");
+        let path = ckpt_path("parallel");
+        let cut = (undo.stats().transitions as u64 / 2).max(1);
+        let stopped = check(
+            &m,
+            &parallel
+                .clone()
+                .with_recorder(quiet())
+                .with_checkpoint(CheckpointPolicy::at(&path).stop_after(cut)),
+        );
+        let cov = stopped.coverage().expect("the cut stops the sweep");
+        assert!(stopped.stats().states < undo.stats().states, "{kind}: cut");
+        let cp = cov.checkpoint.expect("and writes a checkpoint");
+        let resumed = resume(&m, &parallel.clone().with_recorder(quiet()), &cp);
+        assert!(resumed.is_ok(), "{kind}: {}", resumed.label());
+        assert_eq!(undo.stats(), resumed.stats(), "{kind}: stats + metrics");
+        let _ = std::fs::remove_file(&cp);
+    }
+
+    let inst = build_mutex(LockKind::Bakery, 3, FenceMask::ALL);
+    let m = inst.machine(MemoryModel::Pso);
+    let expired = check(&m, &parallel.clone().with_budget(std::time::Duration::ZERO));
+    let cov = expired.coverage().expect("zero budget is inconclusive");
+    assert!(cov.est_total_states.is_some(), "estimate attached");
+
+    let (inst, config, cp) = checkpoint_fixture("oracle");
+    let oracle = config.with_engine(Engine::CloneDfs);
+    match resume(&inst.machine(MemoryModel::Pso), &oracle, &cp) {
+        Verdict::Error(_, CheckError::Checkpoint(msg)) => {
+            assert!(msg.contains("engine"), "typed refusal: {msg}");
+        }
+        other => panic!("expected a typed checkpoint error, got {}", other.label()),
+    }
+    let _ = std::fs::remove_file(&cp);
 }
 
 /// A raised interrupt flag checkpoints almost immediately; clearing it

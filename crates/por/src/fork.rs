@@ -37,7 +37,7 @@ use crate::sleep::SleepSet;
 /// The unexplored remainder of one DFS frame, serialized for transfer to
 /// another worker. See the module docs; field semantics mirror the
 /// sequential DPOR engine's frame.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ForkPoint {
     /// Schedule from the root state to this frame's state. The thief
     /// replays it (every element must step) to re-materialize the state;

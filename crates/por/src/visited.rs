@@ -58,12 +58,6 @@ impl VisitTable {
         true
     }
 
-    /// Whether `fp` has been explored at least once (under any sleep set).
-    #[must_use]
-    pub fn seen(&self, fp: u128) -> bool {
-        self.map.contains_key(&fp)
-    }
-
     /// Number of distinct states explored at least once.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -82,18 +76,6 @@ impl VisitTable {
     #[must_use]
     pub fn total_entries(&self) -> usize {
         self.map.values().map(Vec::len).sum()
-    }
-
-    /// Every fingerprint explored at least once, sorted. A checkpoint
-    /// persists only the fingerprints, not the dominance entries: a
-    /// resumed run seeds a plain first-visit set from them (sound — it
-    /// merely prunes less than the full dominance table would), so the
-    /// insertion-order-dependent antichains never need to round-trip.
-    #[must_use]
-    pub fn fingerprints(&self) -> Vec<u128> {
-        let mut fps: Vec<u128> = self.map.keys().copied().collect();
-        fps.sort_unstable();
-        fps
     }
 }
 
@@ -119,9 +101,8 @@ mod tests {
     #[test]
     fn first_visit_claims() {
         let mut t = VisitTable::new();
-        assert!(!t.seen(7));
+        assert!(t.is_empty());
         assert!(t.try_claim(7, &SleepSet::new(), u32::MAX));
-        assert!(t.seen(7));
         assert_eq!(t.len(), 1);
     }
 

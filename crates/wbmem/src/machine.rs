@@ -470,6 +470,12 @@ impl<P: Process> Machine<P> {
         self.mem.get(&reg).copied().unwrap_or(Value::Bot)
     }
 
+    /// Every shared-memory cell holding a non-⊥ value, in register order.
+    pub fn memory_cells(&self) -> impl Iterator<Item = (RegId, Value)> + '_ {
+        let cells = self.mem.iter().map(|(&reg, &value)| (reg, value));
+        cells.filter(|(_, value)| !value.is_bot())
+    }
+
     /// The operation process `p` is poised to execute (`next_p(C)`), or
     /// [`Poised::Done`] if `p` has returned.
     #[must_use]

@@ -8,73 +8,67 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --check"
-cargo fmt --check
+# Run one stage and print its wall seconds.
+stage() {
+    local title=$1 start=$SECONDS
+    shift
+    echo "==> $title"
+    "$@"
+    echo "<== $((SECONDS - start))s  $title"
+}
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+stage "cargo fmt --check" \
+    cargo fmt --check
 
-echo "==> cargo build --release"
-cargo build --release
+stage "cargo clippy --all-targets -- -D warnings" \
+    cargo clippy --all-targets -- -D warnings
 
-echo "==> cargo test -q"
-cargo test -q
+stage "cargo build --release" \
+    cargo build --release
 
-echo "==> cargo test -q (FT_THREADS=2, exercises the parallel sweeps/engine)"
-FT_THREADS=2 cargo test -q
+stage "cargo test -q" \
+    cargo test -q
 
-echo "==> benchmark/ package builds and its smoke test passes (bench_probe calls wbmem/por signatures directly)"
-(cd benchmark && cargo test --offline)
+stage "cargo test -q (FT_THREADS=2, exercises the parallel sweeps/engine)" \
+    env FT_THREADS=2 cargo test -q
 
-echo "==> DPOR differential suite (FT_THREADS=2)"
-FT_THREADS=2 cargo test -q -p modelcheck --test differential_dpor
+stage "benchmark/ package builds and its smoke test passes (bench_probe calls wbmem/por signatures directly)" \
+    bash -c 'cd benchmark && cargo test --offline'
 
-echo "==> work-stealing parallel DPOR differential suite (FT_THREADS=2)"
-FT_THREADS=2 cargo test -q -p modelcheck --test differential_pardpor
+stage "E11 crash-recovery experiment (n = 2)" \
+    env FT_E11_FAST=1 cargo run --release -p ft-bench --bin exp_e11_crash_recovery
 
-echo "==> checkpoint/resume differential suite (interrupt + resume == uninterrupted, FT_THREADS=2)"
-FT_THREADS=2 cargo test -q -p modelcheck --test differential_resume
+stage "E12 reduction experiment (fast mode: n = 2 factors only)" \
+    env FT_E12_FAST=1 cargo run --release -p ft-bench --bin exp_e12_reduction
 
-echo "==> E11 crash-recovery experiment (n = 2)"
-FT_E11_FAST=1 cargo run --release -p ft-bench --bin exp_e11_crash_recovery
+stage "E16 synthesis experiment (fast mode: n = 2 CEGAR + Pareto sweep)" \
+    env FT_E16_FAST=1 cargo run --release -p ft-bench --bin exp_e16_synthesis
 
-echo "==> E12 reduction experiment (fast mode: n = 2 factors only)"
-FT_E12_FAST=1 cargo run --release -p ft-bench --bin exp_e12_reduction
+stage "E17 estimator + trace experiment (fast mode: 2 cells, 2 cuts, traced pardpor/resume)" \
+    env FT_E17_FAST=1 cargo run --release -p ft-bench --bin exp_e17_estimator
 
-echo "==> fence-synthesis differential suite (engine x model x crash matrix + minimality proptest, FT_THREADS=2)"
-FT_THREADS=2 cargo test -q -p ftsynth --test differential_synth
+stage "obs_trace smoke run (forest validation + Chrome trace export of the E17 stream)" \
+    bash -c "cargo run --release -p ft-bench --bin obs_trace results/obs/e17_trace.jsonl > /dev/null"
 
-echo "==> E16 synthesis experiment (fast mode: n = 2 CEGAR + Pareto sweep)"
-FT_E16_FAST=1 cargo run --release -p ft-bench --bin exp_e16_synthesis
+stage "obs_report smoke run (renders the JSONL the E12 run just wrote)" \
+    bash -c "cargo run --release -p ft-bench --bin obs_report > /dev/null"
 
-echo "==> differential tracing suite (traced == untraced verdicts/metrics + span-forest proptest, FT_THREADS=2)"
-FT_THREADS=2 cargo test -q -p modelcheck --test differential_trace
+stage "observability overhead guard (enabled and traced ≤5%, disabled ≤10% vs baseline, bakery3_pso)" \
+    cargo run --release -p ft-bench --bin obs_overhead
 
-echo "==> E17 estimator + trace experiment (fast mode: 2 cells, 2 cuts, traced pardpor/resume)"
-FT_E17_FAST=1 cargo run --release -p ft-bench --bin exp_e17_estimator
+stage "parallel DPOR guard (≥1.5x scaling on multi-core, ≤5% threads=1 regression, filter3_pso)" \
+    cargo run --release -p ft-bench --bin pardpor_guard
 
-echo "==> obs_trace smoke run (forest validation + Chrome trace export of the E17 stream)"
-cargo run --release -p ft-bench --bin obs_trace results/obs/e17_trace.jsonl > /dev/null
+stage "fleet guard (kill-one-worker chaos smoke: fleet verdict+metrics == fault-free fleet; skipped on 1 core)" \
+    cargo run --release -p ft-bench --bin fleet_guard
 
-echo "==> obs_report smoke run (renders the JSONL the E12 run just wrote)"
-cargo run --release -p ft-bench --bin obs_report > /dev/null
+stage "E18 fleet experiment (fast mode: 2 cells x fault-free + chaos fleets, exactness asserted)" \
+    env FT_E18_FAST=1 cargo run --release -p ft-bench --bin exp_e18_fleet
 
-echo "==> observability overhead guard (enabled and traced ≤5%, disabled ≤10% vs baseline, bakery3_pso)"
-cargo run --release -p ft-bench --bin obs_overhead
+stage "E15 resume-overhead experiment (fast mode)" \
+    env FT_E15_FAST=1 cargo run --release -p ft-bench --bin exp_e15_resume
 
-echo "==> parallel DPOR guard (≥1.5x scaling on multi-core, ≤5% threads=1 regression, filter3_pso)"
-cargo run --release -p ft-bench --bin pardpor_guard
-
-echo "==> fleet guard (kill-one-worker chaos smoke: fleet verdict+metrics == fault-free fleet; skipped on 1 core)"
-cargo run --release -p ft-bench --bin fleet_guard
-
-echo "==> E18 fleet experiment (fast mode: 2 cells x fault-free + chaos fleets, exactness asserted)"
-FT_E18_FAST=1 cargo run --release -p ft-bench --bin exp_e18_fleet
-
-echo "==> E15 resume-overhead experiment (fast mode)"
-FT_E15_FAST=1 cargo run --release -p ft-bench --bin exp_e15_resume
-
-echo "==> kill-and-resume smoke + checkpoint guard (n=3 DPOR cut -> checkpoint -> resume == fresh; overhead ≤10%)"
-cargo run --release -p ft-bench --bin checkpoint_guard
+stage "kill-and-resume smoke + checkpoint guard (n=3 DPOR cut -> checkpoint -> resume == fresh; overhead ≤10%)" \
+    cargo run --release -p ft-bench --bin checkpoint_guard
 
 echo "CI green."
