@@ -14,13 +14,20 @@ fn bench_encode(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
 
-    for n in [4usize, 6, 8] {
+    for n in [4usize, 6, 8, 16] {
         let inst = build_ordering(LockKind::Bakery, n, ObjectKind::Counter);
         let pi: Vec<usize> = (0..n).rev().collect();
         group.bench_with_input(BenchmarkId::new("bakery_reverse_pi", n), &n, |b, _| {
             b.iter(|| encode_permutation(&inst, &pi, &EncodeOptions::default()).unwrap());
         });
     }
+
+    // The `tables` workload's tournament cell (benchmark/src/cells.rs).
+    let inst = build_ordering(LockKind::Tournament, 8, ObjectKind::Counter);
+    let pi = [0usize, 7, 1, 6, 2, 5, 3, 4];
+    group.bench_with_input(BenchmarkId::new("tournament_fixed_pi", 8), &8, |b, _| {
+        b.iter(|| encode_permutation(&inst, &pi, &EncodeOptions::default()).unwrap());
+    });
     group.finish();
 }
 

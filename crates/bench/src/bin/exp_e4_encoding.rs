@@ -110,7 +110,9 @@ fn main() {
     let codebook_cases = [
         (LockKind::Bakery, 4usize),
         (LockKind::Bakery, 5),
+        (LockKind::Bakery, 6),
         (LockKind::Gt { f: 2 }, 4),
+        (LockKind::Gt { f: 2 }, 6),
         (LockKind::Tournament, 4),
     ];
     // The exhaustive codebooks (n! encodings each) are the heavy part of

@@ -5,7 +5,7 @@
 
 use simlocks::OrderingInstance;
 
-use crate::bits::serialize_stacks;
+use crate::bits::{serialize_stacks, BitString};
 use crate::encode::{encode_permutation, EncodeError, EncodeOptions};
 
 /// Summary statistics of a full codebook.
@@ -25,6 +25,13 @@ pub struct Codebook {
     pub max_beta: u64,
     /// Maximum ρ over the constructed executions.
     pub max_rho: u64,
+}
+
+/// What makes two codes the same code: length and content. The packed
+/// bytes alone are zero-padded, so codes that differ only in trailing zero
+/// bits of the last byte (`proceed` is tag `000`) would collapse.
+fn code_key(bits: &BitString) -> (usize, Vec<u8>) {
+    (bits.len(), bits.to_bytes())
 }
 
 /// Encode every permutation of `0..n` for `inst` and summarize the codes.
@@ -51,10 +58,10 @@ pub fn build_codebook(
     let mut stack = vec![0usize; n];
     // Heap's algorithm, iterative.
     let mut process =
-        |pi: &[usize], codes: &mut std::collections::HashSet<Vec<u8>>| -> Result<(), EncodeError> {
+        |pi: &[usize], codes: &mut std::collections::HashSet<_>| -> Result<(), EncodeError> {
             let enc = encode_permutation(inst, pi, opts)?;
             let bits = serialize_stacks(&enc.stacks);
-            codes.insert(bits.to_bytes());
+            codes.insert(code_key(&bits));
             count += 1;
             min_bits = min_bits.min(bits.len());
             max_bits = max_bits.max(bits.len());
@@ -109,6 +116,17 @@ mod tests {
         assert!(book.max_bits >= book.min_bits);
         assert!(book.mean_bits >= book.min_bits as f64);
         assert!(book.mean_bits <= book.max_bits as f64);
+    }
+
+    #[test]
+    fn codes_differing_only_in_trailing_zero_bits_stay_distinct() {
+        // 1 0 and 1 0 0 0 (one more `proceed` tag) pack to the same byte.
+        let mut short = BitString::new();
+        short.push_uint(0b10, 2);
+        let mut long = short.clone();
+        long.push_uint(0b000, 3);
+        assert_eq!(short.to_bytes(), long.to_bytes());
+        assert_ne!(code_key(&short), code_key(&long));
     }
 
     #[test]

@@ -16,9 +16,18 @@
 //!   buffered registers and returns feed the `wait-read-finish` /
 //!   `wait-local-finish` bookkeeping of other stacks.
 //! * **(D3)** If every process is waiting or finished, the execution ends.
+//!
+//! The rules only ever look at the *top* of a stack and at whether it is
+//! empty. [`Decoder`] turns that into a resumable decode: it checkpoints
+//! itself when a watched process's stack first empties, and the encoder
+//! continues from there after appending a command at that stack's bottom
+//! instead of decoding the whole prefix again.
 
 use fencevm::VmProc;
-use wbmem::{Event, EventKind, Machine, Poised, ProcId, SchedElem, SoloOutcome, StepOutcome};
+use wbmem::{
+    Event, EventKind, Machine, Poised, ProcId, RegId, SchedElem, SoloOutcome, StepOutcome,
+    WriteBuffer,
+};
 
 use crate::command::{Command, Stacks};
 
@@ -48,7 +57,7 @@ impl Default for DecodeOptions {
 }
 
 /// One decoded step.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DecodedStep {
     /// The schedule element applied.
     pub elem: SchedElem,
@@ -148,30 +157,39 @@ fn op_permits_step(m: &Machine<VmProc>, p: ProcId) -> bool {
     }
 }
 
-fn is_non_commit_enabled(
+/// The smallest register with a pending write in `buf` (the register D1
+/// commits next), read without building the sorted register list.
+fn smallest_buffered(buf: &WriteBuffer) -> Option<RegId> {
+    match buf {
+        WriteBuffer::Sc => None,
+        WriteBuffer::Tso(q) => q.iter().map(|&(r, _)| r).min(),
+        WriteBuffer::Pso(m) => m.keys().next().copied(),
+    }
+}
+
+/// Whether `p` would enter a final state running alone from `m`.
+fn solo_terminates(
     m: &Machine<VmProc>,
-    st: &Stacks,
     p: ProcId,
     opts: &DecodeOptions,
 ) -> Result<bool, DecodeError> {
-    if m.is_done(p) || !matches!(st.top(p), Some(Command::Proceed)) || !op_permits_step(m, p) {
-        return Ok(false);
-    }
     // Retry-with-backoff: an `Unknown` within the bound usually just means
     // the bound was too small for this (terminating) solo run, so double it
     // up to the cap before giving up. Each retry is reported through the
     // process-global recorder (`ftobs::global()` — disabled unless a host
     // installed one), replacing the ad-hoc progress prints this loop used
     // to justify: fast modes and full runs now share one reporting path.
+    // The bound history and the recorder are only touched once a retry
+    // happens; the common first-try verdict allocates nothing.
     let mut bound = opts.solo_bound.max(1);
     let mut tried = Vec::new();
-    let obs = ftobs::global();
     loop {
-        tried.push(bound);
         match m.solo_outcome(p, bound) {
             SoloOutcome::Terminates { .. } => return Ok(true),
             SoloOutcome::Diverges { .. } => return Ok(false),
             SoloOutcome::Unknown => {
+                tried.push(bound);
+                let obs = ftobs::global();
                 if bound >= opts.solo_bound_cap {
                     obs.event(
                         "solo_retry_exhausted",
@@ -204,6 +222,373 @@ fn is_non_commit_enabled(
     }
 }
 
+/// Solo-termination verdicts, reused between commits.
+///
+/// A verdict for `p` depends only on `p`'s program state, `p`'s buffer and
+/// shared memory. Until the next `Commit` event, shared memory is fixed and
+/// `p`'s buffer only changes by `p`'s own writes, so every state `p` reaches
+/// lies on the solo path the verdict was computed on and inherits it. Each
+/// verdict is therefore stamped with the number of commits seen so far and
+/// recomputed only when that number has moved.
+#[derive(Clone, Debug)]
+struct SoloMemo {
+    memory_version: u64,
+    verdicts: Vec<Option<(u64, bool)>>,
+}
+
+impl SoloMemo {
+    fn new(n: usize) -> Self {
+        SoloMemo {
+            memory_version: 0,
+            verdicts: vec![None; n],
+        }
+    }
+
+    fn terminates(
+        &mut self,
+        m: &Machine<VmProc>,
+        p: ProcId,
+        opts: &DecodeOptions,
+    ) -> Result<bool, DecodeError> {
+        if let Some((version, verdict)) = self.verdicts[p.index()] {
+            if version == self.memory_version {
+                debug_assert_eq!(
+                    solo_terminates(m, p, opts),
+                    Ok(verdict),
+                    "stale solo verdict for {p}"
+                );
+                return Ok(verdict);
+            }
+        }
+        let verdict = solo_terminates(m, p, opts)?;
+        self.verdicts[p.index()] = Some((self.memory_version, verdict));
+        Ok(verdict)
+    }
+}
+
+fn is_non_commit_enabled(
+    m: &Machine<VmProc>,
+    st: &Stacks,
+    p: ProcId,
+    opts: &DecodeOptions,
+    solo: &mut SoloMemo,
+) -> Result<bool, DecodeError> {
+    if m.is_done(p) || !matches!(st.top(p), Some(Command::Proceed)) || !op_permits_step(m, p) {
+        return Ok(false);
+    }
+    solo.terminates(m, p, opts)
+}
+
+/// The decoder at the moment the watched process's stack first emptied:
+/// everything but the steps, which the resumed decoder truncates in place.
+#[derive(Debug)]
+struct Checkpoint {
+    machine: Machine<VmProc>,
+    stacks: Stacks,
+    stack_empty_at: Vec<Option<usize>>,
+    steps_len: usize,
+    solo: SoloMemo,
+}
+
+/// A resumable decode of one extended configuration.
+///
+/// Rules D1–D3 observe a stack only through its top command and its
+/// emptiness. A command appended at the *bottom* of `p`'s stack is therefore
+/// invisible until the step after which `p`'s stack would have been empty:
+/// the decodes of `S` and of `S + (cmd at p's bottom)` share their first
+/// `stack_empty_at[p]` steps. While running, the decoder keeps one
+/// [`Checkpoint`] of itself at exactly that step for the process it
+/// `watch`es, and [`resume_with`](Self::resume_with) continues from it.
+#[derive(Debug)]
+pub(crate) struct Decoder {
+    out: DecodeOutcome,
+    solo: SoloMemo,
+    watch: Option<ProcId>,
+    checkpoint: Option<Checkpoint>,
+}
+
+impl Decoder {
+    /// A decoder at the extended configuration `(initial, stacks)`, zero
+    /// steps in, that checkpoints when `watch`'s stack empties.
+    pub(crate) fn new(initial: &Machine<VmProc>, stacks: &Stacks, watch: Option<ProcId>) -> Self {
+        let n = initial.n();
+        assert_eq!(stacks.n(), n, "stack count must match process count");
+        Decoder {
+            out: DecodeOutcome {
+                machine: initial.clone(),
+                stacks: stacks.clone(),
+                steps: Vec::new(),
+                stack_empty_at: (0..n)
+                    .map(|i| stacks.is_empty_of(ProcId::from(i)).then_some(0))
+                    .collect(),
+            },
+            solo: SoloMemo::new(n),
+            watch,
+            checkpoint: None,
+        }
+    }
+
+    /// The decode so far; after a successful [`run`](Self::run), the decode
+    /// of the whole extended configuration.
+    pub(crate) fn outcome(&self) -> &DecodeOutcome {
+        &self.out
+    }
+
+    pub(crate) fn into_outcome(self) -> DecodeOutcome {
+        self.out
+    }
+
+    /// Rewind to the step at which `p`'s stack first emptied and append
+    /// `cmd` there, so that the next [`run`](Self::run) completes the decode
+    /// of the stacks extended by `cmd` at `p`'s bottom. Returns `false`, and
+    /// changes nothing, if there is no such checkpoint: `p` is not the
+    /// watched process, or its stack did not empty after step 0. The caller
+    /// then starts a new decoder from the initial configuration.
+    pub(crate) fn resume_with(&mut self, p: ProcId, cmd: Command) -> bool {
+        if self.watch != Some(p) {
+            return false;
+        }
+        let Some(cp) = self.checkpoint.take() else {
+            return false;
+        };
+        self.out.machine = cp.machine;
+        self.out.stacks = cp.stacks;
+        self.out.stack_empty_at = cp.stack_empty_at;
+        self.out.steps.truncate(cp.steps_len);
+        self.solo = cp.solo;
+        debug_assert!(self.out.stacks.is_empty_of(p));
+        self.out.stacks.push_bottom(p, cmd);
+        self.out.stack_empty_at[p.index()] = None;
+        true
+    }
+
+    /// Append `step` to the execution and do the per-step bookkeeping:
+    /// invalidate solo verdicts on a commit, note first-empty stacks, and
+    /// checkpoint if the watched stack is among them.
+    fn record(&mut self, step: DecodedStep) {
+        if matches!(step.event.kind, EventKind::Commit { .. }) {
+            self.solo.memory_version += 1;
+        }
+        let out = &mut self.out;
+        out.steps.push(step);
+        let now = out.steps.len();
+        for (i, slot) in out.stack_empty_at.iter_mut().enumerate() {
+            if slot.is_none() && out.stacks.is_empty_of(ProcId::from(i)) {
+                *slot = Some(now);
+            }
+        }
+        if self
+            .watch
+            .is_some_and(|w| out.stack_empty_at[w.index()] == Some(now))
+        {
+            self.checkpoint = Some(Checkpoint {
+                machine: out.machine.clone(),
+                stacks: out.stacks.clone(),
+                stack_empty_at: out.stack_empty_at.clone(),
+                steps_len: now,
+                solo: self.solo.clone(),
+            });
+        }
+    }
+
+    /// Apply rules D1/D2 until D3 ends the execution.
+    pub(crate) fn run(&mut self, opts: &DecodeOptions) -> Result<(), DecodeError> {
+        let n = self.out.machine.n();
+        loop {
+            if self.out.steps.len() >= opts.max_steps {
+                return Err(DecodeError::MaxSteps {
+                    steps: opts.max_steps,
+                });
+            }
+            let m = &mut self.out.machine;
+            let st = &mut self.out.stacks;
+
+            // ---- Rule D1: a commit step. ----
+            let commit_enabled = (0..n)
+                .map(ProcId::from)
+                .find(|&p| is_commit_enabled(m, st, p));
+            if let Some(p) = commit_enabled {
+                let r = smallest_buffered(m.buffer(p))
+                    .expect("commit-enabled process has a non-empty buffer");
+                // A waiting hidden-committer takes precedence.
+                let q = (0..n).map(ProcId::from).find(|&q| {
+                    matches!(st.top(q), Some(Command::WaitHiddenCommit(k)) if *k > 0)
+                        && m.buffer(q).contains(r)
+                });
+                let pstar = q.unwrap_or(p);
+                let hidden = q.is_some();
+                let pre_len = m.buffer(pstar).len();
+
+                let event = match m.step(SchedElem::commit(pstar, r)) {
+                    StepOutcome::Stepped(e) => e,
+                    StepOutcome::NoOp => {
+                        return Err(DecodeError::Internal(format!(
+                            "commit of {r} by {pstar} did not step"
+                        )))
+                    }
+                };
+
+                if hidden {
+                    // (D1b) decrement the wait-hidden-commit counter.
+                    match st.pop_top(pstar) {
+                        Some(Command::WaitHiddenCommit(k)) => {
+                            if k > 1 {
+                                st.push_top(pstar, Command::WaitHiddenCommit(k - 1));
+                            }
+                        }
+                        other => {
+                            return Err(DecodeError::Internal(format!(
+                                "hidden committer {pstar} had top {other:?}"
+                            )))
+                        }
+                    }
+                } else if pre_len == 1 {
+                    // (D1a) the batch is fully committed.
+                    if st.pop_top(pstar) != Some(Command::Commit) {
+                        return Err(DecodeError::Internal(format!(
+                            "commit-enabled {pstar} had non-commit top"
+                        )));
+                    }
+                }
+
+                // (D1c) the commit accesses the register owner's segment.
+                if let Some(owner) = m.config().layout.owner(r) {
+                    if owner != pstar && matches!(st.top(owner), Some(Command::WaitLocalFinish(..)))
+                    {
+                        st.with_top_mut(owner, |c| {
+                            if let Command::WaitLocalFinish(_, s) = c {
+                                s.insert(pstar);
+                            }
+                        });
+                    }
+                }
+
+                self.record(DecodedStep {
+                    elem: SchedElem::commit(pstar, r),
+                    event,
+                    hidden,
+                });
+                continue;
+            }
+
+            // ---- Rule D2: a read/write/return/fence step. ----
+            let mut chosen: Option<ProcId> = None;
+            for i in 0..n {
+                let p = ProcId::from(i);
+                if is_non_commit_enabled(m, st, p, opts, &mut self.solo)? {
+                    chosen = Some(p);
+                    break;
+                }
+            }
+            let Some(p) = chosen else {
+                return Ok(()); // (D3) all waiting or finished.
+            };
+
+            let event = match m.step(SchedElem::op(p)) {
+                StepOutcome::Stepped(e) => e,
+                StepOutcome::NoOp => {
+                    return Err(DecodeError::Internal(format!("enabled {p} did not step")))
+                }
+            };
+
+            // (D2a) pop `proceed` once p is poised at a fence/return/done.
+            if matches!(
+                m.poised(p),
+                Poised::Fence | Poised::Return(_) | Poised::Done
+            ) && st.pop_top(p) != Some(Command::Proceed)
+            {
+                return Err(DecodeError::Internal(format!(
+                    "{p} stepped without proceed on top"
+                )));
+            }
+
+            match &event.kind {
+                EventKind::Return { .. } => {
+                    // (D2b) processes waiting for p's termination.
+                    for qi in 0..n {
+                        let q = ProcId::from(qi);
+                        if q == p {
+                            continue;
+                        }
+                        let pop = match st.top(q) {
+                            Some(Command::WaitReadFinish(_, s))
+                            | Some(Command::WaitLocalFinish(_, s)) => s.contains(&p),
+                            _ => false,
+                        };
+                        if pop {
+                            match st.pop_top(q).expect("just inspected") {
+                                Command::WaitReadFinish(k, s) => {
+                                    if k > 1 {
+                                        st.push_top(q, Command::WaitReadFinish(k - 1, s));
+                                    }
+                                }
+                                Command::WaitLocalFinish(k, s) => {
+                                    if k > 1 {
+                                        st.push_top(q, Command::WaitLocalFinish(k - 1, s));
+                                    }
+                                }
+                                _ => unreachable!("matched wait command above"),
+                            }
+                        }
+                    }
+                }
+                EventKind::Read {
+                    reg,
+                    from_memory: true,
+                    ..
+                } => {
+                    let reg = *reg;
+                    // (D2c) readers of registers another process is about to
+                    // commit.
+                    for qi in 0..n {
+                        let q = ProcId::from(qi);
+                        if q == p {
+                            continue;
+                        }
+                        if matches!(st.top(q), Some(Command::WaitReadFinish(..)))
+                            && m.buffer(q).contains(reg)
+                        {
+                            st.with_top_mut(q, |c| {
+                                if let Command::WaitReadFinish(_, s) = c {
+                                    s.insert(p);
+                                }
+                            });
+                        }
+                    }
+                    // (D2d) readers of q's memory segment.
+                    if let Some(owner) = m.config().layout.owner(reg) {
+                        if owner != p && matches!(st.top(owner), Some(Command::WaitLocalFinish(..)))
+                        {
+                            st.with_top_mut(owner, |c| {
+                                if let Command::WaitLocalFinish(_, s) = c {
+                                    s.insert(p);
+                                }
+                            });
+                        }
+                    }
+                }
+                _ => {} // (D2e)
+            }
+
+            self.record(DecodedStep {
+                elem: SchedElem::op(p),
+                event,
+                hidden: false,
+            });
+        }
+    }
+}
+
+/// Whether two decodes are the same execution ending in the same extended
+/// configuration (the counters included, so β and ρ agree too).
+pub(crate) fn same_decode(a: &DecodeOutcome, b: &DecodeOutcome) -> bool {
+    a.steps == b.steps
+        && a.stacks == b.stacks
+        && a.stack_empty_at == b.stack_empty_at
+        && a.machine.state_key() == b.machine.state_key()
+        && a.machine.counters() == b.machine.counters()
+}
+
 /// Decode the execution determined by `(initial, stacks)`.
 ///
 /// # Errors
@@ -216,213 +601,9 @@ pub fn decode(
     stacks: &Stacks,
     opts: &DecodeOptions,
 ) -> Result<DecodeOutcome, DecodeError> {
-    let n = initial.n();
-    assert_eq!(stacks.n(), n, "stack count must match process count");
-    let mut m = initial.clone();
-    let mut st = stacks.clone();
-    let mut steps: Vec<DecodedStep> = Vec::new();
-    let mut stack_empty_at: Vec<Option<usize>> = (0..n)
-        .map(|i| st.is_empty_of(ProcId::from(i)).then_some(0))
-        .collect();
-
-    'outer: loop {
-        if steps.len() >= opts.max_steps {
-            return Err(DecodeError::MaxSteps {
-                steps: opts.max_steps,
-            });
-        }
-
-        // ---- Rule D1: a commit step. ----
-        let commit_enabled = (0..n)
-            .map(ProcId::from)
-            .find(|&p| is_commit_enabled(&m, &st, p));
-        if let Some(p) = commit_enabled {
-            let r = *m
-                .buffer(p)
-                .regs()
-                .first()
-                .expect("commit-enabled process has a non-empty buffer");
-            // A waiting hidden-committer takes precedence.
-            let q = (0..n).map(ProcId::from).find(|&q| {
-                matches!(st.top(q), Some(Command::WaitHiddenCommit(k)) if *k > 0)
-                    && m.buffer(q).contains(r)
-            });
-            let pstar = q.unwrap_or(p);
-            let hidden = q.is_some();
-            let pre_len = m.buffer(pstar).len();
-
-            let event = match m.step(SchedElem::commit(pstar, r)) {
-                StepOutcome::Stepped(e) => e,
-                StepOutcome::NoOp => {
-                    return Err(DecodeError::Internal(format!(
-                        "commit of {r} by {pstar} did not step"
-                    )))
-                }
-            };
-
-            if hidden {
-                // (D1b) decrement the wait-hidden-commit counter.
-                match st.pop_top(pstar) {
-                    Some(Command::WaitHiddenCommit(k)) => {
-                        if k > 1 {
-                            st.push_top(pstar, Command::WaitHiddenCommit(k - 1));
-                        }
-                    }
-                    other => {
-                        return Err(DecodeError::Internal(format!(
-                            "hidden committer {pstar} had top {other:?}"
-                        )))
-                    }
-                }
-            } else if pre_len == 1 {
-                // (D1a) the batch is fully committed.
-                if st.pop_top(pstar) != Some(Command::Commit) {
-                    return Err(DecodeError::Internal(format!(
-                        "commit-enabled {pstar} had non-commit top"
-                    )));
-                }
-            }
-
-            // (D1c) the commit accesses the register owner's segment.
-            if let Some(owner) = m.config().layout.owner(r) {
-                if owner != pstar && matches!(st.top(owner), Some(Command::WaitLocalFinish(..))) {
-                    st.with_top_mut(owner, |c| {
-                        if let Command::WaitLocalFinish(_, s) = c {
-                            s.insert(pstar);
-                        }
-                    });
-                }
-            }
-
-            steps.push(DecodedStep {
-                elem: SchedElem::commit(pstar, r),
-                event,
-                hidden,
-            });
-            note_empties(&st, &mut stack_empty_at, steps.len());
-            continue 'outer;
-        }
-
-        // ---- Rule D2: a read/write/return/fence step. ----
-        let mut chosen: Option<ProcId> = None;
-        for i in 0..n {
-            let p = ProcId::from(i);
-            if is_non_commit_enabled(&m, &st, p, opts)? {
-                chosen = Some(p);
-                break;
-            }
-        }
-        let Some(p) = chosen else {
-            break 'outer; // (D3) all waiting or finished.
-        };
-
-        let event = match m.step(SchedElem::op(p)) {
-            StepOutcome::Stepped(e) => e,
-            StepOutcome::NoOp => {
-                return Err(DecodeError::Internal(format!("enabled {p} did not step")))
-            }
-        };
-
-        // (D2a) pop `proceed` once p is poised at a fence/return/done.
-        if matches!(
-            m.poised(p),
-            Poised::Fence | Poised::Return(_) | Poised::Done
-        ) && st.pop_top(p) != Some(Command::Proceed)
-        {
-            return Err(DecodeError::Internal(format!(
-                "{p} stepped without proceed on top"
-            )));
-        }
-
-        match &event.kind {
-            EventKind::Return { .. } => {
-                // (D2b) processes waiting for p's termination.
-                for qi in 0..n {
-                    let q = ProcId::from(qi);
-                    if q == p {
-                        continue;
-                    }
-                    let pop = match st.top(q) {
-                        Some(Command::WaitReadFinish(_, s))
-                        | Some(Command::WaitLocalFinish(_, s)) => s.contains(&p),
-                        _ => false,
-                    };
-                    if pop {
-                        match st.pop_top(q).expect("just inspected") {
-                            Command::WaitReadFinish(k, s) => {
-                                if k > 1 {
-                                    st.push_top(q, Command::WaitReadFinish(k - 1, s));
-                                }
-                            }
-                            Command::WaitLocalFinish(k, s) => {
-                                if k > 1 {
-                                    st.push_top(q, Command::WaitLocalFinish(k - 1, s));
-                                }
-                            }
-                            _ => unreachable!("matched wait command above"),
-                        }
-                    }
-                }
-            }
-            EventKind::Read {
-                reg,
-                from_memory: true,
-                ..
-            } => {
-                let reg = *reg;
-                // (D2c) readers of registers another process is about to
-                // commit.
-                for qi in 0..n {
-                    let q = ProcId::from(qi);
-                    if q == p {
-                        continue;
-                    }
-                    if matches!(st.top(q), Some(Command::WaitReadFinish(..)))
-                        && m.buffer(q).contains(reg)
-                    {
-                        st.with_top_mut(q, |c| {
-                            if let Command::WaitReadFinish(_, s) = c {
-                                s.insert(p);
-                            }
-                        });
-                    }
-                }
-                // (D2d) readers of q's memory segment.
-                if let Some(owner) = m.config().layout.owner(reg) {
-                    if owner != p && matches!(st.top(owner), Some(Command::WaitLocalFinish(..))) {
-                        st.with_top_mut(owner, |c| {
-                            if let Command::WaitLocalFinish(_, s) = c {
-                                s.insert(p);
-                            }
-                        });
-                    }
-                }
-            }
-            _ => {} // (D2e)
-        }
-
-        steps.push(DecodedStep {
-            elem: SchedElem::op(p),
-            event,
-            hidden: false,
-        });
-        note_empties(&st, &mut stack_empty_at, steps.len());
-    }
-
-    Ok(DecodeOutcome {
-        machine: m,
-        stacks: st,
-        steps,
-        stack_empty_at,
-    })
-}
-
-fn note_empties(st: &Stacks, stack_empty_at: &mut [Option<usize>], now: usize) {
-    for (i, slot) in stack_empty_at.iter_mut().enumerate() {
-        if slot.is_none() && st.is_empty_of(ProcId::from(i)) {
-            *slot = Some(now);
-        }
-    }
+    let mut decoder = Decoder::new(initial, stacks, None);
+    decoder.run(opts)?;
+    Ok(decoder.into_outcome())
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! The encoder: permutations → command stacks (Section 5.2).
 //!
 //! For a permutation `π = (p_0, …, p_{n-1})`, the encoder builds stack
-//! sequences `S_0, S_1, …` iteratively: each iteration decodes the current
-//! stacks to an execution `E_i`, inspects the frontier process `p_ℓ`
-//! (the furthest process in π whose stack exists but who hasn't finished —
-//! or the next fresh process), and appends **one** command to the bottom of
+//! sequences `S_0, S_1, …` iteratively: iteration `i` inspects the execution
+//! `E_i` that `S_i` decodes to, picks the frontier process `p_ℓ` (the
+//! furthest process in π whose stack exists but who hasn't finished — or
+//! the next fresh process), and appends **one** command to the bottom of
 //! `p_ℓ`'s stack:
 //!
 //! * **(E1)** a fresh process first waits for every earlier process that
@@ -15,6 +15,13 @@
 //!   by later commits of earlier processes), `wait-read-finish(ζ, ∅)`
 //!   (ζ earlier processes still read batch registers), or `commit`.
 //!
+//! `E_{i+1}` is not decoded from the initial configuration. The decoding
+//! rules see only the top of a stack and whether it is empty, so `E_i` and
+//! `E_{i+1}` agree up to the step at which `p_ℓ`'s stack first emptied in
+//! `E_i`; the [`Decoder`] checkpointed itself there, and the encoder resumes
+//! it with the new command on `p_ℓ`'s (empty) stack. Only a fresh frontier
+//! process, whose stack was empty from step 0, starts a new decoder.
+//!
 //! The construction ends when the last process of π is finished. By the
 //! ordering property each `p_k` returns `k`, so the final stacks uniquely
 //! determine π — that is what makes them a *code*.
@@ -23,10 +30,10 @@ use std::collections::BTreeSet;
 
 use fencevm::VmProc;
 use simlocks::OrderingInstance;
-use wbmem::{EventKind, Machine, MachineConfig, MemoryModel, Poised, ProcId};
+use wbmem::{EventKind, Machine, MachineConfig, MemoryModel, Poised, ProcId, RegId};
 
 use crate::command::{Command, Stacks};
-use crate::decode::{decode, DecodeError, DecodeOptions, DecodeOutcome};
+use crate::decode::{decode, same_decode, DecodeError, DecodeOptions, DecodeOutcome, Decoder};
 
 /// Encoder options.
 #[derive(Clone, Copy, Debug)]
@@ -191,14 +198,18 @@ pub fn encode_permutation(
     let initial = proof_machine(inst);
     let mut stacks = Stacks::new(n);
     let last = ProcId::from(pi[n - 1]);
+    // Invariant at the top of each iteration: `dec` holds the complete
+    // decode of `stacks`.
+    let mut dec = Decoder::new(&initial, &stacks, None);
+    dec.run(&opts.decode)?;
 
     for iteration in 0..opts.max_iterations {
-        let dec = decode(&initial, &stacks, &opts.decode)?;
+        let out = dec.outcome();
 
-        if dec.machine.is_done(last) {
+        if out.machine.is_done(last) {
             // Construction complete: validate ranks and assemble.
             for (rank, &proc) in pi.iter().enumerate() {
-                let got = dec.machine.return_value(ProcId::from(proc));
+                let got = out.machine.return_value(ProcId::from(proc));
                 if got != Some(rank as u64) {
                     return Err(EncodeError::RankMismatch {
                         proc,
@@ -207,16 +218,19 @@ pub fn encode_permutation(
                     });
                 }
             }
-            let beta = dec.machine.counters().beta();
-            let rho = dec.machine.counters().rho();
+            let outcome = dec.into_outcome();
+            debug_assert!(
+                decode(&initial, &stacks, &opts.decode).is_ok_and(|d| same_decode(&d, &outcome)),
+                "resumed decode differs from the from-scratch decode of the final stacks"
+            );
             return Ok(Encoding {
                 pi: pi.to_vec(),
                 commands: stacks.total_commands(),
                 value_sum: stacks.total_value(),
                 stacks,
-                beta,
-                rho,
-                outcome: dec,
+                beta: outcome.machine.counters().beta(),
+                rho: outcome.machine.counters().rho(),
+                outcome,
             });
         }
 
@@ -226,7 +240,7 @@ pub fn encode_permutation(
             .find(|&k| !stacks.is_empty_of(ProcId::from(pi[k])));
         let ell = match tau {
             None => 0,
-            Some(t) if dec.machine.is_done(ProcId::from(pi[t])) => t + 1,
+            Some(t) if out.machine.is_done(ProcId::from(pi[t])) => t + 1,
             Some(t) => t,
         };
         if ell >= n {
@@ -234,20 +248,23 @@ pub fn encode_permutation(
                 iterations: iteration,
                 diagnostics: format!(
                     "frontier ran past the last process, but {last} is unfinished\n{}",
-                    diagnostics(&dec, &stacks, pi)
+                    diagnostics(out, &stacks, pi)
                 ),
             });
         }
         let p_ell = ProcId::from(pi[ell]);
 
-        let cmd = next_command(&dec, &stacks, p_ell)?;
-        stacks.push_bottom(p_ell, cmd);
+        let cmd = next_command(out, &stacks, p_ell)?;
+        stacks.push_bottom(p_ell, cmd.clone());
+        if !dec.resume_with(p_ell, cmd) {
+            dec = Decoder::new(&initial, &stacks, Some(p_ell));
+        }
+        dec.run(&opts.decode)?;
     }
 
-    let dec = decode(&initial, &stacks, &opts.decode)?;
     Err(EncodeError::Stalled {
         iterations: opts.max_iterations,
-        diagnostics: diagnostics(&dec, &stacks, pi),
+        diagnostics: diagnostics(dec.outcome(), &stacks, pi),
     })
 }
 
@@ -289,36 +306,30 @@ fn next_command(
                     "(I6) violated: {p_ell}'s stack never emptied during decode"
                 ))
             })?;
-            let batch = m.buffer(p_ell).regs();
-            let suffix = dec.suffix(split);
+            let batch = m.buffer(p_ell);
 
             // γ: batch registers that receive a commit during E**.
-            let gamma = batch
-                .iter()
-                .filter(|&&r| {
-                    suffix
-                        .iter()
-                        .any(|s| matches!(s.event.kind, EventKind::Commit { reg, .. } if reg == r))
-                })
-                .count() as u64;
-            if gamma > 0 {
-                return Ok(Command::WaitHiddenCommit(gamma));
-            }
-
             // ζ: distinct processes that read a batch register from shared
             // memory during E**.
+            let mut committed: BTreeSet<RegId> = BTreeSet::new();
             let mut readers: BTreeSet<ProcId> = BTreeSet::new();
-            for s in suffix {
-                if let EventKind::Read {
-                    reg,
-                    from_memory: true,
-                    ..
-                } = s.event.kind
-                {
-                    if s.event.proc != p_ell && batch.contains(&reg) {
+            for s in dec.suffix(split) {
+                match s.event.kind {
+                    EventKind::Commit { reg, .. } if batch.contains(reg) => {
+                        committed.insert(reg);
+                    }
+                    EventKind::Read {
+                        reg,
+                        from_memory: true,
+                        ..
+                    } if s.event.proc != p_ell && batch.contains(reg) => {
                         readers.insert(s.event.proc);
                     }
+                    _ => {}
                 }
+            }
+            if !committed.is_empty() {
+                return Ok(Command::WaitHiddenCommit(committed.len() as u64));
             }
             if !readers.is_empty() {
                 return Ok(Command::WaitReadFinish(

@@ -35,6 +35,11 @@ stage "cargo test -q (FT_THREADS=2, exercises the parallel sweeps/engine)" \
 stage "benchmark/ package builds and its smoke test passes (bench_probe calls wbmem/por signatures directly)" \
     bash -c 'cd benchmark && cargo test --offline'
 
+stage "E4/E6: the paper's own Section-5 tables regenerate byte-for-byte" \
+    bash -c 'cargo run --release -p ft-bench --bin exp_e4_encoding > /dev/null \
+        && cargo run --release -p ft-bench --bin exp_e6_stack_invariants > /dev/null \
+        && git diff --exit-code results/e4_encoding.txt results/e4b_codebooks.txt results/e6_stack_invariants.txt'
+
 stage "E11 crash-recovery experiment (n = 2)" \
     env FT_E11_FAST=1 cargo run --release -p ft-bench --bin exp_e11_crash_recovery
 
