@@ -754,19 +754,38 @@ impl SearchIndex {
 }
 
 /// Reverse reachability from terminal states: the smallest-id state that
-/// cannot reach completion, if any.
+/// cannot reach completion, if any. The reverse adjacency is built in
+/// compressed-sparse-row form — count, prefix-sum, fill — so state `s`'s
+/// predecessors are `preds[starts[s]..starts[s + 1]]`.
 pub(crate) fn find_stuck(n_states: usize, edges: &[(u32, u32)], terminal: &[u32]) -> Option<u32> {
-    let mut rev: Vec<Vec<u32>> = vec![Vec::new(); n_states];
-    for &(a, b) in edges {
-        rev[b as usize].push(a);
+    assert!(
+        u32::try_from(edges.len()).is_ok(),
+        "termination graph outgrew u32 edge offsets"
+    );
+    let mut starts = vec![0u32; n_states + 1];
+    for &(_, b) in edges {
+        starts[b as usize] += 1;
     }
+    // Running totals put every window's *end* in its slot; filling each
+    // window back to front then walks the slot down to its start.
+    let mut total = 0;
+    for slot in &mut starts {
+        total += *slot;
+        *slot = total;
+    }
+    let mut preds = vec![0u32; edges.len()];
+    for &(a, b) in edges {
+        starts[b as usize] -= 1;
+        preds[starts[b as usize] as usize] = a;
+    }
+    let preds_of = |s: u32| &preds[starts[s as usize] as usize..starts[s as usize + 1] as usize];
     let mut can_finish = vec![false; n_states];
     let mut queue: Vec<u32> = terminal.to_vec();
     for &t in terminal {
         can_finish[t as usize] = true;
     }
     while let Some(s) = queue.pop() {
-        for &pred in &rev[s as usize] {
+        for &pred in preds_of(s) {
             if !can_finish[pred as usize] {
                 can_finish[pred as usize] = true;
                 queue.push(pred);
@@ -777,13 +796,17 @@ pub(crate) fn find_stuck(n_states: usize, edges: &[(u32, u32)], terminal: &[u32]
 }
 
 /// Whether the configured annotation invariant rejects the machine's
-/// current annotation vector.
-pub(crate) fn violates_invariant<P: Process>(config: &CheckConfig, m: &Machine<P>) -> bool {
+/// current annotation vector, gathered into the caller's reusable
+/// `annots`.
+pub(crate) fn violates_invariant<P: Process>(
+    config: &CheckConfig,
+    m: &Machine<P>,
+    annots: &mut Vec<u64>,
+) -> bool {
     config.annotation_invariant.is_some_and(|inv| {
-        let annots: Vec<u64> = (0..m.n())
-            .map(|i| m.annotation(wbmem::ProcId::from(i)))
-            .collect();
-        !inv(&annots)
+        annots.clear();
+        annots.extend((0..m.n()).map(|i| m.annotation(wbmem::ProcId::from(i))));
+        !inv(annots)
     })
 }
 
@@ -1106,7 +1129,8 @@ fn check_clone_dfs<P: Process>(
     if config.check_mutex && in_cs_count(initial) > 1 {
         return Verdict::MutexViolation(stats, render(initial, &[]));
     }
-    if violates_invariant(config, initial) {
+    let mut annots = Vec::new();
+    if violates_invariant(config, initial, &mut annots) {
         return Verdict::InvariantViolation(stats, render(initial, &[]));
     }
     if initial.all_done() {
@@ -1182,7 +1206,7 @@ fn check_clone_dfs<P: Process>(
         if config.check_mutex && in_cs_count(&child) > 1 {
             return Verdict::MutexViolation(stats, render(initial, &index.path_to(child_id)));
         }
-        if violates_invariant(config, &child) {
+        if violates_invariant(config, &child, &mut annots) {
             return Verdict::InvariantViolation(stats, render(initial, &index.path_to(child_id)));
         }
         if child.all_done() {
@@ -1221,6 +1245,7 @@ fn check_clone_dfs<P: Process>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use simlocks::{build_mutex, FenceMask, LockKind};
     use wbmem::MemoryModel;
 
@@ -1656,5 +1681,57 @@ mod tests {
         assert_eq!(wrapped, CheckError::Machine(e));
         assert!(wrapped.to_string().contains("machine error"));
         assert!(CheckError::TooManyStates.to_string().contains("u32"));
+    }
+
+    /// `find_stuck` as it was before the CSR adjacency: one `Vec` of
+    /// predecessors per state.
+    fn find_stuck_by_lists(n_states: usize, edges: &[(u32, u32)], terminal: &[u32]) -> Option<u32> {
+        let mut rev: Vec<Vec<u32>> = vec![Vec::new(); n_states];
+        for &(a, b) in edges {
+            rev[b as usize].push(a);
+        }
+        let mut can_finish = vec![false; n_states];
+        let mut queue: Vec<u32> = terminal.to_vec();
+        for &t in terminal {
+            can_finish[t as usize] = true;
+        }
+        while let Some(s) = queue.pop() {
+            for &pred in &rev[s as usize] {
+                if !can_finish[pred as usize] {
+                    can_finish[pred as usize] = true;
+                    queue.push(pred);
+                }
+            }
+        }
+        (0..n_states).find(|&s| !can_finish[s]).map(|s| s as u32)
+    }
+
+    #[test]
+    fn find_stuck_on_hand_built_graphs() {
+        // 0 → 1 → 2 (terminal); 3 loops on itself; 4 has no edges at all.
+        let edges = [(0, 1), (1, 2), (3, 3), (1, 0)];
+        assert_eq!(find_stuck(5, &edges, &[2]), Some(3));
+        assert_eq!(find_stuck(5, &edges, &[2, 3]), Some(4));
+        assert_eq!(find_stuck(5, &edges, &[2, 3, 4]), None);
+        assert_eq!(find_stuck(3, &edges[..2], &[]), Some(0));
+        assert_eq!(find_stuck(0, &[], &[]), None);
+    }
+
+    proptest::proptest! {
+        /// Random graphs — duplicate edges, self-loops and states no edge
+        /// touches included — get the same answer from both adjacencies.
+        #[test]
+        fn find_stuck_matches_the_adjacency_list_version(
+            (n, edges, terminal) in (1u32..40).prop_flat_map(|n| (
+                Just(n),
+                prop::collection::vec((0..n, 0..n), 0..120),
+                prop::collection::vec(0..n, 0..4),
+            ))
+        ) {
+            prop_assert_eq!(
+                find_stuck(n as usize, &edges, &terminal),
+                find_stuck_by_lists(n as usize, &edges, &terminal)
+            );
+        }
     }
 }

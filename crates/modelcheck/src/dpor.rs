@@ -19,31 +19,44 @@
 //!   claim; violations found under a bound are always real executions.
 //! * **Dominance**: a state is re-entered unless a recorded visit used a
 //!   subset sleep set and at least as much budget ([`VisitTable`]). The
-//!   table is never shared: a parallel worker may re-explore a state a
-//!   peer covered, which is less pruning, never more.
+//!   table is keyed by the frontier's node for the state — a dense id
+//!   under `Local`, the fingerprint under `Shared` — so it repeats no
+//!   lookup the frontier already made. It is never shared: a parallel
+//!   worker may re-explore a state a peer covered, which is less pruning,
+//!   never more.
+//!
+//! Per-frame state is three small buffers (sleep set, taken siblings,
+//! ample-excluded choices). They are recycled rather than allocated: a
+//! [`SleepFrame`] the kernel hands back — popped off the stack, or never
+//! pushed — joins a spare list with its buffers intact, and
+//! [`arrive`](Reduction::arrive) builds the next child in one of those.
+//! Whoever takes a spare frame overwrites every field.
 
-use ftobs::{Metric, Recorder, Tally};
-use por::{step_weight, ForkPoint, SleepSet, VisitTable};
+use ftobs::Tally;
+use por::{step_weight, ForkPoint, Heads, SleepSet, VisitTable};
 use wbmem::{Footprint, FpMap, Machine, MemoryModel, Process, SchedElem};
 
 use crate::checker::CheckConfig;
 use crate::kernel::{Edge, Reduction};
 
-/// Sleep sets + ample sets + reorder bound; see the module docs.
-pub(crate) struct SleepAmple {
+/// Sleep sets + ample sets + reorder bound; see the module docs. `H` is
+/// how the frontier's nodes key the dominance table.
+pub(crate) struct SleepAmple<H: Heads> {
     model: MemoryModel,
     use_ample: bool,
     /// Reorder budget of the root state (`u32::MAX` = unbounded).
     budget: u32,
-    obs: Recorder,
-    visited: VisitTable,
+    visited: VisitTable<H>,
     /// Fingerprints on the DFS stack (a multiset: re-exploration under a
     /// smaller sleep set can nest a state inside itself).
     on_stack: FpMap<u32>,
     sleep_hits: usize,
+    /// Frames that left the walk, kept for their buffers.
+    spare: Vec<SleepFrame>,
 }
 
 /// The reduction state of one DFS frame.
+#[derive(Default)]
 pub(crate) struct SleepFrame {
     fp: u128,
     /// Sleep set the state was entered with.
@@ -57,7 +70,7 @@ pub(crate) struct SleepFrame {
     remaining: u32,
 }
 
-impl SleepAmple {
+impl<H: Heads> SleepAmple<H> {
     pub(crate) fn new<P: Process>(
         initial: &Machine<P>,
         config: &CheckConfig,
@@ -69,28 +82,27 @@ impl SleepAmple {
             // all of them.
             use_ample: !config.check_termination,
             budget: reorder_bound.unwrap_or(u32::MAX),
-            obs: config.recorder.clone(),
-            visited: VisitTable::new(),
+            visited: VisitTable::default(),
             on_stack: FpMap::default(),
             sleep_hits: 0,
+            spare: Vec::new(),
         }
     }
 
     /// Record the root's visit in the dominance table, as the sequential
     /// engine does (a worker's table starts empty: its tasks' states were
     /// claimed by whoever forked them).
-    pub(crate) fn claim_root(&mut self, root_fp: u128) {
-        self.visited
-            .try_claim(root_fp, &SleepSet::new(), self.budget);
+    pub(crate) fn claim_root(&mut self, root: H::Key) {
+        self.visited.try_claim(root, &SleepSet::new(), self.budget);
     }
 
-    fn sleep_hit(&mut self) {
+    fn sleep_hit(&mut self, tally: &mut Tally) {
         self.sleep_hits += 1;
-        self.obs.incr(Metric::SleepHits);
+        tally.sleep_hits(1);
     }
 }
 
-impl<P: Process> Reduction<P> for SleepAmple {
+impl<P: Process, H: Heads> Reduction<P, H::Key> for SleepAmple<H> {
     type Frame = SleepFrame;
     const LIFO: bool = false;
 
@@ -102,7 +114,7 @@ impl<P: Process> Reduction<P> for SleepAmple {
         *self.on_stack.entry(fp()).or_insert(0) += 1;
     }
 
-    fn off_stack(&mut self, frame: &SleepFrame) {
+    fn off_stack(&mut self, frame: SleepFrame) {
         match self.on_stack.get_mut(&frame.fp) {
             Some(1) => {
                 self.on_stack.remove(&frame.fp);
@@ -110,6 +122,11 @@ impl<P: Process> Reduction<P> for SleepAmple {
             Some(c) => *c -= 1,
             None => unreachable!("frame fingerprint missing from the stack set"),
         }
+        self.spare.push(frame);
+    }
+
+    fn discard(&mut self, frame: SleepFrame) {
+        self.spare.push(frame);
     }
 
     fn root_budget(&self) -> u32 {
@@ -141,41 +158,43 @@ impl<P: Process> Reduction<P> for SleepAmple {
         &mut self,
         top: &mut SleepFrame,
         arena: &mut Vec<SchedElem>,
-        edge: &Edge,
-        _tally: &mut Tally,
+        edge: &Edge<H::Key>,
+        tally: &mut Tally,
     ) -> Option<SleepFrame> {
         // Cycle proviso (C3): a reduced step that lands on a state still
         // on the stack could postpone the pruned processes forever around
         // the cycle; fall back to full expansion of this frame.
         if !top.excluded.is_empty() && self.on_stack.contains_key(&edge.to) {
-            for e in std::mem::take(&mut top.excluded) {
+            for e in top.excluded.drain(..) {
                 if top.sleep.contains(e) {
-                    self.sleep_hit();
+                    self.sleep_hit(tally);
                 } else {
                     arena.push(e);
                 }
             }
         }
         // Sleep set for the child: surviving inherited entries, plus every
-        // already-explored sibling that is independent of this step.
-        let mut sleep = top.sleep.inherit(edge.footprint, self.model);
+        // already-explored sibling that is independent of this step. The
+        // child's frame is a recycled one; every field is overwritten.
+        let mut child = self.spare.pop().unwrap_or_default();
+        top.sleep
+            .inherit_into(edge.footprint, self.model, &mut child.sleep);
         for &(se, sf) in &top.taken {
             if sf.independent(edge.footprint, self.model) {
-                sleep.insert(se, sf);
+                child.sleep.insert(se, sf);
             }
         }
         top.taken.push((edge.elem, edge.footprint));
-        if !self.visited.try_claim(edge.to, &sleep, edge.budget) {
-            self.sleep_hit();
+        if !self.visited.try_claim(edge.node, &child.sleep, edge.budget) {
+            self.sleep_hit(tally);
+            self.spare.push(child);
             return None;
         }
-        Some(SleepFrame {
-            fp: edge.to,
-            sleep,
-            taken: Vec::new(),
-            excluded: Vec::new(),
-            remaining: edge.budget,
-        })
+        child.fp = edge.to;
+        child.taken.clear();
+        child.excluded.clear();
+        child.remaining = edge.budget;
+        Some(child)
     }
 
     fn expand(
@@ -184,11 +203,21 @@ impl<P: Process> Reduction<P> for SleepAmple {
         choices: &[SchedElem],
         frame: &mut SleepFrame,
         arena: &mut Vec<SchedElem>,
+        tally: &mut Tally,
     ) -> usize {
-        let x = por::expand(m, choices, &frame.sleep, self.use_ample, &self.obs);
-        arena.extend_from_slice(&x.explore);
-        frame.excluded = x.excluded;
-        let slept = x.slept;
+        debug_assert!(frame.excluded.is_empty(), "expanding a frame twice");
+        let (ample, slept) = por::expand_into(
+            m,
+            choices,
+            &frame.sleep,
+            self.use_ample,
+            arena,
+            &mut frame.excluded,
+        );
+        if self.use_ample {
+            tally.ample(ample.is_some());
+        }
+        tally.sleep_hits(slept as u64);
         self.sleep_hits += slept;
         slept
     }

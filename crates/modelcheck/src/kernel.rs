@@ -12,6 +12,8 @@
 //! * a [`Frontier`] decides *who owns a state and when the walk stops*:
 //!   [`Local`] (dense ids, exact stop points, verdicts rendered in
 //!   place) or the work-stealing `Shared` frontier of [`crate::pardpor`].
+//!   Its name for a state — the *node* — travels with every [`Edge`], so
+//!   a reduction keys its own per-state data by it.
 //!
 //! The four kernel engines are the four pairs: `Undo` = `NoReduction` ×
 //! `Local`, `Parallel` = `NoReduction` × `Shared`, `Dpor` = `SleepAmple`
@@ -27,7 +29,7 @@
 use std::time::Instant;
 
 use ftobs::{Gauge, Metric, Recorder, Tally, TreeEstimator};
-use por::{BaseCounts, ForkPoint, Snapshot};
+use por::{BaseCounts, DenseHeads, ForkPoint, Snapshot};
 use wbmem::{Footprint, Machine, Process, SchedElem, StepOutcome, UndoToken};
 
 use crate::checker::{
@@ -53,13 +55,26 @@ pub(crate) trait Visitor<P: Process> {
 }
 
 /// [`crate::check`]'s visitor: the configured safety properties.
-pub(crate) struct Properties<'a>(pub(crate) &'a CheckConfig);
+pub(crate) struct Properties<'a> {
+    config: &'a CheckConfig,
+    /// The annotation vector handed to the invariant, reused per state.
+    annots: Vec<u64>,
+}
+
+impl<'a> Properties<'a> {
+    pub(crate) fn new(config: &'a CheckConfig) -> Self {
+        Properties {
+            config,
+            annots: Vec::new(),
+        }
+    }
+}
 
 impl<P: Process> Visitor<P> for Properties<'_> {
     fn state(&mut self, m: &Machine<P>) -> Result<(), Violation> {
-        if self.0.check_mutex && in_cs_count(m) > 1 {
+        if self.config.check_mutex && in_cs_count(m) > 1 {
             Err(Verdict::MutexViolation)
-        } else if violates_invariant(self.0, m) {
+        } else if violates_invariant(self.config, m, &mut self.annots) {
             Err(Verdict::InvariantViolation)
         } else {
             Ok(())
@@ -67,7 +82,7 @@ impl<P: Process> Visitor<P> for Properties<'_> {
     }
 
     fn terminal(&mut self, m: &Machine<P>) -> Result<(), Violation> {
-        if self.0.check_permutation && !returns_are_permutation(m) {
+        if self.config.check_permutation && !returns_are_permutation(m) {
             Err(Verdict::PermutationViolation)
         } else {
             Ok(())
@@ -76,11 +91,13 @@ impl<P: Process> Visitor<P> for Properties<'_> {
 }
 
 /// One executed edge, as a [`Reduction`] sees it.
-pub(crate) struct Edge {
+pub(crate) struct Edge<N> {
     pub(crate) elem: SchedElem,
     pub(crate) footprint: Footprint,
     /// Fingerprint of the state the edge landed on.
     pub(crate) to: u128,
+    /// The frontier's name for that state.
+    pub(crate) node: N,
     /// Whether the frontier saw that state for the first time.
     pub(crate) fresh: bool,
     /// Reorder budget left after the step (from [`Reduction::admit`]).
@@ -89,8 +106,9 @@ pub(crate) struct Edge {
 
 /// Which edges the walk takes. Owns the invariants of pruning: the
 /// exploration *order* (and with it bit-identity to the oracle when
-/// nothing is pruned), the dominance claim, and the cycle proviso.
-pub(crate) trait Reduction<P: Process> {
+/// nothing is pruned), the dominance claim, and the cycle proviso. `N` is
+/// how the frontier it runs under names states.
+pub(crate) trait Reduction<P: Process, N> {
     /// Per-frame reduction state.
     type Frame;
     /// Frames take choices from the back of their arena window — the
@@ -103,7 +121,10 @@ pub(crate) trait Reduction<P: Process> {
     /// ancestor of the task's state, that state itself, or a pushed child.
     fn on_stack(&mut self, _fp: impl FnOnce() -> u128) {}
     /// `frame` left the DFS stack.
-    fn off_stack(&mut self, _frame: &Self::Frame) {}
+    fn off_stack(&mut self, _frame: Self::Frame) {}
+    /// A frame [`arrive`](Self::arrive) returned never joined the stack:
+    /// its state had nothing to expand.
+    fn discard(&mut self, _frame: Self::Frame) {}
     /// Reorder budget of the root state.
     fn root_budget(&self) -> u32 {
         u32::MAX
@@ -122,7 +143,7 @@ pub(crate) trait Reduction<P: Process> {
         &mut self,
         top: &mut Self::Frame,
         arena: &mut Vec<SchedElem>,
-        edge: &Edge,
+        edge: &Edge<N>,
         tally: &mut Tally,
     ) -> Option<Self::Frame>;
     /// Append the choices to walk from `frame`'s state — `m`'s current
@@ -134,6 +155,7 @@ pub(crate) trait Reduction<P: Process> {
         choices: &[SchedElem],
         frame: &mut Self::Frame,
         arena: &mut Vec<SchedElem>,
+        tally: &mut Tally,
     ) -> usize;
     /// Whether `elem` is asleep in `frame`.
     fn asleep(_frame: &Self::Frame, _elem: SchedElem) -> bool {
@@ -149,7 +171,7 @@ pub(crate) trait Reduction<P: Process> {
 /// its first visit, and every hook but the choice copy compiles away.
 pub(crate) struct NoReduction;
 
-impl<P: Process> Reduction<P> for NoReduction {
+impl<P: Process, N> Reduction<P, N> for NoReduction {
     type Frame = ();
     const LIFO: bool = true;
 
@@ -163,7 +185,7 @@ impl<P: Process> Reduction<P> for NoReduction {
         &mut self,
         _top: &mut (),
         _arena: &mut Vec<SchedElem>,
-        edge: &Edge,
+        edge: &Edge<N>,
         tally: &mut Tally,
     ) -> Option<()> {
         if !edge.fresh {
@@ -178,6 +200,7 @@ impl<P: Process> Reduction<P> for NoReduction {
         choices: &[SchedElem],
         _frame: &mut (),
         arena: &mut Vec<SchedElem>,
+        _tally: &mut Tally,
     ) -> usize {
         arena.extend_from_slice(choices);
         0
@@ -196,7 +219,11 @@ pub(crate) trait Frontier<P: Process>: Sized {
     fn poll_mask(&self) -> usize;
     /// Called before loop iteration `iters`; `true` stops the walk
     /// ([`Halt::Stopped`]) with the details recorded in the frontier.
-    fn poll<R: Reduction<P>>(&mut self, dfs: &mut Dfs<'_, P, R, Self::Node>, iters: usize) -> bool;
+    fn poll<R: Reduction<P, Self::Node>>(
+        &mut self,
+        dfs: &mut Dfs<'_, P, R, Self::Node>,
+        iters: usize,
+    ) -> bool;
     /// An effective step was executed.
     fn transition(&mut self);
     /// The step `elem` from `from` landed on `fp`: its node and whether
@@ -238,7 +265,7 @@ struct Frame<P, N, S> {
 }
 
 /// One task's walk: a machine, its DFS stack, and the choice arena.
-pub(crate) struct Dfs<'a, P: Process, R: Reduction<P>, N> {
+pub(crate) struct Dfs<'a, P: Process, R: Reduction<P, N>, N> {
     m: Machine<P>,
     red: &'a mut R,
     pub(crate) est: &'a mut TreeEstimator,
@@ -256,7 +283,7 @@ pub(crate) struct Dfs<'a, P: Process, R: Reduction<P>, N> {
     base: usize,
 }
 
-impl<'a, P: Process, R: Reduction<P>, N: Copy> Dfs<'a, P, R, N> {
+impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
     /// Re-materialize `task` — its state named by `node` — on a clone of
     /// `initial` by replaying its path — unrecorded (the recorder attaches afterwards), so replays
     /// never pollute the step metrics. The replayed ancestors re-seed the
@@ -385,7 +412,7 @@ impl<'a, P: Process, R: Reduction<P>, N: Copy> Dfs<'a, P, R, N> {
                 // Frame exhausted: rewind to the parent state.
                 let frame = self.frames.pop().expect("non-empty stack");
                 self.est.pop();
-                self.red.off_stack(&frame.red);
+                self.red.off_stack(frame.red);
                 self.arena.truncate(frame.start);
                 if let Some(token) = frame.token {
                     self.m.undo(token);
@@ -422,6 +449,7 @@ impl<'a, P: Process, R: Reduction<P>, N: Copy> Dfs<'a, P, R, N> {
                 elem,
                 footprint: token.footprint(),
                 to: fp,
+                node,
                 fresh,
                 budget,
             };
@@ -457,6 +485,7 @@ impl<'a, P: Process, R: Reduction<P>, N: Copy> Dfs<'a, P, R, N> {
             if done {
                 // Nothing to expand (fresh, or re-entered under a
                 // smaller sleep set).
+                self.red.discard(child);
                 self.est.leaf();
                 self.m.undo(token);
                 continue;
@@ -468,9 +497,13 @@ impl<'a, P: Process, R: Reduction<P>, N: Copy> Dfs<'a, P, R, N> {
                 !self.scratch.is_empty(),
                 "non-terminal state has no choices"
             );
-            let slept = self
-                .red
-                .expand(&self.m, &self.scratch, &mut child, &mut self.arena);
+            let slept = self.red.expand(
+                &self.m,
+                &self.scratch,
+                &mut child,
+                &mut self.arena,
+                &mut self.tally,
+            );
             if config.check_termination && slept > 0 {
                 // Sleep sets prune edges, not states, but the termination
                 // pass needs every edge: step each slept choice once,
@@ -506,21 +539,29 @@ impl<'a, P: Process, R: Reduction<P>, N: Copy> Dfs<'a, P, R, N> {
     }
 }
 
-/// The root state's expansion as the fork point a fresh run starts from.
-/// The root's sleep set is empty, so nothing is slept here.
-pub(crate) fn root_fork<P: Process, R: Reduction<P>>(
+/// The root state's expansion as the fork point a fresh run starts from,
+/// descending from `obs`'s root span. The root's sleep set is empty, so
+/// nothing is slept here.
+pub(crate) fn root_fork<P: Process, N, R: Reduction<P, N>>(
     initial: &Machine<P>,
     red: &mut R,
-    span: u64,
+    obs: &Recorder,
 ) -> ForkPoint {
     let mut fork = ForkPoint {
         remaining: red.root_budget(),
-        span,
+        span: obs.trace_root().0,
         ..ForkPoint::default()
     };
     let mut frame = red.adopt(initial.fingerprint(), &mut fork);
     let mut choices = Vec::new();
-    red.expand(initial, &initial.choices(), &mut frame, &mut choices);
+    let enabled = initial.choices();
+    red.expand(
+        initial,
+        &enabled,
+        &mut frame,
+        &mut choices,
+        &mut obs.tally(),
+    );
     if R::LIFO {
         choices.reverse();
     }
@@ -528,6 +569,10 @@ pub(crate) fn root_fork<P: Process, R: Reduction<P>>(
     fork.choices = choices;
     fork
 }
+
+/// The id [`Local`] gives the root: the first one a [`SearchIndex`] hands
+/// out.
+const ROOT: u32 = 0;
 
 /// The single-threaded frontier: dense [`SearchIndex`] ids with
 /// first-visit parents, stop triggers polled at every transition
@@ -550,7 +595,7 @@ pub(crate) struct Local<'a> {
 
 impl Local<'_> {
     /// Serialize the live walk into a durable [`Snapshot`] and write it.
-    fn checkpoint<P: Process, R: Reduction<P>>(
+    fn checkpoint<P: Process, R: Reduction<P, u32>>(
         &self,
         dfs: &mut Dfs<'_, P, R, u32>,
     ) -> Option<std::path::PathBuf> {
@@ -595,7 +640,7 @@ impl<P: Process> Frontier<P> for Local<'_> {
     }
 
     #[inline(never)]
-    fn poll<R: Reduction<P>>(&mut self, dfs: &mut Dfs<'_, P, R, u32>, iters: usize) -> bool {
+    fn poll<R: Reduction<P, u32>>(&mut self, dfs: &mut Dfs<'_, P, R, u32>, iters: usize) -> bool {
         let config = self.config;
         let policy = config.checkpoint.as_ref();
         let transitions = self.stats.transitions as u64;
@@ -668,7 +713,7 @@ impl<P: Process> Frontier<P> for Local<'_> {
 }
 
 /// The sequential engines: `reduction` × [`Local`], one task, the root's.
-pub(crate) fn run_local<P: Process, R: Reduction<P>, V: Visitor<P>>(
+pub(crate) fn run_local<P: Process, R: Reduction<P, u32>, V: Visitor<P>>(
     initial: &Machine<P>,
     config: &CheckConfig,
     deadline: Option<Instant>,
@@ -691,6 +736,7 @@ pub(crate) fn run_local<P: Process, R: Reduction<P>, V: Visitor<P>>(
         .index
         .id_of(initial.fingerprint(), None)
         .expect("the first id");
+    debug_assert_eq!(root, ROOT);
     local.stats.states = 1;
     obs.on_state(0);
     if let Err(v) = visitor.state(initial) {
@@ -701,7 +747,7 @@ pub(crate) fn run_local<P: Process, R: Reduction<P>, V: Visitor<P>>(
         Frontier::<P>::terminal(&mut local, root);
         obs.incr(Metric::TerminalStates);
     } else {
-        let task = root_fork(initial, &mut reduction, obs.trace_root().0);
+        let task = root_fork(initial, &mut reduction, obs);
         let mut est = TreeEstimator::new();
         let mut dfs = Dfs::start(initial, task, |_| root, &mut reduction, &mut est, obs);
         halt = dfs.run(config, &mut local, visitor);
@@ -738,12 +784,12 @@ pub(crate) fn sequential<P: Process>(
     config: &CheckConfig,
     deadline: Option<Instant>,
 ) -> Verdict {
-    let visitor = &mut Properties(config);
+    let visitor = &mut Properties::new(config);
     match config.engine.reduction() {
         Some(u32::MAX) => run_local(initial, config, deadline, NoReduction, visitor),
         bound => {
-            let mut reduction = SleepAmple::new(initial, config, bound);
-            reduction.claim_root(initial.fingerprint());
+            let mut reduction = SleepAmple::<DenseHeads>::new(initial, config, bound);
+            reduction.claim_root(ROOT);
             run_local(initial, config, deadline, reduction, visitor)
         }
     }

@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use ftobs::{EstStats, Gauge, Metric, SpanId, TraceCtx, TreeEstimator, J};
-use por::{ForkPoint, ForkQueue, FpTable, Snapshot};
+use por::{ForkPoint, ForkQueue, FpHeads, FpTable, Snapshot};
 use wbmem::{FpMap, Machine, Process, SchedElem};
 
 use crate::checker::{
@@ -200,7 +200,7 @@ pub(crate) fn check_shared<P: Process>(
             }
             obs.reset_counts();
         }
-        match catch_unwind(AssertUnwindSafe(|| Properties(config).state(initial))) {
+        match catch_unwind(AssertUnwindSafe(|| Properties::new(config).state(initial))) {
             Ok(Ok(())) => {}
             Ok(Err(_)) => return rerun(""),
             Err(payload) => return panicked("root invariant: ", payload),
@@ -328,12 +328,12 @@ pub(crate) fn sweep<P: Process>(
             NoReduction
         }),
         bound => sweep_with(initial, config, threads, deadline, watchdog, seed, || {
-            SleepAmple::new(initial, config, bound)
+            SleepAmple::<FpHeads>::new(initial, config, bound)
         }),
     }
 }
 
-fn sweep_with<P: Process, R: Reduction<P>>(
+fn sweep_with<P: Process, R: Reduction<P, u128>>(
     initial: &Machine<P>,
     config: &CheckConfig,
     threads: usize,
@@ -350,7 +350,7 @@ fn sweep_with<P: Process, R: Reduction<P>>(
         }
         None if initial.all_done() => Vec::new(),
         // Root work descends from the engine span.
-        None => vec![root_fork(initial, &mut make(), obs.trace_root().0)],
+        None => vec![root_fork(initial, &mut make(), obs)],
     };
     let pool = Pool {
         table: FpTable::new(),
@@ -490,7 +490,7 @@ struct Shared<'a, P: Process> {
 impl<P: Process> Shared<'_, P> {
     /// Take fork points off the queue until none can ever appear again,
     /// running each as one kernel walk.
-    fn run<R: Reduction<P>>(mut self, mut reduction: R) -> Report {
+    fn run<R: Reduction<P, u128>>(mut self, mut reduction: R) -> Report {
         let (initial, config) = (self.initial, self.config);
         let mut est = TreeEstimator::new();
         while let Some(task) = self.pool.queue.take() {
@@ -506,7 +506,7 @@ impl<P: Process> Shared<'_, P> {
 
             let obs = &config.recorder;
             let mut dfs = Dfs::start(initial, task, |fp| fp, &mut reduction, &mut est, obs);
-            let halt = dfs.run(config, &mut self, &mut Properties(config));
+            let halt = dfs.run(config, &mut self, &mut Properties::new(config));
             let open = dfs.depth();
             drop(dfs);
             match halt {
@@ -540,7 +540,7 @@ impl<P: Process> Shared<'_, P> {
         }
         self.sync_transitions();
         self.report.est = est.stats();
-        self.report.sleep_hits = Reduction::<P>::sleep_hits(&reduction);
+        self.report.sleep_hits = Reduction::<P, u128>::sleep_hits(&reduction);
         self.tctx.flush();
         self.report
     }
@@ -562,7 +562,7 @@ impl<P: Process> Shared<'_, P> {
 
     /// The walk is stopping short: keep its open frames for the
     /// coordinator (a violation or limit abort discards them unread).
-    fn stash<R: Reduction<P>>(&mut self, dfs: &Dfs<'_, P, R, u128>) {
+    fn stash<R: Reduction<P, u128>>(&mut self, dfs: &Dfs<'_, P, R, u128>) {
         self.report.forks.extend(dfs.open_forks(self.cur_span.0));
         self.report.frontier += dfs.depth();
     }
@@ -577,7 +577,11 @@ impl<P: Process> Frontier<P> for Shared<'_, P> {
 
     /// Liveness, peers' cancellation, stop triggers, and donation.
     #[inline(never)]
-    fn poll<R: Reduction<P>>(&mut self, dfs: &mut Dfs<'_, P, R, u128>, _iters: usize) -> bool {
+    fn poll<R: Reduction<P, u128>>(
+        &mut self,
+        dfs: &mut Dfs<'_, P, R, u128>,
+        _iters: usize,
+    ) -> bool {
         self.heartbeat.fetch_add(1, Ordering::Relaxed);
         self.sync_transitions();
         let (pool, config) = (self.pool, self.config);

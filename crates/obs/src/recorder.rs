@@ -514,6 +514,9 @@ impl Recorder {
             terminal_states: 0,
             dedup_hits: 0,
             noop_steps: 0,
+            sleep_hits: 0,
+            ample_applied: 0,
+            ample_fallbacks: 0,
             max_depth: 0,
             frame_depth: [0; HIST_BUCKETS],
         }
@@ -877,7 +880,8 @@ impl Recorder {
 /// Engine-local batch of the checker-side counters, flushed into the
 /// recorder in one shot when dropped (or via [`Tally::flush`]).
 ///
-/// The exploration loops increment states/transitions/dedup counters on
+/// The exploration loops increment states/transitions/dedup counters —
+/// and, under a reduction, the sleep-hit and ample-decision counters — on
 /// *every* edge; going through the sharded atomics each time costs a TLS
 /// lookup plus a `lock`-prefixed RMW per counter, which is the bulk of
 /// the enabled-recorder overhead the E13 budget caps. A `Tally` keeps
@@ -896,6 +900,9 @@ pub struct Tally {
     terminal_states: u64,
     dedup_hits: u64,
     noop_steps: u64,
+    sleep_hits: u64,
+    ample_applied: u64,
+    ample_fallbacks: u64,
     max_depth: u64,
     frame_depth: [u64; HIST_BUCKETS],
 }
@@ -935,6 +942,23 @@ impl Tally {
         self.terminal_states += 1;
     }
 
+    /// Record `n` edges pruned as redundant by the reduction.
+    #[inline]
+    pub fn sleep_hits(&mut self, n: u64) {
+        self.sleep_hits += n;
+    }
+
+    /// Record one ample-set decision: the reduction `applied`, or fell
+    /// back to the full enabled set.
+    #[inline]
+    pub fn ample(&mut self, applied: bool) {
+        if applied {
+            self.ample_applied += 1;
+        } else {
+            self.ample_fallbacks += 1;
+        }
+    }
+
     /// Fold the batched counts into the recorder and zero the batch.
     /// Dropping the tally does the same.
     pub fn flush(&mut self) {
@@ -946,6 +970,9 @@ impl Tally {
                 (Metric::TerminalStates, self.terminal_states),
                 (Metric::DedupHits, self.dedup_hits),
                 (Metric::NoopSteps, self.noop_steps),
+                (Metric::SleepHits, self.sleep_hits),
+                (Metric::AmpleApplied, self.ample_applied),
+                (Metric::AmpleFallbacks, self.ample_fallbacks),
             ] {
                 if v > 0 {
                     shard.counters[m as usize].fetch_add(v, Ordering::Relaxed);
@@ -965,6 +992,9 @@ impl Tally {
         self.terminal_states = 0;
         self.dedup_hits = 0;
         self.noop_steps = 0;
+        self.sleep_hits = 0;
+        self.ample_applied = 0;
+        self.ample_fallbacks = 0;
         self.max_depth = 0;
         self.frame_depth = [0; HIST_BUCKETS];
     }
@@ -1083,6 +1113,25 @@ mod tests {
         }
         assert_eq!(folded, r.snapshot(), "deterministic projection matches");
         assert_eq!(folded.transitions(), 100);
+    }
+
+    #[test]
+    fn tally_batches_the_reduction_counters_until_flushed() {
+        let r = Recorder::builder().heartbeat_ms(0).quiet(true).build();
+        let mut t = r.tally();
+        t.sleep_hits(3);
+        t.sleep_hits(0);
+        t.ample(true);
+        t.ample(false);
+        t.ample(false);
+        assert!(r.snapshot().is_empty(), "nothing recorded before the flush");
+        t.flush();
+        t.sleep_hits(1);
+        drop(t);
+        let snap = r.snapshot();
+        assert_eq!(snap.get(Metric::SleepHits), 4);
+        assert_eq!(snap.get(Metric::AmpleApplied), 1);
+        assert_eq!(snap.get(Metric::AmpleFallbacks), 2);
     }
 
     #[test]

@@ -24,24 +24,14 @@
 //!   closes a cycle (lands on a state still on the DFS stack), the state
 //!   is upgraded to full expansion. [`select`] only proposes candidates.
 
-use wbmem::{AccessSet, FootprintKind, Machine, ProcId, Process, RegId, SchedElem};
+use wbmem::{FootprintKind, Machine, ProcId, Process, SchedElem};
 
-/// Whether register `r` may ever be read (resp. written) again by process
-/// `q`, per its static summary plus its currently buffered writes.
-struct Future<'a> {
-    reads: AccessSet<'a>,
-    writes: AccessSet<'a>,
-    buffered: Vec<RegId>,
-}
-
-impl Future<'_> {
-    fn may_read(&self, r: RegId) -> bool {
-        self.reads.may_contain(r)
-    }
-
-    fn may_write(&self, r: RegId) -> bool {
-        self.writes.may_contain(r) || self.buffered.contains(&r)
-    }
+/// Whether `q` has a choice among `choices`, and if so whether one of
+/// them is a crash.
+fn active(choices: &[SchedElem], q: ProcId) -> Option<bool> {
+    let mut mine = choices.iter().filter(|e| e.proc == q).peekable();
+    mine.peek()?;
+    Some(mine.any(|e| e.crash))
 }
 
 /// Pick a process whose choices form an ample set at the machine's current
@@ -51,64 +41,53 @@ impl Future<'_> {
 /// reduction would be vacuous.
 #[must_use]
 pub fn select<P: Process>(m: &Machine<P>, choices: &[SchedElem]) -> Option<ProcId> {
-    let mut active: Vec<ProcId> = Vec::new();
-    for e in choices {
-        if active.last() != Some(&e.proc) {
-            active.push(e.proc);
-        }
-    }
-    active.sort_unstable_by_key(|p| p.0);
-    active.dedup();
-    if active.len() < 2 {
+    let first = choices.first()?.proc;
+    if choices.iter().all(|e| e.proc == first) {
         return None;
     }
+    let procs = || (0..m.n()).map(ProcId::from);
+    procs().find(|&p| {
+        // C2: a crash is visible (annotation reset), and so is an
+        // operation that may change the annotation.
+        active(choices, p) == Some(false)
+            && !(choices.contains(&SchedElem::op(p)) && m.process(p).op_may_annotate())
+            && procs().all(|q| q == p || independent_of_future(m, choices, p, q))
+    })
+}
 
-    'candidates: for &p in &active {
-        // Gather the other unfinished processes' futures once per candidate.
-        let mut futures: Vec<Future<'_>> = Vec::new();
-        for &q in &active {
-            if q == p {
-                continue;
+/// C0/C1 for one pair: whether every choice of `p` is independent of
+/// everything `q` may still do — `q`'s static summary from its current
+/// pc, plus the registers in its write buffer (future commits).
+fn independent_of_future<P: Process>(
+    m: &Machine<P>,
+    choices: &[SchedElem],
+    p: ProcId,
+    q: ProcId,
+) -> bool {
+    let Some(can_crash) = active(choices, q) else {
+        return true; // finished: no future
+    };
+    let future = m.process(q).future_access(can_crash);
+    let buffered = m.buffer(q);
+    let may_write = |r| future.writes.may_contain(r) || buffered.contains(r);
+    choices
+        .iter()
+        .filter(|e| e.proc == p)
+        .all(|&e| match m.choice_footprint(e).kind {
+            FootprintKind::Local => true,
+            FootprintKind::Return | FootprintKind::Crash { .. } => false, // visible
+            FootprintKind::Read(r) => !may_write(r),
+            FootprintKind::Write(r) | FootprintKind::Commit(r) => {
+                !may_write(r) && !future.reads.may_contain(r)
             }
-            let can_crash = choices.iter().any(|e| e.proc == q && e.crash);
-            let fa = m.process(q).future_access(can_crash);
-            futures.push(Future {
-                reads: fa.reads,
-                writes: fa.writes,
-                buffered: m.buffer(q).regs(),
-            });
-        }
-
-        for &e in choices.iter().filter(|e| e.proc == p) {
-            if e.crash {
-                continue 'candidates; // crashes are visible (annotation reset)
-            }
-            if e.reg.is_none() && m.process(p).op_may_annotate() {
-                continue 'candidates; // advancing may change the annotation
-            }
-            let fp = m.choice_footprint(e);
-            let ok = match fp.kind {
-                FootprintKind::Local => true,
-                FootprintKind::Return | FootprintKind::Crash { .. } => false, // visible
-                FootprintKind::Read(r) => futures.iter().all(|f| !f.may_write(r)),
-                FootprintKind::Write(r) | FootprintKind::Commit(r) => {
-                    futures.iter().all(|f| !f.may_write(r) && !f.may_read(r))
-                }
-            };
-            if !ok {
-                continue 'candidates;
-            }
-        }
-        return Some(p);
-    }
-    None
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fencevm::{Asm, VmProc};
-    use wbmem::{MachineConfig, MemoryLayout, MemoryModel, Value};
+    use wbmem::{MachineConfig, MemoryLayout, MemoryModel, RegId, Value};
 
     fn machine(procs: Vec<VmProc>) -> Machine<VmProc> {
         let cfg = MachineConfig::new(MemoryModel::Pso, MemoryLayout::unowned());

@@ -39,26 +39,17 @@ pub fn expand<P: Process>(
     use_ample: bool,
     obs: &ftobs::Recorder,
 ) -> Expansion {
-    let ample = if use_ample {
-        ample::select(m, choices)
-    } else {
-        None
-    };
-    let mut out = Expansion {
-        ample,
-        ..Expansion::default()
-    };
-    for &e in choices {
-        if ample.is_some_and(|p| e.proc != p) {
-            out.excluded.push(e);
-        } else if sleep.contains(e) {
-            out.slept += 1;
-        } else {
-            out.explore.push(e);
-        }
-    }
+    let mut out = Expansion::default();
+    (out.ample, out.slept) = expand_into(
+        m,
+        choices,
+        sleep,
+        use_ample,
+        &mut out.explore,
+        &mut out.excluded,
+    );
     if use_ample {
-        obs.incr(if ample.is_some() {
+        obs.incr(if out.ample.is_some() {
             ftobs::Metric::AmpleApplied
         } else {
             ftobs::Metric::AmpleFallbacks
@@ -68,6 +59,36 @@ pub fn expand<P: Process>(
         obs.add(ftobs::Metric::SleepHits, out.slept as u64);
     }
     out
+}
+
+/// [`expand`] for a caller that owns the buffers and the counters: the
+/// choices to explore are appended to `explore`, the ample-pruned ones to
+/// `excluded`, and the ample process (if the reduction applied) and the
+/// number of slept choices are returned instead of recorded.
+pub fn expand_into<P: Process>(
+    m: &Machine<P>,
+    choices: &[SchedElem],
+    sleep: &SleepSet,
+    use_ample: bool,
+    explore: &mut Vec<SchedElem>,
+    excluded: &mut Vec<SchedElem>,
+) -> (Option<ProcId>, usize) {
+    let ample = if use_ample {
+        ample::select(m, choices)
+    } else {
+        None
+    };
+    let mut slept = 0;
+    for &e in choices {
+        if ample.is_some_and(|p| e.proc != p) {
+            excluded.push(e);
+        } else if sleep.contains(e) {
+            slept += 1;
+        } else {
+            explore.push(e);
+        }
+    }
+    (ample, slept)
 }
 
 #[cfg(test)]
@@ -105,6 +126,34 @@ mod tests {
         assert!(x.excluded.iter().all(|e| e.proc == ProcId(1)));
         assert_eq!(x.explore.len() + x.excluded.len(), choices.len());
         assert_eq!(x.slept, 0);
+    }
+
+    #[test]
+    fn expand_into_appends_to_the_callers_buffers() {
+        let m = machine(vec![writer("w0", 0), writer("w1", 1)]);
+        let choices = m.choices();
+        let marker = SchedElem::crash(ProcId(9));
+        let (mut explore, mut excluded) = (vec![marker], vec![marker]);
+        let (ample, slept) = expand_into(
+            &m,
+            &choices,
+            &SleepSet::new(),
+            true,
+            &mut explore,
+            &mut excluded,
+        );
+        let x = expand(
+            &m,
+            &choices,
+            &SleepSet::new(),
+            true,
+            &ftobs::Recorder::disabled(),
+        );
+        assert_eq!((ample, slept), (x.ample, x.slept));
+        assert_eq!(explore[0], marker);
+        assert_eq!(explore[1..], x.explore[..]);
+        assert_eq!(excluded[0], marker);
+        assert_eq!(excluded[1..], x.excluded[..]);
     }
 
     #[test]

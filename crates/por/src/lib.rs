@@ -13,13 +13,15 @@
 //!   preserve *all reachable states* (only redundant edges are skipped).
 //! * [`VisitTable`] — state caching compatible with sleep sets: a state
 //!   is re-entered iff no recorded visit used a subset sleep set (and, for
-//!   bounded runs, at least as much remaining budget).
-//! * [`select_ample`] / [`expand`] — state-level pruning. When every
-//!   pending choice of one process is invisible to the checked properties
-//!   and independent of every other process's entire future (static
-//!   analysis + buffered writes + recovery code), only that process is
-//!   scheduled. This is where the order-of-magnitude state reductions come
-//!   from.
+//!   bounded runs, at least as much remaining budget). One flat table,
+//!   keyed by fingerprint ([`FpHeads`]) or by the caller's dense state ids
+//!   ([`DenseHeads`]).
+//! * [`select_ample`] / [`expand`] / [`expand_into`] — state-level
+//!   pruning. When every pending choice of one process is invisible to
+//!   the checked properties and independent of every other process's
+//!   entire future (static analysis + buffered writes + recovery code),
+//!   only that process is scheduled. This is where the order-of-magnitude
+//!   state reductions come from.
 //! * [`conflict_counts`] — counterexample-core diagnostics: replay a
 //!   schedule, classify every step pair with the same independence
 //!   relation the reductions prune with, and tabulate per-register
@@ -60,9 +62,9 @@ pub mod visited;
 pub use ample::select as select_ample;
 pub use bound::step_weight;
 pub use cores::conflict_counts;
-pub use expand::{expand, Expansion};
+pub use expand::{expand, expand_into, Expansion};
 pub use fork::{ForkPoint, ForkQueue};
 pub use fptable::FpTable;
 pub use sleep::SleepSet;
 pub use snapshot::{fnv1a, BaseCounts, RunMeta, Snapshot, SnapshotError};
-pub use visited::VisitTable;
+pub use visited::{DenseHeads, FpHeads, Heads, VisitTable};

@@ -35,6 +35,33 @@ fn key(e: SchedElem) -> (u32, u8, u32, u32) {
     (e.proc.0, u8::from(e.crash), has_reg, reg)
 }
 
+/// Whether every entry of `a` (element *and* footprint) appears in `b`,
+/// both sorted by [`key`]: the subset test behind
+/// [`SleepSet::is_subset_of`], on the slices the
+/// [`VisitTable`](crate::VisitTable) stores its recorded sets as.
+pub(crate) fn is_subset(a: &[(SchedElem, Footprint)], b: &[(SchedElem, Footprint)]) -> bool {
+    if a.len() > b.len() {
+        return false;
+    }
+    // Walk both sides in lockstep.
+    let mut it = b.iter();
+    'outer: for mine in a {
+        for theirs in it.by_ref() {
+            if theirs.0 == mine.0 {
+                if theirs.1 != mine.1 {
+                    return false;
+                }
+                continue 'outer;
+            }
+            if key(theirs.0) > key(mine.0) {
+                return false;
+            }
+        }
+        return false;
+    }
+    true
+}
+
 impl SleepSet {
     /// The empty sleep set (used at the root).
     #[must_use]
@@ -67,14 +94,20 @@ impl SleepSet {
     /// every dependent entry wakes.
     #[must_use]
     pub fn inherit(&self, step: Footprint, model: MemoryModel) -> SleepSet {
-        SleepSet {
-            entries: self
-                .entries
+        let mut child = SleepSet::new();
+        self.inherit_into(step, model, &mut child);
+        child
+    }
+
+    /// [`inherit`](Self::inherit), overwriting `child` in place so a
+    /// caller can reuse its buffer.
+    pub fn inherit_into(&self, step: Footprint, model: MemoryModel, child: &mut SleepSet) {
+        child.entries.clear();
+        child.entries.extend(
+            self.entries
                 .iter()
-                .filter(|&&(_, fp)| fp.independent(step, model))
-                .copied()
-                .collect(),
-        }
+                .filter(|&&(_, fp)| fp.independent(step, model)),
+        );
     }
 
     /// Whether every entry of `self` (element *and* footprint) appears in
@@ -83,23 +116,12 @@ impl SleepSet {
     /// the choices the later one would.
     #[must_use]
     pub fn is_subset_of(&self, other: &SleepSet) -> bool {
-        // Both sides are sorted by the same key; walk them in lockstep.
-        let mut it = other.entries.iter();
-        'outer: for mine in &self.entries {
-            for theirs in it.by_ref() {
-                if key(theirs.0) == key(mine.0) {
-                    if theirs.1 != mine.1 {
-                        return false;
-                    }
-                    continue 'outer;
-                }
-                if key(theirs.0) > key(mine.0) {
-                    return false;
-                }
-            }
-            return false;
-        }
-        true
+        is_subset(&self.entries, &other.entries)
+    }
+
+    /// The `(choice, footprint)` pairs in key order.
+    pub(crate) fn entries(&self) -> &[(SchedElem, Footprint)] {
+        &self.entries
     }
 
     /// Number of slept choices.
@@ -170,6 +192,22 @@ mod tests {
         let child = z.inherit(step, wbmem::MemoryModel::Pso);
         assert!(child.contains(SchedElem::commit(ProcId(0), RegId(1))));
         assert!(!child.contains(SchedElem::op(ProcId(1))), "read woke up");
+    }
+
+    #[test]
+    fn inherit_into_overwrites_a_reused_set() {
+        let mut z = SleepSet::new();
+        z.insert(
+            SchedElem::commit(ProcId(0), RegId(1)),
+            fp(0, FootprintKind::Commit(RegId(1))),
+        );
+        let step = fp(2, FootprintKind::Commit(RegId(2)));
+        // Stale contents of the recycled buffer must not survive.
+        let mut child = SleepSet::new();
+        child.insert(SchedElem::op(ProcId(7)), fp(7, FootprintKind::Local));
+        z.inherit_into(step, wbmem::MemoryModel::Pso, &mut child);
+        assert_eq!(child, z.inherit(step, wbmem::MemoryModel::Pso));
+        assert_eq!(child, z);
     }
 
     #[test]

@@ -13,70 +13,185 @@
 //! arrival could reach. The combined rule: an arrival is *dominated* —
 //! skipped — iff some recorded visit had `sleep ⊆ current.sleep` **and**
 //! `remaining ≥ current.remaining`.
+//!
+//! # Layout
+//!
+//! The table is probed once per walked edge, so it is flat: every
+//! recorded visit is one 16-byte `Entry` in a single `Vec`, and its
+//! sleep set is a window of one append-only slab of `(choice, footprint)`
+//! pairs. A state's visits — an antichain under the rule above — form a
+//! linked list through `Entry::next`; a visit that a later one dominates
+//! is unlinked (its slab window is not reclaimed: re-exploration is the
+//! exception, and the window is a handful of pairs).
+//!
+//! What varies is how a state finds the head of its list ([`Heads`]): by
+//! fingerprint through a hash map ([`FpHeads`], the default), or — when
+//! the caller already names states by dense ids handed out in first-visit
+//! order — by plain indexing ([`DenseHeads`]), where a first visit is an
+//! append and a revisit touches no hash at all.
 
-use wbmem::FpMap;
+use wbmem::{Footprint, FpMap, SchedElem};
 
-use crate::sleep::SleepSet;
+use crate::sleep::{is_subset, SleepSet};
+
+/// "No entry": the end of a list, or a state without one.
+const NIL: u32 = u32::MAX;
 
 /// One recorded exploration of a state.
-#[derive(Clone, Debug)]
-struct VisitEntry {
-    sleep: SleepSet,
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    /// The sleep set is `slab[off..off + len]`.
+    off: u32,
+    len: u32,
     remaining: u32,
+    /// The state's next recorded visit, or [`NIL`].
+    next: u32,
 }
 
-/// Fingerprint-keyed visit records with sleep-set/budget dominance.
+/// How a [`VisitTable`] finds a state's list of recorded visits.
+pub trait Heads: Default {
+    /// What names a state.
+    type Key: Copy;
+    /// The head of `key`'s list, [`u32::MAX`] for a state never claimed.
+    fn slot(&mut self, key: Self::Key) -> &mut u32;
+}
+
+/// States named by their 128-bit fingerprint.
 #[derive(Debug, Default)]
-pub struct VisitTable {
-    map: FpMap<Vec<VisitEntry>>,
+pub struct FpHeads(FpMap<u32>);
+
+impl Heads for FpHeads {
+    type Key = u128;
+
+    fn slot(&mut self, fp: u128) -> &mut u32 {
+        self.0.entry(fp).or_insert(NIL)
+    }
+}
+
+/// States named by dense ids: `0, 1, 2, …` in (roughly) first-visit
+/// order, so the heads are a plain array.
+#[derive(Debug, Default)]
+pub struct DenseHeads(Vec<u32>);
+
+impl Heads for DenseHeads {
+    type Key = u32;
+
+    fn slot(&mut self, id: u32) -> &mut u32 {
+        let id = id as usize;
+        if id >= self.0.len() {
+            self.0.resize(id + 1, NIL);
+        }
+        &mut self.0[id]
+    }
+}
+
+/// Visit records with sleep-set/budget dominance; see the module docs.
+#[derive(Debug, Default)]
+pub struct VisitTable<H = FpHeads> {
+    heads: H,
+    entries: Vec<Entry>,
+    slab: Vec<(SchedElem, Footprint)>,
+    /// States claimed at least once.
+    states: usize,
+    /// Entries still linked into some state's list.
+    live: usize,
 }
 
 impl VisitTable {
-    /// An empty table.
+    /// An empty fingerprint-keyed table.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Whether the state `fp`, reached with `sleep` and `remaining` reorder
-    /// budget, must be (re)explored. Claiming records the visit and prunes
-    /// recorded visits the new one dominates, so the per-state list stays
-    /// an antichain.
-    pub fn try_claim(&mut self, fp: u128, sleep: &SleepSet, remaining: u32) -> bool {
-        let entries = self.map.entry(fp).or_default();
-        if entries
-            .iter()
-            .any(|e| e.remaining >= remaining && e.sleep.is_subset_of(sleep))
-        {
-            return false;
+impl<H: Heads> VisitTable<H> {
+    /// Whether the state `key`, reached with `sleep` and `remaining`
+    /// reorder budget, must be (re)explored. Claiming records the visit
+    /// and unlinks recorded visits the new one dominates, so the
+    /// per-state list stays an antichain.
+    ///
+    /// # Panics
+    ///
+    /// If the table outgrows its 32-bit entry or slab offsets.
+    pub fn try_claim(&mut self, key: H::Key, sleep: &SleepSet, remaining: u32) -> bool {
+        let sleep = sleep.entries();
+        let head = self.heads.slot(key);
+        if *head == NIL {
+            self.states += 1;
+        } else {
+            // Dominated by a recorded visit? Decided before anything is
+            // unlinked, so a refused claim leaves the list as it was.
+            let mut at = *head;
+            while at != NIL {
+                let e = self.entries[at as usize];
+                if e.remaining >= remaining && is_subset(window(&self.slab, e), sleep) {
+                    return false;
+                }
+                at = e.next;
+            }
+            // Unlink the recorded visits the new one dominates.
+            let (mut at, mut prev) = (*head, NIL);
+            while at != NIL {
+                let e = self.entries[at as usize];
+                if remaining >= e.remaining && is_subset(sleep, window(&self.slab, e)) {
+                    if prev == NIL {
+                        *head = e.next;
+                    } else {
+                        self.entries[prev as usize].next = e.next;
+                    }
+                    self.live -= 1;
+                } else {
+                    prev = at;
+                }
+                at = e.next;
+            }
         }
-        entries.retain(|e| !(remaining >= e.remaining && sleep.is_subset_of(&e.sleep)));
-        entries.push(VisitEntry {
-            sleep: sleep.clone(),
+        let entry = Entry {
+            off: offset(self.slab.len()),
+            len: offset(sleep.len()),
             remaining,
-        });
+            next: *head,
+        };
+        *head = offset(self.entries.len());
+        self.entries.push(entry);
+        self.slab.extend_from_slice(sleep);
+        self.live += 1;
         true
     }
 
     /// Number of distinct states explored at least once.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.states
     }
 
     /// Whether no state has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.states == 0
     }
 
-    /// Total recorded visits, across all states (≥ [`len`](Self::len);
-    /// the excess measures re-exploration forced by incomparable sleep
-    /// sets or budgets).
+    /// Total recorded visits still standing, across all states (≥
+    /// [`len`](Self::len); the excess measures re-exploration forced by
+    /// incomparable sleep sets or budgets).
     #[must_use]
     pub fn total_entries(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
+        self.live
     }
+}
+
+/// `n` as a 32-bit offset distinct from [`NIL`].
+fn offset(n: usize) -> u32 {
+    u32::try_from(n)
+        .ok()
+        .filter(|&i| i != NIL)
+        .expect("visit table outgrew its u32 offsets")
+}
+
+/// The sleep set `e` was recorded with.
+fn window(slab: &[(SchedElem, Footprint)], e: Entry) -> &[(SchedElem, Footprint)] {
+    &slab[e.off as usize..][..e.len as usize]
 }
 
 #[cfg(test)]
