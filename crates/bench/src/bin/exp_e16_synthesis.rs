@@ -26,7 +26,9 @@
 //! for `obs_report`'s Synthesis section.
 //!
 //! Set `FT_E16_FAST=1` to run only the n = 2 instances — the CI gate
-//! does this.
+//! does this, and in that mode the run fails if a row's placement
+//! differs from the committed `results/e16_synthesis.txt` or if its
+//! minimisation refuted no trial from a witness.
 
 use std::sync::Arc;
 
@@ -84,8 +86,39 @@ fn verify(s: &Synthesis, engines: &[Engine]) -> String {
     "ok".to_string()
 }
 
+/// `s`'s placement as the table prints it: baseline pcs joined by `,`
+/// within a process and by `;` between processes.
+fn placement_cell(s: &Synthesis) -> String {
+    let per_proc = s.placement.iter().map(|pcs| {
+        let pcs: Vec<String> = pcs.iter().map(usize::to_string).collect();
+        pcs.join(",")
+    });
+    per_proc.collect::<Vec<_>>().join(";")
+}
+
+/// `(lock ++ n, placement)` of every row of the committed
+/// `results/e16_synthesis.txt`: a row's first two cells and its last.
+fn committed_placements() -> Vec<(String, String)> {
+    let path = ft_bench::results_dir().join("e16_synthesis.txt");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| ft_bench::fail(&format!("exp_e16: reading {}", path.display()), e));
+    let rows = text.lines().skip_while(|l| !l.starts_with("---")).skip(1);
+    rows.take_while(|l| !l.trim().is_empty())
+        .filter_map(|l| {
+            let mut cells = l.split_whitespace().map(str::to_string);
+            Some((cells.next()? + &cells.next()?, cells.next_back()?))
+        })
+        .collect()
+}
+
 fn main() {
     let fast = std::env::var("FT_E16_FAST").is_ok_and(|v| v == "1");
+    // Read before the table below overwrites it.
+    let committed = if fast {
+        committed_placements()
+    } else {
+        Vec::new()
+    };
     let sink = Arc::new(
         JsonlSink::create(ft_bench::obs_dir().join("e16_synthesis.jsonl")).unwrap_or_else(|e| {
             ft_bench::fail("exp_e16: creating results/obs/e16_synthesis.jsonl", e)
@@ -110,6 +143,10 @@ fn main() {
             "GT_f scale",
             "beta^",
             "rho^",
+            "states",
+            "seeded",
+            "full",
+            "placement",
         ],
     );
 
@@ -170,6 +207,25 @@ fn main() {
                 }]
             };
             let verified = verify(s, &engines);
+            let placement = placement_cell(s);
+            if fast {
+                let row = committed
+                    .iter()
+                    .find(|(cell, _)| *cell == format!("{name}{n}"));
+                let was = row.map(|(_, placement)| placement.as_str());
+                if was != Some(placement.as_str()) {
+                    ft_bench::fail(
+                        &format!("exp_e16: {name}{n} placement moved"),
+                        format!("committed {was:?}, synthesized {placement}"),
+                    );
+                }
+                if s.seeded_refutations == 0 {
+                    ft_bench::fail(
+                        &format!("exp_e16: {name}{n}"),
+                        "minimisation refuted no trial from a witness",
+                    );
+                }
+            }
             let (beta, rho) = solo_cost(&s.instance, MemoryModel::Pso, SOLO_STEPS);
             let orig = solo_passage(&inst, MemoryModel::Pso, SOLO_STEPS);
             // The analytic corner each lock realizes: Bakery ≈ GT_1,
@@ -192,17 +248,24 @@ fn main() {
                 format!("GT_{f}"),
                 fmt(predicted_gt_fences(f), 0),
                 fmt(predicted_gt_rmrs(n, f), 0),
+                s.total_states.to_string(),
+                s.seeded_refutations.to_string(),
+                s.full_checks.to_string(),
+                placement,
             ]);
             json_rows.push(format!(
                 "{{\"workload\": \"e16_synth_{name}{n}\", \"engine\": \"cegar\", \"n\": {n}, \
                  \"iterations\": {}, \"cores\": {}, \"fences_inserted\": {}, \
-                 \"total_states\": {}, \"solo_fences\": {beta}, \"solo_rmrs\": {rho}, \
+                 \"total_states\": {}, \"seeded_refutations\": {}, \"full_checks\": {}, \
+                 \"solo_fences\": {beta}, \"solo_rmrs\": {rho}, \
                  \"orig_fences\": {}, \"orig_rmrs\": {}, \"verified\": true, \
                  \"wall_ms\": {:.1}}}",
                 s.iterations,
                 s.cores.len(),
                 s.fences_inserted(),
                 s.total_states,
+                s.seeded_refutations,
+                s.full_checks,
                 fmt(orig.fences, 0),
                 fmt(orig.rmrs, 0),
                 wall * 1e3,

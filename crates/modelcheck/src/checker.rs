@@ -64,8 +64,10 @@ pub enum Engine {
         /// `Some(k)`: additionally restrict the search to schedules with
         /// at most `k` steps where a program overtakes its own pending
         /// buffered writes (`0` ≡ SC-equivalent schedules). An `Ok`
-        /// verdict then only covers the bounded schedule set; violations
-        /// are always real. `None`: full (sound and complete) search.
+        /// verdict then only covers the bounded schedule set. Violations
+        /// are real: safety ones at any bound, `NO-TERMINATION` because
+        /// it is only reported for a state whose forward closure the
+        /// bound left whole. `None`: full (sound and complete) search.
         ///
         /// `Some(u32::MAX)` is a *diagnostic* mode: the bound is
         /// unreachable, and it selects no reduction at all — the run *is*
@@ -432,6 +434,12 @@ pub struct Counterexample {
     pub schedule: Vec<SchedElem>,
     /// Human-readable event trace of that schedule.
     pub trace: String,
+    /// Further schedules to the same kind of violation, found by the same
+    /// exploration. Only a `NO-TERMINATION` verdict of a kernel engine
+    /// fills it: one schedule per process whose step enters the stuck
+    /// region — from a state that can finish into one that cannot —
+    /// other than the process `schedule` ends with. Empty everywhere else.
+    pub alternates: Vec<Vec<SchedElem>>,
 }
 
 impl fmt::Display for Counterexample {
@@ -697,6 +705,7 @@ pub(crate) fn render<P: Process>(initial: &Machine<P>, sched: &[SchedElem]) -> C
     Counterexample {
         schedule: sched.to_vec(),
         trace: out,
+        alternates: Vec::new(),
     }
 }
 
@@ -740,6 +749,24 @@ impl SearchIndex {
         self.fps[id as usize]
     }
 
+    /// Where first-visit edges enter the stuck region `!can_finish`: per
+    /// process, the smallest-id stuck state whose first-visit parent can
+    /// finish and reaches it by a step of that process. In id order, so
+    /// the first entry is the smallest-id stuck state of all — unless
+    /// that is the root, which nothing enters.
+    pub(crate) fn stuck_entries(&self, can_finish: &[bool]) -> Vec<u32> {
+        let mut procs = Vec::new();
+        let enters = |(id, parent): (usize, &Option<(u32, SchedElem)>)| {
+            let (from, elem) = (*parent)?;
+            let fresh = !can_finish[id] && can_finish[from as usize] && !procs.contains(&elem.proc);
+            fresh.then(|| {
+                procs.push(elem.proc);
+                id as u32
+            })
+        };
+        self.parents.iter().enumerate().filter_map(enters).collect()
+    }
+
     /// The schedule from the root to state `id` along first-visit parents.
     pub(crate) fn path_to(&self, id: u32) -> Vec<SchedElem> {
         let mut sched = Vec::new();
@@ -753,11 +780,11 @@ impl SearchIndex {
     }
 }
 
-/// Reverse reachability from terminal states: the smallest-id state that
-/// cannot reach completion, if any. The reverse adjacency is built in
+/// Reverse reachability from `finish`: entry `s` says whether state `s`
+/// reaches one of them. The reverse adjacency is built in
 /// compressed-sparse-row form — count, prefix-sum, fill — so state `s`'s
 /// predecessors are `preds[starts[s]..starts[s + 1]]`.
-pub(crate) fn find_stuck(n_states: usize, edges: &[(u32, u32)], terminal: &[u32]) -> Option<u32> {
+pub(crate) fn can_finish(n_states: usize, edges: &[(u32, u32)], finish: &[u32]) -> Vec<bool> {
     assert!(
         u32::try_from(edges.len()).is_ok(),
         "termination graph outgrew u32 edge offsets"
@@ -780,8 +807,8 @@ pub(crate) fn find_stuck(n_states: usize, edges: &[(u32, u32)], terminal: &[u32]
     }
     let preds_of = |s: u32| &preds[starts[s as usize] as usize..starts[s as usize + 1] as usize];
     let mut can_finish = vec![false; n_states];
-    let mut queue: Vec<u32> = terminal.to_vec();
-    for &t in terminal {
+    let mut queue: Vec<u32> = finish.to_vec();
+    for &t in finish {
         can_finish[t as usize] = true;
     }
     while let Some(s) = queue.pop() {
@@ -792,7 +819,13 @@ pub(crate) fn find_stuck(n_states: usize, edges: &[(u32, u32)], terminal: &[u32]
             }
         }
     }
-    (0..n_states).find(|&s| !can_finish[s]).map(|s| s as u32)
+    can_finish
+}
+
+/// The smallest-id state that cannot reach a terminal one, if any.
+pub(crate) fn find_stuck(n_states: usize, edges: &[(u32, u32)], terminal: &[u32]) -> Option<u32> {
+    let can_finish = can_finish(n_states, edges, terminal);
+    can_finish.iter().position(|&c| !c).map(|s| s as u32)
 }
 
 /// Whether the configured annotation invariant rejects the machine's

@@ -16,7 +16,13 @@
 //!   may close a DFS cycle without a full expansion) is enforced here.
 //! * **Reorder bound** (optional): prune schedules that overtake pending
 //!   buffered writes more than `k` times. A bounded `Ok` is a bounded
-//!   claim; violations found under a bound are always real executions.
+//!   claim. A safety violation (mutex, invariant, permutation) found
+//!   under a bound is a real execution. `NO-TERMINATION` is a claim about
+//!   *every* continuation of a state, so a bounded walk reports it only
+//!   for a state whose whole forward closure it explored: states the
+//!   bound refused an edge at, and states only a slept-edge probe reached
+//!   (probes are not budgeted), count as able to finish, and so does
+//!   whatever reaches them.
 //! * **Dominance**: a state is re-entered unless a recorded visit used a
 //!   subset sleep set and at least as much budget ([`VisitTable`]). The
 //!   table is keyed by the frontier's node for the state — a dense id
@@ -358,5 +364,85 @@ mod tests {
             }
             other => panic!("expected inconclusive, got {}", other.label()),
         }
+    }
+
+    /// `kind` at `n` with its own fences stripped and one inserted after
+    /// each baseline pc of `placement`.
+    fn placed(kind: LockKind, n: usize, placement: &[&[usize]]) -> simlocks::OrderingInstance {
+        let mut inst = build_mutex(kind, n, FenceMask::ALL);
+        for (prog, after) in inst.programs.iter_mut().zip(placement) {
+            let bare = fencevm::strip_fences(prog).program;
+            *prog = fencevm::insert_fences_after(&bare, after).program.into();
+        }
+        inst
+    }
+
+    fn label_at(inst: &simlocks::OrderingInstance, reorder_bound: Option<u32>) -> &'static str {
+        let config = CheckConfig::default().with_engine(Engine::Dpor { reorder_bound });
+        check(&inst.machine(MemoryModel::Pso), &config).label()
+    }
+
+    #[test]
+    fn a_bounded_walk_reports_no_termination_only_where_the_full_one_does() {
+        // Two correct synthesized placements that bounds 1–3 used to call
+        // stuck: unbudgeted slept-edge probes named states no budgeted
+        // path walked to, and those had no out-edges in the graph.
+        let correct = [
+            placed(LockKind::Bakery, 2, &[&[0, 10, 30], &[10, 30]]),
+            placed(LockKind::Mcs, 3, &[&[18], &[18], &[18]]),
+        ];
+        for inst in &correct {
+            assert_eq!(label_at(inst, None), "ok", "{}", inst.name);
+            for bound in 1..=3 {
+                let label = label_at(inst, Some(bound));
+                assert_ne!(label, "NO-TERMINATION", "{} at bound {bound}", inst.name);
+            }
+        }
+        // A real one survives the bound: the fence-free TTAS baseline
+        // orphans its exit write with a single overtake.
+        let baseline = placed(LockKind::Ttas, 4, &[&[], &[], &[], &[]]);
+        assert_eq!(label_at(&baseline, None), "NO-TERMINATION");
+        assert_eq!(label_at(&baseline, Some(1)), "NO-TERMINATION");
+    }
+
+    #[test]
+    fn no_termination_hands_back_one_stuck_entry_per_process() {
+        // Fence-free TTAS: whichever process returns with its unlock
+        // still buffered strands the others. One exploration names each.
+        let baseline = placed(LockKind::Ttas, 3, &[&[], &[], &[]]);
+        let machine = baseline.machine(MemoryModel::Pso);
+        let Verdict::NoTermination(_, cex) = check(&machine, &cfg()) else {
+            panic!("expected NO-TERMINATION");
+        };
+        let schedules: Vec<_> = std::iter::once(&cex.schedule)
+            .chain(&cex.alternates)
+            .collect();
+        let mut enterers: Vec<_> = schedules
+            .iter()
+            .map(|s| s.last().expect("the root can finish").proc)
+            .collect();
+        enterers.sort_unstable();
+        enterers.dedup();
+        assert_eq!(enterers.len(), 3, "one entry per process: {enterers:?}");
+        for schedule in schedules {
+            // The step before the last can still finish; the last cannot.
+            let (last, before) = schedule.split_last().expect("non-empty");
+            let mut m = machine.clone();
+            assert_eq!(m.run_schedule(before), before.len());
+            assert!(check(&m, &cfg())
+                .counterexample()
+                .is_some_and(|c| !c.schedule.is_empty()));
+            assert!(matches!(m.step(*last), StepOutcome::Stepped(_)));
+            let Verdict::NoTermination(_, from_here) = check(&m, &cfg()) else {
+                panic!("an entry of the stuck region is stuck");
+            };
+            assert!(from_here.schedule.is_empty());
+        }
+        // The oracle keeps its single counterexample.
+        let oracle = CheckConfig::default().with_engine(Engine::CloneDfs);
+        let Verdict::NoTermination(_, cex) = check(&machine, &oracle) else {
+            panic!("expected NO-TERMINATION");
+        };
+        assert!(cex.alternates.is_empty());
     }
 }

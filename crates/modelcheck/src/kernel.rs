@@ -33,7 +33,7 @@ use por::{BaseCounts, DenseHeads, ForkPoint, Snapshot};
 use wbmem::{Footprint, Machine, Process, SchedElem, StepOutcome, UndoToken};
 
 use crate::checker::{
-    find_stuck, in_cs_count, poll_observe, render, returns_are_permutation, run_meta_of,
+    can_finish, in_cs_count, poll_observe, render, returns_are_permutation, run_meta_of,
     violates_invariant, write_checkpoint, CheckConfig, CheckError, Counterexample, Coverage,
     PeriodicCheckpoint, SearchIndex, Stats, Verdict, DEADLINE_POLL_MASK,
 };
@@ -233,6 +233,12 @@ pub(crate) trait Frontier<P: Process>: Sized {
     /// A slept edge `elem` from `from` was probed and leads to `fp`:
     /// record it in the termination graph without visiting `fp`.
     fn probe(&mut self, fp: u128, from: Self::Node, elem: SchedElem) -> Option<()>;
+    /// The reduction refused a choice at `from` (the reorder bound): the
+    /// termination graph is missing that edge, so nothing may be concluded
+    /// from `from` failing to finish in it. The shared frontier ignores
+    /// this — a stuck state in its merged graph only ever triggers the
+    /// sequential rerun, whose verdict is the one returned.
+    fn refused(&mut self, _from: Self::Node) {}
     /// Count a first-visited state; returns the total so far.
     fn count_state(&mut self) -> usize;
     /// A first-visited state is all-done.
@@ -428,6 +434,7 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
                 self.arena[top.lo - 1]
             };
             let Some(budget) = self.red.admit(&self.m, &top.red, elem) else {
+                frontier.refused(top.node);
                 self.est.leaf();
                 continue; // beyond the reorder bound: neither taken nor slept
             };
@@ -588,6 +595,8 @@ pub(crate) struct Local<'a> {
     probe_only: Vec<bool>,
     edges: Vec<(u32, u32)>,
     terminal: Vec<u32>,
+    /// States with an out-edge the reorder bound refused.
+    refused: Vec<u32>,
     periodic: Option<PeriodicCheckpoint>,
     /// Set when [`Frontier::poll`] stops the walk.
     coverage: Option<Coverage>,
@@ -701,6 +710,12 @@ impl<P: Process> Frontier<P> for Local<'_> {
         Some(())
     }
 
+    fn refused(&mut self, from: u32) {
+        if self.config.check_termination {
+            self.refused.push(from);
+        }
+    }
+
     fn count_state(&mut self) -> usize {
         self.stats.states += 1;
         self.stats.states
@@ -709,6 +724,39 @@ impl<P: Process> Frontier<P> for Local<'_> {
     fn terminal(&mut self, id: u32) {
         self.stats.terminal_states += 1;
         self.terminal.push(id);
+    }
+}
+
+impl Local<'_> {
+    /// After an exhausted walk: the schedules to the states that cannot
+    /// finish — the smallest-id one first, then one per further process
+    /// whose step enters the stuck region ([`SearchIndex::stuck_entries`])
+    /// — or `None` if every state can.
+    ///
+    /// Under a reorder bound a state only counts as stuck if its whole
+    /// forward closure was explored: a state the bound refused an edge
+    /// at, or one that only a slept-edge probe ever reached, may finish
+    /// through what was not walked, and so may everything that reaches
+    /// it. The full search has neither kind.
+    fn stuck(&self) -> Option<Vec<Vec<SchedElem>>> {
+        let probed = (0u32..)
+            .zip(&self.probe_only)
+            .filter_map(|(id, &p)| p.then_some(id));
+        let finish: Vec<u32> = self
+            .terminal
+            .iter()
+            .copied()
+            .chain(self.refused.iter().copied())
+            .chain(probed)
+            .collect();
+        let can_finish = can_finish(self.index.len(), &self.edges, &finish);
+        let first = can_finish.iter().position(|&c| !c)? as u32;
+        let mut entries = self.index.stuck_entries(&can_finish);
+        if entries.is_empty() {
+            entries.push(first); // the root: nothing enters it
+        }
+        debug_assert_eq!(entries[0], first);
+        Some(entries.iter().map(|&id| self.index.path_to(id)).collect())
     }
 }
 
@@ -729,6 +777,7 @@ pub(crate) fn run_local<P: Process, R: Reduction<P, u32>, V: Visitor<P>>(
         probe_only: Vec::new(),
         edges: Vec::new(),
         terminal: Vec::new(),
+        refused: Vec::new(),
         periodic: config.checkpoint.as_ref().map(PeriodicCheckpoint::new),
         coverage: None,
     };
@@ -763,12 +812,13 @@ pub(crate) fn run_local<P: Process, R: Reduction<P, u32>, V: Visitor<P>>(
         }
         None => {
             obs.gauge_set(Gauge::DedupOccupancy, stats.states as u64);
-            let stuck = config
-                .check_termination
-                .then(|| find_stuck(index.len(), &local.edges, &local.terminal))
-                .flatten();
+            let stuck = config.check_termination.then(|| local.stuck()).flatten();
             match stuck {
-                Some(id) => Verdict::NoTermination(stats, render(initial, &index.path_to(id))),
+                Some(mut schedules) => {
+                    let alternates = schedules.split_off(1);
+                    let cex = render(initial, &schedules[0]);
+                    Verdict::NoTermination(stats, Counterexample { alternates, ..cex })
+                }
                 None => Verdict::Ok(stats),
             }
         }

@@ -16,7 +16,11 @@
 //! Most fence-elision bugs in the paper's algorithms manifest with one or
 //! two overtakes, so small bounds find the same counterexamples orders of
 //! magnitude faster — but an `Ok` verdict under a bound only covers the
-//! bounded schedule set.
+//! bounded schedule set. What a bounded walk may *report* depends on the
+//! property: a safety violation is one schedule and is real at any bound;
+//! non-termination quantifies over every continuation of a state, which
+//! the bound may have cut, so the checker reports it only for states
+//! whose forward closure the bounded walk covered completely.
 
 use wbmem::{Machine, Process, SchedElem};
 

@@ -15,16 +15,40 @@
 //!    the program-order inversions that enabled the bad interleaving.
 //!    Each edge's candidate pcs are translated back to baseline indices
 //!    through the insertion pc-map and unioned into a **core**: fencing
-//!    any member site kills this counterexample.
+//!    any member site kills this counterexample. The counterexample is
+//!    kept next to its core as a **witness**: the same execution in
+//!    placement-independent form — per step, the baseline pc it ran, the
+//!    write it committed, or "a fence of the placement it was found
+//!    under". A `NO-TERMINATION` verdict hands back one schedule per
+//!    process that steps into the stuck region
+//!    ([`modelcheck::Counterexample::alternates`]); each becomes a core
+//!    and a witness of its own in the same iteration.
 //! 4. Choose the next placement as a minimum-weight **hitting set** over
 //!    all accumulated cores ([`crate::hitting_set`]), weighting sites by
 //!    fence cost plus an RMR surcharge for stores to remote registers, and
 //!    breaking ties toward registers with high cross-process conflict
 //!    counts ([`por::conflict_counts`]). Repeat from 2.
 //! 5. Once safe, optionally **minimize**: drop any fence whose removal
-//!    keeps every model clean. The result is 1-minimal — removing any
-//!    single synthesized fence reintroduces a violation — which the
-//!    differential test suite exploits as a minimality witness.
+//!    keeps every model clean. A trial placement `P \ {s}` is first put to
+//!    the witnesses whose core it no longer hits: each is replayed onto
+//!    the trial candidate, step by legal step, and the ordinary check
+//!    runs **with the machine the replay ends in as its root**. A
+//!    violation found from a state the trial really reaches is a
+//!    violation of the trial, so `s` stays. Only when no witness refutes
+//!    the trial does the full check from the initial state decide it. The
+//!    result is 1-minimal — removing any single synthesized fence
+//!    reintroduces a violation — which the differential test suite
+//!    exploits as a minimality witness.
+//!
+//! The replay follows the witness as far as the trial candidate allows:
+//! commits (drains included) are replayed as commit elements and require
+//! the write to be committable; a baseline operation requires the process
+//! to stand at the recorded pc; a fence of the source placement is stepped
+//! where the trial has it too and skipped where it does not; a fence of
+//! the trial's own is passed only with an empty buffer. Anything else —
+//! the witness overtaking a trial fence, a CAS or swap that would drain
+//! instead of executing, diverging control flow, a no-op — abandons the
+//! replay.
 //!
 //! ### Invariants
 //!
@@ -36,17 +60,31 @@
 //!   a fenced store cannot appear as a pending overtaken write, because
 //!   the fence right after it drains the buffer before the process
 //!   advances. Each iteration therefore makes progress.
-//! * Acceptance rests **only** on the final full re-check; cores, weights
-//!   and rankings are heuristics that steer the search.
+//! * Acceptance rests **only** on a full check from the initial state that
+//!   came back clean; cores, witnesses, weights and rankings steer the
+//!   search.
+//! * A fence is kept only on a `check` violation of the trial without it,
+//!   found from the initial state or from a state a replay reached by
+//!   legal transitions of that trial. The recorded pcs keep the replay
+//!   faithful; soundness does not rest on them, nor on any monotonicity
+//!   of violations in the fence set (false for termination).
+//! * A seeded `ok` is never trusted: it covers the states reachable from
+//!   the replay's end, not the trial's. It falls through to the full
+//!   check, so the returned placement is the one full checks alone would
+//!   return — same trial order, and a trial is kept exactly when a
+//!   violation of it exists.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use fencevm::{insert_fences_after, strip_fences, Instr, Rewritten, Src};
+use fencevm::{insert_fences_after, strip_fences, Instr, Rewritten, Src, VmProc};
 use ftobs::{Metric, Recorder, J};
-use modelcheck::{all_ok, check_under_models, CheckConfig, Engine, ModelVerdict};
+use modelcheck::{all_ok, check, check_under_models, CheckConfig, Engine, ModelVerdict};
 use simlocks::OrderingInstance;
-use wbmem::{reorder_edges, CrashSemantics, MemoryModel, ProcId, RegId};
+use wbmem::{
+    reorder_edges, CrashSemantics, EventKind, Machine, MemoryModel, Poised, ProcId, RegId,
+    SchedElem, StepOutcome,
+};
 
 use crate::hitting::{hitting_set, Core, Site};
 
@@ -140,12 +178,22 @@ pub struct Synthesis {
     pub baseline: OrderingInstance,
     /// Per-process baseline pcs that received a fence, sorted.
     pub placement: Vec<Vec<usize>>,
-    /// Refinement iterations used (number of full multi-model checks).
+    /// Refinement iterations used: candidate placements put to the
+    /// multi-model check (or, inside a Pareto sweep, answered by a verdict
+    /// an earlier sweep point paid for).
     pub iterations: usize,
     /// Accumulated counterexample cores, in discovery order.
     pub cores: Vec<Core>,
-    /// Total states explored across every inner check.
+    /// States explored by every inner check: the full ones from the
+    /// initial state and the seeded ones from a replayed witness alike.
     pub total_states: usize,
+    /// Minimisation trials a seeded check refuted (the fence stayed on a
+    /// violation found from a replayed witness, with no full check).
+    pub seeded_refutations: usize,
+    /// Multi-model checks run from the initial state: one per refinement
+    /// iteration (less those a Pareto sweep's earlier point had already
+    /// answered), plus every minimisation trial no witness refuted.
+    pub full_checks: usize,
 }
 
 impl Synthesis {
@@ -252,9 +300,165 @@ fn site_weight(cfg: &SynthConfig, baseline: &OrderingInstance, site: Site) -> u6
     cfg.fence_weight + if remote { cfg.rmr_weight } else { 0 }
 }
 
+/// `candidate`'s initial machine under `model`, with `cfg`'s crash bound —
+/// the root the inner checks explore from.
+fn machine_of(
+    candidate: &OrderingInstance,
+    model: MemoryModel,
+    cfg: &SynthConfig,
+) -> Machine<VmProc> {
+    let mut machine = candidate.machine(model);
+    if cfg.max_crashes > 0 {
+        machine.set_crash_bound(cfg.crash_semantics, cfg.max_crashes);
+    }
+    machine
+}
+
+/// One step of a [`Witness`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Step {
+    /// The process executed the baseline instruction at this baseline pc.
+    Op(ProcId, usize),
+    /// The process executed a fence the source placement had inserted.
+    Fence(ProcId),
+    /// A buffered write reached memory — by a commit element, or by an
+    /// operation element draining it at a fence, CAS or swap.
+    Commit(ProcId, RegId),
+    /// The process crashed.
+    Crash(ProcId),
+}
+
+/// A counterexample in placement-independent form: what it did, step by
+/// step, to the *baseline* program, under which model.
+#[derive(Clone, Debug)]
+struct Witness {
+    model: MemoryModel,
+    steps: Vec<Step>,
+}
+
+impl Witness {
+    /// Run `schedule` on a clone of `machine` — the candidate of
+    /// `rewrites` — and record each effective step against the baseline.
+    fn record(machine: &Machine<VmProc>, rewrites: &[Rewritten], schedule: &[SchedElem]) -> Self {
+        let mut m = machine.clone();
+        let mut steps = Vec::with_capacity(schedule.len());
+        for &elem in schedule {
+            let p = elem.proc;
+            let pc = m.process(p).pc();
+            let buffered = m.buffer(p).len();
+            let Ok(StepOutcome::Stepped(event)) = m.try_step(elem) else {
+                break; // checker schedules hold no such element
+            };
+            steps.push(match event.kind {
+                EventKind::Crash { .. } => Step::Crash(p),
+                // (Under SC a write reports its immediate commit too, but
+                // nothing leaves a buffer.)
+                EventKind::Commit { reg, .. } if m.buffer(p).len() < buffered => {
+                    Step::Commit(p, reg)
+                }
+                _ => match rewrites[p.index()].new_to_old[pc] {
+                    Some(old) => Step::Op(p, old),
+                    None => Step::Fence(p),
+                },
+            });
+        }
+        Witness {
+            model: machine.config().model,
+            steps,
+        }
+    }
+
+    /// Replay the witness onto `candidate` — the instance of `rewrites` —
+    /// and return the machine it ends in, or `None` where the candidate
+    /// cannot follow: the witness advances a process past one of the
+    /// candidate's fences with writes still buffered, or control flow
+    /// parts from the recorded one.
+    ///
+    /// Every step taken is a legal transition of the candidate's machine,
+    /// so whatever is returned is a state the candidate really reaches;
+    /// the recorded pcs only keep the replay on the witness's tracks. The
+    /// source placement's fences are followed where the candidate has them
+    /// too and skipped where it does not; its drains become plain commits.
+    fn replay(
+        &self,
+        candidate: &OrderingInstance,
+        rewrites: &[Rewritten],
+        cfg: &SynthConfig,
+    ) -> Option<Machine<VmProc>> {
+        let mut m = machine_of(candidate, self.model, cfg);
+        let baseline_pc =
+            |m: &Machine<VmProc>, p: ProcId| rewrites[p.index()].new_to_old[m.process(p).pc()];
+        let take = |m: &mut Machine<VmProc>, elem| {
+            matches!(m.try_step(elem), Ok(StepOutcome::Stepped(_))).then_some(())
+        };
+        for &step in &self.steps {
+            match step {
+                Step::Commit(p, reg) => {
+                    // (A commit element that cannot commit would run the
+                    // process's operation instead.)
+                    if !m.buffer(p).can_commit(reg) {
+                        return None;
+                    }
+                    take(&mut m, SchedElem::commit(p, reg))?;
+                }
+                Step::Crash(p) => take(&mut m, SchedElem::crash(p))?,
+                Step::Fence(p) => {
+                    if baseline_pc(&m, p).is_none() && m.buffer_is_empty(p) {
+                        take(&mut m, SchedElem::op(p))?;
+                    }
+                }
+                Step::Op(p, pc) => {
+                    // Fences of the candidate's own that the source lacked
+                    // are passed only with nothing buffered.
+                    while baseline_pc(&m, p).is_none() {
+                        if !m.buffer_is_empty(p) {
+                            return None;
+                        }
+                        take(&mut m, SchedElem::op(p))?;
+                    }
+                    let drains = matches!(m.poised(p), Poised::Cas { .. } | Poised::Swap { .. })
+                        && !m.buffer_is_empty(p);
+                    if baseline_pc(&m, p) != Some(pc) || drains {
+                        return None;
+                    }
+                    take(&mut m, SchedElem::op(p))?;
+                }
+            }
+        }
+        Some(m)
+    }
+}
+
+/// What synthesis has learned about one baseline: facts about the
+/// fence-free program, not about the weighting that steered to them, so
+/// [`crate::pareto_explore`] carries one pool across its sweep.
+#[derive(Default)]
+pub(crate) struct Pool {
+    cores: Vec<Core>,
+    /// `witnesses[i]` is the counterexample `cores[i]` was extracted from.
+    witnesses: Vec<Witness>,
+    /// Per site, the highest conflict count of its store's register over
+    /// the counterexamples seen (the hitting set's tie-break).
+    tiebreak: BTreeMap<Site, u64>,
+    /// Placements a full check found clean under every model. Valid for
+    /// one baseline and one check configuration — the sweep's.
+    clean: BTreeSet<Vec<Vec<usize>>>,
+}
+
 /// Synthesize a fence placement for `inst` under `cfg` (see module docs).
 #[must_use]
 pub fn synthesize(inst: &OrderingInstance, cfg: &SynthConfig) -> SynthOutcome {
+    synthesize_with(inst, cfg, &mut Pool::default())
+}
+
+/// [`synthesize`], starting from — and adding to — what `pool` holds.
+/// Every call on one pool must share `inst` and the check-relevant part
+/// of `cfg` (models, engine, properties, crash bound); weights may differ.
+pub(crate) fn synthesize_with(
+    inst: &OrderingInstance,
+    cfg: &SynthConfig,
+    pool: &mut Pool,
+) -> SynthOutcome {
     // The `synth` span brackets the whole CEGAR run; every `cegar_iter`
     // span (and the model checks under it) nests inside via the
     // trace-root handoff.
@@ -264,7 +468,7 @@ pub fn synthesize(inst: &OrderingInstance, cfg: &SynthConfig) -> SynthOutcome {
     if tctx.enabled() {
         let _ = cfg.recorder.set_trace_root(span.id);
     }
-    let out = synthesize_inner(inst, cfg);
+    let out = synthesize_inner(inst, cfg, pool);
     if tctx.enabled() {
         let _ = cfg.recorder.set_trace_root(span_parent);
         let (outcome, iters) = match &out {
@@ -286,15 +490,37 @@ pub fn synthesize(inst: &OrderingInstance, cfg: &SynthConfig) -> SynthOutcome {
     out
 }
 
-fn synthesize_inner(inst: &OrderingInstance, cfg: &SynthConfig) -> SynthOutcome {
+/// Inner-check volume of one [`synthesize`] call (see the [`Synthesis`]
+/// fields of the same names).
+#[derive(Default)]
+struct Effort {
+    total_states: usize,
+    seeded_refutations: usize,
+    full_checks: usize,
+}
+
+/// The placement a set of chosen sites spells, per process.
+fn placement_of(n: usize, sites: impl IntoIterator<Item = Site>) -> Vec<Vec<usize>> {
+    let mut placement = vec![Vec::new(); n];
+    for site in sites {
+        placement[site.proc].push(site.pc);
+    }
+    placement
+}
+
+fn synthesize_inner(inst: &OrderingInstance, cfg: &SynthConfig, pool: &mut Pool) -> SynthOutcome {
     let baseline = strip_instance(inst);
     let n = baseline.n;
     let check_cfg = cfg.check_config();
-    let mut cores: Vec<Core> = Vec::new();
     let mut weights: BTreeMap<Site, u64> = BTreeMap::new();
-    let mut tiebreak: BTreeMap<Site, u64> = BTreeMap::new();
-    let mut placement: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut total_states = 0usize;
+    for &site in pool.cores.iter().flatten() {
+        weights
+            .entry(site)
+            .or_insert_with(|| site_weight(cfg, &baseline, site));
+    }
+    let chosen = hitting_set(&pool.cores, &weights, &pool.tiebreak, cfg.exact_limit);
+    let mut placement = placement_of(n, chosen);
+    let mut effort = Effort::default();
     let mut last_verdict = "ok";
 
     let mut tctx = cfg.recorder.trace_ctx();
@@ -308,7 +534,14 @@ fn synthesize_inner(inst: &OrderingInstance, cfg: &SynthConfig) -> SynthOutcome 
             let _ = cfg.recorder.set_trace_root(ispan.id);
         }
         let (candidate, rewrites) = build_candidate(&baseline, &placement);
-        let verdicts = check_under_models(&candidate, &cfg.models, &check_cfg, true);
+        let known_clean = pool.clean.contains(&placement);
+        let verdicts = if known_clean {
+            Vec::new()
+        } else {
+            effort.full_checks += 1;
+            check_under_models(&candidate, &cfg.models, &check_cfg, true)
+        };
+        let ok = known_clean || all_ok(&verdicts);
         if tctx.enabled() {
             let _ = cfg.recorder.set_trace_root(iter_parent);
             tctx.end(
@@ -317,7 +550,7 @@ fn synthesize_inner(inst: &OrderingInstance, cfg: &SynthConfig) -> SynthOutcome 
                 iter_parent,
                 &[
                     ("iteration", J::U(iteration as u64)),
-                    ("ok", J::B(all_ok(&verdicts))),
+                    ("ok", J::B(ok)),
                     (
                         "fences",
                         J::U(placement.iter().map(Vec::len).sum::<usize>() as u64),
@@ -326,15 +559,17 @@ fn synthesize_inner(inst: &OrderingInstance, cfg: &SynthConfig) -> SynthOutcome 
             );
         }
         cfg.recorder.incr(Metric::SynthIterations);
-        total_states += states_of(&verdicts);
-        if all_ok(&verdicts) {
+        effort.total_states += states_of(&verdicts);
+        if ok {
+            pool.clean.insert(placement.clone());
             if cfg.minimize {
                 minimize(
                     &baseline,
                     &mut placement,
                     cfg,
                     &check_cfg,
-                    &mut total_states,
+                    pool,
+                    &mut effort,
                 );
             }
             let (instance, _) = build_candidate(&baseline, &placement);
@@ -342,8 +577,10 @@ fn synthesize_inner(inst: &OrderingInstance, cfg: &SynthConfig) -> SynthOutcome 
                 instance,
                 baseline,
                 iterations: iteration,
-                cores,
-                total_states,
+                cores: pool.cores.clone(),
+                total_states: effort.total_states,
+                seeded_refutations: effort.seeded_refutations,
+                full_checks: effort.full_checks,
                 placement,
             };
             cfg.recorder
@@ -363,53 +600,57 @@ fn synthesize_inner(inst: &OrderingInstance, cfg: &SynthConfig) -> SynthOutcome 
                 last_verdict,
             };
         };
-        let mut machine = candidate.machine(bad.model);
-        if cfg.max_crashes > 0 {
-            machine.set_crash_bound(cfg.crash_semantics, cfg.max_crashes);
-        }
-        let edges = reorder_edges(&machine, &cex.schedule);
-        let mut core: Core = BTreeSet::new();
-        for edge in &edges {
-            let proc = edge.proc.0 as usize;
-            let map = &rewrites[proc].new_to_old;
-            for &cand in &edge.candidates {
-                let Some(Some(pc)) = map.get(cand as usize).copied() else {
-                    continue;
-                };
-                core.insert(Site { proc, pc });
-            }
-        }
-        if core.is_empty() {
-            // The violation needs no write-buffer reordering: unfixable
-            // by fences.
-            return SynthOutcome::Unfixable {
-                model: bad.model,
-                verdict: last_verdict,
-            };
-        }
-        cfg.recorder.add(Metric::CoreSize, core.len() as u64);
-        // Weight new sites and fold the counterexample's conflict counts
-        // into the tie-break ranking.
-        for &site in &core {
-            weights
-                .entry(site)
-                .or_insert_with(|| site_weight(cfg, &baseline, site));
-        }
-        let conflicts = por::conflict_counts(&machine, &cex.schedule);
-        for site in weights.keys().copied().collect::<Vec<_>>() {
-            if let Some(reg) = write_target(&baseline, site.proc, site.pc) {
-                if let Some(&c) = conflicts.get(&reg) {
-                    let e = tiebreak.entry(site).or_insert(0);
-                    *e = (*e).max(c);
+        let machine = machine_of(&candidate, bad.model, cfg);
+        // One core and one witness per schedule the check handed back:
+        // the counterexample, then whatever else its exploration found.
+        let known = pool.cores.len();
+        let schedules = std::iter::once(&cex.schedule).chain(&cex.alternates);
+        for (i, schedule) in schedules.enumerate() {
+            let mut core: Core = BTreeSet::new();
+            for edge in &reorder_edges(&machine, schedule) {
+                let proc = edge.proc.0 as usize;
+                let map = &rewrites[proc].new_to_old;
+                for &cand in &edge.candidates {
+                    let Some(Some(pc)) = map.get(cand as usize).copied() else {
+                        continue;
+                    };
+                    core.insert(Site { proc, pc });
                 }
             }
+            if core.is_empty() && i == 0 {
+                // The violation needs no write-buffer reordering:
+                // unfixable by fences.
+                return SynthOutcome::Unfixable {
+                    model: bad.model,
+                    verdict: last_verdict,
+                };
+            }
+            if core.is_empty() || pool.cores[known..].contains(&core) {
+                continue;
+            }
+            cfg.recorder.add(Metric::CoreSize, core.len() as u64);
+            // Weight new sites and fold the counterexample's conflict
+            // counts into the tie-break ranking.
+            for &site in &core {
+                weights
+                    .entry(site)
+                    .or_insert_with(|| site_weight(cfg, &baseline, site));
+            }
+            let conflicts = por::conflict_counts(&machine, schedule);
+            for &site in weights.keys() {
+                if let Some(reg) = write_target(&baseline, site.proc, site.pc) {
+                    if let Some(&c) = conflicts.get(&reg) {
+                        let e = pool.tiebreak.entry(site).or_insert(0);
+                        *e = (*e).max(c);
+                    }
+                }
+            }
+            pool.cores.push(core);
+            pool.witnesses
+                .push(Witness::record(&machine, &rewrites, schedule));
         }
-        cores.push(core);
-        let chosen = hitting_set(&cores, &weights, &tiebreak, cfg.exact_limit);
-        placement = vec![Vec::new(); n];
-        for site in chosen {
-            placement[site.proc].push(site.pc);
-        }
+        let chosen = hitting_set(&pool.cores, &weights, &pool.tiebreak, cfg.exact_limit);
+        placement = placement_of(n, chosen);
     }
     SynthOutcome::Exhausted {
         iterations: cfg.max_iters,
@@ -417,30 +658,92 @@ fn synthesize_inner(inst: &OrderingInstance, cfg: &SynthConfig) -> SynthOutcome 
     }
 }
 
-/// Drop every fence whose removal keeps all models clean. Afterwards the
-/// placement is 1-minimal: removing any remaining fence reintroduces a
-/// violation.
-fn minimize(
+/// The placement's sites, the expensive ones first — the order the
+/// minimisation tries them in, so the survivors are the cheap ones.
+fn trial_order(
     baseline: &OrderingInstance,
-    placement: &mut [Vec<usize>],
+    placement: &[Vec<usize>],
     cfg: &SynthConfig,
-    check_cfg: &CheckConfig,
-    total_states: &mut usize,
-) {
-    // Try expensive sites first so the survivors are the cheap ones.
+) -> Vec<Site> {
     let mut sites: Vec<Site> = placement
         .iter()
         .enumerate()
         .flat_map(|(proc, pcs)| pcs.iter().map(move |&pc| Site { proc, pc }))
         .collect();
     sites.sort_unstable_by_key(|&s| (std::cmp::Reverse(site_weight(cfg, baseline, s)), s));
-    for site in sites {
+    sites
+}
+
+/// Drop every fence whose removal keeps all models clean. Afterwards the
+/// placement is 1-minimal: removing any remaining fence reintroduces a
+/// violation.
+///
+/// A trial is first put to the pool's witnesses: each one whose core the
+/// trial no longer hits is replayed onto it, and the ordinary check runs
+/// from where the replay ends. A violation found there is a violation of
+/// the trial, so the fence stays. A replay that cannot be followed, or a
+/// seeded check that comes back clean, says nothing about the trial — the
+/// full check from the initial state decides it, as it would have anyway.
+fn minimize(
+    baseline: &OrderingInstance,
+    placement: &mut [Vec<usize>],
+    cfg: &SynthConfig,
+    check_cfg: &CheckConfig,
+    pool: &mut Pool,
+    effort: &mut Effort,
+) {
+    for site in trial_order(baseline, placement, cfg) {
+        let mut trial: Vec<Vec<usize>> = placement.to_vec();
+        trial[site.proc].retain(|&pc| pc != site.pc);
+        if !pool.clean.contains(&trial) {
+            let (candidate, rewrites) = build_candidate(baseline, &trial);
+            let hits = |core: &Core| core.iter().any(|s| trial[s.proc].contains(&s.pc));
+            let mut unhit = pool.cores.iter().zip(&pool.witnesses);
+            let refuted = unhit.any(|(core, witness)| {
+                !hits(core)
+                    && witness
+                        .replay(&candidate, &rewrites, cfg)
+                        .is_some_and(|root| {
+                            let verdict = check(&root, check_cfg);
+                            effort.total_states += verdict.stats().states;
+                            verdict.is_violation()
+                        })
+            });
+            if refuted {
+                effort.seeded_refutations += 1;
+                continue;
+            }
+            effort.full_checks += 1;
+            let verdicts = check_under_models(&candidate, &cfg.models, check_cfg, true);
+            effort.total_states += states_of(&verdicts);
+            if !all_ok(&verdicts) {
+                continue;
+            }
+            pool.clean.insert(trial);
+        }
+        placement[site.proc].retain(|&pc| pc != site.pc);
+    }
+}
+
+/// [`minimize`] as it was before witnesses: every trial decided by a full
+/// check from the initial state. The oracle the seeded pass is held to.
+#[cfg(test)]
+fn minimize_by_full_checks(
+    baseline: &OrderingInstance,
+    placement: &mut [Vec<usize>],
+    cfg: &SynthConfig,
+    check_cfg: &CheckConfig,
+) {
+    for site in trial_order(baseline, placement, cfg) {
         let mut trial: Vec<Vec<usize>> = placement.to_vec();
         trial[site.proc].retain(|&pc| pc != site.pc);
         let (candidate, _) = build_candidate(baseline, &trial);
-        let verdicts = check_under_models(&candidate, &cfg.models, check_cfg, true);
-        *total_states += states_of(&verdicts);
-        if all_ok(&verdicts) {
+        if all_ok(&check_under_models(
+            &candidate,
+            &cfg.models,
+            check_cfg,
+            true,
+        )) {
             placement[site.proc].retain(|&pc| pc != site.pc);
         }
     }
@@ -492,6 +795,130 @@ mod tests {
         let s = out.synthesis().expect("sc always synthesizes");
         assert_eq!(s.fences_inserted(), 0, "SC needs no fences");
         assert_eq!(s.iterations, 1);
+    }
+
+    /// The baseline of `kind` at `n`, the placement the CEGAR loop of
+    /// `cfg` reaches before minimising it, and the pool it filled.
+    fn unminimized(
+        kind: LockKind,
+        n: usize,
+        cfg: &SynthConfig,
+    ) -> (OrderingInstance, Vec<Vec<usize>>, Pool) {
+        let inst = build_mutex(kind, n, FenceMask::ALL);
+        let mut pool = Pool::default();
+        let cfg = SynthConfig {
+            minimize: false,
+            ..cfg.clone()
+        };
+        let out = synthesize_with(&inst, &cfg, &mut pool);
+        let s = out.synthesis().expect("synthesized");
+        (s.baseline.clone(), s.placement.clone(), pool)
+    }
+
+    fn crash_cfg() -> SynthConfig {
+        SynthConfig {
+            max_crashes: 1,
+            crash_semantics: CrashSemantics::DiscardBuffer,
+            ..quick_cfg()
+        }
+    }
+
+    #[test]
+    fn a_witness_replayed_onto_its_source_reaches_the_violating_state() {
+        let cfg = quick_cfg();
+        let check_cfg = cfg.check_config();
+        let mut fenced_sources = 0;
+        for (kind, n) in [(LockKind::Peterson, 2), (LockKind::Ttas, 3)] {
+            let (baseline, full, _) = unminimized(kind, n, &cfg);
+            let sites = trial_order(&baseline, &full, &cfg);
+            // Every proper prefix of the placement that still violates is
+            // a source candidate, the fence-free baseline first.
+            for kept in 0..sites.len() {
+                let placement = placement_of(baseline.n, sites[..kept].iter().copied());
+                let (candidate, rewrites) = build_candidate(&baseline, &placement);
+                let machine = candidate.machine(MemoryModel::Pso);
+                let found = check(&machine, &check_cfg);
+                let Some(cex) = found.counterexample() else {
+                    continue;
+                };
+                fenced_sources += usize::from(kept > 0);
+                let witness = Witness::record(&machine, &rewrites, &cex.schedule);
+                let root = witness
+                    .replay(&candidate, &rewrites, &cfg)
+                    .expect("a witness follows its own source");
+                let mut reached = machine.clone();
+                reached.run_schedule(&cex.schedule);
+                assert_eq!(root.fingerprint(), reached.fingerprint());
+                let seeded = check(&root, &check_cfg);
+                assert_eq!(seeded.label(), found.label());
+                let at = seeded.counterexample().expect("a violation");
+                assert!(at.schedule.is_empty(), "the root is the violating state");
+            }
+        }
+        assert!(fenced_sources > 0, "no source with fences of its own");
+    }
+
+    #[test]
+    fn seeded_minimisation_decides_every_trial_as_full_checks_do() {
+        let cells = [
+            (LockKind::Peterson, 2, quick_cfg()),
+            (LockKind::Bakery, 2, quick_cfg()),
+            (LockKind::Tournament, 2, quick_cfg()),
+            (LockKind::Filter, 2, quick_cfg()),
+            (LockKind::Ttas, 3, quick_cfg()),
+            (LockKind::Mcs, 3, quick_cfg()),
+            (LockKind::RecoverableTtas, 2, crash_cfg()),
+        ];
+        for (kind, n, cfg) in cells {
+            let check_cfg = cfg.check_config();
+            let (baseline, found, mut pool) = unminimized(kind, n, &cfg);
+            // The loop's own placement (every trial should be refuted),
+            // and a fence after every store (most trials drop theirs).
+            let every_store = baseline.programs.iter().map(|p| fencevm::write_pcs(p));
+            for start in [found, every_store.collect()] {
+                let mut seeded = start.clone();
+                let mut effort = Effort::default();
+                let (b, c) = (&baseline, &check_cfg);
+                minimize(b, &mut seeded, &cfg, c, &mut pool, &mut effort);
+                let mut oracle = start.clone();
+                minimize_by_full_checks(b, &mut oracle, &cfg, c);
+                // One trial order, so equal survivors mean equal decisions.
+                assert_eq!(seeded, oracle, "{} from {start:?}", baseline.name);
+                assert!(effort.seeded_refutations > 0, "{}", baseline.name);
+            }
+        }
+    }
+
+    #[test]
+    fn a_blocked_replay_leaves_the_trial_to_the_full_check() {
+        let cfg = quick_cfg();
+        let check_cfg = cfg.check_config();
+        let (baseline, placement, pool) = unminimized(LockKind::Peterson, 2, &cfg);
+        // The first witness overtakes stores the placement fences — that
+        // is what its core says — so the placement blocks it.
+        let (core, witness) = (&pool.cores[0], &pool.witnesses[0]);
+        let (candidate, rewrites) = build_candidate(&baseline, &placement);
+        let hitters = core.iter().filter(|s| placement[s.proc].contains(&s.pc));
+        let hitters = hitters.count();
+        assert!(hitters > 0);
+        assert!(witness.replay(&candidate, &rewrites, &cfg).is_none());
+        // Mislabelled as hit by nothing, it is tried on every trial and
+        // blocks on each that keeps one of those fences: no decision
+        // changes, and only a trial that drops the last of them is its.
+        let mut lone = Pool {
+            cores: vec![Core::new()],
+            witnesses: vec![witness.clone()],
+            ..Pool::default()
+        };
+        let (mut seeded, mut effort) = (placement.clone(), Effort::default());
+        let (b, c) = (&baseline, &check_cfg);
+        minimize(b, &mut seeded, &cfg, c, &mut lone, &mut effort);
+        let mut oracle = placement.clone();
+        minimize_by_full_checks(b, &mut oracle, &cfg, c);
+        assert_eq!(seeded, oracle);
+        let trials: usize = placement.iter().map(Vec::len).sum();
+        assert_eq!(effort.seeded_refutations, usize::from(hitters == 1));
+        assert_eq!(effort.full_checks, trials - effort.seeded_refutations);
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!   branch-and-bound for small universes), and repeat until every model
 //!   is clean;
 //! * finally **minimize**, so removing any single synthesized fence
-//!   reintroduces a violation.
+//!   reintroduces a violation — each counterexample is kept as a witness
+//!   and replayed onto the trial placements, so most trials are refuted by
+//!   a check started where the witness ends instead of a full search.
 //!
 //! [`pareto_explore`] sweeps the fence-cost/RMR-cost weighting and
 //! measures each synthesized placement's per-passage β (fences) and ρ
@@ -28,8 +30,10 @@
 //! Bakery-style instances should recover the O(1)-fence/O(n)-RMR corner,
 //! tournament instances the O(log n)/O(log n) corner (experiment E16).
 //!
-//! Synthesis soundness rests entirely on the final re-check; every other
-//! ingredient (edges, cores, weights, rankings) only steers the search.
+//! Synthesis soundness rests entirely on checker verdicts — a clean full
+//! check to accept, a violation of the trial to keep a fence; every other
+//! ingredient (edges, cores, witnesses, weights, rankings) only steers
+//! the search.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

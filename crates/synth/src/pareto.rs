@@ -19,7 +19,7 @@
 use simlocks::OrderingInstance;
 use wbmem::{MemoryModel, ProcId, SoloOutcome};
 
-use crate::cegar::{synthesize, SynthConfig, SynthOutcome};
+use crate::cegar::{synthesize_with, Pool, SynthConfig, SynthOutcome};
 
 /// One point of the synthesized tradeoff curve.
 #[derive(Clone, Debug)]
@@ -46,6 +46,12 @@ pub struct ParetoPoint {
 /// measuring the uncontended passage cost of the result under
 /// `measure_model`. Sweep points whose synthesis fails (exhausted or
 /// unfixable) are skipped.
+///
+/// Counterexample cores, their witnesses and clean-placement verdicts are
+/// facts about the baseline, not about the weights, so the sweep keeps one
+/// pool of them: a point whose hitting set lands on a placement an earlier
+/// point certified costs that hitting set and the seeded minimisation, no
+/// search from the initial state.
 #[must_use]
 pub fn pareto_explore(
     inst: &OrderingInstance,
@@ -55,13 +61,14 @@ pub fn pareto_explore(
     max_solo_steps: usize,
 ) -> Vec<ParetoPoint> {
     let mut points = Vec::with_capacity(sweep.len());
+    let mut pool = Pool::default();
     for &(fence_weight, rmr_weight) in sweep {
         let cfg = SynthConfig {
             fence_weight,
             rmr_weight,
             ..base.clone()
         };
-        let SynthOutcome::Synthesized(s) = synthesize(inst, &cfg) else {
+        let SynthOutcome::Synthesized(s) = synthesize_with(inst, &cfg, &mut pool) else {
             continue;
         };
         let (solo_fences, solo_rmrs) = solo_cost(&s.instance, measure_model, max_solo_steps);
@@ -112,6 +119,10 @@ mod tests {
         for p in &points {
             assert!(p.fences_inserted >= 1);
             assert!(p.iterations >= 1);
+        }
+        // Later points start from what the first one learned.
+        for p in &points[1..] {
+            assert!(p.total_states < points[0].total_states);
         }
     }
 }

@@ -46,7 +46,7 @@ stage "E11 crash-recovery experiment (n = 2)" \
 stage "E12 reduction experiment (fast mode: n = 2 factors only)" \
     env FT_E12_FAST=1 cargo run --release -p ft-bench --bin exp_e12_reduction
 
-stage "E16 synthesis experiment (fast mode: n = 2 CEGAR + Pareto sweep)" \
+stage "E16 synthesis experiment (fast mode: n = 2 CEGAR + Pareto sweep; fails on a placement that left results/e16_synthesis.txt or a minimisation that used no witness)" \
     env FT_E16_FAST=1 cargo run --release -p ft-bench --bin exp_e16_synthesis
 
 stage "E17 estimator + trace experiment (fast mode: 2 cells, 2 cuts, traced pardpor/resume)" \
