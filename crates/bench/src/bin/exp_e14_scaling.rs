@@ -15,7 +15,7 @@
 //! measurement would be time-slicing overhead, not scaling): the rows
 //! are emitted with `skipped` wall-clock cells and
 //! `"skipped_single_core": true` in `BENCH_explore.json`, exactly like
-//! the explore bench. The `pardpor_guard` binary enforces the ≥1.5×
+//! the explore bench. The `guards` binary enforces the ≥1.5×
 //! floor on multi-core hosts; this experiment records the whole curve.
 
 use fence_trade::prelude::*;
@@ -117,7 +117,7 @@ fn main() {
          under ample pruning; see the differential suite for the exact-\
          equality modes). Speedup is sequential dpor wall-clock over the \
          row's; the threads=1 row measures the dispatch overhead \
-         (pardpor_guard budgets it at ≤5%).",
+         (the `guards` bin budgets it at ≤5%).",
     );
     t.finish();
     ft_bench::append_bench_explore_rows(&json_rows);

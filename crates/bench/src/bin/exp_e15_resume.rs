@@ -179,7 +179,7 @@ fn main() {
          fingerprint table pre-seeded, frontier replayed). Reduced-mode overhead also \
          includes re-exploring what the discarded worker-local dominance table would \
          have pruned; pure durability cost (write + read + replay) is what \
-         checkpoint_guard gates at <=10%, in the exact-partition diagnostic bound. \
+         the `guards` bin gates at <=10%, in the exact-partition diagnostic bound. \
          `frontier` is the number of open fork points the snapshot serialized."
     ));
     t.finish();

@@ -1,0 +1,390 @@
+//! **guards** — every wall-clock gate CI holds, in one binary.
+//!
+//! Takes no arguments and reads no tuning knobs: it runs every gate,
+//! prints one line per gate with the measured ratio and its floor, and
+//! exits non-zero if any gate failed — so one red gate does not hide the
+//! ones after it. Floors and trial counts are the constants below; a
+//! floor is changed in this file, with its reason, or not at all.
+//!
+//! | gate | workload | floor |
+//! |---|---|---|
+//! | checkpoint smoke | `filter3_pso`, `Dpor` | cut at half + resume == fresh verdict |
+//! | checkpoint overhead | `filter3_pso`, diagnostic bound | split ≤ ×1.10 of uninterrupted |
+//! | pardpor dispatch | `filter3_pso` | `ParallelDpor{threads: 1}` ≤ ×1.05 of `Dpor` |
+//! | pardpor scaling | `tournament4_pso` | `ParallelDpor` ≥ ×1.5 over `Dpor` (skipped on 1 core) |
+//! | obs enabled / traced | `bakery3_pso`, `Undo` | live recorder ≤ ×1.05 of disabled |
+//! | obs baseline | `bakery3_pso`, `Undo` | disabled throughput ≥ baseline ÷ 1.10 |
+//!
+//! Noise defenses, all needed on a shared container: every ratio is the
+//! median of per-round ratios over paired alternating rounds (see
+//! [`paired_ratio`]), and a gate is re-measured up to its attempt count
+//! and passes as soon as one attempt clears the floor — a genuine
+//! regression fails every attempt, a multi-second ambient load spike does
+//! not survive an independent re-measurement.
+//!
+//! The baseline gate compares against `results/obs/overhead_baseline.txt`,
+//! a machine-local file (wall-clock is not portable) written by the first
+//! run; `FT_OVERHEAD_REBASE=1` rewrites it after changing machines.
+
+use std::path::Path;
+use std::process::ExitCode;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use fence_trade::prelude::*;
+use ftobs::{parse_spans, JsonlSink, Recorder};
+
+/// The ≤10 % durability budget of DESIGN §7a: snapshot write + fsync +
+/// read + frontier replay, measured in the diagnostic (disabled-reduction)
+/// bound where the checkpoint partitions the edge multiset exactly.
+/// Reduced mode also re-explores what the discarded worker-local
+/// dominance table would have pruned — measured, not gated, by E15.
+const CKPT_MAX_OVERHEAD: f64 = 1.10;
+const CKPT_ROUNDS: usize = 5;
+const CKPT_ATTEMPTS: usize = 3;
+
+/// E14's gates. Scaling is measured on `tournament4_pso` (125 045 reduced
+/// states, ~100 ms sequentially): on a 10 ms space the pool's start-up is
+/// the measurement. Dispatch pins what `ParallelDpor{threads: 1}` adds in
+/// front of the sequential engine at effectively zero.
+const PARDPOR_MIN_SPEEDUP: f64 = 1.5;
+const PARDPOR_MAX_DISPATCH: f64 = 1.05;
+const PARDPOR_THREADS: usize = 4;
+const PARDPOR_ROUNDS: usize = 5;
+const PARDPOR_ATTEMPTS: usize = 2;
+
+/// The observability budget of DESIGN §6: a live recorder, with and
+/// without causal tracing, costs ≤5 %. The workload is deliberately large
+/// (~66k states): on sub-millisecond checks the fixed cost of rendering
+/// the final `snapshot` event dominates and the ratio measures JSON
+/// encoding, not per-step recording. A timing is 3 explorations so a
+/// round lasts long enough for the ratio to settle.
+const OBS_MAX_OVERHEAD: f64 = 1.05;
+const OBS_ROUNDS: usize = 8;
+const OBS_ITERS: usize = 3;
+const OBS_ATTEMPTS: usize = 2;
+/// Catches gross disabled-path regressions (a heartbeat left on,
+/// instrumentation ignoring `Recorder::disabled()`), which cost tens of
+/// percent; it sits above the ±8 % ambient throughput noise of a shared
+/// container because a tighter bound fires on load spikes, not code.
+const OBS_BASELINE_TOL: f64 = 1.10;
+
+/// Wall-clock of `iters` full explorations, each of which must verify.
+fn explore(inst: &OrderingInstance, cfg: &CheckConfig, iters: usize) -> Duration {
+    let start = Instant::now();
+    for _ in 0..iters {
+        let v = check(&inst.machine(MemoryModel::Pso), cfg);
+        assert!(v.is_ok(), "guard workloads verify: {}", v.label());
+        std::hint::black_box(v.stats().states);
+    }
+    start.elapsed()
+}
+
+/// Interrupt at `cut` transitions, then resume the checkpoint; the write
+/// and the read are inside the measured time — they are the overhead
+/// under test. `None` if the interrupted run left no checkpoint.
+fn split_run(
+    inst: &OrderingInstance,
+    cfg: &CheckConfig,
+    cut: u64,
+    path: &Path,
+) -> Option<(Duration, Verdict)> {
+    let start = Instant::now();
+    let policy = CheckpointPolicy::at(path).stop_after(cut);
+    let stopped = check(
+        &inst.machine(MemoryModel::Pso),
+        &cfg.clone().with_checkpoint(policy),
+    );
+    let cp = stopped.coverage()?.checkpoint.clone()?;
+    let v = resume(&inst.machine(MemoryModel::Pso), cfg, &cp);
+    Some((start.elapsed(), v))
+}
+
+/// Median of per-round `num/den` wall-clock ratios, and the fastest `den`
+/// round. A round's two timings are adjacent in time and share whatever
+/// the machine was doing, so their ratio cancels slow load drift —
+/// whereas comparing each side's best-of-rounds lets one lucky quiet
+/// window inflate the ratio for the whole run. The order alternates
+/// because drift *within* a round would otherwise always penalise the
+/// side that runs second.
+fn paired_ratio(
+    rounds: usize,
+    mut num: impl FnMut() -> Duration,
+    mut den: impl FnMut() -> Duration,
+) -> (f64, Duration) {
+    den(); // warm-up
+    let mut ratios = Vec::with_capacity(rounds);
+    let mut fastest = Duration::MAX;
+    for round in 0..rounds {
+        let (n, d) = if round % 2 == 0 {
+            let n = num();
+            (n, den())
+        } else {
+            let d = den();
+            (num(), d)
+        };
+        fastest = fastest.min(d);
+        ratios.push(n.as_secs_f64() / d.as_secs_f64().max(1e-12));
+    }
+    ratios.sort_by(f64::total_cmp);
+    (ratios[ratios.len() / 2], fastest)
+}
+
+enum Floor {
+    AtMost(f64),
+    AtLeast(f64),
+}
+
+/// Print a gate's line (`status` is `ok`, `FAIL` or `skip`).
+fn line(status: &str, name: &str, detail: &str) {
+    println!("{status:<4} {name:<22} {detail}");
+}
+
+/// Print a gate's line and pass its outcome through.
+fn report(name: &str, ok: bool, detail: &str) -> bool {
+    line(if ok { "ok" } else { "FAIL" }, name, detail);
+    ok
+}
+
+/// Measure up to `attempts` times, stopping at the first attempt that
+/// clears `floor`; the line lists every attempt's ratio.
+fn gate(name: &str, floor: Floor, attempts: usize, mut measure: impl FnMut() -> f64) -> bool {
+    let mut seen = Vec::new();
+    let mut ok = false;
+    while !ok && seen.len() < attempts {
+        let x = measure();
+        ok = match floor {
+            Floor::AtMost(max) => x <= max,
+            Floor::AtLeast(min) => x >= min,
+        };
+        seen.push(format!("x{x:.3}"));
+    }
+    let floor = match floor {
+        Floor::AtMost(max) => format!("<= x{max}"),
+        Floor::AtLeast(min) => format!(">= x{min}"),
+    };
+    report(name, ok, &format!("{} (floor {floor})", seen.join(", ")))
+}
+
+/// Read the span stream back and name the phase whose spans account for
+/// the most wall-clock — where a failed traced gate's cost concentrates.
+fn hottest_phase(sink: &JsonlSink) -> Option<String> {
+    sink.flush();
+    // The sink is still open, so the bytes live in the `.partial` file.
+    let mut partial = sink.path().to_path_buf().into_os_string();
+    partial.push(".partial");
+    let text = std::fs::read_to_string(partial)
+        .or_else(|_| std::fs::read_to_string(sink.path()))
+        .ok()?;
+    let rows = parse_spans(&text);
+    let mut agg: std::collections::BTreeMap<&str, (u64, u64)> = std::collections::BTreeMap::new();
+    for r in &rows {
+        let e = agg.entry(r.name.as_str()).or_insert((0, 0));
+        e.0 += 1;
+        e.1 += r.dur_us;
+    }
+    let (name, (n, dur)) = agg.into_iter().max_by_key(|(_, (_, d))| *d)?;
+    #[allow(clippy::cast_precision_loss)]
+    Some(format!(
+        "offending phase: \"{name}\" ({n} spans, {:.1} ms total span time)",
+        dur as f64 / 1000.0
+    ))
+}
+
+fn checkpoint_gates() -> bool {
+    let inst = build_mutex(LockKind::Filter, 3, FenceMask::ALL);
+    let cfg = CheckConfig {
+        check_termination: false,
+        max_states: 5_000_000,
+        ..CheckConfig::default()
+    };
+    let path = std::env::temp_dir().join(format!("ft_guards_{}.ckpt", std::process::id()));
+    let half = |cfg: &CheckConfig| {
+        let fresh = check(&inst.machine(MemoryModel::Pso), cfg);
+        assert!(fresh.is_ok(), "filter3_pso verifies: {}", fresh.label());
+        (fresh.stats().transitions as u64 / 2).max(1)
+    };
+
+    // Kill-and-resume smoke: a `stop_after` cut takes the code path a
+    // wall-clock expiry or an interrupt flag takes.
+    let dpor = cfg.clone().with_engine(Engine::Dpor {
+        reorder_bound: None,
+    });
+    let cut = half(&dpor);
+    let smoke = match split_run(&inst, &dpor, cut, &path) {
+        None => report(
+            "checkpoint smoke",
+            false,
+            "interrupted run left no checkpoint",
+        ),
+        Some((_, v)) => report(
+            "checkpoint smoke",
+            v.is_ok(),
+            &format!("cut at {cut} transitions + resume: `{}`", v.label()),
+        ),
+    };
+
+    let exact = cfg.with_engine(Engine::Dpor {
+        reorder_bound: Some(u32::MAX),
+    });
+    let cut = half(&exact);
+    let overhead = if smoke {
+        gate(
+            "checkpoint overhead",
+            Floor::AtMost(CKPT_MAX_OVERHEAD),
+            CKPT_ATTEMPTS,
+            || {
+                let split = || {
+                    split_run(&inst, &exact, cut, &path)
+                        .expect("the smoke gate saw a checkpoint")
+                        .0
+                };
+                paired_ratio(CKPT_ROUNDS, split, || explore(&inst, &exact, 1)).0
+            },
+        )
+    } else {
+        report("checkpoint overhead", false, "not measured (smoke failed)")
+    };
+    let _ = std::fs::remove_file(&path);
+    overhead
+}
+
+fn pardpor_gates() -> bool {
+    let cfg = |engine| {
+        CheckConfig {
+            check_termination: false,
+            max_states: 500_000,
+            ..CheckConfig::default()
+        }
+        .with_engine(engine)
+    };
+    let dpor = cfg(Engine::Dpor {
+        reorder_bound: None,
+    });
+    let pardpor = |threads| {
+        cfg(Engine::ParallelDpor {
+            threads,
+            reorder_bound: None,
+        })
+    };
+
+    let filter3 = build_mutex(LockKind::Filter, 3, FenceMask::ALL);
+    let one = pardpor(1);
+    let dispatch = gate(
+        "pardpor dispatch",
+        Floor::AtMost(PARDPOR_MAX_DISPATCH),
+        PARDPOR_ATTEMPTS,
+        || {
+            let den = || explore(&filter3, &dpor, 1);
+            paired_ratio(PARDPOR_ROUNDS, || explore(&filter3, &one, 1), den).0
+        },
+    );
+
+    let cores = ft_bench::available_cores();
+    if cores < 2 {
+        // Parallel wall-clock on one core measures time-slicing.
+        line("skip", "pardpor scaling", "single core");
+        return dispatch;
+    }
+    let tournament4 = build_mutex(LockKind::Tournament, 4, FenceMask::ALL);
+    let many = pardpor(PARDPOR_THREADS.min(cores));
+    let scaling = gate(
+        "pardpor scaling",
+        Floor::AtLeast(PARDPOR_MIN_SPEEDUP),
+        PARDPOR_ATTEMPTS,
+        || {
+            // dpor / pardpor: above 1 means the parallel engine is faster.
+            let den = || explore(&tournament4, &many, 1);
+            paired_ratio(PARDPOR_ROUNDS, || explore(&tournament4, &dpor, 1), den).0
+        },
+    );
+    dispatch && scaling
+}
+
+#[allow(clippy::cast_precision_loss)]
+fn obs_gates() -> bool {
+    let inst = build_mutex(LockKind::Bakery, 3, FenceMask::ALL);
+    let disabled = CheckConfig {
+        check_termination: false,
+        max_states: 500_000,
+        ..CheckConfig::default()
+    }
+    .with_engine(Engine::Undo); // the default recorder is `Recorder::disabled()`
+                                // Quiet and heartbeat-free: measure the recording, not stderr I/O.
+    let live = || Recorder::builder().quiet(true).heartbeat_ms(0);
+    let enabled = disabled.clone().with_recorder(live().build());
+    // Traced against a *real* sink: the span cost worth guarding is the
+    // buffered JSONL writes, not just the id counter.
+    let sink = Arc::new(
+        JsonlSink::create(ft_bench::obs_dir().join("overhead_trace.jsonl"))
+            .unwrap_or_else(|e| ft_bench::fail("guards: creating trace stream", e)),
+    );
+    let traced = disabled
+        .clone()
+        .with_recorder(live().trace(true).sink(sink.clone()).build());
+
+    let mut fastest_disabled = Duration::MAX;
+    let mut overhead_gate = |name: &str, cfg: &CheckConfig| {
+        gate(name, Floor::AtMost(OBS_MAX_OVERHEAD), OBS_ATTEMPTS, || {
+            let den = || explore(&inst, &disabled, OBS_ITERS);
+            let (ratio, fastest) = paired_ratio(OBS_ROUNDS, || explore(&inst, cfg, OBS_ITERS), den);
+            fastest_disabled = fastest_disabled.min(fastest);
+            ratio
+        })
+    };
+    let enabled_ok = overhead_gate("obs enabled", &enabled);
+    let traced_ok = overhead_gate("obs traced", &traced);
+    if !traced_ok {
+        let phase = hottest_phase(&sink).unwrap_or_else(|| "no spans recorded".into());
+        println!("     {phase}");
+    }
+
+    let states = check(&inst.machine(MemoryModel::Pso), &disabled)
+        .stats()
+        .states;
+    let rate = (states * OBS_ITERS) as f64 / fastest_disabled.as_secs_f64().max(1e-12);
+    let baseline_path = ft_bench::obs_dir().join("overhead_baseline.txt");
+    let rebase = std::env::var("FT_OVERHEAD_REBASE").is_ok_and(|v| v == "1");
+    let baseline: Option<f64> = (!rebase)
+        .then(|| std::fs::read_to_string(&baseline_path).ok())
+        .flatten()
+        .and_then(|s| s.split_whitespace().next().and_then(|t| t.parse().ok()));
+    let baseline_ok = match baseline {
+        Some(b) => {
+            let slowdown = b / rate.max(1e-12);
+            report(
+                "obs baseline",
+                slowdown <= OBS_BASELINE_TOL,
+                &format!(
+                    "x{slowdown:.3} (floor <= x{OBS_BASELINE_TOL}; {rate:.0} vs {b:.0} states/s, \
+                     FT_OVERHEAD_REBASE=1 resets after a machine change)"
+                ),
+            )
+        }
+        None => {
+            let line = format!("{rate:.0} states/s, bakery3_pso undo, disabled recorder\n");
+            // A baseline that cannot be written means the gate silently
+            // never arms — fail loudly instead.
+            if let Err(e) = std::fs::write(&baseline_path, line) {
+                ft_bench::fail(&format!("guards: writing {}", baseline_path.display()), e);
+            }
+            report(
+                "obs baseline",
+                true,
+                &format!("wrote {} ({rate:.0} states/s)", baseline_path.display()),
+            )
+        }
+    };
+    enabled_ok && traced_ok && baseline_ok
+}
+
+fn main() -> ExitCode {
+    // Non-short-circuiting: every gate runs and reports.
+    if checkpoint_gates() & pardpor_gates() & obs_gates() {
+        println!("guards: OK");
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("guards: FAILED (see the FAIL lines above)");
+        ExitCode::FAILURE
+    }
+}

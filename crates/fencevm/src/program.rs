@@ -80,8 +80,8 @@ impl Program {
     ///
     /// [`VmProc`](crate::VmProc)'s `Hash` mixes this in — not the `Arc`
     /// address, which differs across OS processes under ASLR — so state
-    /// fingerprints agree between a fleet supervisor and the workers it
-    /// hands snapshots to.
+    /// fingerprints agree between the process that wrote a checkpoint and
+    /// the one that resumes it.
     #[must_use]
     pub fn digest(&self) -> u64 {
         self.digest

@@ -299,7 +299,7 @@ impl Eq for VmProc {}
 impl Hash for VmProc {
     fn hash<H: Hasher>(&self, state: &mut H) {
         // The program's content digest, not the Arc address: addresses
-        // differ across OS processes (ASLR), and lease-based exploration
+        // differ across OS processes (ASLR), and a resumed checkpoint
         // compares state fingerprints computed in different processes.
         // Equality stays instance-based (`Arc::ptr_eq`); equal instances
         // share a digest, so the Hash/Eq contract holds.

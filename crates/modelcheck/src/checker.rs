@@ -944,8 +944,8 @@ pub(crate) fn run_id(config: &CheckConfig, root_fp: u128) -> u64 {
     config_hash(config) ^ fold_fp(root_fp)
 }
 
-/// The run metadata stamped into every checkpoint, lease, and result of
-/// the exploration of `config` from the (crash-bounded) root `root_fp`.
+/// The run metadata stamped into every checkpoint of the exploration of
+/// `config` from the (crash-bounded) root `root_fp`.
 /// `#[inline]` for [`config_hash`]'s reason: this is its call site in the
 /// generic engine code.
 #[inline]
@@ -1015,7 +1015,7 @@ pub(crate) fn write_checkpoint(
 }
 
 /// `initial` with the configured crash bound applied: the root every
-/// engine explores from and every checkpoint and lease is keyed by. With
+/// engine explores from and every checkpoint is keyed by. With
 /// `max_crashes > 0` the clone enumerates [`wbmem::SchedElem::crash`]
 /// steps too.
 pub(crate) fn bounded_root<'a, P: Process>(

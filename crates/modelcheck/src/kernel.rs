@@ -21,7 +21,7 @@
 //!
 //! Every walk starts from a [`ForkPoint`] — a fresh run's is the root's
 //! expansion ([`root_fork`]) — and every open frame serializes back into
-//! one, which is all that checkpoints, donations and leases are. Choices
+//! one, which is all that checkpoints and donations are. Choices
 //! of all frames live in one arena: a frame owns the window
 //! `arena[lo..hi]` of choices still to take, and the top frame's region
 //! is the arena's tail (where the cycle proviso appends to it).

@@ -41,7 +41,6 @@ mod dpor;
 pub mod driver;
 pub mod elision;
 mod kernel;
-pub mod lease;
 pub mod outcomes;
 mod pardpor;
 mod resume;
@@ -53,7 +52,6 @@ pub use checker::{
 pub use driver::{all_ok, check_under_models, ModelVerdict};
 pub use elision::{elision_table, minimal_fences, ElisionRow};
 pub use ftobs::{MetricsSnapshot, Recorder};
-pub use lease::{run_lease, LeaseOutcome, LeaseStatus};
 pub use outcomes::{terminal_outcomes, Outcome};
 pub use por::{Snapshot, SnapshotError};
 pub use resume::resume;

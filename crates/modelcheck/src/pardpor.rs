@@ -1,9 +1,9 @@
 //! The work-stealing [`Frontier`] (`Shared`) and its coordinator: what
 //! [`Engine::Parallel`](crate::Engine::Parallel) (`NoReduction`) and
 //! [`Engine::ParallelDpor`](crate::Engine::ParallelDpor) (`SleepAmple`)
-//! add to the kernel's walk, and what [`crate::resume`] and
-//! [`crate::run_lease`] re-enter through. DESIGN.md §7 has the fork-point
-//! protocol and the soundness argument; in short:
+//! add to the kernel's walk, and what [`crate::resume`] re-enters
+//! through. DESIGN.md §7 has the fork-point protocol and the soundness
+//! argument; in short:
 //!
 //! * **First visits** are decided by the lock-free [`por::FpTable`]:
 //!   state counting and property checks happen exactly once across all
@@ -27,9 +27,7 @@
 //!   frontier checkpointed. Small *reduced* runs skip the workers: below
 //!   a state threshold (default 4096; `FT_PARDPOR_SEQ` overrides, `0`
 //!   disables) the sequential engine runs first, capped at the
-//!   threshold, and only an overflow starts the sweep. A lease calls
-//!   [`sweep`] directly and gets the raw outcome: the fleet supervisor
-//!   owns the discipline.
+//!   threshold, and only an overflow starts the sweep.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -74,30 +72,31 @@ pub(crate) fn worker_count(threads: usize) -> usize {
 }
 
 /// What one worker found; reports merge by [`absorb`](Report::absorb)
-/// into the raw outcome of a [`sweep`], whose last four fields the
+/// into the outcome of a [`sweep`], whose last four fields the
 /// coordinator fills in.
 #[derive(Default)]
-pub(crate) struct Report {
-    pub(crate) transitions: usize,
+struct Report {
+    transitions: usize,
     /// Fingerprints of the all-done states first visited.
-    pub(crate) terminals: Vec<u128>,
+    terminals: Vec<u128>,
     /// `(parent, child)` edges, walked and probed (termination check only).
-    pub(crate) edges: Vec<(u128, u128)>,
+    edges: Vec<(u128, u128)>,
     /// A property violation was seen; a sequential rerun has the details.
-    pub(crate) violated: bool,
+    violated: bool,
     /// Open DFS frames at an early stop.
-    pub(crate) frontier: usize,
-    pub(crate) sleep_hits: usize,
+    frontier: usize,
+    sleep_hits: usize,
     /// The unexplored remainder at an early stop: every open frame, plus
     /// (after the merge) the queue's undrained tasks.
-    pub(crate) forks: Vec<ForkPoint>,
-    pub(crate) est: EstStats,
+    forks: Vec<ForkPoint>,
+    est: EstStats,
     /// A worker thread panicked (first message).
-    pub(crate) panicked: Option<String>,
+    panicked: Option<String>,
     /// The global state count: the seed's plus this sweep's first visits.
-    pub(crate) states: usize,
+    states: usize,
     /// The deadline or a stop trigger cut the sweep short.
-    pub(crate) budget_hit: bool,
+    budget_hit: bool,
+    /// The watchdog declared a worker stalled.
     tripped: bool,
 }
 
@@ -310,12 +309,12 @@ pub(crate) fn check_shared<P: Process>(
 }
 
 /// Spawn `threads` workers over the seeded first-visit table and work
-/// queue, join them, and merge what they found — no gate, no rerun, no
-/// termination pass. `seed` is `(fingerprints already visited, fork
+/// queue, join them, and merge what they found; [`check_shared`] turns
+/// that into a verdict. `seed` is `(fingerprints already visited, fork
 /// points to start from — `None` for the root's expansion —, states
-/// already counted)`. `watchdog` supervises the workers' heartbeats;
-/// lease workers pass `None`, being supervised from outside.
-pub(crate) fn sweep<P: Process>(
+/// already counted)`. `watchdog`, when set, supervises the workers'
+/// heartbeats at that interval.
+fn sweep<P: Process>(
     initial: &Machine<P>,
     config: &CheckConfig,
     deadline: Option<Instant>,

@@ -26,11 +26,53 @@
 
 use std::path::Path;
 
-use por::Snapshot;
+use por::{RunMeta, Snapshot};
 use wbmem::{Machine, Process};
 
-use crate::checker::{dispatch, CheckConfig, CheckError, Stats, Verdict};
-use crate::lease::{run_meta, validate_meta};
+use crate::checker::{
+    bounded_root, dispatch, run_meta_of, CheckConfig, CheckError, Engine, Stats, Verdict,
+};
+
+/// The run metadata a checkpoint for `(initial, config)` must carry. The
+/// program hash is taken over the crash-bounded root when the
+/// configuration injects crashes, exactly as the engines hash it.
+fn run_meta<P: Process>(initial: &Machine<P>, config: &CheckConfig) -> RunMeta {
+    run_meta_of(config, bounded_root(initial, config).fingerprint())
+}
+
+/// Validate a snapshot's metadata against the expected metadata for this
+/// process's program and configuration, and that the engine can continue
+/// one at all. The error message names the first mismatch.
+fn validate_meta(meta: &RunMeta, expect: &RunMeta) -> Result<(), String> {
+    if meta.engine != expect.engine {
+        return Err(format!(
+            "engine mismatch: checkpoint was written by `{}`, resuming as `{}`",
+            meta.engine, expect.engine
+        ));
+    }
+    if meta.config_hash != expect.config_hash {
+        return Err(
+            "configuration mismatch: checkpoint was written under different \
+             properties/bounds/crash settings"
+                .to_string(),
+        );
+    }
+    if meta.program_hash != expect.program_hash {
+        return Err(
+            "program mismatch: checkpoint was written for a different initial state".to_string(),
+        );
+    }
+    // Every kernel engine can continue a checkpoint (a sequential one as
+    // one worker, a parallel one as itself); the oracle has no
+    // serialized form.
+    if expect.engine == Engine::CloneDfs.label() {
+        let label = &expect.engine;
+        return Err(format!(
+            "engine `{label}` does not support checkpoint/resume"
+        ));
+    }
+    Ok(())
+}
 
 /// Continue an exploration from the checkpoint at `path`.
 ///
@@ -57,8 +99,6 @@ pub fn resume<P: Process>(initial: &Machine<P>, config: &CheckConfig, path: &Pat
         Ok(snap) => snap,
         Err(e) => return refuse(CheckError::from(e)),
     };
-    // The checks are shared with the fleet worker's lease validation
-    // (`crate::lease`), so the two read paths cannot drift.
     match validate_meta(&snap.meta, &run_meta(initial, config)) {
         Ok(()) => dispatch(initial, config, Some(snap)),
         Err(msg) => refuse(CheckError::Checkpoint(msg)),

@@ -20,8 +20,8 @@
 //! The zero-cost contract: [`Recorder::disabled`] carries no allocation
 //! and every method on it is a single branch, so instrumented code paths
 //! (`wbmem::Machine::emit`, the four `modelcheck` engines, `por::expand`)
-//! pay nothing measurable when observability is off — the `obs_overhead`
-//! guard in CI holds the enabled path to ≤5% and the disabled path to
+//! pay nothing measurable when observability is off — the `guards` bin
+//! in CI holds the enabled path to ≤5% and the disabled path to
 //! noise. [`MetricsSnapshot`] is `Copy` and its equality covers only the
 //! deterministic counter subset, so `modelcheck::Stats` embeds one and
 //! the engine differential suites can assert bit-identical metrics across

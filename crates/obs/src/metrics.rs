@@ -110,18 +110,6 @@ pub enum Metric {
     TraceSpans,
     /// Causal trace spans dropped (tracing on but no sink attached).
     TraceDropped,
-    /// Fleet leases issued to worker processes (initial grants and
-    /// re-grants alike).
-    LeasesIssued,
-    /// Fleet leases reassigned after a worker death, stall, or torn
-    /// result.
-    LeasesReassigned,
-    /// Worker processes that died or stalled past their heartbeat
-    /// deadline.
-    WorkersLost,
-    /// Leases that exhausted their retry budget and were completed by the
-    /// in-process degradation path.
-    PoisonedLeases,
 }
 
 /// All counters, in `repr(usize)` order.
@@ -160,15 +148,11 @@ pub const METRICS: [Metric; Metric::COUNT] = [
     Metric::CoreSize,
     Metric::TraceSpans,
     Metric::TraceDropped,
-    Metric::LeasesIssued,
-    Metric::LeasesReassigned,
-    Metric::WorkersLost,
-    Metric::PoisonedLeases,
 ];
 
 impl Metric {
     /// Total number of counters.
-    pub const COUNT: usize = Metric::PoisonedLeases as usize + 1;
+    pub const COUNT: usize = Metric::TraceDropped as usize + 1;
 
     /// Counters with index `< DETERMINISTIC_END` compare in snapshot
     /// equality; the rest are traversal- or timing-dependent.
@@ -212,10 +196,6 @@ impl Metric {
             Metric::CoreSize => "core_size",
             Metric::TraceSpans => "trace_spans",
             Metric::TraceDropped => "trace_dropped",
-            Metric::LeasesIssued => "leases_issued",
-            Metric::LeasesReassigned => "leases_reassigned",
-            Metric::WorkersLost => "workers_lost",
-            Metric::PoisonedLeases => "poisoned_leases",
         }
     }
 }
@@ -594,6 +574,25 @@ mod tests {
         for i in 1..HIST_BUCKETS - 1 {
             assert_eq!(bucket_index(bucket_floor(i)), i);
         }
+    }
+
+    /// `por::snapshot` stores counters, gauges and span totals by name, so
+    /// the listing arrays must cover every variant in index order and no
+    /// two slots of one kind may share a name.
+    #[test]
+    fn listings_are_in_index_order_with_unique_names() {
+        fn check<T: Copy>(all: &[T], index: impl Fn(T) -> usize, name: impl Fn(T) -> &'static str) {
+            for (i, &x) in all.iter().enumerate() {
+                assert_eq!(index(x), i, "`{}` is out of place", name(x));
+                assert!(!name(x).is_empty());
+                for &y in &all[..i] {
+                    assert_ne!(name(x), name(y), "two slots share a name");
+                }
+            }
+        }
+        check(&METRICS, |m| m as usize, Metric::name);
+        check(&GAUGES, |g| g as usize, Gauge::name);
+        check(&PHASES, |p| p as usize, Phase::name);
     }
 
     #[test]

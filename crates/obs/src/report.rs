@@ -251,7 +251,6 @@ fn non_counter_key(key: &str) -> bool {
     matches!(key, "t_ms" | "kind" | "workload" | "engine" | "hot_pcs")
         || RESILIENCE_COLS.contains(&key)
         || SYNTH_COLS.contains(&key)
-        || FLEET_COLS.contains(&key)
         || key.ends_with("_hist")
         || key.starts_with("span_")
         || is_per_proc(key)
@@ -264,14 +263,6 @@ const RESILIENCE_COLS: [&str; 4] = [
     "checkpoint_bytes",
     "resume_replayed",
     "watchdog_trips",
-];
-
-/// Multi-process fleet supervision counters likewise get their own table.
-const FLEET_COLS: [&str; 4] = [
-    "leases_issued",
-    "leases_reassigned",
-    "workers_lost",
-    "poisoned_leases",
 ];
 
 /// Fence-synthesis counters likewise get their own table.
@@ -321,16 +312,17 @@ pub fn render_report(title: &str, lines: &[String]) -> String {
             "dedup_hits",
             "max_frontier",
         ];
-        // Any other integer-valued snapshot key becomes a trailing
-        // column (sorted for a stable layout) — unknown counter names
-        // render instead of vanishing.
+        // Any other integer-valued snapshot key that is non-zero in some
+        // row becomes a trailing column (sorted for a stable layout) —
+        // unknown counter names render instead of vanishing, and a
+        // counter no row moved does not widen the table.
         let mut extra: Vec<String> = Vec::new();
         for f in snaps.values() {
             for (k, v) in f {
                 if !base_cols.contains(&k.as_str())
                     && !non_counter_key(k)
                     && !extra.iter().any(|e| e == k)
-                    && v.parse::<u64>().is_ok()
+                    && v.parse::<u64>().is_ok_and(|n| n > 0)
                 {
                     extra.push(k.clone());
                 }
@@ -439,52 +431,6 @@ pub fn render_report(title: &str, lines: &[String]) -> String {
                 .map(|(k, n)| format!("`{k}` × {n}"))
                 .collect();
             let _ = writeln!(out, "Resilience events: {}.\n", pretty.join(", "));
-        }
-    }
-
-    // --- Fleet: multi-process lease supervision activity.
-    let fleet_rows: Vec<(&(String, String), [u64; 4])> = snaps
-        .iter()
-        .map(|(k, f)| {
-            let mut vals = [0u64; 4];
-            for (i, col) in FLEET_COLS.iter().enumerate() {
-                vals[i] = get_u64(f, col);
-            }
-            (k, vals)
-        })
-        .filter(|(_, vals)| vals.iter().any(|&v| v > 0))
-        .collect();
-    let mut fleet_events: BTreeMap<String, u64> = BTreeMap::new();
-    for e in &events {
-        if let Some(kind) = e.fields.get("kind") {
-            if kind.starts_with("fleet_") {
-                *fleet_events.entry(kind.clone()).or_insert(0) += 1;
-            }
-        }
-    }
-    if !fleet_rows.is_empty() || !fleet_events.is_empty() {
-        let _ = writeln!(out, "## Fleet\n");
-        if !fleet_rows.is_empty() {
-            let _ = writeln!(
-                out,
-                "| workload | engine | leases issued | leases reassigned | workers lost | poisoned leases |"
-            );
-            let _ = writeln!(out, "|---|---|---:|---:|---:|---:|");
-            for ((workload, engine), vals) in &fleet_rows {
-                let _ = writeln!(
-                    out,
-                    "| {workload} | {engine} | {} | {} | {} | {} |",
-                    vals[0], vals[1], vals[2], vals[3]
-                );
-            }
-            let _ = writeln!(out);
-        }
-        if !fleet_events.is_empty() {
-            let pretty: Vec<String> = fleet_events
-                .iter()
-                .map(|(k, n)| format!("`{k}` × {n}"))
-                .collect();
-            let _ = writeln!(out, "Fleet events: {}.\n", pretty.join(", "));
         }
     }
 
@@ -723,30 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_fleet_table() {
-        let lines = vec![
-            r#"{"t_ms":1,"kind":"snapshot","workload":"peterson2_tso","engine":"pardpor","states":9,"leases_issued":6,"leases_reassigned":2,"workers_lost":1,"poisoned_leases":1}"#.to_string(),
-            r#"{"t_ms":2,"kind":"fleet_lease_reassigned","workload":"peterson2_tso","engine":"pardpor","lease":1,"faults":1}"#.to_string(),
-            r#"{"t_ms":3,"kind":"fleet_endgame","workload":"peterson2_tso","engine":"pardpor","leftover_forks":3}"#.to_string(),
-            r#"{"t_ms":4,"kind":"snapshot","workload":"quiet","engine":"undo","states":3}"#.to_string(),
-        ];
-        let r = render_report("Test", &lines);
-        assert!(r.contains("## Fleet"), "section present: {r}");
-        assert!(
-            r.contains("| peterson2_tso | pardpor | 6 | 2 | 1 | 1 |"),
-            "counters tabulated: {r}"
-        );
-        assert!(
-            r.contains("`fleet_lease_reassigned` × 1") && r.contains("`fleet_endgame` × 1"),
-            "events counted: {r}"
-        );
-        // All-zero rows stay out; fleet counters never leak into the
-        // comparison extras.
-        assert!(!r.contains("| quiet | undo | 0 | 0 | 0 | 0 |"));
-        assert!(!r.contains("leases_issued |"), "no extra column: {r}");
-    }
-
-    #[test]
     fn report_renders_unknown_counters_as_extra_columns() {
         let lines = vec![
             r#"{"t_ms":1,"kind":"snapshot","workload":"filter3_pso","engine":"dpor","states":50,"transitions":90,"fences":4,"rmrs":8,"crashes":0,"sleep_hits":9,"dedup_hits":5,"max_frontier":3}"#.to_string(),
@@ -767,5 +689,21 @@ mod tests {
         // …and structural / per-proc / span keys stay out of the table.
         assert!(!r.contains("| p0_fences"), "per-proc keys excluded: {r}");
         assert!(!r.contains("span_explore_ns |"), "span keys excluded: {r}");
+    }
+
+    #[test]
+    fn comparison_table_drops_extra_columns_that_are_zero_in_every_row() {
+        let lines = vec![
+            r#"{"t_ms":1,"kind":"snapshot","workload":"ttas2_pso","engine":"undo","states":86,"crashes":0,"cas_ops":18,"swap_ops":0,"heartbeats":0}"#.to_string(),
+            r#"{"t_ms":2,"kind":"snapshot","workload":"ttas2_pso","engine":"dpor","states":86,"crashes":0,"cas_ops":0,"swap_ops":0,"heartbeats":0}"#.to_string(),
+        ];
+        let r = render_report("Test", &lines);
+        // `cas_ops` moved in one row, so it is a column (zero in the
+        // other); `swap_ops` and `heartbeats` moved in none.
+        assert!(r.contains("| max_frontier | cas_ops |\n"), "{r}");
+        assert!(r.contains("| ttas2_pso | dpor | 86 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 |"));
+        assert!(r.contains("| ttas2_pso | undo | 86 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 18 |"));
+        // The eight leading columns are the table's fixed layout.
+        assert!(r.contains("| crashes |"), "{r}");
     }
 }

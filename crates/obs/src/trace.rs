@@ -32,7 +32,7 @@
 //! `.trace(true)` or `FT_OBS_TRACE=1` turns it on); every `TraceCtx`
 //! operation on a non-tracing recorder is a branch and a return, which
 //! is what keeps the tracing-disabled path bit-identical and inside the
-//! `obs_overhead` budget.
+//! overhead budget (`guards`).
 //!
 //! Reading back: [`parse_spans`] on a (possibly torn) JSONL stream,
 //! [`validate_spans`] for the forest invariants, [`chrome_trace`] for a

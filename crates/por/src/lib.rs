@@ -66,5 +66,5 @@ pub use expand::{expand, expand_into, Expansion};
 pub use fork::{ForkPoint, ForkQueue};
 pub use fptable::FpTable;
 pub use sleep::SleepSet;
-pub use snapshot::{fnv1a, BaseCounts, RunMeta, Snapshot, SnapshotError};
+pub use snapshot::{BaseCounts, RunMeta, Snapshot, SnapshotError};
 pub use visited::{DenseHeads, FpHeads, Heads, VisitTable};

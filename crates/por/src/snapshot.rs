@@ -36,7 +36,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-use ftobs::{Gauge, Metric, MetricsSnapshot, Phase, ProcSteps, HIST_BUCKETS, MAX_PROCS};
+use ftobs::{MetricsSnapshot, ProcSteps, GAUGES, HIST_BUCKETS, MAX_PROCS, METRICS, PHASES};
 use wbmem::{Footprint, FootprintKind, ProcId, RegId, SchedElem};
 
 use crate::fork::ForkPoint;
@@ -45,15 +45,16 @@ use crate::sleep::SleepSet;
 /// File magic, first bytes of every checkpoint.
 pub const MAGIC: [u8; 6] = *b"FTCKPT";
 
-/// Current format version. Readers reject any other version (the format
-/// embeds the metric taxonomy's array sizes, so it changes whenever the
-/// taxonomy does — v2 added the fence-synthesis counters; v3 added the
-/// trace counters and the fork points' causal span ids; v4 added the
-/// fleet supervision counters). v5 changed no field: the state
-/// fingerprint function changed, and a file whose visited set, edges and
-/// program hash were computed with the old one must not seed a run that
-/// computes the new one.
-pub const VERSION: u32 = 5;
+/// Current format version; readers reject any other. The metrics section
+/// names its counters, gauges and span totals (see `enc_metrics`), so
+/// adding one to `ftobs` is not a format change: an older file simply
+/// does not mention it and it decodes as 0. Removing or renaming one is —
+/// the reader refuses a name it does not know rather than drop a value a
+/// resume would have summed — and so is anything that changes what the
+/// stored fingerprints mean. v6 is the first version with the named
+/// section (v2–v4 each tracked a positional counter array; v5 changed the
+/// state fingerprint function).
+pub const VERSION: u32 = 6;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -333,9 +334,8 @@ impl<'a> Dec<'a> {
 
 /// FNV-1a over the payload: dependency-free, and plenty against torn
 /// writes and bit rot (adversarial corruption is out of scope — the
-/// checkpoint sits next to the checker's own binary). Public so the
-/// fleet's lease/result wire format checksums with the same function.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+/// checkpoint sits next to the checker's own binary).
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -344,8 +344,46 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The name-keyed slot kinds of the metrics section; an entry's kind tag
+/// is its index here.
+const SLOT_KINDS: u8 = 4;
+
+fn slot_names(kind: u8) -> Vec<&'static str> {
+    match kind {
+        0 => METRICS.iter().map(|m| m.name()).collect(),
+        1 => GAUGES.iter().map(|g| g.name()).collect(),
+        _ => PHASES.iter().map(|p| p.name()).collect(),
+    }
+}
+
+fn slots(m: &mut MetricsSnapshot, kind: u8) -> &mut [u64] {
+    match kind {
+        0 => &mut m.counters,
+        1 => &mut m.gauges,
+        2 => &mut m.span_ns,
+        _ => &mut m.span_count,
+    }
+}
+
+/// Counters, gauges and span totals go out as a count-prefixed list of
+/// `(kind tag, name, value)` with zero values left out; the per-process
+/// slots and the two histograms follow, length-prefixed.
 fn enc_metrics(e: &mut Enc, m: &MetricsSnapshot) {
-    e.u64s(&m.counters);
+    let mut m = *m; // a copy, so `slots` serves both directions
+    let mut named = Vec::new();
+    for kind in 0..SLOT_KINDS {
+        for (name, &v) in slot_names(kind).into_iter().zip(slots(&mut m, kind).iter()) {
+            if v != 0 {
+                named.push((kind, name, v));
+            }
+        }
+    }
+    e.u32(named.len() as u32);
+    for (kind, name, v) in named {
+        e.u8(kind);
+        e.str(name);
+        e.u64(v);
+    }
     e.u32(m.per_proc.len() as u32);
     for p in &m.per_proc {
         e.u64(p.fences);
@@ -354,15 +392,34 @@ fn enc_metrics(e: &mut Enc, m: &MetricsSnapshot) {
     }
     e.u64s(&m.buffer_depth.buckets);
     e.u64s(&m.frame_depth.buckets);
-    e.u64s(&m.gauges);
-    e.u64s(&m.span_ns);
-    e.u64s(&m.span_count);
 }
 
+/// A name the file does not mention decodes as 0. A name this build does
+/// not know, one given twice, or an explicit zero is refused: a resume
+/// sums these values, so none may be dropped silently.
 fn dec_metrics(d: &mut Dec<'_>) -> Result<MetricsSnapshot, SnapshotError> {
     let mut m = MetricsSnapshot::default();
-    let counters = d.u64s_exact(Metric::COUNT, "metric counter count")?;
-    m.counters.copy_from_slice(&counters);
+    let names: Vec<_> = (0..SLOT_KINDS).map(slot_names).collect();
+    for _ in 0..d.count(13)? {
+        let kind = d.u8()?;
+        if kind >= SLOT_KINDS {
+            return Err(SnapshotError::Corrupt("metric kind"));
+        }
+        let name = d.str()?;
+        let value = d.u64()?;
+        let i = names[usize::from(kind)]
+            .iter()
+            .position(|&n| n == name)
+            .ok_or(SnapshotError::Corrupt("unknown metric name"))?;
+        let slot = &mut slots(&mut m, kind)[i];
+        if value == 0 {
+            return Err(SnapshotError::Corrupt("zero metric value"));
+        }
+        if *slot != 0 {
+            return Err(SnapshotError::Corrupt("duplicate metric name"));
+        }
+        *slot = value;
+    }
     let np = d.count(24)?;
     if np != MAX_PROCS {
         return Err(SnapshotError::Corrupt("per-proc slot count"));
@@ -380,12 +437,6 @@ fn dec_metrics(d: &mut Dec<'_>) -> Result<MetricsSnapshot, SnapshotError> {
     m.frame_depth
         .buckets
         .copy_from_slice(&d.u64s_exact(HIST_BUCKETS, "histogram bucket count")?);
-    m.gauges
-        .copy_from_slice(&d.u64s_exact(Gauge::COUNT, "gauge count")?);
-    m.span_ns
-        .copy_from_slice(&d.u64s_exact(Phase::COUNT, "span count")?);
-    m.span_count
-        .copy_from_slice(&d.u64s_exact(Phase::COUNT, "span count")?);
     Ok(m)
 }
 
@@ -597,6 +648,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftobs::{Gauge, Metric, Phase};
 
     fn sample() -> Snapshot {
         let mut sleep = SleepSet::new();
@@ -610,9 +662,14 @@ mod tests {
         let mut metrics = MetricsSnapshot::default();
         metrics.counters[Metric::States as usize] = 41;
         metrics.counters[Metric::Fences as usize] = 7;
+        metrics.counters[Metric::COUNT - 1] = u64::MAX;
         metrics.per_proc[1].fences = 7;
         metrics.buffer_depth.buckets[2] = 5;
+        metrics.frame_depth.buckets[9] = 3;
         metrics.gauges[Gauge::MaxFrontier as usize] = 12;
+        metrics.span_ns[Phase::Explore as usize] = 1_500_000;
+        metrics.span_count[Phase::Explore as usize] = 2;
+        metrics.span_count[Phase::Solo as usize] = 1;
         Snapshot {
             meta: RunMeta {
                 engine: "dpor".into(),
@@ -651,6 +708,72 @@ mod tests {
         }
     }
 
+    /// Full (not just deterministic-projection) metric equality.
+    fn assert_all_slots_eq(a: &MetricsSnapshot, b: &MetricsSnapshot) {
+        assert_eq!(a.counters, b.counters);
+        assert_eq!(a.gauges, b.gauges);
+        assert_eq!(a.span_ns, b.span_ns);
+        assert_eq!(a.span_count, b.span_count);
+        assert_eq!(a.per_proc, b.per_proc);
+        assert_eq!(a.buffer_depth, b.buffer_depth);
+        assert_eq!(a.frame_depth, b.frame_depth);
+    }
+
+    /// Decode a metrics section whose named list is `entries` (kind tag,
+    /// name, value) and whose fixed tail is all zero.
+    fn decode_named(entries: &[(u8, &str, u64)]) -> Result<MetricsSnapshot, SnapshotError> {
+        let mut zero = Enc { buf: Vec::new() };
+        enc_metrics(&mut zero, &MetricsSnapshot::default());
+        let mut e = Enc { buf: Vec::new() };
+        e.u32(entries.len() as u32);
+        for &(kind, name, value) in entries {
+            e.u8(kind);
+            e.str(name);
+            e.u64(value);
+        }
+        // The all-zero section is an empty list (a zero count) + the tail.
+        e.buf.extend_from_slice(&zero.buf[4..]);
+        let mut d = Dec {
+            buf: &e.buf,
+            pos: 0,
+        };
+        let m = dec_metrics(&mut d)?;
+        assert_eq!(d.pos, e.buf.len(), "section fully consumed");
+        Ok(m)
+    }
+
+    #[test]
+    fn a_name_the_section_omits_decodes_as_zero() {
+        let got = decode_named(&[(0, "fences", 7), (1, "max_depth", 3), (3, "solo", 2)]).unwrap();
+        let mut want = MetricsSnapshot::default();
+        want.counters[Metric::Fences as usize] = 7;
+        want.gauges[Gauge::MaxDepth as usize] = 3;
+        want.span_count[Phase::Solo as usize] = 2;
+        assert_all_slots_eq(&got, &want);
+    }
+
+    #[test]
+    fn unknown_repeated_and_zero_metric_entries_are_refused() {
+        let refused = |entries: &[(u8, &str, u64)]| match decode_named(entries) {
+            Err(SnapshotError::Corrupt(what)) => what,
+            other => panic!("{entries:?} must be refused as corrupt, got {other:?}"),
+        };
+        // A counter this build does not have (the parent's did)…
+        assert_eq!(refused(&[(0, "workers_lost", 6)]), "unknown metric name");
+        // …a known name under the wrong kind, or an unknown kind…
+        assert_eq!(refused(&[(1, "states", 1)]), "unknown metric name");
+        assert_eq!(refused(&[(4, "states", 1)]), "metric kind");
+        // …the same slot twice (a resume would sum only one of them)…
+        assert_eq!(
+            refused(&[(0, "states", 1), (0, "fences", 2), (0, "states", 1)]),
+            "duplicate metric name"
+        );
+        // …and a zero, which the writer leaves out.
+        assert_eq!(refused(&[(0, "states", 0)]), "zero metric value");
+        // The same name under two kinds is two slots, not a repeat.
+        assert!(decode_named(&[(2, "explore", 9), (3, "explore", 1)]).is_ok());
+    }
+
     #[test]
     fn roundtrip_preserves_everything() {
         let s = sample();
@@ -669,10 +792,7 @@ mod tests {
         assert_eq!(a.excluded, b.excluded);
         assert_eq!(a.remaining, b.remaining);
         assert_eq!(a.span, b.span);
-        // Full (not just deterministic-projection) metric equality.
-        assert_eq!(got.metrics.counters, s.metrics.counters);
-        assert_eq!(got.metrics.gauges, s.metrics.gauges);
-        assert_eq!(got.metrics.buffer_depth, s.metrics.buffer_depth);
+        assert_all_slots_eq(&got.metrics, &s.metrics);
     }
 
     #[test]
@@ -723,14 +843,18 @@ mod tests {
     #[test]
     fn a_version_4_file_is_refused_even_when_otherwise_valid() {
         // The header sits outside the checksummed payload, so restamping
-        // the version leaves a file that passes every other check.
-        let mut bytes = sample().to_bytes();
-        assert_eq!(bytes[MAGIC.len()..MAGIC.len() + 4], VERSION.to_le_bytes());
-        bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&4u32.to_le_bytes());
-        assert_eq!(
-            Snapshot::from_bytes(&bytes).unwrap_err(),
-            SnapshotError::BadVersion(4)
-        );
+        // the version leaves a file that passes every other check. v5 is
+        // the positional-metrics format the previous release wrote: it
+        // must be named as a version mismatch, not decoded into `Corrupt`.
+        for old in [4u32, 5] {
+            let mut bytes = sample().to_bytes();
+            assert_eq!(bytes[MAGIC.len()..MAGIC.len() + 4], VERSION.to_le_bytes());
+            bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                Snapshot::from_bytes(&bytes).unwrap_err(),
+                SnapshotError::BadVersion(old)
+            );
+        }
     }
 
     #[test]
@@ -758,5 +882,7 @@ mod tests {
         assert!(got.forks.is_empty());
         assert!(got.visited.is_empty());
         assert_eq!(got.meta.engine, "");
+        // Every counter zero: the named section is an empty list.
+        assert_all_slots_eq(&got.metrics, &MetricsSnapshot::default());
     }
 }

@@ -356,32 +356,6 @@ impl std::fmt::Display for LockKind {
     }
 }
 
-impl std::str::FromStr for LockKind {
-    type Err = String;
-
-    /// Inverse of `Display` (`"bakery"`, `"gt(f=2)"`, …), so lock kinds
-    /// round-trip through process boundaries (fleet job files, CLI args).
-    fn from_str(s: &str) -> Result<LockKind, String> {
-        match s {
-            "bakery" => Ok(LockKind::Bakery),
-            "bakery-paper-listing" => Ok(LockKind::BakeryPaperListing),
-            "peterson" => Ok(LockKind::Peterson),
-            "tournament" => Ok(LockKind::Tournament),
-            "ttas" => Ok(LockKind::Ttas),
-            "mcs" => Ok(LockKind::Mcs),
-            "filter" => Ok(LockKind::Filter),
-            "r-ttas" => Ok(LockKind::RecoverableTtas),
-            "r-bakery" => Ok(LockKind::RecoverableBakery),
-            other => other
-                .strip_prefix("gt(f=")
-                .and_then(|rest| rest.strip_suffix(')'))
-                .and_then(|h| h.parse().ok())
-                .map(|f| LockKind::Gt { f })
-                .ok_or_else(|| format!("unknown lock kind `{other}`")),
-        }
-    }
-}
-
 /// Build a complete ordering-object instance for `kind` over `n` processes
 /// with all fences enabled.
 #[must_use]

@@ -4,8 +4,8 @@
 //! the XOR of one 128-bit hash per state component, each computed with
 //! [`FpHasher`]: a two-lane multiply-fold mixer with fixed seeds. It reads
 //! no `RandomState` and no addresses, so two OS processes fingerprint the
-//! same state identically — the exploration fleet compares fingerprints
-//! across processes and checkpoints store them on disk.
+//! same state identically — checkpoints store fingerprints on disk and a
+//! later process resumes from them.
 //!
 //! The fingerprints it produces are already uniformly mixed, so the tables
 //! keyed by them ([`FpMap`], [`FpSet`]) hash a key by folding its two
@@ -147,8 +147,8 @@ mod tests {
 
     #[test]
     fn digests_are_pinned_across_builds_and_processes() {
-        // Checkpoints and fleet leases carry fingerprints between OS
-        // processes: the function must never depend on the run.
+        // Checkpoints carry fingerprints between OS processes: the
+        // function must never depend on the run.
         assert_eq!(
             digest(|h| h.write_u64(1)),
             0xf81e_3a1e_d69c_55b2_57b7_b4d5_735d_e445_u128,

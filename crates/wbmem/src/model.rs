@@ -64,22 +64,6 @@ impl fmt::Display for MemoryModel {
     }
 }
 
-impl std::str::FromStr for MemoryModel {
-    type Err = String;
-
-    /// Inverse of `Display`, case-insensitive, so models round-trip
-    /// through process boundaries (fleet job files, CLI args).
-    fn from_str(s: &str) -> Result<MemoryModel, String> {
-        match s.to_ascii_uppercase().as_str() {
-            "SC" => Ok(MemoryModel::Sc),
-            "TSO" => Ok(MemoryModel::Tso),
-            "PSO" => Ok(MemoryModel::Pso),
-            "RMO" => Ok(MemoryModel::Rmo),
-            other => Err(format!("unknown memory model `{other}`")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,8 +29,9 @@ stage "cargo build --release" \
 stage "cargo test -q" \
     cargo test -q
 
-stage "cargo test -q (FT_THREADS=2, exercises the parallel sweeps/engine)" \
-    env FT_THREADS=2 cargo test -q
+stage "the two suites that read FT_THREADS, at FT_THREADS=2 (parallel sweeps/engine)" \
+    env FT_THREADS=2 cargo test -q -p modelcheck --test differential_pardpor \
+        -p fence-trade --test integration_locks_models
 
 stage "benchmark/ package builds and its smoke test passes (bench_probe calls wbmem/por signatures directly)" \
     bash -c 'cd benchmark && cargo test --offline'
@@ -58,22 +59,10 @@ stage "obs_trace smoke run (forest validation + Chrome trace export of the E17 s
 stage "obs_report smoke run (renders the JSONL the E12 run just wrote)" \
     bash -c "cargo run --release -p ft-bench --bin obs_report > /dev/null"
 
-stage "observability overhead guard (enabled and traced ≤5%, disabled ≤10% vs baseline, bakery3_pso)" \
-    cargo run --release -p ft-bench --bin obs_overhead
-
-stage "parallel DPOR guard (≥1.5x scaling on multi-core, ≤5% threads=1 regression, filter3_pso)" \
-    cargo run --release -p ft-bench --bin pardpor_guard
-
-stage "fleet guard (kill-one-worker chaos smoke: fleet verdict+metrics == fault-free fleet; skipped on 1 core)" \
-    cargo run --release -p ft-bench --bin fleet_guard
-
-stage "E18 fleet experiment (fast mode: 2 cells x fault-free + chaos fleets, exactness asserted)" \
-    env FT_E18_FAST=1 cargo run --release -p ft-bench --bin exp_e18_fleet
-
 stage "E15 resume-overhead experiment (fast mode)" \
     env FT_E15_FAST=1 cargo run --release -p ft-bench --bin exp_e15_resume
 
-stage "kill-and-resume smoke + checkpoint guard (n=3 DPOR cut -> checkpoint -> resume == fresh; overhead ≤10%)" \
-    cargo run --release -p ft-bench --bin checkpoint_guard
+stage "guards: every wall-clock gate (checkpoint smoke + overhead ≤10%, pardpor dispatch ≤5% + scaling ≥1.5x, recorder overhead ≤5%, disabled-path baseline)" \
+    cargo run --release -p ft-bench --bin guards
 
 echo "CI green."
