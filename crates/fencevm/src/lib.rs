@@ -53,4 +53,4 @@ pub use asm::{Asm, Label};
 pub use instr::{BinOp, CondOp, Instr, Loc, Src};
 pub use program::Program;
 pub use rewrite::{fence_pcs, insert_fences_after, strip_fences, write_pcs, Rewritten};
-pub use vmproc::VmProc;
+pub use vmproc::{VmProc, INLINE_LOCALS};

@@ -13,18 +13,41 @@ use crate::program::Program;
 /// schedule it fairly), so the interpreter panics rather than spinning.
 const MAX_INTERNAL_RUN: usize = 1_000_000;
 
-/// Locals held inline in a [`VmProc`]; every `simlocks` program declares at
-/// most this many.
-const INLINE_LOCALS: usize = 8;
+/// Locals held inline in a [`VmProc`]: enough for every lock the model
+/// checker and the benchmark run, alone or protecting a counter (`simlocks`
+/// holds itself to that in a test). `GT_f` declares 4f + 1, so `GT_2` is
+/// the tallest tree that fits; the taller ones of the β/ρ sweeps, which
+/// never clone a process, spill.
+pub const INLINE_LOCALS: usize = 10;
 
 /// A process's local variables. Up to [`INLINE_LOCALS`] live in a fixed
 /// array, so cloning a [`VmProc`] — which every recorded machine step, every
 /// machine clone and every state key does — allocates nothing; programs
 /// that declare more spill to the heap.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum Locals {
     Inline { len: u8, vals: [i64; INLINE_LOCALS] },
     Heap(Vec<i64>),
+}
+
+impl Clone for Locals {
+    fn clone(&self) -> Self {
+        match self {
+            Locals::Inline { len, vals } => Locals::Inline {
+                len: *len,
+                vals: *vals,
+            },
+            Locals::Heap(v) => Locals::Heap(v.clone()),
+        }
+    }
+
+    /// Reuses a spilled vector's allocation.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Locals::Heap(v), Locals::Heap(from)) => v.clone_from(from),
+            (this, source) => *this = source.clone(),
+        }
+    }
 }
 
 impl Locals {
@@ -69,12 +92,36 @@ impl std::ops::DerefMut for Locals {
 /// plus the identity of the shared program, making `VmProc` usable as a
 /// model-checker state component. States of processes running *different*
 /// program instances compare unequal even if textually identical.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct VmProc {
     prog: Arc<Program>,
     pc: usize,
     locals: Locals,
     annot: u64,
+}
+
+impl Clone for VmProc {
+    fn clone(&self) -> Self {
+        VmProc {
+            prog: Arc::clone(&self.prog),
+            pc: self.pc,
+            locals: self.locals.clone(),
+            annot: self.annot,
+        }
+    }
+
+    /// Overwrites the dynamic state. When `source` runs the same program
+    /// instance — the machine's undo trail saves and restores a process
+    /// this way on every step — the shared program's reference count is
+    /// not touched.
+    fn clone_from(&mut self, source: &Self) {
+        if !Arc::ptr_eq(&self.prog, &source.prog) {
+            self.prog = Arc::clone(&source.prog);
+        }
+        self.pc = source.pc;
+        self.locals.clone_from(&source.locals);
+        self.annot = source.annot;
+    }
 }
 
 impl VmProc {
@@ -463,6 +510,72 @@ mod tests {
             assert_ne!(p, fresh);
             p.crash_recover();
             assert_eq!(p, fresh, "a crash zeroes every slot");
+        }
+    }
+
+    #[test]
+    fn recorded_steps_hand_back_small_tokens_and_leave_the_program_refcount_alone() {
+        assert!(std::mem::size_of::<wbmem::UndoToken<VmProc>>() <= 32);
+        let mut a = Asm::new("reads");
+        let t = a.local("t");
+        for _ in 0..6 {
+            a.read(0i64, t);
+        }
+        a.ret(t);
+        let prog: Arc<Program> = a.assemble().into();
+        let mut m = Machine::new(pso(), vec![VmProc::new(prog.clone()); 2]);
+        let refs = |m: &Machine<VmProc>| Arc::strong_count(m.process(ProcId(0)).program());
+        // The first descent creates the slots the machine's undo trail
+        // saves program states in (one clone each, kept for reuse).
+        let descend = |m: &mut Machine<VmProc>| -> Vec<_> {
+            (0..8)
+                .map(|k| m.step_recorded(SchedElem::op(ProcId(k % 2))).1)
+                .collect()
+        };
+        for token in descend(&mut m).into_iter().rev() {
+            m.undo(token);
+        }
+        // From then on a recorded step and its undo copy registers only:
+        // no clone, no drop, no reference-count traffic on the program
+        // every process (and every worker's machine) shares.
+        let before = refs(&m);
+        let mut tokens = descend(&mut m);
+        assert_eq!(refs(&m), before);
+        while let Some(token) = tokens.pop() {
+            m.undo(token);
+            assert_eq!(refs(&m), before);
+        }
+        // A clone takes the two processes and none of the saved states.
+        assert_eq!(refs(&m.clone()), before + 2);
+    }
+
+    #[test]
+    fn clone_from_overwrites_the_dynamic_state_of_either_locals_form() {
+        for count in [3, INLINE_LOCALS + 5] {
+            let mut a = Asm::new("many");
+            let locs: Vec<_> = (0..count).map(|i| a.local(format!("l{i}"))).collect();
+            for &l in &locs {
+                a.read(0i64, l);
+            }
+            a.ret(locs[0]);
+            let prog: Arc<Program> = a.assemble().into();
+            let fresh = VmProc::new(prog.clone());
+            let mut advanced = fresh.clone();
+            advanced.advance(Some(Value::Int(7)));
+            advanced.advance(Some(Value::Int(8)));
+            let shared = Arc::strong_count(&prog);
+            let mut slot = fresh.clone();
+            slot.clone_from(&advanced);
+            assert_eq!(slot, advanced);
+            slot.clone_from(&fresh);
+            assert_eq!(slot, fresh);
+            assert_eq!(Arc::strong_count(&prog), shared + 1, "only `slot` itself");
+            // Across program instances the program comes along.
+            let mut b = Asm::new("other");
+            b.ret(0i64);
+            let mut other = VmProc::new(b.assemble().into());
+            other.clone_from(&advanced);
+            assert_eq!(other, advanced);
         }
     }
 

@@ -163,7 +163,7 @@ fn smallest_buffered(buf: &WriteBuffer) -> Option<RegId> {
     match buf {
         WriteBuffer::Sc => None,
         WriteBuffer::Tso(q) => q.iter().map(|&(r, _)| r).min(),
-        WriteBuffer::Pso(m) => m.keys().next().copied(),
+        WriteBuffer::Pso(m) => m.first().map(|&(r, _)| r),
     }
 }
 

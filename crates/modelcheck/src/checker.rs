@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use ftobs::{Estimate, Gauge, Metric, MetricsSnapshot, Progress, Recorder, TreeEstimator};
 use por::{RunMeta, Snapshot};
-use wbmem::{CrashSemantics, FpMap, Machine, MachineError, Process, SchedElem, StepOutcome};
+use wbmem::{CrashSemantics, Machine, MachineError, Process, SchedElem, StepOutcome};
 
 use crate::kernel::sequential;
 use crate::pardpor::check_shared;
@@ -710,16 +710,40 @@ pub(crate) fn render<P: Process>(initial: &Machine<P>, sched: &[SchedElem]) -> C
 }
 
 /// Dense state ids plus first-visit parents, for counterexample replay.
+///
+/// The first-visit test is one open-addressing table of 8-byte slots over
+/// the fingerprints `fps` already holds: a slot is an occupancy bit, a
+/// 31-bit tag of the fingerprint, and the id, so a probe touches `fps` —
+/// for the full 128-bit comparison — only where the tag already agrees.
+/// The table is kept at most three-quarters full — probes are cheap next
+/// to the cache miss a bigger table costs — and rebuilt from `fps` when it
+/// grows.
 #[derive(Default)]
 pub(crate) struct SearchIndex {
-    ids: FpMap<u32>,
+    /// Power-of-two many slots (none before the first id); `0` is empty.
+    slots: Vec<u64>,
     parents: Vec<Option<(u32, SchedElem)>>,
-    /// Fingerprint per dense id (inverse of `ids`), so checkpointing can
-    /// re-key the id-based edge/terminal lists by stable fingerprints.
+    /// Fingerprint per dense id, so checkpointing can re-key the id-based
+    /// edge/terminal lists by stable fingerprints.
     fps: Vec<u128>,
 }
 
 impl SearchIndex {
+    const OCCUPIED: u64 = 1 << 63;
+    /// Slots of the first allocation.
+    const MIN_SLOTS: usize = 1 << 10;
+
+    /// Where `fp`'s probe sequence starts, and the slot content that would
+    /// name it with id 0. Fingerprints are uniformly mixed already: the
+    /// start is the low half, the tag the top of the high half.
+    fn home_and_tag(fp: u128) -> (usize, u64) {
+        #[allow(clippy::cast_possible_truncation)]
+        let (lo, hi) = (fp as u64, (fp >> 64) as u64);
+        #[allow(clippy::cast_possible_truncation)]
+        let home = lo as usize;
+        (home, Self::OCCUPIED | (hi >> 33) << 32)
+    }
+
     /// The id for `fp`, allocating one (and recording `parent`) on first
     /// sight. Returns `(id, freshly allocated)`, or `None` once the dense
     /// `u32` id space is exhausted (the caller surfaces
@@ -729,19 +753,47 @@ impl SearchIndex {
         fp: u128,
         parent: Option<(u32, SchedElem)>,
     ) -> Option<(u32, bool)> {
-        if let Some(&id) = self.ids.get(&fp) {
-            Some((id, false))
-        } else {
-            let id = u32::try_from(self.ids.len()).ok()?;
-            self.ids.insert(fp, id);
-            self.parents.push(parent);
-            self.fps.push(fp);
-            Some((id, true))
+        if self.fps.len() * 4 >= self.slots.len() * 3 {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let (home, tagged) = Self::home_and_tag(fp);
+        let mut i = home & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                break;
+            }
+            #[allow(clippy::cast_possible_truncation)]
+            let id = slot as u32;
+            if slot & !0xFFFF_FFFF == tagged && self.fps[id as usize] == fp {
+                return Some((id, false));
+            }
+            i = (i + 1) & mask;
+        }
+        let id = u32::try_from(self.fps.len()).ok()?;
+        self.slots[i] = tagged | u64::from(id);
+        self.parents.push(parent);
+        self.fps.push(fp);
+        Some((id, true))
+    }
+
+    fn grow(&mut self) {
+        let doubled = (self.slots.len() * 2).max(Self::MIN_SLOTS);
+        self.slots = vec![0; doubled];
+        let mask = doubled - 1;
+        for (id, &fp) in (0u64..).zip(&self.fps) {
+            let (home, tagged) = Self::home_and_tag(fp);
+            let mut i = home & mask;
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = tagged | id;
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.ids.len()
+        self.fps.len()
     }
 
     /// The fingerprint a dense id was allocated for.
@@ -1284,6 +1336,56 @@ mod tests {
 
     fn cfg() -> CheckConfig {
         CheckConfig::default()
+    }
+
+    #[test]
+    fn search_index_hands_out_the_ids_a_fingerprint_map_would() {
+        // 10⁵ fingerprints, a quarter of them offered again later: mostly
+        // uniformly random ones, between them runs that share their low
+        // half (one probe start) and runs that share start and tag and
+        // differ only in bits no slot holds, and zero — against the map
+        // the flat table replaced.
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut offered: Vec<u128> = vec![0];
+        for k in 0..100_000u128 {
+            let (hi, lo) = (u128::from(next()), u128::from(next()));
+            offered.push(match k % 64 {
+                0 => hi << 64 | 0xABCD,
+                1 => (0xFEED << 97) | (hi & 0x1_FFFF_FFFF) << 64 | 0xABCD,
+                k if k % 4 == 3 => offered[offered.len() / 2],
+                _ => hi << 64 | lo,
+            });
+        }
+        let mut index = SearchIndex::default();
+        let mut reference: wbmem::FpMap<u32> = wbmem::FpMap::default();
+        let mut growths = 0;
+        for (k, &fp) in offered.iter().enumerate() {
+            let slots = index.slots.len();
+            let expect = match reference.get(&fp) {
+                Some(&id) => (id, false),
+                None => {
+                    let id = reference.len() as u32;
+                    reference.insert(fp, id);
+                    (id, true)
+                }
+            };
+            let parent = (k > 0).then_some((0, SchedElem::op(wbmem::ProcId(0))));
+            assert_eq!(index.id_of(fp, parent), Some(expect), "offer {k}");
+            assert_eq!(index.fp_of(expect.0), fp);
+            assert_eq!(index.len(), reference.len());
+            growths += usize::from(index.slots.len() != slots);
+        }
+        assert!(growths >= 3, "{growths} growths");
+        assert!(index.len() * 4 <= index.slots.len() * 3 + 4);
+        for (&fp, &id) in &reference {
+            assert_eq!(index.id_of(fp, None), Some((id, false)));
+        }
     }
 
     #[test]

@@ -111,6 +111,7 @@ impl<H: Heads> SleepAmple<H> {
 impl<P: Process, H: Heads> Reduction<P, H::Key> for SleepAmple<H> {
     type Frame = SleepFrame;
     const LIFO: bool = false;
+    const FOOTPRINTS: bool = true;
 
     fn begin_task(&mut self) {
         self.on_stack.clear();

@@ -24,7 +24,10 @@
 //! one, which is all that checkpoints and donations are. Choices
 //! of all frames live in one arena: a frame owns the window
 //! `arena[lo..hi]` of choices still to take, and the top frame's region
-//! is the arena's tail (where the cycle proviso appends to it).
+//! is the arena's tail (where the cycle proviso appends to it). What a
+//! step overwrote lives on the machine's own undo trail; a frame keeps
+//! the 16-byte [`UndoToken`] that rewinds it, and the walk counts its
+//! undos in the [`Tally`] it batches every per-edge counter in.
 
 use std::time::Instant;
 
@@ -93,6 +96,8 @@ impl<P: Process> Visitor<P> for Properties<'_> {
 /// One executed edge, as a [`Reduction`] sees it.
 pub(crate) struct Edge<N> {
     pub(crate) elem: SchedElem,
+    /// What the step touched — `Local`, whatever it touched, unless the
+    /// reduction asks for [`Reduction::FOOTPRINTS`].
     pub(crate) footprint: Footprint,
     /// Fingerprint of the state the edge landed on.
     pub(crate) to: u128,
@@ -114,6 +119,9 @@ pub(crate) trait Reduction<P: Process, N> {
     /// Frames take choices from the back of their arena window — the
     /// oracle's `Vec::pop` order — instead of the front.
     const LIFO: bool;
+    /// Whether the reduction reads [`Edge::footprint`]. When it does not,
+    /// the walk never asks the machine to predict one.
+    const FOOTPRINTS: bool;
 
     /// A task starts: forget the previous task's DFS stack.
     fn begin_task(&mut self) {}
@@ -174,6 +182,7 @@ pub(crate) struct NoReduction;
 impl<P: Process, N> Reduction<P, N> for NoReduction {
     type Frame = ();
     const LIFO: bool = true;
+    const FOOTPRINTS: bool = false;
 
     fn adopt(&mut self, _fp: u128, _task: &mut ForkPoint) {}
 
@@ -268,6 +277,12 @@ struct Frame<P, N, S> {
     /// own state).
     token: Option<UndoToken<P>>,
     red: S,
+}
+
+/// Rewind `m` over the step `token` records, counting the undo.
+fn undo<P: Process>(m: &mut Machine<P>, tally: &mut Tally, token: UndoToken<P>) {
+    tally.undo_step();
+    m.undo(token);
 }
 
 /// One task's walk: a machine, its DFS stack, and the choice arena.
@@ -421,7 +436,7 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
                 self.red.off_stack(frame.red);
                 self.arena.truncate(frame.start);
                 if let Some(token) = frame.token {
-                    self.m.undo(token);
+                    undo(&mut self.m, &mut self.tally, token);
                     self.path.pop();
                 }
                 continue;
@@ -439,11 +454,15 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
                 continue; // beyond the reorder bound: neither taken nor slept
             };
 
-            let (out, token) = self.m.step_recorded(elem);
+            let (out, token) = if R::FOOTPRINTS {
+                self.m.step_recorded(elem)
+            } else {
+                self.m.step_recorded_blind(elem)
+            };
             if matches!(out, StepOutcome::NoOp) {
                 self.tally.noop_step();
                 self.est.leaf();
-                self.m.undo(token);
+                undo(&mut self.m, &mut self.tally, token);
                 continue;
             }
             frontier.transition();
@@ -468,7 +487,7 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
             }
             let Some(mut child) = child else {
                 self.est.leaf();
-                self.m.undo(token);
+                undo(&mut self.m, &mut self.tally, token);
                 continue;
             };
 
@@ -494,7 +513,7 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
                 // smaller sleep set).
                 self.red.discard(child);
                 self.est.leaf();
-                self.m.undo(token);
+                undo(&mut self.m, &mut self.tally, token);
                 continue;
             }
 
@@ -524,7 +543,7 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
                     let (out, probe) = self.m.step_recorded(e);
                     let named = matches!(out, StepOutcome::NoOp)
                         || frontier.probe(self.m.fingerprint(), node, e).is_some();
-                    self.m.undo(probe);
+                    undo(&mut self.m, &mut self.tally, probe);
                     if !named {
                         return Some(Halt::TooManyStates);
                     }

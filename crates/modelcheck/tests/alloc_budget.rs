@@ -3,35 +3,57 @@
 //! the numbers repeat exactly on any host. `Engine::Undo` allocates only
 //! while its tables grow; `Engine::Dpor` recycles its frame buffers and
 //! keeps its dominance table flat, which leaves growth too (the walk this
-//! replaced made ≈ 9.5 allocations per transition on these cells).
+//! replaced made ≈ 9.5 allocations per transition on these cells). The
+//! same allocator tracks live bytes, which bounds what a flat machine
+//! state may cost a 256-process run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use modelcheck::{check, CheckConfig, Engine};
-use simlocks::{build_mutex, FenceMask, LockKind};
+use simlocks::{build_mutex, build_ordering, run_to_completion, FenceMask, LockKind, ObjectKind};
 use wbmem::MemoryModel;
 
 thread_local! {
     /// Allocations made by this thread (tests run on threads of their
     /// own, and the sequential engines on their caller's).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not yet freed, and the highest
+    /// that figure has been.
+    static LIVE: Cell<usize> = const { Cell::new(0) };
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+fn grew(bytes: usize) {
+    let live = LIVE.with(|l| {
+        l.set(l.get() + bytes);
+        l.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
+}
+
+fn shrank(bytes: usize) {
+    // Saturating: a block freed here may have been allocated by the
+    // harness thread that spawned the test.
+    LIVE.with(|l| l.set(l.get().saturating_sub(bytes)));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the only addition is a bump of a
-// const-initialised, destructor-free thread-local `Cell`, which neither
+// the `GlobalAlloc` contract; the only addition is arithmetic on
+// const-initialised, destructor-free thread-local `Cell`s, which neither
 // allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        grew(layout.size());
         // SAFETY: the caller's obligations are exactly `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrank(layout.size());
         // SAFETY: `ptr` came from `System` through this allocator, with
         // this `layout`.
         unsafe { System.dealloc(ptr, layout) }
@@ -39,6 +61,8 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        shrank(layout.size());
+        grew(new_size);
         // SAFETY: as for `dealloc`; `new_size` is the caller's to get right.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -80,6 +104,27 @@ fn the_reduced_walk_stays_within_its_allocation_budget() {
         ("tournament4_pso", LockKind::Tournament, 4),
     ] {
         let per_transition = allocations_per_transition(lock, n, dpor);
-        assert!(per_transition <= 2.5, "{label} dpor: {per_transition:.3}");
+        assert!(per_transition < 0.05, "{label} dpor: {per_transition:.3}");
     }
+}
+
+/// Peak live heap bytes of `benchmark/`'s `gt_f2_256.contended` cell —
+/// build the 256-process counter, round-robin it to completion under PSO —
+/// measured with this allocator at the parent of the flat machine state
+/// (commit 3be5542: `BTreeMap` memory, SipHash caches and layout).
+const GT_F2_256_PEAK_BYTES_BEFORE: usize = 10_763_504;
+
+#[test]
+fn a_256_process_run_costs_no_more_memory_than_the_map_based_state_did() {
+    let live_before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(live_before));
+    let mut machine =
+        build_ordering(LockKind::Gt { f: 2 }, 256, ObjectKind::Counter).machine(MemoryModel::Pso);
+    assert!(run_to_completion(&mut machine, 50_000_000));
+    let peak = PEAK.with(Cell::get) - live_before;
+    println!("gt_f2_256 contended: peak {peak} live bytes");
+    assert!(
+        peak * 4 <= GT_F2_256_PEAK_BYTES_BEFORE * 5,
+        "gt_f2_256 contended: peak {peak} bytes, was {GT_F2_256_PEAK_BYTES_BEFORE}"
+    );
 }

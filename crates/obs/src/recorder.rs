@@ -462,12 +462,6 @@ impl Recorder {
         }
     }
 
-    /// Record one undo-log pop.
-    #[inline]
-    pub fn on_undo(&self) {
-        self.add(Metric::UndoSteps, 1);
-    }
-
     /// Record a newly visited state at DFS depth `depth`.
     #[inline]
     pub fn on_state(&self, depth: u64) {
@@ -514,6 +508,7 @@ impl Recorder {
             terminal_states: 0,
             dedup_hits: 0,
             noop_steps: 0,
+            undo_steps: 0,
             sleep_hits: 0,
             ample_applied: 0,
             ample_fallbacks: 0,
@@ -880,9 +875,9 @@ impl Recorder {
 /// Engine-local batch of the checker-side counters, flushed into the
 /// recorder in one shot when dropped (or via [`Tally::flush`]).
 ///
-/// The exploration loops increment states/transitions/dedup counters —
-/// and, under a reduction, the sleep-hit and ample-decision counters — on
-/// *every* edge; going through the sharded atomics each time costs a TLS
+/// The exploration loops increment states/transitions/dedup/undo counters
+/// — and, under a reduction, the sleep-hit and ample-decision counters —
+/// on *every* edge; going through the sharded atomics each time costs a TLS
 /// lookup plus a `lock`-prefixed RMW per counter, which is the bulk of
 /// the enabled-recorder overhead the E13 budget caps. A `Tally` keeps
 /// those counts in plain fields (and the frame-depth histogram in a plain
@@ -900,6 +895,7 @@ pub struct Tally {
     terminal_states: u64,
     dedup_hits: u64,
     noop_steps: u64,
+    undo_steps: u64,
     sleep_hits: u64,
     ample_applied: u64,
     ample_fallbacks: u64,
@@ -936,6 +932,12 @@ impl Tally {
         self.noop_steps += 1;
     }
 
+    /// Record one undone machine step.
+    #[inline]
+    pub fn undo_step(&mut self) {
+        self.undo_steps += 1;
+    }
+
     /// Record an all-done (terminal) state.
     #[inline]
     pub fn terminal_state(&mut self) {
@@ -970,6 +972,7 @@ impl Tally {
                 (Metric::TerminalStates, self.terminal_states),
                 (Metric::DedupHits, self.dedup_hits),
                 (Metric::NoopSteps, self.noop_steps),
+                (Metric::UndoSteps, self.undo_steps),
                 (Metric::SleepHits, self.sleep_hits),
                 (Metric::AmpleApplied, self.ample_applied),
                 (Metric::AmpleFallbacks, self.ample_fallbacks),
@@ -992,6 +995,7 @@ impl Tally {
         self.terminal_states = 0;
         self.dedup_hits = 0;
         self.noop_steps = 0;
+        self.undo_steps = 0;
         self.sleep_hits = 0;
         self.ample_applied = 0;
         self.ample_fallbacks = 0;

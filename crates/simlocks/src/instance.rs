@@ -388,6 +388,48 @@ mod tests {
     use super::*;
 
     #[test]
+    fn every_lock_keeps_its_locals_inline_alone_and_around_a_counter() {
+        // What `VmProc` clones without allocating. `GT_f` stands in with
+        // the tallest tree that fits, f = 2 (it declares 4f + 1 locals).
+        let kinds = [
+            LockKind::Bakery,
+            LockKind::BakeryPaperListing,
+            LockKind::Peterson,
+            LockKind::Tournament,
+            LockKind::Gt { f: 2 },
+            LockKind::Ttas,
+            LockKind::Mcs,
+            LockKind::Filter,
+            LockKind::RecoverableTtas,
+            LockKind::RecoverableBakery,
+        ];
+        for kind in kinds {
+            for n in [2usize, 3, 4, 64] {
+                let fits = match kind {
+                    LockKind::Peterson => n == 2,
+                    LockKind::Tournament => n.is_power_of_two(),
+                    _ => true,
+                };
+                if !fits {
+                    continue;
+                }
+                let instances = [
+                    build_mutex(kind, n, FenceMask::ALL),
+                    build_ordering(kind, n, ObjectKind::Counter),
+                ];
+                for inst in instances {
+                    let locals = inst.programs.iter().map(|p| p.locals_len()).max();
+                    assert!(
+                        locals <= Some(fencevm::INLINE_LOCALS),
+                        "{}: {locals:?} locals",
+                        inst.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn sequential_counter_is_ordering() {
         for kind in [
             LockKind::Bakery,

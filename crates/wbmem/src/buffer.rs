@@ -8,12 +8,54 @@
 //!   same register enqueues behind the earlier one.
 //! * Under **SC** writes never enter a buffer (the machine commits them
 //!   directly), so the buffer is permanently empty.
+//!
+//! The PSO buffer is a `Vec` sorted by register ([`PsoWrites`]): buffers
+//! hold a handful of entries, so a binary search and a short shift beat a
+//! tree, "smallest buffered register" is the first entry, and a buffer that
+//! drains keeps its allocation for the next write.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::model::MemoryModel;
 use crate::reg::RegId;
 use crate::value::Value;
+
+/// The pending writes of a PSO/RMO buffer: at most one per register,
+/// sorted by register. Dereferences to the sorted slice.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+pub struct PsoWrites(Vec<(RegId, Value)>);
+
+impl PsoWrites {
+    fn position(&self, reg: RegId) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&reg, |&(r, _)| r)
+    }
+
+    fn get(&self, reg: RegId) -> Option<Value> {
+        self.position(reg).ok().map(|i| self.0[i].1)
+    }
+
+    /// Buffer `val` for `reg`; returns the write it replaces.
+    fn insert(&mut self, reg: RegId, val: Value) -> Option<Value> {
+        match self.position(reg) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, val)),
+            Err(i) => {
+                self.0.insert(i, (reg, val));
+                None
+            }
+        }
+    }
+
+    fn remove(&mut self, reg: RegId) -> Option<Value> {
+        self.position(reg).ok().map(|i| self.0.remove(i).1)
+    }
+}
+
+impl std::ops::Deref for PsoWrites {
+    type Target = [(RegId, Value)];
+    fn deref(&self) -> &[(RegId, Value)] {
+        &self.0
+    }
+}
 
 /// A process's write buffer, with model-specific structure.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -22,9 +64,8 @@ pub enum WriteBuffer {
     Sc,
     /// TSO: FIFO of pending writes, oldest first.
     Tso(VecDeque<(RegId, Value)>),
-    /// PSO/RMO: unordered pending writes, one per register. A `BTreeMap`
-    /// keeps registers sorted so "smallest buffered register" is O(1).
-    Pso(BTreeMap<RegId, Value>),
+    /// PSO/RMO: unordered pending writes, one per register.
+    Pso(PsoWrites),
 }
 
 /// How to reverse one buffer mutation (see [`WriteBuffer::push_recorded`]
@@ -52,7 +93,7 @@ impl WriteBuffer {
         match model {
             MemoryModel::Sc => WriteBuffer::Sc,
             MemoryModel::Tso => WriteBuffer::Tso(VecDeque::new()),
-            MemoryModel::Pso | MemoryModel::Rmo => WriteBuffer::Pso(BTreeMap::new()),
+            MemoryModel::Pso | MemoryModel::Rmo => WriteBuffer::Pso(PsoWrites::default()),
         }
     }
 
@@ -83,8 +124,21 @@ impl WriteBuffer {
         match self {
             WriteBuffer::Sc => None,
             WriteBuffer::Tso(q) => q.iter().rev().find(|(r, _)| *r == reg).map(|&(_, v)| v),
-            WriteBuffer::Pso(m) => m.get(&reg).copied(),
+            WriteBuffer::Pso(m) => m.get(reg),
         }
+    }
+
+    /// The pending writes in the order a fence drains them: oldest first
+    /// under TSO, smallest register first under PSO.
+    pub fn iter(&self) -> impl Iterator<Item = (RegId, Value)> + '_ {
+        type Writes = [(RegId, Value)];
+        let none: &Writes = &[];
+        let (front, back) = match self {
+            WriteBuffer::Sc => (none, none),
+            WriteBuffer::Tso(q) => q.as_slices(),
+            WriteBuffer::Pso(m) => (&**m, none),
+        };
+        front.iter().chain(back).copied()
     }
 
     /// Record a write.
@@ -142,7 +196,7 @@ impl WriteBuffer {
                 }
             }
             WriteBuffer::Pso(m) => {
-                for &r in m.keys() {
+                for &(r, _) in m.iter() {
                     f(r);
                 }
             }
@@ -155,7 +209,7 @@ impl WriteBuffer {
         match self {
             WriteBuffer::Sc => false,
             WriteBuffer::Tso(q) => q.front().is_some_and(|&(r, _)| r == reg),
-            WriteBuffer::Pso(m) => m.contains_key(&reg),
+            WriteBuffer::Pso(m) => m.position(reg).is_ok(),
         }
     }
 
@@ -172,7 +226,7 @@ impl WriteBuffer {
         match self {
             WriteBuffer::Sc => None,
             WriteBuffer::Tso(q) => q.front().map(|&(r, _)| r),
-            WriteBuffer::Pso(m) => m.keys().next().copied(),
+            WriteBuffer::Pso(m) => m.first().map(|&(r, _)| r),
         }
     }
 
@@ -187,7 +241,7 @@ impl WriteBuffer {
                     None
                 }
             }
-            WriteBuffer::Pso(m) => m.remove(&reg),
+            WriteBuffer::Pso(m) => m.remove(reg),
         }
     }
 
@@ -222,7 +276,7 @@ impl WriteBuffer {
                     m.insert(reg, v);
                 }
                 None => {
-                    m.remove(&reg);
+                    m.remove(reg);
                 }
             },
             (BufferUndo::PushFront(reg, v), WriteBuffer::Tso(q)) => q.push_front((reg, v)),
@@ -244,7 +298,7 @@ impl WriteBuffer {
                 v.dedup();
                 v
             }
-            WriteBuffer::Pso(m) => m.keys().copied().collect(),
+            WriteBuffer::Pso(m) => m.iter().map(|&(r, _)| r).collect(),
         }
     }
 }

@@ -38,6 +38,67 @@ pub struct ProcCounters {
     pub crashes: u64,
 }
 
+/// One bit per [`ProcCounters`] field, in declaration order. A step other
+/// than a draining crash raises each counter by at most one, so the set of
+/// counters it raised — what an undo has to take back — fits one mask.
+pub(crate) mod bit {
+    pub(crate) const FENCES: u32 = 1 << 0;
+    pub(crate) const RMRS: u32 = 1 << 1;
+    pub(crate) const READS: u32 = 1 << 2;
+    pub(crate) const REMOTE_READS: u32 = 1 << 3;
+    pub(crate) const BUFFER_READS: u32 = 1 << 4;
+    pub(crate) const WRITES: u32 = 1 << 5;
+    pub(crate) const COMMITS: u32 = 1 << 6;
+    pub(crate) const REMOTE_COMMITS: u32 = 1 << 7;
+    pub(crate) const CAS_OPS: u32 = 1 << 8;
+    pub(crate) const REMOTE_CAS: u32 = 1 << 9;
+    pub(crate) const SWAP_OPS: u32 = 1 << 10;
+    pub(crate) const REMOTE_SWAPS: u32 = 1 << 11;
+    pub(crate) const CRASHES: u32 = 1 << 12;
+    /// Every counter bit.
+    #[cfg(test)]
+    pub(crate) const ALL: u32 = (1 << 13) - 1;
+}
+
+impl ProcCounters {
+    /// Every counter paired with its [`bit`], in declaration order.
+    fn fields_mut(&mut self) -> [&mut u64; 13] {
+        [
+            &mut self.fences,
+            &mut self.rmrs,
+            &mut self.reads,
+            &mut self.remote_reads,
+            &mut self.buffer_reads,
+            &mut self.writes,
+            &mut self.commits,
+            &mut self.remote_commits,
+            &mut self.cas_ops,
+            &mut self.remote_cas,
+            &mut self.swap_ops,
+            &mut self.remote_swaps,
+            &mut self.crashes,
+        ]
+    }
+
+    /// Raise by one every counter whose [`bit`] is set in `bits` (bits
+    /// above the counters' are ignored). Branch-free: which counters a step
+    /// raises is not predictable.
+    #[inline]
+    pub(crate) fn bump(&mut self, bits: u32) {
+        for (k, counter) in self.fields_mut().into_iter().enumerate() {
+            *counter += u64::from(bits >> k & 1);
+        }
+    }
+
+    /// Take one back from every counter whose [`bit`] is set in `bits`.
+    #[inline]
+    pub(crate) fn unbump(&mut self, bits: u32) {
+        for (k, counter) in self.fields_mut().into_iter().enumerate() {
+            *counter -= u64::from(bits >> k & 1);
+        }
+    }
+}
+
 impl Add for ProcCounters {
     type Output = ProcCounters;
     fn add(self, o: ProcCounters) -> ProcCounters {
@@ -185,6 +246,39 @@ mod tests {
         assert_eq!(s.fences, 11);
         assert_eq!(s.rmrs, 22);
         assert_eq!(s.reads, 33);
+    }
+
+    #[test]
+    fn bump_and_unbump_touch_exactly_the_named_counters() {
+        let mut c = ProcCounters::default();
+        c.bump(bit::ALL);
+        let one = ProcCounters {
+            fences: 1,
+            rmrs: 1,
+            reads: 1,
+            remote_reads: 1,
+            buffer_reads: 1,
+            writes: 1,
+            commits: 1,
+            remote_commits: 1,
+            cas_ops: 1,
+            remote_cas: 1,
+            swap_ops: 1,
+            remote_swaps: 1,
+            crashes: 1,
+        };
+        assert_eq!(c, one);
+        c.bump(bit::READS | bit::REMOTE_READS | bit::RMRS);
+        c.unbump(bit::ALL);
+        let left = ProcCounters {
+            reads: 1,
+            remote_reads: 1,
+            rmrs: 1,
+            ..ProcCounters::default()
+        };
+        assert_eq!(c, left);
+        c.unbump(bit::READS | bit::REMOTE_READS | bit::RMRS);
+        assert_eq!(c, ProcCounters::default());
     }
 
     #[test]

@@ -16,12 +16,12 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED_A: u64 = 0x243f_6a88_85a3_08d3;
 const SEED_B: u64 = 0x1319_8a2e_0370_7344;
-const MUL_A: u64 = 0x9e37_79b9_7f4a_7c15;
-const MUL_B: u64 = 0xc2b2_ae3d_27d4_eb4f;
+pub(crate) const MUL_A: u64 = 0x9e37_79b9_7f4a_7c15;
+pub(crate) const MUL_B: u64 = 0xc2b2_ae3d_27d4_eb4f;
 
 /// 64×64→128-bit multiply with the halves folded together: every input
 /// bit reaches every output bit through the carry chain.
-fn folded_mul(x: u64, k: u64) -> u64 {
+pub(crate) fn folded_mul(x: u64, k: u64) -> u64 {
     let p = u128::from(x) * u128::from(k);
     #[allow(clippy::cast_possible_truncation)]
     let folded = (p as u64) ^ ((p >> 64) as u64);

@@ -84,7 +84,7 @@ pub mod sched;
 pub mod stats;
 pub mod value;
 
-pub use buffer::{BufferUndo, WriteBuffer};
+pub use buffer::{BufferUndo, PsoWrites, WriteBuffer};
 pub use counters::{Counters, ProcCounters};
 pub use event::{Event, EventKind, Trace};
 pub use fingerprint::{FpBuildHasher, FpHasher, FpMap, FpSet};

@@ -6,9 +6,17 @@
 //! notional extra segment local to nobody, which is a conservative choice
 //! (it can only classify more steps as remote, never fewer, so lower-bound
 //! measurements remain valid).
+//!
+//! Everything the machine keeps per register — shared memory, commit
+//! ownership, the layout — lives in a `RegMap`: a `Vec` indexed by
+//! register id (programs number their registers `0..R`), with a small
+//! in-house hash table (`FlatTable`) for the stray id beyond `DENSE_REGS`.
+//! Neither hashes with `RandomState`: the machine's step rules consult
+//! these maps several times per step.
 
-use std::collections::HashMap;
 use std::fmt;
+
+use crate::fingerprint::{folded_mul, MUL_A};
 
 /// A process identifier in `[0, n)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -141,11 +149,215 @@ impl FromIterator<RegId> for RegSet {
     }
 }
 
+/// A key of a [`FlatTable`], hashed by multiply-fold.
+pub(crate) trait FlatKey: Copy + Eq {
+    /// A well-mixed 64-bit hash of the key (the table indexes by its low
+    /// bits).
+    fn hash64(self) -> u64;
+}
+
+impl FlatKey for RegId {
+    fn hash64(self) -> u64 {
+        folded_mul(u64::from(self.0) ^ MUL_A, MUL_A)
+    }
+}
+
+/// An open-addressing hash table: linear probing over a power-of-two slot
+/// array kept at most seven-eighths full, deletion by backward shift (no
+/// tombstones, so a table that filled and emptied probes like a fresh
+/// one). It allocates nothing until the first insert and only when it
+/// grows afterwards. Equality is by content, not by layout.
+#[derive(Clone, Debug)]
+pub(crate) struct FlatTable<K, V> {
+    slots: Vec<Option<(K, V)>>,
+    len: usize,
+}
+
+impl<K, V> Default for FlatTable<K, V> {
+    fn default() -> Self {
+        FlatTable {
+            slots: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<K: FlatKey, V: Copy> FlatTable<K, V> {
+    /// Slots of the first allocation.
+    const MIN_SLOTS: usize = 8;
+
+    /// Where `key`'s probe sequence starts in an array of `mask + 1` slots.
+    fn home(key: K, mask: usize) -> usize {
+        #[allow(clippy::cast_possible_truncation)]
+        let hash = key.hash64() as usize;
+        hash & mask
+    }
+
+    /// The slot holding `key`, or the empty slot its probe sequence ends
+    /// at. Requires a non-empty slot array (which always has a free slot).
+    fn probe(&self, key: K) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = Self::home(key, mask);
+        while self.slots[i].is_some_and(|(k, _)| k != key) {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    pub(crate) fn get(&self, key: K) -> Option<V> {
+        if self.len == 0 {
+            return None;
+        }
+        self.slots[self.probe(key)].map(|(_, v)| v)
+    }
+
+    /// Map `key` to `value`; returns the value it was mapped to before.
+    pub(crate) fn insert(&mut self, key: K, value: V) -> Option<V> {
+        if (self.len + 1) * 8 > self.slots.len() * 7 {
+            self.grow();
+        }
+        let i = self.probe(key);
+        let old = self.slots[i].replace((key, value));
+        if old.is_none() {
+            self.len += 1;
+        }
+        old.map(|(_, v)| v)
+    }
+
+    fn grow(&mut self) {
+        let doubled = (self.slots.len() * 2).max(Self::MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![None; doubled]);
+        for (key, value) in old.into_iter().flatten() {
+            let i = self.probe(key);
+            self.slots[i] = Some((key, value));
+        }
+    }
+
+    /// Unmap `key`; returns the value it was mapped to.
+    pub(crate) fn remove(&mut self, key: K) -> Option<V> {
+        if self.len == 0 {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut hole = self.probe(key);
+        let (_, value) = self.slots[hole].take()?;
+        self.len -= 1;
+        // Close the gap: an entry further along the run moves into the
+        // hole unless its home slot lies cyclically after the hole.
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let Some((k, _)) = self.slots[i] else { break };
+            let home = Self::home(k, mask);
+            if (i.wrapping_sub(home) & mask) >= (i.wrapping_sub(hole) & mask) {
+                self.slots[hole] = self.slots[i].take();
+                hole = i;
+            }
+        }
+        Some(value)
+    }
+
+    /// Every entry, in slot order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (K, V)> + '_ {
+        self.slots.iter().flatten().copied()
+    }
+}
+
+impl<K: FlatKey, V: Copy + PartialEq> PartialEq for FlatTable<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().all(|(k, v)| other.get(k) == Some(v))
+    }
+}
+
+impl<K: FlatKey, V: Copy + Eq> Eq for FlatTable<K, V> {}
+
+/// Register ids below this index a [`RegMap`]'s dense array; ids at or
+/// above it — a register computed at run time from garbage, say — go to
+/// its hash table, so no id makes the map allocate in proportion to itself
+/// beyond this bound.
+pub(crate) const DENSE_REGS: usize = 1 << 16;
+
+/// A map from [`RegId`] to `T`, indexed by the id. The dense array grows
+/// to the largest small id stored and never shrinks; equality is by
+/// content, so a map that grew a slot and emptied it again equals one that
+/// never did.
+#[derive(Clone, Debug)]
+pub(crate) struct RegMap<T> {
+    dense: Vec<Option<T>>,
+    stray: FlatTable<RegId, T>,
+    len: usize,
+}
+
+impl<T> Default for RegMap<T> {
+    fn default() -> Self {
+        RegMap {
+            dense: Vec::new(),
+            stray: FlatTable::default(),
+            len: 0,
+        }
+    }
+}
+
+impl<T: Copy> RegMap<T> {
+    /// Number of registers mapped.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn get(&self, reg: RegId) -> Option<T> {
+        if reg.index() < DENSE_REGS {
+            self.dense.get(reg.index()).copied().flatten()
+        } else {
+            self.stray.get(reg)
+        }
+    }
+
+    /// Map `reg` to `value` (`None` unmaps it); returns what it was mapped
+    /// to before.
+    pub(crate) fn set(&mut self, reg: RegId, value: Option<T>) -> Option<T> {
+        let i = reg.index();
+        let old = if i >= DENSE_REGS {
+            match value {
+                Some(v) => self.stray.insert(reg, v),
+                None => self.stray.remove(reg),
+            }
+        } else if let Some(slot) = self.dense.get_mut(i) {
+            std::mem::replace(slot, value)
+        } else {
+            if value.is_some() {
+                self.dense.resize(i + 1, None);
+                self.dense[i] = value;
+            }
+            None
+        };
+        self.len = self.len + usize::from(value.is_some()) - usize::from(old.is_some());
+        old
+    }
+
+    /// Every mapping, in register order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (RegId, T)> + '_ {
+        let dense = (0u32..).zip(&self.dense);
+        let mut stray: Vec<(RegId, T)> = self.stray.iter().collect();
+        stray.sort_unstable_by_key(|&(reg, _)| reg);
+        dense
+            .filter_map(|(i, slot)| slot.map(|v| (RegId(i), v)))
+            .chain(stray)
+    }
+}
+
+impl<T: Copy + PartialEq> PartialEq for RegMap<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl<T: Copy + Eq> Eq for RegMap<T> {}
+
 /// The DSM partition: which process's local memory segment each register
 /// lives in.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemoryLayout {
-    owners: HashMap<RegId, ProcId>,
+    owners: RegMap<ProcId>,
 }
 
 impl MemoryLayout {
@@ -163,7 +375,7 @@ impl MemoryLayout {
     /// Panics if `reg` was already assigned to a *different* owner: segment
     /// membership is a partition, not a preference.
     pub fn assign(&mut self, reg: RegId, owner: ProcId) {
-        if let Some(prev) = self.owners.insert(reg, owner) {
+        if let Some(prev) = self.owners.set(reg, Some(owner)) {
             assert_eq!(
                 prev, owner,
                 "register {reg} reassigned from {prev} to {owner}"
@@ -174,7 +386,7 @@ impl MemoryLayout {
     /// The owner of `reg`, if any.
     #[must_use]
     pub fn owner(&self, reg: RegId) -> Option<ProcId> {
-        self.owners.get(&reg).copied()
+        self.owners.get(reg)
     }
 
     /// Whether `reg` lies in `p`'s local memory segment.
@@ -189,9 +401,9 @@ impl MemoryLayout {
         self.owners.len()
     }
 
-    /// Iterate over `(register, owner)` assignments in unspecified order.
+    /// Iterate over `(register, owner)` assignments in register order.
     pub fn iter(&self) -> impl Iterator<Item = (RegId, ProcId)> + '_ {
-        self.owners.iter().map(|(&r, &p)| (r, p))
+        self.owners.iter()
     }
 }
 
@@ -266,6 +478,96 @@ mod tests {
         assert!(!a.union_with(&b), "second union is a fixpoint");
         let members: Vec<RegId> = a.iter().collect();
         assert_eq!(members, vec![RegId(3), RegId(4), RegId(70)]);
+    }
+
+    /// A deterministic stream of small and huge keys.
+    fn key_stream(len: usize) -> impl Iterator<Item = (u64, RegId)> {
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        (0..len).map(move |_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            #[allow(clippy::cast_possible_truncation)]
+            let small = (x >> 8) as u32 % 97;
+            let reg = match x % 5 {
+                0 => RegId(u32::MAX - small),
+                1 => RegId(small + DENSE_REGS as u32 - 40),
+                _ => RegId(small),
+            };
+            (x, reg)
+        })
+    }
+
+    #[test]
+    fn flat_table_agrees_with_a_std_map_through_growth_and_gap_closing() {
+        let mut flat: FlatTable<RegId, u64> = FlatTable::default();
+        let mut map = std::collections::HashMap::new();
+        for (step, (x, reg)) in key_stream(20_000).enumerate() {
+            if x % 3 == 0 {
+                assert_eq!(flat.remove(reg), map.remove(&reg));
+            } else {
+                assert_eq!(flat.insert(reg, x), map.insert(reg, x));
+            }
+            assert_eq!(flat.get(reg), map.get(&reg).copied());
+            if step % 500 == 0 {
+                let mut entries: Vec<_> = flat.iter().collect();
+                entries.sort_unstable();
+                let mut expect: Vec<_> = map.iter().map(|(&r, &v)| (r, v)).collect();
+                expect.sort_unstable();
+                assert_eq!(entries, expect);
+                assert!(
+                    flat.slots.len() <= 8 * (map.len() + 1),
+                    "slots track entries"
+                );
+            }
+        }
+        // Content equality: same entries, different growth histories.
+        let rebuilt = {
+            let mut t = FlatTable::default();
+            for (reg, v) in flat.iter() {
+                t.insert(reg, v);
+            }
+            t
+        };
+        assert!(flat == rebuilt);
+        for reg in map.into_keys() {
+            flat.remove(reg);
+        }
+        assert!(flat == FlatTable::default(), "emptied equals fresh");
+    }
+
+    #[test]
+    fn reg_map_agrees_with_a_btree_map_and_never_allocates_by_id() {
+        let mut flat: RegMap<u64> = RegMap::default();
+        let mut map = std::collections::BTreeMap::new();
+        for (x, reg) in key_stream(20_000) {
+            let value = (x % 4 != 0).then_some(x);
+            let expect = match value {
+                Some(v) => map.insert(reg, v),
+                None => map.remove(&reg),
+            };
+            assert_eq!(flat.set(reg, value), expect);
+            assert_eq!(flat.get(reg), value);
+            assert_eq!(flat.len(), map.len());
+        }
+        let expect: Vec<_> = map.iter().map(|(&r, &v)| (r, v)).collect();
+        assert_eq!(flat.iter().collect::<Vec<_>>(), expect, "in register order");
+        assert!(flat.dense.len() <= DENSE_REGS);
+
+        // A lone huge id costs one small table, not an array up to it.
+        let mut lone: RegMap<u64> = RegMap::default();
+        lone.set(RegId(u32::MAX), Some(1));
+        assert_eq!(lone.get(RegId(u32::MAX)), Some(1));
+        assert_eq!(lone.get(RegId(u32::MAX - 1)), None);
+        assert!(lone.dense.is_empty() && lone.stray.slots.len() <= 8);
+
+        // Equality is by content: a slot grown and emptied is no slot.
+        let mut grown: RegMap<u64> = RegMap::default();
+        grown.set(RegId(500), Some(1));
+        grown.set(RegId(u32::MAX), Some(1));
+        grown.set(RegId(500), None);
+        grown.set(RegId(u32::MAX), None);
+        assert!(grown == RegMap::default());
     }
 
     #[test]

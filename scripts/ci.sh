@@ -36,10 +36,13 @@ stage "the two suites that read FT_THREADS, at FT_THREADS=2 (parallel sweeps/eng
 stage "benchmark/ package builds and its smoke test passes (bench_probe calls wbmem/por signatures directly)" \
     bash -c 'cd benchmark && cargo test --offline'
 
-stage "E4/E6: the paper's own Section-5 tables regenerate byte-for-byte" \
-    bash -c 'cargo run --release -p ft-bench --bin exp_e4_encoding > /dev/null \
-        && cargo run --release -p ft-bench --bin exp_e6_stack_invariants > /dev/null \
-        && git diff --exit-code results/e4_encoding.txt results/e4b_codebooks.txt results/e6_stack_invariants.txt'
+stage "E1/E3/E4/E6/E9/E10: the paper's Section-5 tables and the deterministic β/ρ tables (RMR accounting, n up to 256) regenerate byte-for-byte" \
+    bash -c 'for e in e1_bakery e3_tradeoff e4_encoding e6_stack_invariants e9_cas e10_steady_state; do
+            cargo run --release -p ft-bench --bin exp_$e > /dev/null || exit 1
+        done
+        git diff --exit-code results/e1_bakery.txt results/e3_tradeoff.txt results/e4_encoding.txt \
+            results/e4b_codebooks.txt results/e6_stack_invariants.txt results/e9_cas.txt \
+            results/e9b_cas_check.txt results/e10_steady_state.txt'
 
 stage "E11 crash-recovery experiment (n = 2)" \
     env FT_E11_FAST=1 cargo run --release -p ft-bench --bin exp_e11_crash_recovery
