@@ -1,6 +1,7 @@
-//! Run every experiment binary (E1–E9) in sequence — a convenience wrapper
-//! for regenerating all results. Each experiment writes its table to
-//! `results/`; this runner also records a manifest with timings.
+//! Run every experiment binary (E1–E17; E13 is the `guards` bin, not a
+//! table) in sequence — a convenience wrapper for regenerating all
+//! results. Each experiment writes its table to `results/`; this runner
+//! also records a manifest with timings.
 //!
 //! ```text
 //! cargo run --release -p ft-bench --bin exp_all
@@ -24,6 +25,8 @@ const EXPERIMENTS: &[&str] = &[
     "exp_e12_reduction",
     "exp_e14_scaling",
     "exp_e15_resume",
+    "exp_e16_synthesis",
+    "exp_e17_estimator",
 ];
 
 fn main() {

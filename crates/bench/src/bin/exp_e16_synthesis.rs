@@ -43,21 +43,9 @@ const SOLO_STEPS: usize = 10_000_000;
 /// Fence-weight/RMR-weight pairs, fence-averse to RMR-averse.
 const SWEEP: [(u64, u64); 4] = [(1, 4), (1, 1), (4, 1), (8, 1)];
 
-fn synth_cfg(n: usize, rec: Recorder) -> SynthConfig {
+fn synth_cfg(rec: Recorder) -> SynthConfig {
     SynthConfig {
         models: vec![MemoryModel::Pso, MemoryModel::Tso],
-        // n = 3 state spaces need the work-stealing engine (termination
-        // checking disables ample pruning — see DESIGN.md).
-        engine: if n >= 3 {
-            Engine::ParallelDpor {
-                threads: ft_bench::parallelism().max(2),
-                reorder_bound: None,
-            }
-        } else {
-            Engine::Dpor {
-                reorder_bound: None,
-            }
-        },
         max_states: 20_000_000,
         recorder: rec,
         ..SynthConfig::default()
@@ -172,7 +160,7 @@ fn main() {
                 .quiet(true)
                 .build();
             let start = std::time::Instant::now();
-            let out = synthesize(&inst, &synth_cfg(n, rec.clone()));
+            let out = synthesize(&inst, &synth_cfg(rec.clone()));
             let wall = start.elapsed().as_secs_f64();
             rec.emit_snapshot(&[(
                 "verdict",
@@ -301,7 +289,7 @@ fn main() {
             .sink(sink.clone())
             .quiet(true)
             .build();
-        let base = synth_cfg(2, rec.clone());
+        let base = synth_cfg(rec.clone());
         let points = pareto_explore(&s.baseline, &SWEEP, &base, MemoryModel::Pso, SOLO_STEPS);
         rec.emit_snapshot(&[("verdict", ftobs::J::s("pareto"))]);
         assert!(

@@ -102,9 +102,10 @@ fn traced_runs(
         JsonlSink::create(trace_path)
             .unwrap_or_else(|e| ft_bench::fail("exp_e17: creating trace stream", e)),
     );
-    let rec = || {
+    let rec = |workload: &str| {
         Recorder::builder()
             .meta("experiment", "e17")
+            .meta("workload", workload)
             .sink(sink.clone())
             .trace(true)
             .quiet(true)
@@ -123,7 +124,7 @@ fn traced_runs(
         threads,
         reorder_bound: None,
     })
-    .with_recorder(rec());
+    .with_recorder(rec("e17_tournament2_pso"));
     let v = check(&inst.machine(MemoryModel::Pso), &cfg);
     assert!(
         v.is_ok(),
@@ -140,7 +141,7 @@ fn traced_runs(
         ..CheckConfig::default()
     }
     .with_engine(Engine::Undo)
-    .with_recorder(rec());
+    .with_recorder(rec("e17_peterson2_pso"));
     let cut_v = check(
         &pinst.machine(MemoryModel::Pso),
         &ucfg

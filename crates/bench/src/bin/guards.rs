@@ -311,7 +311,12 @@ fn obs_gates() -> bool {
     }
     .with_engine(Engine::Undo); // the default recorder is `Recorder::disabled()`
                                 // Quiet and heartbeat-free: measure the recording, not stderr I/O.
-    let live = || Recorder::builder().quiet(true).heartbeat_ms(0);
+    let live = || {
+        Recorder::builder()
+            .meta("workload", "guards_bakery3_pso")
+            .quiet(true)
+            .heartbeat_ms(0)
+    };
     let enabled = disabled.clone().with_recorder(live().build());
     // Traced against a *real* sink: the span cost worth guarding is the
     // buffered JSONL writes, not just the id counter.

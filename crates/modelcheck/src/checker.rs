@@ -27,9 +27,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ftobs::{Estimate, Gauge, Metric, MetricsSnapshot, Progress, Recorder, TreeEstimator};
+use ftobs::{
+    Estimate, Gauge, Metric, MetricsSnapshot, ProcSteps, Progress, Recorder, Tally, TreeEstimator,
+};
 use por::{RunMeta, Snapshot};
-use wbmem::{CrashSemantics, Machine, MachineError, Process, SchedElem, StepOutcome};
+use wbmem::{
+    CrashSemantics, Event, EventKind, Machine, MachineError, ProcCounters, ProcId, Process,
+    SchedElem, StepOutcome,
+};
 
 use crate::kernel::sequential;
 use crate::pardpor::check_shared;
@@ -165,17 +170,17 @@ pub struct CheckConfig {
     /// [`Verdict::InvariantViolation`] with a counterexample. A plain `fn`
     /// pointer keeps the configuration `Clone`/`Debug`.
     pub annotation_invariant: Option<fn(&[u64]) -> bool>,
-    /// Observability sink. The engines attach it to their working machine
-    /// clones (never to the caller's `initial`, so counterexample replays
-    /// stay unrecorded), count exploration events into it, and [`check`]
-    /// stamps its final [`MetricsSnapshot`] into the verdict's [`Stats`].
-    /// The default, [`Recorder::disabled`], is a no-op.
+    /// Observability sink. The engines count every exploration step they
+    /// execute into it (counterexample and fork-point replays are not
+    /// exploration and stay uncounted), and [`check`] stamps its final
+    /// [`MetricsSnapshot`] into the verdict's [`Stats`]. The default,
+    /// [`Recorder::disabled`], is a no-op.
     pub recorder: Recorder,
     /// Durable checkpointing (see [`CheckpointPolicy`]). When set, every
     /// engine but the [`Engine::CloneDfs`] oracle writes a versioned,
-    /// checksummed snapshot of the unexplored frontier on budget expiry,
-    /// interrupt, or occupancy pressure — and periodically if so
-    /// configured — so the run can be continued with [`crate::resume`].
+    /// checksummed snapshot of the unexplored frontier on budget expiry
+    /// or interrupt — and periodically if so configured — so the run can
+    /// be continued with [`crate::resume`].
     /// `CloneDfs` ignores the policy (it keeps a live machine clone per
     /// frame, which has no serialized form). `None` (the default)
     /// disables checkpointing entirely.
@@ -272,9 +277,6 @@ pub struct CheckpointPolicy {
     /// Also write a checkpoint every this-many transitions (`None` =
     /// only at stop points). The run continues after a periodic write.
     pub every_transitions: Option<u64>,
-    /// Also write a checkpoint on this wall-clock cadence (`None` = only
-    /// at stop points). Polled at the engines' deadline-poll granularity.
-    pub every: Option<Duration>,
     /// Stop (checkpoint + [`Verdict::Inconclusive`]) once this many
     /// transitions have been executed. Unlike the wall-clock budget this
     /// cut point is deterministic, which is what the differential
@@ -285,9 +287,6 @@ pub struct CheckpointPolicy {
     /// next transition boundary, checkpoint, and return
     /// [`Verdict::Inconclusive`].
     pub interrupt: Option<Arc<AtomicBool>>,
-    /// Memory-pressure valve: once the dedup structure holds this many
-    /// fingerprints, stop and checkpoint instead of growing toward OOM.
-    pub max_occupancy: Option<usize>,
 }
 
 impl CheckpointPolicy {
@@ -307,13 +306,6 @@ impl CheckpointPolicy {
         self
     }
 
-    /// Also checkpoint on a wall-clock cadence (run continues).
-    #[must_use]
-    pub fn every(mut self, period: Duration) -> Self {
-        self.every = Some(period);
-        self
-    }
-
     /// Stop and checkpoint after `n` transitions (deterministic cut).
     #[must_use]
     pub fn stop_after(mut self, n: u64) -> Self {
@@ -328,14 +320,6 @@ impl CheckpointPolicy {
         self
     }
 
-    /// Stop and checkpoint once the dedup structure holds `n`
-    /// fingerprints.
-    #[must_use]
-    pub fn max_occupancy(mut self, n: usize) -> Self {
-        self.max_occupancy = Some(n);
-        self
-    }
-
     /// Whether a stop trigger has fired at `transitions` executed
     /// transitions. Checked at every transition boundary so the
     /// deterministic `stop_after_transitions` cut is exact.
@@ -346,36 +330,6 @@ impl CheckpointPolicy {
                 .interrupt
                 .as_ref()
                 .is_some_and(|f| f.load(Ordering::Relaxed))
-    }
-}
-
-/// Tracks when a periodic checkpoint is due (transition-count cadence,
-/// wall-clock cadence, or both). Firing rearms both cadences.
-pub(crate) struct PeriodicCheckpoint {
-    last_transitions: u64,
-    next_at: Option<Instant>,
-}
-
-impl PeriodicCheckpoint {
-    pub(crate) fn new(policy: &CheckpointPolicy) -> Self {
-        PeriodicCheckpoint {
-            last_transitions: 0,
-            next_at: policy.every.map(|d| Instant::now() + d),
-        }
-    }
-
-    pub(crate) fn due(&mut self, policy: &CheckpointPolicy, transitions: u64) -> bool {
-        let by_count = policy
-            .every_transitions
-            .is_some_and(|n| transitions.saturating_sub(self.last_transitions) >= n);
-        let by_time = self.next_at.is_some_and(|at| Instant::now() >= at);
-        if by_count || by_time {
-            self.last_transitions = transitions;
-            self.next_at = policy.every.map(|d| Instant::now() + d);
-            true
-        } else {
-            false
-        }
     }
 }
 
@@ -944,6 +898,77 @@ pub(crate) fn poll_observe(
     deadline.is_some_and(|d| now >= d)
 }
 
+/// Take one exploration step of process `p` on `m` and, when `tally` is
+/// live, count it ([`count_step`]) — the one place a machine step becomes
+/// metrics. Replays (`Dfs::start`, `render`) step the machine directly
+/// and stay uncounted.
+#[inline]
+pub(crate) fn step_counted<P: Process, T>(
+    tally: &mut Tally,
+    m: &mut Machine<P>,
+    p: ProcId,
+    step: impl FnOnce(&mut Machine<P>) -> (StepOutcome, T),
+) -> (StepOutcome, T) {
+    let before = tally
+        .is_live()
+        .then(|| (*m.counters().proc(p.index()), m.process(p).obs_pc()));
+    let (out, rest) = step(m);
+    if let (Some((counters, pc)), StepOutcome::Stepped(event)) = (&before, &out) {
+        count_step(tally, m, event, counters, *pc);
+    }
+    (out, rest)
+}
+
+/// Count the step that produced `event`, given its process's counters
+/// and pc from `before` it. `wbmem` classified the step when it raised
+/// those [`ProcCounters`], so the classes are read back as what the step
+/// added to them, next to the three things they do not hold: whether the
+/// process returned, how deep a write left its buffer, and where its
+/// program counter stood.
+///
+/// Hot-pc hits go to the pc each of the step's events left the process
+/// at: the step's end, except that the commits of a draining crash happen
+/// where the process crashed, before the crash moves it to its recovery
+/// entry.
+fn count_step<P: Process>(
+    tally: &mut Tally,
+    m: &Machine<P>,
+    event: &Event,
+    before: &ProcCounters,
+    pc_before: Option<u32>,
+) {
+    let (p, i) = (event.proc, event.proc.index());
+    let after = m.counters().proc(i);
+    let commits = after.commits - before.commits;
+    let crashes = after.crashes - before.crashes;
+    tally.add(Metric::Reads, after.reads - before.reads);
+    tally.add(
+        Metric::BufferReads,
+        after.buffer_reads - before.buffer_reads,
+    );
+    tally.add(Metric::Commits, commits);
+    tally.add(Metric::CasOps, after.cas_ops - before.cas_ops);
+    tally.add(Metric::SwapOps, after.swap_ops - before.swap_ops);
+    let steps = ProcSteps {
+        fences: after.fences - before.fences,
+        rmrs: after.rmrs - before.rmrs,
+        crashes,
+    };
+    tally.proc_steps(i, steps);
+    if after.writes > before.writes {
+        tally.on_write(m.buffer(p).len() as u64);
+    }
+    if matches!(event.kind, EventKind::Return { .. }) {
+        tally.incr(Metric::Returns);
+    }
+    if let (Some(pc), true) = (pc_before, crashes > 0 && commits > 0) {
+        tally.hot_pc(i, pc, commits);
+    }
+    if let Some(pc) = m.process(p).obs_pc() {
+        tally.hot_pc(i, pc, 1);
+    }
+}
+
 /// Hash of the verdict-relevant configuration, stamped into every
 /// checkpoint and validated on resume: a snapshot taken under one
 /// property/bound/crash configuration must not seed a run under another
@@ -1189,8 +1214,7 @@ fn check_clone_dfs<P: Process>(
     deadline: Option<Instant>,
 ) -> Verdict {
     let obs = &config.recorder;
-    // Batches the per-edge counters; flushed into the recorder on every
-    // exit path by its Drop impl.
+    // Flushed into the recorder on every exit path by its Drop impl.
     let mut tally = obs.tally();
     let mut est = TreeEstimator::new();
     est.begin_task();
@@ -1221,15 +1245,11 @@ fn check_clone_dfs<P: Process>(
     if initial.all_done() {
         terminal.push(root_id);
         stats.terminal_states = 1;
-        tally.terminal_state();
+        tally.incr(Metric::TerminalStates);
     }
-    // The working clone carries the recorder; `initial` itself stays
-    // unrecorded so counterexample replays do not pollute the metrics.
-    let mut root_m = initial.clone();
-    root_m.set_recorder(obs.clone());
     let root_choices = initial.choices();
     est.push(root_choices.len());
-    stack.push((root_m, root_id, root_choices));
+    stack.push((initial.clone(), root_id, root_choices));
 
     let mut iters = 0usize;
     while let Some((m, id, mut choices)) = stack.pop() {
@@ -1263,13 +1283,14 @@ fn check_clone_dfs<P: Process>(
         let mut child = m.clone();
         stack.push((m, id, choices));
 
-        if matches!(child.step(elem), StepOutcome::NoOp) {
-            tally.noop_step();
+        let (out, ()) = step_counted(&mut tally, &mut child, elem.proc, |m| (m.step(elem), ()));
+        if matches!(out, StepOutcome::NoOp) {
+            tally.incr(Metric::NoopSteps);
             est.leaf();
             continue;
         }
         stats.transitions += 1;
-        tally.on_transition();
+        tally.incr(Metric::Transitions);
         let fp = child.fingerprint();
         let Some((child_id, fresh)) = index.id_of(fp, Some((id, elem))) else {
             return Verdict::Error(stats, CheckError::TooManyStates);
@@ -1278,7 +1299,7 @@ fn check_clone_dfs<P: Process>(
             edges.push((id, child_id));
         }
         if !fresh {
-            tally.dedup_hit();
+            tally.incr(Metric::DedupHits);
             est.leaf();
             continue;
         }
@@ -1297,7 +1318,7 @@ fn check_clone_dfs<P: Process>(
         if child.all_done() {
             stats.terminal_states += 1;
             terminal.push(child_id);
-            tally.terminal_state();
+            tally.incr(Metric::TerminalStates);
             est.leaf();
             if config.check_permutation && !returns_are_permutation(&child) {
                 return Verdict::PermutationViolation(
@@ -1852,7 +1873,106 @@ mod tests {
         assert_eq!(find_stuck(0, &[], &[]), None);
     }
 
+    /// Under `DrainBuffer` the commits of a crash step happen at the pc the
+    /// process crashed at, and only the crash itself at its recovery entry.
+    #[test]
+    fn a_draining_crash_charges_its_commits_to_the_pc_it_crashed_at() {
+        let p0 = ProcId(0);
+        let inst = build_mutex(LockKind::RecoverableBakery, 2, FenceMask::NONE);
+        for semantics in [CrashSemantics::DrainBuffer, CrashSemantics::DiscardBuffer] {
+            let mut m = inst.machine(MemoryModel::Pso);
+            m.set_crash_bound(semantics, 1);
+            while m.buffer(p0).len() < 2 {
+                assert!(m.step(SchedElem::op(p0)).event().is_some(), "p0 got stuck");
+            }
+            let (pending, crashed_at) = (m.buffer(p0).len() as u64, m.process(p0).obs_pc());
+            let rec = Recorder::builder().quiet(true).heartbeat_ms(0).build();
+            let mut tally = rec.tally();
+            step_counted(&mut tally, &mut m, p0, |m| {
+                (m.step(SchedElem::crash(p0)), ())
+            });
+            drop(tally);
+            let pc = |pc: Option<u32>| pc.expect("a VmProc has a pc");
+            let (crashed_at, entry) = (pc(crashed_at), pc(m.process(p0).obs_pc()));
+            assert_ne!(crashed_at, entry);
+            let (hot, snap) = (rec.hot_pcs(8), rec.snapshot());
+            if semantics == CrashSemantics::DrainBuffer {
+                let expect = [(0, crashed_at, pending, None), (0, entry, 1, None)];
+                assert_eq!(hot, expect);
+                assert_eq!(snap.get(Metric::Commits), pending);
+            } else {
+                assert_eq!(hot, [(0, entry, 1, None)]);
+                assert_eq!(snap.get(Metric::Commits), 0);
+            }
+            assert_eq!(snap.per_proc[0].crashes, 1);
+        }
+    }
+
     proptest::proptest! {
+        /// What makes classifying a step from its counters sound: whatever
+        /// schedule runs through `step_counted` — crashes of either
+        /// semantics, no-ops, a CAS lock, a swap lock, every model — the
+        /// tally ends up holding exactly the machine's own `Counters`, and
+        /// one return per finished process.
+        #[test]
+        fn step_counted_tallies_exactly_what_the_machine_counted(
+            picks in prop::collection::vec(0usize..1 << 16, 1..400),
+            lock in 0usize..3,
+            model in 0usize..3,
+            drain in any::<bool>(),
+            recorded in any::<bool>(),
+        ) {
+            let (kind, n) = [
+                (LockKind::RecoverableTtas, 3),
+                (LockKind::Mcs, 3),
+                (LockKind::RecoverableBakery, 2),
+            ][lock];
+            let model = [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso][model];
+            let mut m = build_mutex(kind, n, FenceMask::NONE).machine(model);
+            let semantics = if drain {
+                CrashSemantics::DrainBuffer
+            } else {
+                CrashSemantics::DiscardBuffer
+            };
+            m.set_crash_bound(semantics, 2);
+            let rec = Recorder::builder().quiet(true).heartbeat_ms(0).build();
+            let mut tally = rec.tally();
+            for pick in picks {
+                let choices = m.choices();
+                // One pick in eight crashes a process whether or not it
+                // may crash (a no-op if not); the rest take a real choice.
+                let elem = if pick % 8 == 0 || choices.is_empty() {
+                    SchedElem::crash(ProcId::from(pick / 8 % n))
+                } else {
+                    choices[pick / 8 % choices.len()]
+                };
+                step_counted(&mut tally, &mut m, elem.proc, |m| {
+                    if recorded {
+                        (m.step_recorded(elem).0, ())
+                    } else {
+                        (m.step(elem), ())
+                    }
+                });
+            }
+            drop(tally);
+            let (snap, total) = (rec.snapshot(), m.counters().total());
+            let tallied = [
+                Metric::Reads, Metric::BufferReads, Metric::Writes, Metric::Commits,
+                Metric::Fences, Metric::Rmrs, Metric::CasOps, Metric::SwapOps, Metric::Crashes,
+            ].map(|metric| snap.get(metric));
+            let counted = [
+                total.reads, total.buffer_reads, total.writes, total.commits,
+                total.fences, total.rmrs, total.cas_ops, total.swap_ops, total.crashes,
+            ];
+            prop_assert_eq!(tallied, counted);
+            prop_assert_eq!(snap.buffer_depth.total(), total.writes);
+            prop_assert_eq!(snap.get(Metric::Returns), m.nb_final());
+            for (p, c) in m.counters().iter().enumerate() {
+                let steps = snap.per_proc[p];
+                prop_assert_eq!((steps.fences, steps.rmrs, steps.crashes), (c.fences, c.rmrs, c.crashes));
+            }
+        }
+
         /// Random graphs — duplicate edges, self-loops and states no edge
         /// touches included — get the same answer from both adjacencies.
         #[test]

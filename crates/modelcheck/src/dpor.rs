@@ -38,7 +38,7 @@
 //! [`arrive`](Reduction::arrive) builds the next child in one of those.
 //! Whoever takes a spare frame overwrites every field.
 
-use ftobs::Tally;
+use ftobs::{Metric, Tally};
 use por::{step_weight, ForkPoint, Heads, SleepSet, VisitTable};
 use wbmem::{Footprint, FpMap, Machine, MemoryModel, Process, SchedElem};
 
@@ -104,7 +104,7 @@ impl<H: Heads> SleepAmple<H> {
 
     fn sleep_hit(&mut self, tally: &mut Tally) {
         self.sleep_hits += 1;
-        tally.sleep_hits(1);
+        tally.incr(Metric::SleepHits);
     }
 }
 
@@ -222,9 +222,13 @@ impl<P: Process, H: Heads> Reduction<P, H::Key> for SleepAmple<H> {
             &mut frame.excluded,
         );
         if self.use_ample {
-            tally.ample(ample.is_some());
+            tally.incr(if ample.is_some() {
+                Metric::AmpleApplied
+            } else {
+                Metric::AmpleFallbacks
+            });
         }
-        tally.sleep_hits(slept as u64);
+        tally.add(Metric::SleepHits, slept as u64);
         self.sleep_hits += slept;
         slept
     }

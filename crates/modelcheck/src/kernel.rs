@@ -37,8 +37,8 @@ use wbmem::{Footprint, Machine, Process, SchedElem, StepOutcome, UndoToken};
 
 use crate::checker::{
     can_finish, in_cs_count, poll_observe, render, returns_are_permutation, run_meta_of,
-    violates_invariant, write_checkpoint, CheckConfig, CheckError, Counterexample, Coverage,
-    PeriodicCheckpoint, SearchIndex, Stats, Verdict, DEADLINE_POLL_MASK,
+    step_counted, violates_invariant, write_checkpoint, CheckConfig, CheckError, Counterexample,
+    Coverage, SearchIndex, Stats, Verdict, DEADLINE_POLL_MASK,
 };
 use crate::dpor::SleepAmple;
 
@@ -198,7 +198,7 @@ impl<P: Process, N> Reduction<P, N> for NoReduction {
         tally: &mut Tally,
     ) -> Option<()> {
         if !edge.fresh {
-            tally.dedup_hit();
+            tally.incr(Metric::DedupHits);
         }
         edge.fresh.then_some(())
     }
@@ -281,7 +281,7 @@ struct Frame<P, N, S> {
 
 /// Rewind `m` over the step `token` records, counting the undo.
 fn undo<P: Process>(m: &mut Machine<P>, tally: &mut Tally, token: UndoToken<P>) {
-    tally.undo_step();
+    tally.incr(Metric::UndoSteps);
     m.undo(token);
 }
 
@@ -292,7 +292,6 @@ pub(crate) struct Dfs<'a, P: Process, R: Reduction<P, N>, N> {
     pub(crate) est: &'a mut TreeEstimator,
     /// Batches the per-edge counters; flushed into the recorder on drop.
     pub(crate) tally: Tally,
-    obs: &'a Recorder,
     arena: Vec<SchedElem>,
     scratch: Vec<SchedElem>,
     frames: Vec<Frame<P, N, R::Frame>>,
@@ -306,18 +305,19 @@ pub(crate) struct Dfs<'a, P: Process, R: Reduction<P, N>, N> {
 
 impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
     /// Re-materialize `task` — its state named by `node` — on a clone of
-    /// `initial` by replaying its path — unrecorded (the recorder attaches afterwards), so replays
-    /// never pollute the step metrics. The replayed ancestors re-seed the
-    /// reduction's on-stack set, so the cycle proviso fires for a thief
-    /// exactly where it would have for the donor. A path that fails to
-    /// replay is a logic error (the coordinator catches the panic).
+    /// `initial` by replaying its path — outside [`step_counted`], so
+    /// replays never reach the step metrics. The replayed ancestors
+    /// re-seed the reduction's on-stack set, so the cycle proviso fires
+    /// for a thief exactly where it would have for the donor. A path that
+    /// fails to replay is a logic error (the coordinator catches the
+    /// panic).
     pub(crate) fn start(
         initial: &Machine<P>,
         mut task: ForkPoint,
         node: impl FnOnce(u128) -> N,
         red: &'a mut R,
         est: &'a mut TreeEstimator,
-        obs: &'a Recorder,
+        obs: &Recorder,
     ) -> Self {
         let mut m = initial.clone();
         let mut scratch = Vec::new();
@@ -332,7 +332,6 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
         }
         let fp = m.fingerprint();
         red.on_stack(|| fp);
-        m.set_recorder(obs.clone());
         let mut arena = std::mem::take(&mut task.choices);
         if R::LIFO {
             arena.reverse();
@@ -351,7 +350,6 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
             red,
             est,
             tally: obs.tally(),
-            obs,
             arena,
             scratch,
             frames: vec![root],
@@ -454,19 +452,21 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
                 continue; // beyond the reorder bound: neither taken nor slept
             };
 
-            let (out, token) = if R::FOOTPRINTS {
-                self.m.step_recorded(elem)
-            } else {
-                self.m.step_recorded_blind(elem)
-            };
+            let (out, token) = step_counted(&mut self.tally, &mut self.m, elem.proc, |m| {
+                if R::FOOTPRINTS {
+                    m.step_recorded(elem)
+                } else {
+                    m.step_recorded_blind(elem)
+                }
+            });
             if matches!(out, StepOutcome::NoOp) {
-                self.tally.noop_step();
+                self.tally.incr(Metric::NoopSteps);
                 self.est.leaf();
                 undo(&mut self.m, &mut self.tally, token);
                 continue;
             }
             frontier.transition();
-            self.tally.on_transition();
+            self.tally.incr(Metric::Transitions);
             let fp = self.m.fingerprint();
             let Some((node, fresh)) = frontier.visit(fp, top.node, elem) else {
                 return Some(Halt::TooManyStates);
@@ -502,7 +502,7 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
                 }
                 if done {
                     frontier.terminal(node);
-                    self.tally.terminal_state();
+                    self.tally.incr(Metric::TerminalStates);
                     if let Err(v) = visitor.terminal(&self.m) {
                         return Some(Halt::Violation(v, node));
                     }
@@ -534,13 +534,15 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
                 // Sleep sets prune edges, not states, but the termination
                 // pass needs every edge: step each slept choice once,
                 // record where it leads, and undo. Bookkeeping, not
-                // exploration — probes are not counted as transitions.
+                // exploration: a probe is not counted as a transition,
+                // the machine step it executes is counted as a step.
                 for &e in &self.scratch {
                     if !R::asleep(&child, e) {
                         continue;
                     }
-                    self.obs.incr(Metric::SleptProbes);
-                    let (out, probe) = self.m.step_recorded(e);
+                    self.tally.incr(Metric::SleptProbes);
+                    let (out, probe) =
+                        step_counted(&mut self.tally, &mut self.m, e.proc, |m| m.step_recorded(e));
                     let named = matches!(out, StepOutcome::NoOp)
                         || frontier.probe(self.m.fingerprint(), node, e).is_some();
                     undo(&mut self.m, &mut self.tally, probe);
@@ -616,7 +618,9 @@ pub(crate) struct Local<'a> {
     terminal: Vec<u32>,
     /// States with an out-edge the reorder bound refused.
     refused: Vec<u32>,
-    periodic: Option<PeriodicCheckpoint>,
+    /// Transitions executed when the last periodic checkpoint
+    /// (`every_transitions`) was written.
+    last_periodic: u64,
     /// Set when [`Frontier::poll`] stops the walk.
     coverage: Option<Coverage>,
 }
@@ -683,13 +687,11 @@ impl<P: Process> Frontier<P> for Local<'_> {
                 config.budget,
                 self.deadline,
                 dfs.est.estimate(states as u64),
-            ) || policy
-                .and_then(|p| p.max_occupancy)
-                .is_some_and(|cap| states >= cap);
-            if let (false, Some(pol), Some(per)) = (stop, policy, self.periodic.as_mut()) {
-                if per.due(pol, transitions) {
-                    let _ = self.checkpoint(dfs);
-                }
+            );
+            let period = policy.and_then(|pol| pol.every_transitions);
+            if !stop && period.is_some_and(|n| transitions - self.last_periodic >= n) {
+                self.last_periodic = transitions;
+                let _ = self.checkpoint(dfs);
             }
         }
         if stop {
@@ -797,7 +799,7 @@ pub(crate) fn run_local<P: Process, R: Reduction<P, u32>, V: Visitor<P>>(
         edges: Vec::new(),
         terminal: Vec::new(),
         refused: Vec::new(),
-        periodic: config.checkpoint.as_ref().map(PeriodicCheckpoint::new),
+        last_periodic: 0,
         coverage: None,
     };
     let (root, _) = local
@@ -806,7 +808,7 @@ pub(crate) fn run_local<P: Process, R: Reduction<P, u32>, V: Visitor<P>>(
         .expect("the first id");
     debug_assert_eq!(root, ROOT);
     local.stats.states = 1;
-    obs.on_state(0);
+    obs.tally().on_state(0);
     if let Err(v) = visitor.state(initial) {
         return v(local.stats, render(initial, &[]));
     }

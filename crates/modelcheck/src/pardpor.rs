@@ -204,7 +204,7 @@ pub(crate) fn check_shared<P: Process>(
             Ok(Err(_)) => return rerun(""),
             Err(payload) => return panicked("root invariant: ", payload),
         }
-        obs.on_state(0);
+        obs.tally().on_state(0);
         run.base.states = 1;
         if initial.all_done() {
             obs.incr(Metric::TerminalStates);
@@ -605,10 +605,10 @@ impl<P: Process> Frontier<P> for Shared<'_, P> {
             dfs.est.estimate(progress.states as u64),
         );
         let transitions = pool.transitions_now.load(Ordering::Relaxed) as u64;
-        let triggered = config.checkpoint.as_ref().is_some_and(|pol| {
-            pol.stop_requested(transitions)
-                || pol.max_occupancy.is_some_and(|cap| pool.table.len() >= cap)
-        });
+        let triggered = config
+            .checkpoint
+            .as_ref()
+            .is_some_and(|pol| pol.stop_requested(transitions));
         if expired || triggered {
             pool.budget_hit.store(true, Ordering::SeqCst);
             self.stash(dfs);

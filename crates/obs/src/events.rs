@@ -1,5 +1,4 @@
-//! Flat JSONL event encoding, the bounded in-memory event ring, and the
-//! file sink.
+//! Flat JSONL event encoding and the file sink.
 //!
 //! Events are single-line JSON objects with only scalar values (string /
 //! integer / float / bool / null) — no nesting — so they can be parsed
@@ -8,7 +7,6 @@
 //! recorder was created) and `kind`, followed by the recorder's static
 //! meta fields (e.g. `engine`, `workload`) and the event's own fields.
 
-use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
@@ -65,7 +63,7 @@ impl J {
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
+pub(crate) fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -104,53 +102,6 @@ pub fn encode_line<'a>(
     }
     out.push('}');
     out
-}
-
-/// Bounded FIFO of rendered event lines: the newest `cap` events are kept
-/// so a failure artifact can embed the recent event history.
-#[derive(Debug)]
-pub struct EventRing {
-    lines: Mutex<VecDeque<String>>,
-    cap: usize,
-}
-
-impl EventRing {
-    /// An empty ring holding at most `cap` lines (`cap == 0` disables it).
-    #[must_use]
-    pub fn new(cap: usize) -> Self {
-        EventRing {
-            lines: Mutex::new(VecDeque::with_capacity(cap.min(256))),
-            cap,
-        }
-    }
-
-    /// Append a line, evicting the oldest when full.
-    pub fn push(&self, line: &str) {
-        if self.cap == 0 {
-            return;
-        }
-        let mut q = self.lines.lock().expect("unpoisoned");
-        if q.len() == self.cap {
-            q.pop_front();
-        }
-        q.push_back(line.to_string());
-    }
-
-    /// Snapshot of the retained lines, oldest first.
-    #[must_use]
-    pub fn drain_snapshot(&self) -> Vec<String> {
-        self.lines
-            .lock()
-            .expect("unpoisoned")
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Discard all retained lines.
-    pub fn clear(&self) {
-        self.lines.lock().expect("unpoisoned").clear();
-    }
 }
 
 /// JSONL file sink, written crash-safely.
@@ -311,17 +262,5 @@ mod tests {
         drop(sink);
         assert_eq!(std::fs::read_to_string(&path).expect("final"), "");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn ring_is_bounded_fifo() {
-        let ring = EventRing::new(2);
-        ring.push("a");
-        ring.push("b");
-        ring.push("c");
-        assert_eq!(
-            ring.drain_snapshot(),
-            vec!["b".to_string(), "c".to_string()]
-        );
     }
 }

@@ -5,21 +5,20 @@
 //!
 //! - **Counters** (states, transitions, per-class machine steps — fences
 //!   β(E), RMRs ρ(E), crashes — sleep-set hits, ample fallbacks, …),
-//!   lock-sharded so the parallel engine's workers never contend;
+//!   batched per walk in a [`Tally`] so no exploration step touches
+//!   shared memory to count;
 //! - **Histograms** (write-buffer depth, DFS depth) with log-scale
 //!   buckets and bit-exact mergeable snapshots;
 //! - **Gauges** (frontier high-water mark, dedup-table occupancy);
-//! - **Spans**: RAII wall-clock timers per [`Phase`];
-//! - **Events**: flat single-line JSON records fanned out to a bounded
-//!   in-memory ring and an optional shared JSONL file sink, including a
-//!   rate-limited `heartbeat` (states/sec, frontier, budget ETA) and a
-//!   final `snapshot` rollup;
+//! - **Events**: flat single-line JSON records streamed to an optional
+//!   shared JSONL file sink, including a rate-limited `heartbeat`
+//!   (states/sec, frontier, budget ETA) and a final `snapshot` rollup;
 //! - **Hot-pc table**: per-process program-counter hit counts with
 //!   human-readable labels registered from `fencevm` programs.
 //!
 //! The zero-cost contract: [`Recorder::disabled`] carries no allocation
 //! and every method on it is a single branch, so instrumented code paths
-//! (`wbmem::Machine::emit`, the four `modelcheck` engines, `por::expand`)
+//! (the `modelcheck` engines, `por::expand`, the `lowerbound` decoder)
 //! pay nothing measurable when observability is off — the `guards` bin
 //! in CI holds the enabled path to ≤5% and the disabled path to
 //! noise. [`MetricsSnapshot`] is `Copy` and its equality covers only the
@@ -41,14 +40,14 @@ pub mod report;
 pub mod trace;
 
 pub use estimate::{EstStats, Estimate, TreeEstimator};
-pub use events::{encode_line, EventRing, JsonlSink, J};
+pub use events::{encode_line, JsonlSink, J};
 pub use metrics::{
-    bucket_floor, bucket_index, hist_field, Gauge, HistSnapshot, Metric, MetricsSnapshot, Phase,
-    ProcSteps, GAUGES, HIST_BUCKETS, MAX_PROCS, METRICS, PHASES,
+    bucket_floor, bucket_index, hist_field, Gauge, HistSnapshot, Metric, MetricsSnapshot,
+    ProcSteps, GAUGES, HIST_BUCKETS, MAX_PROCS, METRICS,
 };
 pub use recorder::{
-    global, install_global, Progress, Recorder, RecorderBuilder, Span, StepClass, Tally,
-    DEFAULT_HEARTBEAT_MS, MAX_PCS, SHARDS,
+    global, install_global, Progress, Recorder, RecorderBuilder, Tally, DEFAULT_HEARTBEAT_MS,
+    MAX_PCS,
 };
 pub use trace::{
     chrome_trace, follow_line, parse_spans, phase_table, validate_spans, OpenSpan, SpanId, SpanRow,

@@ -1,12 +1,11 @@
 //! Metric taxonomy and the mergeable, `Copy` [`MetricsSnapshot`].
 //!
 //! Every quantity the recorder tracks is either a **counter** (monotone,
-//! summed on merge), a **gauge** (last/max value, maxed on merge), a
-//! **histogram** (log-bucketed counts, summed bucket-wise on merge), or a
-//! **span** (accumulated wall-clock nanoseconds per phase, summed on
-//! merge). The snapshot packs all of them into fixed-size arrays so it
-//! stays `Copy` and can be embedded in `modelcheck::Stats` without
-//! breaking that type's `Copy` bound.
+//! summed on merge), a **gauge** (last/max value, maxed on merge), or a
+//! **histogram** (log-bucketed counts, summed bucket-wise on merge). The
+//! snapshot packs all of them into fixed-size arrays so it stays `Copy`
+//! and can be embedded in `modelcheck::Stats` without breaking that
+//! type's `Copy` bound.
 //!
 //! Equality is deliberately *partial*: only the deterministic subset of
 //! counters — the quantities that depend solely on the multiset of
@@ -238,44 +237,6 @@ pub const GAUGES: [Gauge; Gauge::COUNT] = [
     Gauge::MaxBufferDepth,
 ];
 
-/// Timed phases for RAII [`Span`](crate::Span)s.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum Phase {
-    /// Main state-space sweep.
-    Explore,
-    /// Terminal-state / stuck-state analysis.
-    Termination,
-    /// Counterexample replay and rendering.
-    Replay,
-    /// Lowerbound solo-check decoding.
-    Solo,
-}
-
-impl Phase {
-    /// Total number of phases.
-    pub const COUNT: usize = Phase::Solo as usize + 1;
-
-    /// Snake-case name used as the JSONL field key.
-    #[must_use]
-    pub const fn name(self) -> &'static str {
-        match self {
-            Phase::Explore => "explore",
-            Phase::Termination => "termination",
-            Phase::Replay => "replay",
-            Phase::Solo => "solo",
-        }
-    }
-}
-
-/// All phases, in `repr(usize)` order.
-pub const PHASES: [Phase; Phase::COUNT] = [
-    Phase::Explore,
-    Phase::Termination,
-    Phase::Replay,
-    Phase::Solo,
-];
-
 /// Log-scale bucket index for a histogram sample: bucket 0 holds value 0,
 /// bucket `i ≥ 1` holds values whose bit length is `i` (i.e. `v` in
 /// `[2^(i-1), 2^i)`), clamped to the last bucket.
@@ -340,7 +301,7 @@ pub struct ProcSteps {
 }
 
 impl ProcSteps {
-    fn merge(&mut self, other: &ProcSteps) {
+    pub(crate) fn merge(&mut self, other: &ProcSteps) {
         self.fences += other.fences;
         self.rmrs += other.rmrs;
         self.crashes += other.crashes;
@@ -355,8 +316,8 @@ impl ProcSteps {
 ///
 /// `Copy` by construction (fixed-size arrays only) so it can live inside
 /// `modelcheck::Stats`. Merging two snapshots sums counters, per-process
-/// steps, histograms and span times, and maxes gauges — and is associative
-/// and commutative (gauges use `max`, everything else `+`), which the obs
+/// steps and histograms, and maxes gauges — and is associative and
+/// commutative (gauges use `max`, everything else `+`), which the obs
 /// proptest suite checks bit-exactly.
 #[derive(Clone, Copy, Debug)]
 pub struct MetricsSnapshot {
@@ -371,10 +332,6 @@ pub struct MetricsSnapshot {
     pub frame_depth: HistSnapshot,
     /// Gauge values indexed by `Gauge as usize`.
     pub gauges: [u64; Gauge::COUNT],
-    /// Accumulated nanoseconds per phase, indexed by `Phase as usize`.
-    pub span_ns: [u64; Phase::COUNT],
-    /// Completed spans per phase, indexed by `Phase as usize`.
-    pub span_count: [u64; Phase::COUNT],
 }
 
 impl Default for MetricsSnapshot {
@@ -386,8 +343,6 @@ impl Default for MetricsSnapshot {
             buffer_depth: HistSnapshot::default(),
             frame_depth: HistSnapshot::default(),
             gauges: [0; Gauge::COUNT],
-            span_ns: [0; Phase::COUNT],
-            span_count: [0; Phase::COUNT],
         }
     }
 }
@@ -421,12 +376,10 @@ impl MetricsSnapshot {
     /// disabled); lets callers skip rendering empty snapshots.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counters.iter().all(|&c| c == 0)
-            && self.gauges.iter().all(|&g| g == 0)
-            && self.span_count.iter().all(|&c| c == 0)
+        self.counters.iter().all(|&c| c == 0) && self.gauges.iter().all(|&g| g == 0)
     }
 
-    /// Fold `other` into `self`: counters/histograms/spans sum, gauges max.
+    /// Fold `other` into `self`: counters and histograms sum, gauges max.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
             *a += b;
@@ -438,12 +391,6 @@ impl MetricsSnapshot {
         self.frame_depth.merge(&other.frame_depth);
         for (a, b) in self.gauges.iter_mut().zip(other.gauges.iter()) {
             *a = (*a).max(*b);
-        }
-        for (a, b) in self.span_ns.iter_mut().zip(other.span_ns.iter()) {
-            *a += b;
-        }
-        for (a, b) in self.span_count.iter_mut().zip(other.span_count.iter()) {
-            *a += b;
         }
     }
 
@@ -518,16 +465,6 @@ impl MetricsSnapshot {
                 J::S(hist_field(&self.frame_depth)),
             ));
         }
-        for ph in PHASES {
-            let n = self.span_count[ph as usize];
-            if n > 0 {
-                out.push((
-                    format!("span_{}_ns", ph.name()),
-                    J::U(self.span_ns[ph as usize]),
-                ));
-                out.push((format!("span_{}_count", ph.name()), J::U(n)));
-            }
-        }
         out
     }
 }
@@ -576,9 +513,9 @@ mod tests {
         }
     }
 
-    /// `por::snapshot` stores counters, gauges and span totals by name, so
-    /// the listing arrays must cover every variant in index order and no
-    /// two slots of one kind may share a name.
+    /// `por::snapshot` stores counters and gauges by name, so the listing
+    /// arrays must cover every variant in index order and no two slots of
+    /// one kind may share a name.
     #[test]
     fn listings_are_in_index_order_with_unique_names() {
         fn check<T: Copy>(all: &[T], index: impl Fn(T) -> usize, name: impl Fn(T) -> &'static str) {
@@ -592,7 +529,6 @@ mod tests {
         }
         check(&METRICS, |m| m as usize, Metric::name);
         check(&GAUGES, |g| g as usize, Gauge::name);
-        check(&PHASES, |p| p as usize, Phase::name);
     }
 
     #[test]
@@ -603,9 +539,8 @@ mod tests {
         b.counters[Metric::States as usize] = 7;
         b.counters[Metric::UndoSteps as usize] = 99;
         b.gauges[Gauge::MaxFrontier as usize] = 42;
-        b.span_ns[Phase::Explore as usize] = 1_000_000;
         b.frame_depth.buckets[3] = 5;
-        assert_eq!(a, b, "undo/gauge/span/frame-depth differences ignored");
+        assert_eq!(a, b, "undo/gauge/frame-depth differences ignored");
         b.counters[Metric::Fences as usize] = 1;
         assert_ne!(a, b, "deterministic counters compare");
     }

@@ -1,31 +1,29 @@
-//! The [`Recorder`]: lock-sharded counters/histograms, RAII spans, the
-//! hot-pc table, the heartbeat reporter, and the event fan-out to the
-//! bounded ring and the optional JSONL sink.
+//! The [`Recorder`]: one mutex-guarded [`MetricsSnapshot`], the engine-local
+//! [`Tally`] that batches into it, the hot-pc table, the heartbeat
+//! reporter, and the event stream to the optional JSONL sink.
 //!
 //! A recorder is either **disabled** — `inner == None`, every method is a
 //! branch-on-`None` and returns immediately, so threading it through the
 //! engines costs a predictable well-predicted branch per call site — or
-//! **enabled**, in which case counter updates go to one of [`SHARDS`]
-//! cache-line-independent shards selected per thread (round-robin on
-//! first touch), keeping the parallel engine's workers from bouncing a
-//! shared line. Snapshots fold the shards with
-//! [`MetricsSnapshot::merge`], which the proptest suite checks is
-//! associative/commutative, so shard count and fold order never change
-//! the totals.
+//! **enabled**, in which case everything it has counted lives in one
+//! [`MetricsSnapshot`] behind a `Mutex`. Nothing on an exploration's
+//! per-step path takes that lock: a walk counts into its own [`Tally`] —
+//! a snapshot-shaped delta in plain fields — and folds it in with
+//! [`MetricsSnapshot::merge`] when the task ends. The proptest suite
+//! checks that merge is associative and commutative, so how the work was
+//! split over tallies and in which order they were flushed never changes
+//! the totals. The recorder's own `incr`/`add`/`gauge_*` lock per call and
+//! are for cold sites (a checkpoint written, a fork point stolen, a CEGAR
+//! iteration, the poll-cadence gauges).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::estimate::Estimate;
-use crate::events::{encode_line, EventRing, JsonlSink, J};
-use crate::metrics::{bucket_index, Gauge, Metric, MetricsSnapshot, HIST_BUCKETS, MAX_PROCS};
+use crate::events::{encode_line, JsonlSink, J};
+use crate::metrics::{bucket_index, Gauge, Metric, MetricsSnapshot, ProcSteps, MAX_PROCS};
 use crate::trace::{SpanId, TraceCtx, DEFAULT_TRACE_BUF};
-use crate::Phase;
-
-/// Number of counter shards. Eight covers the parallel engine's default
-/// worker counts; threads beyond that share shards round-robin.
-pub const SHARDS: usize = 8;
 
 /// Highest pc tracked per process in the hot-pc table; larger pcs fold
 /// into the last slot.
@@ -34,186 +32,62 @@ pub const MAX_PCS: usize = 256;
 /// Default heartbeat interval when `FT_OBS_HEARTBEAT_MS` is unset.
 pub const DEFAULT_HEARTBEAT_MS: u64 = 1000;
 
-/// Default capacity of the in-memory event ring.
-pub const DEFAULT_RING_CAP: usize = 64;
-
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
 // Trace span ids are process-global, not per-recorder: several checks in
 // one process (a sweep, a resume chain) append to one JSONL file, and the
 // forest invariant (`parent < id`, ids unique) must hold across all of
 // them. `0` is reserved for [`SpanId::NONE`].
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 
-thread_local! {
-    // Const-initialized (no lazy-init guard on the TLS access path);
-    // `usize::MAX` marks "not yet assigned" and the first touch claims
-    // the next round-robin shard.
-    static MY_SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-}
+/// Hits per program point, indexed `pc * MAX_PROCS + proc` and grown on
+/// first touch: programs are short, so a table stays a few hundred slots
+/// and an untouched one (a disabled recorder's tally) allocates nothing.
+#[derive(Debug, Default)]
+struct HotPcs(Vec<u64>);
 
-#[inline]
-fn my_shard() -> usize {
-    MY_SHARD.with(|c| {
-        let s = c.get();
-        if s != usize::MAX {
-            s
-        } else {
-            let s = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            c.set(s);
-            s
+impl HotPcs {
+    #[inline]
+    fn hit(&mut self, proc: usize, pc: u32, hits: u64) {
+        let slot = (pc as usize).min(MAX_PCS - 1) * MAX_PROCS + proc.min(MAX_PROCS - 1);
+        if self.0.len() <= slot {
+            self.0.resize(slot + 1, 0);
         }
-    })
-}
-
-/// Raise a max-merged gauge. The plain load makes the steady-state case
-/// (value does not exceed the current max) branch-and-done instead of a
-/// `fetch_max` CAS loop; the race where two threads pass the check is
-/// resolved by `fetch_max` itself.
-#[inline]
-fn bump_max(gauge: &AtomicU64, value: u64) {
-    if gauge.load(Ordering::Relaxed) < value {
-        gauge.fetch_max(value, Ordering::Relaxed);
+        self.0[slot] += hits;
     }
-}
 
-/// One machine-level step, classified for metric purposes. Built by
-/// `wbmem::Machine` from the step's `EventKind` — one `record_step` call
-/// per executed (non-no-op) event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StepClass {
-    /// A read; `buffered` when served from the process's own write buffer,
-    /// `remote` when charged as an RMR.
-    Read {
-        /// Served from the write buffer rather than shared memory.
-        buffered: bool,
-        /// Charged as an RMR under the model's remoteness rule.
-        remote: bool,
-    },
-    /// A buffered (or SC-immediate) write; `buffer_depth` is the buffer
-    /// length after the write enters it.
-    Write {
-        /// Buffer occupancy after the write.
-        buffer_depth: u64,
-    },
-    /// A buffer-to-memory commit (including crash drains).
-    Commit {
-        /// Charged as an RMR.
-        remote: bool,
-    },
-    /// A compare-and-swap.
-    Cas {
-        /// Charged as an RMR.
-        remote: bool,
-    },
-    /// A fetch-and-store.
-    Swap {
-        /// Charged as an RMR.
-        remote: bool,
-    },
-    /// A fence.
-    Fence,
-    /// A process return.
-    Return,
-    /// A crash-fault injection.
-    Crash,
-}
-
-/// One lock-free shard of counters and histograms.
-#[derive(Debug)]
-struct Shard {
-    counters: [AtomicU64; Metric::COUNT],
-    per_proc: [[AtomicU64; 3]; MAX_PROCS], // fences, rmrs, crashes
-    buffer_depth: [AtomicU64; HIST_BUCKETS],
-    frame_depth: [AtomicU64; HIST_BUCKETS],
-    span_ns: [AtomicU64; Phase::COUNT],
-    span_count: [AtomicU64; Phase::COUNT],
-    // Pad shards apart so adjacent shards' hot counters do not share a
-    // cache line under the parallel engine.
-    _pad: [u64; 8],
-}
-
-impl Default for Shard {
-    // Manual: `[AtomicU64; N]` stops deriving `Default` past 32 elements.
-    fn default() -> Shard {
-        Shard {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            per_proc: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-            buffer_depth: std::array::from_fn(|_| AtomicU64::new(0)),
-            frame_depth: std::array::from_fn(|_| AtomicU64::new(0)),
-            span_ns: std::array::from_fn(|_| AtomicU64::new(0)),
-            span_count: std::array::from_fn(|_| AtomicU64::new(0)),
-            _pad: [0; 8],
+    fn merge(&mut self, other: &HotPcs) {
+        if self.0.len() < other.0.len() {
+            self.0.resize(other.0.len(), 0);
+        }
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a += b;
         }
     }
 }
 
-impl Shard {
-    fn snapshot(&self) -> MetricsSnapshot {
-        let mut s = MetricsSnapshot::default();
-        for (dst, src) in s.counters.iter_mut().zip(self.counters.iter()) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        for (dst, src) in s.per_proc.iter_mut().zip(self.per_proc.iter()) {
-            dst.fences = src[0].load(Ordering::Relaxed);
-            dst.rmrs = src[1].load(Ordering::Relaxed);
-            dst.crashes = src[2].load(Ordering::Relaxed);
-        }
-        for (dst, src) in s
-            .buffer_depth
-            .buckets
-            .iter_mut()
-            .zip(self.buffer_depth.iter())
-        {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        for (dst, src) in s
-            .frame_depth
-            .buckets
-            .iter_mut()
-            .zip(self.frame_depth.iter())
-        {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        for (dst, src) in s.span_ns.iter_mut().zip(self.span_ns.iter()) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        for (dst, src) in s.span_count.iter_mut().zip(self.span_count.iter()) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        s
-    }
+/// What has been counted: by a recorder in all (its store), or by one
+/// [`Tally`] since its last flush.
+#[derive(Debug, Default)]
+struct Counts {
+    totals: MetricsSnapshot,
+    hot_pc: HotPcs,
+}
 
-    fn reset(&self) {
-        for c in &self.counters {
-            c.store(0, Ordering::Relaxed);
-        }
-        for p in &self.per_proc {
-            for c in p {
-                c.store(0, Ordering::Relaxed);
-            }
-        }
-        for c in self.buffer_depth.iter().chain(self.frame_depth.iter()) {
-            c.store(0, Ordering::Relaxed);
-        }
-        for c in self.span_ns.iter().chain(self.span_count.iter()) {
-            c.store(0, Ordering::Relaxed);
-        }
+impl Counts {
+    fn merge(&mut self, other: &Counts) {
+        self.totals.merge(&other.totals);
+        self.hot_pc.merge(&other.hot_pc);
     }
 }
 
 #[derive(Debug)]
 struct Inner {
-    shards: [Shard; SHARDS],
-    gauges: [AtomicU64; Gauge::COUNT],
-    hot_pc: Vec<[AtomicU64; MAX_PCS]>,
+    store: Mutex<Counts>,
     pc_labels: Mutex<Vec<Vec<String>>>,
     meta: Vec<(String, J)>,
     start: Instant,
     heartbeat_ms: u64,
     last_heartbeat_ms: AtomicU64,
     quiet: bool,
-    ring: EventRing,
     sink: Option<Arc<JsonlSink>>,
     trace: bool,
     trace_root: AtomicU64,
@@ -226,7 +100,6 @@ pub struct RecorderBuilder {
     sink: Option<Arc<JsonlSink>>,
     heartbeat_ms: Option<u64>,
     quiet: Option<bool>,
-    ring_cap: Option<usize>,
     trace: Option<bool>,
 }
 
@@ -254,18 +127,11 @@ impl RecorderBuilder {
         self
     }
 
-    /// Suppress stderr output (events still reach the ring and sink).
+    /// Suppress stderr output (events still reach the sink).
     /// Defaults to the `FT_OBS_QUIET` environment variable.
     #[must_use]
     pub fn quiet(mut self, quiet: bool) -> Self {
         self.quiet = Some(quiet);
-        self
-    }
-
-    /// Capacity of the in-memory event ring.
-    #[must_use]
-    pub fn ring_cap(mut self, cap: usize) -> Self {
-        self.ring_cap = Some(cap);
         self
     }
 
@@ -294,18 +160,13 @@ impl RecorderBuilder {
         });
         Recorder {
             inner: Some(Arc::new(Inner {
-                shards: std::array::from_fn(|_| Shard::default()),
-                gauges: std::array::from_fn(|_| AtomicU64::new(0)),
-                hot_pc: (0..MAX_PROCS)
-                    .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
-                    .collect(),
+                store: Mutex::default(),
                 pc_labels: Mutex::new(Vec::new()),
                 meta: self.meta,
                 start: Instant::now(),
                 heartbeat_ms,
                 last_heartbeat_ms: AtomicU64::new(0),
                 quiet,
-                ring: EventRing::new(self.ring_cap.unwrap_or(DEFAULT_RING_CAP)),
                 sink: self.sink,
                 trace,
                 trace_root: AtomicU64::new(0),
@@ -373,159 +234,51 @@ impl Recorder {
         self.inner.is_some()
     }
 
-    /// Whether `self` and `other` share the same underlying recorder state.
-    #[must_use]
-    pub fn same_as(&self, other: &Recorder) -> bool {
-        match (&self.inner, &other.inner) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (None, None) => true,
-            _ => false,
-        }
+    /// The store of an enabled recorder. Its holders only add and copy
+    /// integers, which leaves it valid at every step: a poisoned lock
+    /// still guards good data (and a [`Tally`] flushes from `Drop`, which
+    /// must not panic).
+    fn store(inner: &Inner) -> MutexGuard<'_, Counts> {
+        inner.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    #[inline]
-    fn shard(inner: &Inner) -> &Shard {
-        &inner.shards[my_shard()]
-    }
-
-    /// Add `delta` to a counter.
-    #[inline]
+    /// Add `delta` to a counter. Takes the store's lock: for cold call
+    /// sites; an exploration loop counts into a [`Tally`].
     pub fn add(&self, m: Metric, delta: u64) {
         if let Some(inner) = &self.inner {
-            Self::shard(inner).counters[m as usize].fetch_add(delta, Ordering::Relaxed);
+            Self::store(inner).totals.counters[m as usize] += delta;
         }
     }
 
-    /// Increment a counter by one.
-    #[inline]
+    /// Increment a counter by one (see [`add`](Self::add)).
     pub fn incr(&self, m: Metric) {
         self.add(m, 1);
     }
 
-    /// Record one classified machine step for process `proc` (processes
-    /// beyond [`MAX_PROCS`] fold into the last per-process slot), plus the
-    /// post-step pc for the hot-pc table when the process exposes one.
-    #[inline]
-    pub fn record_step(&self, proc: usize, class: StepClass, pc: Option<u32>) {
-        let Some(inner) = &self.inner else { return };
-        let shard = Self::shard(inner);
-        let c = &shard.counters;
-        let p = proc.min(MAX_PROCS - 1);
-        let mut remote = false;
-        match class {
-            StepClass::Read {
-                buffered,
-                remote: r,
-            } => {
-                c[Metric::Reads as usize].fetch_add(1, Ordering::Relaxed);
-                if buffered {
-                    c[Metric::BufferReads as usize].fetch_add(1, Ordering::Relaxed);
-                }
-                remote = r;
-            }
-            StepClass::Write { buffer_depth } => {
-                c[Metric::Writes as usize].fetch_add(1, Ordering::Relaxed);
-                shard.buffer_depth[bucket_index(buffer_depth)].fetch_add(1, Ordering::Relaxed);
-                bump_max(&inner.gauges[Gauge::MaxBufferDepth as usize], buffer_depth);
-            }
-            StepClass::Commit { remote: r } => {
-                c[Metric::Commits as usize].fetch_add(1, Ordering::Relaxed);
-                remote = r;
-            }
-            StepClass::Cas { remote: r } => {
-                c[Metric::CasOps as usize].fetch_add(1, Ordering::Relaxed);
-                remote = r;
-            }
-            StepClass::Swap { remote: r } => {
-                c[Metric::SwapOps as usize].fetch_add(1, Ordering::Relaxed);
-                remote = r;
-            }
-            StepClass::Fence => {
-                c[Metric::Fences as usize].fetch_add(1, Ordering::Relaxed);
-                shard.per_proc[p][0].fetch_add(1, Ordering::Relaxed);
-            }
-            StepClass::Return => {
-                c[Metric::Returns as usize].fetch_add(1, Ordering::Relaxed);
-            }
-            StepClass::Crash => {
-                c[Metric::Crashes as usize].fetch_add(1, Ordering::Relaxed);
-                shard.per_proc[p][2].fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if remote {
-            c[Metric::Rmrs as usize].fetch_add(1, Ordering::Relaxed);
-            shard.per_proc[p][1].fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(pc) = pc {
-            let pc = (pc as usize).min(MAX_PCS - 1);
-            inner.hot_pc[p][pc].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record a newly visited state at DFS depth `depth`.
-    #[inline]
-    pub fn on_state(&self, depth: u64) {
-        if let Some(inner) = &self.inner {
-            let shard = Self::shard(inner);
-            shard.counters[Metric::States as usize].fetch_add(1, Ordering::Relaxed);
-            shard.frame_depth[bucket_index(depth)].fetch_add(1, Ordering::Relaxed);
-            bump_max(&inner.gauges[Gauge::MaxDepth as usize], depth);
-        }
-    }
-
-    /// Record an executed transition.
-    #[inline]
-    pub fn on_transition(&self) {
-        self.add(Metric::Transitions, 1);
-    }
-
     /// Update a `max`-merged gauge.
-    #[inline]
     pub fn gauge_max(&self, g: Gauge, value: u64) {
         if let Some(inner) = &self.inner {
-            bump_max(&inner.gauges[g as usize], value);
+            let slot = &mut Self::store(inner).totals.gauges[g as usize];
+            *slot = (*slot).max(value);
         }
     }
 
     /// Overwrite a gauge (last write wins; used for occupancy-style
     /// gauges sampled at snapshot time).
-    #[inline]
     pub fn gauge_set(&self, g: Gauge, value: u64) {
         if let Some(inner) = &self.inner {
-            inner.gauges[g as usize].store(value, Ordering::Relaxed);
+            Self::store(inner).totals.gauges[g as usize] = value;
         }
     }
 
-    /// Open an engine-local [`Tally`] that batches the checker-side
-    /// counters in plain fields and folds them into the recorder when
-    /// dropped (or on [`Tally::flush`]).
+    /// Open an engine-local [`Tally`]: counts land in its plain fields
+    /// and reach the recorder when it is dropped (or on
+    /// [`Tally::flush`]).
     #[must_use]
     pub fn tally(&self) -> Tally {
         Tally {
             rec: self.clone(),
-            states: 0,
-            transitions: 0,
-            terminal_states: 0,
-            dedup_hits: 0,
-            noop_steps: 0,
-            undo_steps: 0,
-            sleep_hits: 0,
-            ample_applied: 0,
-            ample_fallbacks: 0,
-            max_depth: 0,
-            frame_depth: [0; HIST_BUCKETS],
-        }
-    }
-
-    /// Open an RAII timer for `phase`; drop stops it and accumulates the
-    /// elapsed nanoseconds.
-    #[must_use]
-    pub fn span(&self, phase: Phase) -> Span {
-        Span {
-            rec: self
-                .inner
-                .as_ref()
-                .map(|i| (Arc::clone(i), phase, Instant::now())),
+            counts: Counts::default(),
         }
     }
 
@@ -552,18 +305,16 @@ impl Recorder {
         };
         let labels = inner.pc_labels.lock().expect("unpoisoned");
         let mut all: Vec<(usize, u32, u64, Option<String>)> = Vec::new();
-        for (p, row) in inner.hot_pc.iter().enumerate() {
-            for (pc, cell) in row.iter().enumerate() {
-                let hits = cell.load(Ordering::Relaxed);
-                if hits > 0 {
-                    let label = labels
-                        .get(p)
-                        .and_then(|ls| ls.get(pc))
-                        .filter(|l| !l.is_empty())
-                        .cloned();
-                    #[allow(clippy::cast_possible_truncation)]
-                    all.push((p, pc as u32, hits, label));
-                }
+        for (slot, &hits) in Self::store(inner).hot_pc.0.iter().enumerate() {
+            if hits > 0 {
+                let (pc, p) = (slot / MAX_PROCS, slot % MAX_PROCS);
+                let label = labels
+                    .get(p)
+                    .and_then(|ls| ls.get(pc))
+                    .filter(|l| !l.is_empty())
+                    .cloned();
+                #[allow(clippy::cast_possible_truncation)]
+                all.push((p, pc as u32, hits, label));
             }
         }
         all.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
@@ -585,62 +336,32 @@ impl Recorder {
             .join(";")
     }
 
-    /// Fold all shards (plus gauges) into one [`MetricsSnapshot`].
+    /// Everything counted so far (what every flushed [`Tally`] and every
+    /// direct `incr`/`add`/`gauge_*` call has added up to).
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let Some(inner) = &self.inner else {
-            return MetricsSnapshot::default();
-        };
-        let mut total = MetricsSnapshot::default();
-        for shard in &inner.shards {
-            total.merge(&shard.snapshot());
-        }
-        for (dst, src) in total.gauges.iter_mut().zip(inner.gauges.iter()) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        total
-    }
-
-    /// Per-shard snapshots (gauges excluded — they are recorder-global).
-    /// Folding these in any order with [`MetricsSnapshot::merge`] must
-    /// reproduce [`snapshot`](Self::snapshot) minus gauges; the obs
-    /// proptest suite checks exactly that.
-    #[must_use]
-    pub fn shard_snapshots(&self) -> Vec<MetricsSnapshot> {
         self.inner
             .as_ref()
-            .map(|inner| inner.shards.iter().map(Shard::snapshot).collect())
-            .unwrap_or_default()
+            .map_or_else(MetricsSnapshot::default, |inner| Self::store(inner).totals)
     }
 
-    /// Zero every counter, histogram, span, gauge, and hot-pc cell,
-    /// keeping meta fields, the sink, and the event ring. Used by the
-    /// parallel engine before its sequential fallback rerun so totals stay
-    /// bit-identical with the other engines.
+    /// Zero every counter, histogram, gauge, and hot-pc cell, keeping
+    /// meta fields and the sink. Used by the parallel engine before its
+    /// sequential fallback rerun so totals stay bit-identical with the
+    /// other engines.
     pub fn reset_counts(&self) {
         if let Some(inner) = &self.inner {
-            for shard in &inner.shards {
-                shard.reset();
-            }
-            for g in &inner.gauges {
-                g.store(0, Ordering::Relaxed);
-            }
-            for row in &inner.hot_pc {
-                for cell in row {
-                    cell.store(0, Ordering::Relaxed);
-                }
-            }
+            *Self::store(inner) = Counts::default();
         }
     }
 
-    /// Emit one event: rendered as a flat JSON line, pushed to the ring,
-    /// streamed to the sink (if any). `kind` is the event discriminator.
+    /// Emit one event: rendered as a flat JSON line and streamed to the
+    /// sink (without one there is nowhere for it to go). `kind` is the
+    /// event discriminator.
     pub fn event(&self, kind: &str, fields: &[(&str, J)]) {
         let Some(inner) = &self.inner else { return };
-        let line = self.render_event(inner, kind, fields);
-        inner.ring.push(&line);
         if let Some(sink) = &inner.sink {
-            sink.write_line(&line);
+            sink.write_line(&self.render_event(inner, kind, fields));
         }
     }
 
@@ -844,15 +565,6 @@ impl Recorder {
         lines.clear();
     }
 
-    /// The newest ring-buffered event lines, oldest first.
-    #[must_use]
-    pub fn recent_events(&self) -> Vec<String> {
-        self.inner
-            .as_ref()
-            .map(|i| i.ring.drain_snapshot())
-            .unwrap_or_default()
-    }
-
     /// Flush the JSONL sink, if attached.
     pub fn flush(&self) {
         if let Some(inner) = &self.inner {
@@ -861,171 +573,98 @@ impl Recorder {
             }
         }
     }
-
-    /// The sink path, if a sink is attached.
-    #[must_use]
-    pub fn sink_path(&self) -> Option<std::path::PathBuf> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.sink.as_ref())
-            .map(|s| s.path().to_path_buf())
-    }
 }
 
-/// Engine-local batch of the checker-side counters, flushed into the
-/// recorder in one shot when dropped (or via [`Tally::flush`]).
+/// An engine-local batch of counts: a [`MetricsSnapshot`]-shaped delta (plus
+/// hot-pc hits) in plain fields, folded into the recorder in one
+/// [`MetricsSnapshot::merge`] when dropped (or via [`Tally::flush`]).
 ///
-/// The exploration loops increment states/transitions/dedup/undo counters
-/// — and, under a reduction, the sleep-hit and ample-decision counters —
-/// on *every* edge; going through the sharded atomics each time costs a TLS
-/// lookup plus a `lock`-prefixed RMW per counter, which is the bulk of
-/// the enabled-recorder overhead the E13 budget caps. A `Tally` keeps
-/// those counts in plain fields (and the frame-depth histogram in a plain
-/// array) for the duration of one engine run — each parallel worker owns
-/// its own — and folds them into the shards once at the end, which is
-/// exactly the merge the proptest suite proves order-insensitive. Machine
-/// -level step classes (reads/writes/fences/RMRs) still record live:
-/// their per-process attribution and the buffer-depth histogram are
-/// consumed mid-run by heartbeats and belong to `wbmem`, not the engines.
+/// An exploration counts every edge it walks — states, transitions,
+/// dedup hits, undos, the sleep and ample decisions of a reduction, and
+/// the machine step itself (reads, writes, fences β(E), RMRs ρ(E), …,
+/// classified by `modelcheck` from what the step added to
+/// `wbmem::Counters`). None of that may cost an atomic or a lock per
+/// edge, so each walk — each task of each parallel worker — owns one
+/// tally for its duration. Nothing reads the recorder's totals mid-walk
+/// (heartbeats report the `Progress` the engine hands them), and the
+/// engines flush before every point that does: a checkpoint, a counter
+/// reset, the final snapshot.
 #[derive(Debug)]
 pub struct Tally {
     rec: Recorder,
-    states: u64,
-    transitions: u64,
-    terminal_states: u64,
-    dedup_hits: u64,
-    noop_steps: u64,
-    undo_steps: u64,
-    sleep_hits: u64,
-    ample_applied: u64,
-    ample_fallbacks: u64,
-    max_depth: u64,
-    frame_depth: [u64; HIST_BUCKETS],
+    counts: Counts,
 }
 
 impl Tally {
+    /// Whether the counts go anywhere. Callers skip work that only
+    /// exists to be counted (reading a step's counters back) when not;
+    /// the mutators themselves are unconditional plain additions.
+    #[inline]
+    #[must_use]
+    pub fn is_live(&self) -> bool {
+        self.rec.is_enabled()
+    }
+
+    /// Add `delta` to a counter.
+    #[inline]
+    pub fn add(&mut self, m: Metric, delta: u64) {
+        self.counts.totals.counters[m as usize] += delta;
+    }
+
+    /// Increment a counter by one.
+    #[inline]
+    pub fn incr(&mut self, m: Metric) {
+        self.add(m, 1);
+    }
+
     /// Record a newly visited state at DFS depth `depth`.
     #[inline]
     pub fn on_state(&mut self, depth: u64) {
-        self.states += 1;
-        self.frame_depth[bucket_index(depth)] += 1;
-        if depth > self.max_depth {
-            self.max_depth = depth;
-        }
+        self.incr(Metric::States);
+        self.counts.totals.frame_depth.buckets[bucket_index(depth)] += 1;
+        let max = &mut self.counts.totals.gauges[Gauge::MaxDepth as usize];
+        *max = (*max).max(depth);
     }
 
-    /// Record an executed transition.
+    /// Charge `steps` to process `proc` (processes beyond [`MAX_PROCS`]
+    /// fold into the last per-process slot) and to the totals.
     #[inline]
-    pub fn on_transition(&mut self) {
-        self.transitions += 1;
+    pub fn proc_steps(&mut self, proc: usize, steps: ProcSteps) {
+        self.add(Metric::Fences, steps.fences);
+        self.add(Metric::Rmrs, steps.rmrs);
+        self.add(Metric::Crashes, steps.crashes);
+        self.counts.totals.per_proc[proc.min(MAX_PROCS - 1)].merge(&steps);
     }
 
-    /// Record a transition into an already-visited state.
+    /// Record a write that left its process's buffer `depth` entries deep
+    /// (`0` for an SC write, which commits at once).
     #[inline]
-    pub fn dedup_hit(&mut self) {
-        self.dedup_hits += 1;
+    pub fn on_write(&mut self, depth: u64) {
+        self.incr(Metric::Writes);
+        self.counts.totals.buffer_depth.buckets[bucket_index(depth)] += 1;
+        let max = &mut self.counts.totals.gauges[Gauge::MaxBufferDepth as usize];
+        *max = (*max).max(depth);
     }
 
-    /// Record a scheduler choice that produced a no-op.
+    /// Add `hits` to the hot-pc cell of process `proc` at `pc`.
     #[inline]
-    pub fn noop_step(&mut self) {
-        self.noop_steps += 1;
-    }
-
-    /// Record one undone machine step.
-    #[inline]
-    pub fn undo_step(&mut self) {
-        self.undo_steps += 1;
-    }
-
-    /// Record an all-done (terminal) state.
-    #[inline]
-    pub fn terminal_state(&mut self) {
-        self.terminal_states += 1;
-    }
-
-    /// Record `n` edges pruned as redundant by the reduction.
-    #[inline]
-    pub fn sleep_hits(&mut self, n: u64) {
-        self.sleep_hits += n;
-    }
-
-    /// Record one ample-set decision: the reduction `applied`, or fell
-    /// back to the full enabled set.
-    #[inline]
-    pub fn ample(&mut self, applied: bool) {
-        if applied {
-            self.ample_applied += 1;
-        } else {
-            self.ample_fallbacks += 1;
-        }
+    pub fn hot_pc(&mut self, proc: usize, pc: u32, hits: u64) {
+        self.counts.hot_pc.hit(proc, pc, hits);
     }
 
     /// Fold the batched counts into the recorder and zero the batch.
     /// Dropping the tally does the same.
     pub fn flush(&mut self) {
         if let Some(inner) = &self.rec.inner {
-            let shard = Recorder::shard(inner);
-            for (m, v) in [
-                (Metric::States, self.states),
-                (Metric::Transitions, self.transitions),
-                (Metric::TerminalStates, self.terminal_states),
-                (Metric::DedupHits, self.dedup_hits),
-                (Metric::NoopSteps, self.noop_steps),
-                (Metric::UndoSteps, self.undo_steps),
-                (Metric::SleepHits, self.sleep_hits),
-                (Metric::AmpleApplied, self.ample_applied),
-                (Metric::AmpleFallbacks, self.ample_fallbacks),
-            ] {
-                if v > 0 {
-                    shard.counters[m as usize].fetch_add(v, Ordering::Relaxed);
-                }
-            }
-            for (bucket, &count) in shard.frame_depth.iter().zip(self.frame_depth.iter()) {
-                if count > 0 {
-                    bucket.fetch_add(count, Ordering::Relaxed);
-                }
-            }
-            if self.max_depth > 0 {
-                bump_max(&inner.gauges[Gauge::MaxDepth as usize], self.max_depth);
-            }
+            Recorder::store(inner).merge(&self.counts);
         }
-        self.states = 0;
-        self.transitions = 0;
-        self.terminal_states = 0;
-        self.dedup_hits = 0;
-        self.noop_steps = 0;
-        self.undo_steps = 0;
-        self.sleep_hits = 0;
-        self.ample_applied = 0;
-        self.ample_fallbacks = 0;
-        self.max_depth = 0;
-        self.frame_depth = [0; HIST_BUCKETS];
+        self.counts = Counts::default();
     }
 }
 
 impl Drop for Tally {
     fn drop(&mut self) {
         self.flush();
-    }
-}
-
-/// RAII phase timer returned by [`Recorder::span`]; accumulates elapsed
-/// nanoseconds into the recorder on drop.
-#[derive(Debug)]
-pub struct Span {
-    rec: Option<(Arc<Inner>, Phase, Instant)>,
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some((inner, phase, started)) = self.rec.take() {
-            #[allow(clippy::cast_possible_truncation)]
-            let ns = started.elapsed().as_nanos() as u64;
-            let shard = Recorder::shard(&inner);
-            shard.span_ns[phase as usize].fetch_add(ns, Ordering::Relaxed);
-            shard.span_count[phase as usize].fetch_add(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -1050,42 +689,54 @@ pub fn install_global(rec: Recorder) -> bool {
 mod tests {
     use super::*;
 
+    fn quiet() -> Recorder {
+        Recorder::builder().heartbeat_ms(0).quiet(true).build()
+    }
+
+    const NONE: ProcSteps = ProcSteps {
+        fences: 0,
+        rmrs: 0,
+        crashes: 0,
+    };
+    const FENCE: ProcSteps = ProcSteps { fences: 1, ..NONE };
+    const RMR: ProcSteps = ProcSteps { rmrs: 1, ..NONE };
+
     #[test]
     fn disabled_recorder_records_nothing() {
         let r = Recorder::disabled();
         r.incr(Metric::States);
-        r.record_step(0, StepClass::Fence, Some(3));
-        r.on_state(5);
+        r.gauge_max(Gauge::MaxFrontier, 4);
+        let mut t = r.tally();
+        assert!(!t.is_live());
+        t.proc_steps(0, FENCE);
+        t.hot_pc(0, 3, 1);
+        t.on_state(5);
+        drop(t);
         r.maybe_heartbeat(&Progress::default());
-        drop(r.span(Phase::Explore));
         assert!(r.snapshot().is_empty());
-        assert!(r.recent_events().is_empty());
+        assert!(r.hot_pcs(4).is_empty());
         assert!(!r.is_enabled());
     }
 
     #[test]
     fn step_classification_counts() {
-        let r = Recorder::builder().heartbeat_ms(0).quiet(true).build();
-        r.record_step(
-            0,
-            StepClass::Read {
-                buffered: true,
-                remote: false,
-            },
-            None,
-        );
-        r.record_step(
-            1,
-            StepClass::Read {
-                buffered: false,
-                remote: true,
-            },
-            None,
-        );
-        r.record_step(1, StepClass::Write { buffer_depth: 3 }, None);
-        r.record_step(0, StepClass::Commit { remote: true }, None);
-        r.record_step(0, StepClass::Fence, Some(7));
-        r.record_step(1, StepClass::Crash, None);
+        let r = quiet();
+        let mut t = r.tally();
+        assert!(t.is_live());
+        // p0: a buffered read; p1: a remote read.
+        t.add(Metric::Reads, 2);
+        t.incr(Metric::BufferReads);
+        t.proc_steps(1, RMR);
+        // p1 writes into a buffer now 3 deep; p0 commits remotely.
+        t.on_write(3);
+        t.incr(Metric::Commits);
+        t.proc_steps(0, RMR);
+        // p0 fences and is left at pc 7; p1 crashes.
+        t.proc_steps(0, FENCE);
+        t.hot_pc(0, 7, 1);
+        let crashes = 1;
+        t.proc_steps(1, ProcSteps { crashes, ..NONE });
+        drop(t);
         let s = r.snapshot();
         assert_eq!(s.get(Metric::Reads), 2);
         assert_eq!(s.get(Metric::BufferReads), 1);
@@ -1106,31 +757,38 @@ mod tests {
 
     #[test]
     fn shard_fold_matches_snapshot_counters() {
-        let r = Recorder::builder().heartbeat_ms(0).quiet(true).build();
-        for _ in 0..100 {
-            r.on_transition();
+        // Counts split over several tallies (an empty one among them)
+        // fold to what one tally would have held.
+        let (split, whole) = (quiet(), quiet());
+        let mut one = whole.tally();
+        for chunk in [60, 0, 39, 1] {
+            let mut t = split.tally();
+            for _ in 0..chunk {
+                t.incr(Metric::Transitions);
+                one.incr(Metric::Transitions);
+            }
         }
-        r.on_state(2);
-        let mut folded = MetricsSnapshot::default();
-        for s in r.shard_snapshots() {
-            folded.merge(&s);
-        }
-        assert_eq!(folded, r.snapshot(), "deterministic projection matches");
+        split.tally().on_state(2);
+        one.on_state(2);
+        drop(one);
+        let (folded, expect) = (split.snapshot(), whole.snapshot());
+        assert_eq!(folded, expect, "deterministic projection matches");
+        assert_eq!(folded.frame_depth, expect.frame_depth);
+        assert_eq!(folded.gauges, expect.gauges);
         assert_eq!(folded.transitions(), 100);
     }
 
     #[test]
     fn tally_batches_the_reduction_counters_until_flushed() {
-        let r = Recorder::builder().heartbeat_ms(0).quiet(true).build();
+        let r = quiet();
         let mut t = r.tally();
-        t.sleep_hits(3);
-        t.sleep_hits(0);
-        t.ample(true);
-        t.ample(false);
-        t.ample(false);
+        t.add(Metric::SleepHits, 3);
+        t.add(Metric::SleepHits, 0);
+        t.incr(Metric::AmpleApplied);
+        t.add(Metric::AmpleFallbacks, 2);
         assert!(r.snapshot().is_empty(), "nothing recorded before the flush");
         t.flush();
-        t.sleep_hits(1);
+        t.incr(Metric::SleepHits);
         drop(t);
         let snap = r.snapshot();
         assert_eq!(snap.get(Metric::SleepHits), 4);
@@ -1140,36 +798,36 @@ mod tests {
 
     #[test]
     fn reset_zeroes_everything() {
-        let r = Recorder::builder().heartbeat_ms(0).quiet(true).build();
-        r.record_step(0, StepClass::Fence, Some(1));
+        let r = quiet();
+        let mut t = r.tally();
+        t.proc_steps(0, FENCE);
+        t.hot_pc(0, 1, 1);
+        drop(t);
         r.gauge_max(Gauge::MaxFrontier, 9);
+        assert!(!r.snapshot().is_empty() && !r.hot_pcs(4).is_empty());
         r.reset_counts();
         assert!(r.snapshot().is_empty());
         assert!(r.hot_pcs(4).is_empty());
     }
 
     #[test]
-    fn events_reach_ring_with_meta() {
+    fn events_reach_the_sink_with_meta() {
+        let path = std::env::temp_dir().join(format!("ftobs_event_test_{}", std::process::id()));
+        let sink = Arc::new(JsonlSink::append(&path).expect("open"));
         let r = Recorder::builder()
             .meta("engine", "undo")
             .heartbeat_ms(0)
             .quiet(true)
+            .sink(sink)
             .build();
         r.event("probe", &[("n", J::U(3))]);
-        let lines = r.recent_events();
+        drop(r);
+        let text = std::fs::read_to_string(&path).expect("readable");
+        let _ = std::fs::remove_file(&path);
+        let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("\"kind\":\"probe\""));
         assert!(lines[0].contains("\"engine\":\"undo\""));
         assert!(lines[0].contains("\"n\":3"));
-    }
-
-    #[test]
-    fn spans_accumulate() {
-        let r = Recorder::builder().heartbeat_ms(0).quiet(true).build();
-        {
-            let _s = r.span(Phase::Explore);
-        }
-        let s = r.snapshot();
-        assert_eq!(s.span_count[Phase::Explore as usize], 1);
     }
 }

@@ -252,7 +252,6 @@ fn non_counter_key(key: &str) -> bool {
         || RESILIENCE_COLS.contains(&key)
         || SYNTH_COLS.contains(&key)
         || key.ends_with("_hist")
-        || key.starts_with("span_")
         || is_per_proc(key)
 }
 
@@ -341,7 +340,14 @@ pub fn render_report(title: &str, lines: &[String]) -> String {
             cols.iter().map(|_| "---:").collect::<Vec<_>>().join("|")
         );
         for ((workload, engine), f) in &snaps {
-            let cells: Vec<String> = cols.iter().map(|c| get_u64(f, c).to_string()).collect();
+            // A row zero in every printed column says nothing here: its
+            // numbers live in another table (a `cegar` snapshot's are
+            // the Synthesis table's).
+            let cells: Vec<u64> = cols.iter().map(|c| get_u64(f, c)).collect();
+            if cells.iter().all(|&c| c == 0) {
+                continue;
+            }
+            let cells: Vec<String> = cells.iter().map(u64::to_string).collect();
             let _ = writeln!(out, "| {workload} | {engine} | {} |", cells.join(" | "));
         }
         let _ = writeln!(out);
@@ -672,7 +678,7 @@ mod tests {
     fn report_renders_unknown_counters_as_extra_columns() {
         let lines = vec![
             r#"{"t_ms":1,"kind":"snapshot","workload":"filter3_pso","engine":"dpor","states":50,"transitions":90,"fences":4,"rmrs":8,"crashes":0,"sleep_hits":9,"dedup_hits":5,"max_frontier":3}"#.to_string(),
-            r#"{"t_ms":2,"kind":"snapshot","workload":"filter3_pso","engine":"pardpor","states":50,"transitions":95,"fences":4,"rmrs":8,"crashes":0,"sleep_hits":9,"dedup_hits":5,"max_frontier":3,"fork_published":6,"fork_stolen":7,"fp_contention":2,"p0_fences":1,"span_explore_ns":900,"buffer_depth_hist":"3@0"}"#.to_string(),
+            r#"{"t_ms":2,"kind":"snapshot","workload":"filter3_pso","engine":"pardpor","states":50,"transitions":95,"fences":4,"rmrs":8,"crashes":0,"sleep_hits":9,"dedup_hits":5,"max_frontier":3,"fork_published":6,"fork_stolen":7,"fp_contention":2,"p0_fences":1,"buffer_depth_hist":"3@0"}"#.to_string(),
         ];
         let r = render_report("Test", &lines);
         // The steal/contention counters appear as (sorted) trailing
@@ -686,9 +692,12 @@ mod tests {
         );
         // …rows without them render zeros…
         assert!(r.contains("| filter3_pso | dpor | 50 | 90 | 4 | 8 | 0 | 9 | 5 | 3 | 0 | 0 | 0 |"));
-        // …and structural / per-proc / span keys stay out of the table.
+        // …and structural / per-proc keys stay out of the table.
         assert!(!r.contains("| p0_fences"), "per-proc keys excluded: {r}");
-        assert!(!r.contains("span_explore_ns |"), "span keys excluded: {r}");
+        assert!(
+            !r.contains("buffer_depth_hist |"),
+            "histograms excluded: {r}"
+        );
     }
 
     #[test]
@@ -705,5 +714,19 @@ mod tests {
         assert!(r.contains("| ttas2_pso | undo | 86 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 18 |"));
         // The eight leading columns are the table's fixed layout.
         assert!(r.contains("| crashes |"), "{r}");
+    }
+
+    #[test]
+    fn comparison_table_drops_rows_that_are_zero_in_every_column() {
+        let lines = vec![
+            r#"{"t_ms":1,"kind":"snapshot","workload":"bakery2","engine":"cegar","states":0,"synth_iterations":5,"fences_inserted":5,"core_size":5}"#.to_string(),
+            r#"{"t_ms":2,"kind":"snapshot","workload":"bakery2","engine":"dpor","states":395,"cas_ops":0}"#.to_string(),
+        ];
+        let r = render_report("Test", &lines);
+        // The synthesis rollup moved no comparison column — not even an
+        // extra one — so it is a row of the Synthesis table only.
+        assert!(!r.contains("| bakery2 | cegar | 0 |"), "{r}");
+        assert!(r.contains("| bakery2 | cegar | 5 | 5 | 5 |"), "{r}");
+        assert!(r.contains("| bakery2 | dpor | 395 | 0 | 0 | 0 | 0 | 0 | 0 | 0 |"));
     }
 }

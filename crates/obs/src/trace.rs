@@ -44,7 +44,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::events::J;
+use crate::events::{escape_into, J};
 use crate::recorder::Recorder;
 use crate::report::{parse_line, stream_lines};
 
@@ -271,22 +271,6 @@ pub fn validate_spans(rows: &[SpanRow]) -> Result<(), String> {
     Ok(())
 }
 
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Render spans as Chrome trace-event JSON (the `traceEvents` format
 /// Perfetto and `chrome://tracing` load). Complete (`ph:"X"`) events for
 /// durations, thread-scoped instants (`ph:"i"`) for `dur_us == 0`; the
@@ -301,7 +285,7 @@ pub fn chrome_trace(rows: &[SpanRow]) -> String {
             out.push(',');
         }
         out.push_str("{\"name\":\"");
-        escape_json(&r.name, &mut out);
+        escape_into(&r.name, &mut out);
         out.push_str("\",\"cat\":\"ft\",\"ph\":\"");
         if r.dur_us == 0 {
             out.push_str("i\",\"s\":\"t");
@@ -323,9 +307,9 @@ pub fn chrome_trace(rows: &[SpanRow]) -> String {
         out.push('"');
         for (k, v) in &r.fields {
             out.push_str(",\"");
-            escape_json(k, &mut out);
+            escape_into(k, &mut out);
             out.push_str("\":\"");
-            escape_json(v, &mut out);
+            escape_into(v, &mut out);
             out.push('"');
         }
         out.push_str("}}");

@@ -1,19 +1,16 @@
 //! Property-based tests for the metrics algebra: snapshot merging must be
 //! associative and commutative with [`MetricsSnapshot::default`] as the
-//! identity (counters, per-process steps, histograms, and span times add;
-//! gauges max), and folding a recorder's per-shard snapshots must equal
-//! its single merged snapshot bit-for-bit. These are the laws that make
-//! the sharded, multi-threaded recorder's totals trustworthy.
+//! identity (counters, per-process steps and histograms add; gauges max),
+//! and counts batched in any number of tallies, flushed in any order, must
+//! add up to what one tally holds, bit for bit. These are the laws that
+//! make the totals of a multi-threaded exploration trustworthy.
 
-use ftobs::{
-    Gauge, Metric, MetricsSnapshot, Phase, ProcSteps, Recorder, StepClass, HIST_BUCKETS, MAX_PROCS,
-};
+use ftobs::{Gauge, Metric, MetricsSnapshot, ProcSteps, Recorder, Tally, HIST_BUCKETS, MAX_PROCS};
 use proptest::prelude::*;
 
 /// Flat slot count of one snapshot (counters + per-proc triples + two
-/// histograms + gauges + span ns/counts).
-const SLOTS: usize =
-    Metric::COUNT + MAX_PROCS * 3 + 2 * HIST_BUCKETS + Gauge::COUNT + 2 * Phase::COUNT;
+/// histograms + gauges).
+const SLOTS: usize = Metric::COUNT + MAX_PROCS * 3 + 2 * HIST_BUCKETS + Gauge::COUNT;
 
 fn snapshot_from_slots(slots: &[u64]) -> MetricsSnapshot {
     assert_eq!(slots.len(), SLOTS);
@@ -38,12 +35,6 @@ fn snapshot_from_slots(slots: &[u64]) -> MetricsSnapshot {
     for g in &mut s.gauges {
         *g = it.next().unwrap();
     }
-    for n in &mut s.span_ns {
-        *n = it.next().unwrap();
-    }
-    for n in &mut s.span_count {
-        *n = it.next().unwrap();
-    }
     s
 }
 
@@ -62,8 +53,6 @@ fn all_slots(s: &MetricsSnapshot) -> Vec<u64> {
     out.extend_from_slice(&s.buffer_depth.buckets);
     out.extend_from_slice(&s.frame_depth.buckets);
     out.extend_from_slice(&s.gauges);
-    out.extend_from_slice(&s.span_ns);
-    out.extend_from_slice(&s.span_count);
     out
 }
 
@@ -98,64 +87,65 @@ proptest! {
         prop_assert_eq!(all_slots(&id.merged(&a)), all_slots(&a));
     }
 
-    /// Replaying the same step sequence through N concurrent threads and
-    /// through one thread yields identical counter totals, and folding the
-    /// recorder's per-shard snapshots reproduces `snapshot()` exactly.
+    /// The same operations split over k tallies on k threads, flushed in
+    /// any order, give the snapshot (and the hot-pc table) one tally gives.
     #[test]
-    fn shard_fold_equals_snapshot(ops in prop::collection::vec((0usize..4, 0u64..6, 0u32..16), 1..200)) {
-        let classify = |tag: u64, depth: u64| match tag {
-            0 => StepClass::Read { buffered: depth % 2 == 0, remote: depth % 3 == 0 },
-            1 => StepClass::Write { buffer_depth: depth },
-            2 => StepClass::Commit { remote: depth % 2 == 1 },
-            3 => StepClass::Fence,
-            4 => StepClass::Cas { remote: depth % 2 == 0 },
-            _ => StepClass::Crash,
+    fn split_tallies_flushed_in_any_order_equal_one_tally(
+        ops in prop::collection::vec((0usize..4, 0u64..7, 0u32..16), 1..200),
+        k in 1usize..5,
+        rotate in 0usize..4,
+        reverse in any::<bool>(),
+    ) {
+        // One operation per mutator a walk uses, `pc` doubling as depth.
+        let record = |t: &mut Tally, &(p, tag, pc): &(usize, u64, u32)| {
+            let depth = u64::from(pc);
+            match tag {
+                0 => t.add(Metric::Reads, depth),
+                1 => t.on_write(depth),
+                2 => t.proc_steps(p, ProcSteps { fences: 1, rmrs: depth % 2, crashes: 0 }),
+                3 => t.proc_steps(p, ProcSteps { fences: 0, rmrs: depth % 3, crashes: 1 }),
+                4 => t.incr(Metric::Transitions),
+                5 => t.on_state(depth),
+                _ => {}
+            }
+            t.hot_pc(p, pc, 1 + depth % 2);
         };
 
-        let record_all = |rec: &Recorder, chunk: &[(usize, u64, u32)]| {
-            for &(p, tag, pc) in chunk {
-                rec.record_step(p, classify(tag, u64::from(pc)), Some(pc));
-                rec.on_transition();
-                rec.on_state(u64::from(pc));
-            }
-        };
+        let whole = Recorder::builder().quiet(true).build();
+        let mut one = whole.tally();
+        ops.iter().for_each(|op| record(&mut one, op));
+        prop_assert!(whole.snapshot().is_empty(), "a tally holds its counts until flushed");
+        drop(one);
 
-        // Single-threaded reference.
-        let seq = Recorder::builder().quiet(true).build();
-        record_all(&seq, &ops);
-
-        // The same ops split across threads (each thread lands on its own
-        // shard via the round-robin thread-local).
-        let par = Recorder::builder().quiet(true).build();
-        std::thread::scope(|scope| {
-            for chunk in ops.chunks(ops.len().div_ceil(3)) {
-                let par = par.clone();
-                scope.spawn(move || record_all(&par, chunk));
-            }
+        let split = Recorder::builder().quiet(true).build();
+        let mut tallies: Vec<Tally> = std::thread::scope(|scope| {
+            let handles: Vec<_> = ops
+                .chunks(ops.len().div_ceil(k))
+                .map(|chunk| {
+                    let rec = split.clone();
+                    scope.spawn(move || {
+                        let mut t = rec.tally();
+                        chunk.iter().for_each(|op| record(&mut t, op));
+                        t
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("no panic")).collect()
         });
-
-        let (s, p) = (seq.snapshot(), par.snapshot());
-        prop_assert_eq!(s.counters, p.counters);
-        prop_assert_eq!(s.per_proc, p.per_proc);
-        prop_assert_eq!(s.buffer_depth.buckets, p.buffer_depth.buckets);
-        prop_assert_eq!(s.frame_depth.buckets, p.frame_depth.buckets);
-        prop_assert_eq!(s.gauges, p.gauges);
-
-        // Folding the parallel recorder's shards reproduces its own
-        // merged snapshot (gauges live recorder-global, outside shards).
-        let mut fold = MetricsSnapshot::default();
-        for shard in par.shard_snapshots() {
-            fold.merge(&shard);
+        let n = tallies.len();
+        tallies.rotate_left(rotate % n);
+        if reverse {
+            tallies.reverse();
         }
-        prop_assert_eq!(fold.counters, p.counters);
-        prop_assert_eq!(fold.per_proc, p.per_proc);
-        prop_assert_eq!(fold.buffer_depth.buckets, p.buffer_depth.buckets);
-        prop_assert_eq!(fold.frame_depth.buckets, p.frame_depth.buckets);
+        tallies.into_iter().for_each(drop);
+
+        prop_assert_eq!(all_slots(&split.snapshot()), all_slots(&whole.snapshot()));
+        prop_assert_eq!(split.hot_pcs(usize::MAX), whole.hot_pcs(usize::MAX));
     }
 
     /// The equality projection ignores exactly the traversal-dependent
     /// slots: two snapshots that differ only in RMRs, post-deterministic
-    /// counters, frame depths, gauges, and spans still compare equal.
+    /// counters, frame depths, and gauges still compare equal.
     #[test]
     fn equality_ignores_nondeterministic_slots(a in arb_snapshot(), noise in 1u64..999) {
         let a = snapshot_from_slots(&a);
@@ -172,9 +162,6 @@ proptest! {
         }
         for g in &mut b.gauges {
             *g += noise;
-        }
-        for n in &mut b.span_ns {
-            *n += noise;
         }
         prop_assert_eq!(a, b);
 

@@ -36,7 +36,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-use ftobs::{MetricsSnapshot, ProcSteps, GAUGES, HIST_BUCKETS, MAX_PROCS, METRICS, PHASES};
+use ftobs::{MetricsSnapshot, ProcSteps, GAUGES, HIST_BUCKETS, MAX_PROCS, METRICS};
 use wbmem::{Footprint, FootprintKind, ProcId, RegId, SchedElem};
 
 use crate::fork::ForkPoint;
@@ -46,7 +46,7 @@ use crate::sleep::SleepSet;
 pub const MAGIC: [u8; 6] = *b"FTCKPT";
 
 /// Current format version; readers reject any other. The metrics section
-/// names its counters, gauges and span totals (see `enc_metrics`), so
+/// names its counters and gauges (see `enc_metrics`), so
 /// adding one to `ftobs` is not a format change: an older file simply
 /// does not mention it and it decodes as 0. Removing or renaming one is —
 /// the reader refuses a name it does not know rather than drop a value a
@@ -345,27 +345,25 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The name-keyed slot kinds of the metrics section; an entry's kind tag
-/// is its index here.
-const SLOT_KINDS: u8 = 4;
+/// is its index here: 0 a counter, 1 a gauge. (Tags 2 and 3 were a phase
+/// timer's totals, which no run ever moved off zero and no file holds.)
+const SLOT_KINDS: u8 = 2;
 
 fn slot_names(kind: u8) -> Vec<&'static str> {
     match kind {
         0 => METRICS.iter().map(|m| m.name()).collect(),
-        1 => GAUGES.iter().map(|g| g.name()).collect(),
-        _ => PHASES.iter().map(|p| p.name()).collect(),
+        _ => GAUGES.iter().map(|g| g.name()).collect(),
     }
 }
 
 fn slots(m: &mut MetricsSnapshot, kind: u8) -> &mut [u64] {
     match kind {
         0 => &mut m.counters,
-        1 => &mut m.gauges,
-        2 => &mut m.span_ns,
-        _ => &mut m.span_count,
+        _ => &mut m.gauges,
     }
 }
 
-/// Counters, gauges and span totals go out as a count-prefixed list of
+/// Counters and gauges go out as a count-prefixed list of
 /// `(kind tag, name, value)` with zero values left out; the per-process
 /// slots and the two histograms follow, length-prefixed.
 fn enc_metrics(e: &mut Enc, m: &MetricsSnapshot) {
@@ -648,7 +646,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftobs::{Gauge, Metric, Phase};
+    use ftobs::{Gauge, Metric};
 
     fn sample() -> Snapshot {
         let mut sleep = SleepSet::new();
@@ -667,9 +665,7 @@ mod tests {
         metrics.buffer_depth.buckets[2] = 5;
         metrics.frame_depth.buckets[9] = 3;
         metrics.gauges[Gauge::MaxFrontier as usize] = 12;
-        metrics.span_ns[Phase::Explore as usize] = 1_500_000;
-        metrics.span_count[Phase::Explore as usize] = 2;
-        metrics.span_count[Phase::Solo as usize] = 1;
+        metrics.gauges[Gauge::MaxBufferDepth as usize] = 2;
         Snapshot {
             meta: RunMeta {
                 engine: "dpor".into(),
@@ -712,8 +708,6 @@ mod tests {
     fn assert_all_slots_eq(a: &MetricsSnapshot, b: &MetricsSnapshot) {
         assert_eq!(a.counters, b.counters);
         assert_eq!(a.gauges, b.gauges);
-        assert_eq!(a.span_ns, b.span_ns);
-        assert_eq!(a.span_count, b.span_count);
         assert_eq!(a.per_proc, b.per_proc);
         assert_eq!(a.buffer_depth, b.buffer_depth);
         assert_eq!(a.frame_depth, b.frame_depth);
@@ -744,11 +738,16 @@ mod tests {
 
     #[test]
     fn a_name_the_section_omits_decodes_as_zero() {
-        let got = decode_named(&[(0, "fences", 7), (1, "max_depth", 3), (3, "solo", 2)]).unwrap();
+        let got = decode_named(&[
+            (0, "fences", 7),
+            (1, "max_depth", 3),
+            (1, "max_frontier", 2),
+        ])
+        .unwrap();
         let mut want = MetricsSnapshot::default();
         want.counters[Metric::Fences as usize] = 7;
         want.gauges[Gauge::MaxDepth as usize] = 3;
-        want.span_count[Phase::Solo as usize] = 2;
+        want.gauges[Gauge::MaxFrontier as usize] = 2;
         assert_all_slots_eq(&got, &want);
     }
 
@@ -760,8 +759,11 @@ mod tests {
         };
         // A counter this build does not have (the parent's did)…
         assert_eq!(refused(&[(0, "workers_lost", 6)]), "unknown metric name");
-        // …a known name under the wrong kind, or an unknown kind…
+        // …a known name under the wrong kind, or an unknown kind (2 and 3
+        // were the phase timer's, which never wrote an entry)…
         assert_eq!(refused(&[(1, "states", 1)]), "unknown metric name");
+        assert_eq!(refused(&[(2, "explore", 9)]), "metric kind");
+        assert_eq!(refused(&[(3, "explore", 1)]), "metric kind");
         assert_eq!(refused(&[(4, "states", 1)]), "metric kind");
         // …the same slot twice (a resume would sum only one of them)…
         assert_eq!(
@@ -770,8 +772,6 @@ mod tests {
         );
         // …and a zero, which the writer leaves out.
         assert_eq!(refused(&[(0, "states", 0)]), "zero metric value");
-        // The same name under two kinds is two slots, not a repeat.
-        assert!(decode_named(&[(2, "explore", 9), (3, "explore", 1)]).is_ok());
     }
 
     #[test]

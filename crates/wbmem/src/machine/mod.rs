@@ -263,12 +263,6 @@ pub struct Machine<P: Process> {
     /// [`fingerprint`](Self::fingerprint)).
     fp: Option<u128>,
     trail: Trail<P>,
-    // Observability hook: shared (Arc-backed) recorder, disabled by
-    // default. Excluded from `fingerprint`/`hash_state`/`state_key` (those
-    // enumerate fields explicitly) and from replay semantics; clones share
-    // it, so every clone of an instrumented machine reports to the same
-    // sink.
-    obs: ftobs::Recorder,
 }
 
 impl<P: Process> Machine<P> {
@@ -297,22 +291,7 @@ impl<P: Process> Machine<P> {
             next_nonce: 0,
             fp: None,
             trail: Trail::default(),
-            obs: ftobs::Recorder::disabled(),
         }
-    }
-
-    /// Attach a metrics recorder: every subsequent executed step (and
-    /// undo) is classified and counted through it. Clones of the machine
-    /// share the recorder. Pass [`ftobs::Recorder::disabled`] to detach.
-    pub fn set_recorder(&mut self, obs: ftobs::Recorder) {
-        self.obs = obs;
-    }
-
-    /// The attached metrics recorder (disabled unless
-    /// [`set_recorder`](Self::set_recorder) was called).
-    #[must_use]
-    pub fn recorder(&self) -> &ftobs::Recorder {
-        &self.obs
     }
 
     /// Number of processes.

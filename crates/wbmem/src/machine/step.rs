@@ -161,11 +161,6 @@ impl<P: Process> Machine<P> {
                     kind: EventKind::Write { reg, value },
                 });
             }
-            // The Write half bypasses `emit` here (only the Commit goes
-            // through it), so count it directly; the pc is attributed by
-            // the Commit's `emit`.
-            self.obs
-                .record_step(p.index(), ftobs::StepClass::Write { buffer_depth: 0 }, None);
             self.commit_to_memory::<REC>(p, reg, value, acc)
         }
     }
@@ -293,33 +288,6 @@ impl<P: Process> Machine<P> {
         let event = Event { proc: p, kind };
         if self.config.record_trace {
             self.trace.push(event.clone());
-        }
-        // `emit` is the single funnel for every executed event (crash
-        // drain-commits and SC immediate commits included), so one
-        // classification here covers all step paths. The disabled-recorder
-        // fast path is this one branch.
-        if self.obs.is_enabled() {
-            let class = match event.kind {
-                EventKind::Read {
-                    from_memory,
-                    remote,
-                    ..
-                } => ftobs::StepClass::Read {
-                    buffered: !from_memory,
-                    remote,
-                },
-                EventKind::Write { .. } => ftobs::StepClass::Write {
-                    buffer_depth: self.procs[p.index()].buffer.len() as u64,
-                },
-                EventKind::Fence => ftobs::StepClass::Fence,
-                EventKind::Cas { remote, .. } => ftobs::StepClass::Cas { remote },
-                EventKind::Commit { remote, .. } => ftobs::StepClass::Commit { remote },
-                EventKind::Swap { remote, .. } => ftobs::StepClass::Swap { remote },
-                EventKind::Return { .. } => ftobs::StepClass::Return,
-                EventKind::Crash { .. } => ftobs::StepClass::Crash,
-            };
-            let pc = self.procs[p.index()].prog.obs_pc();
-            self.obs.record_step(p.index(), class, pc);
         }
         StepOutcome::Stepped(event)
     }

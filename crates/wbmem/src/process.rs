@@ -192,12 +192,13 @@ pub trait Process: Clone + Eq + std::hash::Hash + Send + Sync {
         FutureAccess::all()
     }
 
-    /// The process's current program counter for observability (the
-    /// hot-pc table in `ftobs`), if the process has a meaningful one.
-    /// The default — `None` — opts out; interpreted processes (the
-    /// `fencevm` VM) report their pc so per-label hit counts can be
-    /// attributed. Purely diagnostic: never affects semantics, hashing,
-    /// or equality.
+    /// The process's current program counter for observability, if the
+    /// process has a meaningful one. The machine never reads it: the
+    /// model checker does, around each exploration step it counts, to
+    /// fill its recorder's hot-pc table. The default — `None` — opts out;
+    /// interpreted processes (the `fencevm` VM) report their pc so
+    /// per-label hit counts can be attributed. Purely diagnostic: never
+    /// affects semantics, hashing, or equality.
     fn obs_pc(&self) -> Option<u32> {
         None
     }

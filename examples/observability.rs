@@ -18,9 +18,9 @@ use fence_trade::prelude::*;
 fn main() {
     let inst = build_mutex(LockKind::Filter, 3, FenceMask::ALL);
 
-    // An enabled recorder: heartbeat every 250 ms to stderr, events kept
-    // in the in-memory ring (add `.sink(...)` to stream JSONL to disk for
-    // the `obs_report` tool).
+    // An enabled recorder: heartbeat every 250 ms to stderr (add
+    // `.sink(...)` to stream the events as JSONL to disk for the
+    // `obs_report` tool; without a sink they go nowhere).
     let rec = Recorder::builder()
         .meta("workload", "filter3_pso")
         .heartbeat_ms(250)

@@ -23,6 +23,9 @@ stage "cargo fmt --check" \
 stage "cargo clippy --all-targets -- -D warnings" \
     cargo clippy --all-targets -- -D warnings
 
+stage "layering: wbmem (the paper's Section-2 machine) depends on nothing but the rand stand-in" \
+    bash -c 'tree=$(cargo tree -p wbmem --offline -e normal) && ! grep -q ftobs <<< "$tree"'
+
 stage "cargo build --release" \
     cargo build --release
 
