@@ -6,10 +6,10 @@
 //! storms) from ones that merely pay a cold start (MCS), and show the GT_f
 //! tradeoff curve survives amortization.
 
+use crate::{f as fmt, Table};
 use fence_trade::prelude::*;
-use ft_bench::{f as fmt, Table};
 
-fn main() {
+pub fn run(_fast: bool) {
     let passages = 8usize;
     let mut t = Table::new(
         "e10_steady_state",

@@ -8,15 +8,14 @@
 //! mutual exclusion and deadlock-freedom. Also demonstrates the wall-clock
 //! budget: a zero-budget run returns `inconclusive` with coverage stats.
 //!
-//! Set `FT_E11_FAST=1` to skip the (slow) three-process sweep — the CI gate
-//! does this.
+//! `--fast` skips the (slow) three-process sweep.
 
 use std::time::Duration;
 
+use crate::{f as fmt, Table};
 use fence_trade::prelude::*;
 use fence_trade::simlocks::ANNOT_IN_CS;
 use fence_trade::wbmem::{SchedElem, SoloOutcome, StepOutcome};
-use ft_bench::{f as fmt, Table};
 
 const LOCKS: &[(&str, LockKind)] = &[
     ("ttas", LockKind::Ttas),
@@ -54,7 +53,7 @@ fn crash_check_observed(
     check(&inst.machine(model), &cfg)
 }
 
-fn main() {
+pub fn run(fast: bool) {
     // ---- Table 1: full sweep at n = 2. ----
     let mut t = Table::new(
         "e11_crash_recovery",
@@ -77,7 +76,7 @@ fn main() {
             cells.push((name, kind, model));
         }
     }
-    let rows = ft_bench::par_map(&cells, |&(name, kind, model)| {
+    let rows = crate::par_map(&cells, |&(name, kind, model)| {
         let plain = crash_check(kind, 2, model, CrashSemantics::DiscardBuffer, 0);
         let discard = crash_check(kind, 2, model, CrashSemantics::DiscardBuffer, 2);
         let drain = crash_check(kind, 2, model, CrashSemantics::DrainBuffer, 2);
@@ -108,14 +107,13 @@ fn main() {
     t.finish();
 
     // ---- Table 2: three processes, PSO, discard semantics. ----
-    let fast = std::env::var("FT_E11_FAST").is_ok_and(|v| v == "1");
     if !fast {
         let mut t2 = Table::new(
             "e11b_crash_recovery_n3",
             "E11b: three processes under PSO, discard semantics (≤1 crash)",
             &["lock", "crash-free", "≤1 crash", "states", "kstates/s"],
         );
-        let rows = ft_bench::par_map(LOCKS, |&(name, kind)| {
+        let rows = crate::par_map(LOCKS, |&(name, kind)| {
             let plain = crash_check(kind, 3, MemoryModel::Pso, CrashSemantics::DiscardBuffer, 0);
             let crashy = crash_check(kind, 3, MemoryModel::Pso, CrashSemantics::DiscardBuffer, 1);
             (name, plain, crashy)
@@ -165,7 +163,7 @@ fn main() {
                 .with_crashes(CrashSemantics::DiscardBuffer, 1)
                 .with_trace(),
         );
-        let path = ft_bench::save_counterexample(
+        let path = crate::save_counterexample(
             "e11_cex_ttas_crash",
             "E11: naive ttas (2 procs, PSO, ≤1 crash discarding buffers) \
              reaches a state that cannot terminate",
@@ -214,8 +212,8 @@ fn main() {
     .with_budget(Duration::ZERO);
     let v = check(&inst.machine(MemoryModel::Pso), &cfg);
     let Some(cov) = v.coverage() else {
-        ft_bench::fail(
-            "exp_e11",
+        crate::fail(
+            "e11",
             format!("zero-budget run unexpectedly finished: {}", v.label()),
         );
     };

@@ -15,15 +15,16 @@
 //!    far out of exhaustive reach.
 //!
 //! A DPOR-found counterexample is saved to `results/` as a replayable
-//! artifact, and the measured rows are appended to `BENCH_explore.json`.
+//! artifact, and a full run appends its measured rows to
+//! `BENCH_explore.json`.
 //!
-//! Set `FT_E12_FAST=1` to run only the n = 2 section — the CI gate does
-//! this.
+//! `--fast` runs only the n = 2 section and leaves `BENCH_explore.json`
+//! alone: its timings are of a cut-down run, not benchmark rows.
 
 use std::sync::Arc;
 
+use crate::{f as fmt, Table};
 use fence_trade::prelude::*;
-use ft_bench::{f as fmt, Table};
 use ftobs::{JsonlSink, Recorder};
 
 fn dpor() -> Engine {
@@ -36,7 +37,7 @@ fn dpor() -> Engine {
 /// run *is* `Engine::Dpor`), honoring `FT_THREADS`/core clamping above
 /// that.
 fn pardpor_threads() -> usize {
-    ft_bench::parallelism().max(2)
+    crate::parallelism().max(2)
 }
 
 fn pardpor() -> Engine {
@@ -55,7 +56,7 @@ fn timed(inst: &OrderingInstance, model: MemoryModel, cfg: &CheckConfig) -> (Ver
 
 /// Attach a per-cell recorder to `cfg`: events stream to the shared
 /// `results/obs/e12_reduction.jsonl` sink, tagged with the workload and
-/// the engine label so `obs_report` can group them. Quiet — cells run
+/// the engine label so `exp obs-report` can group them. Quiet — cells run
 /// under `par_map`, and interleaved stderr heartbeats would be noise; the
 /// JSONL stream keeps everything.
 fn with_obs(cfg: CheckConfig, sink: &Arc<JsonlSink>, workload: &str) -> CheckConfig {
@@ -76,17 +77,15 @@ fn factor(full: usize, reduced: usize) -> String {
     }
 }
 
-fn main() {
-    let fast = std::env::var("FT_E12_FAST").is_ok_and(|v| v == "1");
+pub fn run(fast: bool) {
     let mut json_rows: Vec<String> = Vec::new();
 
     // One JSONL stream for the whole experiment; one progress recorder
     // replacing the ad-hoc println!/eprintln! lines so fast and full runs
-    // share a reporting path (`obs_report` renders the result).
+    // share a reporting path (`exp obs-report` renders the result).
     let sink = Arc::new(
-        JsonlSink::create(ft_bench::obs_dir().join("e12_reduction.jsonl")).unwrap_or_else(|e| {
-            ft_bench::fail("exp_e12: creating results/obs/e12_reduction.jsonl", e)
-        }),
+        JsonlSink::create(crate::obs_dir().join("e12_reduction.jsonl"))
+            .unwrap_or_else(|e| crate::fail("e12: creating results/obs/e12_reduction.jsonl", e)),
     );
     let progress = Recorder::builder()
         .meta("experiment", "e12")
@@ -119,7 +118,7 @@ fn main() {
             cells.push((name, kind, model));
         }
     }
-    let rows = ft_bench::par_map(&cells, |&(name, kind, model)| {
+    let rows = crate::par_map(&cells, |&(name, kind, model)| {
         let inst = build_mutex(kind, 2, FenceMask::ALL);
         let wl = format!("e12_{}2_{}", name, model.to_string().to_lowercase());
         let (full, _) = timed(&inst, model, &with_obs(base.clone(), &sink, &wl));
@@ -177,7 +176,7 @@ fn main() {
     if let Verdict::MutexViolation(_, cex) = check(&inst.machine(MemoryModel::Pso), &cex_cfg) {
         let traced = inst
             .machine_from(MachineConfig::new(MemoryModel::Pso, inst.layout.clone()).with_trace());
-        let path = ft_bench::save_counterexample(
+        let path = crate::save_counterexample(
             "e12_cex_dpor_peterson_pso",
             "E12: mutex violation found by the REDUCED search (Peterson, \
              victim fence only, PSO) — replays on the unreduced machine",
@@ -189,12 +188,7 @@ fn main() {
     }
 
     if fast {
-        ft_bench::append_bench_explore_rows(&json_rows);
-        progress.info(&format!(
-            "appended {} dpor rows to BENCH_explore.json; FT_E12_FAST=1: \
-             skipping the n = 3 / n = 4 sections",
-            json_rows.len()
-        ));
+        progress.info("--fast: skipping the n = 3 / n = 4 sections");
         progress.flush();
         return;
     }
@@ -216,7 +210,7 @@ fn main() {
         ("filter", LockKind::Filter),
         ("gt_f2", LockKind::Gt { f: 2 }),
     ];
-    let cores = ft_bench::available_cores();
+    let cores = crate::available_cores();
     let mut t3 = Table::new(
         "e12b_reduction_n3",
         "E12b: three processes under PSO (mutex check, full fences, \
@@ -233,7 +227,7 @@ fn main() {
             "speedup",
         ],
     );
-    let rows = ft_bench::par_map(locks3, |&(name, kind)| {
+    let rows = crate::par_map(locks3, |&(name, kind)| {
         let inst = build_mutex(kind, 3, FenceMask::ALL);
         let wl = format!("e12_{name}3_pso");
         let (full, _) = timed(&inst, MemoryModel::Pso, &with_obs(cap.clone(), &sink, &wl));
@@ -329,7 +323,7 @@ fn main() {
         ("gt_f2", LockKind::Gt { f: 2 }),
         ("tournament", LockKind::Tournament),
     ];
-    let rows = ft_bench::par_map(locks4, |&(name, kind)| {
+    let rows = crate::par_map(locks4, |&(name, kind)| {
         let inst = build_mutex(kind, 4, FenceMask::ALL);
         let wl = format!("e12_{name}4_pso");
         let (full, _) = timed(&inst, MemoryModel::Pso, &with_obs(cap.clone(), &sink, &wl));
@@ -373,7 +367,7 @@ fn main() {
     );
     t4.finish();
 
-    ft_bench::append_bench_explore_rows(&json_rows);
+    crate::append_bench_explore_rows(&json_rows);
     progress.info(&format!(
         "appended {} dpor rows to BENCH_explore.json",
         json_rows.len()

@@ -18,8 +18,8 @@
 //! the explore bench. The `guards` binary enforces the ≥1.5×
 //! floor on multi-core hosts; this experiment records the whole curve.
 
+use crate::{f as fmt, Table};
 use fence_trade::prelude::*;
-use ft_bench::{f as fmt, Table};
 
 /// (verdict, wall-clock seconds) of one check.
 fn timed(inst: &OrderingInstance, cfg: &CheckConfig) -> (Verdict, f64) {
@@ -28,8 +28,8 @@ fn timed(inst: &OrderingInstance, cfg: &CheckConfig) -> (Verdict, f64) {
     (v, start.elapsed().as_secs_f64())
 }
 
-fn main() {
-    let cores = ft_bench::available_cores();
+pub fn run(_fast: bool) {
+    let cores = crate::available_cores();
     let base = CheckConfig {
         check_termination: false,
         max_states: 50_000_000,
@@ -120,5 +120,5 @@ fn main() {
          (the `guards` bin budgets it at ≤5%).",
     );
     t.finish();
-    ft_bench::append_bench_explore_rows(&json_rows);
+    crate::append_bench_explore_rows(&json_rows);
 }

@@ -5,15 +5,11 @@
 //! interrupted+resumed wall clock against the uninterrupted baseline,
 //! along with the snapshot size and the serialized frontier it carried.
 //!
-//! Every run records into `results/obs/e15_resume.jsonl`, so `obs_report`
-//! renders the `checkpoint_written` / `checkpoint_bytes` /
+//! Every run records into `results/obs/e15_resume.jsonl`, so
+//! `exp obs-report` renders the `checkpoint_written` / `checkpoint_bytes` /
 //! `resume_replayed` counters in its Resilience table from real data.
 //!
-//! Set `FT_E15_FAST=1` to run single trials (the CI smoke path).
-//!
-//! ```text
-//! cargo run --release -p ft-bench --bin exp_e15_resume
-//! ```
+//! `--fast` runs single trials.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,16 +23,14 @@ fn median_ms(mut xs: Vec<f64>) -> f64 {
 }
 
 #[allow(clippy::cast_precision_loss)]
-fn main() {
-    let fast = std::env::var("FT_E15_FAST").is_ok_and(|v| v == "1");
+pub fn run(fast: bool) {
     let trials = if fast { 1 } else { 3 };
     let sink = Arc::new(
-        JsonlSink::create(ft_bench::obs_dir().join("e15_resume.jsonl")).unwrap_or_else(|e| {
-            ft_bench::fail("exp_e15: creating results/obs/e15_resume.jsonl", e)
-        }),
+        JsonlSink::create(crate::obs_dir().join("e15_resume.jsonl"))
+            .unwrap_or_else(|e| crate::fail("e15: creating results/obs/e15_resume.jsonl", e)),
     );
 
-    let threads = ft_bench::parallelism().clamp(2, 4);
+    let threads = crate::parallelism().clamp(2, 4);
     let cells: Vec<(&str, LockKind, usize, Engine)> = vec![
         ("peterson2_pso", LockKind::Peterson, 2, Engine::Undo),
         (
@@ -66,7 +60,7 @@ fn main() {
         ),
     ];
 
-    let mut t = ft_bench::Table::new(
+    let mut t = crate::Table::new(
         "e15_resume",
         "E15 — resume overhead: interrupted-at-half + resumed vs uninterrupted",
         &[
@@ -91,8 +85,8 @@ fn main() {
 
         let probe = check(&inst.machine(MemoryModel::Pso), &cfg);
         if !probe.is_ok() {
-            ft_bench::fail(
-                "exp_e15",
+            crate::fail(
+                "e15",
                 format!("{workload} must verify, got `{}`", probe.label()),
             );
         }
@@ -123,8 +117,8 @@ fn main() {
                     .with_checkpoint(CheckpointPolicy::at(&path).stop_after(cut)),
             );
             let Some(cov) = stopped.coverage() else {
-                ft_bench::fail(
-                    "exp_e15",
+                crate::fail(
+                    "e15",
                     format!(
                         "{workload}/{}: cut at {cut} produced no checkpoint (`{}`)",
                         engine.label(),
@@ -133,8 +127,8 @@ fn main() {
                 );
             };
             let Some(cp) = cov.checkpoint else {
-                ft_bench::fail(
-                    "exp_e15",
+                crate::fail(
+                    "e15",
                     format!("{workload}/{}: checkpoint write failed", engine.label()),
                 );
             };
@@ -145,8 +139,8 @@ fn main() {
             );
             split_ms.push(start.elapsed().as_secs_f64() * 1e3);
             if resumed.label() != fresh.label() {
-                ft_bench::fail(
-                    "exp_e15",
+                crate::fail(
+                    "e15",
                     format!(
                         "{workload}/{}: resumed `{}` != fresh `{}`",
                         engine.label(),
@@ -164,10 +158,10 @@ fn main() {
         t.row(&[
             workload.to_string(),
             engine.label().to_string(),
-            ft_bench::f(fresh, 1),
-            ft_bench::f(split, 1),
-            format!("x{}", ft_bench::f(split / fresh.max(1e-9), 3)),
-            ft_bench::f(ckpt_bytes as f64 / 1024.0, 1),
+            crate::f(fresh, 1),
+            crate::f(split, 1),
+            format!("x{}", crate::f(split / fresh.max(1e-9), 3)),
+            crate::f(ckpt_bytes as f64 / 1024.0, 1),
             frontier.to_string(),
         ]);
         let _ = std::fs::remove_file(&path);

@@ -20,21 +20,21 @@
 //!    re-verified clean, so the emitted curve consists exclusively of
 //!    correct algorithms.
 //!
-//! Tables land in `results/e16_synthesis.txt`, rows in
+//! Tables land in `results/e16_synthesis.txt`, a full run's rows in
 //! `BENCH_explore.json` (`e16_synth_*` / `e16_pareto_*` workload keys),
 //! and synthesis counters stream to `results/obs/e16_synthesis.jsonl`
-//! for `obs_report`'s Synthesis section.
+//! for `exp obs-report`'s Synthesis section.
 //!
-//! Set `FT_E16_FAST=1` to run only the n = 2 instances — the CI gate
-//! does this, and in that mode the run fails if a row's placement
-//! differs from the committed `results/e16_synthesis.txt` or if its
-//! minimisation refuted no trial from a witness.
+//! `--fast` runs only the n = 2 instances, and in that mode the run
+//! fails if a row's placement differs from the committed
+//! `results/e16_synthesis.txt` or if its minimisation refuted no trial
+//! from a witness.
 
 use std::sync::Arc;
 
+use crate::{f as fmt, Table};
 use fence_trade::analysis::{predicted_gt_fences, predicted_gt_rmrs};
 use fence_trade::prelude::*;
-use ft_bench::{f as fmt, Table};
 use ftobs::{JsonlSink, Recorder};
 use ftsynth::{pareto_explore, solo_cost, synthesize, SynthConfig, Synthesis};
 
@@ -87,9 +87,9 @@ fn placement_cell(s: &Synthesis) -> String {
 /// `(lock ++ n, placement)` of every row of the committed
 /// `results/e16_synthesis.txt`: a row's first two cells and its last.
 fn committed_placements() -> Vec<(String, String)> {
-    let path = ft_bench::results_dir().join("e16_synthesis.txt");
+    let path = crate::results_dir().join("e16_synthesis.txt");
     let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| ft_bench::fail(&format!("exp_e16: reading {}", path.display()), e));
+        .unwrap_or_else(|e| crate::fail(&format!("e16: reading {}", path.display()), e));
     let rows = text.lines().skip_while(|l| !l.starts_with("---")).skip(1);
     rows.take_while(|l| !l.trim().is_empty())
         .filter_map(|l| {
@@ -99,8 +99,7 @@ fn committed_placements() -> Vec<(String, String)> {
         .collect()
 }
 
-fn main() {
-    let fast = std::env::var("FT_E16_FAST").is_ok_and(|v| v == "1");
+pub fn run(fast: bool) {
     // Read before the table below overwrites it.
     let committed = if fast {
         committed_placements()
@@ -108,9 +107,8 @@ fn main() {
         Vec::new()
     };
     let sink = Arc::new(
-        JsonlSink::create(ft_bench::obs_dir().join("e16_synthesis.jsonl")).unwrap_or_else(|e| {
-            ft_bench::fail("exp_e16: creating results/obs/e16_synthesis.jsonl", e)
-        }),
+        JsonlSink::create(crate::obs_dir().join("e16_synthesis.jsonl"))
+            .unwrap_or_else(|e| crate::fail("e16: creating results/obs/e16_synthesis.jsonl", e)),
     );
     let mut json_rows: Vec<String> = Vec::new();
 
@@ -171,8 +169,8 @@ fn main() {
                 }),
             )]);
             let Some(s) = out.synthesis() else {
-                ft_bench::fail(
-                    &format!("exp_e16: {} did not synthesize", inst.name),
+                crate::fail(
+                    &format!("e16: {} did not synthesize", inst.name),
                     format!("{out:?}"),
                 );
             };
@@ -184,13 +182,13 @@ fn main() {
                         reorder_bound: None,
                     },
                     Engine::ParallelDpor {
-                        threads: ft_bench::parallelism().max(2),
+                        threads: crate::parallelism().max(2),
                         reorder_bound: None,
                     },
                 ]
             } else {
                 vec![Engine::ParallelDpor {
-                    threads: ft_bench::parallelism().max(2),
+                    threads: crate::parallelism().max(2),
                     reorder_bound: None,
                 }]
             };
@@ -202,14 +200,14 @@ fn main() {
                     .find(|(cell, _)| *cell == format!("{name}{n}"));
                 let was = row.map(|(_, placement)| placement.as_str());
                 if was != Some(placement.as_str()) {
-                    ft_bench::fail(
-                        &format!("exp_e16: {name}{n} placement moved"),
+                    crate::fail(
+                        &format!("e16: {name}{n} placement moved"),
                         format!("committed {was:?}, synthesized {placement}"),
                     );
                 }
                 if s.seeded_refutations == 0 {
-                    ft_bench::fail(
-                        &format!("exp_e16: {name}{n}"),
+                    crate::fail(
+                        &format!("e16: {name}{n}"),
                         "minimisation refuted no trial from a witness",
                     );
                 }
@@ -332,5 +330,7 @@ fn main() {
          each point honest.",
     );
     pt.finish();
-    ft_bench::append_bench_explore_rows(&json_rows);
+    if !fast {
+        crate::append_bench_explore_rows(&json_rows);
+    }
 }

@@ -19,9 +19,8 @@
 //! is gated.
 //!
 //! **Section 2 — traced runs.** With tracing on, run (a) the
-//! work-stealing engine on the tournament lock (`FT_PARDPOR_SEQ=0` so
-//! the parallel path actually engages), and (b) an interrupted Undo run
-//! resumed from its checkpoint. The resulting span stream must pass
+//! work-stealing engine on the tournament lock, and (b) an interrupted
+//! Undo run resumed from its checkpoint. The resulting span stream must pass
 //! [`validate_spans`] (unique ids, parent < id, no orphan steal edges),
 //! contain `task` spans whose steal edges resolve, contain at least one
 //! `publish` instant (a real donation), and contain a `resume` span
@@ -29,14 +28,8 @@
 //! exported through [`chrome_trace`] to `results/obs/e17_trace.json` —
 //! the artifact a human loads into Perfetto.
 //!
-//! Set `FT_E17_FAST=1` for the CI smoke path (fewer cells, fewer
-//! donation retries).
-//!
-//! ```text
-//! cargo run --release -p ft-bench --bin exp_e17_estimator
-//! ```
+//! `--fast` is the smoke path (fewer cells, fewer donation retries).
 
-use std::process::ExitCode;
 use std::sync::Arc;
 
 use fence_trade::prelude::*;
@@ -100,7 +93,7 @@ fn traced_runs(
 ) -> Vec<SpanRow> {
     let sink = Arc::new(
         JsonlSink::create(trace_path)
-            .unwrap_or_else(|e| ft_bench::fail("exp_e17: creating trace stream", e)),
+            .unwrap_or_else(|e| crate::fail("e17: creating trace stream", e)),
     );
     let rec = |workload: &str| {
         Recorder::builder()
@@ -163,20 +156,15 @@ fn traced_runs(
     drop((cfg, ucfg)); // drop the recorders' sink handles...
     drop(sink); // ...then publish the stream (rename .partial -> final)
     let text = std::fs::read_to_string(trace_path)
-        .unwrap_or_else(|e| ft_bench::fail("exp_e17: reading trace stream", e));
+        .unwrap_or_else(|e| crate::fail("e17: reading trace stream", e));
     parse_spans(&text)
 }
 
 #[allow(clippy::cast_precision_loss)]
-fn main() -> ExitCode {
-    let fast = std::env::var("FT_E17_FAST").is_ok_and(|v| v == "1");
-    // The seq-fallback gate would route small workloads around the
-    // work-stealing path, and a traced run without workers has no steal
-    // edges to validate. Must be set before any check runs.
-    std::env::set_var("FT_PARDPOR_SEQ", "0");
-    let threads = ft_bench::parallelism().clamp(2, 4);
+pub fn run(fast: bool) {
+    let threads = crate::parallelism().clamp(2, 4);
 
-    let obs = ft_bench::obs_dir();
+    let obs = crate::obs_dir();
     let ckpt = obs.join("e17_ckpt.bin");
 
     // ---- Section 1: estimator accuracy across deterministic cuts. ----
@@ -203,7 +191,7 @@ fn main() -> ExitCode {
     let mut headers: Vec<String> = vec!["workload".into(), "engine".into(), "true states".into()];
     headers.extend(fracs.iter().map(|f| format!("est/true @{:.0}%", f * 100.0)));
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut t = ft_bench::Table::new(
+    let mut t = crate::Table::new(
         "e17_estimator",
         "E17 — Knuth path-sampling estimate vs true state count, per cut fraction",
         &header_refs,
@@ -217,21 +205,22 @@ fn main() -> ExitCode {
         row.extend(
             ratios
                 .iter()
-                .map(|r| r.map_or_else(|| "-".into(), |r| format!("{}x", ft_bench::f(r, 2)))),
+                .map(|r| r.map_or_else(|| "-".into(), |r| format!("{}x", crate::f(r, 2)))),
         );
         t.row(&row);
         let last = ratios.last().copied().flatten();
         if gated {
             let Some(r) = last.filter(|r| (0.5..=2.0).contains(r)) else {
-                eprintln!(
-                    "FAIL: {workload}/{label} estimate at the 90% cut is {} the true \
-                     {truth} states (gate: within 2x)",
-                    last.map_or_else(
-                        || "absent for".into(),
-                        |r| format!("{}x", ft_bench::f(r, 2))
+                crate::fail(
+                    &format!("e17: {workload}/{label}"),
+                    format!(
+                        "estimate at the 90% cut is {} the true {truth} states (gate: within 2x)",
+                        last.map_or_else(
+                            || "absent for".into(),
+                            |r| format!("{}x", crate::f(r, 2))
+                        ),
                     ),
                 );
-                return ExitCode::FAILURE;
             };
             worst = worst.max(if r < 1.0 { 1.0 / r } else { r });
         }
@@ -240,7 +229,7 @@ fn main() -> ExitCode {
         "gate: est/true within 2x at the last cut on every cell but filter3/undo \
          (DFS-prefix bias on a dedup-heavy exhaustive search converges late — DESIGN.md \
          §6a); worst gated factor {}",
-        ft_bench::f(worst, 2)
+        crate::f(worst, 2)
     ));
     t.finish();
 
@@ -261,8 +250,7 @@ fn main() -> ExitCode {
         eprintln!("attempt {attempt}/{attempts}: no donation happened; re-running traced section");
     }
     if let Err(e) = validate_spans(&rows) {
-        eprintln!("FAIL: traced stream violates the span-forest invariants: {e}");
-        return ExitCode::FAILURE;
+        crate::fail("e17: traced stream violates the span-forest invariants", e);
     }
     let tasks: Vec<&SpanRow> = rows.iter().filter(|r| r.name == "task").collect();
     let stolen = tasks.iter().filter(|r| r.parent != 0).count();
@@ -280,23 +268,20 @@ fn main() -> ExitCode {
         linked
     );
     if tasks.is_empty() || publishes == 0 {
-        eprintln!(
-            "FAIL: traced parallel run produced {} task spans and {publishes} publish \
-             instants — the work-stealing path never engaged",
-            tasks.len()
+        crate::fail(
+            "e17: the work-stealing path never engaged",
+            format!(
+                "traced parallel run produced {} task spans and {publishes} publish instants",
+                tasks.len()
+            ),
         );
-        return ExitCode::FAILURE;
     }
-    if !linked {
-        eprintln!("FAIL: no resume span linking the predecessor run id");
-        return ExitCode::FAILURE;
-    }
+    assert!(linked, "a resume span links the predecessor run id");
 
     let json = chrome_trace(&rows);
     let out = obs.join("e17_trace.json");
     if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("FAIL: could not write {}: {e}", out.display());
-        return ExitCode::FAILURE;
+        crate::fail(&format!("e17: writing {}", out.display()), e);
     }
     let _ = std::fs::remove_file(&ckpt);
     println!(
@@ -304,5 +289,4 @@ fn main() -> ExitCode {
         out.display()
     );
     println!("e17 estimator + trace guard: OK");
-    ExitCode::SUCCESS
 }

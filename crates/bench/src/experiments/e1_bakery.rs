@@ -6,10 +6,10 @@
 //! product `f·(log(r/f)+1)` tracks `log n` — i.e. Bakery *meets* the lower
 //! bound at the `f = O(1)` endpoint.
 
+use crate::{f, Table};
 use fence_trade::prelude::*;
-use ft_bench::{f, Table};
 
-fn main() {
+pub fn run(_fast: bool) {
     let mut t = Table::new(
         "e1_bakery",
         "E1: Bakery counter passage cost vs n (PSO write-buffer machine)",

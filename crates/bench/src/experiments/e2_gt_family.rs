@@ -4,10 +4,10 @@
 //! For each `n` and each height `f`, measure fences and RMRs per solo
 //! passage and compare with the predictions `4f + 2` and `Θ(f·n^(1/f))`.
 
+use crate::{f as fmt, Table};
 use fence_trade::prelude::*;
-use ft_bench::{f as fmt, Table};
 
-fn main() {
+pub fn run(_fast: bool) {
     let mut t = Table::new(
         "e2_gt_family",
         "E2: GT_f fences and RMRs per solo passage (PSO machine)",

@@ -1,10 +1,10 @@
 //! **E3 — tightness of equation (1):** `f·(log(r/f)+1) / log n` is Θ(1)
 //! everywhere on the spectrum, for both solo and contended executions.
 
+use crate::{f as fmt, Table};
 use fence_trade::prelude::*;
-use ft_bench::{f as fmt, Table};
 
-fn main() {
+pub fn run(_fast: bool) {
     let mut t = Table::new(
         "e3_tradeoff",
         "E3: normalized tradeoff product f(log(r/f)+1)/log n across locks and n",

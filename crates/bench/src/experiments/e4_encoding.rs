@@ -6,9 +6,9 @@
 //! `log₂ n!` — and verify the round trip π → stacks → bits → stacks → E_π
 //! → π for every sample.
 
+use crate::{f as fmt, par_map, random_permutations, Table};
 use fence_trade::lowerbound::{self, log2_factorial};
 use fence_trade::prelude::*;
-use ft_bench::{f as fmt, par_map, random_permutations, Table};
 
 fn run_family(t: &mut Table, kind: LockKind, cases: &[(usize, usize)]) {
     for &(n, samples) in cases {
@@ -23,9 +23,9 @@ fn run_family(t: &mut Table, kind: LockKind, cases: &[(usize, usize)]) {
             assert_eq!(enc.recovered_permutation(), *pi, "injectivity");
             let bits = lowerbound::serialize_stacks(&enc.stacks);
             let back = lowerbound::deserialize_stacks(&bits, n)
-                .unwrap_or_else(|e| ft_bench::fail("exp_e4: deserializing stack bits", e));
+                .unwrap_or_else(|e| crate::fail("e4: deserializing stack bits", e));
             let out = decode(&proof_machine(&inst), &back, &DecodeOptions::default())
-                .unwrap_or_else(|e| ft_bench::fail("exp_e4: decoding round-tripped stacks", e));
+                .unwrap_or_else(|e| crate::fail("e4: decoding round-tripped stacks", e));
             assert_eq!(recover_permutation(&out.machine), *pi, "bit round trip");
             (
                 enc.commands as f64,
@@ -64,7 +64,7 @@ fn run_family(t: &mut Table, kind: LockKind, cases: &[(usize, usize)]) {
     }
 }
 
-fn main() {
+pub fn run(_fast: bool) {
     let mut t = Table::new(
         "e4_encoding",
         "E4: lower-bound encodings of E_pi (averages over seeded random permutations)",
@@ -116,7 +116,7 @@ fn main() {
         (LockKind::Tournament, 4),
     ];
     // The exhaustive codebooks (n! encodings each) are the heavy part of
-    // this binary; each is independent, so build them in parallel.
+    // this experiment; each is independent, so build them in parallel.
     let codebook_rows = par_map(&codebook_cases, |&(kind, n)| {
         let inst = build_ordering(kind, n, ObjectKind::Counter);
         let book = fence_trade::lowerbound::build_codebook(&inst, &EncodeOptions::default())

@@ -4,11 +4,11 @@
 //! regenerates the Algorithm-1 listing-order counterexample (broken even
 //! under SC).
 
+use crate::{f as fmt, Table};
 use fence_trade::prelude::*;
 use fence_trade::simlocks::peterson::{SITE_FLAG, SITE_RELEASE, SITE_VICTIM};
-use ft_bench::{f as fmt, Table};
 
-fn main() {
+pub fn run(_fast: bool) {
     let cfg = CheckConfig {
         check_termination: false,
         ..CheckConfig::default()
@@ -31,7 +31,7 @@ fn main() {
     // Each placement is an independent model-checking job; sweep them on
     // `FT_THREADS` workers (row order is preserved by `par_map`).
     let masks = simlocks_masks();
-    let rows = ft_bench::par_map(&masks, |&mask| {
+    let rows = crate::par_map(&masks, |&mask| {
         let inst = build_mutex(LockKind::Peterson, 2, mask);
         let mut labels = Vec::new();
         let mut pso = modelcheck::Stats::default();
@@ -80,7 +80,7 @@ fn main() {
         println!("PSO counterexample for {}:\n{cex}", witness.describe(3));
         let traced = inst
             .machine_from(MachineConfig::new(MemoryModel::Pso, inst.layout.clone()).with_trace());
-        let path = ft_bench::save_counterexample(
+        let path = crate::save_counterexample(
             "e5_cex_peterson_pso",
             &format!(
                 "E5: Peterson (2 procs, fences {}) violates mutual exclusion under PSO",

@@ -3,11 +3,11 @@
 //! fences-vs-stack-size relation, and the value-vs-RMR relations of Lemmas
 //! 5.3/5.7, across many random permutations.
 
+use crate::{f as fmt, random_permutations, Table};
 use fence_trade::lowerbound::{check_all, Command};
 use fence_trade::prelude::*;
-use ft_bench::{f as fmt, random_permutations, Table};
 
-fn main() {
+pub fn run(_fast: bool) {
     let mut t = Table::new(
         "e6_stack_invariants",
         "E6: command composition of the encodings (per-command-type counts, averaged)",
@@ -88,7 +88,7 @@ fn main() {
     // trivially zero by construction).
     let inst = build_ordering(LockKind::Bakery, 6, ObjectKind::Counter);
     let enc = encode_permutation(&inst, &[5, 3, 1, 0, 2, 4], &EncodeOptions::default())
-        .unwrap_or_else(|e| ft_bench::fail("exp_e6: encoding the probe permutation", e));
+        .unwrap_or_else(|e| crate::fail("e6: encoding the probe permutation", e));
     let has_wlf = (0..6).any(|i| {
         enc.stacks
             .commands_of(wbmem::ProcId::from(i))

@@ -10,8 +10,8 @@
 
 use std::time::Instant;
 
+use crate::{f as fmt, Table};
 use fence_trade::prelude::*;
-use ft_bench::{f as fmt, Table};
 
 fn uncontended<L: RawLock>(lock: &L, iters: usize) -> (f64, f64) {
     let t = Instant::now();
@@ -102,7 +102,7 @@ impl RawLock for StdMutex {
     }
 }
 
-fn main() {
+pub fn run(_fast: bool) {
     let threads = std::thread::available_parallelism()
         .map_or(2, |p| p.get())
         .clamp(2, 8);

@@ -5,14 +5,14 @@
 //! paper's thesis that *fences are mostly needed for ordering writes*.
 //!
 //! The candidate placements are independent model-checking jobs, so they
-//! are swept on `ft_bench::parallelism()` worker threads (`FT_THREADS`
+//! are swept on `crate::parallelism()` worker threads (`FT_THREADS`
 //! overrides; each individual check stays sequential, so the table is
 //! identical at any thread count).
 
 use std::time::Duration;
 
+use crate::{f as fmt, Table};
 use fence_trade::prelude::*;
-use ft_bench::{f as fmt, Table};
 use modelcheck::{minimal_fences, ElisionRow};
 
 fn ablation_table(name: &str, title: &str, rows: &[ElisionRow], models: &[MemoryModel]) -> Table {
@@ -43,14 +43,14 @@ fn ablation_table(name: &str, title: &str, rows: &[ElisionRow], models: &[Memory
     t
 }
 
-fn main() {
+pub fn run(_fast: bool) {
     let cfg = CheckConfig {
         check_termination: false,
         max_states: 3_000_000,
         ..CheckConfig::default()
     };
     let models = [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso];
-    let threads = ft_bench::parallelism();
+    let threads = crate::parallelism();
 
     // --- Peterson: all 8 placements over its 3 sites. ---
     let start = std::time::Instant::now();

@@ -4,10 +4,10 @@
 //! its per-passage RMRs grow linearly with n, while `GT_2` pays a few more
 //! fences for Θ(√n) and the tournament for Θ(log n).
 
+use crate::{f as fmt, Table};
 use fence_trade::prelude::*;
-use ft_bench::{f as fmt, Table};
 
-fn main() {
+pub fn run(_fast: bool) {
     let mut t = Table::new(
         "e9_cas",
         "E9: strong primitives (TTAS via CAS, MCS via swap) vs read/write locks (PSO machine)",

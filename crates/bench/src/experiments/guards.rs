@@ -1,10 +1,10 @@
-//! **guards** — every wall-clock gate CI holds, in one binary.
+//! **`exp guards`** — every wall-clock gate CI holds, in one subcommand.
 //!
-//! Takes no arguments and reads no tuning knobs: it runs every gate,
-//! prints one line per gate with the measured ratio and its floor, and
-//! exits non-zero if any gate failed — so one red gate does not hide the
-//! ones after it. Floors and trial counts are the constants below; a
-//! floor is changed in this file, with its reason, or not at all.
+//! Reads no tuning knobs: it runs every gate, prints one line per gate
+//! with the measured ratio and its floor, and exits non-zero if any gate
+//! failed — so one red gate does not hide the ones after it. Floors and
+//! trial counts are the constants below; a floor is changed in this file,
+//! with its reason, or not at all.
 //!
 //! | gate | workload | floor |
 //! |---|---|---|
@@ -24,7 +24,7 @@
 //!
 //! The baseline gate compares against `results/obs/overhead_baseline.txt`,
 //! a machine-local file (wall-clock is not portable) written by the first
-//! run; `FT_OVERHEAD_REBASE=1` rewrites it after changing machines.
+//! run; `--rebase` rewrites it after changing machines.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -280,7 +280,7 @@ fn pardpor_gates() -> bool {
         },
     );
 
-    let cores = ft_bench::available_cores();
+    let cores = crate::available_cores();
     if cores < 2 {
         // Parallel wall-clock on one core measures time-slicing.
         line("skip", "pardpor scaling", "single core");
@@ -302,7 +302,7 @@ fn pardpor_gates() -> bool {
 }
 
 #[allow(clippy::cast_precision_loss)]
-fn obs_gates() -> bool {
+fn obs_gates(rebase: bool) -> bool {
     let inst = build_mutex(LockKind::Bakery, 3, FenceMask::ALL);
     let disabled = CheckConfig {
         check_termination: false,
@@ -321,8 +321,8 @@ fn obs_gates() -> bool {
     // Traced against a *real* sink: the span cost worth guarding is the
     // buffered JSONL writes, not just the id counter.
     let sink = Arc::new(
-        JsonlSink::create(ft_bench::obs_dir().join("overhead_trace.jsonl"))
-            .unwrap_or_else(|e| ft_bench::fail("guards: creating trace stream", e)),
+        JsonlSink::create(crate::obs_dir().join("overhead_trace.jsonl"))
+            .unwrap_or_else(|e| crate::fail("guards: creating trace stream", e)),
     );
     let traced = disabled
         .clone()
@@ -348,8 +348,7 @@ fn obs_gates() -> bool {
         .stats()
         .states;
     let rate = (states * OBS_ITERS) as f64 / fastest_disabled.as_secs_f64().max(1e-12);
-    let baseline_path = ft_bench::obs_dir().join("overhead_baseline.txt");
-    let rebase = std::env::var("FT_OVERHEAD_REBASE").is_ok_and(|v| v == "1");
+    let baseline_path = crate::obs_dir().join("overhead_baseline.txt");
     let baseline: Option<f64> = (!rebase)
         .then(|| std::fs::read_to_string(&baseline_path).ok())
         .flatten()
@@ -362,7 +361,7 @@ fn obs_gates() -> bool {
                 slowdown <= OBS_BASELINE_TOL,
                 &format!(
                     "x{slowdown:.3} (floor <= x{OBS_BASELINE_TOL}; {rate:.0} vs {b:.0} states/s, \
-                     FT_OVERHEAD_REBASE=1 resets after a machine change)"
+                     --rebase resets after a machine change)"
                 ),
             )
         }
@@ -371,7 +370,7 @@ fn obs_gates() -> bool {
             // A baseline that cannot be written means the gate silently
             // never arms — fail loudly instead.
             if let Err(e) = std::fs::write(&baseline_path, line) {
-                ft_bench::fail(&format!("guards: writing {}", baseline_path.display()), e);
+                crate::fail(&format!("guards: writing {}", baseline_path.display()), e);
             }
             report(
                 "obs baseline",
@@ -383,9 +382,10 @@ fn obs_gates() -> bool {
     enabled_ok && traced_ok && baseline_ok
 }
 
-fn main() -> ExitCode {
+/// Run every gate; `rebase` rewrites the machine-local baseline file.
+pub fn run(rebase: bool) -> ExitCode {
     // Non-short-circuiting: every gate runs and reports.
-    if checkpoint_gates() & pardpor_gates() & obs_gates() {
+    if checkpoint_gates() & pardpor_gates() & obs_gates(rebase) {
         println!("guards: OK");
         ExitCode::SUCCESS
     } else {

@@ -1,16 +1,10 @@
-//! **obs_report** — render JSONL observability streams into a Markdown
-//! report: per-engine comparison table (states, transitions, fences, RMRs,
-//! crashes, sleep/dedup hits), histogram sketches, hottest-pc top-k, and a
-//! heartbeat summary.
+//! **`exp obs-report [FILES]`** — render JSONL observability streams into
+//! a Markdown report: per-engine comparison table (states, transitions,
+//! fences, RMRs, crashes, sleep/dedup hits), histogram sketches,
+//! hottest-pc top-k, and a heartbeat summary.
 //!
-//! Usage:
-//!
-//! ```text
-//! obs_report [stream.jsonl ...]
-//! ```
-//!
-//! With no arguments, every `*.jsonl` under `results/obs/` is read (the
-//! streams `exp_e12_reduction` and the examples produce), plus any
+//! With no files, every `*.jsonl` under `results/obs/` is read (the
+//! streams E12/E15/E16/E17 and the examples produce), plus any
 //! `*.jsonl.partial` stream a crashed run left behind. The report goes
 //! to stdout and to `results/obs/report.md`. Exits non-zero when no event
 //! line parses — the CI smoke run relies on that to catch an empty or
@@ -22,13 +16,13 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let paths: Vec<PathBuf> = if args.is_empty() {
-        let dir = ft_bench::obs_dir();
-        let rd = std::fs::read_dir(&dir)
-            .unwrap_or_else(|e| ft_bench::fail(&format!("reading {}", dir.display()), e));
-        let mut found: Vec<PathBuf> = rd
+/// Render `files` (every stream under `results/obs/` when empty).
+pub fn run(files: &[PathBuf]) -> ExitCode {
+    let paths: Vec<PathBuf> = if files.is_empty() {
+        // An unreadable directory holds no streams: reported just below.
+        let mut found: Vec<PathBuf> = std::fs::read_dir(crate::obs_dir())
+            .into_iter()
+            .flatten()
             .filter_map(Result::ok)
             .map(|e| e.path())
             .filter(|p| {
@@ -39,10 +33,10 @@ fn main() -> ExitCode {
         found.sort();
         found
     } else {
-        args.iter().map(PathBuf::from).collect()
+        files.to_vec()
     };
     if paths.is_empty() {
-        eprintln!("obs_report: no JSONL streams found under results/obs/ (run exp_e12_reduction first, or pass paths)");
+        eprintln!("obs_report: no JSONL streams found under results/obs/ (run `exp e12` first, or pass paths)");
         return ExitCode::FAILURE;
     }
 
@@ -100,7 +94,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let out = ft_bench::obs_dir().join("report.md");
+    let out = crate::obs_dir().join("report.md");
     if let Err(e) = std::fs::write(&out, &report) {
         eprintln!("obs_report: could not write {}: {e}", out.display());
         return ExitCode::FAILURE;

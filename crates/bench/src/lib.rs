@@ -1,8 +1,11 @@
-//! Shared harness utilities for the experiment binaries (`exp_e1` …
-//! `exp_e8`): aligned-table rendering, result persistence under
-//! `results/`, seeded permutation sampling, and a small scoped-thread
-//! parallel map ([`par_map`]) honouring the `FT_THREADS` environment
-//! variable ([`parallelism`]).
+//! The experiments regenerating every table-level claim of the paper
+//! ([`experiments`], run by the one `exp` binary) and the harness they
+//! share: aligned-table rendering, result persistence under `results/`,
+//! seeded permutation sampling, and a small scoped-thread parallel map
+//! ([`par_map`]) honouring the `FT_THREADS` environment variable
+//! ([`parallelism`]).
+
+pub mod experiments;
 
 use std::fs;
 use std::path::PathBuf;
@@ -271,13 +274,12 @@ pub fn append_bench_explore_rows(rows: &[String]) {
     }
 }
 
-/// Print a one-line diagnostic and exit nonzero. The `exp_*` binaries
-/// route I/O and parse failures here so a `ci.sh` failure is
-/// attributable to a specific binary and cause, instead of surfacing as
-/// a panic backtrace with exit code 101.
+/// Fail the running experiment with a one-line diagnostic. Experiments
+/// share a process, so this unwinds instead of exiting:
+/// [`experiments::run_selected`] catches it, marks the experiment `FAILED`
+/// and goes on to the next.
 pub fn fail(context: &str, err: impl std::fmt::Display) -> ! {
-    eprintln!("error: {context}: {err}");
-    std::process::exit(1);
+    panic!("{context}: {err}");
 }
 
 /// The repository `results/` directory (created on demand).

@@ -175,12 +175,8 @@ fn solo_terminates(
 ) -> Result<bool, DecodeError> {
     // Retry-with-backoff: an `Unknown` within the bound usually just means
     // the bound was too small for this (terminating) solo run, so double it
-    // up to the cap before giving up. Each retry is reported through the
-    // process-global recorder (`ftobs::global()` — disabled unless a host
-    // installed one), replacing the ad-hoc progress prints this loop used
-    // to justify: fast modes and full runs now share one reporting path.
-    // The bound history and the recorder are only touched once a retry
-    // happens; the common first-try verdict allocates nothing.
+    // up to the cap before giving up. The bound history is only touched
+    // once a retry happens; the common first-try verdict allocates nothing.
     let mut bound = opts.solo_bound.max(1);
     let mut tried = Vec::new();
     loop {
@@ -189,33 +185,12 @@ fn solo_terminates(
             SoloOutcome::Diverges { .. } => return Ok(false),
             SoloOutcome::Unknown => {
                 tried.push(bound);
-                let obs = ftobs::global();
                 if bound >= opts.solo_bound_cap {
-                    obs.event(
-                        "solo_retry_exhausted",
-                        &[
-                            ("proc", ftobs::J::U(u64::from(p.0))),
-                            ("bound_cap", ftobs::J::U(opts.solo_bound_cap as u64)),
-                            ("retries", ftobs::J::U(tried.len() as u64)),
-                        ],
-                    );
                     return Err(DecodeError::SoloUnknown {
                         proc: p,
                         bounds: tried,
                     });
                 }
-                obs.incr(ftobs::Metric::SoloRetries);
-                obs.event(
-                    "solo_retry",
-                    &[
-                        ("proc", ftobs::J::U(u64::from(p.0))),
-                        ("bound", ftobs::J::U(bound as u64)),
-                        (
-                            "next_bound",
-                            ftobs::J::U(((bound * 2).min(opts.solo_bound_cap)) as u64),
-                        ),
-                    ],
-                );
                 bound = (bound * 2).min(opts.solo_bound_cap);
             }
         }
@@ -890,35 +865,6 @@ mod tests {
         let reference = decode(&m, &st, &DecodeOptions::default()).unwrap();
         assert_eq!(out.steps.len(), reference.steps.len());
         assert_eq!(out.machine.return_value(ProcId(0)), Some(0));
-    }
-
-    #[test]
-    fn solo_retries_flow_through_the_global_recorder() {
-        // With an enabled global recorder installed, the backoff loop
-        // reports every retry as a `SoloRetries` tick; disabled — the
-        // default — it reports nothing and costs one branch. The global is
-        // first-read-pins, so under a parallel test run a sibling test's
-        // decode call may already have pinned it disabled; only the install
-        // winner can assert the enabled side.
-        let installed = ftobs::install_global(ftobs::Recorder::builder().quiet(true).build());
-        let before = ftobs::global().snapshot().get(ftobs::Metric::SoloRetries);
-        let inst = build_ordering(LockKind::Bakery, 2, ObjectKind::Counter);
-        let m = tagged_machine(&inst);
-        let mut st = Stacks::new(2);
-        for cmd in bakery2_full_script() {
-            st.push_bottom(ProcId(0), cmd);
-        }
-        let tight = DecodeOptions {
-            solo_bound: 1,
-            ..DecodeOptions::default()
-        };
-        decode(&m, &st, &tight).unwrap();
-        let after = ftobs::global().snapshot().get(ftobs::Metric::SoloRetries);
-        if installed || ftobs::global().is_enabled() {
-            assert!(after > before, "retries recorded: {before} -> {after}");
-        } else {
-            assert_eq!(after, before, "disabled global records nothing");
-        }
     }
 
     #[test]

@@ -86,9 +86,8 @@ pub enum Engine {
     /// bit-identical to [`Engine::Dpor`] with the same `reorder_bound`
     /// (violations, limits, stuck states, and worker panics defer to a
     /// sequential rerun); in the diagnostic mode this is
-    /// [`Engine::Parallel`]. Small reduced runs short-circuit to the
-    /// sequential engine (see `FT_PARDPOR_SEQ`). See `DESIGN.md` §7 for
-    /// the fork-point protocol and the soundness argument.
+    /// [`Engine::Parallel`]. See `DESIGN.md` §7 for the fork-point
+    /// protocol and the soundness argument.
     ParallelDpor {
         /// Worker count (`0` = available parallelism). With one worker
         /// this is exactly [`Engine::Dpor`].

@@ -24,10 +24,7 @@
 //!   sweep (metrics reset) and reruns the sequential engine of the same
 //!   reduction, so those verdicts are bit-identical to it; a budget or
 //!   stop trigger returns [`Verdict::Inconclusive`] with the merged
-//!   frontier checkpointed. Small *reduced* runs skip the workers: below
-//!   a state threshold (default 4096; `FT_PARDPOR_SEQ` overrides, `0`
-//!   disables) the sequential engine runs first, capped at the
-//!   threshold, and only an overflow starts the sweep.
+//!   frontier checkpointed. One worker is the sequential engine itself.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -45,22 +42,6 @@ use crate::dpor::SleepAmple;
 use crate::kernel::{
     root_fork, sequential, Dfs, Frontier, Halt, NoReduction, Properties, Reduction, Visitor,
 };
-
-fn env_number(name: &str) -> Option<u64> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
-/// States below which a reduced run is not worth coordinating.
-/// `FT_PARDPOR_SEQ` overrides; `0` disables the gate — the differential
-/// tests use that to force the parallel path onto spaces of every size.
-/// The unreduced sweep is never gated: it never was, and discarding a
-/// 4096-state prefix costs ×1.4 on the 10⁴-state cells it is used on.
-fn seq_threshold(reorder_bound: Option<u32>) -> usize {
-    if reorder_bound == Some(u32::MAX) {
-        return 0;
-    }
-    env_number("FT_PARDPOR_SEQ").map_or(4096, |n| n as usize)
-}
 
 /// `0` workers means one per available core.
 pub(crate) fn worker_count(threads: usize) -> usize {
@@ -145,7 +126,7 @@ pub(crate) fn check_shared<P: Process>(
         Verdict::Error(Stats::default(), CheckError::Panic(msg))
     };
     // The sequential engine of the same reduction, in a causal span
-    // (`seq_gate` for the small-space gate, `seq_rerun` for verdict
+    // (`seq_gate` for a one-worker run, `seq_rerun` for verdict
     // reproduction). User code (the annotation invariant) runs inside
     // every walk; a panic there must surface as an error verdict, not
     // abort the caller.
@@ -178,26 +159,12 @@ pub(crate) fn check_shared<P: Process>(
     let seeded = resume.is_some();
     let mut run = resume.unwrap_or_default();
     run.visited.push(root_fp);
-    // A resumed run skips the gate and the root checks: its work-list is
-    // the snapshot's frontier, and the interrupted run already counted
-    // and checked the root.
+    // A resumed run skips the root checks: its work-list is the snapshot's
+    // frontier, and the interrupted run already counted and checked the
+    // root.
     if !seeded {
         if worker_count(config.engine.workers()) <= 1 {
             return seq("seq_gate", config, ""); // the sequential engine itself
-        }
-        // Sequential gate. A capped sequential run either finishes (its
-        // verdict is what the uncapped one would return, since the cap
-        // was never hit) or overflows, in which case its partial metrics
-        // are dropped and the sweep starts from scratch.
-        let threshold = seq_threshold(config.engine.reduction());
-        if threshold > 0 {
-            let mut capped = config.clone();
-            capped.max_states = config.max_states.min(threshold);
-            let v = seq("seq_gate", &capped, "");
-            if config.max_states <= threshold || !matches!(v, Verdict::StateLimit(_)) {
-                return v;
-            }
-            obs.reset_counts();
         }
         match catch_unwind(AssertUnwindSafe(|| Properties::new(config).state(initial))) {
             Ok(Ok(())) => {}
@@ -217,7 +184,9 @@ pub(crate) fn check_shared<P: Process>(
     // mode) or `FT_WATCHDOG_MS` is exported explicitly (the supervised
     // tests use a few tens of milliseconds).
     let policy = config.checkpoint.as_ref();
-    let watchdog = env_number("FT_WATCHDOG_MS")
+    let watchdog = std::env::var("FT_WATCHDOG_MS")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
         .or(policy.map(|_| 5000))
         .filter(|&ms| ms > 0)
         .map(Duration::from_millis);

@@ -124,16 +124,13 @@ fn all_engines_emit_bit_identical_metrics_on_the_n2_matrix() {
     }
 }
 
-/// `Engine::Parallel { threads: 2 }` is never gated to the sequential
-/// engine: even on the smallest cell it is a real two-worker sweep with
-/// no reduction (fork points are taken off the queue), and because the
-/// shared first-visit table partitions the edge multiset between the
-/// workers, the merged metrics still equal `Engine::Undo`'s bit for bit.
-/// `FT_PARDPOR_SEQ=0` keeps that true should the gate ever be extended
-/// to unreduced sweeps.
+/// `Engine::Parallel { threads: 2 }` is a real two-worker sweep with no
+/// reduction even on the smallest cell (fork points are taken off the
+/// queue), and because the shared first-visit table partitions the edge
+/// multiset between the workers, the merged metrics still equal
+/// `Engine::Undo`'s bit for bit.
 #[test]
 fn two_worker_exhaustive_sweep_runs_on_the_workers_and_matches_undo() {
-    std::env::set_var("FT_PARDPOR_SEQ", "0");
     for (kind, mask, name) in matrix() {
         let (undo, undo_rec) = run(Engine::Undo, kind, mask, MemoryModel::Pso);
         let (par, par_rec) = run(

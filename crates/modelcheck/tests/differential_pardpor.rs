@@ -11,13 +11,6 @@
 //! reduction off, the global table is the only pruning rule, so a
 //! completed sweep executes the exact edge multiset of the sequential
 //! engines.
-//!
-//! The engine normally short-circuits small runs to the sequential engine
-//! (`FT_PARDPOR_SEQ` threshold); these tests pin the threshold to `0` so
-//! the fork-queue/fingerprint-table machinery is actually exercised on
-//! every configuration, however small.
-
-use std::sync::Once;
 
 use modelcheck::{check, CheckConfig, Engine, Verdict};
 use proptest::prelude::*;
@@ -25,14 +18,6 @@ use simlocks::{build_mutex, FenceMask, LockKind, ANNOT_IN_CS};
 use wbmem::{
     CrashSemantics, Machine, MachineConfig, MemoryLayout, MemoryModel, ProcId, StepOutcome,
 };
-
-static FORCE_PARALLEL: Once = Once::new();
-
-/// Disable the sequential-prefix gate so even tiny state spaces go
-/// through the work-stealing path (the thing under test).
-fn force_parallel() {
-    FORCE_PARALLEL.call_once(|| std::env::set_var("FT_PARDPOR_SEQ", "0"));
-}
 
 /// Worker count: `FT_THREADS` if set (the CI entry point runs this suite
 /// with `FT_THREADS=2`), otherwise 4 — enough that stealing actually
@@ -139,7 +124,6 @@ fn compare(inst: &simlocks::OrderingInstance, model: MemoryModel, config: &Check
 /// every model, with and without a crash budget.
 #[test]
 fn pardpor_agrees_on_the_full_n2_safety_matrix() {
-    force_parallel();
     let base = CheckConfig {
         check_termination: false,
         max_states: 1_000_000,
@@ -174,7 +158,6 @@ fn pardpor_agrees_on_the_full_n2_safety_matrix() {
 /// NO-TERMINATION verdicts, including the crash-induced ones.
 #[test]
 fn pardpor_agrees_with_termination_checking() {
-    force_parallel();
     let base = CheckConfig {
         max_states: 1_000_000,
         ..CheckConfig::default()
@@ -216,7 +199,6 @@ fn pardpor_agrees_with_termination_checking() {
 /// matrices stop at single-crash drain cells; this pins the chain.
 #[test]
 fn pardpor_agrees_under_multi_crash_drain() {
-    force_parallel();
     let base = CheckConfig {
         check_termination: false,
         max_states: 1_000_000,
@@ -240,7 +222,6 @@ fn pardpor_agrees_under_multi_crash_drain() {
 /// including the bound-0 ≡ SC collapse.
 #[test]
 fn pardpor_agrees_under_reorder_bounds() {
-    force_parallel();
     let mask = FenceMask::only(&[simlocks::peterson::SITE_RELEASE]);
     let inst = build_mutex(LockKind::Peterson, 2, mask);
     for bound in [Some(0u32), Some(1), Some(2), None] {
@@ -274,7 +255,6 @@ fn pardpor_agrees_under_reorder_bounds() {
 /// cells alike.
 #[test]
 fn diagnostic_mode_metrics_are_bit_identical() {
-    force_parallel();
     let quiet = || modelcheck::Recorder::builder().quiet(true).build();
     for (kind, mask, name) in [
         (LockKind::Peterson, FenceMask::ALL, "peterson_all"),
@@ -329,31 +309,6 @@ fn diagnostic_mode_metrics_are_bit_identical() {
             // The final snapshot is also stamped into the verdict.
             assert_eq!(par.stats().metrics, p, "{name}/{model}: stamped snapshot");
         }
-    }
-}
-
-/// The sequential-prefix gate (left at its default here) must be
-/// transparent: small spaces complete inside the capped prefix and the
-/// verdict is the sequential engine's, bit for bit.
-#[test]
-fn sequential_gate_is_transparent_on_small_spaces() {
-    let inst = build_mutex(LockKind::Peterson, 2, FenceMask::ALL);
-    for model in [MemoryModel::Tso, MemoryModel::Pso] {
-        let seq = check(
-            &inst.machine(model),
-            &CheckConfig::default().with_engine(dpor()),
-        );
-        let par = check(
-            &inst.machine(model),
-            &CheckConfig::default().with_engine(pardpor()),
-        );
-        assert_eq!(seq.label(), par.label(), "{model}: verdict labels");
-        assert_eq!(seq.stats().states, par.stats().states, "{model}: states");
-        assert_eq!(
-            seq.stats().transitions,
-            par.stats().transitions,
-            "{model}: transitions"
-        );
     }
 }
 
@@ -423,7 +378,6 @@ proptest! {
         max_crashes in 0u32..2,
         termination in any::<bool>(),
     ) {
-        force_parallel();
         let model = MODELS[model_ix];
         let config = CheckConfig {
             check_termination: termination,

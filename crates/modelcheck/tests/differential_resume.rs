@@ -17,20 +17,12 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 
 use modelcheck::{check, resume, CheckConfig, CheckError, CheckpointPolicy, Engine, Verdict};
 use proptest::prelude::*;
 use simlocks::{build_mutex, FenceMask, LockKind};
 use wbmem::{CrashSemantics, MemoryModel};
-
-static FORCE_PARALLEL: Once = Once::new();
-
-/// Disable the sequential-prefix gate so `Engine::ParallelDpor` cells
-/// exercise the work-stealing path even on tiny state spaces.
-fn force_parallel() {
-    FORCE_PARALLEL.call_once(|| std::env::set_var("FT_PARDPOR_SEQ", "0"));
-}
 
 static NEXT_CKPT: AtomicUsize = AtomicUsize::new(0);
 
@@ -182,7 +174,6 @@ fn dpor_resumes_across_the_full_n2_matrix() {
 
 #[test]
 fn pardpor_resumes_across_the_full_n2_matrix() {
-    force_parallel();
     matrix_for(
         Engine::ParallelDpor {
             threads: 2,
@@ -197,7 +188,6 @@ fn pardpor_resumes_across_the_full_n2_matrix() {
 /// NO-TERMINATION verdicts after a resume.
 #[test]
 fn resume_preserves_termination_verdicts() {
-    force_parallel();
     let engines = [
         Engine::Undo,
         Engine::Dpor {
@@ -238,7 +228,6 @@ fn resume_preserves_termination_verdicts() {
 /// bit for bit (deterministic projection).
 #[test]
 fn diagnostic_merged_metrics_are_bit_identical() {
-    force_parallel();
     let quiet = || modelcheck::Recorder::builder().quiet(true).build();
     let engines = [
         Engine::Undo,
@@ -308,7 +297,6 @@ fn diagnostic_merged_metrics_are_bit_identical() {
 /// The oracle keeps its typed refusal.
 #[test]
 fn parallel_checkpoints_and_resumes_like_undo() {
-    force_parallel();
     let quiet = || modelcheck::Recorder::builder().quiet(true).build();
     let parallel = CheckConfig::default().with_engine(Engine::Parallel { threads: 2 });
     for (kind, n, model) in [

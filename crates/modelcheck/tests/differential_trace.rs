@@ -85,9 +85,6 @@ fn run_traced(
 
 #[test]
 fn tracing_on_is_observationally_identical_to_tracing_off() {
-    // Exercise the real work-stealing path, not the small-instance
-    // sequential fallback (this binary owns the env var).
-    std::env::set_var("FT_PARDPOR_SEQ", "0");
     for kind in [LockKind::Peterson, LockKind::Ttas] {
         for engine in engines() {
             let rec_off = quiet();
@@ -170,7 +167,6 @@ proptest! {
         threads in 2usize..4,
         cut in prop::option::of(50u64..400),
     ) {
-        std::env::set_var("FT_PARDPOR_SEQ", "0");
         let engine = match eng_ix {
             0 => Engine::CloneDfs,
             1 => Engine::Undo,

@@ -28,7 +28,6 @@ fn slow_invariant(_annots: &[u64]) -> bool {
 #[test]
 fn stalled_worker_trips_watchdog_and_falls_back_sequentially() {
     std::env::set_var("FT_WATCHDOG_MS", "25");
-    std::env::set_var("FT_PARDPOR_SEQ", "0");
     let rec = modelcheck::Recorder::builder().quiet(true).build();
     let inst = build_mutex(LockKind::Peterson, 2, FenceMask::ALL);
     let config = CheckConfig::default()

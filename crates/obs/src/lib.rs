@@ -18,8 +18,8 @@
 //!
 //! The zero-cost contract: [`Recorder::disabled`] carries no allocation
 //! and every method on it is a single branch, so instrumented code paths
-//! (the `modelcheck` engines, `por::expand`, the `lowerbound` decoder)
-//! pay nothing measurable when observability is off — the `guards` bin
+//! (the `modelcheck` engines, `por::expand`)
+//! pay nothing measurable when observability is off — `exp guards`
 //! in CI holds the enabled path to ≤5% and the disabled path to
 //! noise. [`MetricsSnapshot`] is `Copy` and its equality covers only the
 //! deterministic counter subset, so `modelcheck::Stats` embeds one and
@@ -27,7 +27,7 @@
 //! CloneDfs/Undo/Parallel/Dpor.
 //!
 //! Offline report rendering for the JSONL streams lives in [`report`]
-//! (driven by the `obs_report` binary in `crates/bench`).
+//! (driven by `exp obs-report` in `crates/bench`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,10 +45,7 @@ pub use metrics::{
     bucket_floor, bucket_index, hist_field, Gauge, HistSnapshot, Metric, MetricsSnapshot,
     ProcSteps, GAUGES, HIST_BUCKETS, MAX_PROCS, METRICS,
 };
-pub use recorder::{
-    global, install_global, Progress, Recorder, RecorderBuilder, Tally, DEFAULT_HEARTBEAT_MS,
-    MAX_PCS,
-};
+pub use recorder::{Progress, Recorder, RecorderBuilder, Tally, DEFAULT_HEARTBEAT_MS, MAX_PCS};
 pub use trace::{
     chrome_trace, follow_line, parse_spans, phase_table, validate_spans, OpenSpan, SpanId, SpanRow,
     TraceCtx, DEFAULT_TRACE_BUF,

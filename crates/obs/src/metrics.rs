@@ -77,8 +77,6 @@ pub enum Metric {
     SleptProbes,
     /// Undo-log pops (engine-specific; CloneDfs performs none).
     UndoSteps,
-    /// Lowerbound solo-check retries with a doubled schedule bound.
-    SoloRetries,
     /// Heartbeat events emitted.
     Heartbeats,
     /// Fork points published into the work-stealing queue (parallel DPOR;
@@ -133,7 +131,6 @@ pub const METRICS: [Metric; Metric::COUNT] = [
     Metric::AmpleFallbacks,
     Metric::SleptProbes,
     Metric::UndoSteps,
-    Metric::SoloRetries,
     Metric::Heartbeats,
     Metric::ForkPublished,
     Metric::ForkStolen,
@@ -181,7 +178,6 @@ impl Metric {
             Metric::AmpleFallbacks => "ample_fallbacks",
             Metric::SleptProbes => "slept_probes",
             Metric::UndoSteps => "undo_steps",
-            Metric::SoloRetries => "solo_retries",
             Metric::Heartbeats => "heartbeats",
             Metric::ForkPublished => "fork_published",
             Metric::ForkStolen => "fork_stolen",

@@ -17,7 +17,7 @@
 //! iteration, the poll-cadence gauges).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::estimate::Estimate;
@@ -666,23 +666,6 @@ impl Drop for Tally {
     fn drop(&mut self) {
         self.flush();
     }
-}
-
-static GLOBAL: OnceLock<Recorder> = OnceLock::new();
-
-/// The process-wide recorder — [`Recorder::disabled`] until
-/// [`install_global`] runs. For call sites (like the lowerbound decoder)
-/// where threading a recorder through `Copy` option structs is not
-/// practical.
-#[must_use]
-pub fn global() -> &'static Recorder {
-    GLOBAL.get_or_init(Recorder::disabled)
-}
-
-/// Install the process-wide recorder. Returns `false` (and changes
-/// nothing) if one was already installed or read.
-pub fn install_global(rec: Recorder) -> bool {
-    GLOBAL.set(rec).is_ok()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Offline rendering of JSONL event streams: a dependency-free flat-JSON
 //! scanner plus Markdown/ASCII report builders (per-engine comparison
 //! table, histogram sketches, hot-pc top-k, heartbeat summary). Consumed
-//! by the `obs_report` binary in `crates/bench` and by tests.
+//! by `exp obs-report` in `crates/bench` and by tests.
 
 use std::collections::BTreeMap;
 
@@ -187,8 +187,8 @@ pub struct StreamScan {
 }
 
 /// Scan a raw JSONL stream, keeping every well-formed event line and
-/// counting what had to be skipped. Consumers (`obs_report`,
-/// `obs_trace`) surface [`StreamScan::lines_skipped`] as a warning
+/// counting what had to be skipped. Consumers (`exp obs-report`,
+/// `exp obs-trace`) surface [`StreamScan::lines_skipped`] as a warning
 /// rather than erroring — a report over a terabyte of telemetry must
 /// survive one corrupt line.
 #[must_use]

@@ -32,12 +32,12 @@
 //! `.trace(true)` or `FT_OBS_TRACE=1` turns it on); every `TraceCtx`
 //! operation on a non-tracing recorder is a branch and a return, which
 //! is what keeps the tracing-disabled path bit-identical and inside the
-//! overhead budget (`guards`).
+//! overhead budget (`exp guards`).
 //!
 //! Reading back: [`parse_spans`] on a (possibly torn) JSONL stream,
 //! [`validate_spans`] for the forest invariants, [`chrome_trace`] for a
 //! Perfetto-loadable Chrome trace-event JSON, [`phase_table`] for a
-//! per-phase wall-time attribution table. The `obs_trace` bin in
+//! per-phase wall-time attribution table. The `exp obs-trace` subcommand in
 //! `crates/bench` drives all four.
 //!
 //! [`RecorderBuilder`]: crate::recorder::RecorderBuilder

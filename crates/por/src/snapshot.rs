@@ -53,7 +53,9 @@ pub const MAGIC: [u8; 6] = *b"FTCKPT";
 /// resume would have summed — and so is anything that changes what the
 /// stored fingerprints mean. v6 is the first version with the named
 /// section (v2–v4 each tracked a positional counter array; v5 changed the
-/// state fingerprint function).
+/// state fingerprint function). `solo_retries` left `ftobs` without a bump:
+/// zeros are never written and nothing ever incremented it on a recorder
+/// that reaches a checkpoint, so no v6 file names it.
 pub const VERSION: u32 = 6;
 
 /// Why a checkpoint could not be written or read back.

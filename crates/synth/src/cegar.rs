@@ -110,8 +110,6 @@ pub struct SynthConfig {
     pub max_crashes: u32,
     /// Crash semantics when `max_crashes > 0`.
     pub crash_semantics: CrashSemantics,
-    /// Refinement iteration cap.
-    pub max_iters: usize,
     /// Cost of enabling any fence site (the Pareto explorer sweeps this
     /// against `rmr_weight`).
     pub fence_weight: u64,
@@ -120,13 +118,17 @@ pub struct SynthConfig {
     pub rmr_weight: u64,
     /// Run the 1-minimality pass after the first safe placement.
     pub minimize: bool,
-    /// Use exact branch-and-bound when the site universe is at most this
-    /// large.
-    pub exact_limit: usize,
     /// Recorder for `synth_iterations` / `fences_inserted` / `core_size`
     /// metrics.
     pub recorder: Recorder,
 }
+
+/// Refinement iteration cap.
+const MAX_ITERS: usize = 64;
+
+/// The hitting set is exact (branch-and-bound) when the site universe is
+/// at most this large, greedy above it.
+const EXACT_LIMIT: usize = 16;
 
 impl Default for SynthConfig {
     fn default() -> Self {
@@ -136,11 +138,9 @@ impl Default for SynthConfig {
             check_termination: true,
             max_crashes: 0,
             crash_semantics: CrashSemantics::DiscardBuffer,
-            max_iters: 64,
             fence_weight: 4,
             rmr_weight: 1,
             minimize: true,
-            exact_limit: 16,
             recorder: Recorder::disabled(),
         }
     }
@@ -149,7 +149,7 @@ impl Default for SynthConfig {
 impl SynthConfig {
     // The recorder is deliberately NOT threaded into the inner checks:
     // the checker emits its own per-engine snapshot events, which would
-    // shadow the synthesis-level rollup in `obs_report` with partially
+    // shadow the synthesis-level rollup in `exp obs-report` with partially
     // updated duplicates. Inner-check volume is reported as
     // `Synthesis::total_states` instead.
     //
@@ -519,13 +519,13 @@ fn synthesize_inner(inst: &OrderingInstance, cfg: &SynthConfig, pool: &mut Pool)
             .entry(site)
             .or_insert_with(|| site_weight(cfg, &baseline, site));
     }
-    let chosen = hitting_set(&pool.cores, &weights, &pool.tiebreak, cfg.exact_limit);
+    let chosen = hitting_set(&pool.cores, &weights, &pool.tiebreak, EXACT_LIMIT);
     let mut placement = placement_of(n, chosen);
     let mut effort = Effort::default();
     let mut last_verdict = "ok";
 
     let mut tctx = cfg.recorder.trace_ctx();
-    for iteration in 1..=cfg.max_iters {
+    for iteration in 1..=MAX_ITERS {
         // The span covers the candidate build plus the multi-model check
         // (where the iteration's wall time goes); refinement bookkeeping
         // after it is negligible and would tangle the early returns.
@@ -650,11 +650,11 @@ fn synthesize_inner(inst: &OrderingInstance, cfg: &SynthConfig, pool: &mut Pool)
             pool.witnesses
                 .push(Witness::record(&machine, &rewrites, schedule));
         }
-        let chosen = hitting_set(&pool.cores, &weights, &pool.tiebreak, cfg.exact_limit);
+        let chosen = hitting_set(&pool.cores, &weights, &pool.tiebreak, EXACT_LIMIT);
         placement = placement_of(n, chosen);
     }
     SynthOutcome::Exhausted {
-        iterations: cfg.max_iters,
+        iterations: MAX_ITERS,
         last_verdict,
     }
 }

@@ -20,7 +20,7 @@ fn main() {
 
     // An enabled recorder: heartbeat every 250 ms to stderr (add
     // `.sink(...)` to stream the events as JSONL to disk for the
-    // `obs_report` tool; without a sink they go nowhere).
+    // `exp obs-report` tool; without a sink they go nowhere).
     let rec = Recorder::builder()
         .meta("workload", "filter3_pso")
         .heartbeat_ms(250)
