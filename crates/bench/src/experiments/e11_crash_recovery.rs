@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use crate::{f as fmt, Table};
+use crate::Table;
 use fence_trade::prelude::*;
 use fence_trade::simlocks::ANNOT_IN_CS;
 use fence_trade::wbmem::{SchedElem, SoloOutcome, StepOutcome};
@@ -67,7 +67,6 @@ pub fn run(fast: bool) {
             "discard",
             "drain",
             "states(discard)",
-            "kstates/s",
         ],
     );
     let mut cells: Vec<(&str, LockKind, MemoryModel)> = Vec::new();
@@ -83,15 +82,13 @@ pub fn run(fast: bool) {
         (name, model, plain, discard, drain)
     });
     for (name, model, plain, discard, drain) in &rows {
-        let s = discard.stats();
         t.row(&[
             (*name).to_string(),
             model.to_string(),
             plain.label().to_string(),
             discard.label().to_string(),
             drain.label().to_string(),
-            s.states.to_string(),
-            fmt(s.states_per_sec() / 1e3, 1),
+            discard.stats().states.to_string(),
         ]);
     }
     t.note(
@@ -111,7 +108,7 @@ pub fn run(fast: bool) {
         let mut t2 = Table::new(
             "e11b_crash_recovery_n3",
             "E11b: three processes under PSO, discard semantics (≤1 crash)",
-            &["lock", "crash-free", "≤1 crash", "states", "kstates/s"],
+            &["lock", "crash-free", "≤1 crash", "states"],
         );
         let rows = crate::par_map(LOCKS, |&(name, kind)| {
             let plain = crash_check(kind, 3, MemoryModel::Pso, CrashSemantics::DiscardBuffer, 0);
@@ -119,13 +116,11 @@ pub fn run(fast: bool) {
             (name, plain, crashy)
         });
         for (name, plain, crashy) in &rows {
-            let s = crashy.stats();
             t2.row(&[
                 (*name).to_string(),
                 plain.label().to_string(),
                 crashy.label().to_string(),
-                s.states.to_string(),
-                fmt(s.states_per_sec() / 1e3, 1),
+                crashy.stats().states.to_string(),
             ]);
         }
         t2.note(

@@ -15,44 +15,18 @@
 //!    far out of exhaustive reach.
 //!
 //! A DPOR-found counterexample is saved to `results/` as a replayable
-//! artifact, and a full run appends its measured rows to
-//! `BENCH_explore.json`.
+//! artifact. Every cell is a count or a verdict of a sequential engine, so
+//! the tables are byte-pinned in CI; what the engines cost in wall-clock
+//! is E14's to say.
 //!
-//! `--fast` runs only the n = 2 section and leaves `BENCH_explore.json`
-//! alone: its timings are of a cut-down run, not benchmark rows.
+//! `--fast` runs only the n = 2 section.
 
 use std::sync::Arc;
 
+use super::DPOR;
 use crate::{f as fmt, Table};
 use fence_trade::prelude::*;
 use ftobs::{JsonlSink, Recorder};
-
-fn dpor() -> Engine {
-    Engine::Dpor {
-        reorder_bound: None,
-    }
-}
-
-/// Worker count for the work-stealing DPOR rows: at least 2 (a 1-thread
-/// run *is* `Engine::Dpor`), honoring `FT_THREADS`/core clamping above
-/// that.
-fn pardpor_threads() -> usize {
-    crate::parallelism().max(2)
-}
-
-fn pardpor() -> Engine {
-    Engine::ParallelDpor {
-        threads: pardpor_threads(),
-        reorder_bound: None,
-    }
-}
-
-/// (verdict, wall-clock seconds) of one check.
-fn timed(inst: &OrderingInstance, model: MemoryModel, cfg: &CheckConfig) -> (Verdict, f64) {
-    let start = std::time::Instant::now();
-    let v = check(&inst.machine(model), cfg);
-    (v, start.elapsed().as_secs_f64())
-}
 
 /// Attach a per-cell recorder to `cfg`: events stream to the shared
 /// `results/obs/e12_reduction.jsonl` sink, tagged with the workload and
@@ -77,9 +51,64 @@ fn factor(full: usize, reduced: usize) -> String {
     }
 }
 
-pub fn run(fast: bool) {
-    let mut json_rows: Vec<String> = Vec::new();
+/// One table of `n`-process locks under PSO: the exhaustive engine capped
+/// at 2M states (the budget the factor is measured against) beside the
+/// reduced engine run to its verdict.
+fn capped_vs_reduced(
+    sink: &Arc<JsonlSink>,
+    table: &str,
+    title: &str,
+    n: usize,
+    locks: &[(&str, LockKind)],
+    note: &str,
+) {
+    let cap = CheckConfig {
+        check_termination: false,
+        max_states: 2_000_000,
+        ..CheckConfig::default()
+    };
+    let uncapped = CheckConfig {
+        max_states: 50_000_000,
+        ..cap.clone()
+    };
+    let mut t = Table::new(
+        table,
+        &format!(
+            "{title} under PSO (mutex check, full fences, exhaustive engine capped at 2M states)"
+        ),
+        &["lock", "undo", "states", "dpor", "states", "factor"],
+    );
+    let rows = crate::par_map(locks, |&(name, kind)| {
+        let pso = build_mutex(kind, n, FenceMask::ALL).machine(MemoryModel::Pso);
+        let wl = format!("e12_{name}{n}_pso");
+        let full = check(&pso, &with_obs(cap.clone(), sink, &wl));
+        let red = check(
+            &pso,
+            &with_obs(uncapped.clone().with_engine(DPOR), sink, &wl),
+        );
+        (name, full, red)
+    });
+    for (name, full, red) in &rows {
+        let (fs, rs) = (full.stats(), red.stats());
+        let bound = if matches!(full, Verdict::StateLimit(_)) {
+            ">"
+        } else {
+            ""
+        };
+        t.row(&[
+            (*name).to_string(),
+            full.label().to_string(),
+            fs.states.to_string(),
+            red.label().to_string(),
+            rs.states.to_string(),
+            format!("{bound}{}", factor(fs.states, rs.states)),
+        ]);
+    }
+    t.note(note);
+    t.finish();
+}
 
+pub fn run(fast: bool) {
     // One JSONL stream for the whole experiment; one progress recorder
     // replacing the ad-hoc println!/eprintln! lines so fast and full runs
     // share a reporting path (`exp obs-report` renders the result).
@@ -121,15 +150,14 @@ pub fn run(fast: bool) {
     let rows = crate::par_map(&cells, |&(name, kind, model)| {
         let inst = build_mutex(kind, 2, FenceMask::ALL);
         let wl = format!("e12_{}2_{}", name, model.to_string().to_lowercase());
-        let (full, _) = timed(&inst, model, &with_obs(base.clone(), &sink, &wl));
-        let (red, red_secs) = timed(
-            &inst,
-            model,
-            &with_obs(base.clone().with_engine(dpor()), &sink, &wl),
+        let full = check(&inst.machine(model), &with_obs(base.clone(), &sink, &wl));
+        let red = check(
+            &inst.machine(model),
+            &with_obs(base.clone().with_engine(DPOR), &sink, &wl),
         );
-        (name, model, full, red, red_secs)
+        (name, model, full, red)
     });
-    for (name, model, full, red, red_secs) in &rows {
+    for (name, model, full, red) in &rows {
         assert_eq!(full.label(), red.label(), "{name}/{model}: engines agree");
         let (fs, rs) = (full.stats(), red.stats());
         t.row(&[
@@ -143,16 +171,6 @@ pub fn run(fast: bool) {
             rs.transitions.to_string(),
             factor(fs.transitions, rs.transitions),
         ]);
-        json_rows.push(format!(
-            "{{\"workload\": \"e12_{}2_{}\", \"engine\": \"dpor\", \"states\": {}, \
-             \"undo_states\": {}, \"state_reduction\": {:.2}, \"wall_ms\": {:.1}}}",
-            name,
-            model.to_string().to_lowercase(),
-            rs.states,
-            fs.states,
-            fs.states as f64 / rs.states.max(1) as f64,
-            red_secs * 1e3,
-        ));
     }
     t.note(
         "Same verdict, far fewer states: the ample rule schedules a process \
@@ -169,7 +187,7 @@ pub fn run(fast: bool) {
     let witness = FenceMask::only(&[simlocks::peterson::SITE_VICTIM]);
     let inst = build_mutex(LockKind::Peterson, 2, witness);
     let cex_cfg = with_obs(
-        base.clone().with_engine(dpor()),
+        base.clone().with_engine(DPOR),
         &sink,
         "e12_cex_peterson_pso",
     );
@@ -194,183 +212,38 @@ pub fn run(fast: bool) {
     }
 
     // ---- Section 2: n = 3 — where exhaustive checking hits the wall. ----
-    let cap = CheckConfig {
-        check_termination: false,
-        max_states: 2_000_000, // the exhaustive budget the factor is measured against
-        ..CheckConfig::default()
-    };
-    let uncapped = CheckConfig {
-        check_termination: false,
-        max_states: 50_000_000,
-        ..CheckConfig::default()
-    };
-    let locks3: &[(&str, LockKind)] = &[
-        ("ttas", LockKind::Ttas),
-        ("bakery", LockKind::Bakery),
-        ("filter", LockKind::Filter),
-        ("gt_f2", LockKind::Gt { f: 2 }),
-    ];
-    let cores = crate::available_cores();
-    let mut t3 = Table::new(
+    capped_vs_reduced(
+        &sink,
         "e12b_reduction_n3",
-        "E12b: three processes under PSO (mutex check, full fences, \
-         exhaustive engine capped at 2M states)",
+        "E12b: three processes",
+        3,
         &[
-            "lock",
-            "undo",
-            "states",
-            "dpor",
-            "states",
-            "factor",
-            "dpor_s",
-            "pardpor_s",
-            "speedup",
+            ("ttas", LockKind::Ttas),
+            ("bakery", LockKind::Bakery),
+            ("filter", LockKind::Filter),
+            ("gt_f2", LockKind::Gt { f: 2 }),
         ],
-    );
-    let rows = crate::par_map(locks3, |&(name, kind)| {
-        let inst = build_mutex(kind, 3, FenceMask::ALL);
-        let wl = format!("e12_{name}3_pso");
-        let (full, _) = timed(&inst, MemoryModel::Pso, &with_obs(cap.clone(), &sink, &wl));
-        let (red, red_secs) = timed(
-            &inst,
-            MemoryModel::Pso,
-            &with_obs(uncapped.clone().with_engine(dpor()), &sink, &wl),
-        );
-        let (par, par_secs) = timed(
-            &inst,
-            MemoryModel::Pso,
-            &with_obs(uncapped.clone().with_engine(pardpor()), &sink, &wl),
-        );
-        (name, full, red, red_secs, par, par_secs)
-    });
-    for (name, full, red, red_secs, par, par_secs) in &rows {
-        assert_eq!(red.label(), par.label(), "{name}: dpor/pardpor agree");
-        let (fs, rs) = (full.stats(), red.stats());
-        // On a single-core host the pardpor wall-clock measures
-        // time-slicing, not scaling — the cells stay but are marked.
-        let single_core = cores == 1;
-        t3.row(&[
-            (*name).to_string(),
-            full.label().to_string(),
-            fs.states.to_string(),
-            red.label().to_string(),
-            rs.states.to_string(),
-            if matches!(full, Verdict::StateLimit(_)) {
-                format!(">{}", factor(fs.states, rs.states))
-            } else {
-                factor(fs.states, rs.states)
-            },
-            fmt(*red_secs, 2),
-            if single_core {
-                "skipped".into()
-            } else {
-                fmt(*par_secs, 2)
-            },
-            if single_core {
-                "-".into()
-            } else {
-                format!("{}x", fmt(red_secs / par_secs.max(1e-9), 2))
-            },
-        ]);
-        json_rows.push(format!(
-            "{{\"workload\": \"e12_{name}3_pso\", \"engine\": \"dpor\", \"states\": {}, \
-             \"undo_states\": {}, \"undo_verdict\": \"{}\", \"wall_ms\": {:.1}}}",
-            rs.states,
-            fs.states,
-            full.label(),
-            red_secs * 1e3,
-        ));
-        json_rows.push(format!(
-            "{{\"workload\": \"e12_{name}3_pso_pardpor\", \"engine\": \"pardpor\", \
-             \"threads\": {}, \"effective_threads\": {}, \"states\": {}, \
-             \"dpor_wall_ms\": {:.1}, \"wall_ms\": {:.1}, \"skipped_single_core\": {}}}",
-            pardpor_threads(),
-            pardpor_threads().min(cores),
-            par.stats().states,
-            red_secs * 1e3,
-            par_secs * 1e3,
-            single_core,
-        ));
-    }
-    t3.note(
         "A `state-limit` row is the infeasibility the subsystem removes: \
          the exhaustive engine gave up at its 2M-state budget while the \
          reduced engine finished the full proof with the states shown \
-         (the factor is then a lower bound). The pardpor columns time the \
-         work-stealing parallel DPOR engine on the same sweep (skipped on \
-         single-core hosts, where parallel wall-clock measures \
-         time-slicing).",
+         (the factor is then a lower bound).",
     );
-    t3.finish();
 
     // ---- Section 3: n = 4 — past the exhaustive engine's reach. ----
-    let mut t4 = Table::new(
+    capped_vs_reduced(
+        &sink,
         "e12c_reduction_n4",
-        "E12c: four processes under PSO (mutex check, full fences, \
-         exhaustive engine capped at 2M states)",
+        "E12c: four processes",
+        4,
         &[
-            "lock",
-            "undo",
-            "states",
-            "dpor",
-            "states",
-            "Mstates/s",
-            "factor",
+            ("ttas", LockKind::Ttas),
+            ("gt_f2", LockKind::Gt { f: 2 }),
+            ("tournament", LockKind::Tournament),
         ],
-    );
-    let locks4: &[(&str, LockKind)] = &[
-        ("ttas", LockKind::Ttas),
-        ("gt_f2", LockKind::Gt { f: 2 }),
-        ("tournament", LockKind::Tournament),
-    ];
-    let rows = crate::par_map(locks4, |&(name, kind)| {
-        let inst = build_mutex(kind, 4, FenceMask::ALL);
-        let wl = format!("e12_{name}4_pso");
-        let (full, _) = timed(&inst, MemoryModel::Pso, &with_obs(cap.clone(), &sink, &wl));
-        let (red, secs) = timed(
-            &inst,
-            MemoryModel::Pso,
-            &with_obs(uncapped.clone().with_engine(dpor()), &sink, &wl),
-        );
-        (name, full, red, secs)
-    });
-    for (name, full, red, secs) in &rows {
-        let (fs, rs) = (full.stats(), red.stats());
-        t4.row(&[
-            (*name).to_string(),
-            full.label().to_string(),
-            fs.states.to_string(),
-            red.label().to_string(),
-            rs.states.to_string(),
-            fmt(rs.states as f64 / secs.max(1e-9) / 1e6, 2),
-            if matches!(full, Verdict::StateLimit(_)) {
-                format!(">{}", factor(fs.states, rs.states))
-            } else {
-                factor(fs.states, rs.states)
-            },
-        ]);
-        json_rows.push(format!(
-            "{{\"workload\": \"e12_{name}4_pso\", \"engine\": \"dpor\", \"states\": {}, \
-             \"undo_states\": {}, \"undo_verdict\": \"{}\", \"verdict\": \"{}\", \
-             \"wall_ms\": {:.1}}}",
-            rs.states,
-            fs.states,
-            full.label(),
-            red.label(),
-            secs * 1e3,
-        ));
-    }
-    t4.note(
         "A `state-limit` / `ok` pair is the acceptance demonstration: a \
          configuration the seed checker could not finish at its 2M-state \
          budget, completed as a full proof by the reduced engine.",
     );
-    t4.finish();
 
-    crate::append_bench_explore_rows(&json_rows);
-    progress.info(&format!(
-        "appended {} dpor rows to BENCH_explore.json",
-        json_rows.len()
-    ));
     progress.flush();
 }

@@ -14,13 +14,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::timing::median;
 use fence_trade::prelude::*;
 use ftobs::JsonlSink;
-
-fn median_ms(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
 
 #[allow(clippy::cast_precision_loss)]
 pub fn run(fast: bool) {
@@ -153,8 +149,8 @@ pub fn run(fast: bool) {
             frontier = cov.frontier;
             rec.emit_snapshot(&[("verdict", ftobs::J::s(resumed.label()))]);
         }
-        let fresh = median_ms(fresh_ms);
-        let split = median_ms(split_ms);
+        let fresh = median(fresh_ms);
+        let split = median(split_ms);
         t.row(&[
             workload.to_string(),
             engine.label().to_string(),
@@ -173,7 +169,7 @@ pub fn run(fast: bool) {
          fingerprint table pre-seeded, frontier replayed). Reduced-mode overhead also \
          includes re-exploring what the discarded worker-local dominance table would \
          have pruned; pure durability cost (write + read + replay) is what \
-         the `guards` bin gates at <=10%, in the exact-partition diagnostic bound. \
+         `exp guards` gates, per MiB of snapshot, in the exact-partition diagnostic bound. \
          `frontier` is the number of open fork points the snapshot serialized."
     ));
     t.finish();

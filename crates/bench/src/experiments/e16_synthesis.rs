@@ -20,15 +20,15 @@
 //!    re-verified clean, so the emitted curve consists exclusively of
 //!    correct algorithms.
 //!
-//! Tables land in `results/e16_synthesis.txt`, a full run's rows in
-//! `BENCH_explore.json` (`e16_synth_*` / `e16_pareto_*` workload keys),
+//! Tables land in `results/e16_synthesis.txt` and `results/e16_pareto.txt`,
 //! and synthesis counters stream to `results/obs/e16_synthesis.jsonl`
 //! for `exp obs-report`'s Synthesis section.
 //!
 //! `--fast` runs only the n = 2 instances, and in that mode the run
 //! fails if a row's placement differs from the committed
 //! `results/e16_synthesis.txt` or if its minimisation refuted no trial
-//! from a witness.
+//! from a witness; its two-row table is printed, not written over the
+//! committed four rows it was compared with.
 
 use std::sync::Arc;
 
@@ -110,8 +110,6 @@ pub fn run(fast: bool) {
         JsonlSink::create(crate::obs_dir().join("e16_synthesis.jsonl"))
             .unwrap_or_else(|e| crate::fail("e16: creating results/obs/e16_synthesis.jsonl", e)),
     );
-    let mut json_rows: Vec<String> = Vec::new();
-
     let mut t = Table::new(
         "e16_synthesis",
         "E16: CEGAR fence synthesis — placements, verification, solo cost vs GT_f scale",
@@ -157,9 +155,7 @@ pub fn run(fast: bool) {
                 .sink(sink.clone())
                 .quiet(true)
                 .build();
-            let start = std::time::Instant::now();
             let out = synthesize(&inst, &synth_cfg(rec.clone()));
-            let wall = start.elapsed().as_secs_f64();
             rec.emit_snapshot(&[(
                 "verdict",
                 ftobs::J::s(if out.synthesis().is_some() {
@@ -239,23 +235,6 @@ pub fn run(fast: bool) {
                 s.full_checks.to_string(),
                 placement,
             ]);
-            json_rows.push(format!(
-                "{{\"workload\": \"e16_synth_{name}{n}\", \"engine\": \"cegar\", \"n\": {n}, \
-                 \"iterations\": {}, \"cores\": {}, \"fences_inserted\": {}, \
-                 \"total_states\": {}, \"seeded_refutations\": {}, \"full_checks\": {}, \
-                 \"solo_fences\": {beta}, \"solo_rmrs\": {rho}, \
-                 \"orig_fences\": {}, \"orig_rmrs\": {}, \"verified\": true, \
-                 \"wall_ms\": {:.1}}}",
-                s.iterations,
-                s.cores.len(),
-                s.fences_inserted(),
-                s.total_states,
-                s.seeded_refutations,
-                s.full_checks,
-                fmt(orig.fences, 0),
-                fmt(orig.rmrs, 0),
-                wall * 1e3,
-            ));
             if n == 2 {
                 pareto_src.push((name.to_string(), s.clone()));
             }
@@ -270,7 +249,11 @@ pub fn run(fast: bool) {
          at O(1) fences/O(n) RMRs like GT_1, Tournament at O(log n)/O(log n) \
          like GT_{log n}).",
     );
-    t.finish();
+    if fast {
+        println!("{}", t.render());
+    } else {
+        t.finish();
+    }
 
     // ---- Pareto sweep over the hitting-set weighting (n = 2). ----
     let mut pt = Table::new(
@@ -305,21 +288,6 @@ pub fn run(fast: bool) {
                 p.iterations.to_string(),
                 p.total_states.to_string(),
             ]);
-            json_rows.push(format!(
-                "{{\"workload\": \"e16_pareto_{name}2_f{}_r{}\", \"engine\": \"cegar\", \
-                 \"fence_weight\": {}, \"rmr_weight\": {}, \"fences_inserted\": {}, \
-                 \"solo_fences\": {}, \"solo_rmrs\": {}, \"iterations\": {}, \
-                 \"total_states\": {}}}",
-                p.fence_weight,
-                p.rmr_weight,
-                p.fence_weight,
-                p.rmr_weight,
-                p.fences_inserted,
-                p.solo_fences,
-                p.solo_rmrs,
-                p.iterations,
-                p.total_states,
-            ));
         }
     }
     pt.note(
@@ -330,7 +298,4 @@ pub fn run(fast: bool) {
          each point honest.",
     );
     pt.finish();
-    if !fast {
-        crate::append_bench_explore_rows(&json_rows);
-    }
 }

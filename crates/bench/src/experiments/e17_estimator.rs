@@ -27,8 +27,6 @@
 //! whose `prev_run`/`run` fields link the two runs. The stream is also
 //! exported through [`chrome_trace`] to `results/obs/e17_trace.json` —
 //! the artifact a human loads into Perfetto.
-//!
-//! `--fast` is the smoke path (fewer cells, fewer donation retries).
 
 use std::sync::Arc;
 
@@ -161,7 +159,7 @@ fn traced_runs(
 }
 
 #[allow(clippy::cast_precision_loss)]
-pub fn run(fast: bool) {
+pub fn run(_fast: bool) {
     let threads = crate::parallelism().clamp(2, 4);
 
     let obs = crate::obs_dir();
@@ -173,21 +171,15 @@ pub fn run(fast: bool) {
     };
     // (workload, kind, n, engine, gated): every cell tabulates, gated
     // cells enforce the 2x acceptance bound at the last (90%) cut.
-    let mut cells: Vec<(&str, LockKind, usize, Engine, bool)> = vec![
+    let cells: [(&str, LockKind, usize, Engine, bool); 6] = [
         ("peterson2_pso", LockKind::Peterson, 2, Engine::Undo, true),
         ("peterson2_pso", LockKind::Peterson, 2, dpor, true),
+        ("bakery2_pso", LockKind::Bakery, 2, Engine::Undo, true),
+        ("bakery2_pso", LockKind::Bakery, 2, dpor, true),
+        ("filter3_pso", LockKind::Filter, 3, Engine::Undo, false),
+        ("filter3_pso", LockKind::Filter, 3, dpor, true),
     ];
-    if !fast {
-        cells.push(("bakery2_pso", LockKind::Bakery, 2, Engine::Undo, true));
-        cells.push(("bakery2_pso", LockKind::Bakery, 2, dpor, true));
-        cells.push(("filter3_pso", LockKind::Filter, 3, Engine::Undo, false));
-        cells.push(("filter3_pso", LockKind::Filter, 3, dpor, true));
-    }
-    let fracs: &[f64] = if fast {
-        &[0.5, 0.9]
-    } else {
-        &[0.25, 0.5, 0.75, 0.9]
-    };
+    let fracs: &[f64] = &[0.25, 0.5, 0.75, 0.9];
     let mut headers: Vec<String> = vec!["workload".into(), "engine".into(), "true states".into()];
     headers.extend(fracs.iter().map(|f| format!("est/true @{:.0}%", f * 100.0)));
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
@@ -238,7 +230,7 @@ pub fn run(fast: bool) {
     // workload a lucky scheduling can finish without one, so retry the
     // (cheap) traced section rather than gate on one scheduling.
     let trace_path = obs.join("e17_trace.jsonl");
-    let attempts = if fast { 2 } else { 4 };
+    let attempts = 4;
     let mut rows = Vec::new();
     let mut publishes = 0usize;
     for attempt in 1..=attempts {

@@ -9,29 +9,16 @@
 //! overrides; each individual check stays sequential, so the table is
 //! identical at any thread count).
 
-use std::time::Duration;
-
-use crate::{f as fmt, Table};
+use crate::Table;
 use fence_trade::prelude::*;
 use modelcheck::{minimal_fences, ElisionRow};
 
 fn ablation_table(name: &str, title: &str, rows: &[ElisionRow], models: &[MemoryModel]) -> Table {
-    let mut t = Table::new(
-        name,
-        title,
-        &["fences", "SC", "TSO", "PSO", "states", "kstates/s"],
-    );
+    let mut t = Table::new(name, title, &["fences", "SC", "TSO", "PSO", "states"]);
     for row in rows {
         let mut cells = vec![row.mask_desc.clone()];
         cells.extend(row.verdicts.iter().map(|&(_, label, _)| label.to_string()));
-        let states = row.total_states();
-        let secs = row.total_elapsed().as_secs_f64();
-        cells.push(states.to_string());
-        cells.push(if secs > 0.0 {
-            fmt(states as f64 / secs / 1e3, 1)
-        } else {
-            "-".into()
-        });
+        cells.push(row.total_states().to_string());
         t.row(&cells);
     }
     for &model in models {
@@ -53,7 +40,6 @@ pub fn run(_fast: bool) {
     let threads = crate::parallelism();
 
     // --- Peterson: all 8 placements over its 3 sites. ---
-    let start = std::time::Instant::now();
     let rows = elision_table(
         LockKind::Peterson,
         2,
@@ -62,18 +48,15 @@ pub fn run(_fast: bool) {
         &cfg,
         threads,
     );
-    let wall_peterson = start.elapsed();
-    let mut t = ablation_table(
+    let t = ablation_table(
         "e8_ablation_peterson",
         "E8a: Peterson fence ablation (all placements, 2 processes)",
         &rows,
         &models,
     );
-    note_throughput(&mut t, &rows, wall_peterson, threads);
     t.finish();
 
     // --- Bakery (2 processes): all 16 placements over its 4 sites. ---
-    let start = std::time::Instant::now();
     let rows = elision_table(
         LockKind::Bakery,
         2,
@@ -82,14 +65,12 @@ pub fn run(_fast: bool) {
         &cfg,
         threads,
     );
-    let wall_bakery = start.elapsed();
     let mut t = ablation_table(
         "e8_ablation_bakery",
         "E8b: Bakery fence ablation (all placements, 2 processes)",
         &rows,
         &models,
     );
-    note_throughput(&mut t, &rows, wall_bakery, threads);
     t.note(
         "(f0 = doorway open, f1 = doorway close, f2 = ticket, f3 = release; \
          the final pre-return fence is always present, so a buffered write is \
@@ -97,17 +78,4 @@ pub fn run(_fast: bool) {
          writes order, not whether they eventually commit.)",
     );
     t.finish();
-}
-
-fn note_throughput(t: &mut Table, rows: &[ElisionRow], wall: Duration, threads: usize) {
-    let states: usize = rows.iter().map(ElisionRow::total_states).sum();
-    let cpu: Duration = rows.iter().map(ElisionRow::total_elapsed).sum();
-    t.note(format!(
-        "swept {} placements on {threads} thread(s): {states} states in {} wall \
-         ({} kstates/s wall, {} cpu)",
-        rows.len(),
-        fmt(wall.as_secs_f64(), 2),
-        fmt(states as f64 / wall.as_secs_f64().max(1e-9) / 1e3, 1),
-        fmt(cpu.as_secs_f64(), 2),
-    ));
 }

@@ -116,7 +116,7 @@ pub fn run(file: &Path, follow_mode: bool) -> ExitCode {
     if rows.is_empty() {
         eprintln!(
             "obs_trace: no span events in {} — was the run traced \
-             (Recorder::builder().trace(true) or FT_OBS_TRACE=1)?",
+             (Recorder::builder().trace(true))?",
             file.display()
         );
         return ExitCode::FAILURE;

@@ -1,11 +1,13 @@
 //! The experiments regenerating every table-level claim of the paper
 //! ([`experiments`], run by the one `exp` binary) and the harness they
 //! share: aligned-table rendering, result persistence under `results/`,
-//! seeded permutation sampling, and a small scoped-thread parallel map
+//! seeded permutation sampling, a small scoped-thread parallel map
 //! ([`par_map`]) honouring the `FT_THREADS` environment variable
-//! ([`parallelism`]).
+//! ([`parallelism`]), and the wall-clock helper of the one experiment and
+//! the gates that time anything (`timing.rs`).
 
 pub mod experiments;
+mod timing;
 
 use std::fs;
 use std::path::PathBuf;
@@ -211,69 +213,6 @@ pub fn obs_dir() -> PathBuf {
     dir
 }
 
-/// Append pre-rendered JSON row objects to the `"results"` array of
-/// `BENCH_explore.json` at the workspace root (created with an empty array
-/// if the bench has not been run yet). Each element of `rows` must be a
-/// complete JSON object literal without trailing comma. Idempotent: an
-/// existing row with the same `"workload"` value as an incoming row is
-/// dropped first, so re-running an experiment refreshes its rows instead
-/// of duplicating them.
-pub fn append_bench_explore_rows(rows: &[String]) {
-    if rows.is_empty() {
-        return;
-    }
-    let path = workspace_root().join("BENCH_explore.json");
-    let text = fs::read_to_string(&path)
-        .unwrap_or_else(|_| "{\n  \"bench\": \"explore\",\n  \"results\": [\n  ]\n}\n".to_string());
-    let workload_of = |row: &str| {
-        row.split("\"workload\": \"")
-            .nth(1)
-            .and_then(|rest| rest.split('"').next())
-            .map(str::to_string)
-    };
-    let incoming: Vec<String> = rows.iter().filter_map(|r| workload_of(r)).collect();
-    let text: String = text
-        .lines()
-        .filter(|line| {
-            let stale = line.trim_start().starts_with('{')
-                && workload_of(line).is_some_and(|w| incoming.contains(&w));
-            !stale
-        })
-        .map(|line| {
-            // A kept row that preceded a dropped tail row may leave a
-            // trailing comma before `]`; normalize it below via rfind.
-            format!("{line}\n")
-        })
-        .collect();
-    let Some(end) = text.rfind("  ]") else {
-        eprintln!(
-            "warning: {} has no results array; rows not appended",
-            path.display()
-        );
-        return;
-    };
-    let mut body = text[..end].trim_end().to_string();
-    if body.ends_with(',') {
-        body.pop();
-    }
-    let rendered: String = rows
-        .iter()
-        .map(|r| format!("    {r}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    if body.ends_with('[') {
-        body.push('\n');
-    } else {
-        body.push_str(",\n");
-    }
-    body.push_str(&rendered);
-    body.push('\n');
-    body.push_str(&text[end..]);
-    if let Err(e) = fs::write(&path, &body) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
-}
-
 /// Fail the running experiment with a one-line diagnostic. Experiments
 /// share a process, so this unwinds instead of exiting:
 /// [`experiments::run_selected`] catches it, marks the experiment `FAILED`
@@ -322,7 +261,7 @@ pub fn f(x: f64, digits: usize) -> String {
 /// cached. `std::thread::available_parallelism` consults the cgroup /
 /// affinity mask on every call and can transiently report `1` early in
 /// process startup on some hosts; caching the first successful reading
-/// keeps every bench row and JSON header consistent within a run.
+/// keeps every row of a run consistent.
 #[must_use]
 pub fn available_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
@@ -333,9 +272,7 @@ pub fn available_cores() -> usize {
 /// to a positive integer, otherwise [`available_cores`] — and never more
 /// than [`available_cores`] either way. Oversubscribing a timing sweep
 /// only adds scheduler noise to the measurements, so a too-large
-/// `FT_THREADS` is clamped rather than honored. This is the *effective*
-/// thread count — the value bench rows must record (`effective_threads`
-/// in `BENCH_explore.json`).
+/// `FT_THREADS` is clamped rather than honored.
 #[must_use]
 pub fn parallelism() -> usize {
     let requested = match std::env::var("FT_THREADS") {

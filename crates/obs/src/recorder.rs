@@ -29,7 +29,8 @@ use crate::trace::{SpanId, TraceCtx, DEFAULT_TRACE_BUF};
 /// into the last slot.
 pub const MAX_PCS: usize = 256;
 
-/// Default heartbeat interval when `FT_OBS_HEARTBEAT_MS` is unset.
+/// Heartbeat interval of a recorder built without
+/// [`RecorderBuilder::heartbeat_ms`].
 pub const DEFAULT_HEARTBEAT_MS: u64 = 1000;
 
 // Trace span ids are process-global, not per-recorder: several checks in
@@ -99,8 +100,8 @@ pub struct RecorderBuilder {
     meta: Vec<(String, J)>,
     sink: Option<Arc<JsonlSink>>,
     heartbeat_ms: Option<u64>,
-    quiet: Option<bool>,
-    trace: Option<bool>,
+    quiet: bool,
+    trace: bool,
 }
 
 impl RecorderBuilder {
@@ -120,55 +121,42 @@ impl RecorderBuilder {
     }
 
     /// Heartbeat interval in milliseconds (`0` disables heartbeats).
-    /// Defaults to `FT_OBS_HEARTBEAT_MS` or [`DEFAULT_HEARTBEAT_MS`].
+    /// Defaults to [`DEFAULT_HEARTBEAT_MS`].
     #[must_use]
     pub fn heartbeat_ms(mut self, ms: u64) -> Self {
         self.heartbeat_ms = Some(ms);
         self
     }
 
-    /// Suppress stderr output (events still reach the sink).
-    /// Defaults to the `FT_OBS_QUIET` environment variable.
+    /// Suppress stderr output (events still reach the sink). Off by
+    /// default.
     #[must_use]
     pub fn quiet(mut self, quiet: bool) -> Self {
-        self.quiet = Some(quiet);
+        self.quiet = quiet;
         self
     }
 
-    /// Record causal trace spans (see [`crate::trace`]). Defaults to the
-    /// `FT_OBS_TRACE` environment variable; off otherwise.
+    /// Record causal trace spans (see [`crate::trace`]). Off by default.
     #[must_use]
     pub fn trace(mut self, on: bool) -> Self {
-        self.trace = Some(on);
+        self.trace = on;
         self
     }
 
     /// Build the enabled recorder.
     #[must_use]
     pub fn build(self) -> Recorder {
-        let heartbeat_ms = self.heartbeat_ms.unwrap_or_else(|| {
-            std::env::var("FT_OBS_HEARTBEAT_MS")
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-                .unwrap_or(DEFAULT_HEARTBEAT_MS)
-        });
-        let quiet = self.quiet.unwrap_or_else(|| {
-            std::env::var("FT_OBS_QUIET").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        });
-        let trace = self.trace.unwrap_or_else(|| {
-            std::env::var("FT_OBS_TRACE").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        });
         Recorder {
             inner: Some(Arc::new(Inner {
                 store: Mutex::default(),
                 pc_labels: Mutex::new(Vec::new()),
                 meta: self.meta,
                 start: Instant::now(),
-                heartbeat_ms,
+                heartbeat_ms: self.heartbeat_ms.unwrap_or(DEFAULT_HEARTBEAT_MS),
                 last_heartbeat_ms: AtomicU64::new(0),
-                quiet,
+                quiet: self.quiet,
                 sink: self.sink,
-                trace,
+                trace: self.trace,
                 trace_root: AtomicU64::new(0),
             })),
         }
@@ -485,7 +473,7 @@ impl Recorder {
     }
 
     /// Whether causal trace spans are being recorded (requires an
-    /// enabled recorder built with `.trace(true)` or `FT_OBS_TRACE=1`).
+    /// enabled recorder built with `.trace(true)`).
     #[must_use]
     pub fn trace_enabled(&self) -> bool {
         self.inner.as_ref().is_some_and(|i| i.trace)

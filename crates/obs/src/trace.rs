@@ -29,7 +29,7 @@
 //! and on drop. Workers therefore never contend on the sink inside the
 //! hot loop, memory stays bounded, and a sink-less recorder just counts
 //! the spans it dropped. Tracing is off by default ([`RecorderBuilder`]
-//! `.trace(true)` or `FT_OBS_TRACE=1` turns it on); every `TraceCtx`
+//! `.trace(true)` turns it on); every `TraceCtx`
 //! operation on a non-tracing recorder is a branch and a return, which
 //! is what keeps the tracing-disabled path bit-identical and inside the
 //! overhead budget (`exp guards`).
