@@ -4,7 +4,10 @@
 //! ```text
 //! exp [--fast] [e1 e3 … | all]   run experiments (default: all) in this process,
 //!                                print the manifest; a full `all` run also
-//!                                records it in results/manifest.txt
+//!                                records it in results/manifest.txt.
+//!                                --fast: e14 times one round and writes nothing,
+//!                                e16 runs its n = 2 instances only; the rest
+//!                                ignore it
 //! exp --list                     ids and titles
 //! exp guards [--rebase]          every wall-clock gate CI holds
 //! exp obs-report [FILES]         results/obs/*.jsonl → results/obs/report.md
@@ -22,7 +25,8 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}");
     eprintln!(
         "usage: exp [--fast] [ID… | all] | --list | guards [--rebase] | \
-         obs-report [FILES] | obs-trace FILE [--follow]"
+         obs-report [FILES] | obs-trace FILE [--follow]\n\
+         --fast cuts down e14 (one round, writes nothing) and e16 (n = 2 only)"
     );
     ExitCode::FAILURE
 }

@@ -7,8 +7,6 @@
 //! recoverable variants repair their announcements on restart and keep both
 //! mutual exclusion and deadlock-freedom. Also demonstrates the wall-clock
 //! budget: a zero-budget run returns `inconclusive` with coverage stats.
-//!
-//! `--fast` skips the (slow) three-process sweep.
 
 use std::time::Duration;
 
@@ -53,7 +51,7 @@ fn crash_check_observed(
     check(&inst.machine(model), &cfg)
 }
 
-pub fn run(fast: bool) {
+pub fn run(_fast: bool) {
     // ---- Table 1: full sweep at n = 2. ----
     let mut t = Table::new(
         "e11_crash_recovery",
@@ -104,35 +102,33 @@ pub fn run(fast: bool) {
     t.finish();
 
     // ---- Table 2: three processes, PSO, discard semantics. ----
-    if !fast {
-        let mut t2 = Table::new(
-            "e11b_crash_recovery_n3",
-            "E11b: three processes under PSO, discard semantics (≤1 crash)",
-            &["lock", "crash-free", "≤1 crash", "states"],
-        );
-        let rows = crate::par_map(LOCKS, |&(name, kind)| {
-            let plain = crash_check(kind, 3, MemoryModel::Pso, CrashSemantics::DiscardBuffer, 0);
-            let crashy = crash_check(kind, 3, MemoryModel::Pso, CrashSemantics::DiscardBuffer, 1);
-            (name, plain, crashy)
-        });
-        for (name, plain, crashy) in &rows {
-            t2.row(&[
-                (*name).to_string(),
-                plain.label().to_string(),
-                crashy.label().to_string(),
-                crashy.stats().states.to_string(),
-            ]);
-        }
-        t2.note(
-            "The separation persists at n = 3: one crash wedges the naive \
-             TTAS, the recoverable variants stay live through every \
-             crash-and-restart schedule. The naive Bakery's doorway \
-             re-execution blows the crashy state space past the 5M-state \
-             budget (`state-limit`); r-bakery's retraction keeps it \
-             tractable.",
-        );
-        t2.finish();
+    let mut t2 = Table::new(
+        "e11b_crash_recovery_n3",
+        "E11b: three processes under PSO, discard semantics (≤1 crash)",
+        &["lock", "crash-free", "≤1 crash", "states"],
+    );
+    let rows = crate::par_map(LOCKS, |&(name, kind)| {
+        let plain = crash_check(kind, 3, MemoryModel::Pso, CrashSemantics::DiscardBuffer, 0);
+        let crashy = crash_check(kind, 3, MemoryModel::Pso, CrashSemantics::DiscardBuffer, 1);
+        (name, plain, crashy)
+    });
+    for (name, plain, crashy) in &rows {
+        t2.row(&[
+            (*name).to_string(),
+            plain.label().to_string(),
+            crashy.label().to_string(),
+            crashy.stats().states.to_string(),
+        ]);
     }
+    t2.note(
+        "The separation persists at n = 3: one crash wedges the naive \
+         TTAS, the recoverable variants stay live through every \
+         crash-and-restart schedule. The naive Bakery's doorway \
+         re-execution blows the crashy state space past the 5M-state \
+         budget (`state-limit`); r-bakery's retraction keeps it \
+         tractable.",
+    );
+    t2.finish();
 
     // ---- The checker's counterexample for the naive lock, saved as a
     // replayable artifact (with the metrics snapshot at failure time). ----

@@ -18,8 +18,6 @@
 //! artifact. Every cell is a count or a verdict of a sequential engine, so
 //! the tables are byte-pinned in CI; what the engines cost in wall-clock
 //! is E14's to say.
-//!
-//! `--fast` runs only the n = 2 section.
 
 use std::sync::Arc;
 
@@ -108,10 +106,9 @@ fn capped_vs_reduced(
     t.finish();
 }
 
-pub fn run(fast: bool) {
-    // One JSONL stream for the whole experiment; one progress recorder
-    // replacing the ad-hoc println!/eprintln! lines so fast and full runs
-    // share a reporting path (`exp obs-report` renders the result).
+pub fn run(_fast: bool) {
+    // One JSONL stream for the whole experiment, and one progress recorder
+    // (`exp obs-report` renders the result).
     let sink = Arc::new(
         JsonlSink::create(crate::obs_dir().join("e12_reduction.jsonl"))
             .unwrap_or_else(|e| crate::fail("e12: creating results/obs/e12_reduction.jsonl", e)),
@@ -203,12 +200,6 @@ pub fn run(fast: bool) {
             &cex_cfg.recorder,
         );
         progress.info(&format!("saved DPOR counterexample to {}", path.display()));
-    }
-
-    if fast {
-        progress.info("--fast: skipping the n = 3 / n = 4 sections");
-        progress.flush();
-        return;
     }
 
     // ---- Section 2: n = 3 — where exhaustive checking hits the wall. ----

@@ -8,8 +8,6 @@
 //! Every run records into `results/obs/e15_resume.jsonl`, so
 //! `exp obs-report` renders the `checkpoint_written` / `checkpoint_bytes` /
 //! `resume_replayed` counters in its Resilience table from real data.
-//!
-//! `--fast` runs single trials.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -18,9 +16,11 @@ use crate::timing::median;
 use fence_trade::prelude::*;
 use ftobs::JsonlSink;
 
+/// Runs per cell and side; the table holds their medians.
+const TRIALS: usize = 3;
+
 #[allow(clippy::cast_precision_loss)]
-pub fn run(fast: bool) {
-    let trials = if fast { 1 } else { 3 };
+pub fn run(_fast: bool) {
     let sink = Arc::new(
         JsonlSink::create(crate::obs_dir().join("e15_resume.jsonl"))
             .unwrap_or_else(|e| crate::fail("e15: creating results/obs/e15_resume.jsonl", e)),
@@ -88,11 +88,11 @@ pub fn run(fast: bool) {
         }
         let cut = (probe.stats().transitions as u64 / 2).max(1);
 
-        let mut fresh_ms = Vec::with_capacity(trials);
-        let mut split_ms = Vec::with_capacity(trials);
+        let mut fresh_ms = Vec::with_capacity(TRIALS);
+        let mut split_ms = Vec::with_capacity(TRIALS);
         let mut ckpt_bytes = 0u64;
         let mut frontier = 0usize;
-        for _ in 0..trials {
+        for _ in 0..TRIALS {
             let rec = ftobs::Recorder::builder()
                 .meta("workload", workload)
                 .meta("engine", engine.label())
@@ -164,7 +164,7 @@ pub fn run(fast: bool) {
     }
 
     t.note(format!(
-        "Median of {trials} trial(s). `split` = interrupted at half the transitions \
+        "Median of {TRIALS} trials. `split` = interrupted at half the transitions \
          (checkpoint written, fsynced, renamed) + resumed to completion (snapshot read, \
          fingerprint table pre-seeded, frontier replayed). Reduced-mode overhead also \
          includes re-exploring what the discarded worker-local dominance table would \

@@ -37,8 +37,9 @@ const DPOR: modelcheck::Engine = modelcheck::Engine::Dpor {
 /// One experiment: `(id, title, run)` — the id `exp` takes on its command
 /// line, the title `exp --list` prints, and the entry point. `run(fast)`
 /// writes its tables under `results/` and panics if one of its own checks
-/// fails; `fast` asks for the cut-down variant CI runs (ignored where there
-/// is none).
+/// fails. Two experiments read `fast`, the two CI runs cut down: E14 then
+/// times one round and writes nothing, E16 synthesizes only the n = 2
+/// instances and compares them with the committed table.
 pub type Experiment = (&'static str, &'static str, fn(bool));
 
 /// Every experiment, in the order `exp all` runs them. E13 (the wall-clock
@@ -51,7 +52,7 @@ pub const REGISTRY: &[Experiment] = &[
     ("e4", "the lower-bound encoding, measured, and exhaustive codebooks", e4_encoding::run),
     ("e5", "separating memory models: Peterson under SC/TSO/PSO", e5_separation::run),
     ("e6", "Table 1 / Lemma 5.1 structural invariants of the encodings", e6_stack_invariants::run),
-    ("e7", "the tradeoff's shape on real hardware", e7_hw::run),
+    ("e7", "fence sites on real atomics equal the simulator's β", e7_hw::run),
     ("e8", "fence ablation across the lock family", e8_ablation::run),
     ("e9", "comparison primitives (CAS, swap) don't dodge the tradeoff", e9_cas::run),
     ("e10", "steady-state amortized passage costs", e10_steady_state::run),

@@ -4,25 +4,28 @@
 //! process paused at instruction `pc`, which shared registers the process
 //! could *ever* touch again, and whether performing the poised operation
 //! could change the property-visible annotation. Both questions are answered
-//! here once per [`Program`](crate::Program), by a value-insensitive
-//! fixpoint over the control-flow graph:
+//! here once per [`Program`](crate::Program) — the first time either is
+//! asked of it — by a value-insensitive fixpoint over the control-flow graph:
 //!
 //! * `Src::Imm` register operands contribute exactly that register;
 //! * `Src::Loc` operands (dynamic addressing, e.g. array walks) poison the
-//!   summary to "any register" — sound, and cheap to test against;
+//!   summary to "any register" — sound, and cheap to test against — and so
+//!   does an immediate id at or above [`DENSE_REGS`], which the machine
+//!   serves from its sparse side but a [`RegSet`] would size a bitset by;
 //! * both branches of every conditional jump are followed.
 //!
 //! The summaries are over-approximations by construction: a register the
 //! analysis misses would break the reduction's soundness, while a register
 //! it over-reports only costs reduction.
 
+use wbmem::reg::DENSE_REGS;
 use wbmem::{RegId, RegSet};
 
 use crate::instr::{Instr, Src};
 
 /// The static access summary for one program point: everything the program
 /// may read or write from this instruction (inclusive) onward.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct PcSummary {
     /// Registers possibly read (plain reads, CAS, swap).
     pub reads: RegSet,
@@ -37,12 +40,18 @@ pub(crate) struct PcSummary {
     pub annot_next: bool,
 }
 
+/// The register a memory operand names statically, if the summary can
+/// hold it; `None` makes the caller poison the summary.
 fn static_reg(src: Src) -> Option<RegId> {
     match src {
-        // A negative immediate is a malformed address and panics at
-        // runtime; classifying it as "no register" is fine because the
-        // instruction can then never execute as a memory step.
-        Src::Imm(x) => u32::try_from(x).ok().map(RegId),
+        // An id past the dense range is real to the machine (its register
+        // maps have a sparse side) but would size every `RegSet` of the
+        // program by itself. A negative immediate is a malformed address
+        // and panics at runtime, so over-reporting it costs nothing.
+        Src::Imm(x) => usize::try_from(x)
+            .ok()
+            .filter(|&id| id < DENSE_REGS)
+            .map(RegId::from),
         Src::Loc(_) => None,
     }
 }
@@ -236,6 +245,30 @@ mod tests {
         let s = analyze(prog.instrs());
         assert!(s[0].reads_all, "Loc-addressed read may touch anything");
         assert!(!s[0].writes_all);
+    }
+
+    #[test]
+    fn a_register_id_past_the_dense_range_poisons_instead_of_sizing_a_bitset() {
+        let stray = i64::from(u32::MAX - 1);
+        let last_dense = i64::try_from(DENSE_REGS - 1).expect("fits");
+        let mut a = Asm::new("stray");
+        let t = a.local("t");
+        a.read(stray, t);
+        a.write(last_dense + 1, t);
+        a.write(last_dense, t);
+        a.ret(t);
+        let prog = a.assemble();
+        let s = analyze(prog.instrs());
+        assert!(s[0].reads_all && s[0].writes_all);
+        assert!(!s[1].reads_all && s[1].writes_all);
+        assert!(!s[2].reads_all && !s[2].writes_all);
+        assert!(s[0].writes.contains(RegId::from(DENSE_REGS - 1)));
+        for summary in &s {
+            // `insert` sets the bit it sizes the set for, so a set that
+            // holds no such id was never grown past the dense range.
+            assert!(summary.reads.is_empty());
+            assert!(summary.writes.iter().all(|r| r.index() < DENSE_REGS));
+        }
     }
 
     #[test]

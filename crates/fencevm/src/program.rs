@@ -1,6 +1,7 @@
 //! Assembled programs.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::analysis::{analyze, union_summaries, PcSummary};
 use crate::instr::Instr;
@@ -10,7 +11,7 @@ use crate::instr::Instr;
 ///
 /// Programs are shared between process instances via `Arc<Program>`; see
 /// [`VmProc`](crate::VmProc).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug)]
 pub struct Program {
     name: String,
     instrs: Vec<Instr>,
@@ -18,12 +19,12 @@ pub struct Program {
     /// Instruction index control restarts at after a crash (the program's
     /// declared recovery section; `0` — the program start — by default).
     recovery: usize,
-    /// Per-pc static access summaries (see [`crate::analysis`]), computed
-    /// once at assembly.
-    analysis: Vec<PcSummary>,
-    /// The same summaries with the recovery section's accesses folded in,
-    /// for processes that may still crash.
-    analysis_rec: Vec<PcSummary>,
+    /// Per-pc static access summaries (see [`crate::analysis`]), derived
+    /// from the text by the first [`Program::summary`] call — only a
+    /// reduction asks, and a β/ρ sweep assembles thousands of programs it
+    /// never checks. Slot 1 holds the same summaries with the recovery
+    /// section's accesses folded in, for processes that may still crash.
+    summaries: OnceLock<[Vec<PcSummary>; 2]>,
     /// Content digest over (name, instrs, locals, recovery), computed once
     /// at assembly; see [`Program::digest`].
     digest: u64,
@@ -53,8 +54,6 @@ impl Program {
             recovery < instrs.len(),
             "program {name}: recovery entry {recovery} is out of range"
         );
-        let analysis = analyze(&instrs);
-        let analysis_rec = union_summaries(&analysis, &analysis[recovery]);
         let digest = {
             use std::hash::{Hash as _, Hasher as _};
             let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -69,8 +68,7 @@ impl Program {
             instrs,
             local_names,
             recovery,
-            analysis,
-            analysis_rec,
+            summaries: OnceLock::new(),
             digest,
         }
     }
@@ -91,11 +89,12 @@ impl Program {
     /// `include_recovery`, the recovery section's accesses are included
     /// (sound for a process that may still crash).
     pub(crate) fn summary(&self, pc: usize, include_recovery: bool) -> &PcSummary {
-        if include_recovery {
-            &self.analysis_rec[pc]
-        } else {
-            &self.analysis[pc]
-        }
+        let tables = self.summaries.get_or_init(|| {
+            let plain = analyze(&self.instrs);
+            let with_recovery = union_summaries(&plain, &plain[self.recovery]);
+            [plain, with_recovery]
+        });
+        &tables[usize::from(include_recovery)][pc]
     }
 
     /// The instruction index a crashed instance restarts at (see
@@ -190,6 +189,9 @@ impl fmt::Display for Program {
 mod tests {
     use super::*;
     use crate::instr::{Loc, Src};
+    use crate::{insert_fences_after, Asm, VmProc};
+    use std::sync::Arc;
+    use wbmem::{AccessSet, Process as _};
 
     #[test]
     fn counts_and_metadata() {
@@ -218,5 +220,35 @@ mod tests {
     #[should_panic(expected = "out-of-range")]
     fn out_of_range_jump_rejected() {
         let _ = Program::from_parts("bad".into(), vec![Instr::Jmp { target: 7 }], vec![]);
+    }
+
+    #[test]
+    fn summaries_are_built_by_the_first_reduction_query_and_then_shared() {
+        let mut a = Asm::new("lazy");
+        let t = a.local("t");
+        a.read(0i64, t);
+        a.annot(1);
+        a.write(1i64, t);
+        a.ret(t);
+        let assembled = a.assemble();
+        let rewritten = insert_fences_after(&assembled, &[2]).program;
+        for prog in [assembled, rewritten] {
+            let prog = Arc::new(prog);
+            let mut p = VmProc::new(Arc::clone(&prog));
+            p.advance(Some(wbmem::Value::Int(0)));
+            assert!(
+                prog.summaries.get().is_none(),
+                "assembling, rewriting and running a program build no summaries"
+            );
+            assert!(VmProc::new(Arc::clone(&prog)).op_may_annotate());
+            assert!(prog.summaries.get().is_some());
+            let (AccessSet::Set(first), AccessSet::Set(second)) =
+                (p.future_access(false).writes, p.future_access(false).writes)
+            else {
+                panic!("statically addressed writes summarise to a set");
+            };
+            assert!(std::ptr::eq(first, second), "one table, not one per call");
+            assert!(first.contains(wbmem::RegId(1)));
+        }
     }
 }

@@ -12,11 +12,12 @@
 //!   through to the next surviving instruction);
 //! * the crash-recovery entry ([`Program::recovery`]) is remapped the same
 //!   way, so crash semantics are preserved across rewrites;
-//! * the per-pc access summaries (`Program.analysis` / `analysis_rec`) are
-//!   *recomputed* from the rewritten text rather than shifted — fences do
-//!   not touch registers, so summaries at mapped pcs must agree with the
-//!   originals (unit-tested below), but recomputing is the only way to keep
-//!   the backward fixpoint exact by construction.
+//! * the per-pc access summaries are not carried over: the rewritten
+//!   program derives its own from its text when a reduction first asks
+//!   (see [`Program`]) — fences do not touch registers, so summaries at
+//!   mapped pcs must agree with the originals (unit-tested below), but
+//!   recomputing is the only way to keep the backward fixpoint exact by
+//!   construction.
 //!
 //! Rewrites return a [`Rewritten`] carrying the translation tables both
 //! ways, because counterexamples produced on a rewritten program report pcs
@@ -29,7 +30,7 @@ use crate::program::Program;
 /// A rewritten program plus the pc translation tables of the edit.
 #[derive(Clone, Debug)]
 pub struct Rewritten {
-    /// The rewritten program (summaries and recovery entry recomputed).
+    /// The rewritten program (recovery entry remapped).
     pub program: Program,
     /// For each new pc, the old pc of the instruction that now lives
     /// there; `None` for instructions this rewrite inserted.

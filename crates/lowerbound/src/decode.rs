@@ -89,8 +89,8 @@ impl DecodeOutcome {
         &self.steps[from.min(self.steps.len())..]
     }
 
-    /// The decoded execution as a [`wbmem::Trace`], for the analytics in
-    /// [`wbmem::stats`].
+    /// The decoded execution as a [`wbmem::Trace`] (for
+    /// [`segment_accessors`](wbmem::Trace::segment_accessors)).
     #[must_use]
     pub fn trace(&self) -> wbmem::Trace {
         self.steps.iter().map(|s| s.event.clone()).collect()

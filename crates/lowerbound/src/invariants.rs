@@ -86,7 +86,7 @@ pub fn check_i5_wait_local_finish_counts(enc: &Encoding) -> Vec<String> {
         let Some(lambda) = lambda else { continue };
         let earlier: std::collections::BTreeSet<ProcId> =
             enc.pi[..rank].iter().map(|&q| ProcId::from(q)).collect();
-        let accessors = wbmem::stats::segment_accessors(&trace, layout, p);
+        let accessors = trace.segment_accessors(layout, p);
         let earlier_accessors = accessors.iter().filter(|q| earlier.contains(q)).count() as u64;
         if earlier_accessors != lambda {
             out.push(format!(

@@ -9,7 +9,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 use simlocks::{build_mutex, FenceMask, LockKind};
 use wbmem::MemoryModel;
@@ -43,12 +42,6 @@ impl ElisionRow {
     #[must_use]
     pub fn total_states(&self) -> usize {
         self.verdicts.iter().map(|&(_, _, s)| s.states).sum()
-    }
-
-    /// Total exploration wall-clock across all models checked for this row.
-    #[must_use]
-    pub fn total_elapsed(&self) -> Duration {
-        self.verdicts.iter().map(|&(_, _, s)| s.elapsed).sum()
     }
 }
 

@@ -4,15 +4,15 @@
 //! while its tables grow; `Engine::Dpor` recycles its frame buffers and
 //! keeps its dominance table flat, which leaves growth too (the walk this
 //! replaced made ≈ 9.5 allocations per transition on these cells). The
-//! same allocator tracks live bytes, which bounds what a flat machine
-//! state may cost a 256-process run.
+//! same allocator tracks live bytes, which bounds what building and running
+//! a 256- or 1024-process instance may cost.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use modelcheck::{check, CheckConfig, Engine};
 use simlocks::{build_mutex, build_ordering, run_to_completion, FenceMask, LockKind, ObjectKind};
-use wbmem::MemoryModel;
+use wbmem::{MemoryModel, ProcId, SoloOutcome};
 
 thread_local! {
     /// Allocations made by this thread (tests run on threads of their
@@ -108,23 +108,47 @@ fn the_reduced_walk_stays_within_its_allocation_budget() {
     }
 }
 
-/// Peak live heap bytes of `benchmark/`'s `gt_f2_256.contended` cell —
-/// build the 256-process counter, round-robin it to completion under PSO —
-/// measured with this allocator at the parent of the flat machine state
-/// (commit 3be5542: `BTreeMap` memory, SipHash caches and layout).
-const GT_F2_256_PEAK_BYTES_BEFORE: usize = 10_763_504;
-
-#[test]
-fn a_256_process_run_costs_no_more_memory_than_the_map_based_state_did() {
+/// Peak live heap bytes above the caller's of whatever `run` builds and
+/// drops.
+fn peak_live_bytes(run: impl FnOnce()) -> usize {
     let live_before = LIVE.with(Cell::get);
     PEAK.with(|p| p.set(live_before));
-    let mut machine =
-        build_ordering(LockKind::Gt { f: 2 }, 256, ObjectKind::Counter).machine(MemoryModel::Pso);
-    assert!(run_to_completion(&mut machine, 50_000_000));
-    let peak = PEAK.with(Cell::get) - live_before;
+    run();
+    PEAK.with(Cell::get) - live_before
+}
+
+/// Peak live heap bytes of `benchmark/`'s `gt_f2_256.contended` cell —
+/// build the 256-process counter, round-robin it to completion under PSO —
+/// recorded with this allocator at the commit that stopped `assemble()`
+/// from building access summaries (10 644 736 at its parent: 256 programs
+/// × two per-pc tables of register bitsets that no unreduced run reads).
+const GT_F2_256_PEAK_BYTES: usize = 3_508_480;
+
+#[test]
+fn a_256_process_run_stays_within_its_recorded_peak() {
+    let peak = peak_live_bytes(|| {
+        let mut machine = build_ordering(LockKind::Gt { f: 2 }, 256, ObjectKind::Counter)
+            .machine(MemoryModel::Pso);
+        assert!(run_to_completion(&mut machine, 50_000_000));
+    });
     println!("gt_f2_256 contended: peak {peak} live bytes");
     assert!(
-        peak * 4 <= GT_F2_256_PEAK_BYTES_BEFORE * 5,
-        "gt_f2_256 contended: peak {peak} bytes, was {GT_F2_256_PEAK_BYTES_BEFORE}"
+        peak * 4 <= GT_F2_256_PEAK_BYTES * 5,
+        "gt_f2_256 contended: peak {peak} bytes, recorded {GT_F2_256_PEAK_BYTES}"
     );
+}
+
+#[test]
+fn building_gt_f4_at_n_1024_and_one_solo_passage_stay_under_32_mb() {
+    // One of E2's rows, which never constructs a model checker. With two
+    // register bitsets per pc in each of the 1024 programs it peaked near
+    // 200 MB.
+    let peak = peak_live_bytes(|| {
+        let mut machine = build_ordering(LockKind::Gt { f: 4 }, 1024, ObjectKind::Counter)
+            .machine(MemoryModel::Pso);
+        let outcome = machine.run_solo(ProcId(0), 100_000_000);
+        assert!(matches!(outcome, SoloOutcome::Terminates { .. }));
+    });
+    println!("gt_f4_1024 build + solo passage: peak {peak} live bytes");
+    assert!(peak < 32_000_000, "gt_f4_1024 solo: peak {peak} bytes");
 }

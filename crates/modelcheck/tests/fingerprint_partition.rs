@@ -15,6 +15,11 @@
 //! It also pins the checkpoint format break that comes with the new
 //! fingerprint values: a version-4 file must be refused, not resumed.
 
+// A `StateKey<VmProc>` reaches `Program`'s cell of lazily derived access
+// summaries; `VmProc` hashes a program by its digest and compares it by
+// `Arc` identity, and the cell is part of neither.
+#![allow(clippy::mutable_key_type)]
+
 use std::collections::HashMap;
 
 use fencevm::VmProc;

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::reg::{ProcId, RegId};
+use crate::reg::{MemoryLayout, ProcId, RegId};
 use crate::value::Value;
 
 /// One effective step of an execution.
@@ -242,6 +242,23 @@ impl Trace {
         out
     }
 
+    /// The distinct processes other than `p` that access `p`'s memory
+    /// segment in the trace (see [`EventKind::accesses_segment_of`]) — rule
+    /// (E1)'s accessor set, in id order.
+    #[must_use]
+    pub fn segment_accessors(&self, layout: &MemoryLayout, p: ProcId) -> Vec<ProcId> {
+        let owned_by_p = |r| layout.owner(r) == Some(p);
+        let mut seen: Vec<ProcId> = self
+            .events
+            .iter()
+            .filter(|e| e.proc != p && e.kind.accesses_segment_of(owned_by_p))
+            .map(|e| e.proc)
+            .collect();
+        seen.sort_unstable();
+        seen.dedup();
+        seen
+    }
+
     /// The trace as plain text lines, one event per line, without line
     /// numbers — the serialization counterexample artifacts are written
     /// with (each line round-trips through the event `Display` form).
@@ -314,6 +331,43 @@ mod tests {
             !write.accesses_segment_of(owns_r0),
             "writes only touch the buffer"
         );
+    }
+
+    #[test]
+    fn accessors_excludes_buffer_reads_and_self() {
+        let read = |p, from_memory| Event {
+            proc: ProcId(p),
+            kind: EventKind::Read {
+                reg: RegId(5),
+                value: Value::Bot,
+                from_memory,
+                remote: from_memory,
+            },
+        };
+        let commit = |p, r| Event {
+            proc: ProcId(p),
+            kind: EventKind::Commit {
+                reg: RegId(r),
+                value: Value::Int(1),
+                remote: false,
+            },
+        };
+        let trace: Trace = [
+            read(0, true),
+            read(0, true),
+            read(2, false),
+            commit(1, 5),
+            commit(1, 7),
+        ]
+        .into_iter()
+        .collect();
+        let mut layout = MemoryLayout::unowned();
+        layout.assign(RegId(5), ProcId(1));
+        // p2 read reg 5 from its own buffer and p1 owns it; p0's two
+        // memory reads make it the one accessor.
+        assert_eq!(trace.segment_accessors(&layout, ProcId(1)), [ProcId(0)]);
+        // p1 commits to reg 7, but nobody owns reg 7.
+        assert_eq!(trace.segment_accessors(&layout, ProcId(0)), []);
     }
 
     #[test]

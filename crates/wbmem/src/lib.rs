@@ -81,7 +81,6 @@ pub mod reg;
 pub mod reorder;
 pub mod rmr;
 pub mod sched;
-pub mod stats;
 pub mod value;
 
 pub use buffer::{BufferUndo, PsoWrites, WriteBuffer};

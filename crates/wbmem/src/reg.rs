@@ -271,11 +271,12 @@ impl<K: FlatKey, V: Copy + PartialEq> PartialEq for FlatTable<K, V> {
 
 impl<K: FlatKey, V: Copy + Eq> Eq for FlatTable<K, V> {}
 
-/// Register ids below this index a [`RegMap`]'s dense array; ids at or
+/// Register ids below this index a `RegMap`'s dense array; ids at or
 /// above it — a register computed at run time from garbage, say — go to
 /// its hash table, so no id makes the map allocate in proportion to itself
-/// beyond this bound.
-pub(crate) const DENSE_REGS: usize = 1 << 16;
+/// beyond this bound. A [`RegSet`] has no sparse side: whoever fills one
+/// from program text keeps to ids below this.
+pub const DENSE_REGS: usize = 1 << 16;
 
 /// A map from [`RegId`] to `T`, indexed by the id. The dense array grows
 /// to the largest small id stored and never shrinks; equality is by

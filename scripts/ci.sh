@@ -42,12 +42,10 @@ stage "benchmark/ package builds and its smoke test passes (bench_probe calls wb
     bash -c 'cd benchmark && cargo test --offline'
 
 # Pinned by exclusion: every table under results/ but the timing list of
-# EXPERIMENTS.md (E2 is deterministic but ~100 s to regenerate).
-stage "exp: E1/E3/E4/E6/E9/E10/E17 and, in full, E5/E8/E11/E12 regenerate every pinned table under results/ byte-for-byte; --fast E14 (one round, writes nothing), E15 and E16 (fails on a placement that left results/e16_synthesis.txt or a minimisation that used no witness) pass their own checks" \
-    bash -c 'cargo run --release -p ft-bench -- --fast e1 e3 e4 e6 e9 e10 e14 e15 e16 e17 > /dev/null || exit 1
-        cargo run --release -p ft-bench -- e5 e8 e11 e12 > /dev/null || exit 1
-        git diff --exit-code -- results ":!results/e7_hw.txt" ":!results/e15_resume.txt" \
-            ":!results/e2_gt_family.txt" ":!results/manifest.txt" ":!results/obs"'
+# EXPERIMENTS.md.
+stage "exp --fast all: E1–E12 and E17 regenerate every pinned table under results/ byte-for-byte; E14 (one round, writes nothing), E15 and E16 (n = 2 only: fails on a placement that left results/e16_synthesis.txt or a minimisation that used no witness) pass their own checks" \
+    bash -c 'cargo run --release -p ft-bench -- --fast all > /dev/null || exit 1
+        git diff --exit-code -- results ":!results/e15_resume.txt" ":!results/manifest.txt" ":!results/obs"'
 
 stage "exp obs-trace (forest validation + Chrome trace export of the E17 stream)" \
     bash -c "cargo run --release -p ft-bench -- obs-trace results/obs/e17_trace.jsonl > /dev/null"
