@@ -11,7 +11,7 @@
 //! | checkpoint smoke | `filter3_pso`, `Dpor` | cut at half + resume == fresh verdict |
 //! | checkpoint overhead | `filter3_pso`, diagnostic bound | (split − uninterrupted) per MiB of snapshot ≤ the budget below |
 //! | pardpor dispatch | `filter3_pso` | `ParallelDpor{threads: 1}` ≤ ×1.05 of `Dpor` |
-//! | pardpor scaling | `tournament4_pso` | `ParallelDpor` ≥ ×1.5 over `Dpor` (skipped where the cores were not there) |
+//! | pardpor scaling | `gt_f24_pso` | `ParallelDpor` ≥ ×1.5 over `Dpor` (skipped where the cores were not there) |
 //! | obs enabled / traced | `bakery3_pso`, `Undo` | live recorder ≤ ×1.05 of disabled |
 //! | obs baseline | `bakery3_pso`, `Undo` | disabled throughput ≥ baseline ÷ 1.10 |
 //!
@@ -52,14 +52,19 @@ const CKPT_MAX_MS_PER_MIB: f64 = 30.0;
 const CKPT_ROUNDS: usize = 5;
 const CKPT_ATTEMPTS: usize = 3;
 
-/// E14's gates. Scaling is measured on `tournament4_pso` (125 045 reduced
-/// states, ~100 ms sequentially): on a 10 ms space the pool's start-up is
-/// the measurement. Dispatch pins what `ParallelDpor{threads: 1}` adds in
-/// front of the sequential engine at effectively zero.
+/// E14's gates. Scaling is measured on `gt_f24_pso` (1 034 466 reduced
+/// states, ~0.8 s sequentially): the pool loses below ~50 ms, where its
+/// start-up is the measurement, and every smaller cell now finishes
+/// sooner than that (`tournament4_pso`: 62 073 states, ~40 ms). One paired
+/// round of this cell lasts as long as the five of `tournament4_pso` it
+/// replaces did, and a second-long run needs no median to settle.
+/// Dispatch pins what `ParallelDpor{threads: 1}` adds in front of the
+/// sequential engine at effectively zero.
 const PARDPOR_MIN_SPEEDUP: f64 = 1.5;
 const PARDPOR_MAX_DISPATCH: f64 = 1.05;
 const PARDPOR_THREADS: usize = 4;
 const PARDPOR_ROUNDS: usize = 5;
+const PARDPOR_SCALING_ROUNDS: usize = 1;
 const PARDPOR_ATTEMPTS: usize = 2;
 
 /// The observability budget of DESIGN §6: a live recorder, with and
@@ -257,7 +262,7 @@ fn pardpor_gates() -> bool {
     let cfg = |engine| {
         CheckConfig {
             check_termination: false,
-            max_states: 500_000,
+            max_states: 2_000_000,
             ..CheckConfig::default()
         }
         .with_engine(engine)
@@ -285,19 +290,19 @@ fn pardpor_gates() -> bool {
         },
     );
 
-    let tournament4 = build_mutex(LockKind::Tournament, 4, FenceMask::ALL);
+    let gt_f24 = build_mutex(LockKind::Gt { f: 2 }, 4, FenceMask::ALL);
     let many = pardpor(PARDPOR_THREADS.min(crate::available_cores()));
     let mut attempts: Vec<(&str, String)> = Vec::new();
     while attempts.len() < PARDPOR_ATTEMPTS && attempts.iter().all(|a| a.0 != "ok") {
         let mut parallel = Spent::default();
         let den = || {
-            let spent = explore(&tournament4, &many, 1);
+            let spent = explore(&gt_f24, &many, 1);
             parallel += spent;
             spent.wall
         };
         // dpor / pardpor: above 1 means the parallel engine is faster.
-        let num = || explore(&tournament4, &dpor, 1).wall;
-        let (speedup, _) = paired_ratio(PARDPOR_ROUNDS, num, den);
+        let num = || explore(&gt_f24, &dpor, 1).wall;
+        let (speedup, _) = paired_ratio(PARDPOR_SCALING_ROUNDS, num, den);
         let seen = format!(
             "{} at {:.2} cpu/wall",
             times(speedup),

@@ -172,6 +172,7 @@ impl<P: Process, H: Heads> Reduction<P, H::Key> for SleepAmple<H> {
         // on the stack could postpone the pruned processes forever around
         // the cycle; fall back to full expansion of this frame.
         if !top.excluded.is_empty() && self.on_stack.contains_key(&edge.to) {
+            tally.incr(Metric::AmpleProvisoUpgrades);
             for e in top.excluded.drain(..) {
                 if top.sleep.contains(e) {
                     self.sleep_hit(tally);
@@ -213,20 +214,16 @@ impl<P: Process, H: Heads> Reduction<P, H::Key> for SleepAmple<H> {
         tally: &mut Tally,
     ) -> usize {
         debug_assert!(frame.excluded.is_empty(), "expanding a frame twice");
-        let (ample, slept) = por::expand_into(
-            m,
+        let decision = self.use_ample.then(|| por::ample::decide(m, choices));
+        let slept = por::partition_into(
             choices,
             &frame.sleep,
-            self.use_ample,
+            decision.and_then(Result::ok),
             arena,
             &mut frame.excluded,
         );
-        if self.use_ample {
-            tally.incr(if ample.is_some() {
-                Metric::AmpleApplied
-            } else {
-                Metric::AmpleFallbacks
-            });
+        if let Some(decision) = decision {
+            por::ample::count(decision, |metric| tally.incr(metric));
         }
         tally.add(Metric::SleepHits, slept as u64);
         self.sleep_hits += slept;

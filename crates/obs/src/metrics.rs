@@ -71,8 +71,20 @@ pub enum Metric {
     SleepHits,
     /// States expanded with a proper ample subset.
     AmpleApplied,
-    /// States where ample selection fell back to the full enabled set.
+    /// States where ample selection fell back to the full enabled set:
+    /// the sum of the three `AmpleFallback*` reasons below.
     AmpleFallbacks,
+    /// Fallbacks because only one process still had choices.
+    AmpleFallbackVacuous,
+    /// Fallbacks because no process passed the visibility condition (each
+    /// could crash, or was poised at an operation that may annotate).
+    AmpleFallbackVisible,
+    /// Fallbacks because a process passed visibility and one of its
+    /// choices conflicted with a rival's future.
+    AmpleFallbackConflict,
+    /// States expanded with an ample set (counted in `AmpleApplied`) and
+    /// then expanded in full by the cycle proviso.
+    AmpleProvisoUpgrades,
     /// Slept-edge termination probes (DPOR with `check_termination`).
     SleptProbes,
     /// Undo-log pops (engine-specific; CloneDfs performs none).
@@ -129,6 +141,10 @@ pub const METRICS: [Metric; Metric::COUNT] = [
     Metric::SleepHits,
     Metric::AmpleApplied,
     Metric::AmpleFallbacks,
+    Metric::AmpleFallbackVacuous,
+    Metric::AmpleFallbackVisible,
+    Metric::AmpleFallbackConflict,
+    Metric::AmpleProvisoUpgrades,
     Metric::SleptProbes,
     Metric::UndoSteps,
     Metric::Heartbeats,
@@ -176,6 +192,10 @@ impl Metric {
             Metric::SleepHits => "sleep_hits",
             Metric::AmpleApplied => "ample_applied",
             Metric::AmpleFallbacks => "ample_fallbacks",
+            Metric::AmpleFallbackVacuous => "ample_fallback_vacuous",
+            Metric::AmpleFallbackVisible => "ample_fallback_visible",
+            Metric::AmpleFallbackConflict => "ample_fallback_conflict",
+            Metric::AmpleProvisoUpgrades => "ample_proviso_upgrades",
             Metric::SleptProbes => "slept_probes",
             Metric::UndoSteps => "undo_steps",
             Metric::Heartbeats => "heartbeats",

@@ -29,8 +29,8 @@ pub struct Expansion {
 /// choices as [`ftobs::Metric::SleepHits`], and — when ample selection was
 /// requested — whether it applied ([`ftobs::Metric::AmpleApplied`]) or
 /// fell back to the full enabled set
-/// ([`ftobs::Metric::AmpleFallbacks`]). Pass
-/// [`ftobs::Recorder::disabled`] to opt out.
+/// ([`ftobs::Metric::AmpleFallbacks`], and the counter of its
+/// [`ample::Fallback`] reason). Pass [`ftobs::Recorder::disabled`] to opt out.
 #[must_use]
 pub fn expand<P: Process>(
     m: &Machine<P>,
@@ -40,20 +40,17 @@ pub fn expand<P: Process>(
     obs: &ftobs::Recorder,
 ) -> Expansion {
     let mut out = Expansion::default();
-    (out.ample, out.slept) = expand_into(
-        m,
+    let decision = use_ample.then(|| ample::decide(m, choices));
+    out.ample = decision.and_then(Result::ok);
+    out.slept = partition_into(
         choices,
         sleep,
-        use_ample,
+        out.ample,
         &mut out.explore,
         &mut out.excluded,
     );
-    if use_ample {
-        obs.incr(if out.ample.is_some() {
-            ftobs::Metric::AmpleApplied
-        } else {
-            ftobs::Metric::AmpleFallbacks
-        });
+    if let Some(decision) = decision {
+        ample::count(decision, |metric| obs.incr(metric));
     }
     if out.slept > 0 {
         obs.add(ftobs::Metric::SleepHits, out.slept as u64);
@@ -61,10 +58,10 @@ pub fn expand<P: Process>(
     out
 }
 
-/// [`expand`] for a caller that owns the buffers and the counters: the
-/// choices to explore are appended to `explore`, the ample-pruned ones to
-/// `excluded`, and the ample process (if the reduction applied) and the
-/// number of slept choices are returned instead of recorded.
+/// [`expand`] for a caller that owns the buffers and wants no counters:
+/// the choices to explore are appended to `explore`, the ample-pruned ones
+/// to `excluded`, and the ample process (if the reduction applied) and the
+/// number of slept choices are returned.
 pub fn expand_into<P: Process>(
     m: &Machine<P>,
     choices: &[SchedElem],
@@ -78,6 +75,23 @@ pub fn expand_into<P: Process>(
     } else {
         None
     };
+    (
+        ample,
+        partition_into(choices, sleep, ample, explore, excluded),
+    )
+}
+
+/// The partition itself, for a caller that made the ample decision (and
+/// counts its [`ample::Fallback`] reason) on its own: every choice of a process
+/// other than `ample` is appended to `excluded`, every other choice to
+/// `explore` unless `sleep` covers it. Returns the number slept.
+pub fn partition_into(
+    choices: &[SchedElem],
+    sleep: &SleepSet,
+    ample: Option<ProcId>,
+    explore: &mut Vec<SchedElem>,
+    excluded: &mut Vec<SchedElem>,
+) -> usize {
     let mut slept = 0;
     for &e in choices {
         if ample.is_some_and(|p| e.proc != p) {
@@ -88,7 +102,7 @@ pub fn expand_into<P: Process>(
             explore.push(e);
         }
     }
-    (ample, slept)
+    slept
 }
 
 #[cfg(test)]

@@ -18,10 +18,12 @@
 //!   ([`DenseHeads`]).
 //! * [`select_ample`] / [`expand`] / [`expand_into`] — state-level
 //!   pruning. When every pending choice of one process is invisible to
-//!   the checked properties and independent of every other process's
+//!   the per-state properties and independent of every other process's
 //!   entire future (static analysis + buffered writes + recovery code),
 //!   only that process is scheduled. This is where the order-of-magnitude
-//!   state reductions come from.
+//!   state reductions come from. [`ample::decide`] is the decision with
+//!   its [`ample::Fallback`] reason; a caller that counts reasons pairs it
+//!   with [`partition_into`].
 //! * [`conflict_counts`] — counterexample-core diagnostics: replay a
 //!   schedule, classify every step pair with the same independence
 //!   relation the reductions prune with, and tabulate per-register
@@ -62,7 +64,7 @@ pub mod visited;
 pub use ample::select as select_ample;
 pub use bound::step_weight;
 pub use cores::conflict_counts;
-pub use expand::{expand, expand_into, Expansion};
+pub use expand::{expand, expand_into, partition_into, Expansion};
 pub use fork::{ForkPoint, ForkQueue};
 pub use fptable::FpTable;
 pub use sleep::SleepSet;
