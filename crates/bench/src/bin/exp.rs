@@ -11,7 +11,7 @@
 //! exp --list                     ids and titles
 //! exp guards [--rebase]          every wall-clock gate CI holds
 //! exp obs-report [FILES]         results/obs/*.jsonl → results/obs/report.md
-//! exp obs-trace FILE [--follow]  validate + export a span stream, or tail it
+//! exp obs-trace FILE             validate + export a span stream
 //! ```
 //!
 //! Run it as `cargo run --release -p ft-bench -- <arguments>`.
@@ -25,7 +25,7 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}");
     eprintln!(
         "usage: exp [--fast] [ID… | all] | --list | guards [--rebase] | \
-         obs-report [FILES] | obs-trace FILE [--follow]\n\
+         obs-report [FILES] | obs-trace FILE\n\
          --fast cuts down e14 (one round, writes nothing) and e16 (n = 2 only)"
     );
     ExitCode::FAILURE
@@ -37,7 +37,7 @@ fn main() -> ExitCode {
         .iter()
         .map(String::as_str)
         .partition(|a| a.starts_with("--"));
-    let known = ["--fast", "--list", "--rebase", "--follow"];
+    let known = ["--fast", "--list", "--rebase"];
     if let Some(unknown) = flags.iter().find(|f| !known.contains(f)) {
         return usage(&format!("unknown flag `{unknown}`"));
     }
@@ -52,7 +52,7 @@ fn main() -> ExitCode {
             let files: Vec<PathBuf> = files.iter().map(PathBuf::from).collect();
             obs_report::run(&files)
         }
-        Some((&"obs-trace", [file])) => obs_trace::run(Path::new(file), flag("--follow")),
+        Some((&"obs-trace", [file])) => obs_trace::run(Path::new(file)),
         Some((&"obs-trace", _)) => usage("obs-trace takes the one stream to read"),
         _ => {
             let selected = match experiments::select(&words) {

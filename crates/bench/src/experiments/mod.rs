@@ -15,7 +15,7 @@ pub mod e12_reduction;
 pub mod e14_engines;
 pub mod e15_resume;
 pub mod e16_synthesis;
-pub mod e17_estimator;
+pub mod e17_trace;
 pub mod e1_bakery;
 pub mod e2_gt_family;
 pub mod e3_tradeoff;
@@ -61,7 +61,7 @@ pub const REGISTRY: &[Experiment] = &[
     ("e14", "engines × cells, time to a verdict", e14_engines::run),
     ("e15", "checkpoint/resume overhead", e15_resume::run),
     ("e16", "CEGAR fence synthesis and the fence/RMR Pareto sweep", e16_synthesis::run),
-    ("e17", "progress-estimator accuracy and causal-trace validation", e17_estimator::run),
+    ("e17", "causal-trace validation", e17_trace::run),
 ];
 
 /// What `exp --list` prints: one `id  title` line per registry entry.

@@ -27,9 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ftobs::{
-    Estimate, Gauge, Metric, MetricsSnapshot, ProcSteps, Progress, Recorder, Tally, TreeEstimator,
-};
+use ftobs::{Gauge, Metric, MetricsSnapshot, ProcSteps, Progress, Recorder, Tally};
 use por::{RunMeta, Snapshot};
 use wbmem::{
     CrashSemantics, Event, EventKind, Machine, MachineError, ProcCounters, ProcId, Process,
@@ -405,7 +403,7 @@ impl fmt::Display for Counterexample {
 /// Coverage accompanying an inconclusive (budget-limited) verdict: how far
 /// the aborted exploration got. `Stats` carries the states explored; this
 /// carries the size of the unexplored frontier.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Coverage {
     /// Open DFS frames (states with unexplored outgoing transitions) at the
     /// moment the budget expired, summed over workers for the parallel
@@ -420,36 +418,6 @@ pub struct Coverage {
     /// [`CheckConfig::checkpoint`] policy was set and the write succeeded
     /// (`None` otherwise). Pass it to [`crate::resume`] to continue.
     pub checkpoint: Option<PathBuf>,
-    /// Knuth path-sampling estimate of the *total* distinct states a
-    /// completed run would visit (see `ftobs::estimate`), when the engine
-    /// maintained one. An estimate, not a bound — DESIGN §6a discusses
-    /// its bias.
-    pub est_total_states: Option<u64>,
-    /// Estimated states left unexplored (`est_total_states - states`).
-    pub est_remaining: Option<u64>,
-}
-
-// Manual: equality deliberately skips the `est_*` fields — they depend
-// on traversal order and timing (what fraction of the tree each engine
-// had seen at the cut), so the differential suites compare coverage on
-// its deterministic projection only, exactly like `MetricsSnapshot`.
-impl PartialEq for Coverage {
-    fn eq(&self, other: &Self) -> bool {
-        self.frontier == other.frontier
-            && self.sleep_hits == other.sleep_hits
-            && self.checkpoint == other.checkpoint
-    }
-}
-
-impl Eq for Coverage {}
-
-impl Coverage {
-    /// Attach a progress estimate (both fields or neither).
-    pub(crate) fn with_estimate(mut self, est: Option<Estimate>) -> Coverage {
-        self.est_total_states = est.map(|e| e.total_states);
-        self.est_remaining = est.map(|e| e.remaining);
-        self
-    }
 }
 
 /// A checker-level failure: the exploration could not be carried out, as
@@ -874,7 +842,6 @@ pub(crate) fn poll_observe(
     dedup_occupancy: usize,
     budget: Option<Duration>,
     deadline: Option<Instant>,
-    estimate: Option<Estimate>,
 ) -> bool {
     if !obs.is_enabled() {
         return deadline.is_some_and(|d| Instant::now() >= d);
@@ -892,7 +859,6 @@ pub(crate) fn poll_observe(
         frontier: frontier as u64,
         budget,
         spent,
-        estimate,
     });
     deadline.is_some_and(|d| now >= d)
 }
@@ -1215,8 +1181,6 @@ fn check_clone_dfs<P: Process>(
     let obs = &config.recorder;
     // Flushed into the recorder on every exit path by its Drop impl.
     let mut tally = obs.tally();
-    let mut est = TreeEstimator::new();
-    est.begin_task();
     let mut stats = Stats::default();
     let mut index = SearchIndex::default();
     let mut edges: Vec<(u32, u32)> = Vec::new();
@@ -1247,35 +1211,30 @@ fn check_clone_dfs<P: Process>(
         tally.incr(Metric::TerminalStates);
     }
     let root_choices = initial.choices();
-    est.push(root_choices.len());
     stack.push((initial.clone(), root_id, root_choices));
 
     let mut iters = 0usize;
     while let Some((m, id, mut choices)) = stack.pop() {
         iters += 1;
-        if iters & DEADLINE_POLL_MASK == 0 {
-            let estimate = est.estimate(stats.states as u64);
-            if poll_observe(
+        if iters & DEADLINE_POLL_MASK == 0
+            && poll_observe(
                 obs,
                 &stats,
                 stack.len() + 1,
                 index.len(),
                 config.budget,
                 deadline,
-                estimate,
-            ) {
-                return Verdict::Inconclusive(
-                    stats,
-                    Coverage {
-                        frontier: stack.len() + 1,
-                        ..Coverage::default()
-                    }
-                    .with_estimate(estimate),
-                );
-            }
+            )
+        {
+            return Verdict::Inconclusive(
+                stats,
+                Coverage {
+                    frontier: stack.len() + 1,
+                    ..Coverage::default()
+                },
+            );
         }
         let Some(elem) = choices.pop() else {
-            est.pop();
             continue;
         };
         // Put the remainder back before descending.
@@ -1285,7 +1244,6 @@ fn check_clone_dfs<P: Process>(
         let (out, ()) = step_counted(&mut tally, &mut child, elem.proc, |m| (m.step(elem), ()));
         if matches!(out, StepOutcome::NoOp) {
             tally.incr(Metric::NoopSteps);
-            est.leaf();
             continue;
         }
         stats.transitions += 1;
@@ -1299,7 +1257,6 @@ fn check_clone_dfs<P: Process>(
         }
         if !fresh {
             tally.incr(Metric::DedupHits);
-            est.leaf();
             continue;
         }
         stats.states += 1;
@@ -1318,7 +1275,6 @@ fn check_clone_dfs<P: Process>(
             stats.terminal_states += 1;
             terminal.push(child_id);
             tally.incr(Metric::TerminalStates);
-            est.leaf();
             if config.check_permutation && !returns_are_permutation(&child) {
                 return Verdict::PermutationViolation(
                     stats,
@@ -1333,7 +1289,6 @@ fn check_clone_dfs<P: Process>(
             !child_choices.is_empty(),
             "non-terminal state has no choices"
         );
-        est.push(child_choices.len());
         stack.push((child, child_id, child_choices));
     }
 

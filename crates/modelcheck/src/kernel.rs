@@ -31,7 +31,7 @@
 
 use std::time::Instant;
 
-use ftobs::{Gauge, Metric, Recorder, Tally, TreeEstimator};
+use ftobs::{Gauge, Metric, Recorder, Tally};
 use por::{BaseCounts, DenseHeads, ForkPoint, Snapshot};
 use wbmem::{Footprint, Machine, Process, SchedElem, StepOutcome, UndoToken};
 
@@ -289,7 +289,6 @@ fn undo<P: Process>(m: &mut Machine<P>, tally: &mut Tally, token: UndoToken<P>) 
 pub(crate) struct Dfs<'a, P: Process, R: Reduction<P, N>, N> {
     m: Machine<P>,
     red: &'a mut R,
-    pub(crate) est: &'a mut TreeEstimator,
     /// Batches the per-edge counters; flushed into the recorder on drop.
     pub(crate) tally: Tally,
     arena: Vec<SchedElem>,
@@ -316,13 +315,11 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
         mut task: ForkPoint,
         node: impl FnOnce(u128) -> N,
         red: &'a mut R,
-        est: &'a mut TreeEstimator,
         obs: &Recorder,
     ) -> Self {
         let mut m = initial.clone();
         let mut scratch = Vec::new();
         red.begin_task();
-        est.begin_task();
         for e in &task.path {
             red.on_stack(|| m.fingerprint());
             assert!(
@@ -336,7 +333,6 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
         if R::LIFO {
             arena.reverse();
         }
-        est.push(arena.len());
         let root = Frame {
             node: node(fp),
             start: 0,
@@ -348,7 +344,6 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
         Dfs {
             m,
             red,
-            est,
             tally: obs.tally(),
             arena,
             scratch,
@@ -430,7 +425,6 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
             if top.lo == top.hi {
                 // Frame exhausted: rewind to the parent state.
                 let frame = self.frames.pop().expect("non-empty stack");
-                self.est.pop();
                 self.red.off_stack(frame.red);
                 self.arena.truncate(frame.start);
                 if let Some(token) = frame.token {
@@ -448,7 +442,6 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
             };
             let Some(budget) = self.red.admit(&self.m, &top.red, elem) else {
                 frontier.refused(top.node);
-                self.est.leaf();
                 continue; // beyond the reorder bound: neither taken nor slept
             };
 
@@ -461,7 +454,6 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
             });
             if matches!(out, StepOutcome::NoOp) {
                 self.tally.incr(Metric::NoopSteps);
-                self.est.leaf();
                 undo(&mut self.m, &mut self.tally, token);
                 continue;
             }
@@ -486,7 +478,6 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
                 top.hi = self.arena.len();
             }
             let Some(mut child) = child else {
-                self.est.leaf();
                 undo(&mut self.m, &mut self.tally, token);
                 continue;
             };
@@ -512,7 +503,6 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
                 // Nothing to expand (fresh, or re-entered under a
                 // smaller sleep set).
                 self.red.discard(child);
-                self.est.leaf();
                 undo(&mut self.m, &mut self.tally, token);
                 continue;
             }
@@ -552,7 +542,6 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
                 }
             }
             self.red.on_stack(|| fp);
-            self.est.push(self.arena.len() - start);
             self.path.push(elem);
             self.frames.push(Frame {
                 node,
@@ -686,7 +675,6 @@ impl<P: Process> Frontier<P> for Local<'_> {
                 states,
                 config.budget,
                 self.deadline,
-                dfs.est.estimate(states as u64),
             );
             let period = policy.and_then(|pol| pol.every_transitions);
             if !stop && period.is_some_and(|n| transitions - self.last_periodic >= n) {
@@ -695,15 +683,11 @@ impl<P: Process> Frontier<P> for Local<'_> {
             }
         }
         if stop {
-            self.coverage = Some(
-                Coverage {
-                    frontier: dfs.depth(),
-                    sleep_hits: dfs.sleep_hits(),
-                    checkpoint: self.checkpoint(dfs),
-                    ..Coverage::default()
-                }
-                .with_estimate(dfs.est.estimate(self.stats.states as u64)),
-            );
+            self.coverage = Some(Coverage {
+                frontier: dfs.depth(),
+                sleep_hits: dfs.sleep_hits(),
+                checkpoint: self.checkpoint(dfs),
+            });
         }
         stop
     }
@@ -818,8 +802,7 @@ pub(crate) fn run_local<P: Process, R: Reduction<P, u32>, V: Visitor<P>>(
         obs.incr(Metric::TerminalStates);
     } else {
         let task = root_fork(initial, &mut reduction, obs);
-        let mut est = TreeEstimator::new();
-        let mut dfs = Dfs::start(initial, task, |_| root, &mut reduction, &mut est, obs);
+        let mut dfs = Dfs::start(initial, task, |_| root, &mut reduction, obs);
         halt = dfs.run(config, &mut local, visitor);
     }
     let (stats, index) = (local.stats, &local.index);

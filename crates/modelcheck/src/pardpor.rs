@@ -30,7 +30,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use ftobs::{EstStats, Gauge, Metric, SpanId, TraceCtx, TreeEstimator, J};
+use ftobs::{Gauge, Metric, SpanId, TraceCtx, J};
 use por::{ForkPoint, ForkQueue, FpHeads, FpTable, Snapshot};
 use wbmem::{FpMap, Machine, Process, SchedElem};
 
@@ -70,7 +70,6 @@ struct Report {
     /// The unexplored remainder at an early stop: every open frame, plus
     /// (after the merge) the queue's undrained tasks.
     forks: Vec<ForkPoint>,
-    est: EstStats,
     /// A worker thread panicked (first message).
     panicked: Option<String>,
     /// The global state count: the seed's plus this sweep's first visits.
@@ -90,7 +89,6 @@ impl Report {
         self.frontier += o.frontier;
         self.sleep_hits += o.sleep_hits;
         self.forks.append(&mut o.forks);
-        self.est = self.est.merged(&o.est);
     }
 }
 
@@ -212,7 +210,6 @@ pub(crate) fn check_shared<P: Process>(
     };
 
     let (frontier, sleep_hits) = (report.frontier, run.base.sleep_hits as usize);
-    let estimate = report.est.estimate(stats.states as u64);
     let discard = report.states > config.max_states || report.violated;
 
     // Stopped short of a verdict: the merged frontier as a checkpoint.
@@ -246,9 +243,8 @@ pub(crate) fn check_shared<P: Process>(
             frontier,
             sleep_hits,
             checkpoint: checkpoint(),
-            ..Coverage::default()
         };
-        return Verdict::Inconclusive(stats, coverage.with_estimate(estimate));
+        return Verdict::Inconclusive(stats, coverage);
     }
 
     if config.check_termination {
@@ -460,7 +456,6 @@ impl<P: Process> Shared<'_, P> {
     /// running each as one kernel walk.
     fn run<R: Reduction<P, u128>>(mut self, mut reduction: R) -> Report {
         let (initial, config) = (self.initial, self.config);
-        let mut est = TreeEstimator::new();
         while let Some(task) = self.pool.queue.take() {
             self.busy.store(true, Ordering::Relaxed);
             self.heartbeat.fetch_add(1, Ordering::Relaxed);
@@ -473,7 +468,7 @@ impl<P: Process> Shared<'_, P> {
             config.recorder.incr(Metric::ForkStolen);
 
             let obs = &config.recorder;
-            let mut dfs = Dfs::start(initial, task, |fp| fp, &mut reduction, &mut est, obs);
+            let mut dfs = Dfs::start(initial, task, |fp| fp, &mut reduction, obs);
             let halt = dfs.run(config, &mut self, &mut Properties::new(config));
             let open = dfs.depth();
             drop(dfs);
@@ -507,7 +502,6 @@ impl<P: Process> Shared<'_, P> {
             }
         }
         self.sync_transitions();
-        self.report.est = est.stats();
         self.report.sleep_hits = Reduction::<P, u128>::sleep_hits(&reduction);
         self.tctx.flush();
         self.report
@@ -562,8 +556,6 @@ impl<P: Process> Frontier<P> for Shared<'_, P> {
             transitions: self.report.transitions,
             ..Stats::default()
         };
-        // Worker-local tree samples extrapolated over the global state
-        // count: coarse, but live.
         let expired = poll_observe(
             &config.recorder,
             &progress,
@@ -571,7 +563,6 @@ impl<P: Process> Frontier<P> for Shared<'_, P> {
             pool.table.len(),
             config.budget,
             self.deadline,
-            dfs.est.estimate(progress.states as u64),
         );
         let transitions = pool.transitions_now.load(Ordering::Relaxed) as u64;
         let triggered = config

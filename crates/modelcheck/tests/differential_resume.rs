@@ -293,7 +293,7 @@ fn diagnostic_merged_metrics_are_bit_identical() {
 /// refused by `resume`. On the shared coordinator it stops, snapshots
 /// and resumes like every other kernel engine: interrupted + resumed
 /// equals the uninterrupted `Engine::Undo` run in statistics and
-/// deterministic metrics, and an expired budget carries an estimate.
+/// deterministic metrics, and an expired budget is inconclusive.
 /// The oracle keeps its typed refusal.
 #[test]
 fn parallel_checkpoints_and_resumes_like_undo() {
@@ -333,8 +333,7 @@ fn parallel_checkpoints_and_resumes_like_undo() {
     let inst = build_mutex(LockKind::Bakery, 3, FenceMask::ALL);
     let m = inst.machine(MemoryModel::Pso);
     let expired = check(&m, &parallel.clone().with_budget(std::time::Duration::ZERO));
-    let cov = expired.coverage().expect("zero budget is inconclusive");
-    assert!(cov.est_total_states.is_some(), "estimate attached");
+    assert!(expired.coverage().is_some(), "zero budget is inconclusive");
 
     let (inst, config, cp) = checkpoint_fixture("oracle");
     let oracle = config.with_engine(Engine::CloneDfs);

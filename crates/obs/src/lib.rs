@@ -12,7 +12,7 @@
 //! - **Gauges** (frontier high-water mark, dedup-table occupancy);
 //! - **Events**: flat single-line JSON records streamed to an optional
 //!   shared JSONL file sink, including a rate-limited `heartbeat`
-//!   (states/sec, frontier, budget ETA) and a final `snapshot` rollup;
+//!   (states/sec, frontier, budget clock) and a final `snapshot` rollup;
 //! - **Hot-pc table**: per-process program-counter hit counts with
 //!   human-readable labels registered from `fencevm` programs.
 //!
@@ -32,14 +32,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod estimate;
 pub mod events;
 pub mod metrics;
 pub mod recorder;
 pub mod report;
 pub mod trace;
 
-pub use estimate::{EstStats, Estimate, TreeEstimator};
 pub use events::{encode_line, JsonlSink, J};
 pub use metrics::{
     bucket_floor, bucket_index, hist_field, Gauge, HistSnapshot, Metric, MetricsSnapshot,
@@ -47,6 +45,6 @@ pub use metrics::{
 };
 pub use recorder::{Progress, Recorder, RecorderBuilder, Tally, DEFAULT_HEARTBEAT_MS, MAX_PCS};
 pub use trace::{
-    chrome_trace, follow_line, parse_spans, phase_table, validate_spans, OpenSpan, SpanId, SpanRow,
-    TraceCtx, DEFAULT_TRACE_BUF,
+    chrome_trace, parse_spans, phase_table, validate_spans, OpenSpan, SpanId, SpanRow, TraceCtx,
+    DEFAULT_TRACE_BUF,
 };

@@ -20,7 +20,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::estimate::Estimate;
 use crate::events::{encode_line, JsonlSink, J};
 use crate::metrics::{bucket_index, Gauge, Metric, MetricsSnapshot, ProcSteps, MAX_PROCS};
 use crate::trace::{SpanId, TraceCtx, DEFAULT_TRACE_BUF};
@@ -177,8 +176,6 @@ pub struct Progress {
     pub budget: Option<Duration>,
     /// Time already consumed against that budget.
     pub spent: Option<Duration>,
-    /// Tree-size progress estimate, when the engine maintains one.
-    pub estimate: Option<Estimate>,
 }
 
 /// A metrics/tracing recorder handle. Cheap to clone (an `Arc` — or
@@ -396,7 +393,7 @@ impl Recorder {
 
     /// Rate-limited heartbeat: at most one per configured interval, as a
     /// `heartbeat` event (and a stderr line unless quiet) with states/sec,
-    /// frontier size, and budget consumption / ETA when a budget is set.
+    /// frontier size, and budget consumption / time left when a budget is set.
     /// Safe to call at very high frequency — the fast path is one load
     /// and a compare.
     pub fn maybe_heartbeat(&self, p: &Progress) {
@@ -431,19 +428,6 @@ impl Recorder {
             ("frontier", J::U(p.frontier)),
             ("states_per_sec", J::F(per_sec)),
         ];
-        let mut est_note = String::new();
-        if let Some(est) = p.estimate {
-            fields.push(("est_total_states", J::U(est.total_states)));
-            fields.push(("est_remaining", J::U(est.remaining)));
-            est_note = format!(" est {}≈{}", p.states, est.total_states);
-            if per_sec > 0.0 {
-                #[allow(clippy::cast_precision_loss)]
-                let eta = est.remaining as f64 * 1000.0 / per_sec;
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                fields.push(("eta_ms", J::U(eta.min(u64::MAX as f64) as u64)));
-                est_note.push_str(&format!(" eta {:.1}s", eta / 1000.0));
-            }
-        }
         let mut budget_note = String::new();
         if let (Some(budget), Some(spent)) = (p.budget, p.spent) {
             let total_ms = budget.as_millis().max(1);
@@ -463,7 +447,7 @@ impl Recorder {
         if !inner.quiet {
             eprintln!(
                 "[ftobs] {:.1}s states={} ({per_sec:.0}/s) transitions={} \
-                 frontier={}{est_note}{budget_note}",
+                 frontier={}{budget_note}",
                 now_ms as f64 / 1000.0,
                 p.states,
                 p.transitions,

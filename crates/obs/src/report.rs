@@ -469,17 +469,13 @@ pub fn render_report(title: &str, lines: &[String]) -> String {
         let _ = writeln!(out);
     }
 
-    // --- Progress (heartbeat trajectory): latest position, rate, and —
-    // when the estimator has samples — projected size and ETA. Estimate
-    // keys are consumed here rather than dropped as unknown.
+    // --- Progress (heartbeat trajectory): latest position and peak rate.
     #[derive(Default)]
     struct BeatAgg {
         n: u64,
         peak_rate: f64,
         elapsed_ms: u64,
         states: u64,
-        est_total: Option<u64>,
-        eta_ms: Option<u64>,
     }
     let mut beats: BTreeMap<(String, String), BeatAgg> = BTreeMap::new();
     for e in &events {
@@ -499,36 +495,20 @@ pub fn render_report(title: &str, lines: &[String]) -> String {
                 .elapsed_ms
                 .max(get_u64(&e.fields, "elapsed_ms").max(get_u64(&e.fields, "t_ms")));
             entry.states = entry.states.max(get_u64(&e.fields, "states"));
-            if let Some(total) = e
-                .fields
-                .get("est_total_states")
-                .and_then(|v| v.parse().ok())
-            {
-                entry.est_total = Some(total);
-            }
-            if let Some(eta) = e.fields.get("eta_ms").and_then(|v| v.parse().ok()) {
-                entry.eta_ms = Some(eta);
-            }
         }
     }
     if !beats.is_empty() {
         let _ = writeln!(out, "## Progress\n");
         let _ = writeln!(
             out,
-            "| workload | engine | beats | elapsed s | states | peak states/sec | est. total states | ETA s |"
+            "| workload | engine | beats | elapsed s | states | peak states/sec |"
         );
-        let _ = writeln!(out, "|---|---|---:|---:|---:|---:|---:|---:|");
+        let _ = writeln!(out, "|---|---|---:|---:|---:|---:|");
         #[allow(clippy::cast_precision_loss)]
         for ((workload, engine), b) in &beats {
-            let est = b
-                .est_total
-                .map_or_else(|| "-".to_string(), |v| v.to_string());
-            let eta = b
-                .eta_ms
-                .map_or_else(|| "-".to_string(), |v| format!("{:.1}", v as f64 / 1000.0));
             let _ = writeln!(
                 out,
-                "| {workload} | {engine} | {} | {:.1} | {} | {:.0} | {est} | {eta} |",
+                "| {workload} | {engine} | {} | {:.1} | {} | {:.0} |",
                 b.n,
                 b.elapsed_ms as f64 / 1000.0,
                 b.states,
@@ -587,7 +567,7 @@ mod tests {
         assert!(r.contains("p0@7:wait × 9"));
         assert!(r.contains("## Progress"), "{r}");
         assert!(
-            r.contains("| peterson2_pso | undo | 1 | 0.0 | 5 | 123 | - | - |"),
+            r.contains("| peterson2_pso | undo | 1 | 0.0 | 5 | 123 |\n"),
             "{r}"
         );
     }
@@ -607,19 +587,6 @@ mod tests {
         assert_eq!(lines.len(), 1);
         assert!(torn.is_none());
         assert_eq!(stream_lines(""), (vec![], None));
-    }
-
-    #[test]
-    fn progress_table_carries_estimates_and_eta() {
-        let lines = vec![
-            r#"{"t_ms":1000,"kind":"heartbeat","workload":"gt3","engine":"pardpor","elapsed_ms":1000,"states":40,"states_per_sec":40.000}"#.to_string(),
-            r#"{"t_ms":2000,"kind":"heartbeat","workload":"gt3","engine":"pardpor","elapsed_ms":2000,"states":100,"states_per_sec":50.000,"est_total_states":400,"est_remaining":300,"eta_ms":6000}"#.to_string(),
-        ];
-        let r = render_report("Test", &lines);
-        assert!(
-            r.contains("| gt3 | pardpor | 2 | 2.0 | 100 | 50 | 400 | 6.0 |"),
-            "latest estimate wins: {r}"
-        );
     }
 
     #[test]

@@ -357,57 +357,6 @@ pub fn phase_table(rows: &[SpanRow]) -> String {
     out
 }
 
-/// Render one parsed JSONL event as a human `--follow` line: heartbeats
-/// (with ETA when the estimator has one), watchdog trips, and final
-/// snapshots. Returns `None` for events a live tail should not print.
-#[must_use]
-pub fn follow_line(fields: &BTreeMap<String, String>) -> Option<String> {
-    let get = |k: &str| fields.get(k).map(String::as_str);
-    match get("kind")? {
-        "heartbeat" => {
-            let elapsed = get("elapsed_ms")
-                .or(get("t_ms"))
-                .and_then(|v| v.parse::<f64>().ok())
-                .unwrap_or(0.0)
-                / 1000.0;
-            let mut line = format!(
-                "[{elapsed:7.1}s] states={} ({}/s) transitions={} frontier={}",
-                get("states").unwrap_or("?"),
-                get("states_per_sec")
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .map_or_else(|| "?".to_string(), |v| format!("{v:.0}")),
-                get("transitions").unwrap_or("?"),
-                get("frontier").unwrap_or("?"),
-            );
-            if let Some(total) = get("est_total_states") {
-                line.push_str(&format!(
-                    " est_total={total} remaining={}",
-                    get("est_remaining").unwrap_or("?")
-                ));
-            }
-            if let Some(eta) = get("eta_ms").and_then(|v| v.parse::<f64>().ok()) {
-                line.push_str(&format!(" eta={:.1}s", eta / 1000.0));
-            }
-            if let Some(pct) = get("budget_used_pct").and_then(|v| v.parse::<f64>().ok()) {
-                line.push_str(&format!(" budget={pct:.0}%"));
-            }
-            Some(line)
-        }
-        "watchdog_trip" => Some(format!(
-            "[watchdog] stalled — frontier={} (sequential fallback)",
-            get("frontier").unwrap_or("?")
-        )),
-        "snapshot" => Some(format!(
-            "[done] engine={} verdict={} states={} elapsed={}ms",
-            get("engine").unwrap_or("?"),
-            get("verdict").unwrap_or("?"),
-            get("states").unwrap_or("?"),
-            get("elapsed_ms").unwrap_or("?"),
-        )),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,21 +480,5 @@ mod tests {
         let table = phase_table(&rows);
         assert!(table.contains("| engine | 1 | 1.0 | 100.0% |"), "{table}");
         assert!(table.contains("| task | 2 | 1.0 | 100.0% |"), "{table}");
-    }
-
-    #[test]
-    fn follow_lines_render_heartbeats_and_ignore_spans() {
-        let hb = parse_line(concat!(
-            "{\"t_ms\":2500,\"kind\":\"heartbeat\",\"elapsed_ms\":2500,\"states\":10,",
-            "\"transitions\":20,\"frontier\":3,\"states_per_sec\":4.000,",
-            "\"est_total_states\":40,\"est_remaining\":30,\"eta_ms\":7500}"
-        ))
-        .expect("parses");
-        let line = follow_line(&hb).expect("heartbeat renders");
-        assert!(line.contains("states=10"));
-        assert!(line.contains("est_total=40"));
-        assert!(line.contains("eta=7.5s"), "{line}");
-        let span = parse_line("{\"t_ms\":0,\"kind\":\"span\",\"name\":\"x\",\"id\":1}").unwrap();
-        assert!(follow_line(&span).is_none());
     }
 }

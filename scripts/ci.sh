@@ -23,10 +23,11 @@ stage "cargo fmt --check" \
 stage "cargo clippy --all-targets -- -D warnings" \
     cargo clippy --all-targets -- -D warnings
 
-stage "layering: wbmem (the paper's Section-2 machine) and lowerbound (its Section-5 encoder) do not depend on ftobs" \
+stage "layering: wbmem (the paper's Section-2 machine) and lowerbound (its Section-5 encoder) do not depend on ftobs; no crate forecasts a run's size" \
     bash -c 'for c in wbmem lowerbound; do
             tree=$(cargo tree -p $c --offline -e normal) && ! grep -q ftobs <<< "$tree" || exit 1
-        done'
+        done
+        ! grep -rqE "TreeEstimator|est_total_states|eta_ms" crates/*/src'
 
 stage "cargo build --release" \
     cargo build --release
@@ -43,11 +44,11 @@ stage "benchmark/ package builds and its smoke test passes (bench_probe calls wb
 
 # Pinned by exclusion: every table under results/ but the timing list of
 # EXPERIMENTS.md.
-stage "exp --fast all: E1–E12 and E17 regenerate every pinned table under results/ byte-for-byte; E14 (one round, writes nothing), E15 and E16 (n = 2 only: fails on a placement that left results/e16_synthesis.txt or a minimisation that used no witness) pass their own checks" \
+stage "exp --fast all: E1–E12 regenerate every pinned table under results/ byte-for-byte; E14 (one round, writes nothing), E15, E16 (n = 2 only: fails on a placement that left results/e16_synthesis.txt or a minimisation that used no witness) and E17 (the traced runs' span forest) pass their own checks" \
     bash -c 'cargo run --release -p ft-bench -- --fast all > /dev/null || exit 1
         git diff --exit-code -- results ":!results/e15_resume.txt" ":!results/manifest.txt" ":!results/obs"'
 
-stage "exp obs-trace (forest validation + Chrome trace export of the E17 stream)" \
+stage "exp obs-trace results/obs/e17_trace.jsonl (the span stream E17 just wrote: forest validation, Chrome trace export to results/obs/trace.json)" \
     bash -c "cargo run --release -p ft-bench -- obs-trace results/obs/e17_trace.jsonl > /dev/null"
 
 stage "exp obs-report (renders the JSONL the E12/E15/E16/E17 runs just wrote)" \
