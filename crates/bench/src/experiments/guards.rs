@@ -52,8 +52,8 @@ const CKPT_MAX_MS_PER_MIB: f64 = 30.0;
 const CKPT_ROUNDS: usize = 5;
 const CKPT_ATTEMPTS: usize = 3;
 
-/// E14's gates. Scaling is measured on `gt_f24_pso` (1 034 466 reduced
-/// states, ~0.8 s sequentially): the pool loses below ~50 ms, where its
+/// E14's gates. Scaling is measured on `gt_f24_pso` (675 833 reduced
+/// states, ~0.5 s sequentially): the pool loses below ~50 ms, where its
 /// start-up is the measurement, and every smaller cell now finishes
 /// sooner than that (`tournament4_pso`: 62 073 states, ~40 ms). One paired
 /// round of this cell lasts as long as the five of `tournament4_pso` it

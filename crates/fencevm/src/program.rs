@@ -90,7 +90,7 @@ impl Program {
     /// (sound for a process that may still crash).
     pub(crate) fn summary(&self, pc: usize, include_recovery: bool) -> &PcSummary {
         let tables = self.summaries.get_or_init(|| {
-            let plain = analyze(&self.instrs);
+            let plain = analyze(&self.instrs, self.locals_len(), self.recovery);
             let with_recovery = union_summaries(&plain, &plain[self.recovery]);
             [plain, with_recovery]
         });

@@ -3,8 +3,8 @@
 //! Hardware (`std::sync::atomic`) implementations of the algorithms the
 //! simulator crates study, runnable on any machine (the fence placement is
 //! load-bearing on weakly ordered hardware such as ARM; on x86 the `SeqCst`
-//! fences map to `mfence`-class barriers whose cost experiment E7
-//! measures):
+//! fences map to `mfence`-class barriers, and experiment E7 checks that a
+//! passage executes as many of them as the simulator counts):
 //!
 //! * [`HwBakery`] — O(1) fences, O(n) coherence misses per passage;
 //! * [`HwPeterson`] — the two-thread building block;
