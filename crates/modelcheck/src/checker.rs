@@ -9,10 +9,11 @@
 //! * [`Engine::Undo`] (the default), [`Engine::Parallel`],
 //!   [`Engine::Dpor`] and [`Engine::ParallelDpor`] are the four
 //!   instantiations of the one search kernel (`kernel.rs`): no
-//!   reduction or sleep/ample sets, on a local stack or a work-stealing
-//!   frontier. One machine is stepped with [`Machine::step_recorded`] and
-//!   rewound with [`Machine::undo`], so backtracking costs O(step
-//!   footprint) instead of O(machine).
+//!   reduction or sleep/ample sets (none under the termination check),
+//!   on a local stack or a work-stealing frontier. One machine is
+//!   stepped with [`Machine::step_recorded`] and rewound with
+//!   [`Machine::undo`], so backtracking costs O(step footprint) instead
+//!   of O(machine).
 //!
 //! `CloneDfs`, `Undo` and `Parallel` produce bit-identical verdicts and
 //! statistics; the two reducing engines trade the statistics contract for
@@ -57,12 +58,16 @@ pub enum Engine {
         /// Worker count (`0` = available parallelism).
         threads: usize,
     },
-    /// Dynamic partial-order reduction: sleep sets plus (when the
-    /// termination check is off) ample process sets over the machine's
-    /// dependence footprints. Verdicts match the exhaustive engines;
-    /// statistics legitimately differ — that difference *is* the
-    /// reduction. See the `por` crate and `DESIGN.md` for the soundness
-    /// argument.
+    /// Dynamic partial-order reduction: sleep sets plus ample process
+    /// sets over the machine's dependence footprints. Verdicts match the
+    /// exhaustive engines; statistics legitimately differ — that
+    /// difference *is* the reduction. See the `por` crate and `DESIGN.md`
+    /// for the soundness argument.
+    ///
+    /// The termination check reads every state and every edge, so under
+    /// it nothing is reduced: unbounded, the walk is [`Engine::Undo`]'s —
+    /// same states, transitions and terminal states — taken front to
+    /// back, the reduced walk's order; bounded, only the bound prunes.
     Dpor {
         /// `Some(k)`: additionally restrict the search to schedules with
         /// at most `k` steps where a program overtakes its own pending
@@ -83,9 +88,10 @@ pub enum Engine {
     /// pruning rules) on [`Engine::Parallel`]'s frontier. Verdicts are
     /// bit-identical to [`Engine::Dpor`] with the same `reorder_bound`
     /// (violations, limits, stuck states, and worker panics defer to a
-    /// sequential rerun); in the diagnostic mode this is
-    /// [`Engine::Parallel`]. See `DESIGN.md` §7 for the fork-point
-    /// protocol and the soundness argument.
+    /// sequential rerun); in the diagnostic mode, and unbounded under
+    /// the termination check, this is [`Engine::Parallel`]'s sweep. See
+    /// `DESIGN.md` §7 for the fork-point protocol and the soundness
+    /// argument.
     ParallelDpor {
         /// Worker count (`0` = available parallelism). With one worker
         /// this is exactly [`Engine::Dpor`].

@@ -5,9 +5,10 @@
 //!
 //! * **Sleep sets** skip transitions whose effect was already explored on
 //!   an independent sibling branch. They prune *edges only* — every
-//!   reachable state is still visited — so they are safe under every
-//!   checked property, including termination (the kernel probes slept
-//!   edges so the termination graph stays complete).
+//!   reachable state is still visited — but the termination check reads
+//!   every edge, so **with `check_termination` on nothing is put to
+//!   sleep**. Unbounded, such a run takes every edge and is the kernel's
+//!   `NoReduction` walk, not this reduction ([`crate::kernel::sequential`]).
 //! * **Ample sets** skip whole subtrees by scheduling a single process
 //!   whose pending choices are invisible and independent of every other
 //!   process's future. That drops states, so the explored edge graph
@@ -15,14 +16,15 @@
 //!   when `check_termination` is on**. The cycle proviso (no ample step
 //!   may close a DFS cycle without a full expansion) is enforced here.
 //! * **Reorder bound** (optional): prune schedules that overtake pending
-//!   buffered writes more than `k` times. A bounded `Ok` is a bounded
-//!   claim. A safety violation (mutex, invariant, permutation) found
-//!   under a bound is a real execution. `NO-TERMINATION` is a claim about
-//!   *every* continuation of a state, so a bounded walk reports it only
-//!   for a state whose whole forward closure it explored: states the
-//!   bound refused an edge at, and states only a slept-edge probe reached
-//!   (probes are not budgeted), count as able to finish, and so does
-//!   whatever reaches them.
+//!   buffered writes more than `k` times — under the termination check,
+//!   the only pruning left. A bounded `Ok` is a bounded claim. A safety
+//!   violation (mutex, invariant, permutation) found under a bound is a
+//!   real execution. `NO-TERMINATION` is a claim about *every*
+//!   continuation of a state, so a bounded walk reports it only for a
+//!   state whose whole forward closure it explored: states the bound
+//!   refused an edge at count as able to finish, and so does whatever
+//!   reaches them. Unbounded, nothing is budgeted: `admit` takes every
+//!   choice at full budget.
 //! * **Dominance**: a state is re-entered unless a recorded visit used a
 //!   subset sleep set and at least as much budget ([`VisitTable`]). The
 //!   table is keyed by the frontier's node for the state — a dense id
@@ -49,7 +51,9 @@ use crate::kernel::{Edge, Reduction};
 /// how the frontier's nodes key the dominance table.
 pub(crate) struct SleepAmple<H: Heads> {
     model: MemoryModel,
-    use_ample: bool,
+    /// Whether sleep and ample sets prune: the termination check needs
+    /// every state and every edge, so under it only the budget does.
+    reduce: bool,
     /// Reorder budget of the root state (`u32::MAX` = unbounded).
     budget: u32,
     visited: VisitTable<H>,
@@ -84,9 +88,7 @@ impl<H: Heads> SleepAmple<H> {
     ) -> Self {
         SleepAmple {
             model: initial.config().model,
-            // Ample pruning drops states; the termination check needs
-            // all of them.
-            use_ample: !config.check_termination,
+            reduce: !config.check_termination,
             budget: reorder_bound.unwrap_or(u32::MAX),
             visited: VisitTable::default(),
             on_stack: FpMap::default(),
@@ -158,6 +160,11 @@ impl<P: Process, H: Heads> Reduction<P, H::Key> for SleepAmple<H> {
     }
 
     fn admit(&self, m: &Machine<P>, frame: &SleepFrame, elem: SchedElem) -> Option<u32> {
+        // Unbounded, there is no budget to spend: an arrival that had
+        // overtaken less must not look like a better visit.
+        if self.budget == u32::MAX {
+            return Some(u32::MAX);
+        }
         frame.remaining.checked_sub(step_weight(m, elem))
     }
 
@@ -182,8 +189,9 @@ impl<P: Process, H: Heads> Reduction<P, H::Key> for SleepAmple<H> {
             }
         }
         // Sleep set for the child: surviving inherited entries, plus every
-        // already-explored sibling that is independent of this step. The
-        // child's frame is a recycled one; every field is overwritten.
+        // already-explored sibling that is independent of this step (none
+        // is kept when nothing may sleep). The child's frame is a
+        // recycled one; every field is overwritten.
         let mut child = self.spare.pop().unwrap_or_default();
         top.sleep
             .inherit_into(edge.footprint, self.model, &mut child.sleep);
@@ -192,7 +200,9 @@ impl<P: Process, H: Heads> Reduction<P, H::Key> for SleepAmple<H> {
                 child.sleep.insert(se, sf);
             }
         }
-        top.taken.push((edge.elem, edge.footprint));
+        if self.reduce {
+            top.taken.push((edge.elem, edge.footprint));
+        }
         if !self.visited.try_claim(edge.node, &child.sleep, edge.budget) {
             self.sleep_hit(tally);
             self.spare.push(child);
@@ -212,9 +222,9 @@ impl<P: Process, H: Heads> Reduction<P, H::Key> for SleepAmple<H> {
         frame: &mut SleepFrame,
         arena: &mut Vec<SchedElem>,
         tally: &mut Tally,
-    ) -> usize {
+    ) {
         debug_assert!(frame.excluded.is_empty(), "expanding a frame twice");
-        let decision = self.use_ample.then(|| por::ample::decide(m, choices));
+        let decision = self.reduce.then(|| por::ample::decide(m, choices));
         let slept = por::partition_into(
             choices,
             &frame.sleep,
@@ -227,11 +237,6 @@ impl<P: Process, H: Heads> Reduction<P, H::Key> for SleepAmple<H> {
         }
         tally.add(Metric::SleepHits, slept as u64);
         self.sleep_hits += slept;
-        slept
-    }
-
-    fn asleep(frame: &SleepFrame, elem: SchedElem) -> bool {
-        frame.sleep.contains(elem)
     }
 
     fn sleep_hits(&self) -> usize {
@@ -307,9 +312,99 @@ mod tests {
     }
 
     #[test]
+    fn an_unbounded_walk_spends_no_budget() {
+        use super::{SleepAmple, SleepFrame};
+        use crate::kernel::Reduction;
+        use fencevm::{Asm, VmProc};
+        use por::DenseHeads;
+        use wbmem::{Machine, MachineConfig, MemoryLayout, ProcId, RegId, SchedElem};
+
+        let mut a = Asm::new("w2");
+        a.write(0i64, 1i64);
+        a.write(1i64, 2i64);
+        a.fence();
+        a.ret(0i64);
+        let config = MachineConfig::new(MemoryModel::Pso, MemoryLayout::unowned());
+        let mut m = Machine::new(config, vec![VmProc::new(a.assemble().into())]);
+        let p = ProcId(0);
+        m.step(SchedElem::op(p)); // the first write is buffered
+        let (op, commit) = (SchedElem::op(p), SchedElem::commit(p, RegId(0)));
+
+        let admit = |bound: Option<u32>, elem| {
+            let red = SleepAmple::<DenseHeads>::new(&m, &cfg(), bound);
+            let frame = SleepFrame {
+                remaining: Reduction::<VmProc, u32>::root_budget(&red),
+                ..SleepFrame::default()
+            };
+            Reduction::<VmProc, u32>::admit(&red, &m, &frame, elem)
+        };
+        assert_eq!(admit(None, op), Some(u32::MAX), "nothing to count");
+        assert_eq!(admit(None, commit), Some(u32::MAX));
+        for k in 1..=3 {
+            assert_eq!(admit(Some(k), op), Some(k - 1), "an overtake costs one");
+            assert_eq!(admit(Some(k), commit), Some(k), "a commit is free");
+        }
+        assert_eq!(admit(Some(0), op), None, "bound 0 refuses the overtake");
+    }
+
+    #[test]
+    fn a_termination_check_puts_nothing_to_sleep() {
+        use super::{SleepAmple, SleepFrame};
+        use crate::kernel::{Edge, Reduction};
+        use fencevm::{Asm, VmProc};
+        use por::DenseHeads;
+        use wbmem::{Machine, MachineConfig, MemoryLayout, ProcId, SchedElem};
+
+        // Two writers of distinct registers: their first steps commute.
+        let writer = |reg: i64| {
+            let mut a = Asm::new("w");
+            a.write(reg, 1i64);
+            a.fence();
+            a.ret(0i64);
+            VmProc::new(a.assemble().into())
+        };
+        let config = MachineConfig::new(MemoryModel::Pso, MemoryLayout::unowned());
+        let m = Machine::new(config, vec![writer(0), writer(1)]);
+        let first = SchedElem::op(ProcId(0));
+        // The sleep set of the second child of the root, under a bound.
+        let second_child_sleeps = |check_termination: bool| {
+            let config = CheckConfig {
+                check_termination,
+                ..cfg()
+            };
+            let mut red = SleepAmple::<DenseHeads>::new(&m, &config, Some(2));
+            red.claim_root(0);
+            let mut top = SleepFrame {
+                remaining: 2,
+                ..SleepFrame::default()
+            };
+            let (mut arena, mut tally) = (Vec::new(), ftobs::Recorder::disabled().tally());
+            let mut child = None;
+            for (node, elem) in [(1, first), (2, SchedElem::op(ProcId(1)))] {
+                let edge = Edge {
+                    elem,
+                    footprint: m.choice_footprint(elem),
+                    to: u128::from(node),
+                    node,
+                    fresh: true,
+                    budget: 2,
+                };
+                let arrived = Reduction::<VmProc, u32>::arrive(
+                    &mut red, &mut top, &mut arena, &edge, &mut tally,
+                );
+                child = Some(arrived.expect("a first visit is entered"));
+            }
+            child.expect("two children").sleep.contains(first)
+        };
+        assert!(second_child_sleeps(false), "the reduced walk sleeps it");
+        assert!(!second_child_sleeps(true), "a termination check does not");
+    }
+
+    #[test]
     fn termination_violations_agree_with_undo() {
-        // Naive TTAS deadlocks under crashes; the DPOR engine (sleep sets
-        // plus edge probing, no ample) must find the same verdict.
+        // Naive TTAS deadlocks under crashes; the DPOR engine (with the
+        // termination check on, every edge and no ample) must find the
+        // same verdict.
         let inst = build_mutex(LockKind::Ttas, 2, FenceMask::ALL);
         let mut config = cfg();
         config.max_states = 500_000;

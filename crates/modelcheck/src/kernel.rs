@@ -7,8 +7,8 @@
 //! generic over two axes (DESIGN.md §5a):
 //!
 //! * a [`Reduction`] decides *which edges are walked*: [`NoReduction`]
-//!   (zero-sized — every enabled choice, in the oracle's order) or
-//!   [`SleepAmple`] (sleep sets, ample sets, reorder bound);
+//!   (zero-sized — every enabled choice, in the order its parameter
+//!   names) or [`SleepAmple`] (sleep sets, ample sets, reorder bound);
 //! * a [`Frontier`] decides *who owns a state and when the walk stops*:
 //!   [`Local`] (dense ids, exact stop points, verdicts rendered in
 //!   place) or the work-stealing `Shared` frontier of [`crate::pardpor`].
@@ -17,7 +17,10 @@
 //!
 //! The four kernel engines are the four pairs: `Undo` = `NoReduction` ×
 //! `Local`, `Parallel` = `NoReduction` × `Shared`, `Dpor` = `SleepAmple`
-//! × `Local`, `ParallelDpor` = `SleepAmple` × `Shared`.
+//! × `Local`, `ParallelDpor` = `SleepAmple` × `Shared`. A termination
+//! check needs every edge, so an unbounded `Dpor`/`ParallelDpor` that
+//! checks it runs the `NoReduction` walk, in the reduced walk's
+//! front-first order ([`sequential`]).
 //!
 //! Every walk starts from a [`ForkPoint`] — a fresh run's is the root's
 //! expansion ([`root_fork`]) — and every open frame serializes back into
@@ -155,8 +158,9 @@ pub(crate) trait Reduction<P: Process, N> {
         tally: &mut Tally,
     ) -> Option<Self::Frame>;
     /// Append the choices to walk from `frame`'s state — `m`'s current
-    /// one, with `choices` enabled — to the arena. Returns how many
-    /// enabled choices were asleep.
+    /// one, with `choices` enabled — to the arena. Under the termination
+    /// check that is every choice the reorder bound admits: the graph
+    /// the check reads has no edge a reduction skipped.
     fn expand(
         &mut self,
         m: &Machine<P>,
@@ -164,11 +168,7 @@ pub(crate) trait Reduction<P: Process, N> {
         frame: &mut Self::Frame,
         arena: &mut Vec<SchedElem>,
         tally: &mut Tally,
-    ) -> usize;
-    /// Whether `elem` is asleep in `frame`.
-    fn asleep(_frame: &Self::Frame, _elem: SchedElem) -> bool {
-        false
-    }
+    );
     /// Edges pruned as redundant so far.
     fn sleep_hits(&self) -> usize {
         0
@@ -177,11 +177,17 @@ pub(crate) trait Reduction<P: Process, N> {
 
 /// The exhaustive walk: nothing is pruned, a state is entered exactly on
 /// its first visit, and every hook but the choice copy compiles away.
-pub(crate) struct NoReduction;
+/// `LIFO` is its [order](Reduction::LIFO): the exhaustive engines take the
+/// oracle's back-first one, which keeps them bit-identical to it, and a
+/// termination-checking `Dpor` the reduced walk's front-first one. The
+/// order picks which violation a check meets first, and synthesis learns
+/// its cores from those: back-first, its loop takes up to 7× the
+/// iterations (see `ftsynth`'s `check_config`).
+pub(crate) struct NoReduction<const LIFO: bool>;
 
-impl<P: Process, N> Reduction<P, N> for NoReduction {
+impl<P: Process, N, const LIFO: bool> Reduction<P, N> for NoReduction<LIFO> {
     type Frame = ();
-    const LIFO: bool = true;
+    const LIFO: bool = LIFO;
     const FOOTPRINTS: bool = false;
 
     fn adopt(&mut self, _fp: u128, _task: &mut ForkPoint) {}
@@ -210,9 +216,8 @@ impl<P: Process, N> Reduction<P, N> for NoReduction {
         _frame: &mut (),
         arena: &mut Vec<SchedElem>,
         _tally: &mut Tally,
-    ) -> usize {
+    ) {
         arena.extend_from_slice(choices);
-        0
     }
 }
 
@@ -239,9 +244,6 @@ pub(crate) trait Frontier<P: Process>: Sized {
     /// this is the state's first visit (recording the edge under the
     /// termination check). `None` once node names run out.
     fn visit(&mut self, fp: u128, from: Self::Node, elem: SchedElem) -> Option<(Self::Node, bool)>;
-    /// A slept edge `elem` from `from` was probed and leads to `fp`:
-    /// record it in the termination graph without visiting `fp`.
-    fn probe(&mut self, fp: u128, from: Self::Node, elem: SchedElem) -> Option<()>;
     /// The reduction refused a choice at `from` (the reorder bound): the
     /// termination graph is missing that edge, so nothing may be concluded
     /// from `from` failing to finish in it. The shared frontier ignores
@@ -513,34 +515,13 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
                 !self.scratch.is_empty(),
                 "non-terminal state has no choices"
             );
-            let slept = self.red.expand(
+            self.red.expand(
                 &self.m,
                 &self.scratch,
                 &mut child,
                 &mut self.arena,
                 &mut self.tally,
             );
-            if config.check_termination && slept > 0 {
-                // Sleep sets prune edges, not states, but the termination
-                // pass needs every edge: step each slept choice once,
-                // record where it leads, and undo. Bookkeeping, not
-                // exploration: a probe is not counted as a transition,
-                // the machine step it executes is counted as a step.
-                for &e in &self.scratch {
-                    if !R::asleep(&child, e) {
-                        continue;
-                    }
-                    self.tally.incr(Metric::SleptProbes);
-                    let (out, probe) =
-                        step_counted(&mut self.tally, &mut self.m, e.proc, |m| m.step_recorded(e));
-                    let named = matches!(out, StepOutcome::NoOp)
-                        || frontier.probe(self.m.fingerprint(), node, e).is_some();
-                    undo(&mut self.m, &mut self.tally, probe);
-                    if !named {
-                        return Some(Halt::TooManyStates);
-                    }
-                }
-            }
             self.red.on_stack(|| fp);
             self.path.push(elem);
             self.frames.push(Frame {
@@ -557,8 +538,7 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
 }
 
 /// The root state's expansion as the fork point a fresh run starts from,
-/// descending from `obs`'s root span. The root's sleep set is empty, so
-/// nothing is slept here.
+/// descending from `obs`'s root span.
 pub(crate) fn root_fork<P: Process, N, R: Reduction<P, N>>(
     initial: &Machine<P>,
     red: &mut R,
@@ -600,9 +580,6 @@ pub(crate) struct Local<'a> {
     deadline: Option<Instant>,
     stats: Stats,
     index: SearchIndex,
-    /// Ids a slept-edge probe allocated that no walked edge has reached
-    /// yet: their first arrival is still a first visit.
-    probe_only: Vec<bool>,
     edges: Vec<(u32, u32)>,
     terminal: Vec<u32>,
     /// States with an out-edge the reorder bound refused.
@@ -624,11 +601,7 @@ impl Local<'_> {
         let obs = &self.config.recorder;
         dfs.tally.flush();
         let fp = |id: &u32| self.index.fp_of(*id);
-        let probe_only = |id: &u32| self.probe_only.get(*id as usize) == Some(&true);
-        let mut visited: Vec<u128> = (0..self.index.len() as u32)
-            .filter(|id| !probe_only(id))
-            .map(|id| fp(&id))
-            .collect();
+        let mut visited: Vec<u128> = (0..self.index.len() as u32).map(|id| fp(&id)).collect();
         visited.sort_unstable();
         let snap = Snapshot {
             meta: run_meta_of(self.config, self.index.fp_of(0)),
@@ -701,18 +674,7 @@ impl<P: Process> Frontier<P> for Local<'_> {
         if self.config.check_termination {
             self.edges.push((from, id));
         }
-        let probed = self.probe_only.get_mut(id as usize);
-        Some((id, new || probed.is_some_and(std::mem::take)))
-    }
-
-    fn probe(&mut self, fp: u128, from: u32, elem: SchedElem) -> Option<()> {
-        let (id, new) = self.index.id_of(fp, Some((from, elem)))?;
-        if new {
-            self.probe_only.resize(id as usize + 1, false);
-            self.probe_only[id as usize] = true;
-        }
-        self.edges.push((from, id));
-        Some(())
+        Some((id, new))
     }
 
     fn refused(&mut self, from: u32) {
@@ -740,20 +702,10 @@ impl Local<'_> {
     ///
     /// Under a reorder bound a state only counts as stuck if its whole
     /// forward closure was explored: a state the bound refused an edge
-    /// at, or one that only a slept-edge probe ever reached, may finish
-    /// through what was not walked, and so may everything that reaches
-    /// it. The full search has neither kind.
+    /// at may finish through what was not walked, and so may everything
+    /// that reaches it. The full search refuses nothing.
     fn stuck(&self) -> Option<Vec<Vec<SchedElem>>> {
-        let probed = (0u32..)
-            .zip(&self.probe_only)
-            .filter_map(|(id, &p)| p.then_some(id));
-        let finish: Vec<u32> = self
-            .terminal
-            .iter()
-            .copied()
-            .chain(self.refused.iter().copied())
-            .chain(probed)
-            .collect();
+        let finish: Vec<u32> = self.terminal.iter().chain(&self.refused).copied().collect();
         let can_finish = can_finish(self.index.len(), &self.edges, &finish);
         let first = can_finish.iter().position(|&c| !c)? as u32;
         let mut entries = self.index.stuck_entries(&can_finish);
@@ -779,7 +731,6 @@ pub(crate) fn run_local<P: Process, R: Reduction<P, u32>, V: Visitor<P>>(
         deadline,
         stats: Stats::default(),
         index: SearchIndex::default(),
-        probe_only: Vec::new(),
         edges: Vec::new(),
         terminal: Vec::new(),
         refused: Vec::new(),
@@ -832,7 +783,9 @@ pub(crate) fn run_local<P: Process, R: Reduction<P, u32>, V: Visitor<P>>(
 /// The sequential engine of `config.engine`'s reduction, checking
 /// `config`'s properties: the diagnostic bound `Some(u32::MAX)` selects
 /// the exhaustive walk ([`Engine::Undo`](crate::Engine::Undo) itself),
-/// anything else the reduced one.
+/// anything else the reduced one — except that an unbounded walk that
+/// checks termination takes every edge anyway (the check reads them
+/// all), so it is the exhaustive walk in the reduced one's order.
 pub(crate) fn sequential<P: Process>(
     initial: &Machine<P>,
     config: &CheckConfig,
@@ -840,7 +793,10 @@ pub(crate) fn sequential<P: Process>(
 ) -> Verdict {
     let visitor = &mut Properties::new(config);
     match config.engine.reduction() {
-        Some(u32::MAX) => run_local(initial, config, deadline, NoReduction, visitor),
+        Some(u32::MAX) => run_local(initial, config, deadline, NoReduction::<true>, visitor),
+        None if config.check_termination => {
+            run_local(initial, config, deadline, NoReduction::<false>, visitor)
+        }
         bound => {
             let mut reduction = SleepAmple::<DenseHeads>::new(initial, config, bound);
             reduction.claim_root(ROOT);

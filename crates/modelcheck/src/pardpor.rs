@@ -1,7 +1,8 @@
 //! The work-stealing [`Frontier`] (`Shared`) and its coordinator: what
 //! [`Engine::Parallel`](crate::Engine::Parallel) (`NoReduction`) and
-//! [`Engine::ParallelDpor`](crate::Engine::ParallelDpor) (`SleepAmple`)
-//! add to the kernel's walk, and what [`crate::resume`] re-enters
+//! [`Engine::ParallelDpor`](crate::Engine::ParallelDpor) (`SleepAmple`;
+//! `NoReduction` when it checks termination unbounded) add to the
+//! kernel's walk, and what [`crate::resume`] re-enters
 //! through. DESIGN.md §7 has the fork-point protocol and the soundness
 //! argument; in short:
 //!
@@ -60,7 +61,7 @@ struct Report {
     transitions: usize,
     /// Fingerprints of the all-done states first visited.
     terminals: Vec<u128>,
-    /// `(parent, child)` edges, walked and probed (termination check only).
+    /// `(parent, child)` edges walked (termination check only).
     edges: Vec<(u128, u128)>,
     /// A property violation was seen; a sequential rerun has the details.
     violated: bool,
@@ -248,11 +249,10 @@ pub(crate) fn check_shared<P: Process>(
     }
 
     if config.check_termination {
-        // The workers' fingerprint graphs (taken + slept-probed edges —
-        // with ample off and sleep sets pruning edges only, the full
-        // reachable graph) plus, on a resumed run, the interrupted run's
-        // graph. Ids are arbitrary; the stuck state's identity and
-        // counterexample come from the rerun.
+        // The workers' fingerprint graphs (every edge walked: unbounded,
+        // that is the full reachable graph) plus, on a resumed run, the
+        // interrupted run's graph. Ids are arbitrary; the stuck state's
+        // identity and counterexample come from the rerun.
         let mut ids: FpMap<u32> = FpMap::default();
         let mut id = |fp: u128| {
             let next = ids.len() as u32;
@@ -287,10 +287,17 @@ fn sweep<P: Process>(
     seed: (&[u128], Option<Vec<ForkPoint>>, usize),
 ) -> (Report, FpTable) {
     let threads = worker_count(config.engine.workers());
+    // The walk [`sequential`] picks for `config`: an unbounded
+    // termination check takes every edge, so it reduces nothing.
     match config.engine.reduction() {
         Some(u32::MAX) => sweep_with(initial, config, threads, deadline, watchdog, seed, || {
-            NoReduction
+            NoReduction::<true>
         }),
+        None if config.check_termination => {
+            sweep_with(initial, config, threads, deadline, watchdog, seed, || {
+                NoReduction::<false>
+            })
+        }
         bound => sweep_with(initial, config, threads, deadline, watchdog, seed, || {
             SleepAmple::<FpHeads>::new(initial, config, bound)
         }),
@@ -612,11 +619,6 @@ impl<P: Process> Frontier<P> for Shared<'_, P> {
             self.report.edges.push((from, fp));
         }
         Some((fp, self.pool.table.insert(fp)))
-    }
-
-    fn probe(&mut self, fp: u128, from: u128, _elem: SchedElem) -> Option<()> {
-        self.report.edges.push((from, fp));
-        Some(())
     }
 
     fn count_state(&mut self) -> usize {

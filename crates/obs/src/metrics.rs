@@ -67,7 +67,8 @@ pub enum Metric {
     /// Process returns (passage completions).
     Returns,
     /// Sleep-set suppressions in the DPOR engine (zero for exhaustive
-    /// engines and for disabled-reduction diagnostic runs).
+    /// engines, for disabled-reduction diagnostic runs, and for unbounded
+    /// termination checks, which walk every edge).
     SleepHits,
     /// States expanded with a proper ample subset.
     AmpleApplied,
@@ -85,8 +86,6 @@ pub enum Metric {
     /// States expanded with an ample set (counted in `AmpleApplied`) and
     /// then expanded in full by the cycle proviso.
     AmpleProvisoUpgrades,
-    /// Slept-edge termination probes (DPOR with `check_termination`).
-    SleptProbes,
     /// Undo-log pops (engine-specific; CloneDfs performs none).
     UndoSteps,
     /// Heartbeat events emitted.
@@ -145,7 +144,6 @@ pub const METRICS: [Metric; Metric::COUNT] = [
     Metric::AmpleFallbackVisible,
     Metric::AmpleFallbackConflict,
     Metric::AmpleProvisoUpgrades,
-    Metric::SleptProbes,
     Metric::UndoSteps,
     Metric::Heartbeats,
     Metric::ForkPublished,
@@ -168,7 +166,7 @@ impl Metric {
 
     /// Counters with index `< DETERMINISTIC_END` compare in snapshot
     /// equality; the rest are traversal- or timing-dependent.
-    pub const DETERMINISTIC_END: usize = Metric::SleptProbes as usize;
+    pub const DETERMINISTIC_END: usize = Metric::UndoSteps as usize;
 
     /// Snake-case name used as the JSONL field key.
     #[must_use]
@@ -196,7 +194,6 @@ impl Metric {
             Metric::AmpleFallbackVisible => "ample_fallback_visible",
             Metric::AmpleFallbackConflict => "ample_fallback_conflict",
             Metric::AmpleProvisoUpgrades => "ample_proviso_upgrades",
-            Metric::SleptProbes => "slept_probes",
             Metric::UndoSteps => "undo_steps",
             Metric::Heartbeats => "heartbeats",
             Metric::ForkPublished => "fork_published",

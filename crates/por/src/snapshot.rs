@@ -759,8 +759,11 @@ mod tests {
             Err(SnapshotError::Corrupt(what)) => what,
             other => panic!("{entries:?} must be refused as corrupt, got {other:?}"),
         };
-        // A counter this build does not have (the parent's did)…
+        // A counter this build does not have (older ones did: a file they
+        // wrote with a nonzero `slept_probes` is refused, one with a zero
+        // never named it)…
         assert_eq!(refused(&[(0, "workers_lost", 6)]), "unknown metric name");
+        assert_eq!(refused(&[(0, "slept_probes", 3)]), "unknown metric name");
         // …a known name under the wrong kind, or an unknown kind (2 and 3
         // were the phase timer's, which never wrote an entry)…
         assert_eq!(refused(&[(1, "states", 1)]), "unknown metric name");

@@ -156,7 +156,13 @@ impl SynthConfig {
     // The engine is sequential `Dpor`: most inner checks end in a
     // violation, which a work-stealing sweep throws away and reruns
     // sequentially (E16 tournament4 on 2 cores: 15.9 s, against 46.2 s
-    // through `ParallelDpor` × 2).
+    // through `ParallelDpor` × 2). With the termination check on it walks
+    // every edge as `Undo` does, but front-first, the reduced walk's
+    // order, not `Undo`'s back-first one. The order decides which
+    // violation a check meets first, and so which cores the loop learns.
+    // Back-first took bakery2, tournament2, filter2 and mcs3 35, 17, 17
+    // and 9 iterations instead of 5, 6, 6 and 2, and bakery3 and
+    // tournament4 hit the 64-iteration cap.
     fn check_config(&self) -> CheckConfig {
         let mut cfg = CheckConfig::default().with_engine(Engine::Dpor {
             reorder_bound: None,
@@ -920,6 +926,23 @@ mod tests {
         let trials: usize = placement.iter().map(Vec::len).sum();
         assert_eq!(effort.seeded_refutations, usize::from(hitters == 1));
         assert_eq!(effort.full_checks, trials - effort.seeded_refutations);
+    }
+
+    #[test]
+    fn the_inner_checks_walk_order_keeps_the_iteration_counts() {
+        // Which counterexample a check meets first is its walk order's;
+        // the back-first order takes bakery2 35, tournament2 and filter2
+        // 17 iterations each (see `check_config`).
+        for (kind, iterations) in [
+            (LockKind::Bakery, 5),
+            (LockKind::Tournament, 6),
+            (LockKind::Filter, 6),
+        ] {
+            let inst = build_mutex(kind, 2, FenceMask::ALL);
+            let out = synthesize(&inst, &SynthConfig::default());
+            let s = out.synthesis().expect("synthesized");
+            assert_eq!(s.iterations, iterations, "{}", inst.name);
+        }
     }
 
     #[test]

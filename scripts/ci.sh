@@ -44,7 +44,7 @@ stage "benchmark/ package builds and its smoke test passes (bench_probe calls wb
 
 # Pinned by exclusion: every table under results/ but the timing list of
 # EXPERIMENTS.md.
-stage "exp --fast all: E1–E12 regenerate every pinned table under results/ byte-for-byte; E14 (one round, writes nothing), E15, E16 (n = 2 only: fails on a placement that left results/e16_synthesis.txt or a minimisation that used no witness) and E17 (the traced runs' span forest) pass their own checks" \
+stage "exp --fast all: E1–E12 regenerate every pinned table under results/ byte-for-byte; E14 (one round, writes nothing), E15, E16 (n = 2 only: fails on a row that differs from results/e16_synthesis.txt in any cell — iterations, cores, states, seeded/full checks, placement — or a minimisation that used no witness) and E17 (the traced runs' span forest) pass their own checks" \
     bash -c 'cargo run --release -p ft-bench -- --fast all > /dev/null || exit 1
         git diff --exit-code -- results ":!results/e15_resume.txt" ":!results/manifest.txt" ":!results/obs"'
 
