@@ -84,20 +84,29 @@ impl std::ops::DerefMut for Locals {
 /// One executing instance of a [`Program`].
 ///
 /// The interpreter maintains the invariant that between machine steps the
-/// program counter always rests on a *memory* instruction (or just past a
-/// `Return`): internal instructions are executed eagerly — they model free
-/// local computation.
+/// program counter always rests on a *memory* instruction (a `Return`
+/// included): internal instructions are executed eagerly — they model free
+/// local computation. The instruction it rests on is decoded once, when it
+/// gets there: its operation (addresses and operands evaluated) and the
+/// local a read, CAS or swap stores into are kept beside the pc, so
+/// [`Process::poised`] is a field read and [`Process::advance`] fetches no
+/// instruction.
 ///
 /// Equality and hashing cover the dynamic state (pc, locals, annotation)
 /// plus the identity of the shared program, making `VmProc` usable as a
 /// model-checker state component. States of processes running *different*
-/// program instances compare unequal even if textually identical.
+/// program instances compare unequal even if textually identical. The
+/// decoded operation is a function of those and is left out of both.
 #[derive(Debug)]
 pub struct VmProc {
     prog: Arc<Program>,
     pc: usize,
     locals: Locals,
     annot: u64,
+    /// The memory instruction at `pc`, decoded.
+    op: Poised,
+    /// The local the value `op` observes lands in (reads, CAS, swap).
+    dst: Option<Loc>,
 }
 
 impl Clone for VmProc {
@@ -107,6 +116,8 @@ impl Clone for VmProc {
             pc: self.pc,
             locals: self.locals.clone(),
             annot: self.annot,
+            op: self.op,
+            dst: self.dst,
         }
     }
 
@@ -121,6 +132,8 @@ impl Clone for VmProc {
         self.pc = source.pc;
         self.locals.clone_from(&source.locals);
         self.annot = source.annot;
+        self.op = source.op;
+        self.dst = source.dst;
     }
 }
 
@@ -134,6 +147,8 @@ impl VmProc {
             pc: 0,
             locals,
             annot: 0,
+            op: Poised::Done,
+            dst: None,
         };
         p.settle();
         p
@@ -188,8 +203,46 @@ impl VmProc {
         })
     }
 
+    /// The operation of memory instruction `ins` at the current state, and
+    /// the local it stores an observed value into.
+    fn decode(&self, ins: &Instr) -> (Poised, Option<Loc>) {
+        match *ins {
+            Instr::Read { addr, dst } => (Poised::Read(self.eval_reg(addr)), Some(dst)),
+            Instr::Write { addr, val } => (
+                Poised::Write(self.eval_reg(addr), Value::Int(self.eval_nonneg(val))),
+                None,
+            ),
+            Instr::Fence => (Poised::Fence, None),
+            Instr::Cas {
+                addr,
+                expected,
+                new,
+                dst,
+            } => (
+                Poised::Cas {
+                    reg: self.eval_reg(addr),
+                    expected: self.eval_nonneg(expected),
+                    new: Value::Int(self.eval_nonneg(new)),
+                },
+                Some(dst),
+            ),
+            Instr::Swap { addr, new, dst } => (
+                Poised::Swap {
+                    reg: self.eval_reg(addr),
+                    new: Value::Int(self.eval_nonneg(new)),
+                },
+                Some(dst),
+            ),
+            Instr::Return { val } => (Poised::Return(self.eval_nonneg(val)), None),
+            ref other => unreachable!(
+                "program {}: pc rests on internal instruction {other:?}",
+                self.prog.name()
+            ),
+        }
+    }
+
     /// Execute internal instructions until the pc rests on a memory
-    /// instruction (or past the end, which only happens after `Return`).
+    /// instruction, and decode that one into `op` and `dst`.
     fn settle(&mut self) {
         for _ in 0..MAX_INTERNAL_RUN {
             let Some(ins) = self.prog.instrs().get(self.pc) else {
@@ -205,6 +258,7 @@ impl VmProc {
                 | Instr::Cas { .. }
                 | Instr::Swap { .. }
                 | Instr::Return { .. } => {
+                    (self.op, self.dst) = self.decode(ins);
                     return;
                 }
                 Instr::Mov { dst, src } => {
@@ -239,51 +293,25 @@ impl VmProc {
 }
 
 impl Process for VmProc {
+    #[inline]
     fn poised(&self) -> Poised {
-        match self.prog.instrs()[self.pc] {
-            Instr::Read { addr, .. } => Poised::Read(self.eval_reg(addr)),
-            Instr::Write { addr, val } => {
-                Poised::Write(self.eval_reg(addr), Value::Int(self.eval_nonneg(val)))
-            }
-            Instr::Fence => Poised::Fence,
-            Instr::Cas {
-                addr,
-                expected,
-                new,
-                ..
-            } => Poised::Cas {
-                reg: self.eval_reg(addr),
-                expected: self.eval_nonneg(expected),
-                new: Value::Int(self.eval_nonneg(new)),
-            },
-            Instr::Swap { addr, new, .. } => Poised::Swap {
-                reg: self.eval_reg(addr),
-                new: Value::Int(self.eval_nonneg(new)),
-            },
-            Instr::Return { val } => Poised::Return(self.eval_nonneg(val)),
-            ref other => unreachable!(
-                "program {}: pc rests on internal instruction {other:?}",
-                self.prog.name()
-            ),
-        }
+        self.op
     }
 
     fn advance(&mut self, read_value: Option<Value>) {
-        match self.prog.instrs()[self.pc] {
-            Instr::Read { dst, .. } | Instr::Cas { dst, .. } | Instr::Swap { dst, .. } => {
+        // The machine records returns itself and never calls advance for
+        // them; a return here is a bug in the caller.
+        assert!(
+            !matches!(self.op, Poised::Return(_)),
+            "advance called on a return instruction"
+        );
+        match self.dst {
+            Some(dst) => {
                 let v = read_value.expect("read/cas step must supply the observed value");
                 let payload = i64::try_from(v.payload()).expect("payload fits in i64");
                 self.locals[dst.0] = payload;
             }
-            Instr::Write { .. } | Instr::Fence => {
-                debug_assert!(read_value.is_none());
-            }
-            Instr::Return { .. } => {
-                // The machine records returns itself and never calls
-                // advance for them; reaching this arm is a driver bug.
-                panic!("advance called on a return instruction");
-            }
-            ref other => unreachable!("advance on internal instruction {other:?}"),
+            None => debug_assert!(read_value.is_none()),
         }
         self.pc += 1;
         self.settle();

@@ -600,12 +600,13 @@ pub(crate) fn in_cs_count<P: Process>(m: &Machine<P>) -> usize {
 /// Whether the processes' return values are exactly `0..n`, each once.
 pub(crate) fn returns_are_permutation<P: Process>(m: &Machine<P>) -> bool {
     let n = m.n();
-    assert!(n <= 128, "permutation check supports at most 128 processes");
-    let mut seen = 0u128;
+    let mut seen = vec![0u64; n.div_ceil(64)];
     (0..n).all(|i| match m.return_value(wbmem::ProcId::from(i)) {
-        Some(r) if r < n as u64 && seen & (1 << r) == 0 => {
-            seen |= 1 << r;
-            true
+        Some(r) if r < n as u64 => {
+            let (word, bit) = (&mut seen[r as usize / 64], 1 << (r % 64));
+            let fresh = *word & bit == 0;
+            *word |= bit;
+            fresh
         }
         _ => false,
     })
@@ -1520,6 +1521,43 @@ mod tests {
         };
         let v = check(&inst.machine(MemoryModel::Pso), &config);
         assert!(v.is_ok(), "{}", v.label());
+    }
+
+    /// A machine whose process `i` returns `ids[i]` at once.
+    fn returning(ids: impl IntoIterator<Item = i64>) -> Machine<fencevm::VmProc> {
+        let procs = ids
+            .into_iter()
+            .map(|id| {
+                let mut a = fencevm::Asm::new("ret");
+                a.ret(id);
+                fencevm::VmProc::new(a.assemble().into())
+            })
+            .collect();
+        let cfg = wbmem::MachineConfig::new(MemoryModel::Pso, wbmem::MemoryLayout::unowned());
+        Machine::new(cfg, procs)
+    }
+
+    #[test]
+    fn permutation_check_takes_more_processes_than_a_word_has_bits() {
+        // `Dpor` walks one interleaving of 129 returns (a return is
+        // invisible), so the check meets one terminal state.
+        let config = CheckConfig {
+            check_permutation: true,
+            check_termination: false,
+            ..CheckConfig::default()
+        }
+        .with_engine(Engine::Dpor {
+            reorder_bound: None,
+        });
+        let v = check(&returning(0..129), &config);
+        assert!(v.is_ok(), "{}", v.label());
+        assert_eq!(v.stats().terminal_states, 1);
+        let v = check(&returning((0..128).chain([0])), &config);
+        assert!(
+            matches!(v, Verdict::PermutationViolation(..)),
+            "{}",
+            v.label()
+        );
     }
 
     #[test]

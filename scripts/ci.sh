@@ -35,6 +35,9 @@ stage "cargo build --release" \
 stage "cargo test -q" \
     cargo test -q
 
+stage "lowerbound by_definition over every permutation of four (debug, where the decoder re-checks every memo hit; tier-1 runs a fixed sample)" \
+    cargo test -q -p lowerbound --test by_definition -- --ignored
+
 stage "the two suites that read FT_THREADS, at FT_THREADS=2 (parallel sweeps/engine)" \
     env FT_THREADS=2 cargo test -q -p modelcheck --test differential_pardpor \
         -p fence-trade --test integration_locks_models
