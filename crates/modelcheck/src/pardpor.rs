@@ -29,6 +29,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use ftobs::{Gauge, Metric, SpanId, TraceCtx, J};
@@ -345,7 +346,9 @@ fn sweep_with<P: Process, R: Reduction<P, u128>>(
     // stalled — the queue wakes it on close).
     let heartbeats: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
     let busy: Vec<AtomicBool> = (0..threads).map(|_| AtomicBool::new(false)).collect();
-    let workers_done = AtomicBool::new(false);
+    // Raised by the coordinator once it has joined the workers; the
+    // supervisor waits on it, so a sweep ends when its workers do.
+    let workers_done = (Mutex::new(false), Condvar::new());
     let tripped = AtomicBool::new(false);
 
     // Workers run under `catch_unwind`: a panicking property closure (or
@@ -360,14 +363,24 @@ fn sweep_with<P: Process, R: Reduction<P, u128>>(
             // wedged in a non-polling loop still delays the join — the
             // watchdog covers the slow-but-responsive case and turns it
             // into a deterministic sequential run instead of an
-            // indefinitely degraded sweep.
+            // indefinitely degraded sweep. Between looks it waits on
+            // `workers_done` for one interval; the flag is read under the
+            // lock before every wait, so no wake-up is lost and a sweep
+            // that ended first costs no wait at all.
             let (heartbeats, busy, pool) = (&heartbeats, &busy, &pool);
-            let (workers_done, tripped) = (&workers_done, &tripped);
+            let ((done, wake), tripped) = (&workers_done, &tripped);
             scope.spawn(move || {
                 let beat = |w: usize| heartbeats[w].load(Ordering::Relaxed);
                 let mut seen: Vec<_> = (0..threads).map(|w| (beat(w), Instant::now())).collect();
-                while !workers_done.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval.min(Duration::from_millis(25)));
+                let mut finished = done.lock().unwrap_or_else(PoisonError::into_inner);
+                loop {
+                    finished = wake
+                        .wait_timeout_while(finished, interval, |finished| !*finished)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
+                    if *finished {
+                        return;
+                    }
                     for (w, (last, since)) in seen.iter_mut().enumerate() {
                         if *last != beat(w) || !busy[w].load(Ordering::Relaxed) {
                             (*last, *since) = (beat(w), Instant::now());
@@ -419,7 +432,9 @@ fn sweep_with<P: Process, R: Reduction<P, u128>>(
                 }
             }
         }
-        workers_done.store(true, Ordering::SeqCst);
+        let (done, wake) = &workers_done;
+        *done.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        wake.notify_one();
         report
     });
     // The queue's undrained tasks are unexplored frontier too.

@@ -124,63 +124,109 @@ fn compare_resumed(
     fresh.is_violation()
 }
 
-/// One engine's sweep of the full n = 2 safety matrix: every fence mask
-/// of every lock under every model, with and without a crash budget.
-fn matrix_for(engine: Engine, tag: &str) {
+const LOCKS: [LockKind; 3] = [LockKind::Peterson, LockKind::Ttas, LockKind::Bakery];
+
+/// The three checkpointing engines the matrix runs, with their tags.
+const ENGINES: [(Engine, &str); 3] = [
+    (Engine::Undo, "undo"),
+    (
+        Engine::Dpor {
+            reorder_bound: None,
+        },
+        "dpor",
+    ),
+    (
+        Engine::ParallelDpor {
+            threads: 2,
+            reorder_bound: None,
+        },
+        "pardpor",
+    ),
+];
+
+/// One n = 2 configuration: lock, fence mask, model and crash budget.
+type Config = (LockKind, FenceMask, MemoryModel, u32);
+
+/// Every lock with the masks `masks` gives for its number of fence
+/// sites, crossed with `models` and a crash budget of 0 and 1.
+fn n2_configs(masks: impl Fn(u32) -> Vec<FenceMask>, models: &[MemoryModel]) -> Vec<Config> {
+    let mut configs = Vec::new();
+    for kind in LOCKS {
+        for mask in masks(build_mutex(kind, 2, FenceMask::ALL).fence_sites) {
+            for &model in models {
+                for max_crashes in [0u32, 1] {
+                    configs.push((kind, mask, model, max_crashes));
+                }
+            }
+        }
+    }
+    configs
+}
+
+/// The tier-1 sample of the matrix: every lock with every fence and with
+/// none, under PSO and TSO, with and without a crash budget.
+fn n2_sample() -> Vec<Config> {
+    n2_configs(
+        |_| vec![FenceMask::ALL, FenceMask::NONE],
+        &[MemoryModel::Pso, MemoryModel::Tso],
+    )
+}
+
+/// Resume `engine` across `configs`; returns how many were violating.
+fn resumes_across(engine: Engine, tag: &str, configs: &[Config]) -> usize {
     let base = CheckConfig {
         check_termination: false,
         max_states: 1_000_000,
         ..CheckConfig::default()
     }
     .with_engine(engine);
-    let mut configs = 0usize;
-    let mut violations = 0usize;
-    for kind in [LockKind::Peterson, LockKind::Ttas, LockKind::Bakery] {
-        let probe = build_mutex(kind, 2, FenceMask::ALL);
-        for mask in FenceMask::enumerate(probe.fence_sites) {
-            let inst = build_mutex(kind, 2, mask);
-            for model in MODELS {
-                for max_crashes in [0u32, 1] {
-                    let config = base
-                        .clone()
-                        .with_crashes(CrashSemantics::DiscardBuffer, max_crashes);
-                    violations += usize::from(compare_resumed(&inst, model, &config, tag));
-                    configs += 1;
-                }
-            }
-        }
+    configs
+        .iter()
+        .filter(|&&(kind, mask, model, max_crashes)| {
+            let config = base
+                .clone()
+                .with_crashes(CrashSemantics::DiscardBuffer, max_crashes);
+            compare_resumed(&build_mutex(kind, 2, mask), model, &config, tag)
+        })
+        .count()
+}
+
+/// One engine over the tier-1 sample, which must include violating
+/// configurations.
+fn sample_for((engine, tag): (Engine, &str)) {
+    let violations = resumes_across(engine, tag, &n2_sample());
+    assert!(violations > 0, "{tag}: sample includes violating configs");
+}
+
+#[test]
+fn undo_resumes_across_an_n2_sample() {
+    sample_for(ENGINES[0]);
+}
+
+#[test]
+fn dpor_resumes_across_an_n2_sample() {
+    sample_for(ENGINES[1]);
+}
+
+#[test]
+fn pardpor_resumes_across_an_n2_sample() {
+    sample_for(ENGINES[2]);
+}
+
+/// Every engine over the full n = 2 safety matrix: every fence mask of
+/// every lock under every model, with and without a crash budget.
+#[test]
+#[ignore = "the full matrix for three engines: over a minute in debug; CI runs it with --ignored"]
+fn every_engine_resumes_across_the_full_n2_matrix() {
+    let configs = n2_configs(FenceMask::enumerate, &MODELS);
+    assert!(configs.len() >= 200, "matrix ({} configs)", configs.len());
+    for (engine, tag) in ENGINES {
+        let violations = resumes_across(engine, tag, &configs);
+        assert!(
+            violations >= 20,
+            "{tag}: matrix includes violating configs ({violations})"
+        );
     }
-    assert!(configs >= 200, "{tag}: matrix actually swept ({configs})");
-    assert!(
-        violations >= 20,
-        "{tag}: matrix includes violating configs ({violations})"
-    );
-}
-
-#[test]
-fn undo_resumes_across_the_full_n2_matrix() {
-    matrix_for(Engine::Undo, "undo");
-}
-
-#[test]
-fn dpor_resumes_across_the_full_n2_matrix() {
-    matrix_for(
-        Engine::Dpor {
-            reorder_bound: None,
-        },
-        "dpor",
-    );
-}
-
-#[test]
-fn pardpor_resumes_across_the_full_n2_matrix() {
-    matrix_for(
-        Engine::ParallelDpor {
-            threads: 2,
-            reorder_bound: None,
-        },
-        "pardpor",
-    );
 }
 
 /// Termination checking serializes the fingerprint graph (edges and
@@ -295,6 +341,13 @@ fn diagnostic_merged_metrics_are_bit_identical() {
 /// equals the uninterrupted `Engine::Undo` run in statistics and
 /// deterministic metrics, and an expired budget is inconclusive.
 /// The oracle keeps its typed refusal.
+///
+/// The cut is at one transition. A parallel worker reads the cut and
+/// syncs its transitions only when it polls, every 256 iterations, so a
+/// cut deeper in the walk may fire late or not at all. At one
+/// transition the worker holding the root fires it at its first poll,
+/// before it has donated anything, and 256 iterations leave states of
+/// both cells unclaimed.
 #[test]
 fn parallel_checkpoints_and_resumes_like_undo() {
     let quiet = || modelcheck::Recorder::builder().quiet(true).build();
@@ -313,13 +366,12 @@ fn parallel_checkpoints_and_resumes_like_undo() {
         );
         assert!(undo.is_ok(), "{kind}: reference cell is correct");
         let path = ckpt_path("parallel");
-        let cut = (undo.stats().transitions as u64 / 2).max(1);
         let stopped = check(
             &m,
             &parallel
                 .clone()
                 .with_recorder(quiet())
-                .with_checkpoint(CheckpointPolicy::at(&path).stop_after(cut)),
+                .with_checkpoint(CheckpointPolicy::at(&path).stop_after(1)),
         );
         let cov = stopped.coverage().expect("the cut stops the sweep");
         assert!(stopped.stats().states < undo.stats().states, "{kind}: cut");

@@ -38,6 +38,9 @@ stage "cargo test -q" \
 stage "lowerbound by_definition over every permutation of four (debug, where the decoder re-checks every memo hit; tier-1 runs a fixed sample)" \
     cargo test -q -p lowerbound --test by_definition -- --ignored
 
+stage "differential_resume over the full n = 2 lock × model × fence-mask × crash matrix for Undo, Dpor and ParallelDpor (tier-1 runs a fixed sample per engine)" \
+    cargo test -q -p modelcheck --test differential_resume -- --ignored
+
 stage "the two suites that read FT_THREADS, at FT_THREADS=2 (parallel sweeps/engine)" \
     env FT_THREADS=2 cargo test -q -p modelcheck --test differential_pardpor \
         -p fence-trade --test integration_locks_models
