@@ -22,7 +22,7 @@ pub mod e3_tradeoff;
 pub mod e4_encoding;
 pub mod e5_separation;
 pub mod e6_stack_invariants;
-pub mod e7_hw;
+pub mod e7_fences;
 pub mod e8_ablation;
 pub mod e9_cas;
 pub mod guards;
@@ -52,7 +52,7 @@ pub const REGISTRY: &[Experiment] = &[
     ("e4", "the lower-bound encoding, measured, and exhaustive codebooks", e4_encoding::run),
     ("e5", "separating memory models: Peterson under SC/TSO/PSO", e5_separation::run),
     ("e6", "Table 1 / Lemma 5.1 structural invariants of the encodings", e6_stack_invariants::run),
-    ("e7", "fence sites on real atomics equal the simulator's β", e7_hw::run),
+    ("e7", "lock fences per uncontended passage equal their closed forms", e7_fences::run),
     ("e8", "fence ablation across the lock family", e8_ablation::run),
     ("e9", "comparison primitives (CAS, swap) don't dodge the tradeoff", e9_cas::run),
     ("e10", "steady-state amortized passage costs", e10_steady_state::run),

@@ -10,7 +10,6 @@
 //! | Bakery / Peterson / tournament / `GT_f`, ordering objects | [`simlocks`] | §3, §4 |
 //! | Command-stack encoder/decoder, bit codec, invariants | [`lowerbound`] | §5 |
 //! | Exhaustive model checker, fence-elision search | [`modelcheck`] | §1/§3 separation |
-//! | Real-atomics lock family | [`hwlocks`] | §1 motivation |
 //!
 //! The [`analysis`] module ties measurements back to the theorems: the
 //! per-passage tradeoff `f·(log(r/f)+1) ∈ Ω(log n)` (equation (1)), its
@@ -39,7 +38,6 @@ pub mod analysis;
 
 pub use fencevm;
 pub use ftobs;
-pub use hwlocks;
 pub use lowerbound;
 pub use modelcheck;
 pub use simlocks;
@@ -50,9 +48,6 @@ pub mod prelude {
     pub use crate::analysis::{
         contended_passage, n_log_n, normalized_tradeoff, predicted_gt_fences, predicted_gt_rmrs,
         scaling_exponent, solo_passage, solo_rmr_exponent, theorem_lhs, tradeoff_lhs, PassageCost,
-    };
-    pub use hwlocks::{
-        CountingLock, HwBakery, HwGt, HwMcs, HwPeterson, HwTournament, HwTtas, RawLock,
     };
     pub use lowerbound::{
         decode, encode_permutation, proof_machine, recover_permutation, DecodeOptions,

@@ -130,23 +130,53 @@ mod tests {
         }
     }
 
+    /// Store buffering: process `i` writes 1 to register `i`, fences if
+    /// `fenced`, then reads the other process's register and returns it.
+    fn store_buffering(fenced: bool) -> simlocks::OrderingInstance {
+        use std::sync::Arc;
+        let mut alloc = simlocks::RegAlloc::new();
+        let regs = [alloc.alloc(None), alloc.alloc(None)];
+        let mk = |who: usize| {
+            let mut asm = fencevm::Asm::new(format!("sb{who}"));
+            let seen = asm.local("seen");
+            asm.write(i64::from(regs[who].0), 1);
+            if fenced {
+                asm.fence();
+            }
+            asm.read(i64::from(regs[1 - who].0), seen);
+            asm.ret(seen);
+            Arc::new(asm.assemble())
+        };
+        simlocks::OrderingInstance {
+            name: "store-buffering".into(),
+            n: 2,
+            programs: vec![mk(0), mk(1)],
+            layout: alloc.into_layout(),
+            fence_sites: 0,
+        }
+    }
+
     #[test]
-    fn fenceless_writes_add_strictly_more_outcomes_under_buffering() {
-        // Two racing unfenced writers to one register: under SC the final
-        // value is decided by step order alone; under PSO commit order is a
-        // second independent choice. The nesting still holds, and here the
-        // inclusion SC ⊆ PSO is witnessed strict... actually both orders
-        // are already reachable under SC; assert nesting plus nonemptiness.
-        let inst = racing_writers(0);
+    fn unfenced_store_buffering_reads_zero_twice_only_under_buffering() {
+        // Each read may overtake its own process's buffered write under TSO
+        // and PSO, so both reads can miss the other write: SC ⊊ TSO ⊆ PSO.
+        let inst = store_buffering(false);
         let sc = outcomes_for(&inst, MemoryModel::Sc);
+        let tso = outcomes_for(&inst, MemoryModel::Tso);
         let pso = outcomes_for(&inst, MemoryModel::Pso);
-        assert!(sc.is_subset(&pso));
-        // Both final values are reachable in both models.
-        let finals: BTreeSet<u64> = pso
-            .iter()
-            .map(|(mem, _)| mem.first().expect("r0 written").1)
-            .collect();
-        assert_eq!(finals, BTreeSet::from([10, 11]));
+        let both_missed = |set: &BTreeSet<Outcome>| set.iter().any(|(_, rets)| rets == &[0, 0]);
+        assert!(!both_missed(&sc), "SC forbids (0, 0)");
+        assert!(both_missed(&tso), "TSO allows (0, 0)");
+        assert!(both_missed(&pso), "PSO allows (0, 0)");
+        assert!(sc.is_subset(&tso) && sc != tso, "SC ⊊ TSO");
+        assert!(tso.is_subset(&pso));
+
+        // A fence between the write and the read collapses the hierarchy.
+        let inst = store_buffering(true);
+        let sc = outcomes_for(&inst, MemoryModel::Sc);
+        assert_eq!(sc, outcomes_for(&inst, MemoryModel::Tso));
+        assert_eq!(sc, outcomes_for(&inst, MemoryModel::Pso));
+        assert!(!both_missed(&sc));
     }
 
     #[test]

@@ -50,9 +50,12 @@ stage "benchmark/ package builds and its smoke test passes (bench_probe calls wb
 
 # Pinned by exclusion: every table under results/ but the timing list of
 # EXPERIMENTS.md.
-stage "exp --fast all: E1–E12 regenerate every pinned table under results/ byte-for-byte; E14 (one round, writes nothing), E15, E16 (n = 2 only: fails on a row that differs from results/e16_synthesis.txt in any cell — iterations, cores, states, seeded/full checks, placement — or a minimisation that used no witness) and E17 (the traced runs' span forest) pass their own checks" \
+stage "exp --fast all: E1–E12 regenerate every pinned table under results/ byte-for-byte and write no table that is not committed; E14 (one round, writes nothing), E15, E16 (n = 2 only: fails on a row that differs from results/e16_synthesis.txt in any cell — iterations, cores, states, seeded/full checks, placement — or a minimisation that used no witness) and E17 (the traced runs' span forest) pass their own checks" \
     bash -c 'cargo run --release -p ft-bench -- --fast all > /dev/null || exit 1
-        git diff --exit-code -- results ":!results/e15_resume.txt" ":!results/manifest.txt" ":!results/obs"'
+        pinned=(results ":!results/e15_resume.txt" ":!results/manifest.txt" ":!results/obs")
+        git diff --exit-code -- "${pinned[@]}" || exit 1
+        stray=$(git status --porcelain --untracked-files=all -- "${pinned[@]}")
+        [ -z "$stray" ] || { echo "not committed:"; echo "$stray"; exit 1; }'
 
 stage "exp obs-trace results/obs/e17_trace.jsonl (the span stream E17 just wrote: forest validation, Chrome trace export to results/obs/trace.json)" \
     bash -c "cargo run --release -p ft-bench -- obs-trace results/obs/e17_trace.jsonl > /dev/null"
