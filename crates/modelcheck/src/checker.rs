@@ -923,7 +923,6 @@ fn count_step<P: Process>(
     tally.add(Metric::SwapOps, after.swap_ops - before.swap_ops);
     let steps = ProcSteps {
         fences: after.fences - before.fences,
-        rmrs: after.rmrs - before.rmrs,
         crashes,
     };
     tally.proc_steps(i, steps);
@@ -1218,7 +1217,9 @@ fn check_clone_dfs<P: Process>(
         tally.incr(Metric::TerminalStates);
     }
     let root_choices = initial.choices();
-    stack.push((initial.clone(), root_id, root_choices));
+    let mut root = initial.clone();
+    root.forget_locality();
+    stack.push((root, root_id, root_choices));
 
     let mut iters = 0usize;
     while let Some((m, id, mut choices)) = stack.pop() {
@@ -1956,18 +1957,18 @@ mod tests {
             let (snap, total) = (rec.snapshot(), m.counters().total());
             let tallied = [
                 Metric::Reads, Metric::BufferReads, Metric::Writes, Metric::Commits,
-                Metric::Fences, Metric::Rmrs, Metric::CasOps, Metric::SwapOps, Metric::Crashes,
+                Metric::Fences, Metric::CasOps, Metric::SwapOps, Metric::Crashes,
             ].map(|metric| snap.get(metric));
             let counted = [
                 total.reads, total.buffer_reads, total.writes, total.commits,
-                total.fences, total.rmrs, total.cas_ops, total.swap_ops, total.crashes,
+                total.fences, total.cas_ops, total.swap_ops, total.crashes,
             ];
             prop_assert_eq!(tallied, counted);
             prop_assert_eq!(snap.buffer_depth.total(), total.writes);
             prop_assert_eq!(snap.get(Metric::Returns), m.nb_final());
             for (p, c) in m.counters().iter().enumerate() {
                 let steps = snap.per_proc[p];
-                prop_assert_eq!((steps.fences, steps.rmrs, steps.crashes), (c.fences, c.rmrs, c.crashes));
+                prop_assert_eq!((steps.fences, steps.crashes), (c.fences, c.crashes));
             }
         }
 

@@ -307,7 +307,9 @@ pub(crate) struct Dfs<'a, P: Process, R: Reduction<P, N>, N> {
 impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
     /// Re-materialize `task` — its state named by `node` — on a clone of
     /// `initial` by replaying its path — outside [`step_counted`], so
-    /// replays never reach the step metrics. The replayed ancestors
+    /// replays never reach the step metrics. The clone forgets its
+    /// locality tracker ([`Machine::forget_locality`]): a walk computes
+    /// states, not what one execution through them costs. The replayed ancestors
     /// re-seed the reduction's on-stack set, so the cycle proviso fires
     /// for a thief exactly where it would have for the donor. A path that
     /// fails to replay is a logic error (the coordinator catches the
@@ -320,6 +322,7 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
         obs: &Recorder,
     ) -> Self {
         let mut m = initial.clone();
+        m.forget_locality();
         let mut scratch = Vec::new();
         red.begin_task();
         for e in &task.path {

@@ -4,7 +4,7 @@
 //! Everything a checking run can tell you flows through one [`Recorder`]:
 //!
 //! - **Counters** (states, transitions, per-class machine steps — fences
-//!   β(E), RMRs ρ(E), crashes — sleep-set hits, ample fallbacks, …),
+//!   β(E), commits, crashes — sleep-set hits, ample fallbacks, …),
 //!   batched per walk in a [`Tally`] so no exploration step touches
 //!   shared memory to count;
 //! - **Histograms** (write-buffer depth, DFS depth) with log-scale

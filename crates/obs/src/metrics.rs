@@ -27,11 +27,10 @@ pub const HIST_BUCKETS: usize = 32;
 /// [`Metric::DETERMINISTIC_END`] is engine-independent (a pure function of
 /// the executed step multiset) and participates in snapshot equality;
 /// everything at or after it is traversal- or timing-dependent and is
-/// excluded, again mirroring how `Stats` equality ignores `elapsed`. One
-/// exception inside the deterministic range: [`Metric::Rmrs`] is zeroed in
-/// the equality projection, because an access's remote-ness consults the
-/// locality tracker's caches, which live outside the machine's hashed
-/// state — see [`MetricsSnapshot::deterministic_key`].
+/// excluded, again mirroring how `Stats` equality ignores `elapsed`. No
+/// RMR count is kept: the machine a search walks classifies no access as
+/// remote, because ρ is the cost of one execution, not a property of a
+/// state space.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Metric {
@@ -56,8 +55,6 @@ pub enum Metric {
     Commits,
     /// Fence instructions retired — the paper's β(E).
     Fences,
-    /// Remote memory references — the paper's ρ(E).
-    Rmrs,
     /// Compare-and-swap operations.
     CasOps,
     /// Swap (fetch-and-store) operations.
@@ -132,7 +129,6 @@ pub const METRICS: [Metric; Metric::COUNT] = [
     Metric::Writes,
     Metric::Commits,
     Metric::Fences,
-    Metric::Rmrs,
     Metric::CasOps,
     Metric::SwapOps,
     Metric::Crashes,
@@ -182,7 +178,6 @@ impl Metric {
             Metric::Writes => "writes",
             Metric::Commits => "commits",
             Metric::Fences => "fences",
-            Metric::Rmrs => "rmrs",
             Metric::CasOps => "cas_ops",
             Metric::SwapOps => "swap_ops",
             Metric::Crashes => "crashes",
@@ -302,13 +297,11 @@ impl HistSnapshot {
 }
 
 /// Per-process deterministic step counts: the paper's per-process fence
-/// count β_p(E), RMR count ρ_p(E), and injected crash count.
+/// count β_p(E) and the injected crash count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ProcSteps {
     /// Fence instructions retired by this process.
     pub fences: u64,
-    /// Remote memory references charged to this process.
-    pub rmrs: u64,
     /// Crash faults injected into this process.
     pub crashes: u64,
 }
@@ -316,12 +309,11 @@ pub struct ProcSteps {
 impl ProcSteps {
     pub(crate) fn merge(&mut self, other: &ProcSteps) {
         self.fences += other.fences;
-        self.rmrs += other.rmrs;
         self.crashes += other.crashes;
     }
 
     fn is_zero(&self) -> bool {
-        self.fences == 0 && self.rmrs == 0 && self.crashes == 0
+        self.fences == 0 && self.crashes == 0
     }
 }
 
@@ -336,7 +328,7 @@ impl ProcSteps {
 pub struct MetricsSnapshot {
     /// Counter values indexed by `Metric as usize`.
     pub counters: [u64; Metric::COUNT],
-    /// Per-process fence/RMR/crash counts (processes ≥ [`MAX_PROCS`] fold
+    /// Per-process fence/crash counts (processes ≥ [`MAX_PROCS`] fold
     /// into the last slot).
     pub per_proc: [ProcSteps; MAX_PROCS],
     /// Write-buffer depth observed at each buffered write.
@@ -418,15 +410,6 @@ impl MetricsSnapshot {
     /// [`Metric::DETERMINISTIC_END`], per-process steps, and the
     /// write-buffer depth histogram. Exposed so tests can state exactly
     /// what "bit-identical across engines" means.
-    ///
-    /// RMR counts (total and per-process) are zeroed in the projection:
-    /// whether an access is *remote* consults the locality tracker's
-    /// caches, which are deliberately outside the machine's hashed state,
-    /// so an edge's classification depends on the traversal history that
-    /// reached it. The sequential engines share one DFS order and agree
-    /// exactly; the parallel sweep's workers do not, by a handful of
-    /// accesses. RMRs are therefore reported faithfully but excluded from
-    /// the cross-engine determinism contract.
     #[must_use]
     pub fn deterministic_key(
         &self,
@@ -437,12 +420,7 @@ impl MetricsSnapshot {
     ) {
         let mut det = [0u64; Metric::DETERMINISTIC_END];
         det.copy_from_slice(&self.counters[..Metric::DETERMINISTIC_END]);
-        det[Metric::Rmrs as usize] = 0;
-        let mut per_proc = self.per_proc;
-        for p in &mut per_proc {
-            p.rmrs = 0;
-        }
-        (det, per_proc, self.buffer_depth)
+        (det, self.per_proc, self.buffer_depth)
     }
 
     /// Render the snapshot as flat JSONL fields (zero-valued per-process
@@ -460,7 +438,6 @@ impl MetricsSnapshot {
         for (p, steps) in self.per_proc.iter().enumerate() {
             if !steps.is_zero() {
                 out.push((format!("p{p}_fences"), J::U(steps.fences)));
-                out.push((format!("p{p}_rmrs"), J::U(steps.rmrs)));
                 if steps.crashes > 0 {
                     out.push((format!("p{p}_crashes"), J::U(steps.crashes)));
                 }

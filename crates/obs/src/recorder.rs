@@ -553,7 +553,7 @@ impl Recorder {
 ///
 /// An exploration counts every edge it walks — states, transitions,
 /// dedup hits, undos, the sleep and ample decisions of a reduction, and
-/// the machine step itself (reads, writes, fences β(E), RMRs ρ(E), …,
+/// the machine step itself (reads, writes, fences β(E), crashes, …,
 /// classified by `modelcheck` from what the step added to
 /// `wbmem::Counters`). None of that may cost an atomic or a lock per
 /// edge, so each walk — each task of each parallel worker — owns one
@@ -569,8 +569,11 @@ pub struct Tally {
 
 impl Tally {
     /// Whether the counts go anywhere. Callers skip work that only
-    /// exists to be counted (reading a step's counters back) when not;
-    /// the mutators themselves are unconditional plain additions.
+    /// exists to be counted (reading a step's counters and pc back) when
+    /// not; the mutators themselves are unconditional plain additions.
+    /// Whether a tally is live changes nothing in the walk itself: the
+    /// machine steps, and classifies (or, forgetful, does not classify)
+    /// its accesses, the same either way.
     #[inline]
     #[must_use]
     pub fn is_live(&self) -> bool {
@@ -603,7 +606,6 @@ impl Tally {
     #[inline]
     pub fn proc_steps(&mut self, proc: usize, steps: ProcSteps) {
         self.add(Metric::Fences, steps.fences);
-        self.add(Metric::Rmrs, steps.rmrs);
         self.add(Metric::Crashes, steps.crashes);
         self.counts.totals.per_proc[proc.min(MAX_PROCS - 1)].merge(&steps);
     }
@@ -650,11 +652,9 @@ mod tests {
 
     const NONE: ProcSteps = ProcSteps {
         fences: 0,
-        rmrs: 0,
         crashes: 0,
     };
     const FENCE: ProcSteps = ProcSteps { fences: 1, ..NONE };
-    const RMR: ProcSteps = ProcSteps { rmrs: 1, ..NONE };
 
     #[test]
     fn disabled_recorder_records_nothing() {
@@ -678,14 +678,12 @@ mod tests {
         let r = quiet();
         let mut t = r.tally();
         assert!(t.is_live());
-        // p0: a buffered read; p1: a remote read.
+        // p0: a buffered read; p1: a read from memory.
         t.add(Metric::Reads, 2);
         t.incr(Metric::BufferReads);
-        t.proc_steps(1, RMR);
-        // p1 writes into a buffer now 3 deep; p0 commits remotely.
+        // p1 writes into a buffer now 3 deep; p0 commits.
         t.on_write(3);
         t.incr(Metric::Commits);
-        t.proc_steps(0, RMR);
         // p0 fences and is left at pc 7; p1 crashes.
         t.proc_steps(0, FENCE);
         t.hot_pc(0, 7, 1);
@@ -699,10 +697,7 @@ mod tests {
         assert_eq!(s.get(Metric::Commits), 1);
         assert_eq!(s.get(Metric::Fences), 1);
         assert_eq!(s.get(Metric::Crashes), 1);
-        assert_eq!(s.get(Metric::Rmrs), 2);
         assert_eq!(s.per_proc[0].fences, 1);
-        assert_eq!(s.per_proc[0].rmrs, 1);
-        assert_eq!(s.per_proc[1].rmrs, 1);
         assert_eq!(s.per_proc[1].crashes, 1);
         assert_eq!(s.gauge(Gauge::MaxBufferDepth), 3);
         assert_eq!(s.buffer_depth.total(), 1);

@@ -267,7 +267,7 @@ const RESILIENCE_COLS: [&str; 4] = [
 /// Fence-synthesis counters likewise get their own table.
 const SYNTH_COLS: [&str; 3] = ["synth_iterations", "fences_inserted", "core_size"];
 
-/// `p0_fences` / `p12_rmrs` / `p3_crashes` — per-process breakdowns of
+/// `p0_fences` / `p3_crashes` — per-process breakdowns of
 /// totals the table already shows.
 fn is_per_proc(key: &str) -> bool {
     key.strip_prefix('p')
@@ -305,7 +305,6 @@ pub fn render_report(title: &str, lines: &[String]) -> String {
             "states",
             "transitions",
             "fences",
-            "rmrs",
             "crashes",
             "sleep_hits",
             "dedup_hits",
@@ -555,8 +554,8 @@ mod tests {
     #[test]
     fn report_renders_engine_table() {
         let lines = vec![
-            r#"{"t_ms":1,"kind":"snapshot","workload":"peterson2_pso","engine":"undo","states":10,"transitions":20,"fences":4,"rmrs":8,"crashes":0,"sleep_hits":0,"dedup_hits":5,"max_frontier":3}"#.to_string(),
-            r#"{"t_ms":2,"kind":"snapshot","workload":"peterson2_pso","engine":"dpor","states":7,"transitions":12,"fences":4,"rmrs":6,"crashes":0,"sleep_hits":3,"dedup_hits":2,"max_frontier":3,"hot_pcs":"p0@7:wait=9;p1@2=5"}"#.to_string(),
+            r#"{"t_ms":1,"kind":"snapshot","workload":"peterson2_pso","engine":"undo","states":10,"transitions":20,"fences":4,"crashes":0,"sleep_hits":0,"dedup_hits":5,"max_frontier":3}"#.to_string(),
+            r#"{"t_ms":2,"kind":"snapshot","workload":"peterson2_pso","engine":"dpor","states":7,"transitions":12,"fences":4,"crashes":0,"sleep_hits":3,"dedup_hits":2,"max_frontier":3,"hot_pcs":"p0@7:wait=9;p1@2=5"}"#.to_string(),
             r#"{"t_ms":3,"kind":"heartbeat","workload":"peterson2_pso","engine":"undo","states":5,"states_per_sec":123.000}"#.to_string(),
             "garbage".to_string(),
         ];
@@ -644,8 +643,8 @@ mod tests {
     #[test]
     fn report_renders_unknown_counters_as_extra_columns() {
         let lines = vec![
-            r#"{"t_ms":1,"kind":"snapshot","workload":"filter3_pso","engine":"dpor","states":50,"transitions":90,"fences":4,"rmrs":8,"crashes":0,"sleep_hits":9,"dedup_hits":5,"max_frontier":3}"#.to_string(),
-            r#"{"t_ms":2,"kind":"snapshot","workload":"filter3_pso","engine":"pardpor","states":50,"transitions":95,"fences":4,"rmrs":8,"crashes":0,"sleep_hits":9,"dedup_hits":5,"max_frontier":3,"fork_published":6,"fork_stolen":7,"fp_contention":2,"p0_fences":1,"buffer_depth_hist":"3@0"}"#.to_string(),
+            r#"{"t_ms":1,"kind":"snapshot","workload":"filter3_pso","engine":"dpor","states":50,"transitions":90,"fences":4,"crashes":0,"sleep_hits":9,"dedup_hits":5,"max_frontier":3}"#.to_string(),
+            r#"{"t_ms":2,"kind":"snapshot","workload":"filter3_pso","engine":"pardpor","states":50,"transitions":95,"fences":4,"crashes":0,"sleep_hits":9,"dedup_hits":5,"max_frontier":3,"fork_published":6,"fork_stolen":7,"fp_contention":2,"p0_fences":1,"buffer_depth_hist":"3@0"}"#.to_string(),
         ];
         let r = render_report("Test", &lines);
         // The steal/contention counters appear as (sorted) trailing
@@ -654,11 +653,9 @@ mod tests {
             r.contains("| fork_published | fork_stolen | fp_contention |"),
             "new counters become columns: {r}"
         );
-        assert!(
-            r.contains("| filter3_pso | pardpor | 50 | 95 | 4 | 8 | 0 | 9 | 5 | 3 | 6 | 7 | 2 |")
-        );
+        assert!(r.contains("| filter3_pso | pardpor | 50 | 95 | 4 | 0 | 9 | 5 | 3 | 6 | 7 | 2 |"));
         // …rows without them render zeros…
-        assert!(r.contains("| filter3_pso | dpor | 50 | 90 | 4 | 8 | 0 | 9 | 5 | 3 | 0 | 0 | 0 |"));
+        assert!(r.contains("| filter3_pso | dpor | 50 | 90 | 4 | 0 | 9 | 5 | 3 | 0 | 0 | 0 |"));
         // …and structural / per-proc keys stay out of the table.
         assert!(!r.contains("| p0_fences"), "per-proc keys excluded: {r}");
         assert!(
@@ -677,9 +674,9 @@ mod tests {
         // `cas_ops` moved in one row, so it is a column (zero in the
         // other); `swap_ops` and `heartbeats` moved in none.
         assert!(r.contains("| max_frontier | cas_ops |\n"), "{r}");
-        assert!(r.contains("| ttas2_pso | dpor | 86 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 0 |"));
-        assert!(r.contains("| ttas2_pso | undo | 86 | 0 | 0 | 0 | 0 | 0 | 0 | 0 | 18 |"));
-        // The eight leading columns are the table's fixed layout.
+        assert!(r.contains("| ttas2_pso | dpor | 86 | 0 | 0 | 0 | 0 | 0 | 0 | 0 |\n"));
+        assert!(r.contains("| ttas2_pso | undo | 86 | 0 | 0 | 0 | 0 | 0 | 0 | 18 |\n"));
+        // The seven leading columns are the table's fixed layout.
         assert!(r.contains("| crashes |"), "{r}");
     }
 
@@ -694,6 +691,6 @@ mod tests {
         // extra one — so it is a row of the Synthesis table only.
         assert!(!r.contains("| bakery2 | cegar | 0 |"), "{r}");
         assert!(r.contains("| bakery2 | cegar | 5 | 5 | 5 |"), "{r}");
-        assert!(r.contains("| bakery2 | dpor | 395 | 0 | 0 | 0 | 0 | 0 | 0 | 0 |"));
+        assert!(r.contains("| bakery2 | dpor | 395 | 0 | 0 | 0 | 0 | 0 | 0 |\n"));
     }
 }

@@ -8,9 +8,9 @@
 use ftobs::{Gauge, Metric, MetricsSnapshot, ProcSteps, Recorder, Tally, HIST_BUCKETS, MAX_PROCS};
 use proptest::prelude::*;
 
-/// Flat slot count of one snapshot (counters + per-proc triples + two
+/// Flat slot count of one snapshot (counters + per-proc pairs + two
 /// histograms + gauges).
-const SLOTS: usize = Metric::COUNT + MAX_PROCS * 3 + 2 * HIST_BUCKETS + Gauge::COUNT;
+const SLOTS: usize = Metric::COUNT + MAX_PROCS * 2 + 2 * HIST_BUCKETS + Gauge::COUNT;
 
 fn snapshot_from_slots(slots: &[u64]) -> MetricsSnapshot {
     assert_eq!(slots.len(), SLOTS);
@@ -22,7 +22,6 @@ fn snapshot_from_slots(slots: &[u64]) -> MetricsSnapshot {
     for p in &mut s.per_proc {
         *p = ProcSteps {
             fences: it.next().unwrap(),
-            rmrs: it.next().unwrap(),
             crashes: it.next().unwrap(),
         };
     }
@@ -48,7 +47,7 @@ fn all_slots(s: &MetricsSnapshot) -> Vec<u64> {
     let mut out = Vec::with_capacity(SLOTS);
     out.extend_from_slice(&s.counters);
     for p in &s.per_proc {
-        out.extend_from_slice(&[p.fences, p.rmrs, p.crashes]);
+        out.extend_from_slice(&[p.fences, p.crashes]);
     }
     out.extend_from_slice(&s.buffer_depth.buckets);
     out.extend_from_slice(&s.frame_depth.buckets);
@@ -102,8 +101,8 @@ proptest! {
             match tag {
                 0 => t.add(Metric::Reads, depth),
                 1 => t.on_write(depth),
-                2 => t.proc_steps(p, ProcSteps { fences: 1, rmrs: depth % 2, crashes: 0 }),
-                3 => t.proc_steps(p, ProcSteps { fences: 0, rmrs: depth % 3, crashes: 1 }),
+                2 => t.proc_steps(p, ProcSteps { fences: 1 + depth % 2, crashes: 0 }),
+                3 => t.proc_steps(p, ProcSteps { fences: depth % 3, crashes: 1 }),
                 4 => t.incr(Metric::Transitions),
                 5 => t.on_state(depth),
                 _ => {}
@@ -144,18 +143,14 @@ proptest! {
     }
 
     /// The equality projection ignores exactly the traversal-dependent
-    /// slots: two snapshots that differ only in RMRs, post-deterministic
+    /// slots: two snapshots that differ only in post-deterministic
     /// counters, frame depths, and gauges still compare equal.
     #[test]
     fn equality_ignores_nondeterministic_slots(a in arb_snapshot(), noise in 1u64..999) {
         let a = snapshot_from_slots(&a);
         let mut b = a;
-        b.counters[Metric::Rmrs as usize] += noise;
         for i in Metric::DETERMINISTIC_END..Metric::COUNT {
             b.counters[i] += noise;
-        }
-        for p in &mut b.per_proc {
-            p.rmrs += noise;
         }
         for bucket in &mut b.frame_depth.buckets {
             *bucket += noise;

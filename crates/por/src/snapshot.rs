@@ -55,8 +55,10 @@ pub const MAGIC: [u8; 6] = *b"FTCKPT";
 /// section (v2–v4 each tracked a positional counter array; v5 changed the
 /// state fingerprint function). `solo_retries` left `ftobs` without a bump:
 /// zeros are never written and nothing ever incremented it on a recorder
-/// that reaches a checkpoint, so no v6 file names it.
-pub const VERSION: u32 = 6;
+/// that reaches a checkpoint, so no v6 file names it. v7 dropped the RMR
+/// count, from the named counters and from each per-process slot, which
+/// went from (fences, RMRs, crashes) to (fences, crashes).
+pub const VERSION: u32 = 7;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -387,7 +389,6 @@ fn enc_metrics(e: &mut Enc, m: &MetricsSnapshot) {
     e.u32(m.per_proc.len() as u32);
     for p in &m.per_proc {
         e.u64(p.fences);
-        e.u64(p.rmrs);
         e.u64(p.crashes);
     }
     e.u64s(&m.buffer_depth.buckets);
@@ -420,14 +421,13 @@ fn dec_metrics(d: &mut Dec<'_>) -> Result<MetricsSnapshot, SnapshotError> {
         }
         *slot = value;
     }
-    let np = d.count(24)?;
+    let np = d.count(16)?;
     if np != MAX_PROCS {
         return Err(SnapshotError::Corrupt("per-proc slot count"));
     }
     for p in &mut m.per_proc {
         *p = ProcSteps {
             fences: d.u64()?,
-            rmrs: d.u64()?,
             crashes: d.u64()?,
         };
     }
@@ -849,9 +849,10 @@ mod tests {
     fn a_version_4_file_is_refused_even_when_otherwise_valid() {
         // The header sits outside the checksummed payload, so restamping
         // the version leaves a file that passes every other check. v5 is
-        // the positional-metrics format the previous release wrote: it
-        // must be named as a version mismatch, not decoded into `Corrupt`.
-        for old in [4u32, 5] {
+        // the positional-metrics format, v6 the one whose per-process
+        // slots held an RMR count: each must be named as a version
+        // mismatch, not decoded into `Corrupt`.
+        for old in [4u32, 5, 6] {
             let mut bytes = sample().to_bytes();
             assert_eq!(bytes[MAGIC.len()..MAGIC.len() + 4], VERSION.to_le_bytes());
             bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&old.to_le_bytes());

@@ -1,8 +1,9 @@
 //! The shared-memory machine: configurations, the step rule, and accounting.
 //!
 //! This module holds the machine's state — shared memory indexed by
-//! register, one slot per process, the locality tracker, counters,
-//! trace — its accessors, and the state fingerprint. The rest of
+//! register, one slot per process, the locality tracker (unless the
+//! machine forgot it), counters, trace — its accessors, and the state
+//! fingerprint. The rest of
 //! [`Machine`] lives in the submodules:
 //!
 //! * `step` — the step rule: what a schedule element does here, and
@@ -218,7 +219,9 @@ impl SoloOutcome {
 /// A snapshot of the behaviourally relevant machine state (shared memory,
 /// buffers, process states, return flags) — everything that determines
 /// future behaviour, and nothing that doesn't (no counters, no caches, no
-/// trace). Used as the visited-set key by the model checker.
+/// trace). Two configurations are the same state exactly when their keys
+/// are equal; searches key their visited sets by the
+/// [`fingerprint`](Machine::fingerprint) of the same state instead.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct StateKey<P: Process> {
     mem: Vec<(RegId, Value)>,
@@ -253,7 +256,8 @@ pub struct Machine<P: Process> {
     config: MachineConfig,
     mem: RegMap<Value>,
     procs: Vec<ProcSlot<P>>,
-    locality: LocalityTracker,
+    /// `None` once [`forget_locality`](Self::forget_locality) dropped it.
+    locality: Option<LocalityTracker>,
     counters: Counters,
     trace: Trace,
     next_nonce: u64,
@@ -285,7 +289,7 @@ impl<P: Process> Machine<P> {
                     fp: 0,
                 })
                 .collect(),
-            locality: LocalityTracker::new(n),
+            locality: Some(LocalityTracker::new(n)),
             counters: Counters::new(n),
             trace: Trace::new(),
             next_nonce: 0,
@@ -419,10 +423,23 @@ impl<P: Process> Machine<P> {
         &self.trace
     }
 
-    /// The locality tracker (caches and commit ownership).
+    /// The locality tracker (caches and commit ownership), unless the
+    /// machine [forgot](Self::forget_locality) it.
     #[must_use]
-    pub fn locality(&self) -> &LocalityTracker {
-        &self.locality
+    pub fn locality(&self) -> Option<&LocalityTracker> {
+        self.locality.as_ref()
+    }
+
+    /// Stop classifying steps as local or remote, for good: drop the
+    /// locality tracker. From here on no read or store probes a cache or
+    /// moves commit ownership, and every read, commit, CAS and swap counts
+    /// as local — the counters still count every operation, but no
+    /// `remote_*` counter or ρ rises again. The state, its fingerprint and
+    /// the enabled choices are those of a machine that kept the tracker;
+    /// clones inherit the absence. A search, which explores states rather
+    /// than one execution's cost, calls this on the machine it walks.
+    pub fn forget_locality(&mut self) {
+        self.locality = None;
     }
 
     /// Stream the behaviourally relevant state (exactly what

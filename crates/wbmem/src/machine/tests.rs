@@ -621,11 +621,17 @@ fn solo_outcome_handles_cas() {
 /// behavioural state, but accounting, locality, trace, and nonces.
 pub(super) fn full_snapshot(
     m: &Machine<Script>,
-) -> (StateKey<Script>, Counters, LocalityTracker, Vec<Event>, u64) {
+) -> (
+    StateKey<Script>,
+    Counters,
+    Option<LocalityTracker>,
+    Vec<Event>,
+    u64,
+) {
     (
         m.state_key(),
         m.counters().clone(),
-        m.locality().clone(),
+        m.locality().cloned(),
         m.trace().events().to_vec(),
         m.next_nonce,
     )

@@ -25,9 +25,9 @@ use crate::value::Value;
 /// [`Machine::undo`] to reverse the step.
 ///
 /// The step's pre-images — its mutation footprint is small: one process's
-/// program and buffer, at most one shared-memory cell, at most one
-/// commit-ownership entry, at most two cache entries, one process's
-/// counters — are not in the token: the machine keeps them on its own
+/// program and buffer, at most one shared-memory cell, one process's
+/// counters, and on a machine that keeps its locality tracker at most one
+/// commit-ownership entry and two cache entries — are not in the token: the machine keeps them on its own
 /// undo trail, and the token only marks where the step's record sits
 /// there. Recording and reversing a step is O(footprint), not O(machine),
 /// which is what makes depth-first search backtrack by undoing instead of
@@ -195,8 +195,8 @@ impl<P: Process> Machine<P> {
     /// Like [`step`](Self::step), but also records on the machine's undo
     /// trail what the step overwrote, and returns the [`UndoToken`] that
     /// [`undo`](Self::undo) accepts to restore the pre-step machine —
-    /// counters, caches, ownership, and trace included — in O(footprint)
-    /// time. A `NoOp` step yields a trivial (but still valid) token.
+    /// counters, trace, and any caches and ownership the locality tracker
+    /// keeps included — in O(footprint) time. A `NoOp` step yields a trivial (but still valid) token.
     pub fn step_recorded(&mut self, elem: SchedElem) -> (StepOutcome, UndoToken<P>) {
         let action = self.resolve(elem);
         let kind = self.footprint_of(elem.proc, action);
@@ -280,8 +280,16 @@ impl<P: Process> Machine<P> {
                 PreImage::Mem(reg, old) => {
                     self.mem.set(reg, old);
                 }
-                PreImage::Committer(reg, old) => self.locality.set_last_committer(reg, old),
-                PreImage::Cache(reg, value) => self.locality.unobserve(p, reg, value),
+                PreImage::Committer(reg, old) => {
+                    if let Some(locality) = &mut self.locality {
+                        locality.set_last_committer(reg, old);
+                    }
+                }
+                PreImage::Cache(reg, value) => {
+                    if let Some(locality) = &mut self.locality {
+                        locality.unobserve(p, reg, value);
+                    }
+                }
                 PreImage::Buffer(undo) => self.procs[i].buffer.apply_undo(undo),
                 PreImage::Crash(crash) => {
                     self.procs[i].buffer = crash.buffer;
@@ -357,9 +365,12 @@ impl<P: Process> Machine<P> {
     }
 
     /// Note in `p`'s cache that it observed `value` at `reg`; returns
-    /// whether the entry is new.
+    /// whether the entry is new (never, without a locality tracker).
     pub(super) fn observe<const REC: bool>(&mut self, p: ProcId, reg: RegId, value: Value) -> bool {
-        let fresh = self.locality.observe(p, reg, value);
+        let Some(locality) = &mut self.locality else {
+            return false;
+        };
+        let fresh = locality.observe(p, reg, value);
         if fresh && REC {
             self.trail.pre.push(PreImage::Cache(reg, value));
         }
@@ -368,7 +379,8 @@ impl<P: Process> Machine<P> {
 
     /// [`observe`](Self::observe) for a value `p` read: returns whether
     /// the read was local — the tracker's `read_is_local`, asked of the
-    /// cache with the one lookup that also updates it.
+    /// cache with the one lookup that also updates it (always local,
+    /// without a tracker).
     pub(super) fn observe_read<const REC: bool>(
         &mut self,
         p: ProcId,
@@ -379,7 +391,8 @@ impl<P: Process> Machine<P> {
     }
 
     /// Store `value` in shared memory on `p`'s behalf: the cell and its
-    /// ownership change hands. Returns whether the store was local to `p`.
+    /// ownership change hands. Returns whether the store was local to `p`
+    /// (always, without a locality tracker).
     pub(super) fn store<const REC: bool>(
         &mut self,
         p: ProcId,
@@ -387,15 +400,18 @@ impl<P: Process> Machine<P> {
         value: Value,
         acc: &mut StepAcc,
     ) -> bool {
-        let local = self.locality.commit_is_local(&self.config.layout, p, reg);
         let old = self.mem.set(reg, Some(value));
-        let owner = self.locality.record_commit(p, reg);
         if REC {
             self.trail.pre.push(PreImage::Mem(reg, old));
             acc.fp_delta ^= entry_fp(FP_MEM, reg, old) ^ entry_fp(FP_MEM, reg, Some(value));
-            if owner != Some(p) {
-                self.trail.pre.push(PreImage::Committer(reg, owner));
-            }
+        }
+        let Some(locality) = &mut self.locality else {
+            return true;
+        };
+        let local = locality.commit_is_local(&self.config.layout, p, reg);
+        let owner = locality.record_commit(p, reg);
+        if REC && owner != Some(p) {
+            self.trail.pre.push(PreImage::Committer(reg, owner));
         }
         local
     }

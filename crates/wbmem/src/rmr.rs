@@ -12,8 +12,11 @@
 //!   the last process to commit a write to `R` (exclusive/dirty ownership).
 //!
 //! [`LocalityTracker`] maintains the value caches and last-committer map and
-//! answers these questions; the [`Machine`](crate::Machine) consults it on
-//! every read and commit, and on every undo of one. Each cache is a sparse
+//! answers these questions; a [`Machine`](crate::Machine) that keeps one
+//! consults it on every read and commit, and on every undo of one. A
+//! machine that [forgot](crate::Machine::forget_locality) its tracker —
+//! the machine a search walks — classifies nothing: ρ is the cost of one
+//! execution, not a property of a state space. Each cache is a sparse
 //! hash set of the pairs its process observed — memory proportional to
 //! those pairs, never to processes × registers — and ownership is indexed
 //! by register; neither hashes with `RandomState`. Each cache also keeps

@@ -1,9 +1,11 @@
 //! Property-based tests for the write-buffer machine semantics.
 
 use proptest::prelude::*;
+use wbmem::rmr::LocalityTracker;
 use wbmem::{
-    CrashSemantics, FpSet, Machine, MachineConfig, MemoryLayout, MemoryModel, Poised, ProcId,
-    Process, RegId, SchedElem, StateKey, StepOutcome, Value, WriteBuffer,
+    Counters, CrashSemantics, Event, FpSet, Machine, MachineConfig, MemoryLayout, MemoryModel,
+    Poised, ProcCounters, ProcId, Process, RegId, SchedElem, StateKey, StepOutcome, Value,
+    WriteBuffer,
 };
 
 // ---------- buffer-level properties ----------
@@ -312,5 +314,118 @@ proptest! {
         reachable(&mut m, &mut seen);
         let fps: FpSet = seen.values().copied().collect();
         prop_assert_eq!(fps.len(), seen.len());
+    }
+}
+
+// ---------- forgetting locality ----------
+
+/// The counters a machine keeps whether or not it classifies locality.
+fn counted(c: &ProcCounters) -> [u64; 8] {
+    [
+        c.fences,
+        c.reads,
+        c.buffer_reads,
+        c.writes,
+        c.commits,
+        c.cas_ops,
+        c.swap_ops,
+        c.crashes,
+    ]
+}
+
+/// The counters only a machine that classifies locality raises.
+fn remote(c: &ProcCounters) -> [u64; 5] {
+    [
+        c.rmrs,
+        c.remote_reads,
+        c.remote_commits,
+        c.remote_cas,
+        c.remote_swaps,
+    ]
+}
+
+/// Everything an undo back to a point must restore.
+type FullSnapshot = (
+    StateKey<Script>,
+    u128,
+    Counters,
+    Option<LocalityTracker>,
+    Vec<Event>,
+);
+
+fn full_snapshot(m: &Machine<Script>) -> FullSnapshot {
+    (
+        m.state_key(),
+        m.fingerprint(),
+        m.counters().clone(),
+        m.locality().cloned(),
+        m.trace().events().to_vec(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A machine that forgot its locality tracker walks the same state
+    /// space as one that kept it: driven by the same plain steps,
+    /// recorded steps, crash elements and undos, under every model and
+    /// both crash semantics, the two agree after every call on the state,
+    /// its fingerprint, the enabled choices and every counter but the
+    /// remote ones, which the forgetful machine never raises. Undoing
+    /// every recorded step restores each machine exactly, its own caches,
+    /// ownership and trace included. A plain step is taken only with no
+    /// recorded step outstanding, and moves the point the undos return to.
+    #[test]
+    fn forgetting_locality_never_changes_the_state_space(
+        scripts in prop::collection::vec(arb_rmw_script(8), 1..4),
+        config in arb_machine_config(),
+        layout in arb_layout(),
+        calls in prop::collection::vec((0u8..4, 0usize..16), 0..80),
+    ) {
+        let config = MachineConfig { layout, ..config.with_trace() };
+        let mut kept = Machine::new(config.clone(), scripts.clone());
+        let mut forgot = Machine::new(config, scripts);
+        forgot.forget_locality();
+        prop_assert!(kept.locality().is_some() && forgot.locality().is_none());
+        let mut start = (full_snapshot(&kept), full_snapshot(&forgot));
+        let mut tokens = Vec::new();
+        for (call, pick) in calls {
+            let choices = kept.choices();
+            let elem = match call {
+                2 => {
+                    if let Some((a, b)) = tokens.pop() {
+                        kept.undo(a);
+                        forgot.undo(b);
+                    }
+                    None
+                }
+                3 => Some(SchedElem::crash(ProcId::from(pick % kept.n()))),
+                _ if choices.is_empty() => None,
+                _ => Some(choices[pick % choices.len()]),
+            };
+            if let Some(elem) = elem {
+                let stepped = |out: &StepOutcome| out.event().is_some();
+                if call == 0 && tokens.is_empty() {
+                    prop_assert_eq!(stepped(&kept.step(elem)), stepped(&forgot.step(elem)));
+                    start = (full_snapshot(&kept), full_snapshot(&forgot));
+                } else {
+                    let (a, b) = (kept.step_recorded(elem), forgot.step_recorded(elem));
+                    prop_assert_eq!(stepped(&a.0), stepped(&b.0));
+                    tokens.push((a.1, b.1));
+                }
+            }
+            prop_assert_eq!(kept.state_key(), forgot.state_key());
+            prop_assert_eq!(kept.fingerprint(), forgot.fingerprint());
+            prop_assert_eq!(kept.choices(), forgot.choices());
+            for (a, b) in kept.counters().iter().zip(forgot.counters().iter()) {
+                prop_assert_eq!(counted(a), counted(b));
+                prop_assert_eq!(remote(b), [0; 5]);
+            }
+        }
+        while let Some((a, b)) = tokens.pop() {
+            kept.undo(a);
+            forgot.undo(b);
+        }
+        prop_assert_eq!((full_snapshot(&kept), full_snapshot(&forgot)), start);
     }
 }

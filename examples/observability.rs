@@ -5,8 +5,9 @@
 //! runs, program counters are labelled with the `fencevm` instruction text
 //! so the hot-pc table is readable, and afterwards the merged
 //! [`ftobs::MetricsSnapshot`] is unpacked — the same counters the engine
-//! differential suite proves bit-identical across engines, including the
-//! paper's per-execution quantities β(E) (fences) and ρ(E) (RMRs).
+//! differential suite proves bit-identical across engines, the paper's
+//! fence count β(E) among them. (ρ(E), the RMR count, is the cost of one
+//! execution, not of a search: see the `quickstart` example.)
 //!
 //! ```sh
 //! cargo run --example observability
@@ -50,14 +51,14 @@ fn main() {
         snap.gauges[Gauge::MaxFrontier as usize],
     );
     println!(
-        "β(E) fences {} · ρ(E) RMRs {} · sleep hits {} · ample applied {}",
+        "β(E) fences {} · commits {} · sleep hits {} · ample applied {}",
         snap.get(Metric::Fences),
-        snap.get(Metric::Rmrs),
+        snap.get(Metric::Commits),
         snap.get(Metric::SleepHits),
         snap.get(Metric::AmpleApplied),
     );
     for (p, steps) in snap.per_proc.iter().enumerate().take(inst.n) {
-        println!("  p{p}: fences {} rmrs {}", steps.fences, steps.rmrs);
+        println!("  p{p}: fences {}", steps.fences);
     }
 
     println!("\nwrite-buffer depth at buffered writes:");

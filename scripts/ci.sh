@@ -23,11 +23,12 @@ stage "cargo fmt --check" \
 stage "cargo clippy --all-targets -- -D warnings" \
     cargo clippy --all-targets -- -D warnings
 
-stage "layering: wbmem (the paper's Section-2 machine) and lowerbound (its Section-5 encoder) do not depend on ftobs; no crate forecasts a run's size" \
+stage "layering: wbmem (the paper's Section-2 machine) and lowerbound (its Section-5 encoder) do not depend on ftobs; no crate forecasts a run's size; the checker never reads locality" \
     bash -c 'for c in wbmem lowerbound; do
             tree=$(cargo tree -p $c --offline -e normal) && ! grep -q ftobs <<< "$tree" || exit 1
         done
-        ! grep -rqE "TreeEstimator|est_total_states|eta_ms" crates/*/src'
+        ! grep -rqE "TreeEstimator|est_total_states|eta_ms" crates/*/src || exit 1
+        ! grep -rqE "LocalityTracker|\.locality\(\)" crates/modelcheck/src'
 
 stage "cargo build --release" \
     cargo build --release
