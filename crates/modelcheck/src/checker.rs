@@ -64,10 +64,11 @@ pub enum Engine {
     /// difference *is* the reduction. See the `por` crate and `DESIGN.md`
     /// for the soundness argument.
     ///
-    /// The termination check reads every state and every edge, so under
-    /// it nothing is reduced: unbounded, the walk is [`Engine::Undo`]'s —
-    /// same states, transitions and terminal states — taken front to
-    /// back, the reduced walk's order; bounded, only the bound prunes.
+    /// The termination check reads every edge of the graph the walk
+    /// builds, so under it nothing sleeps. Unbounded, the ample sets stay
+    /// and each state is entered once: the walk keeps every all-done
+    /// state, and a stuck state whenever the machine has one (`DESIGN.md`
+    /// §5c). Bounded, only the bound prunes.
     Dpor {
         /// `Some(k)`: additionally restrict the search to schedules with
         /// at most `k` steps where a program overtakes its own pending

@@ -6,20 +6,23 @@
 //! * **Sleep sets** skip transitions whose effect was already explored on
 //!   an independent sibling branch. They prune *edges only* — every
 //!   reachable state is still visited — but the termination check reads
-//!   every edge, so **with `check_termination` on nothing is put to
-//!   sleep**. Unbounded, such a run takes every edge and is the kernel's
-//!   `NoReduction` walk, not this reduction ([`crate::kernel::sequential`]).
+//!   every edge of the graph it walks, so **with `check_termination` on
+//!   nothing is put to sleep**.
 //! * **Ample sets** skip whole subtrees by scheduling a single process
 //!   whose pending choices are invisible and independent of every other
-//!   process's future. That drops states, so the explored edge graph
-//!   under-approximates reachability and ample selection is **disabled
-//!   when `check_termination` is on**. The cycle proviso (no ample step
-//!   may close a DFS cycle without a full expansion) is enforced here.
+//!   process's future. The cycle proviso (no ample step may close a DFS
+//!   cycle without a full expansion) is enforced here. They stay on under
+//!   an unbounded termination check: the all-done states are the
+//!   machine's deadlocks, which a persistent-set walk reaches from every
+//!   state it enters, and every cycle of the walked graph holds a fully
+//!   expanded state, so the graph holds a stuck state whenever the
+//!   machine has one (DESIGN.md §5c). Such a walk enters a state exactly
+//!   on its first visit. A bounded termination check keeps them off.
 //! * **Reorder bound** (optional): prune schedules that overtake pending
-//!   buffered writes more than `k` times — under the termination check,
-//!   the only pruning left. A bounded `Ok` is a bounded claim. A safety
-//!   violation (mutex, invariant, permutation) found under a bound is a
-//!   real execution. `NO-TERMINATION` is a claim about *every*
+//!   buffered writes more than `k` times — under a bounded termination
+//!   check, the only pruning left. A bounded `Ok` is a bounded claim. A
+//!   safety violation (mutex, invariant, permutation) found under a bound
+//!   is a real execution. `NO-TERMINATION` is a claim about *every*
 //!   continuation of a state, so a bounded walk reports it only for a
 //!   state whose whole forward closure it explored: states the bound
 //!   refused an edge at count as able to finish, and so does whatever
@@ -31,7 +34,7 @@
 //!   under `Local`, the fingerprint under `Shared` — so it repeats no
 //!   lookup the frontier already made. It is never shared: a parallel
 //!   worker may re-explore a state a peer covered, which is less pruning,
-//!   never more.
+//!   never more. An unbounded termination check keeps no table.
 //!
 //! Per-frame state is three small buffers (sleep set, taken siblings,
 //! ample-excluded choices). They are recycled rather than allocated: a
@@ -51,9 +54,7 @@ use crate::kernel::{Edge, Reduction};
 /// how the frontier's nodes key the dominance table.
 pub(crate) struct SleepAmple<H: Heads> {
     model: MemoryModel,
-    /// Whether sleep and ample sets prune: the termination check needs
-    /// every state and every edge, so under it only the budget does.
-    reduce: bool,
+    mode: Mode,
     /// Reorder budget of the root state (`u32::MAX` = unbounded).
     budget: u32,
     visited: VisitTable<H>,
@@ -63,6 +64,19 @@ pub(crate) struct SleepAmple<H: Heads> {
     sleep_hits: usize,
     /// Frames that left the walk, kept for their buffers.
     spare: Vec<SleepFrame>,
+}
+
+/// What prunes a [`SleepAmple`] walk, fixed by the check it serves.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Sleep sets, ample sets and dominance: a check without termination.
+    Reduce,
+    /// Ample sets only, and each state entered exactly on its first
+    /// visit: an unbounded termination check.
+    Ample,
+    /// Dominance under the reorder budget only: a bounded termination
+    /// check.
+    Budget,
 }
 
 /// The reduction state of one DFS frame.
@@ -86,9 +100,14 @@ impl<H: Heads> SleepAmple<H> {
         config: &CheckConfig,
         reorder_bound: Option<u32>,
     ) -> Self {
+        let mode = match (config.check_termination, reorder_bound) {
+            (false, _) => Mode::Reduce,
+            (true, None) => Mode::Ample,
+            (true, Some(_)) => Mode::Budget,
+        };
         SleepAmple {
             model: initial.config().model,
-            reduce: !config.check_termination,
+            mode,
             budget: reorder_bound.unwrap_or(u32::MAX),
             visited: VisitTable::default(),
             on_stack: FpMap::default(),
@@ -99,9 +118,11 @@ impl<H: Heads> SleepAmple<H> {
 
     /// Record the root's visit in the dominance table, as the sequential
     /// engine does (a worker's table starts empty: its tasks' states were
-    /// claimed by whoever forked them).
+    /// claimed by whoever forked them). A first-visit walk keeps no table.
     pub(crate) fn claim_root(&mut self, root: H::Key) {
-        self.visited.try_claim(root, &SleepSet::new(), self.budget);
+        if self.mode != Mode::Ample {
+            self.visited.try_claim(root, &SleepSet::new(), self.budget);
+        }
     }
 
     fn sleep_hit(&mut self, tally: &mut Tally) {
@@ -190,8 +211,8 @@ impl<P: Process, H: Heads> Reduction<P, H::Key> for SleepAmple<H> {
         }
         // Sleep set for the child: surviving inherited entries, plus every
         // already-explored sibling that is independent of this step (none
-        // is kept when nothing may sleep). The child's frame is a
-        // recycled one; every field is overwritten.
+        // is kept when nothing may sleep, so the set stays empty). The
+        // child's frame is a recycled one; every field is overwritten.
         let mut child = self.spare.pop().unwrap_or_default();
         top.sleep
             .inherit_into(edge.footprint, self.model, &mut child.sleep);
@@ -200,11 +221,21 @@ impl<P: Process, H: Heads> Reduction<P, H::Key> for SleepAmple<H> {
                 child.sleep.insert(se, sf);
             }
         }
-        if self.reduce {
+        if self.mode == Mode::Reduce {
             top.taken.push((edge.elem, edge.footprint));
         }
-        if !self.visited.try_claim(edge.node, &child.sleep, edge.budget) {
-            self.sleep_hit(tally);
+        let enter = match self.mode {
+            Mode::Ample => edge.fresh,
+            Mode::Reduce | Mode::Budget => {
+                self.visited.try_claim(edge.node, &child.sleep, edge.budget)
+            }
+        };
+        if !enter {
+            if self.mode == Mode::Ample {
+                tally.incr(Metric::DedupHits);
+            } else {
+                self.sleep_hit(tally);
+            }
             self.spare.push(child);
             return None;
         }
@@ -224,7 +255,8 @@ impl<P: Process, H: Heads> Reduction<P, H::Key> for SleepAmple<H> {
         tally: &mut Tally,
     ) {
         debug_assert!(frame.excluded.is_empty(), "expanding a frame twice");
-        let decision = self.reduce.then(|| por::ample::decide(m, choices));
+        let ample = self.mode != Mode::Budget;
+        let decision = ample.then(|| por::ample::decide(m, choices));
         let slept = por::partition_into(
             choices,
             &frame.sleep,

@@ -17,10 +17,12 @@
 //!
 //! The four kernel engines are the four pairs: `Undo` = `NoReduction` ×
 //! `Local`, `Parallel` = `NoReduction` × `Shared`, `Dpor` = `SleepAmple`
-//! × `Local`, `ParallelDpor` = `SleepAmple` × `Shared`. A termination
-//! check needs every edge, so an unbounded `Dpor`/`ParallelDpor` that
-//! checks it runs the `NoReduction` walk, in the reduced walk's
-//! front-first order ([`sequential`]).
+//! × `Local`, `ParallelDpor` = `SleepAmple` × `Shared`. An unbounded
+//! `Dpor` that checks termination keeps its ample sets and drops its sleep
+//! sets ([`sequential`]); an unbounded `ParallelDpor` that checks it runs
+//! the `NoReduction` walk in the reduced walk's front-first order, since
+//! its per-task cycle proviso cannot vouch for a cycle through two
+//! workers' tasks.
 //!
 //! Every walk starts from a [`ForkPoint`] — a fresh run's is the root's
 //! expansion ([`root_fork`]) — and every open frame serializes back into
@@ -159,8 +161,8 @@ pub(crate) trait Reduction<P: Process, N> {
     ) -> Option<Self::Frame>;
     /// Append the choices to walk from `frame`'s state — `m`'s current
     /// one, with `choices` enabled — to the arena. Under the termination
-    /// check that is every choice the reorder bound admits: the graph
-    /// the check reads has no edge a reduction skipped.
+    /// check nothing is slept: the graph the check reads has no edge a
+    /// sleep set skipped.
     fn expand(
         &mut self,
         m: &Machine<P>,
@@ -178,11 +180,14 @@ pub(crate) trait Reduction<P: Process, N> {
 /// The exhaustive walk: nothing is pruned, a state is entered exactly on
 /// its first visit, and every hook but the choice copy compiles away.
 /// `LIFO` is its [order](Reduction::LIFO): the exhaustive engines take the
-/// oracle's back-first one, which keeps them bit-identical to it, and a
-/// termination-checking `Dpor` the reduced walk's front-first one. The
-/// order picks which violation a check meets first, and synthesis learns
-/// its cores from those: back-first, its loop takes up to 7× the
-/// iterations (see `ftsynth`'s `check_config`).
+/// oracle's back-first one, which keeps them bit-identical to it, and
+/// `ParallelDpor`'s unbounded termination sweep the reduced walk's
+/// front-first one.
+///
+/// Continuing a fork point that a reduced walk serialized — a resumed
+/// termination-checking `Dpor` — it explores the frame's ample-excluded
+/// choices too: the frame loses its place on the stack, and with it the
+/// cycle proviso that would have reinstated them.
 pub(crate) struct NoReduction<const LIFO: bool>;
 
 impl<P: Process, N, const LIFO: bool> Reduction<P, N> for NoReduction<LIFO> {
@@ -190,7 +195,10 @@ impl<P: Process, N, const LIFO: bool> Reduction<P, N> for NoReduction<LIFO> {
     const LIFO: bool = LIFO;
     const FOOTPRINTS: bool = false;
 
-    fn adopt(&mut self, _fp: u128, _task: &mut ForkPoint) {}
+    fn adopt(&mut self, _fp: u128, task: &mut ForkPoint) {
+        let excluded = std::mem::take(&mut task.excluded);
+        task.choices.extend(excluded);
+    }
 
     fn admit(&self, _m: &Machine<P>, _frame: &(), _elem: SchedElem) -> Option<u32> {
         Some(u32::MAX)
@@ -334,6 +342,7 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
         }
         let fp = m.fingerprint();
         red.on_stack(|| fp);
+        let frame = red.adopt(fp, &mut task);
         let mut arena = std::mem::take(&mut task.choices);
         if R::LIFO {
             arena.reverse();
@@ -344,7 +353,7 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
             lo: 0,
             hi: arena.len(),
             token: None,
-            red: red.adopt(fp, &mut task),
+            red: frame,
         };
         Dfs {
             m,
@@ -786,9 +795,10 @@ pub(crate) fn run_local<P: Process, R: Reduction<P, u32>, V: Visitor<P>>(
 /// The sequential engine of `config.engine`'s reduction, checking
 /// `config`'s properties: the diagnostic bound `Some(u32::MAX)` selects
 /// the exhaustive walk ([`Engine::Undo`](crate::Engine::Undo) itself),
-/// anything else the reduced one — except that an unbounded walk that
-/// checks termination takes every edge anyway (the check reads them
-/// all), so it is the exhaustive walk in the reduced one's order.
+/// anything else the reduced one. Under the termination check that walk
+/// puts nothing to sleep; unbounded, it keeps its ample sets and enters
+/// each state once, which keeps a stuck state in the graph the check
+/// reads whenever the machine has one (DESIGN.md §5c).
 pub(crate) fn sequential<P: Process>(
     initial: &Machine<P>,
     config: &CheckConfig,
@@ -797,9 +807,6 @@ pub(crate) fn sequential<P: Process>(
     let visitor = &mut Properties::new(config);
     match config.engine.reduction() {
         Some(u32::MAX) => run_local(initial, config, deadline, NoReduction::<true>, visitor),
-        None if config.check_termination => {
-            run_local(initial, config, deadline, NoReduction::<false>, visitor)
-        }
         bound => {
             let mut reduction = SleepAmple::<DenseHeads>::new(initial, config, bound);
             reduction.claim_root(ROOT);

@@ -288,8 +288,12 @@ fn sweep<P: Process>(
     seed: (&[u128], Option<Vec<ForkPoint>>, usize),
 ) -> (Report, FpTable) {
     let threads = worker_count(config.engine.workers());
-    // The walk [`sequential`] picks for `config`: an unbounded
-    // termination check takes every edge, so it reduces nothing.
+    // The walk [`sequential`] picks for `config`, except under an
+    // unbounded termination check: a task's cycle proviso sees only the
+    // task's own stack, so a cycle through two tasks could keep every
+    // state on it ample-reduced, and the sweep takes every edge instead.
+    // A resumed sequential `Dpor` runs here too, and explores what its
+    // checkpoint's frames had excluded ([`NoReduction`]).
     match config.engine.reduction() {
         Some(u32::MAX) => sweep_with(initial, config, threads, deadline, watchdog, seed, || {
             NoReduction::<true>

@@ -3,10 +3,11 @@
 //!
 //! `Engine::ParallelDpor` promises *bit-identical verdicts* to
 //! `Engine::Dpor` with the same reorder bound, on every configuration: it
-//! runs the same reduction per worker, shares only a fingerprint table
-//! (which can never prune more than the sequential visit table), and
-//! defers every early stop (violation, state limit, stuck state, panic)
-//! to a sequential rerun. In the `Some(u32::MAX)` diagnostic mode it
+//! runs the same reduction per worker (or, checking termination unbounded,
+//! takes every edge), shares only a fingerprint table (which can never
+//! prune more than the sequential visit table), and defers every early
+//! stop (violation, state limit, stuck state, panic) to a sequential
+//! rerun. In the `Some(u32::MAX)` diagnostic mode it
 //! additionally promises a *bit-identical* [`MetricsSnapshot`]: with
 //! reduction off, the global table is the only pruning rule, so a
 //! completed sweep executes the exact edge multiset of the sequential
@@ -81,6 +82,39 @@ fn assert_mutex_cex_replays(
     );
 }
 
+/// Under an unbounded termination check `ParallelDpor` walks every edge,
+/// so an `ok` sweep counts exactly `Engine::Undo`'s states; a
+/// `NO-TERMINATION` one is the sequential rerun's, and counts `seq`'s.
+/// `Dpor` itself keeps its ample sets there, and which states they drop
+/// is traversal-dependent (the cycle proviso consults the reaching path),
+/// so nothing else pins a completed count; violating runs stop at
+/// engine-specific points and are not comparable either.
+fn termination_counts(
+    machine: &Machine<fencevm::VmProc>,
+    config: &CheckConfig,
+    seq: &Verdict,
+    par: &Verdict,
+) -> Result<(), String> {
+    let expect = match par {
+        Verdict::Ok(_) => check(machine, &config.clone().with_engine(Engine::Undo)),
+        Verdict::NoTermination(..) => seq.clone(),
+        _ => return Ok(()),
+    };
+    let (p, e) = (par.stats(), expect.stats());
+    if (p.states, p.terminal_states) == (e.states, e.terminal_states) {
+        Ok(())
+    } else {
+        Err(format!(
+            "pardpor {} states / {} terminal, {} {} / {}",
+            p.states,
+            p.terminal_states,
+            if par.is_ok() { "undo" } else { "the rerun" },
+            e.states,
+            e.terminal_states
+        ))
+    }
+}
+
 /// Run one configuration under both engines and compare labels; returns
 /// whether the configuration was violating.
 fn compare(inst: &simlocks::OrderingInstance, model: MemoryModel, config: &CheckConfig) -> bool {
@@ -95,24 +129,10 @@ fn compare(inst: &simlocks::OrderingInstance, model: MemoryModel, config: &Check
         "{ctx}: raise max_states — a capped run cannot be compared"
     );
     assert_eq!(seq.label(), par.label(), "{ctx}: verdict labels");
-    // Sleep sets preserve *every* reachable state, so completed
-    // sleep-sets-only sweeps (termination mode) agree on the
-    // visited-state set — the global first-visit gate counts each state
-    // once. Ample pruning drops states, and which states is
-    // traversal-dependent (the cycle proviso consults the reaching
-    // path), so ample-mode sweeps pin verdicts only; violating runs
-    // stop at engine-specific points and are likewise not comparable.
-    if config.check_termination && (seq.is_ok() || matches!(seq, Verdict::NoTermination(..))) {
-        assert_eq!(
-            seq.stats().states,
-            par.stats().states,
-            "{ctx}: completed sweeps must count the same states"
-        );
-        assert_eq!(
-            seq.stats().terminal_states,
-            par.stats().terminal_states,
-            "{ctx}: terminal-state counts"
-        );
+    if config.check_termination {
+        if let Err(e) = termination_counts(&inst.machine(model), config, &seq, &par) {
+            panic!("{ctx}: {e}");
+        }
     }
     if let Verdict::MutexViolation(_, cex) = &par {
         assert_mutex_cex_replays(inst, model, config, cex);
@@ -153,9 +173,10 @@ fn pardpor_agrees_on_the_full_n2_safety_matrix() {
     );
 }
 
-/// With termination checking on, both engines switch to sleep-sets-only
-/// plus edge probing; the merged fingerprint graph must support the same
-/// NO-TERMINATION verdicts, including the crash-induced ones.
+/// With termination checking on, `Dpor` drops its sleep sets and keeps
+/// its ample sets while `ParallelDpor` walks every edge; the merged
+/// fingerprint graph must support the same NO-TERMINATION verdicts,
+/// including the crash-induced ones.
 #[test]
 fn pardpor_agrees_with_termination_checking() {
     let base = CheckConfig {
@@ -404,11 +425,10 @@ proptest! {
             max_crashes,
             termination
         );
-        // Sleep-sets-only sweeps (termination mode) visit exactly the
-        // reachable states in both engines; ample-mode state sets are
-        // traversal-dependent (see `compare` in this file).
-        if termination && (seq.is_ok() || matches!(seq, Verdict::NoTermination(..))) {
-            prop_assert_eq!(seq.stats().states, par.stats().states);
+        if termination {
+            let machine = random_machine(&progs, model);
+            let counts = termination_counts(&machine, &config, &seq, &par);
+            prop_assert!(counts.is_ok(), "{:?} {}: {}", progs, model, counts.unwrap_err());
         }
     }
 }

@@ -156,12 +156,13 @@ impl SynthConfig {
     // The engine is sequential `Dpor`: most inner checks end in a
     // violation, which a work-stealing sweep throws away and reruns
     // sequentially (E16 tournament4 on 2 cores: 15.9 s, against 46.2 s
-    // through `ParallelDpor` × 2). With the termination check on it walks
-    // every edge as `Undo` does, but front-first, the reduced walk's
-    // order, not `Undo`'s back-first one. The order decides which
-    // violation a check meets first, and so which cores the loop learns.
-    // Back-first took bakery2, tournament2, filter2 and mcs3 35, 17, 17
-    // and 9 iterations instead of 5, 6, 6 and 2, and bakery3 and
+    // through `ParallelDpor` × 2). With the termination check on it keeps
+    // its ample sets and puts nothing to sleep, which leaves a stuck state
+    // in the graph it walks whenever the candidate has one. It walks
+    // front-first, not in `Undo`'s back-first order. The order decides
+    // which violation a check meets first, and so which cores the loop
+    // learns. Back-first took bakery2, tournament2, filter2 and mcs3 35,
+    // 17, 17 and 9 iterations instead of 5, 6, 6 and 2, and bakery3 and
     // tournament4 hit the 64-iteration cap.
     fn check_config(&self) -> CheckConfig {
         let mut cfg = CheckConfig::default().with_engine(Engine::Dpor {
@@ -763,6 +764,7 @@ fn states_of(verdicts: &[ModelVerdict]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use modelcheck::Verdict;
     use simlocks::{build_mutex, FenceMask, LockKind};
 
     fn quick_cfg() -> SynthConfig {
@@ -943,6 +945,45 @@ mod tests {
             let s = out.synthesis().expect("synthesized");
             assert_eq!(s.iterations, iterations, "{}", inst.name);
         }
+    }
+
+    #[test]
+    fn every_candidate_a_run_checks_gets_undos_termination_label() {
+        // The loop's candidates run from the fence-free baseline to its
+        // unminimised placement, and the minimisation trials sit between
+        // the two: the baseline and every proper prefix of the placement
+        // in trial order stand for them. Each is stuck or not as `Undo`,
+        // which walks every edge, says.
+        let cfg = quick_cfg();
+        let (dpor, undo) = (
+            cfg.check_config(),
+            cfg.check_config().with_engine(Engine::Undo),
+        );
+        let cells = [
+            (LockKind::Bakery, 2),
+            (LockKind::Tournament, 2),
+            (LockKind::Filter, 2),
+            (LockKind::Ttas, 4),
+            (LockKind::Mcs, 3),
+        ];
+        let mut stuck = 0;
+        for (kind, n) in cells {
+            let (baseline, full, _) = unminimized(kind, n, &cfg);
+            let sites = trial_order(&baseline, &full, &cfg);
+            for kept in 0..sites.len() {
+                let placement = placement_of(baseline.n, sites[..kept].iter().copied());
+                let (candidate, _) = build_candidate(&baseline, &placement);
+                for model in [MemoryModel::Pso, MemoryModel::Tso] {
+                    let machine = candidate.machine(model);
+                    let (d, u) = (check(&machine, &dpor), check(&machine, &undo));
+                    assert!(!matches!(u, Verdict::StateLimit(_)), "{}", baseline.name);
+                    let ctx = format!("{} {model} {placement:?}", baseline.name);
+                    assert_eq!(d.label(), u.label(), "{ctx}");
+                    stuck += usize::from(matches!(u, Verdict::NoTermination(..)));
+                }
+            }
+        }
+        assert!(stuck > 0, "no candidate was stuck");
     }
 
     #[test]

@@ -42,6 +42,10 @@ stage "lowerbound by_definition over every permutation of four (debug, where the
 stage "differential_resume over the full n = 2 lock × model × fence-mask × crash matrix for Undo, Dpor and ParallelDpor (tier-1 runs a fixed sample per engine)" \
     cargo test -q -p modelcheck --test differential_resume -- --ignored
 
+stage "the termination walk in release: termination_walk with its n = 3 cells (ignored unoptimised), and differential_termination's 4 000 random livelocking programs (ignored in tier-1)" \
+    bash -c 'cargo test -q --release -p modelcheck --test termination_walk || exit 1
+        cargo test -q --release -p modelcheck --test differential_termination -- --include-ignored'
+
 stage "the two suites that read FT_THREADS, at FT_THREADS=2 (parallel sweeps/engine)" \
     env FT_THREADS=2 cargo test -q -p modelcheck --test differential_pardpor \
         -p fence-trade --test integration_locks_models
