@@ -1,5 +1,5 @@
 //! The one entry point of `ft-bench`: every experiment, the wall-clock
-//! gates and the two observability consumers.
+//! gates and the observability report.
 //!
 //! ```text
 //! exp [--fast] [e1 e3 … | all]   run experiments (default: all) in this process,
@@ -11,21 +11,20 @@
 //! exp --list                     ids and titles
 //! exp guards [--rebase]          every wall-clock gate CI holds
 //! exp obs-report [FILES]         results/obs/*.jsonl → results/obs/report.md
-//! exp obs-trace FILE             validate + export a span stream
 //! ```
 //!
 //! Run it as `cargo run --release -p ft-bench -- <arguments>`.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ft_bench::experiments::{self, guards, obs_report, obs_trace, REGISTRY};
+use ft_bench::experiments::{self, guards, obs_report, REGISTRY};
 
 fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}");
     eprintln!(
         "usage: exp [--fast] [ID… | all] | --list | guards [--rebase] | \
-         obs-report [FILES] | obs-trace FILE\n\
+         obs-report [FILES]\n\
          --fast cuts down e14 (one round, writes nothing) and e16 (n = 2 only)"
     );
     ExitCode::FAILURE
@@ -52,8 +51,6 @@ fn main() -> ExitCode {
             let files: Vec<PathBuf> = files.iter().map(PathBuf::from).collect();
             obs_report::run(&files)
         }
-        Some((&"obs-trace", [file])) => obs_trace::run(Path::new(file)),
-        Some((&"obs-trace", _)) => usage("obs-trace takes the one stream to read"),
         _ => {
             let selected = match experiments::select(&words) {
                 Ok(selected) => selected,

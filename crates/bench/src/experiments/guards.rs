@@ -12,7 +12,7 @@
 //! | checkpoint overhead | `filter3_pso`, diagnostic bound | (split − uninterrupted) per MiB of snapshot ≤ the budget below |
 //! | pardpor dispatch | `filter3_pso` | `ParallelDpor{threads: 1}` ≤ ×1.05 of `Dpor` |
 //! | pardpor scaling | `gt_f24_pso` | `ParallelDpor` ≥ ×1.5 over `Dpor` (skipped where the cores were not there) |
-//! | obs enabled / traced | `bakery3_pso`, `Undo` | live recorder ≤ ×1.05 of disabled |
+//! | obs enabled | `bakery3_pso`, `Undo` | live recorder ≤ ×1.05 of disabled |
 //! | obs baseline | `bakery3_pso`, `Undo` | disabled throughput ≥ baseline ÷ 1.10 |
 //!
 //! Noise defenses, all needed on a shared container: every figure is the
@@ -28,12 +28,11 @@
 
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::timing::{median, paired_ratio, paired_rounds, Spent};
 use fence_trade::prelude::*;
-use ftobs::{parse_spans, JsonlSink, Recorder};
+use ftobs::Recorder;
 
 /// The durability budget: what a stop-and-resume adds (snapshot encode,
 /// write, fsync, read, decode, frontier replay) per MiB of snapshot, in the
@@ -67,12 +66,12 @@ const PARDPOR_ROUNDS: usize = 5;
 const PARDPOR_SCALING_ROUNDS: usize = 1;
 const PARDPOR_ATTEMPTS: usize = 2;
 
-/// The observability budget of DESIGN §6: a live recorder, with and
-/// without causal tracing, costs ≤5 %. The workload is deliberately large
-/// (~66k states): on sub-millisecond checks the fixed cost of rendering
-/// the final `snapshot` event dominates and the ratio measures JSON
-/// encoding, not per-step recording. A timing is 3 explorations so a
-/// round lasts long enough for the ratio to settle.
+/// The observability budget of DESIGN §6: a live recorder costs ≤5 %.
+/// The workload is deliberately large (~66k states): on sub-millisecond
+/// checks the fixed cost of rendering the final `snapshot` event
+/// dominates and the ratio measures JSON encoding, not per-step
+/// recording. A timing is 3 explorations so a round lasts long enough
+/// for the ratio to settle.
 const OBS_MAX_OVERHEAD: f64 = 1.05;
 const OBS_ROUNDS: usize = 8;
 const OBS_ITERS: usize = 3;
@@ -166,31 +165,6 @@ fn scaling_status(speedup: f64, parallel: Spent) -> &'static str {
     } else {
         "FAIL"
     }
-}
-
-/// Read the span stream back and name the phase whose spans account for
-/// the most wall-clock — where a failed traced gate's cost concentrates.
-fn hottest_phase(sink: &JsonlSink) -> Option<String> {
-    sink.flush();
-    // The sink is still open, so the bytes live in the `.partial` file.
-    let mut partial = sink.path().to_path_buf().into_os_string();
-    partial.push(".partial");
-    let text = std::fs::read_to_string(partial)
-        .or_else(|_| std::fs::read_to_string(sink.path()))
-        .ok()?;
-    let rows = parse_spans(&text);
-    let mut agg: std::collections::BTreeMap<&str, (u64, u64)> = std::collections::BTreeMap::new();
-    for r in &rows {
-        let e = agg.entry(r.name.as_str()).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += r.dur_us;
-    }
-    let (name, (n, dur)) = agg.into_iter().max_by_key(|(_, (_, d))| *d)?;
-    #[allow(clippy::cast_precision_loss)]
-    Some(format!(
-        "offending phase: \"{name}\" ({n} spans, {:.1} ms total span time)",
-        dur as f64 / 1000.0
-    ))
 }
 
 fn checkpoint_gates() -> bool {
@@ -341,32 +315,15 @@ fn obs_gates(rebase: bool) -> bool {
             .heartbeat_ms(0)
     };
     let enabled = disabled.clone().with_recorder(live().build());
-    // Traced against a *real* sink: the span cost worth guarding is the
-    // buffered JSONL writes, not just the id counter.
-    let sink = Arc::new(
-        JsonlSink::create(crate::obs_dir().join("overhead_trace.jsonl"))
-            .unwrap_or_else(|e| crate::fail("guards: creating trace stream", e)),
-    );
-    let traced = disabled
-        .clone()
-        .with_recorder(live().trace(true).sink(sink.clone()).build());
 
     let mut fastest_disabled = Duration::MAX;
-    let mut overhead_gate = |name: &str, cfg: &CheckConfig| {
-        gate(name, OBS_MAX_OVERHEAD, times, OBS_ATTEMPTS, || {
-            let den = || explore(&inst, &disabled, OBS_ITERS).wall;
-            let num = || explore(&inst, cfg, OBS_ITERS).wall;
-            let (ratio, fastest) = paired_ratio(OBS_ROUNDS, num, den);
-            fastest_disabled = fastest_disabled.min(fastest);
-            ratio
-        })
-    };
-    let enabled_ok = overhead_gate("obs enabled", &enabled);
-    let traced_ok = overhead_gate("obs traced", &traced);
-    if !traced_ok {
-        let phase = hottest_phase(&sink).unwrap_or_else(|| "no spans recorded".into());
-        println!("     {phase}");
-    }
+    let enabled_ok = gate("obs enabled", OBS_MAX_OVERHEAD, times, OBS_ATTEMPTS, || {
+        let den = || explore(&inst, &disabled, OBS_ITERS).wall;
+        let num = || explore(&inst, &enabled, OBS_ITERS).wall;
+        let (ratio, fastest) = paired_ratio(OBS_ROUNDS, num, den);
+        fastest_disabled = fastest_disabled.min(fastest);
+        ratio
+    });
 
     let states = check(&inst.machine(MemoryModel::Pso), &disabled)
         .stats()
@@ -403,7 +360,7 @@ fn obs_gates(rebase: bool) -> bool {
             )
         }
     };
-    enabled_ok && traced_ok && baseline_ok
+    enabled_ok && baseline_ok
 }
 
 /// Run every gate; `rebase` rewrites the machine-local baseline file.

@@ -1,7 +1,7 @@
 //! The experiments behind every table under `results/`, one module each,
 //! and [`REGISTRY`] — the only list of them. The `exp` binary selects from
 //! it by id and runs the selection in this process through
-//! [`run_selected`]; `guards`, `obs_report` and `obs_trace` are its other
+//! [`run_selected`]; `guards` and `obs_report` are its other
 //! subcommands.
 
 use std::fmt::Write as _;
@@ -15,7 +15,6 @@ pub mod e12_reduction;
 pub mod e14_engines;
 pub mod e15_resume;
 pub mod e16_synthesis;
-pub mod e17_trace;
 pub mod e1_bakery;
 pub mod e2_gt_family;
 pub mod e3_tradeoff;
@@ -27,7 +26,6 @@ pub mod e8_ablation;
 pub mod e9_cas;
 pub mod guards;
 pub mod obs_report;
-pub mod obs_trace;
 
 /// The reduced sequential engine, unbounded: what E12 counts and E14 times.
 const DPOR: modelcheck::Engine = modelcheck::Engine::Dpor {
@@ -43,7 +41,7 @@ const DPOR: modelcheck::Engine = modelcheck::Engine::Dpor {
 pub type Experiment = (&'static str, &'static str, fn(bool));
 
 /// Every experiment, in the order `exp all` runs them. E13 (the wall-clock
-/// gates) is `exp guards`, not a table; E18 went with the process fleet.
+/// gates) is `exp guards`, not a table.
 #[rustfmt::skip]
 pub const REGISTRY: &[Experiment] = &[
     ("e1", "Bakery: O(1) fences, Θ(n) RMRs per passage", e1_bakery::run),
@@ -61,7 +59,6 @@ pub const REGISTRY: &[Experiment] = &[
     ("e14", "engines × cells, time to a verdict", e14_engines::run),
     ("e15", "checkpoint/resume overhead", e15_resume::run),
     ("e16", "CEGAR fence synthesis and the fence/RMR Pareto sweep", e16_synthesis::run),
-    ("e17", "causal-trace validation", e17_trace::run),
 ];
 
 /// What `exp --list` prints: one `id  title` line per registry entry.
@@ -134,10 +131,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_is_e1_to_e17_without_the_withdrawn_e13_and_listed_with_titles() {
+    fn registry_is_e1_to_e16_less_e13_with_titles() {
         let ids: Vec<&str> = REGISTRY.iter().map(|e| e.0).collect();
-        let expected: Vec<String> = (1..=17)
-            .filter(|n| *n != 13) // the gates are `exp guards`; E18 went with the fleet
+        let expected: Vec<String> = (1..=16)
+            .filter(|n| *n != 13) // the gates are `exp guards`
             .map(|n| format!("e{n}"))
             .collect();
         assert_eq!(ids, expected, "one entry per experiment, ids unique");

@@ -4,7 +4,7 @@
 //! hottest-pc top-k, and a heartbeat summary.
 //!
 //! With no files, every `*.jsonl` under `results/obs/` is read (the
-//! streams E12/E15/E16/E17 and the examples produce), plus any
+//! streams E12/E15/E16 and the examples produce), plus any
 //! `*.jsonl.partial` stream a crashed run left behind. The report goes
 //! to stdout and to `results/obs/report.md`. Exits non-zero when no event
 //! line parses — the CI smoke run relies on that to catch an empty or

@@ -978,21 +978,6 @@ pub(crate) fn config_hash(config: &CheckConfig) -> u64 {
     ))
 }
 
-/// Fold a 128-bit state fingerprint to 64 bits (for run ids).
-pub(crate) fn fold_fp(fp: u128) -> u64 {
-    #[allow(clippy::cast_possible_truncation)]
-    let folded = (fp as u64) ^ ((fp >> 64) as u64);
-    folded
-}
-
-/// Compact per-run identifier stamped on trace spans: the configuration
-/// hash folded with the (crash-bound) root fingerprint. Recomputable
-/// from a checkpoint's `RunMeta`, which is how a resumed run's trace
-/// links back to its interrupted predecessor (`prev_run`).
-pub(crate) fn run_id(config: &CheckConfig, root_fp: u128) -> u64 {
-    config_hash(config) ^ fold_fp(root_fp)
-}
-
 /// The run metadata stamped into every checkpoint of the exploration of
 /// `config` from the (crash-bounded) root `root_fp`.
 /// `#[inline]` for [`config_hash`]'s reason: this is its call site in the
@@ -1017,8 +1002,6 @@ pub(crate) fn write_checkpoint(
     snap: &Snapshot,
 ) -> Option<PathBuf> {
     use ftobs::J;
-    let mut tctx = obs.trace_ctx();
-    let span = tctx.begin();
     let path = || ("path", J::s(policy.path.display().to_string()));
     let forks = || ("forks", J::U(snap.forks.len() as u64));
     let states = || ("states", J::U(snap.base.states));
@@ -1049,17 +1032,6 @@ pub(crate) fn write_checkpoint(
             ),
         }
     }
-    let run = (
-        "run",
-        J::U(snap.meta.config_hash ^ fold_fp(snap.meta.program_hash)),
-    );
-    let ok = ("ok", J::B(written.is_some()));
-    tctx.end(
-        span,
-        "checkpoint",
-        obs.trace_root(),
-        &[run, ok, forks(), states()],
-    );
     written
 }
 
@@ -1100,36 +1072,18 @@ pub fn check<P: Process>(initial: &Machine<P>, config: &CheckConfig) -> Verdict 
 }
 
 /// One run of `config.engine` — from the root, or continuing the
-/// validated checkpoint `seed` ([`crate::resume`]) — inside its causal
-/// span, stamped with the elapsed time and the recorder's metrics.
+/// validated checkpoint `seed` ([`crate::resume`]) — stamped with the
+/// elapsed time and the recorder's metrics.
 pub(crate) fn dispatch<P: Process>(
     initial: &Machine<P>,
     config: &CheckConfig,
-    mut seed: Option<Snapshot>,
+    seed: Option<Snapshot>,
 ) -> Verdict {
     let start = Instant::now();
     let deadline = config.budget.map(|b| start + b);
     let root = bounded_root(initial, config);
     let (root, obs) = (root.as_ref(), &config.recorder);
-    // One `engine` (or `resume`) span per dispatch, parented under
-    // whatever enclosing span set the recorder's root (a model sweep,
-    // nothing). Engine-internal spans nest under it via that same root
-    // while the dispatch runs.
-    let mut tctx = obs.trace_ctx();
-    let span = tctx.begin();
-    let span_parent = obs.trace_root();
-    let mut run = 0;
-    if tctx.enabled() {
-        obs.set_trace_root(span.id);
-        run = run_id(config, root.fingerprint());
-        // Snapshot span ids belong to the writing process; rebase the
-        // seeded forks onto this span so every steal edge in this
-        // process's trace resolves locally.
-        for fork in seed.iter_mut().flat_map(|snap| &mut snap.forks) {
-            fork.span = span.id.0;
-        }
-    }
-    let resumed = seed.as_ref().map(|snap| (snap.metrics, snap.forks.len()));
+    let resumed = seed.as_ref().map(|snap| snap.metrics);
     let mut verdict = match (config.engine, seed) {
         // `resume` refuses the oracle before it gets here.
         (Engine::CloneDfs, _) => check_clone_dfs(root, config, deadline),
@@ -1137,37 +1091,21 @@ pub(crate) fn dispatch<P: Process>(
         (_, seed) => check_shared(root, config, deadline, seed),
     };
     verdict.stats_mut().elapsed = start.elapsed();
-    use ftobs::J;
-    let fields = |verdict: &Verdict| {
-        let engine = ("engine", J::s(config.engine.label()));
-        vec![engine, ("verdict", J::s(verdict.label()))]
-    };
-    if tctx.enabled() {
-        obs.set_trace_root(span_parent);
-        let mut fields = fields(&verdict);
-        fields.push(("run", J::U(run)));
-        fields.push(("states", J::U(verdict.stats().states as u64)));
-        if let Some((_, forks)) = resumed {
-            // `prev_run` links the continuation to the interrupted run's
-            // `engine` span: validated metadata means the same run id.
-            fields.push(("prev_run", J::U(run)));
-            fields.push(("forks", J::U(forks as u64)));
-        }
-        let name = resumed.map_or("engine", |_| "resume");
-        tctx.end(span, name, span_parent, &fields);
-        tctx.flush();
-    }
     if obs.is_enabled() {
+        use ftobs::J;
         // A resumed Ok/Inconclusive verdict describes the combined run,
         // so its metrics merge the interrupted run's snapshot with this
         // one's. Every other verdict came from a standalone sequential
         // rerun (counters reset first) and stands alone.
         let own = obs.snapshot();
         verdict.stats_mut().metrics = match (&verdict, resumed) {
-            (Verdict::Ok(_) | Verdict::Inconclusive(..), Some((prior, _))) => prior.merged(&own),
+            (Verdict::Ok(_) | Verdict::Inconclusive(..), Some(prior)) => prior.merged(&own),
             _ => own,
         };
-        let mut fields = fields(&verdict);
+        let mut fields = vec![
+            ("engine", J::s(config.engine.label())),
+            ("verdict", J::s(verdict.label())),
+        ];
         if resumed.is_some() {
             fields.push(("resumed", J::B(true)));
         }

@@ -38,28 +38,8 @@ pub fn check_under_models(
     stop_at_violation: bool,
 ) -> Vec<ModelVerdict> {
     let mut out = Vec::with_capacity(models.len());
-    let mut tctx = config.recorder.trace_ctx();
     for &model in models {
-        // Each model gets its own span; the engine span `check` opens
-        // nests under it via the trace-root handoff.
-        let mspan = tctx.begin();
-        let span_parent = config.recorder.trace_root();
-        if tctx.enabled() {
-            let _ = config.recorder.set_trace_root(mspan.id);
-        }
         let verdict = check(&inst.machine(model), config);
-        if tctx.enabled() {
-            let _ = config.recorder.set_trace_root(span_parent);
-            tctx.end(
-                mspan,
-                "model_check",
-                span_parent,
-                &[
-                    ("model", ftobs::J::s(model.to_string())),
-                    ("verdict", ftobs::J::s(verdict.label())),
-                ],
-            );
-        }
         let bail = stop_at_violation && verdict.is_violation();
         out.push(ModelVerdict { model, verdict });
         if bail {

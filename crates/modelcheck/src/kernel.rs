@@ -377,7 +377,7 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
     }
 
     /// Choices frame `i` has still to take.
-    pub(crate) fn open(&self, i: usize) -> usize {
+    fn open(&self, i: usize) -> usize {
         self.frames[i].hi - self.frames[i].lo
     }
 
@@ -391,7 +391,7 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
     /// Frame `i`'s unexplored remainder as a fork point: its choices in
     /// exploration order plus the exact reduction state, so whoever
     /// continues it prunes no more and no less than this walk would.
-    pub(crate) fn fork_at(&self, i: usize, span: u64) -> ForkPoint {
+    pub(crate) fn fork_at(&self, i: usize) -> ForkPoint {
         let f = &self.frames[i];
         let mut choices = self.arena[f.lo..f.hi].to_vec();
         if R::LIFO {
@@ -401,7 +401,6 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
             path: self.path[..self.base + i].to_vec(),
             choices,
             remaining: u32::MAX,
-            span,
             ..ForkPoint::default()
         };
         R::describe(&f.red, &mut fork);
@@ -414,10 +413,10 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
     }
 
     /// Every open frame with choices to take, as fork points.
-    pub(crate) fn open_forks(&self, span: u64) -> Vec<ForkPoint> {
+    pub(crate) fn open_forks(&self) -> Vec<ForkPoint> {
         (0..self.frames.len())
             .filter(|&i| self.open(i) > 0)
-            .map(|i| self.fork_at(i, span))
+            .map(|i| self.fork_at(i))
             .collect()
     }
 
@@ -549,8 +548,7 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
     }
 }
 
-/// The root state's expansion as the fork point a fresh run starts from,
-/// descending from `obs`'s root span.
+/// The root state's expansion as the fork point a fresh run starts from.
 pub(crate) fn root_fork<P: Process, N, R: Reduction<P, N>>(
     initial: &Machine<P>,
     red: &mut R,
@@ -558,7 +556,6 @@ pub(crate) fn root_fork<P: Process, N, R: Reduction<P, N>>(
 ) -> ForkPoint {
     let mut fork = ForkPoint {
         remaining: red.root_budget(),
-        span: obs.trace_root().0,
         ..ForkPoint::default()
     };
     let mut frame = red.adopt(initial.fingerprint(), &mut fork);
@@ -624,7 +621,7 @@ impl Local<'_> {
                 sleep_hits: dfs.sleep_hits() as u64,
             },
             metrics: obs.snapshot(),
-            forks: dfs.open_forks(obs.trace_root().0),
+            forks: dfs.open_forks(),
             visited,
             edges: self.edges.iter().map(|(a, b)| (fp(a), fp(b))).collect(),
             terminals: self.terminal.iter().map(fp).collect(),

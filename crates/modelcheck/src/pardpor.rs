@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use ftobs::{Gauge, Metric, SpanId, TraceCtx, J};
+use ftobs::{Gauge, Metric, J};
 use por::{ForkPoint, ForkQueue, FpHeads, FpTable, Snapshot};
 use wbmem::{FpMap, Machine, Process, SchedElem};
 
@@ -125,19 +125,12 @@ pub(crate) fn check_shared<P: Process>(
         let msg = format!("{context}{}", panic_message(payload.as_ref()));
         Verdict::Error(Stats::default(), CheckError::Panic(msg))
     };
-    // The sequential engine of the same reduction, in a causal span
-    // (`seq_gate` for a one-worker run, `seq_rerun` for verdict
-    // reproduction). User code (the annotation invariant) runs inside
-    // every walk; a panic there must surface as an error verdict, not
-    // abort the caller.
-    let seq = |name: &str, config: &CheckConfig, context: &str| {
-        let mut tctx = obs.trace_ctx();
-        let span = tctx.begin();
+    // The sequential engine of the same reduction. User code (the
+    // annotation invariant) runs inside every walk; a panic there must
+    // surface as an error verdict, not abort the caller.
+    let seq = |config: &CheckConfig, context: &str| {
         let run = || sequential(initial, config, deadline);
-        let v = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|p| panicked(context, p));
-        let verdict = [("verdict", J::s(v.label()))];
-        tctx.end(span, name, SpanId(obs.trace_root().0), &verdict);
-        v
+        catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|p| panicked(context, p))
     };
     // Reproduce a verdict sequentially: the partial sweep's metrics are
     // dropped so the rerun's counts stand alone, and the checkpoint
@@ -150,7 +143,7 @@ pub(crate) fn check_shared<P: Process>(
     };
     let rerun = |context: &str| {
         obs.reset_counts();
-        seq("seq_rerun", &unstoppable(), context)
+        seq(&unstoppable(), context)
     };
 
     // `run` accumulates the whole exploration — the interrupted prior, if
@@ -164,7 +157,7 @@ pub(crate) fn check_shared<P: Process>(
     // root.
     if !seeded {
         if worker_count(config.engine.workers()) <= 1 {
-            return seq("seq_gate", config, ""); // the sequential engine itself
+            return seq(config, ""); // the sequential engine itself
         }
         match catch_unwind(AssertUnwindSafe(|| Properties::new(config).state(initial))) {
             Ok(Ok(())) => {}
@@ -231,11 +224,9 @@ pub(crate) fn check_shared<P: Process>(
         let _ = checkpoint();
         let stalled = [("frontier", J::U(frontier as u64))];
         obs.event("watchdog_trip", &stalled);
-        let root_span = SpanId(obs.trace_root().0);
-        let _ = obs.trace_ctx().instant("watchdog", root_span, &stalled);
         obs.reset_counts();
         obs.incr(Metric::WatchdogTrips);
-        return seq("seq_rerun", &unstoppable(), "");
+        return seq(&unstoppable(), "");
     }
     if discard {
         return rerun("");
@@ -325,7 +316,6 @@ fn sweep_with<P: Process, R: Reduction<P, u128>>(
             forks
         }
         None if initial.all_done() => Vec::new(),
-        // Root work descends from the engine span.
         None => vec![root_fork(initial, &mut make(), obs)],
     };
     let pool = Pool {
@@ -407,12 +397,9 @@ fn sweep_with<P: Process, R: Reduction<P, u128>>(
                     pool: &pool,
                     heartbeat: &heartbeats[w],
                     busy: &busy[w],
-                    index: w,
                     low_water: threads,
                     unsynced: 0,
                     report: Report::default(),
-                    tctx: config.recorder.trace_ctx(),
-                    cur_span: SpanId::NONE,
                 };
                 let (pool, make) = (&pool, &make);
                 scope.spawn(move || {
@@ -464,17 +451,11 @@ struct Shared<'a, P: Process> {
     /// Liveness for the watchdog; see [`sweep_with`].
     heartbeat: &'a AtomicU64,
     busy: &'a AtomicBool,
-    /// This worker's index (the `worker` field on its task spans).
-    index: usize,
     /// Donate when fewer than this many fork points are pending.
     low_water: usize,
     /// Transitions not yet pushed into `Pool::transitions_now`.
     unsynced: usize,
     report: Report,
-    /// Per-worker span writer (bounded buffer; flushed at the end).
-    tctx: TraceCtx,
-    /// The task span currently open, parent for publish instants.
-    cur_span: SpanId,
 }
 
 impl<P: Process> Shared<'_, P> {
@@ -485,12 +466,6 @@ impl<P: Process> Shared<'_, P> {
         while let Some(task) = self.pool.queue.take() {
             self.busy.store(true, Ordering::Relaxed);
             self.heartbeat.fetch_add(1, Ordering::Relaxed);
-            // The steal edge: this task's span descends from the donor's
-            // `publish` instant (or the engine/resume root for seeds).
-            let steal_parent = SpanId(task.span);
-            let depth = task.path.len();
-            let tspan = self.tctx.begin();
-            self.cur_span = tspan.id;
             config.recorder.incr(Metric::ForkStolen);
 
             let obs = &config.recorder;
@@ -508,18 +483,6 @@ impl<P: Process> Shared<'_, P> {
                 }
                 Some(Halt::TooManyStates) => unreachable!("fingerprints never run out"),
             }
-
-            self.cur_span = SpanId::NONE;
-            self.tctx.end(
-                tspan,
-                "task",
-                steal_parent,
-                &[
-                    ("worker", J::U(self.index as u64)),
-                    ("depth", J::U(depth as u64)),
-                    ("aborted", J::B(halt.is_some())),
-                ],
-            );
             self.busy.store(false, Ordering::Relaxed);
             self.heartbeat.fetch_add(1, Ordering::Relaxed);
             self.pool.queue.done();
@@ -529,7 +492,6 @@ impl<P: Process> Shared<'_, P> {
         }
         self.sync_transitions();
         self.report.sleep_hits = Reduction::<P, u128>::sleep_hits(&reduction);
-        self.tctx.flush();
         self.report
     }
 
@@ -551,7 +513,7 @@ impl<P: Process> Shared<'_, P> {
     /// The walk is stopping short: keep its open frames for the
     /// coordinator (a violation or limit abort discards them unread).
     fn stash<R: Reduction<P, u128>>(&mut self, dfs: &Dfs<'_, P, R, u128>) {
-        self.report.forks.extend(dfs.open_forks(self.cur_span.0));
+        self.report.forks.extend(dfs.open_forks());
         self.report.frontier += dfs.depth();
     }
 }
@@ -603,23 +565,10 @@ impl<P: Process> Frontier<P> for Shared<'_, P> {
         }
         if dfs.depth() > 1 && pool.queue.wants_work(self.low_water) {
             if let Some(k) = dfs.donor() {
-                // The publish instant is the causal anchor the thief's
-                // task span points back at. Emitted before the publish so
-                // its id precedes any span the thief allocates; a rejected
-                // publish leaves a childless instant behind, which the
-                // validator tolerates.
-                let span = self.tctx.instant(
-                    "publish",
-                    self.cur_span,
-                    &[
-                        ("worker", J::U(self.index as u64)),
-                        ("choices", J::U(dfs.open(k) as u64)),
-                    ],
-                );
                 // An exact continuation relocation: on publish the
                 // owner's window closes, so exactly one side owns the
                 // remainder at any time.
-                if pool.queue.publish(dfs.fork_at(k, span.0)).is_ok() {
+                if pool.queue.publish(dfs.fork_at(k)).is_ok() {
                     dfs.close(k);
                     config.recorder.incr(Metric::ForkPublished);
                 }

@@ -68,12 +68,7 @@ fn assert_mutex_cex_replays(
 
 #[test]
 fn engines_agree_on_every_seed_config() {
-    let models = [
-        MemoryModel::Sc,
-        MemoryModel::Tso,
-        MemoryModel::Pso,
-        MemoryModel::Rmo,
-    ];
+    let models = [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso];
     // Cap the space so the heaviest configs (n = 3 under PSO) stay cheap:
     // an equal `StateLimit` on every engine is still a differential check.
     let base = CheckConfig {
@@ -132,7 +127,7 @@ fn engines_agree_on_every_seed_config() {
             }
         }
     }
-    assert!(configs >= 48, "matrix actually swept ({configs} configs)");
+    assert!(configs >= 36, "matrix actually swept ({configs} configs)");
     assert!(
         violations >= 4,
         "matrix includes violating configs ({violations})"
@@ -278,7 +273,7 @@ proptest! {
     #[test]
     fn crash_free_runs_are_bit_identical_to_the_seed(
         kind_ix in 0usize..6,
-        model_ix in 0usize..4,
+        model_ix in 0usize..3,
         engine_ix in 0usize..3,
         sem_drain in any::<bool>(),
         termination in any::<bool>(),
@@ -295,7 +290,6 @@ proptest! {
             MemoryModel::Sc,
             MemoryModel::Tso,
             MemoryModel::Pso,
-            MemoryModel::Rmo,
         ];
         let sem = if sem_drain {
             CrashSemantics::DrainBuffer

@@ -44,12 +44,7 @@ fn pardpor() -> Engine {
     }
 }
 
-const MODELS: [MemoryModel; 4] = [
-    MemoryModel::Sc,
-    MemoryModel::Tso,
-    MemoryModel::Pso,
-    MemoryModel::Rmo,
-];
+const MODELS: [MemoryModel; 3] = [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso];
 
 /// Replay a mutex counterexample on a fresh *unreduced* machine: every
 /// element must take a real step and the final state must witness the
@@ -166,7 +161,7 @@ fn pardpor_agrees_on_the_full_n2_safety_matrix() {
             }
         }
     }
-    assert!(configs >= 200, "matrix actually swept ({configs} configs)");
+    assert!(configs >= 150, "matrix actually swept ({configs} configs)");
     assert!(
         violations >= 20,
         "matrix includes violating configs ({violations})"
@@ -395,7 +390,7 @@ proptest! {
     fn pardpor_matches_dpor_on_random_programs(
         prog0 in prop::collection::vec(op_strategy(), 0..6),
         prog1 in prop::collection::vec(op_strategy(), 0..6),
-        model_ix in 0usize..4,
+        model_ix in 0..MODELS.len(),
         max_crashes in 0u32..2,
         termination in any::<bool>(),
     ) {

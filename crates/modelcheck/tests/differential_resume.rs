@@ -37,12 +37,7 @@ fn ckpt_path(tag: &str) -> PathBuf {
     ))
 }
 
-const MODELS: [MemoryModel; 4] = [
-    MemoryModel::Sc,
-    MemoryModel::Tso,
-    MemoryModel::Pso,
-    MemoryModel::Rmo,
-];
+const MODELS: [MemoryModel; 3] = [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso];
 
 /// Does this engine execute the full edge multiset (no ample pruning),
 /// making combined state/transition counts exactly comparable?
@@ -219,7 +214,7 @@ fn pardpor_resumes_across_an_n2_sample() {
 #[ignore = "the full matrix for three engines: over a minute in debug; CI runs it with --ignored"]
 fn every_engine_resumes_across_the_full_n2_matrix() {
     let configs = n2_configs(FenceMask::enumerate, &MODELS);
-    assert!(configs.len() >= 200, "matrix ({} configs)", configs.len());
+    assert!(configs.len() >= 150, "matrix ({} configs)", configs.len());
     for (engine, tag) in ENGINES {
         let violations = resumes_across(engine, tag, &configs);
         assert!(
@@ -632,7 +627,7 @@ proptest! {
     #[test]
     fn resume_agrees_at_random_cut_points(
         cut in 1u64..2_000,
-        model_ix in 0usize..4,
+        model_ix in 0..MODELS.len(),
         engine_ix in 0usize..2,
         violating in any::<bool>(),
     ) {

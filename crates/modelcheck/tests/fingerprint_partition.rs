@@ -83,12 +83,7 @@ fn fingerprints_partition_the_n2_matrix_exactly() {
         LockKind::RecoverableTtas,
         LockKind::RecoverableBakery,
     ];
-    let models = [
-        MemoryModel::Sc,
-        MemoryModel::Tso,
-        MemoryModel::Pso,
-        MemoryModel::Rmo,
-    ];
+    let models = [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso];
     let crashes = [
         None,
         Some(CrashSemantics::DiscardBuffer),
@@ -136,7 +131,7 @@ fn fingerprints_partition_the_n2_matrix_exactly() {
         }
     }
     assert!(
-        cells >= 130 && crash_cells >= 60,
+        cells >= 97 && crash_cells >= 45,
         "matrix actually swept: {cells} cells, {crash_cells} with crashes"
     );
 }

@@ -165,13 +165,6 @@ impl JsonlSink {
         })
     }
 
-    /// The sink's final file path (where the stream is readable once the
-    /// sink has been dropped; append-mode sinks write here directly).
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Write one line (newline appended) and flush it. Errors are
     /// swallowed — losing telemetry must never fail the run being
     /// observed.

@@ -1,4 +1,4 @@
-//! `ftobs`: a zero-dependency metrics + tracing layer for the fence-trade
+//! `ftobs`: a zero-dependency metrics layer for the fence-trade
 //! exploration engines.
 //!
 //! Everything a checking run can tell you flows through one [`Recorder`]:
@@ -36,7 +36,6 @@ pub mod events;
 pub mod metrics;
 pub mod recorder;
 pub mod report;
-pub mod trace;
 
 pub use events::{encode_line, JsonlSink, J};
 pub use metrics::{
@@ -44,7 +43,3 @@ pub use metrics::{
     ProcSteps, GAUGES, HIST_BUCKETS, MAX_PROCS, METRICS,
 };
 pub use recorder::{Progress, Recorder, RecorderBuilder, Tally, DEFAULT_HEARTBEAT_MS, MAX_PCS};
-pub use trace::{
-    chrome_trace, parse_spans, phase_table, validate_spans, OpenSpan, SpanId, SpanRow, TraceCtx,
-    DEFAULT_TRACE_BUF,
-};

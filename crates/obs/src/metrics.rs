@@ -111,10 +111,6 @@ pub enum Metric {
     /// Candidate fence sites accumulated into counterexample cores
     /// (cumulative core sizes).
     CoreSize,
-    /// Causal trace spans written to the JSONL sink.
-    TraceSpans,
-    /// Causal trace spans dropped (tracing on but no sink attached).
-    TraceDropped,
 }
 
 /// All counters, in `repr(usize)` order.
@@ -152,13 +148,11 @@ pub const METRICS: [Metric; Metric::COUNT] = [
     Metric::SynthIterations,
     Metric::FencesInserted,
     Metric::CoreSize,
-    Metric::TraceSpans,
-    Metric::TraceDropped,
 ];
 
 impl Metric {
     /// Total number of counters.
-    pub const COUNT: usize = Metric::TraceDropped as usize + 1;
+    pub const COUNT: usize = Metric::CoreSize as usize + 1;
 
     /// Counters with index `< DETERMINISTIC_END` compare in snapshot
     /// equality; the rest are traversal- or timing-dependent.
@@ -201,8 +195,6 @@ impl Metric {
             Metric::SynthIterations => "synth_iterations",
             Metric::FencesInserted => "fences_inserted",
             Metric::CoreSize => "core_size",
-            Metric::TraceSpans => "trace_spans",
-            Metric::TraceDropped => "trace_dropped",
         }
     }
 }

@@ -22,7 +22,6 @@ use std::time::{Duration, Instant};
 
 use crate::events::{encode_line, JsonlSink, J};
 use crate::metrics::{bucket_index, Gauge, Metric, MetricsSnapshot, ProcSteps, MAX_PROCS};
-use crate::trace::{SpanId, TraceCtx, DEFAULT_TRACE_BUF};
 
 /// Highest pc tracked per process in the hot-pc table; larger pcs fold
 /// into the last slot.
@@ -31,12 +30,6 @@ pub const MAX_PCS: usize = 256;
 /// Heartbeat interval of a recorder built without
 /// [`RecorderBuilder::heartbeat_ms`].
 pub const DEFAULT_HEARTBEAT_MS: u64 = 1000;
-
-// Trace span ids are process-global, not per-recorder: several checks in
-// one process (a sweep, a resume chain) append to one JSONL file, and the
-// forest invariant (`parent < id`, ids unique) must hold across all of
-// them. `0` is reserved for [`SpanId::NONE`].
-static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 
 /// Hits per program point, indexed `pc * MAX_PROCS + proc` and grown on
 /// first touch: programs are short, so a table stays a few hundred slots
@@ -89,8 +82,6 @@ struct Inner {
     last_heartbeat_ms: AtomicU64,
     quiet: bool,
     sink: Option<Arc<JsonlSink>>,
-    trace: bool,
-    trace_root: AtomicU64,
 }
 
 /// Configures and builds an enabled [`Recorder`].
@@ -100,7 +91,6 @@ pub struct RecorderBuilder {
     sink: Option<Arc<JsonlSink>>,
     heartbeat_ms: Option<u64>,
     quiet: bool,
-    trace: bool,
 }
 
 impl RecorderBuilder {
@@ -135,13 +125,6 @@ impl RecorderBuilder {
         self
     }
 
-    /// Record causal trace spans (see [`crate::trace`]). Off by default.
-    #[must_use]
-    pub fn trace(mut self, on: bool) -> Self {
-        self.trace = on;
-        self
-    }
-
     /// Build the enabled recorder.
     #[must_use]
     pub fn build(self) -> Recorder {
@@ -155,8 +138,6 @@ impl RecorderBuilder {
                 last_heartbeat_ms: AtomicU64::new(0),
                 quiet: self.quiet,
                 sink: self.sink,
-                trace: self.trace,
-                trace_root: AtomicU64::new(0),
             })),
         }
     }
@@ -178,7 +159,7 @@ pub struct Progress {
     pub spent: Option<Duration>,
 }
 
-/// A metrics/tracing recorder handle. Cheap to clone (an `Arc` — or
+/// A metrics recorder handle. Cheap to clone (an `Arc` — or
 /// nothing at all when disabled); all methods take `&self`.
 #[derive(Clone, Default)]
 pub struct Recorder {
@@ -454,87 +435,6 @@ impl Recorder {
                 p.frontier,
             );
         }
-    }
-
-    /// Whether causal trace spans are being recorded (requires an
-    /// enabled recorder built with `.trace(true)`).
-    #[must_use]
-    pub fn trace_enabled(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.trace)
-    }
-
-    /// Allocate a fresh process-unique span id (strictly monotonic, so a
-    /// parent id is always smaller than any child allocated after it).
-    #[must_use]
-    pub fn alloc_span_id(&self) -> SpanId {
-        SpanId(NEXT_SPAN.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Monotonic microseconds since this recorder was built (the `ts_us`
-    /// clock of its trace spans).
-    #[must_use]
-    pub fn now_us(&self) -> u64 {
-        #[allow(clippy::cast_possible_truncation)]
-        let us = self
-            .inner
-            .as_ref()
-            .map_or(0, |i| i.start.elapsed().as_micros() as u64);
-        us
-    }
-
-    /// The current root span new engine-level spans should parent under
-    /// ([`SpanId::NONE`] outside any enclosing span).
-    #[must_use]
-    pub fn trace_root(&self) -> SpanId {
-        self.inner.as_ref().map_or(SpanId::NONE, |i| {
-            SpanId(i.trace_root.load(Ordering::Relaxed))
-        })
-    }
-
-    /// Set the root span for subsequently opened engine-level spans and
-    /// return the previous root, so callers can restore it on exit.
-    pub fn set_trace_root(&self, id: SpanId) -> SpanId {
-        self.inner.as_ref().map_or(SpanId::NONE, |i| {
-            SpanId(i.trace_root.swap(id.0, Ordering::Relaxed))
-        })
-    }
-
-    /// Open a per-worker trace writer with the default buffer bound.
-    #[must_use]
-    pub fn trace_ctx(&self) -> TraceCtx {
-        TraceCtx::new(self.clone(), DEFAULT_TRACE_BUF)
-    }
-
-    /// Render a span line (meta + timestamps included), or `None` when
-    /// tracing is off.
-    pub(crate) fn render_trace(&self, fields: &[(&str, J)]) -> Option<String> {
-        let inner = self.inner.as_ref()?;
-        if !inner.trace {
-            return None;
-        }
-        Some(self.render_event(inner, "span", fields))
-    }
-
-    /// Drain a [`TraceCtx`] buffer into the sink, counting written spans
-    /// (or drops, when no sink is attached).
-    pub(crate) fn trace_flush(&self, lines: &mut Vec<String>) {
-        if lines.is_empty() {
-            return;
-        }
-        let Some(inner) = &self.inner else {
-            lines.clear();
-            return;
-        };
-        let n = lines.len() as u64;
-        if let Some(sink) = &inner.sink {
-            for line in lines.iter() {
-                sink.write_line(line);
-            }
-            self.add(Metric::TraceSpans, n);
-        } else {
-            self.add(Metric::TraceDropped, n);
-        }
-        lines.clear();
     }
 
     /// Flush the JSONL sink, if attached.

@@ -159,8 +159,7 @@ pub fn sketch(h: &HistSnapshot) -> String {
 /// newline *and* unparseable. Such a tail is returned separately so
 /// callers skip and count it instead of erroring; a parseable final
 /// line merely missing its newline is kept.
-#[must_use]
-pub fn stream_lines(text: &str) -> (Vec<String>, Option<String>) {
+fn stream_lines(text: &str) -> (Vec<String>, Option<String>) {
     let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
     if !text.is_empty() && !text.ends_with('\n') {
         if let Some(last) = lines.last() {
@@ -187,8 +186,8 @@ pub struct StreamScan {
 }
 
 /// Scan a raw JSONL stream, keeping every well-formed event line and
-/// counting what had to be skipped. Consumers (`exp obs-report`,
-/// `exp obs-trace`) surface [`StreamScan::lines_skipped`] as a warning
+/// counting what had to be skipped. `exp obs-report` surfaces
+/// [`StreamScan::lines_skipped`] as a warning
 /// rather than erroring — a report over a terabyte of telemetry must
 /// survive one corrupt line.
 #[must_use]

@@ -55,12 +55,6 @@ pub struct ForkPoint {
     pub excluded: Vec<SchedElem>,
     /// Remaining reorder budget on entry to the frame's state.
     pub remaining: u32,
-    /// Causal trace span this fork descends from (`ftobs` span id of the
-    /// donor's `publish` instant, or the engine/resume root span for
-    /// seeded forks). `0` when tracing is off; carried opaquely — `por`
-    /// never interprets it, but it must survive queue transfer and
-    /// checkpoint round-trips so steal edges stay attributable.
-    pub span: u64,
 }
 
 struct QueueState {
@@ -216,7 +210,6 @@ mod tests {
             choices: Vec::new(),
             excluded: Vec::new(),
             remaining: n,
-            span: u64::from(n),
         }
     }
 

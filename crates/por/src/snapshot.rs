@@ -57,8 +57,9 @@ pub const MAGIC: [u8; 6] = *b"FTCKPT";
 /// zeros are never written and nothing ever incremented it on a recorder
 /// that reaches a checkpoint, so no v6 file names it. v7 dropped the RMR
 /// count, from the named counters and from each per-process slot, which
-/// went from (fences, RMRs, crashes) to (fences, crashes).
-pub const VERSION: u32 = 7;
+/// went from (fences, RMRs, crashes) to (fences, crashes). v8 dropped the
+/// 8-byte trace span id from each fork point.
+pub const VERSION: u32 = 8;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -461,7 +462,6 @@ impl Snapshot {
             e.elems(&f.choices);
             e.elems(&f.excluded);
             e.u32(f.remaining);
-            e.u64(f.span);
         }
         e.u64(self.visited.len() as u64);
         for &fp in &self.visited {
@@ -532,7 +532,7 @@ impl Snapshot {
             sleep_hits: d.u64()?,
         };
         let metrics = dec_metrics(&mut d)?;
-        let nforks = d.count(26)?;
+        let nforks = d.count(24)?;
         let mut forks = Vec::with_capacity(nforks);
         for _ in 0..nforks {
             let path = d.elems()?;
@@ -544,7 +544,6 @@ impl Snapshot {
             let choices = d.elems()?;
             let excluded = d.elems()?;
             let remaining = d.u32()?;
-            let span = d.u64()?;
             forks.push(ForkPoint {
                 path,
                 sleep,
@@ -552,7 +551,6 @@ impl Snapshot {
                 choices,
                 excluded,
                 remaining,
-                span,
             });
         }
         let nv = d.u64()? as usize;
@@ -698,7 +696,6 @@ mod tests {
                 choices: vec![SchedElem::op(ProcId(1)), SchedElem::op(ProcId(0))],
                 excluded: vec![SchedElem::commit(ProcId(1), RegId(0))],
                 remaining: 5,
-                span: 77,
             }],
             visited: vec![0, 1, u128::MAX, 0x42 << 64],
             edges: vec![(0, 1), (1, u128::MAX)],
@@ -796,7 +793,6 @@ mod tests {
         assert_eq!(a.choices, b.choices);
         assert_eq!(a.excluded, b.excluded);
         assert_eq!(a.remaining, b.remaining);
-        assert_eq!(a.span, b.span);
         assert_all_slots_eq(&got.metrics, &s.metrics);
     }
 
@@ -850,9 +846,10 @@ mod tests {
         // The header sits outside the checksummed payload, so restamping
         // the version leaves a file that passes every other check. v5 is
         // the positional-metrics format, v6 the one whose per-process
-        // slots held an RMR count: each must be named as a version
-        // mismatch, not decoded into `Corrupt`.
-        for old in [4u32, 5, 6] {
+        // slots held an RMR count, v7 the one whose fork points carried
+        // a span id: each must be named as a version mismatch, not
+        // decoded into `Corrupt`.
+        for old in [4u32, 5, 6, 7] {
             let mut bytes = sample().to_bytes();
             assert_eq!(bytes[MAGIC.len()..MAGIC.len() + 4], VERSION.to_le_bytes());
             bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&old.to_le_bytes());

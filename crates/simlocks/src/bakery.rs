@@ -20,7 +20,8 @@
 //! ```
 //!
 //! The algorithm orders its writes explicitly with fences, so it is correct
-//! under every memory model including RMO (the paper notes this).
+//! under every memory model the simulator offers (the paper notes it holds
+//! under RMO too).
 //!
 //! ## Deviation from the paper's listing
 //!

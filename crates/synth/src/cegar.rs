@@ -78,7 +78,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use fencevm::{insert_fences_after, strip_fences, Instr, Rewritten, Src, VmProc};
-use ftobs::{Metric, Recorder, J};
+use ftobs::{Metric, Recorder};
 use modelcheck::{all_ok, check, check_under_models, CheckConfig, Engine, ModelVerdict};
 use simlocks::OrderingInstance;
 use wbmem::{
@@ -459,45 +459,6 @@ pub fn synthesize(inst: &OrderingInstance, cfg: &SynthConfig) -> SynthOutcome {
     synthesize_with(inst, cfg, &mut Pool::default())
 }
 
-/// [`synthesize`], starting from — and adding to — what `pool` holds.
-/// Every call on one pool must share `inst` and the check-relevant part
-/// of `cfg` (models, engine, properties, crash bound); weights may differ.
-pub(crate) fn synthesize_with(
-    inst: &OrderingInstance,
-    cfg: &SynthConfig,
-    pool: &mut Pool,
-) -> SynthOutcome {
-    // The `synth` span brackets the whole CEGAR run; every `cegar_iter`
-    // span (and the model checks under it) nests inside via the
-    // trace-root handoff.
-    let mut tctx = cfg.recorder.trace_ctx();
-    let span = tctx.begin();
-    let span_parent = cfg.recorder.trace_root();
-    if tctx.enabled() {
-        let _ = cfg.recorder.set_trace_root(span.id);
-    }
-    let out = synthesize_inner(inst, cfg, pool);
-    if tctx.enabled() {
-        let _ = cfg.recorder.set_trace_root(span_parent);
-        let (outcome, iters) = match &out {
-            SynthOutcome::Synthesized(syn) => ("synthesized", syn.iterations),
-            SynthOutcome::Unfixable { .. } => ("unfixable", 0),
-            SynthOutcome::Exhausted { iterations, .. } => ("exhausted", *iterations),
-        };
-        tctx.end(
-            span,
-            "synth",
-            span_parent,
-            &[
-                ("outcome", J::s(outcome)),
-                ("iterations", J::U(iters as u64)),
-            ],
-        );
-        tctx.flush();
-    }
-    out
-}
-
 /// Inner-check volume of one [`synthesize`] call (see the [`Synthesis`]
 /// fields of the same names).
 #[derive(Default)]
@@ -516,7 +477,14 @@ fn placement_of(n: usize, sites: impl IntoIterator<Item = Site>) -> Vec<Vec<usiz
     placement
 }
 
-fn synthesize_inner(inst: &OrderingInstance, cfg: &SynthConfig, pool: &mut Pool) -> SynthOutcome {
+/// [`synthesize`], starting from — and adding to — what `pool` holds.
+/// Every call on one pool must share `inst` and the check-relevant part
+/// of `cfg` (models, engine, properties, crash bound); weights may differ.
+pub(crate) fn synthesize_with(
+    inst: &OrderingInstance,
+    cfg: &SynthConfig,
+    pool: &mut Pool,
+) -> SynthOutcome {
     let baseline = strip_instance(inst);
     let n = baseline.n;
     let check_cfg = cfg.check_config();
@@ -531,16 +499,7 @@ fn synthesize_inner(inst: &OrderingInstance, cfg: &SynthConfig, pool: &mut Pool)
     let mut effort = Effort::default();
     let mut last_verdict = "ok";
 
-    let mut tctx = cfg.recorder.trace_ctx();
     for iteration in 1..=MAX_ITERS {
-        // The span covers the candidate build plus the multi-model check
-        // (where the iteration's wall time goes); refinement bookkeeping
-        // after it is negligible and would tangle the early returns.
-        let ispan = tctx.begin();
-        let iter_parent = cfg.recorder.trace_root();
-        if tctx.enabled() {
-            let _ = cfg.recorder.set_trace_root(ispan.id);
-        }
         let (candidate, rewrites) = build_candidate(&baseline, &placement);
         let known_clean = pool.clean.contains(&placement);
         let verdicts = if known_clean {
@@ -550,22 +509,6 @@ fn synthesize_inner(inst: &OrderingInstance, cfg: &SynthConfig, pool: &mut Pool)
             check_under_models(&candidate, &cfg.models, &check_cfg, true)
         };
         let ok = known_clean || all_ok(&verdicts);
-        if tctx.enabled() {
-            let _ = cfg.recorder.set_trace_root(iter_parent);
-            tctx.end(
-                ispan,
-                "cegar_iter",
-                iter_parent,
-                &[
-                    ("iteration", J::U(iteration as u64)),
-                    ("ok", J::B(ok)),
-                    (
-                        "fences",
-                        J::U(placement.iter().map(Vec::len).sum::<usize>() as u64),
-                    ),
-                ],
-            );
-        }
         cfg.recorder.incr(Metric::SynthIterations);
         effort.total_states += states_of(&verdicts);
         if ok {

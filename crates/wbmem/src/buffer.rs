@@ -1,6 +1,6 @@
 //! Per-process write buffers.
 //!
-//! * Under **PSO/RMO** the buffer is the paper's `WB_p ⊆ R × D`: an
+//! * Under **PSO** the buffer is the paper's `WB_p ⊆ R × D`: an
 //!   unordered set with at most one entry per register (a new write to `R`
 //!   replaces the buffered one), and the system may commit *any* entry.
 //! * Under **TSO** the buffer is a FIFO queue; only the oldest entry may
@@ -20,7 +20,7 @@ use crate::model::MemoryModel;
 use crate::reg::RegId;
 use crate::value::Value;
 
-/// The pending writes of a PSO/RMO buffer: at most one per register,
+/// The pending writes of a PSO buffer: at most one per register,
 /// sorted by register. Dereferences to the sorted slice.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct PsoWrites(Vec<(RegId, Value)>);
@@ -64,7 +64,7 @@ pub enum WriteBuffer {
     Sc,
     /// TSO: FIFO of pending writes, oldest first.
     Tso(VecDeque<(RegId, Value)>),
-    /// PSO/RMO: unordered pending writes, one per register.
+    /// PSO: unordered pending writes, one per register.
     Pso(PsoWrites),
 }
 
@@ -93,7 +93,7 @@ impl WriteBuffer {
         match model {
             MemoryModel::Sc => WriteBuffer::Sc,
             MemoryModel::Tso => WriteBuffer::Tso(VecDeque::new()),
-            MemoryModel::Pso | MemoryModel::Rmo => WriteBuffer::Pso(PsoWrites::default()),
+            MemoryModel::Pso => WriteBuffer::Pso(PsoWrites::default()),
         }
     }
 
@@ -371,12 +371,6 @@ mod tests {
         assert_eq!(b.read(r(1)), Some(v(20)));
         assert_eq!(b.len(), 2); // both entries are queued
         assert_eq!(b.regs(), vec![r(1)]);
-    }
-
-    #[test]
-    fn rmo_behaves_like_pso() {
-        let b = WriteBuffer::new(MemoryModel::Rmo);
-        assert!(matches!(b, WriteBuffer::Pso(_)));
     }
 
     #[test]

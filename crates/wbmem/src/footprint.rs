@@ -76,7 +76,7 @@ impl Footprint {
     ///
     /// Per model: the only model-dependent clause is same-process
     /// commit/commit independence, which requires an *unordered* buffer
-    /// ([`MemoryModel::reorders_writes`] — PSO/RMO). Under TSO at most one
+    /// ([`MemoryModel::reorders_writes`] — PSO). Under TSO at most one
     /// commit is committable at a time and under SC there are no commits,
     /// so the clause never fires there. Cross-process clauses are
     /// model-independent because the footprints already encode the model's
@@ -215,7 +215,6 @@ mod tests {
         assert!(!a.independent(b, MemoryModel::Sc));
         assert!(!a.independent(b, MemoryModel::Tso));
         assert!(a.independent(b, MemoryModel::Pso));
-        assert!(a.independent(b, MemoryModel::Rmo));
         assert!(!a.independent(a, MemoryModel::Pso), "same cell never");
     }
 

@@ -20,11 +20,9 @@
 //!   only if it is an RMR in both senses (see [`Machine`] docs and the
 //!   [`rmr`] module).
 //!
-//! Four memory models are supported ([`MemoryModel`]): `Sc` (no buffering),
-//! `Tso` (FIFO buffer — writes commit in program order), `Pso` (unordered
-//! buffer — the paper's machine), and `Rmo` (treated as `Pso`: the paper's
-//! lower bound never exploits read reordering, and its algorithms order reads
-//! explicitly with fences).
+//! Three memory models are supported ([`MemoryModel`]): `Sc` (no buffering),
+//! `Tso` (FIFO buffer — writes commit in program order) and `Pso` (unordered
+//! buffer — the paper's machine). Read reordering (RMO) is out of scope.
 //!
 //! Programs are supplied through the [`Process`] trait: a deterministic,
 //! cloneable state machine that exposes the operation it is *poised* to

@@ -6,9 +6,10 @@ use std::fmt;
 ///
 /// The paper proves its lower bound in a machine with *unordered* write
 /// buffers — exactly [`MemoryModel::Pso`] — and observes the bound holds a
-/// fortiori for weaker models (RMO). Its upper bounds (the `GT_f` family)
-/// order writes explicitly with fences and are therefore correct under every
-/// model here.
+/// fortiori for weaker models. Its upper bounds (the `GT_f` family) order
+/// writes explicitly with fences and are therefore correct under every
+/// model here. Models that also reorder reads (RMO, ARM, POWER) are out of
+/// scope: no model here lets a read take effect before an earlier one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MemoryModel {
     /// Sequential consistency: writes bypass the buffer and commit
@@ -22,27 +23,17 @@ pub enum MemoryModel {
     /// write buffer with at most one entry per register; the system may
     /// commit buffered writes in any order.
     Pso,
-    /// Relaxed memory order (ARM/POWER/Alpha). Simulated identically to
-    /// [`MemoryModel::Pso`]: the lower bound only exploits write reordering,
-    /// and the algorithms under test order reads explicitly with fences, so
-    /// read reordering is never observable in the executions we construct.
-    Rmo,
 }
 
 impl MemoryModel {
     /// All supported models, strongest first.
-    pub const ALL: [MemoryModel; 4] = [
-        MemoryModel::Sc,
-        MemoryModel::Tso,
-        MemoryModel::Pso,
-        MemoryModel::Rmo,
-    ];
+    pub const ALL: [MemoryModel; 3] = [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso];
 
     /// Whether writes may be reordered with later writes (the property the
     /// paper's lower bound requires).
     #[must_use]
     pub fn reorders_writes(self) -> bool {
-        matches!(self, MemoryModel::Pso | MemoryModel::Rmo)
+        matches!(self, MemoryModel::Pso)
     }
 
     /// Whether writes are buffered at all.
@@ -58,7 +49,6 @@ impl fmt::Display for MemoryModel {
             MemoryModel::Sc => "SC",
             MemoryModel::Tso => "TSO",
             MemoryModel::Pso => "PSO",
-            MemoryModel::Rmo => "RMO",
         };
         f.write_str(name)
     }
@@ -73,7 +63,6 @@ mod tests {
         assert!(!MemoryModel::Sc.reorders_writes());
         assert!(!MemoryModel::Tso.reorders_writes());
         assert!(MemoryModel::Pso.reorders_writes());
-        assert!(MemoryModel::Rmo.reorders_writes());
     }
 
     #[test]
@@ -86,6 +75,6 @@ mod tests {
     #[test]
     fn display_names() {
         let names: Vec<String> = MemoryModel::ALL.iter().map(ToString::to_string).collect();
-        assert_eq!(names, ["SC", "TSO", "PSO", "RMO"]);
+        assert_eq!(names, ["SC", "TSO", "PSO"]);
     }
 }

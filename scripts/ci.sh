@@ -23,11 +23,11 @@ stage "cargo fmt --check" \
 stage "cargo clippy --all-targets -- -D warnings" \
     cargo clippy --all-targets -- -D warnings
 
-stage "layering: wbmem (the paper's Section-2 machine) and lowerbound (its Section-5 encoder) do not depend on ftobs; no crate forecasts a run's size; the checker never reads locality" \
+stage "layering: wbmem (the paper's Section-2 machine) and lowerbound (its Section-5 encoder) do not depend on ftobs; no crate forecasts a run's size or writes trace spans; the checker never reads locality" \
     bash -c 'for c in wbmem lowerbound; do
             tree=$(cargo tree -p $c --offline -e normal) && ! grep -q ftobs <<< "$tree" || exit 1
         done
-        ! grep -rqE "TreeEstimator|est_total_states|eta_ms" crates/*/src || exit 1
+        ! grep -rqE "TreeEstimator|est_total_states|eta_ms|TraceCtx|SpanId|trace_ctx|trace_root" crates/*/src || exit 1
         ! grep -rqE "LocalityTracker|\.locality\(\)" crates/modelcheck/src'
 
 stage "cargo build --release" \
@@ -55,20 +55,17 @@ stage "benchmark/ package builds and its smoke test passes (bench_probe calls wb
 
 # Pinned by exclusion: every table under results/ but the timing list of
 # EXPERIMENTS.md.
-stage "exp --fast all: E1–E12 regenerate every pinned table under results/ byte-for-byte and write no table that is not committed; E14 (one round, writes nothing), E15, E16 (n = 2 only: fails on a row that differs from results/e16_synthesis.txt in any cell — iterations, cores, states, seeded/full checks, placement — or a minimisation that used no witness) and E17 (the traced runs' span forest) pass their own checks" \
+stage "exp --fast all: E1–E12 regenerate every pinned table under results/ byte-for-byte and write no table that is not committed; E14 (one round, writes nothing), E15, E16 (n = 2 only: fails on a row that differs from results/e16_synthesis.txt in any cell — iterations, cores, states, seeded/full checks, placement — or a minimisation that used no witness) pass their own checks" \
     bash -c 'cargo run --release -p ft-bench -- --fast all > /dev/null || exit 1
         pinned=(results ":!results/e15_resume.txt" ":!results/manifest.txt" ":!results/obs")
         git diff --exit-code -- "${pinned[@]}" || exit 1
         stray=$(git status --porcelain --untracked-files=all -- "${pinned[@]}")
         [ -z "$stray" ] || { echo "not committed:"; echo "$stray"; exit 1; }'
 
-stage "exp obs-trace results/obs/e17_trace.jsonl (the span stream E17 just wrote: forest validation, Chrome trace export to results/obs/trace.json)" \
-    bash -c "cargo run --release -p ft-bench -- obs-trace results/obs/e17_trace.jsonl > /dev/null"
-
-stage "exp obs-report (renders the JSONL the E12/E15/E16/E17 runs just wrote)" \
+stage "exp obs-report (renders the JSONL the E12/E15/E16 runs just wrote)" \
     bash -c "cargo run --release -p ft-bench -- obs-report > /dev/null"
 
-stage "exp guards: every wall-clock gate (checkpoint smoke + cost per snapshot MiB, pardpor dispatch ≤5% + scaling ≥1.5x where the cores were granted, recorder overhead ≤5%, disabled-path baseline)" \
+stage "exp guards: every wall-clock gate (checkpoint smoke + cost per snapshot MiB, pardpor dispatch ≤5% + scaling ≥1.5x where the cores were granted, live-recorder overhead ≤5%, disabled-path baseline)" \
     cargo run --release -p ft-bench -- guards
 
 echo "CI green."
