@@ -182,7 +182,7 @@ fn checkpoint_gates() -> bool {
     };
 
     // Kill-and-resume smoke: a `stop_after` cut takes the code path a
-    // wall-clock expiry or an interrupt flag takes.
+    // wall-clock expiry takes.
     let dpor = cfg.clone().with_engine(Engine::Dpor {
         reorder_bound: None,
     });

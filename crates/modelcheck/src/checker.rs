@@ -9,8 +9,10 @@
 //! * [`Engine::Undo`] (the default), [`Engine::Parallel`],
 //!   [`Engine::Dpor`] and [`Engine::ParallelDpor`] are the four
 //!   instantiations of the one search kernel (`kernel.rs`): no
-//!   reduction or sleep/ample sets (none under the termination check),
-//!   on a local stack or a work-stealing frontier. One machine is
+//!   reduction or sleep/ample sets (no sleep sets under the termination
+//!   check), on a local stack or a work-stealing frontier. Termination is
+//!   checked on the local stack only: the parallel engines run their
+//!   sequential twin under it. One machine is
 //!   stepped with [`Machine::step_recorded`] and rewound with
 //!   [`Machine::undo`], so backtracking costs O(step footprint) instead
 //!   of O(machine).
@@ -24,8 +26,6 @@ use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ftobs::{Gauge, Metric, MetricsSnapshot, ProcSteps, Progress, Recorder, Tally};
@@ -50,10 +50,10 @@ pub enum Engine {
     Undo,
     /// [`Engine::Undo`]'s walk on the work-stealing frontier: a completed
     /// sweep expands every reachable state exactly once, so its
-    /// statistics equal the sequential ones; a violation, state limit, or
-    /// stuck state cancels it and reruns [`Engine::Undo`], whose verdict
-    /// (including the counterexample) is returned verbatim. With one
-    /// worker this is exactly [`Engine::Undo`].
+    /// statistics equal the sequential ones; a violation or state limit
+    /// cancels it and reruns [`Engine::Undo`], whose verdict (including
+    /// the counterexample) is returned verbatim. With one worker, and
+    /// under the termination check, this is exactly [`Engine::Undo`].
     Parallel {
         /// Worker count (`0` = available parallelism).
         threads: usize,
@@ -88,14 +88,14 @@ pub enum Engine {
     /// Work-stealing parallel DPOR: [`Engine::Dpor`]'s walk (identical
     /// pruning rules) on [`Engine::Parallel`]'s frontier. Verdicts are
     /// bit-identical to [`Engine::Dpor`] with the same `reorder_bound`
-    /// (violations, limits, stuck states, and worker panics defer to a
-    /// sequential rerun); in the diagnostic mode, and unbounded under
-    /// the termination check, this is [`Engine::Parallel`]'s sweep. See
-    /// `DESIGN.md` §7 for the fork-point protocol and the soundness
-    /// argument.
+    /// (violations, limits and worker panics defer to a sequential
+    /// rerun); in the diagnostic mode this is [`Engine::Parallel`]'s
+    /// sweep. See `DESIGN.md` §7 for the fork-point protocol and the
+    /// soundness argument.
     ParallelDpor {
-        /// Worker count (`0` = available parallelism). With one worker
-        /// this is exactly [`Engine::Dpor`].
+        /// Worker count (`0` = available parallelism). With one worker,
+        /// and under the termination check, this is exactly
+        /// [`Engine::Dpor`].
         threads: usize,
         /// Same meaning as [`Engine::Dpor::reorder_bound`], including
         /// the `Some(u32::MAX)` diagnostic mode.
@@ -182,12 +182,15 @@ pub struct CheckConfig {
     pub recorder: Recorder,
     /// Durable checkpointing (see [`CheckpointPolicy`]). When set, every
     /// engine but the [`Engine::CloneDfs`] oracle writes a versioned,
-    /// checksummed snapshot of the unexplored frontier on budget expiry
-    /// or interrupt — and periodically if so configured — so the run can
-    /// be continued with [`crate::resume`].
+    /// checksummed snapshot of the unexplored frontier when it stops on
+    /// budget expiry or a stop trigger, so the run can be continued with
+    /// [`crate::resume`].
     /// `CloneDfs` ignores the policy (it keeps a live machine clone per
-    /// frame, which has no serialized form). `None` (the default)
-    /// disables checkpointing entirely.
+    /// frame, which has no serialized form). A snapshot holds no
+    /// termination graph, so every engine refuses a policy together with
+    /// [`check_termination`](Self::check_termination) with
+    /// [`CheckError::Checkpoint`] before it explores anything. `None` (the
+    /// default) disables checkpointing entirely.
     pub checkpoint: Option<CheckpointPolicy>,
 }
 
@@ -267,10 +270,9 @@ impl CheckConfig {
 /// [`crate::resume`] continues the exploration from it and reaches the
 /// same verdict an uninterrupted run would have.
 ///
-/// The builder methods compose: a policy usually starts from
-/// [`CheckpointPolicy::at`] and adds triggers. With no trigger configured
-/// the policy still checkpoints on wall-clock budget expiry — that is the
-/// baseline behavior `path` alone buys.
+/// A policy starts from [`CheckpointPolicy::at`], which checkpoints on
+/// wall-clock budget expiry; [`CheckpointPolicy::stop_after`] adds a
+/// deterministic transition cut.
 #[derive(Clone, Debug, Default)]
 pub struct CheckpointPolicy {
     /// Where the snapshot lands. The write goes through a hidden
@@ -278,19 +280,11 @@ pub struct CheckpointPolicy {
     /// writable; the final path either holds a complete, checksummed
     /// snapshot or whatever was there before.
     pub path: PathBuf,
-    /// Also write a checkpoint every this-many transitions (`None` =
-    /// only at stop points). The run continues after a periodic write.
-    pub every_transitions: Option<u64>,
     /// Stop (checkpoint + [`Verdict::Inconclusive`]) once this many
     /// transitions have been executed. Unlike the wall-clock budget this
     /// cut point is deterministic, which is what the differential
     /// resume tests are built on.
     pub stop_after_transitions: Option<u64>,
-    /// Cooperative interrupt: when the flag becomes `true` (e.g. from a
-    /// SIGINT handler installed by the caller) the engines stop at the
-    /// next transition boundary, checkpoint, and return
-    /// [`Verdict::Inconclusive`].
-    pub interrupt: Option<Arc<AtomicBool>>,
 }
 
 impl CheckpointPolicy {
@@ -303,13 +297,6 @@ impl CheckpointPolicy {
         }
     }
 
-    /// Also checkpoint every `n` transitions (run continues).
-    #[must_use]
-    pub fn every_transitions(mut self, n: u64) -> Self {
-        self.every_transitions = Some(n);
-        self
-    }
-
     /// Stop and checkpoint after `n` transitions (deterministic cut).
     #[must_use]
     pub fn stop_after(mut self, n: u64) -> Self {
@@ -317,23 +304,12 @@ impl CheckpointPolicy {
         self
     }
 
-    /// Stop and checkpoint when `flag` becomes true.
-    #[must_use]
-    pub fn on_interrupt(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.interrupt = Some(flag);
-        self
-    }
-
-    /// Whether a stop trigger has fired at `transitions` executed
+    /// Whether the stop trigger has fired at `transitions` executed
     /// transitions. Checked at every transition boundary so the
     /// deterministic `stop_after_transitions` cut is exact.
     pub(crate) fn stop_requested(&self, transitions: u64) -> bool {
         self.stop_after_transitions
             .is_some_and(|n| transitions >= n)
-            || self
-                .interrupt
-                .as_ref()
-                .is_some_and(|f| f.load(Ordering::Relaxed))
     }
 }
 
@@ -803,12 +779,6 @@ pub(crate) fn can_finish(n_states: usize, edges: &[(u32, u32)], finish: &[u32]) 
     can_finish
 }
 
-/// The smallest-id state that cannot reach a terminal one, if any.
-pub(crate) fn find_stuck(n_states: usize, edges: &[(u32, u32)], terminal: &[u32]) -> Option<u32> {
-    let can_finish = can_finish(n_states, edges, terminal);
-    can_finish.iter().position(|&c| !c).map(|s| s as u32)
-}
-
 /// Whether the configured annotation invariant rejects the machine's
 /// current annotation vector, gathered into the caller's reusable
 /// `annots`.
@@ -1068,17 +1038,31 @@ pub(crate) fn bounded_root<'a, P: Process>(
 /// timing-dependent.
 #[must_use]
 pub fn check<P: Process>(initial: &Machine<P>, config: &CheckConfig) -> Verdict {
-    dispatch(initial, config, None)
+    dispatch(initial, config, || Ok(None))
 }
 
 /// One run of `config.engine` — from the root, or continuing the
-/// validated checkpoint `seed` ([`crate::resume`]) — stamped with the
-/// elapsed time and the recorder's metrics.
+/// validated checkpoint `seed` loads ([`crate::resume`]) — stamped with
+/// the elapsed time and the recorder's metrics. A checkpoint policy on a
+/// termination-checking run is refused before `seed` is read: the
+/// termination check runs on one walk's graph, which no snapshot holds.
 pub(crate) fn dispatch<P: Process>(
     initial: &Machine<P>,
     config: &CheckConfig,
-    seed: Option<Snapshot>,
+    seed: impl FnOnce() -> Result<Option<Snapshot>, CheckError>,
 ) -> Verdict {
+    let refuse = |e: CheckError| Verdict::Error(Stats::default(), e);
+    if config.check_termination && config.checkpoint.is_some() {
+        return refuse(CheckError::Checkpoint(
+            "a checkpoint policy cannot be combined with check_termination: \
+             a snapshot holds no termination graph"
+                .to_string(),
+        ));
+    }
+    let seed = match seed() {
+        Ok(seed) => seed,
+        Err(e) => return refuse(e),
+    };
     let start = Instant::now();
     let deadline = config.budget.map(|b| start + b);
     let root = bounded_root(initial, config);
@@ -1241,8 +1225,9 @@ fn check_clone_dfs<P: Process>(
 
     obs.gauge_set(Gauge::DedupOccupancy, index.len() as u64);
     if config.check_termination {
-        if let Some(stuck) = find_stuck(index.len(), &edges, &terminal) {
-            return Verdict::NoTermination(stats, render(initial, &index.path_to(stuck)));
+        let can_finish = can_finish(index.len(), &edges, &terminal);
+        if let Some(stuck) = can_finish.iter().position(|&c| !c) {
+            return Verdict::NoTermination(stats, render(initial, &index.path_to(stuck as u32)));
         }
     }
 
@@ -1258,6 +1243,12 @@ mod tests {
 
     fn cfg() -> CheckConfig {
         CheckConfig::default()
+    }
+
+    /// The smallest-id state that cannot reach a terminal one, if any.
+    fn find_stuck(n_states: usize, edges: &[(u32, u32)], terminal: &[u32]) -> Option<u32> {
+        let can_finish = can_finish(n_states, edges, terminal);
+        can_finish.iter().position(|&c| !c).map(|s| s as u32)
     }
 
     #[test]

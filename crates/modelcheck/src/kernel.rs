@@ -7,8 +7,8 @@
 //! generic over two axes (DESIGN.md §5a):
 //!
 //! * a [`Reduction`] decides *which edges are walked*: [`NoReduction`]
-//!   (zero-sized — every enabled choice, in the order its parameter
-//!   names) or [`SleepAmple`] (sleep sets, ample sets, reorder bound);
+//!   (zero-sized — every enabled choice, in the oracle's order) or
+//!   [`SleepAmple`] (sleep sets, ample sets, reorder bound);
 //! * a [`Frontier`] decides *who owns a state and when the walk stops*:
 //!   [`Local`] (dense ids, exact stop points, verdicts rendered in
 //!   place) or the work-stealing `Shared` frontier of [`crate::pardpor`].
@@ -17,12 +17,12 @@
 //!
 //! The four kernel engines are the four pairs: `Undo` = `NoReduction` ×
 //! `Local`, `Parallel` = `NoReduction` × `Shared`, `Dpor` = `SleepAmple`
-//! × `Local`, `ParallelDpor` = `SleepAmple` × `Shared`. An unbounded
-//! `Dpor` that checks termination keeps its ample sets and drops its sleep
-//! sets ([`sequential`]); an unbounded `ParallelDpor` that checks it runs
-//! the `NoReduction` walk in the reduced walk's front-first order, since
-//! its per-task cycle proviso cannot vouch for a cycle through two
-//! workers' tasks.
+//! × `Local`, `ParallelDpor` = `SleepAmple` × `Shared`. Termination is
+//! checked on `Local` alone, over the graph of the one walk it runs: the
+//! `Shared` engines run their `Local` twin under the check, since a task's
+//! cycle proviso cannot vouch for a cycle through two workers' tasks. An
+//! unbounded `Dpor` that checks termination keeps its ample sets and
+//! drops its sleep sets ([`sequential`]).
 //!
 //! Every walk starts from a [`ForkPoint`] — a fresh run's is the root's
 //! expansion ([`root_fork`]) — and every open frame serializes back into
@@ -178,27 +178,17 @@ pub(crate) trait Reduction<P: Process, N> {
 }
 
 /// The exhaustive walk: nothing is pruned, a state is entered exactly on
-/// its first visit, and every hook but the choice copy compiles away.
-/// `LIFO` is its [order](Reduction::LIFO): the exhaustive engines take the
-/// oracle's back-first one, which keeps them bit-identical to it, and
-/// `ParallelDpor`'s unbounded termination sweep the reduced walk's
-/// front-first one.
-///
-/// Continuing a fork point that a reduced walk serialized — a resumed
-/// termination-checking `Dpor` — it explores the frame's ample-excluded
-/// choices too: the frame loses its place on the stack, and with it the
-/// cycle proviso that would have reinstated them.
-pub(crate) struct NoReduction<const LIFO: bool>;
+/// its first visit, and every hook but the choice copy compiles away. It
+/// takes the oracle's back-first [order](Reduction::LIFO), which keeps the
+/// exhaustive engines bit-identical to it.
+pub(crate) struct NoReduction;
 
-impl<P: Process, N, const LIFO: bool> Reduction<P, N> for NoReduction<LIFO> {
+impl<P: Process, N> Reduction<P, N> for NoReduction {
     type Frame = ();
-    const LIFO: bool = LIFO;
+    const LIFO: bool = true;
     const FOOTPRINTS: bool = false;
 
-    fn adopt(&mut self, _fp: u128, task: &mut ForkPoint) {
-        let excluded = std::mem::take(&mut task.excluded);
-        task.choices.extend(excluded);
-    }
+    fn adopt(&mut self, _fp: u128, _task: &mut ForkPoint) {}
 
     fn admit(&self, _m: &Machine<P>, _frame: &(), _elem: SchedElem) -> Option<u32> {
         Some(u32::MAX)
@@ -231,7 +221,8 @@ impl<P: Process, N, const LIFO: bool> Reduction<P, N> for NoReduction<LIFO> {
 
 /// Who owns a state and when the walk stops. Owns the first-visit gate
 /// (state counting and property checks happen once per state), the
-/// termination graph, and the stop/checkpoint discipline.
+/// stop/checkpoint discipline, and — [`Local`] only — the termination
+/// graph.
 pub(crate) trait Frontier<P: Process>: Sized {
     /// How a state is named: a dense id, or its fingerprint.
     type Node: Copy;
@@ -254,9 +245,8 @@ pub(crate) trait Frontier<P: Process>: Sized {
     fn visit(&mut self, fp: u128, from: Self::Node, elem: SchedElem) -> Option<(Self::Node, bool)>;
     /// The reduction refused a choice at `from` (the reorder bound): the
     /// termination graph is missing that edge, so nothing may be concluded
-    /// from `from` failing to finish in it. The shared frontier ignores
-    /// this — a stuck state in its merged graph only ever triggers the
-    /// sequential rerun, whose verdict is the one returned.
+    /// from `from` failing to finish in it. The shared frontier, which
+    /// never runs under the termination check, ignores this.
     fn refused(&mut self, _from: Self::Node) {}
     /// Count a first-visited state; returns the total so far.
     fn count_state(&mut self) -> usize;
@@ -593,15 +583,14 @@ pub(crate) struct Local<'a> {
     terminal: Vec<u32>,
     /// States with an out-edge the reorder bound refused.
     refused: Vec<u32>,
-    /// Transitions executed when the last periodic checkpoint
-    /// (`every_transitions`) was written.
-    last_periodic: u64,
     /// Set when [`Frontier::poll`] stops the walk.
     coverage: Option<Coverage>,
 }
 
 impl Local<'_> {
     /// Serialize the live walk into a durable [`Snapshot`] and write it.
+    /// `dispatch` refused the policy if the walk checks termination, so
+    /// there is no graph to keep.
     fn checkpoint<P: Process, R: Reduction<P, u32>>(
         &self,
         dfs: &mut Dfs<'_, P, R, u32>,
@@ -609,8 +598,9 @@ impl Local<'_> {
         let policy = self.config.checkpoint.as_ref()?;
         let obs = &self.config.recorder;
         dfs.tally.flush();
-        let fp = |id: &u32| self.index.fp_of(*id);
-        let mut visited: Vec<u128> = (0..self.index.len() as u32).map(|id| fp(&id)).collect();
+        let mut visited: Vec<u128> = (0..self.index.len() as u32)
+            .map(|id| self.index.fp_of(id))
+            .collect();
         visited.sort_unstable();
         let snap = Snapshot {
             meta: run_meta_of(self.config, self.index.fp_of(0)),
@@ -623,8 +613,6 @@ impl Local<'_> {
             metrics: obs.snapshot(),
             forks: dfs.open_forks(),
             visited,
-            edges: self.edges.iter().map(|(a, b)| (fp(a), fp(b))).collect(),
-            terminals: self.terminal.iter().map(fp).collect(),
         };
         write_checkpoint(obs, policy, &snap)
     }
@@ -658,11 +646,6 @@ impl<P: Process> Frontier<P> for Local<'_> {
                 config.budget,
                 self.deadline,
             );
-            let period = policy.and_then(|pol| pol.every_transitions);
-            if !stop && period.is_some_and(|n| transitions - self.last_periodic >= n) {
-                self.last_periodic = transitions;
-                let _ = self.checkpoint(dfs);
-            }
         }
         if stop {
             self.coverage = Some(Coverage {
@@ -743,7 +726,6 @@ pub(crate) fn run_local<P: Process, R: Reduction<P, u32>, V: Visitor<P>>(
         edges: Vec::new(),
         terminal: Vec::new(),
         refused: Vec::new(),
-        last_periodic: 0,
         coverage: None,
     };
     let (root, _) = local
@@ -803,7 +785,7 @@ pub(crate) fn sequential<P: Process>(
 ) -> Verdict {
     let visitor = &mut Properties::new(config);
     match config.engine.reduction() {
-        Some(u32::MAX) => run_local(initial, config, deadline, NoReduction::<true>, visitor),
+        Some(u32::MAX) => run_local(initial, config, deadline, NoReduction, visitor),
         bound => {
             let mut reduction = SleepAmple::<DenseHeads>::new(initial, config, bound);
             reduction.claim_root(ROOT);

@@ -39,7 +39,7 @@ pub fn terminal_outcomes<P: Process>(
         ..CheckConfig::default()
     };
     let mut outcomes = Outcomes(BTreeSet::new());
-    let verdict = run_local(initial, &config, None, NoReduction::<true>, &mut outcomes);
+    let verdict = run_local(initial, &config, None, NoReduction, &mut outcomes);
     verdict.is_ok().then_some(outcomes.0)
 }
 

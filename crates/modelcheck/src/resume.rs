@@ -20,9 +20,12 @@
 //! interrupt are not re-counted or re-checked, and every state not yet
 //! expanded is reachable from some serialized fork point. The resumed
 //! run's dominance pruning starts from an empty table, which can only
-//! *reduce* pruning. Violations, state limits, and stuck states found
-//! after a resume defer to the usual sequential rerun, so those verdicts
-//! are bit-identical to an uninterrupted run's.
+//! *reduce* pruning. Violations and state limits found after a resume
+//! defer to the usual sequential rerun, so those verdicts are
+//! bit-identical to an uninterrupted run's.
+//!
+//! A snapshot carries no termination graph: the termination check reads
+//! one walk's whole graph, and checkpointing is refused under it.
 
 use std::path::Path;
 
@@ -30,7 +33,7 @@ use por::{RunMeta, Snapshot};
 use wbmem::{Machine, Process};
 
 use crate::checker::{
-    bounded_root, dispatch, run_meta_of, CheckConfig, CheckError, Engine, Stats, Verdict,
+    bounded_root, dispatch, run_meta_of, CheckConfig, CheckError, Engine, Verdict,
 };
 
 /// The run metadata a checkpoint for `(initial, config)` must carry. The
@@ -89,18 +92,17 @@ fn validate_meta(meta: &RunMeta, expect: &RunMeta) -> Result<(), String> {
 /// If the resumed run is interrupted again (its `config` may carry a
 /// fresh [`crate::CheckpointPolicy`]), the new checkpoint folds the
 /// prior totals in, so chains of interrupts keep summing correctly.
-/// Note that `stop_after_transitions` counts each run's own transitions
-/// and a still-raised `interrupt` flag stops the resumed run
-/// immediately — clear it before resuming.
+/// Note that `stop_after_transitions` counts each run's own transitions.
+///
+/// A termination-checking `config` never resumes: with a policy it is
+/// refused before the file is read, and without one its configuration
+/// hash matches no checkpoint, since no run that checks termination
+/// writes one.
 #[must_use]
 pub fn resume<P: Process>(initial: &Machine<P>, config: &CheckConfig, path: &Path) -> Verdict {
-    let refuse = |e: CheckError| Verdict::Error(Stats::default(), e);
-    let snap = match Snapshot::read(path) {
-        Ok(snap) => snap,
-        Err(e) => return refuse(CheckError::from(e)),
-    };
-    match validate_meta(&snap.meta, &run_meta(initial, config)) {
-        Ok(()) => dispatch(initial, config, Some(snap)),
-        Err(msg) => refuse(CheckError::Checkpoint(msg)),
-    }
+    dispatch(initial, config, || {
+        let snap = Snapshot::read(path)?;
+        validate_meta(&snap.meta, &run_meta(initial, config)).map_err(CheckError::Checkpoint)?;
+        Ok(Some(snap))
+    })
 }

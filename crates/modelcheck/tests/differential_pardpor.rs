@@ -3,11 +3,11 @@
 //!
 //! `Engine::ParallelDpor` promises *bit-identical verdicts* to
 //! `Engine::Dpor` with the same reorder bound, on every configuration: it
-//! runs the same reduction per worker (or, checking termination unbounded,
-//! takes every edge), shares only a fingerprint table (which can never
-//! prune more than the sequential visit table), and defers every early
-//! stop (violation, state limit, stuck state, panic) to a sequential
-//! rerun. In the `Some(u32::MAX)` diagnostic mode it
+//! runs the same reduction per worker, shares only a fingerprint table
+//! (which can never prune more than the sequential visit table), and
+//! defers every early stop (violation, state limit, panic) to a
+//! sequential rerun. Under the termination check it *is* `Engine::Dpor`,
+//! statistics included. In the `Some(u32::MAX)` diagnostic mode it
 //! additionally promises a *bit-identical* [`MetricsSnapshot`]: with
 //! reduction off, the global table is the only pruning rule, so a
 //! completed sweep executes the exact edge multiset of the sequential
@@ -77,35 +77,16 @@ fn assert_mutex_cex_replays(
     );
 }
 
-/// Under an unbounded termination check `ParallelDpor` walks every edge,
-/// so an `ok` sweep counts exactly `Engine::Undo`'s states; a
-/// `NO-TERMINATION` one is the sequential rerun's, and counts `seq`'s.
-/// `Dpor` itself keeps its ample sets there, and which states they drop
-/// is traversal-dependent (the cycle proviso consults the reaching path),
-/// so nothing else pins a completed count; violating runs stop at
-/// engine-specific points and are not comparable either.
-fn termination_counts(
-    machine: &Machine<fencevm::VmProc>,
-    config: &CheckConfig,
-    seq: &Verdict,
-    par: &Verdict,
-) -> Result<(), String> {
-    let expect = match par {
-        Verdict::Ok(_) => check(machine, &config.clone().with_engine(Engine::Undo)),
-        Verdict::NoTermination(..) => seq.clone(),
-        _ => return Ok(()),
-    };
-    let (p, e) = (par.stats(), expect.stats());
-    if (p.states, p.terminal_states) == (e.states, e.terminal_states) {
+/// Under the termination check `ParallelDpor` runs `Dpor` itself, so the
+/// two agree on every count, whatever the verdict.
+fn termination_counts(seq: &Verdict, par: &Verdict) -> Result<(), String> {
+    let (p, s) = (par.stats(), seq.stats());
+    if p == s {
         Ok(())
     } else {
         Err(format!(
-            "pardpor {} states / {} terminal, {} {} / {}",
-            p.states,
-            p.terminal_states,
-            if par.is_ok() { "undo" } else { "the rerun" },
-            e.states,
-            e.terminal_states
+            "pardpor {} states / {} transitions / {} terminal, dpor {} / {} / {}",
+            p.states, p.transitions, p.terminal_states, s.states, s.transitions, s.terminal_states
         ))
     }
 }
@@ -125,7 +106,7 @@ fn compare(inst: &simlocks::OrderingInstance, model: MemoryModel, config: &Check
     );
     assert_eq!(seq.label(), par.label(), "{ctx}: verdict labels");
     if config.check_termination {
-        if let Err(e) = termination_counts(&inst.machine(model), config, &seq, &par) {
+        if let Err(e) = termination_counts(&seq, &par) {
             panic!("{ctx}: {e}");
         }
     }
@@ -169,9 +150,9 @@ fn pardpor_agrees_on_the_full_n2_safety_matrix() {
 }
 
 /// With termination checking on, `Dpor` drops its sleep sets and keeps
-/// its ample sets while `ParallelDpor` walks every edge; the merged
-/// fingerprint graph must support the same NO-TERMINATION verdicts,
-/// including the crash-induced ones.
+/// its ample sets, and `ParallelDpor` runs that same walk: the same
+/// NO-TERMINATION verdicts, including the crash-induced ones, and the
+/// same counts.
 #[test]
 fn pardpor_agrees_with_termination_checking() {
     let base = CheckConfig {
@@ -421,8 +402,7 @@ proptest! {
             termination
         );
         if termination {
-            let machine = random_machine(&progs, model);
-            let counts = termination_counts(&machine, &config, &seq, &par);
+            let counts = termination_counts(&seq, &par);
             prop_assert!(counts.is_ok(), "{:?} {}: {}", progs, model, counts.unwrap_err());
         }
     }

@@ -1,8 +1,8 @@
 //! Differential tests for durable checkpoint/resume.
 //!
-//! The contract under test: interrupting a run (transition cut, raised
-//! interrupt flag, or periodic snapshot) and resuming from the resulting
-//! checkpoint must reach the **same verdict** as the uninterrupted run —
+//! The contract under test: interrupting a run at a transition cut and
+//! resuming from the resulting checkpoint must reach the **same verdict**
+//! as the uninterrupted run —
 //! on every lock × model × fence-mask × crash configuration, for all
 //! three checkpointing engines. In the exhaustive modes (`Engine::Undo`,
 //! diagnostic-bound DPOR) the combined run must additionally count the
@@ -13,11 +13,11 @@
 //!
 //! Torn, corrupt, or mismatched checkpoints must surface as the typed
 //! [`CheckError::Checkpoint`] — never a panic, and never a silent fresh
-//! start.
+//! start — and so must a checkpoint policy on a termination-checking run,
+//! whose graph no snapshot holds.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use modelcheck::{check, resume, CheckConfig, CheckError, CheckpointPolicy, Engine, Verdict};
 use proptest::prelude::*;
@@ -38,6 +38,15 @@ fn ckpt_path(tag: &str) -> PathBuf {
 }
 
 const MODELS: [MemoryModel; 3] = [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso];
+
+/// The configuration every checkpointing run here starts from: the
+/// default one without the termination check, which refuses a policy.
+fn base() -> CheckConfig {
+    CheckConfig {
+        check_termination: false,
+        ..CheckConfig::default()
+    }
+}
 
 /// Does this engine execute the full edge multiset (no ample pruning),
 /// making combined state/transition counts exactly comparable?
@@ -170,9 +179,8 @@ fn n2_sample() -> Vec<Config> {
 /// Resume `engine` across `configs`; returns how many were violating.
 fn resumes_across(engine: Engine, tag: &str, configs: &[Config]) -> usize {
     let base = CheckConfig {
-        check_termination: false,
         max_states: 1_000_000,
-        ..CheckConfig::default()
+        ..base()
     }
     .with_engine(engine);
     configs
@@ -224,45 +232,6 @@ fn every_engine_resumes_across_the_full_n2_matrix() {
     }
 }
 
-/// Termination checking serializes the fingerprint graph (edges and
-/// terminals) into the snapshot; the merged graph must support the same
-/// NO-TERMINATION verdicts after a resume.
-#[test]
-fn resume_preserves_termination_verdicts() {
-    let engines = [
-        Engine::Undo,
-        Engine::Dpor {
-            reorder_bound: None,
-        },
-        Engine::ParallelDpor {
-            threads: 2,
-            reorder_bound: None,
-        },
-    ];
-    for (kind, mask, model, max_crashes) in [
-        (LockKind::Peterson, FenceMask::ALL, MemoryModel::Tso, 0u32),
-        (
-            LockKind::Peterson,
-            FenceMask::only(&[simlocks::peterson::SITE_VICTIM]),
-            MemoryModel::Pso,
-            0,
-        ),
-        (LockKind::Ttas, FenceMask::ALL, MemoryModel::Pso, 1),
-        (LockKind::Bakery, FenceMask::NONE, MemoryModel::Tso, 0),
-    ] {
-        let inst = build_mutex(kind, 2, mask);
-        for engine in engines {
-            let config = CheckConfig {
-                max_states: 1_000_000,
-                ..CheckConfig::default()
-            }
-            .with_engine(engine)
-            .with_crashes(CrashSemantics::DiscardBuffer, max_crashes);
-            compare_resumed(&inst, model, &config, "term");
-        }
-    }
-}
-
 /// Exhaustive modes promise more than verdict equality: the interrupted
 /// and resumed halves partition the executed edge multiset, so merging
 /// their metrics snapshots reproduces the uninterrupted run's snapshot
@@ -293,7 +262,7 @@ fn diagnostic_merged_metrics_are_bit_identical() {
         let inst = build_mutex(kind, 2, mask);
         for engine in engines {
             let tag = format!("metrics_{}", engine.label());
-            let config = CheckConfig::default().with_engine(engine);
+            let config = base().with_engine(engine);
             let fresh = check(&inst.machine(model), &config.clone().with_recorder(quiet()));
             let cut = (fresh.stats().transitions as u64 / 2).max(1);
             let path = ckpt_path(&tag);
@@ -346,19 +315,14 @@ fn diagnostic_merged_metrics_are_bit_identical() {
 #[test]
 fn parallel_checkpoints_and_resumes_like_undo() {
     let quiet = || modelcheck::Recorder::builder().quiet(true).build();
-    let parallel = CheckConfig::default().with_engine(Engine::Parallel { threads: 2 });
+    let parallel = base().with_engine(Engine::Parallel { threads: 2 });
     for (kind, n, model) in [
         (LockKind::Peterson, 2, MemoryModel::Pso),
         (LockKind::Ttas, 3, MemoryModel::Pso),
     ] {
         let inst = build_mutex(kind, n, FenceMask::ALL);
         let m = inst.machine(model);
-        let undo = check(
-            &m,
-            &CheckConfig::default()
-                .with_engine(Engine::Undo)
-                .with_recorder(quiet()),
-        );
+        let undo = check(&m, &base().with_engine(Engine::Undo).with_recorder(quiet()));
         assert!(undo.is_ok(), "{kind}: reference cell is correct");
         let path = ckpt_path("parallel");
         let stopped = check(
@@ -393,40 +357,13 @@ fn parallel_checkpoints_and_resumes_like_undo() {
     let _ = std::fs::remove_file(&cp);
 }
 
-/// A raised interrupt flag checkpoints almost immediately; clearing it
-/// and resuming completes the run with the uninterrupted verdict.
-#[test]
-fn interrupt_flag_checkpoints_and_resumes() {
-    let inst = build_mutex(LockKind::Peterson, 2, FenceMask::ALL);
-    let config = CheckConfig::default().with_engine(Engine::Undo);
-    let fresh = check(&inst.machine(MemoryModel::Pso), &config);
-    let flag = Arc::new(AtomicBool::new(true));
-    let path = ckpt_path("interrupt");
-    let stopped = check(
-        &inst.machine(MemoryModel::Pso),
-        &config
-            .clone()
-            .with_checkpoint(CheckpointPolicy::at(&path).on_interrupt(flag.clone())),
-    );
-    let cp = stopped
-        .coverage()
-        .expect("raised flag stops the run")
-        .checkpoint
-        .expect("and writes a checkpoint");
-    flag.store(false, Ordering::Relaxed);
-    let resumed = resume(&inst.machine(MemoryModel::Pso), &config, &cp);
-    assert_eq!(fresh.label(), resumed.label());
-    assert_eq!(fresh.stats().states, resumed.stats().states);
-    let _ = std::fs::remove_file(&cp);
-}
-
 /// Repeatedly interrupting every few hundred transitions and resuming
 /// each time must still converge to the uninterrupted verdict, with the
 /// chained checkpoints folding prior totals in correctly.
 #[test]
 fn chained_interrupts_converge() {
     let inst = build_mutex(LockKind::Peterson, 2, FenceMask::ALL);
-    let config = CheckConfig::default().with_engine(Engine::Undo);
+    let config = base().with_engine(Engine::Undo);
     let fresh = check(&inst.machine(MemoryModel::Pso), &config);
     let path = ckpt_path("chain");
     let policy = CheckpointPolicy::at(&path).stop_after(300);
@@ -452,29 +389,6 @@ fn chained_interrupts_converge() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A periodic checkpoint left behind by a run that *completed* is a
-/// valid (if conservative) resume point: resuming re-explores only what
-/// followed the snapshot and lands on the same verdict and counts.
-#[test]
-fn periodic_checkpoint_from_completed_run_resumes_cleanly() {
-    let inst = build_mutex(LockKind::Peterson, 2, FenceMask::ALL);
-    let path = ckpt_path("periodic");
-    let config = CheckConfig::default().with_engine(Engine::Undo);
-    let fresh = check(
-        &inst.machine(MemoryModel::Tso),
-        &config
-            .clone()
-            .with_checkpoint(CheckpointPolicy::at(&path).every_transitions(400)),
-    );
-    assert!(fresh.is_ok(), "reference cell is correct under TSO");
-    assert!(path.exists(), "periodic snapshot persisted");
-    let resumed = resume(&inst.machine(MemoryModel::Tso), &config, &path);
-    assert_eq!(fresh.label(), resumed.label());
-    assert_eq!(fresh.stats().states, resumed.stats().states);
-    assert_eq!(fresh.stats().transitions, resumed.stats().transitions);
-    let _ = std::fs::remove_file(&path);
-}
-
 /// A cut the run never reaches must not write a checkpoint — the verdict
 /// completes normally.
 #[test]
@@ -483,7 +397,7 @@ fn unreached_cut_writes_no_checkpoint() {
     let path = ckpt_path("unreached");
     let verdict = check(
         &inst.machine(MemoryModel::Tso),
-        &CheckConfig::default()
+        &base()
             .with_engine(Engine::Undo)
             .with_checkpoint(CheckpointPolicy::at(&path).stop_after(u64::MAX / 2)),
     );
@@ -497,7 +411,7 @@ fn unreached_cut_writes_no_checkpoint() {
 /// wrote it.
 fn checkpoint_fixture(tag: &str) -> (simlocks::OrderingInstance, CheckConfig, PathBuf) {
     let inst = build_mutex(LockKind::Peterson, 2, FenceMask::ALL);
-    let config = CheckConfig::default().with_engine(Engine::Undo);
+    let config = base().with_engine(Engine::Undo);
     let path = ckpt_path(tag);
     let stopped = check(
         &inst.machine(MemoryModel::Pso),
@@ -616,6 +530,55 @@ fn mismatched_runs_are_rejected() {
     let _ = std::fs::remove_file(&cp);
 }
 
+/// A snapshot holds no termination graph: every engine refuses a
+/// checkpoint policy on a termination-checking run, in `check` and in
+/// `resume`, with a typed error naming both settings and before it
+/// explores a state.
+#[test]
+fn every_engine_refuses_a_checkpointed_termination_check() {
+    let (inst, config, cp) = checkpoint_fixture("term");
+    let m = &inst.machine(MemoryModel::Pso);
+    let engines = [
+        Engine::CloneDfs,
+        Engine::Undo,
+        Engine::Parallel { threads: 2 },
+        Engine::Dpor {
+            reorder_bound: None,
+        },
+        Engine::ParallelDpor {
+            threads: 2,
+            reorder_bound: None,
+        },
+    ];
+    for engine in engines {
+        let path = ckpt_path("term_refused");
+        let refused = CheckConfig {
+            check_termination: true,
+            ..config.clone()
+        }
+        .with_engine(engine)
+        .with_checkpoint(CheckpointPolicy::at(&path).stop_after(1));
+        for (call, verdict) in [
+            ("check", check(m, &refused)),
+            ("resume", resume(m, &refused, &cp)),
+        ] {
+            let ctx = format!("{} {call}", engine.label());
+            match verdict {
+                Verdict::Error(stats, CheckError::Checkpoint(msg)) => {
+                    assert_eq!(stats.states, 0, "{ctx}: explored before refusing");
+                    assert!(
+                        msg.contains("checkpoint policy") && msg.contains("check_termination"),
+                        "{ctx}: the refusal names both settings: {msg}"
+                    );
+                }
+                other => panic!("{ctx}: expected a refusal, got {}", other.label()),
+            }
+        }
+        assert!(!path.exists(), "{}: no snapshot written", engine.label());
+    }
+    let _ = std::fs::remove_file(&cp);
+}
+
 // --- random cut points ---
 
 proptest! {
@@ -643,7 +606,7 @@ proptest! {
         };
         let inst = build_mutex(LockKind::Peterson, 2, mask);
         let model = MODELS[model_ix];
-        let config = CheckConfig::default().with_engine(engine);
+        let config = base().with_engine(engine);
         let fresh = check(&inst.machine(model), &config);
         let path = ckpt_path("prop");
         let stopped = check(

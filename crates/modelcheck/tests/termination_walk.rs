@@ -2,17 +2,18 @@
 //!
 //! The check is a reverse-reachability pass over the graph the walk
 //! builds. An unbounded `Engine::Dpor` builds it with ample sets and no
-//! sleep sets, entering each state once; `Engine::ParallelDpor` still
-//! walks every edge (its cycle proviso is per task). Checked here on every
-//! E12/E12b cell and the fence-free n = 2 masks, under TSO and PSO:
+//! sleep sets, entering each state once; `Engine::ParallelDpor` runs that
+//! same walk (its cycle proviso is per task, so it cannot build the graph
+//! itself). Checked here on every E12/E12b cell and the fence-free n = 2
+//! masks, under TSO and PSO:
 //!
 //! * every label is `Engine::Undo`'s;
 //! * a `Dpor` walk that completes (`ok`, `NO-TERMINATION`) counts no more
 //!   states or transitions than `Undo`, strictly fewer states on every
 //!   fenced cell, and exactly `Undo`'s terminal states — the all-done
 //!   states are the machine's deadlocks, which the reduction keeps;
-//! * an `ok` `ParallelDpor` × 2 sweep counts exactly `Undo`'s states and
-//!   transitions; its `NO-TERMINATION` is the sequential rerun's;
+//! * `ParallelDpor` × 2 returns `Dpor`'s verdict with its statistics and
+//!   deterministic metrics, bit for bit;
 //! * each `NO-TERMINATION` counterexample, and each alternate, replays to
 //!   a state from which `Undo` finds nothing that finishes;
 //! * a safety violation stops where the order meets it first, so only its
@@ -120,21 +121,16 @@ fn walks_within_undos_graph(inst: &OrderingInstance) -> Walked {
             }
             other => panic!("{ctx}: unexpected {}", other.label()),
         }
-        match &par {
-            Verdict::Ok(_) => {
-                assert_eq!(p.states, u.states, "{ctx}: pardpor states");
-                assert_eq!(p.transitions, u.transitions, "{ctx}: pardpor transitions");
-            }
-            // A stuck state cancels the sweep: the verdict is the rerun's.
-            Verdict::NoTermination(..) => {
-                assert_eq!(p.states, r.states, "{ctx}: the rerun's states");
-                assert_eq!(
-                    p.transitions, r.transitions,
-                    "{ctx}: the rerun's transitions"
-                );
-            }
-            _ => {}
-        }
+        assert_eq!(p, r, "{ctx}: pardpor stats and metrics");
+        let schedules = |v: &Verdict| {
+            v.counterexample()
+                .map(|c| (c.schedule.clone(), c.alternates.clone()))
+        };
+        assert_eq!(
+            schedules(&par),
+            schedules(&red),
+            "{ctx}: pardpor counterexample"
+        );
         if let Verdict::NoTermination(_, cex) = &red {
             for schedule in std::iter::once(&cex.schedule).chain(&cex.alternates) {
                 ends_stuck(&machine, schedule, &ctx);

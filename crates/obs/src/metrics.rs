@@ -101,8 +101,6 @@ pub enum Metric {
     CheckpointBytes,
     /// Fork points replayed while resuming from a checkpoint.
     ResumeReplayed,
-    /// Watchdog trips: stalled workers cancelled by the supervisor.
-    WatchdogTrips,
     /// Fence-synthesis CEGAR refinement iterations completed.
     SynthIterations,
     /// Fences inserted by synthesized placements (cumulative across
@@ -144,7 +142,6 @@ pub const METRICS: [Metric; Metric::COUNT] = [
     Metric::CheckpointWritten,
     Metric::CheckpointBytes,
     Metric::ResumeReplayed,
-    Metric::WatchdogTrips,
     Metric::SynthIterations,
     Metric::FencesInserted,
     Metric::CoreSize,
@@ -191,7 +188,6 @@ impl Metric {
             Metric::CheckpointWritten => "checkpoint_written",
             Metric::CheckpointBytes => "checkpoint_bytes",
             Metric::ResumeReplayed => "resume_replayed",
-            Metric::WatchdogTrips => "watchdog_trips",
             Metric::SynthIterations => "synth_iterations",
             Metric::FencesInserted => "fences_inserted",
             Metric::CoreSize => "core_size",

@@ -256,12 +256,7 @@ fn non_counter_key(key: &str) -> bool {
 
 /// Checkpoint/resume counters get their own table (below) rather than
 /// trailing columns in the per-engine comparison.
-const RESILIENCE_COLS: [&str; 4] = [
-    "checkpoint_written",
-    "checkpoint_bytes",
-    "resume_replayed",
-    "watchdog_trips",
-];
+const RESILIENCE_COLS: [&str; 3] = ["checkpoint_written", "checkpoint_bytes", "resume_replayed"];
 
 /// Fence-synthesis counters likewise get their own table.
 const SYNTH_COLS: [&str; 3] = ["synth_iterations", "fences_inserted", "core_size"];
@@ -390,10 +385,10 @@ pub fn render_report(title: &str, lines: &[String]) -> String {
     }
 
     // --- Resilience: checkpoint/resume and supervisor activity.
-    let res_rows: Vec<(&(String, String), [u64; 4])> = snaps
+    let res_rows: Vec<(&(String, String), [u64; 3])> = snaps
         .iter()
         .map(|(k, f)| {
-            let mut vals = [0u64; 4];
+            let mut vals = [0u64; 3];
             for (i, col) in RESILIENCE_COLS.iter().enumerate() {
                 vals[i] = get_u64(f, col);
             }
@@ -406,7 +401,7 @@ pub fn render_report(title: &str, lines: &[String]) -> String {
         if let Some(kind) = e.fields.get("kind") {
             if matches!(
                 kind.as_str(),
-                "checkpoint" | "checkpoint_retry" | "checkpoint_failed" | "watchdog_trip"
+                "checkpoint" | "checkpoint_retry" | "checkpoint_failed"
             ) {
                 *res_events.entry(kind.clone()).or_insert(0) += 1;
             }
@@ -417,14 +412,14 @@ pub fn render_report(title: &str, lines: &[String]) -> String {
         if !res_rows.is_empty() {
             let _ = writeln!(
                 out,
-                "| workload | engine | checkpoints written | checkpoint bytes | forks replayed on resume | watchdog trips |"
+                "| workload | engine | checkpoints written | checkpoint bytes | forks replayed on resume |"
             );
-            let _ = writeln!(out, "|---|---|---:|---:|---:|---:|");
+            let _ = writeln!(out, "|---|---|---:|---:|---:|");
             for ((workload, engine), vals) in &res_rows {
                 let _ = writeln!(
                     out,
-                    "| {workload} | {engine} | {} | {} | {} | {} |",
-                    vals[0], vals[1], vals[2], vals[3]
+                    "| {workload} | {engine} | {} | {} | {} |",
+                    vals[0], vals[1], vals[2]
                 );
             }
             let _ = writeln!(out);
@@ -590,24 +585,24 @@ mod tests {
     #[test]
     fn report_renders_resilience_table() {
         let lines = vec![
-            r#"{"t_ms":1,"kind":"snapshot","workload":"gt3_pso","engine":"pardpor","states":9,"checkpoint_written":2,"checkpoint_bytes":4096,"resume_replayed":5,"watchdog_trips":1}"#.to_string(),
+            r#"{"t_ms":1,"kind":"snapshot","workload":"gt3_pso","engine":"pardpor","states":9,"checkpoint_written":2,"checkpoint_bytes":4096,"resume_replayed":5}"#.to_string(),
             r#"{"t_ms":2,"kind":"checkpoint","workload":"gt3_pso","engine":"pardpor","bytes":2048}"#.to_string(),
-            r#"{"t_ms":3,"kind":"watchdog_trip","workload":"gt3_pso","engine":"pardpor","worker":1}"#.to_string(),
+            r#"{"t_ms":3,"kind":"checkpoint_retry","workload":"gt3_pso","engine":"pardpor","attempt":1}"#.to_string(),
             r#"{"t_ms":4,"kind":"snapshot","workload":"quiet","engine":"undo","states":3}"#.to_string(),
         ];
         let r = render_report("Test", &lines);
         assert!(r.contains("## Resilience"), "section present: {r}");
         assert!(
-            r.contains("| gt3_pso | pardpor | 2 | 4096 | 5 | 1 |"),
+            r.contains("| gt3_pso | pardpor | 2 | 4096 | 5 |"),
             "counters tabulated: {r}"
         );
         assert!(
-            r.contains("`checkpoint` × 1") && r.contains("`watchdog_trip` × 1"),
+            r.contains("`checkpoint` × 1") && r.contains("`checkpoint_retry` × 1"),
             "events counted: {r}"
         );
         // Rows with all-zero resilience counters stay out of the table,
         // and the counters do not leak into the comparison extras.
-        assert!(!r.contains("| quiet | undo | 0 | 0 | 0 | 0 |"));
+        assert!(!r.contains("| quiet | undo | 0 | 0 | 0 |"));
         assert!(!r.contains("checkpoint_written |"), "no extra column: {r}");
     }
 

@@ -7,7 +7,7 @@
 //! relocation the work-stealing engine trades between threads), the
 //! *visited set* (fingerprints of states already counted and checked),
 //! and the *bookkeeping* a final verdict needs (deterministic metric
-//! counts, the termination edge graph). [`Snapshot`] packages those plus
+//! counts). [`Snapshot`] packages those plus
 //! run metadata (engine label, configuration hash, program hash) so a
 //! later process can refuse to resume against the wrong program or
 //! configuration instead of silently producing garbage.
@@ -58,8 +58,10 @@ pub const MAGIC: [u8; 6] = *b"FTCKPT";
 /// that reaches a checkpoint, so no v6 file names it. v7 dropped the RMR
 /// count, from the named counters and from each per-process slot, which
 /// went from (fences, RMRs, crashes) to (fences, crashes). v8 dropped the
-/// 8-byte trace span id from each fork point.
-pub const VERSION: u32 = 8;
+/// 8-byte trace span id from each fork point, v9 the termination graph
+/// (edges and terminals) after the visited set, and with it the
+/// `watchdog_trips` counter.
+pub const VERSION: u32 = 9;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -147,13 +149,6 @@ pub struct Snapshot {
     /// is shard-order-independent). Pre-seeding the resumed run's table
     /// with these keeps states counted exactly once across both runs.
     pub visited: Vec<u128>,
-    /// Fingerprint-keyed transition edges seen so far (collected only
-    /// when the termination check is on; the resumed run merges them
-    /// with its own before the reverse-reachability pass).
-    pub edges: Vec<(u128, u128)>,
-    /// Fingerprints of the terminal states found so far (again only
-    /// meaningful under the termination check).
-    pub terminals: Vec<u128>,
 }
 
 // --- encoding primitives -------------------------------------------------
@@ -467,15 +462,6 @@ impl Snapshot {
         for &fp in &self.visited {
             e.u128(fp);
         }
-        e.u64(self.edges.len() as u64);
-        for &(a, b) in &self.edges {
-            e.u128(a);
-            e.u128(b);
-        }
-        e.u64(self.terminals.len() as u64);
-        for &t in &self.terminals {
-            e.u128(t);
-        }
 
         let payload = e.buf;
         let mut out = Vec::with_capacity(payload.len() + 26);
@@ -558,18 +544,6 @@ impl Snapshot {
             return Err(SnapshotError::Corrupt("visited count"));
         }
         let visited = (0..nv).map(|_| d.u128()).collect::<Result<Vec<_>, _>>()?;
-        let ne = d.u64()? as usize;
-        if ne.saturating_mul(32) > payload.len() - d.pos {
-            return Err(SnapshotError::Corrupt("edge count"));
-        }
-        let edges = (0..ne)
-            .map(|_| Ok((d.u128()?, d.u128()?)))
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
-        let nt = d.u64()? as usize;
-        if nt.saturating_mul(16) > payload.len() - d.pos {
-            return Err(SnapshotError::Corrupt("terminal count"));
-        }
-        let terminals = (0..nt).map(|_| d.u128()).collect::<Result<Vec<_>, _>>()?;
         if d.pos != payload.len() {
             return Err(SnapshotError::Corrupt("trailing bytes"));
         }
@@ -583,8 +557,6 @@ impl Snapshot {
             metrics,
             forks,
             visited,
-            edges,
-            terminals,
         })
     }
 
@@ -698,8 +670,6 @@ mod tests {
                 remaining: 5,
             }],
             visited: vec![0, 1, u128::MAX, 0x42 << 64],
-            edges: vec![(0, 1), (1, u128::MAX)],
-            terminals: vec![u128::MAX],
         }
     }
 
@@ -783,8 +753,6 @@ mod tests {
         assert_eq!(got.meta, s.meta);
         assert_eq!(got.base, s.base);
         assert_eq!(got.visited, s.visited);
-        assert_eq!(got.edges, s.edges);
-        assert_eq!(got.terminals, s.terminals);
         assert_eq!(got.forks.len(), 1);
         let (a, b) = (&got.forks[0], &s.forks[0]);
         assert_eq!(a.path, b.path);
@@ -847,9 +815,9 @@ mod tests {
         // the version leaves a file that passes every other check. v5 is
         // the positional-metrics format, v6 the one whose per-process
         // slots held an RMR count, v7 the one whose fork points carried
-        // a span id: each must be named as a version mismatch, not
-        // decoded into `Corrupt`.
-        for old in [4u32, 5, 6, 7] {
+        // a span id, v8 the one that ended in a termination graph: each
+        // must be named as a version mismatch, not decoded into `Corrupt`.
+        for old in [4u32, 5, 6, 7, 8] {
             let mut bytes = sample().to_bytes();
             assert_eq!(bytes[MAGIC.len()..MAGIC.len() + 4], VERSION.to_le_bytes());
             bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&old.to_le_bytes());

@@ -16,7 +16,12 @@ use fence_trade::prelude::*;
 fn main() {
     let inst = build_mutex(LockKind::Tournament, 2, FenceMask::ALL);
     let machine = || inst.machine(MemoryModel::Pso);
-    let config = CheckConfig::default();
+    // Mutual exclusion only: a checkpoint holds no termination graph, so
+    // a checkpoint policy on a termination-checking run is refused.
+    let config = CheckConfig {
+        check_termination: false,
+        ..CheckConfig::default()
+    };
 
     // The uninterrupted reference run.
     let fresh = check(&machine(), &config);
@@ -29,8 +34,8 @@ fn main() {
     );
 
     // Interrupt the same sweep partway through. `stop_after` is a
-    // deterministic stand-in for a wall-clock budget or a SIGINT-raised
-    // interrupt flag — all three take the same checkpoint path.
+    // deterministic stand-in for a wall-clock budget — both take the same
+    // checkpoint path.
     let ckpt = std::env::temp_dir().join("fence_trade_resume_example.ckpt");
     let cut = (fresh.stats().transitions as u64) / 3;
     let interrupted = check(

@@ -23,11 +23,12 @@ stage "cargo fmt --check" \
 stage "cargo clippy --all-targets -- -D warnings" \
     cargo clippy --all-targets -- -D warnings
 
-stage "layering: wbmem (the paper's Section-2 machine) and lowerbound (its Section-5 encoder) do not depend on ftobs; no crate forecasts a run's size or writes trace spans; the checker never reads locality" \
+stage "layering: wbmem (the paper's Section-2 machine) and lowerbound (its Section-5 encoder) do not depend on ftobs; no crate forecasts a run's size, writes trace spans, supervises workers with a watchdog or writes periodic/interrupt checkpoints; the checker never reads locality" \
     bash -c 'for c in wbmem lowerbound; do
             tree=$(cargo tree -p $c --offline -e normal) && ! grep -q ftobs <<< "$tree" || exit 1
         done
         ! grep -rqE "TreeEstimator|est_total_states|eta_ms|TraceCtx|SpanId|trace_ctx|trace_root" crates/*/src || exit 1
+        ! grep -rqE "FT_WATCHDOG_MS|WatchdogTrips|every_transitions|on_interrupt" crates/*/src || exit 1
         ! grep -rqE "LocalityTracker|\.locality\(\)" crates/modelcheck/src'
 
 stage "cargo build --release" \
@@ -39,7 +40,7 @@ stage "cargo test -q" \
 stage "lowerbound by_definition over every permutation of four (debug, where the decoder re-checks every memo hit; tier-1 runs a fixed sample)" \
     cargo test -q -p lowerbound --test by_definition -- --ignored
 
-stage "differential_resume over the full n = 2 lock × model × fence-mask × crash matrix for Undo, Dpor and ParallelDpor (tier-1 runs a fixed sample per engine)" \
+stage "differential_resume over the full n = 2 lock × model × fence-mask × crash matrix for Undo, Dpor and ParallelDpor, each interrupted at a transition cut and resumed (tier-1 runs a fixed sample per engine)" \
     cargo test -q -p modelcheck --test differential_resume -- --ignored
 
 stage "the termination walk in release: termination_walk with its n = 3 cells (ignored unoptimised), and differential_termination's 4 000 random livelocking programs (ignored in tier-1)" \
