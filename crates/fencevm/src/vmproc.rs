@@ -241,9 +241,19 @@ impl VmProc {
         }
     }
 
+    /// Store `value` in local `dst`; returns whether that changed it.
+    fn set_local(&mut self, dst: Loc, value: i64) -> bool {
+        let slot = &mut self.locals[dst.0];
+        let changed = *slot != value;
+        *slot = value;
+        changed
+    }
+
     /// Execute internal instructions until the pc rests on a memory
-    /// instruction, and decode that one into `op` and `dst`.
-    fn settle(&mut self) {
+    /// instruction, and decode that one into `op` and `dst`. Returns
+    /// whether a local or the annotation took a different value on the way.
+    fn settle(&mut self) -> bool {
+        let mut changed = false;
         for _ in 0..MAX_INTERNAL_RUN {
             let Some(ins) = self.prog.instrs().get(self.pc) else {
                 panic!(
@@ -259,14 +269,14 @@ impl VmProc {
                 | Instr::Swap { .. }
                 | Instr::Return { .. } => {
                     (self.op, self.dst) = self.decode(ins);
-                    return;
+                    return changed;
                 }
                 Instr::Mov { dst, src } => {
-                    self.locals[dst.0] = self.eval(src);
+                    changed |= self.set_local(dst, self.eval(src));
                     self.pc += 1;
                 }
                 Instr::Bin { op, dst, a, b } => {
-                    self.locals[dst.0] = op.apply(self.eval(a), self.eval(b));
+                    changed |= self.set_local(dst, op.apply(self.eval(a), self.eval(b)));
                     self.pc += 1;
                 }
                 Instr::Jmp { target } => self.pc = target,
@@ -278,6 +288,7 @@ impl VmProc {
                     }
                 }
                 Instr::Annot { value } => {
+                    changed |= self.annot != value;
                     self.annot = value;
                     self.pc += 1;
                 }
@@ -299,22 +310,34 @@ impl Process for VmProc {
     }
 
     fn advance(&mut self, read_value: Option<Value>) {
+        self.advance_idle(read_value);
+    }
+
+    /// Idle when the step brought the pc back to where it was and no
+    /// store into a local, and no annotation, changed a value. A run
+    /// that changes a local and changes it back reports a change.
+    fn advance_idle(&mut self, read_value: Option<Value>) -> bool {
         // The machine records returns itself and never calls advance for
         // them; a return here is a bug in the caller.
         assert!(
             !matches!(self.op, Poised::Return(_)),
             "advance called on a return instruction"
         );
-        match self.dst {
+        let pc = self.pc;
+        let mut changed = match self.dst {
             Some(dst) => {
                 let v = read_value.expect("read/cas step must supply the observed value");
                 let payload = i64::try_from(v.payload()).expect("payload fits in i64");
-                self.locals[dst.0] = payload;
+                self.set_local(dst, payload)
             }
-            None => debug_assert!(read_value.is_none()),
-        }
+            None => {
+                debug_assert!(read_value.is_none());
+                false
+            }
+        };
         self.pc += 1;
-        self.settle();
+        changed |= self.settle();
+        !changed && self.pc == pc
     }
 
     fn annotation(&self) -> u64 {
@@ -605,6 +628,112 @@ mod tests {
             other.clone_from(&advanced);
             assert_eq!(other, advanced);
         }
+    }
+
+    #[test]
+    fn a_vm_process_is_no_larger_than_before_it_reported_idle_steps() {
+        assert_eq!(std::mem::size_of::<VmProc>(), 168);
+    }
+
+    /// Wait loops of the shapes the locks spin in, each over a small value
+    /// domain so that re-reads of an unchanged value are common.
+    fn spinning_programs() -> Vec<Arc<Program>> {
+        // Spin on one flag.
+        let mut a = Asm::new("flag");
+        let t = a.local("t");
+        let spin = a.here();
+        a.read(0i64, t);
+        a.jmp_if(CondOp::Ne, t, 1i64, spin);
+        a.ret(0i64);
+        let flag = a.assemble();
+        // A Bakery-style scan: wait on slot j until it reads 0, then move
+        // to j + 1; the address is recomputed on every pass.
+        let mut a = Asm::new("scan");
+        let (j, addr, t) = (a.local("j"), a.local("addr"), a.local("t"));
+        let done = a.label();
+        let head = a.here();
+        a.jmp_if(CondOp::Ge, j, 3i64, done);
+        a.add(addr, j, 10i64);
+        a.read(addr, t);
+        a.jmp_if(CondOp::Ne, t, 0i64, head);
+        a.add(j, j, 1i64);
+        a.jmp(head);
+        a.bind(done);
+        a.annot(1);
+        a.write(0i64, 1i64);
+        a.annot(0);
+        a.ret(j);
+        let scan = a.assemble();
+        // Wait while one register exceeds another.
+        let mut a = Asm::new("pair");
+        let (x, y) = (a.local("x"), a.local("y"));
+        let wait = a.here();
+        a.read(0i64, x);
+        a.read(1i64, y);
+        a.jmp_if(CondOp::Gt, x, y, wait);
+        a.ret(x);
+        let pair = a.assemble();
+        // A CAS retry loop.
+        let mut a = Asm::new("cas");
+        let (seen, next, obs) = (a.local("seen"), a.local("next"), a.local("obs"));
+        let retry = a.here();
+        a.read(0i64, seen);
+        a.add(next, seen, 1i64);
+        a.cas(0i64, seen, next, obs);
+        a.jmp_if(CondOp::Ne, obs, seen, retry);
+        a.ret(next);
+        let cas = a.assemble();
+        // A loop whose annotation follows the value read.
+        let mut a = Asm::new("annots");
+        let t = a.local("t");
+        let (zero, head) = (a.label(), a.here());
+        a.read(0i64, t);
+        a.jmp_if(CondOp::Eq, t, 0i64, zero);
+        a.annot(1);
+        a.swap(1i64, 2i64, t);
+        a.jmp_if(CondOp::Ne, t, 2i64, head);
+        a.ret(t);
+        a.bind(zero);
+        a.annot(0);
+        a.jmp(head);
+        let annots = a.assemble();
+        [flag, scan, pair, cas, annots]
+            .into_iter()
+            .map(Arc::new)
+            .collect()
+    }
+
+    #[test]
+    fn an_advance_is_idle_exactly_when_it_leaves_the_process_unchanged() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x1d1e);
+        let (mut idle, mut advances) = (0usize, 0usize);
+        for prog in spinning_programs() {
+            for _ in 0..200 {
+                let mut p = VmProc::new(Arc::clone(&prog));
+                for _ in 0..100 {
+                    let read = match p.poised() {
+                        Poised::Return(_) | Poised::Done => break,
+                        Poised::Read(_) | Poised::Cas { .. } | Poised::Swap { .. } => {
+                            Some(Value::Int(rng.gen_range(0..3)))
+                        }
+                        Poised::Write(..) | Poised::Fence => None,
+                    };
+                    let before = p.clone();
+                    let reported = p.advance_idle(read);
+                    assert_eq!(
+                        reported,
+                        p == before,
+                        "{} at pc {} after {read:?}",
+                        prog.name(),
+                        before.pc()
+                    );
+                    idle += usize::from(reported);
+                    advances += 1;
+                }
+            }
+        }
+        assert!(idle * 10 > advances, "{idle} of {advances} advances idle");
     }
 
     #[test]

@@ -87,17 +87,31 @@ impl OrderingInstance {
 }
 
 /// Round-robin a machine until every process finishes or `max_steps`
-/// schedule elements have been applied. Returns `true` on completion.
+/// schedule elements have been issued. Returns `true` on completion.
+///
+/// Each round gives one `(p, ⊥)` element to every process that has not
+/// returned, in id order; a process leaves the rotation with its return,
+/// so no element is spent on a finished one. `max_steps` counts the
+/// elements issued, and every one of them is an effective step. Spinning
+/// processes mostly re-read an unchanged register, which
+/// [`Machine::step`] answers from the process's idle-read memo.
 pub fn run_to_completion(m: &mut Machine<VmProc>, max_steps: usize) -> bool {
-    let n = m.n();
+    let mut live: Vec<ProcId> = (0..m.n())
+        .map(ProcId::from)
+        .filter(|&p| !m.is_done(p))
+        .collect();
     let mut budget = max_steps;
-    while !m.all_done() && budget > 0 {
-        for i in 0..n {
-            m.step(SchedElem::op(ProcId::from(i)));
-        }
-        budget = budget.saturating_sub(n);
+    while !live.is_empty() && budget > 0 {
+        live.retain(|&p| {
+            if budget == 0 {
+                return true;
+            }
+            budget -= 1;
+            m.step(SchedElem::op(p));
+            !m.is_done(p)
+        });
     }
-    m.all_done()
+    live.is_empty()
 }
 
 /// Build the per-process programs for `lock` protecting `object`.
@@ -426,6 +440,56 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// `run_to_completion` as it was before finished processes left the
+    /// rotation: every round issues an element to every process, and the
+    /// budget is charged per round.
+    fn round_robin_every_process(m: &mut Machine<VmProc>, max_steps: usize) -> bool {
+        let n = m.n();
+        let mut budget = max_steps;
+        while !m.all_done() && budget > 0 {
+            for i in 0..n {
+                m.step(SchedElem::op(ProcId::from(i)));
+            }
+            budget = budget.saturating_sub(n);
+        }
+        m.all_done()
+    }
+
+    #[test]
+    fn run_to_completion_takes_the_steps_of_a_full_rotation_in_order() {
+        let kinds = [
+            (LockKind::Bakery, 8),
+            (LockKind::BakeryPaperListing, 8),
+            (LockKind::Peterson, 2),
+            (LockKind::Tournament, 8),
+            (LockKind::Gt { f: 2 }, 8),
+            (LockKind::Gt { f: 3 }, 8),
+            (LockKind::Ttas, 8),
+            (LockKind::Mcs, 8),
+            (LockKind::Filter, 8),
+            (LockKind::RecoverableTtas, 8),
+            (LockKind::RecoverableBakery, 8),
+        ];
+        for (kind, n) in kinds {
+            let inst = build_ordering(kind, n, ObjectKind::Counter);
+            let cfg = MachineConfig::new(MemoryModel::Pso, inst.layout.clone()).with_trace();
+            let mut reference = inst.machine_from(cfg.clone());
+            let mut m = inst.machine_from(cfg);
+            assert!(round_robin_every_process(&mut reference, 10_000_000));
+            assert!(run_to_completion(&mut m, 10_000_000), "{} stuck", inst.name);
+            assert_eq!(m.trace(), reference.trace(), "{}", inst.name);
+            assert_eq!(m.counters(), reference.counters(), "{}", inst.name);
+            assert_eq!(m.return_values(), reference.return_values());
+            // The budget counts elements, each an effective step with one
+            // event under PSO.
+            let mut cut = inst.machine_from(
+                MachineConfig::new(MemoryModel::Pso, inst.layout.clone()).with_trace(),
+            );
+            assert!(!run_to_completion(&mut cut, 2 * n + 3));
+            assert_eq!(cut.trace().len(), 2 * n + 3, "{}", inst.name);
         }
     }
 

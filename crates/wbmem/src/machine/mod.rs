@@ -163,6 +163,13 @@ struct ProcSlot<P> {
     /// This process's fingerprint component ([`Machine::proc_fp`]);
     /// current exactly while [`Machine::fp`] is kept.
     fp: u128,
+    /// The value of the process's last step, when that step was a plain
+    /// [`Machine::step`] read that left the process idle (see
+    /// [`Process::advance_idle`]): the process is still poised at that
+    /// read, and its cache's last pair is that read's. Every other step
+    /// of the process, and an undo of one, drops it. Not state: no key,
+    /// fingerprint or equality reads it.
+    idle_read: Option<Value>,
 }
 
 /// The result of applying one schedule element.
@@ -287,6 +294,7 @@ impl<P: Process> Machine<P> {
                     returned: None,
                     crashes: 0,
                     fp: 0,
+                    idle_read: None,
                 })
                 .collect(),
             locality: Some(LocalityTracker::new(n)),
@@ -353,6 +361,14 @@ impl<P: Process> Machine<P> {
         } else {
             slot.prog.poised()
         }
+    }
+
+    /// Process `p`'s idle-read memo (see [`step`](Self::step)): the value
+    /// its last step read, if that was a plain step that left it idle.
+    /// Not part of the state; for tests and diagnostics.
+    #[must_use]
+    pub fn idle_read(&self, p: ProcId) -> Option<Value> {
+        self.procs[p.index()].idle_read
     }
 
     /// Whether `p` is in a final state.

@@ -39,10 +39,68 @@ impl<P: Process> Machine<P> {
     ///    (oldest, under TSO).
     /// 3. Otherwise the step performs `p`'s poised operation (read, write,
     ///    fence, or return). If `p` is in a final state, nothing happens.
+    ///
+    /// A spinning process re-reads a register that has not changed, and
+    /// the read changes nothing: not the process, not its cache. When
+    /// `p`'s last step was such a read, taken by this method, the machine
+    /// keeps its value as `p`'s *idle-read memo*, and `p`'s next element
+    /// is answered from it if the element is no crash, names no
+    /// committable register, and the read would return the same value
+    /// (buffer first, then memory): the step counts a read and emits a
+    /// local `Read` event without advancing `p`. The result is exactly the
+    /// full rule's. `p` is unchanged, so it is poised at the same read;
+    /// the same value makes the advance idle again; and the pair is `p`'s
+    /// cache's last, which only `p`'s own steps move, so the read is local
+    /// and observing it again changes nothing. Every other step of `p`
+    /// drops the memo, and so does [`step_recorded`](Self::step_recorded),
+    /// which never sets it, and [`undo`](Self::undo), so a search walks the
+    /// full rule.
     pub fn step(&mut self, elem: SchedElem) -> StepOutcome {
         self.fp = None;
+        if let Some(out) = self.reread(elem) {
+            return out;
+        }
         let action = self.resolve(elem);
         self.perform::<false>(elem.proc, action, &mut StepAcc::default())
+    }
+
+    /// The step of `elem` answered from its process's idle-read memo, if
+    /// the memo answers it (see [`step`](Self::step)); the memo is dropped
+    /// otherwise.
+    #[inline]
+    fn reread(&mut self, elem: SchedElem) -> Option<StepOutcome> {
+        let p = elem.proc;
+        let slot = &mut self.procs[p.index()];
+        let value = slot.idle_read.take()?;
+        let Poised::Read(reg) = slot.prog.poised() else {
+            return None;
+        };
+        if elem.crash || elem.reg.is_some_and(|r| slot.buffer.can_commit(r)) {
+            return None;
+        }
+        let (now, from_memory) = match slot.buffer.read(reg) {
+            Some(v) => (v, false),
+            None => (self.mem.get(reg).unwrap_or(Value::Bot), true),
+        };
+        if now != value {
+            return None;
+        }
+        slot.idle_read = Some(value);
+        let bits = if from_memory {
+            bit::READS
+        } else {
+            bit::READS | bit::BUFFER_READS
+        };
+        self.count::<false>(p, bits, &mut StepAcc::default());
+        Some(self.emit(
+            p,
+            EventKind::Read {
+                reg,
+                value,
+                from_memory,
+                remote: false,
+            },
+        ))
     }
 
     /// What `elem` does here: the step rule's case analysis, shared by the
@@ -126,7 +184,10 @@ impl<P: Process> Machine<P> {
             bits |= bit::REMOTE_READS | bit::RMRS;
         }
         self.count::<REC>(p, bits, acc);
-        self.advance::<REC>(p, Some(value), acc);
+        // Only a plain step memoizes (see `step`).
+        if self.advance::<REC>(p, Some(value), acc) && !REC {
+            self.procs[p.index()].idle_read = Some(value);
+        }
         self.emit(
             p,
             EventKind::Read {

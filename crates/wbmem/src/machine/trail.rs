@@ -218,6 +218,7 @@ impl<P: Process> Machine<P> {
         kind: FootprintKind,
     ) -> (StepOutcome, UndoToken<P>) {
         let i = p.index();
+        self.procs[i].idle_read = None;
         let fp = self.keep_fingerprint();
         let depth = |len: usize| u32::try_from(len).expect("undo trail depth fits in u32");
         let mark = depth(self.trail.steps.len());
@@ -263,6 +264,7 @@ impl<P: Process> Machine<P> {
         );
         let p = token.footprint.proc;
         let i = p.index();
+        self.procs[i].idle_read = None;
         // A crash restores the counters wholesale below, over this.
         self.counters.proc_mut(i).unbump(rec.did);
         if rec.did & DID_NONCE != 0 {
@@ -314,15 +316,16 @@ impl<P: Process> Machine<P> {
         }
     }
 
-    /// Advance `p`'s program past its poised operation.
+    /// Advance `p`'s program past its poised operation. Returns whether
+    /// that left the program idle ([`Process::advance_idle`]).
     pub(super) fn advance<const REC: bool>(
         &mut self,
         p: ProcId,
         read: Option<Value>,
         acc: &mut StepAcc,
-    ) {
+    ) -> bool {
         self.save_prog::<REC>(p, acc);
-        self.procs[p.index()].prog.advance(read);
+        self.procs[p.index()].prog.advance_idle(read)
     }
 
     /// Put `p` in its final state, returning `value`.

@@ -132,7 +132,10 @@ pub enum PoisedKind {
 /// The machine drives a process by inspecting [`poised`](Process::poised)
 /// and, once it has performed the operation's memory effects, calling
 /// [`advance`](Process::advance) (with the read result for read steps).
-/// Commit steps belong to the *system* and never advance the process.
+/// Commit steps belong to the *system* and never advance the process. A
+/// process that can tell when a step changed nothing reports it through
+/// [`advance_idle`](Process::advance_idle); the plain step rule then
+/// answers the process's repeats of that read without it.
 ///
 /// Implementations must be deterministic — `poised` must be a pure function
 /// of the state — because the lower-bound encoder replays and solo-runs
@@ -154,6 +157,20 @@ pub trait Process: Clone + Eq + std::hash::Hash + Send + Sync {
     /// [`Poised::Return`] step either — it records the return value itself
     /// and treats the process as final from then on.
     fn advance(&mut self, read_value: Option<Value>);
+
+    /// [`advance`](Process::advance), reporting whether the step left the
+    /// process *idle*: equal (`==`) to what it was before. A process
+    /// poised at a read that it re-reads with the value it saw last is
+    /// then poised at the same read again, and would stay idle on every
+    /// further read of that value; [`Machine::step`](crate::Machine::step)
+    /// answers such re-reads without advancing the process at all.
+    ///
+    /// `true` must imply `==`; `false` is always sound, and is the default,
+    /// which opts out of the shortcut.
+    fn advance_idle(&mut self, read_value: Option<Value>) -> bool {
+        self.advance(read_value);
+        false
+    }
 
     /// A program-defined annotation (e.g. "in critical section"), visible to
     /// invariant checkers. Defaults to `0`.

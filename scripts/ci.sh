@@ -40,6 +40,9 @@ stage "cargo test -q" \
 stage "lowerbound by_definition over every permutation of four (debug, where the decoder re-checks every memo hit; tier-1 runs a fixed sample)" \
     cargo test -q -p lowerbound --test by_definition -- --ignored
 
+stage "simlocks reread_by_walking, long variant in release: plain steps (with the idle-read memo) against recorded steps at n = 8 and 16 with ten times the schedules (tier-1 runs n = 4 and 8)" \
+    cargo test -q --release -p simlocks --test reread_by_walking -- --ignored
+
 stage "differential_resume over the full n = 2 lock × model × fence-mask × crash matrix for Undo, Dpor and ParallelDpor, each interrupted at a transition cut and resumed (tier-1 runs a fixed sample per engine)" \
     cargo test -q -p modelcheck --test differential_resume -- --ignored
 
