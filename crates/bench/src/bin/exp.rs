@@ -9,7 +9,7 @@
 //!                                e16 runs its n = 2 instances only; the rest
 //!                                ignore it
 //! exp --list                     ids and titles
-//! exp guards [--rebase]          every wall-clock gate CI holds
+//! exp guards                    every wall-clock gate CI holds
 //! exp obs-report [FILES]         results/obs/*.jsonl → results/obs/report.md
 //! ```
 //!
@@ -23,7 +23,7 @@ use ft_bench::experiments::{self, guards, obs_report, REGISTRY};
 fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}");
     eprintln!(
-        "usage: exp [--fast] [ID… | all] | --list | guards [--rebase] | \
+        "usage: exp [--fast] [ID… | all] | --list | guards | \
          obs-report [FILES]\n\
          --fast cuts down e14 (one round, writes nothing) and e16 (n = 2 only)"
     );
@@ -36,7 +36,7 @@ fn main() -> ExitCode {
         .iter()
         .map(String::as_str)
         .partition(|a| a.starts_with("--"));
-    let known = ["--fast", "--list", "--rebase"];
+    let known = ["--fast", "--list"];
     if let Some(unknown) = flags.iter().find(|f| !known.contains(f)) {
         return usage(&format!("unknown flag `{unknown}`"));
     }
@@ -46,7 +46,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     match words.split_first() {
-        Some((&"guards", _)) => guards::run(flag("--rebase")),
+        Some((&"guards", _)) => guards::run(),
         Some((&"obs-report", files)) => {
             let files: Vec<PathBuf> = files.iter().map(PathBuf::from).collect();
             obs_report::run(&files)

@@ -188,8 +188,7 @@ fn time_cell(
             // Per exploration, so the two sides' sample sizes cancel.
             spent.wall / iters[i] as u32
         };
-        (speedups[i], _) =
-            paired_ratio(rounds, || timed(&mut of_twin, t), || timed(&mut of_row, i));
+        speedups[i] = paired_ratio(rounds, || timed(&mut of_twin, t), || timed(&mut of_row, i));
         of_row.remove(0); // `paired_ratio`'s warm-up call
         samples[t].extend(of_twin);
         samples[i].extend(of_row);

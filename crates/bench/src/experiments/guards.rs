@@ -13,7 +13,6 @@
 //! | pardpor dispatch | `filter3_pso` | `ParallelDpor{threads: 1}` ≤ ×1.05 of `Dpor` |
 //! | pardpor scaling | `gt_f24_pso` | `ParallelDpor` ≥ ×1.5 over `Dpor` (skipped where the cores were not there) |
 //! | obs enabled | `bakery3_pso`, `Undo` | live recorder ≤ ×1.05 of disabled |
-//! | obs baseline | `bakery3_pso`, `Undo` | disabled throughput ≥ baseline ÷ 1.10 |
 //!
 //! Noise defenses, all needed on a shared container: every figure is the
 //! median over paired alternating rounds (see [`paired_ratio`]), and a
@@ -21,10 +20,6 @@
 //! and passes as soon as one attempt clears the floor — a genuine
 //! regression fails every attempt, a multi-second ambient load spike does
 //! not survive an independent re-measurement.
-//!
-//! The baseline gate compares against `results/obs/overhead_baseline.txt`,
-//! a machine-local file (wall-clock is not portable) written by the first
-//! run; `--rebase` rewrites it after changing machines.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -67,20 +62,17 @@ const PARDPOR_SCALING_ROUNDS: usize = 1;
 const PARDPOR_ATTEMPTS: usize = 2;
 
 /// The observability budget of DESIGN §6: a live recorder costs ≤5 %.
-/// The workload is deliberately large (~66k states): on sub-millisecond
-/// checks the fixed cost of rendering the final `snapshot` event
-/// dominates and the ratio measures JSON encoding, not per-step
-/// recording. A timing is 3 explorations so a round lasts long enough
-/// for the ratio to settle.
+/// Both sides count every step the same way; what the live one adds is
+/// what a recorder alone keeps — a hot-pc hit per step, events, and the
+/// heartbeat's clock read per poll. The workload is deliberately large (~66k
+/// states): on sub-millisecond checks the fixed cost of rendering the
+/// final `snapshot` event dominates and the ratio measures JSON
+/// encoding. A timing is 3 explorations so a round lasts long enough for
+/// the ratio to settle.
 const OBS_MAX_OVERHEAD: f64 = 1.05;
 const OBS_ROUNDS: usize = 8;
 const OBS_ITERS: usize = 3;
 const OBS_ATTEMPTS: usize = 2;
-/// Catches gross disabled-path regressions (a heartbeat left on,
-/// instrumentation ignoring `Recorder::disabled()`), which cost tens of
-/// percent; it sits above the ±8 % ambient throughput noise of a shared
-/// container because a tighter bound fires on load spikes, not code.
-const OBS_BASELINE_TOL: f64 = 1.10;
 
 /// What `iters` full explorations cost, each of which must verify.
 fn explore(inst: &OrderingInstance, cfg: &CheckConfig, iters: usize) -> Spent {
@@ -260,7 +252,7 @@ fn pardpor_gates() -> bool {
         PARDPOR_ATTEMPTS,
         || {
             let den = || explore(&filter3, &dpor, 1).wall;
-            paired_ratio(PARDPOR_ROUNDS, || explore(&filter3, &one, 1).wall, den).0
+            paired_ratio(PARDPOR_ROUNDS, || explore(&filter3, &one, 1).wall, den)
         },
     );
 
@@ -276,7 +268,7 @@ fn pardpor_gates() -> bool {
         };
         // dpor / pardpor: above 1 means the parallel engine is faster.
         let num = || explore(&gt_f24, &dpor, 1).wall;
-        let (speedup, _) = paired_ratio(PARDPOR_SCALING_ROUNDS, num, den);
+        let speedup = paired_ratio(PARDPOR_SCALING_ROUNDS, num, den);
         let seen = format!(
             "{} at {:.2} cpu/wall",
             times(speedup),
@@ -298,8 +290,7 @@ fn pardpor_gates() -> bool {
     dispatch && scaling
 }
 
-#[allow(clippy::cast_precision_loss)]
-fn obs_gates(rebase: bool) -> bool {
+fn obs_gate() -> bool {
     let inst = build_mutex(LockKind::Bakery, 3, FenceMask::ALL);
     let disabled = CheckConfig {
         check_termination: false,
@@ -307,66 +298,25 @@ fn obs_gates(rebase: bool) -> bool {
         ..CheckConfig::default()
     }
     .with_engine(Engine::Undo); // the default recorder is `Recorder::disabled()`
-                                // Quiet and heartbeat-free: measure the recording, not stderr I/O.
-    let live = || {
-        Recorder::builder()
-            .meta("workload", "guards_bakery3_pso")
-            .quiet(true)
-            .heartbeat_ms(0)
-    };
-    let enabled = disabled.clone().with_recorder(live().build());
 
-    let mut fastest_disabled = Duration::MAX;
-    let enabled_ok = gate("obs enabled", OBS_MAX_OVERHEAD, times, OBS_ATTEMPTS, || {
+    // Quiet and heartbeat-free: measure the recording, not stderr I/O.
+    let live = Recorder::builder()
+        .meta("workload", "guards_bakery3_pso")
+        .quiet(true)
+        .heartbeat_ms(0)
+        .build();
+    let enabled = disabled.clone().with_recorder(live);
+    gate("obs enabled", OBS_MAX_OVERHEAD, times, OBS_ATTEMPTS, || {
         let den = || explore(&inst, &disabled, OBS_ITERS).wall;
         let num = || explore(&inst, &enabled, OBS_ITERS).wall;
-        let (ratio, fastest) = paired_ratio(OBS_ROUNDS, num, den);
-        fastest_disabled = fastest_disabled.min(fastest);
-        ratio
-    });
-
-    let states = check(&inst.machine(MemoryModel::Pso), &disabled)
-        .stats()
-        .states;
-    let rate = (states * OBS_ITERS) as f64 / fastest_disabled.as_secs_f64().max(1e-12);
-    let baseline_path = crate::obs_dir().join("overhead_baseline.txt");
-    let baseline: Option<f64> = (!rebase)
-        .then(|| std::fs::read_to_string(&baseline_path).ok())
-        .flatten()
-        .and_then(|s| s.split_whitespace().next().and_then(|t| t.parse().ok()));
-    let baseline_ok = match baseline {
-        Some(b) => {
-            let slowdown = b / rate.max(1e-12);
-            report(
-                "obs baseline",
-                slowdown <= OBS_BASELINE_TOL,
-                &format!(
-                    "x{slowdown:.3} (floor <= x{OBS_BASELINE_TOL}; {rate:.0} vs {b:.0} states/s, \
-                     --rebase resets after a machine change)"
-                ),
-            )
-        }
-        None => {
-            let line = format!("{rate:.0} states/s, bakery3_pso undo, disabled recorder\n");
-            // A baseline that cannot be written means the gate silently
-            // never arms — fail loudly instead.
-            if let Err(e) = std::fs::write(&baseline_path, line) {
-                crate::fail(&format!("guards: writing {}", baseline_path.display()), e);
-            }
-            report(
-                "obs baseline",
-                true,
-                &format!("wrote {} ({rate:.0} states/s)", baseline_path.display()),
-            )
-        }
-    };
-    enabled_ok && baseline_ok
+        paired_ratio(OBS_ROUNDS, num, den)
+    })
 }
 
-/// Run every gate; `rebase` rewrites the machine-local baseline file.
-pub fn run(rebase: bool) -> ExitCode {
+/// Run every gate.
+pub fn run() -> ExitCode {
     // Non-short-circuiting: every gate runs and reports.
-    if checkpoint_gates() & pardpor_gates() & obs_gates(rebase) {
+    if checkpoint_gates() & pardpor_gates() & obs_gate() {
         println!("guards: OK");
         ExitCode::SUCCESS
     } else {

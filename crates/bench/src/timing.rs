@@ -90,22 +90,18 @@ pub fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Median of per-round `num/den` wall-clock ratios over [`paired_rounds`],
-/// and the fastest `den` round. Per-round ratios cancel slow load drift,
+/// Median of per-round `num/den` wall-clock ratios over [`paired_rounds`].
+/// Per-round ratios cancel slow load drift,
 /// whereas comparing each side's best-of-rounds lets one lucky quiet
 /// window inflate the ratio for the whole run.
 pub fn paired_ratio(
     rounds: usize,
     num: impl FnMut() -> Duration,
     den: impl FnMut() -> Duration,
-) -> (f64, Duration) {
+) -> f64 {
     let pairs = paired_rounds(rounds, num, den);
     let ratio = |&(n, d): &(Duration, Duration)| n.as_secs_f64() / d.as_secs_f64().max(1e-12);
-    let fastest = pairs.iter().map(|&(_, d)| d).min();
-    (
-        median(pairs.iter().map(ratio).collect()),
-        fastest.unwrap_or(Duration::MAX),
-    )
+    median(pairs.iter().map(ratio).collect())
 }
 
 #[cfg(test)]
@@ -121,9 +117,9 @@ mod tests {
         let order = RefCell::new(String::new());
         let mut nums = [MS(10), MS(90), MS(40), MS(20), MS(30)].into_iter();
         // The first `den` value is the warm-up: were it counted, it would
-        // be both the fastest round and a ratio of its own.
+        // be a ratio of its own.
         let mut dens = [MS(1), MS(10), MS(30), MS(20), MS(5), MS(10)].into_iter();
-        let (ratio, fastest) = paired_ratio(
+        let ratio = paired_ratio(
             5,
             || {
                 order.borrow_mut().push('n');
@@ -142,7 +138,6 @@ mod tests {
         // Per-round ratios 1, 3, 2, 4, 3: a mean would read 2.6, the ratio
         // of the two sides' minima 2.
         assert!((ratio - 3.0).abs() < 1e-9, "median of ratios, got {ratio}");
-        assert_eq!(fastest, MS(5), "the denominator's minimum, warm-up aside");
     }
 
     #[test]

@@ -31,8 +31,7 @@ use std::time::{Duration, Instant};
 use ftobs::{Gauge, Metric, MetricsSnapshot, ProcSteps, Progress, Recorder, Tally};
 use por::{RunMeta, Snapshot};
 use wbmem::{
-    CrashSemantics, Event, EventKind, Machine, MachineError, ProcCounters, ProcId, Process,
-    SchedElem, StepOutcome,
+    CrashSemantics, Event, EventKind, Machine, MachineError, Process, SchedElem, StepOutcome,
 };
 
 use crate::kernel::sequential;
@@ -174,11 +173,11 @@ pub struct CheckConfig {
     /// [`Verdict::InvariantViolation`] with a counterexample. A plain `fn`
     /// pointer keeps the configuration `Clone`/`Debug`.
     pub annotation_invariant: Option<fn(&[u64]) -> bool>,
-    /// Observability sink. The engines count every exploration step they
-    /// execute into it (counterexample and fork-point replays are not
-    /// exploration and stay uncounted), and [`check`] stamps its final
-    /// [`MetricsSnapshot`] into the verdict's [`Stats`]. The default,
-    /// [`Recorder::disabled`], is a no-op.
+    /// Observability stream. A check counts its steps whether or not a
+    /// recorder is attached ([`Stats::metrics`]); [`check`] adds those
+    /// counts to the recorder once, before its closing `snapshot` event.
+    /// An enabled recorder also keeps hot-pc hits, events and heartbeats.
+    /// The default, [`Recorder::disabled`], is a no-op.
     pub recorder: Recorder,
     /// Durable checkpointing (see [`CheckpointPolicy`]). When set, every
     /// engine but the [`Engine::CloneDfs`] oracle writes a versioned,
@@ -320,8 +319,7 @@ impl CheckpointPolicy {
 /// differential tests can assert `Stats` equality across engines. The
 /// embedded `metrics` snapshot participates through its own equality,
 /// which likewise covers only the deterministic counters (see
-/// [`MetricsSnapshot`]); with the default disabled recorder it is all-zero
-/// on every engine.
+/// [`MetricsSnapshot`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Stats {
     /// Distinct states visited.
@@ -332,8 +330,10 @@ pub struct Stats {
     pub terminal_states: usize,
     /// Wall-clock time of the exploration.
     pub elapsed: Duration,
-    /// Final metrics snapshot of [`CheckConfig::recorder`] (all-zero when
-    /// the recorder is disabled).
+    /// What this check counted, with or without a recorder: exploration
+    /// steps only (counterexample and fork-point replays stay uncounted).
+    /// A resumed `Ok` or `Inconclusive` verdict adds the interrupted run's
+    /// counts, which its checkpoint carried.
     pub metrics: MetricsSnapshot,
 }
 
@@ -809,24 +809,25 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// polls (the parallel workers poll every 256).
 pub(crate) const DEADLINE_POLL_MASK: usize = 1024 - 1;
 
-/// The engines' shared poll point: update the frontier and
+/// The engines' shared poll point: update the walk's frontier and
 /// dedup-occupancy gauges, offer the recorder a (rate-limited) heartbeat,
 /// and report whether the wall-clock deadline has passed. With a disabled
 /// recorder there is no clock read unless a deadline exists.
 pub(crate) fn poll_observe(
     obs: &Recorder,
+    tally: &mut Tally,
     stats: &Stats,
     frontier: usize,
     dedup_occupancy: usize,
     budget: Option<Duration>,
     deadline: Option<Instant>,
 ) -> bool {
+    tally.gauge_max(Gauge::MaxFrontier, frontier as u64);
+    tally.gauge_set(Gauge::DedupOccupancy, dedup_occupancy as u64);
     if !obs.is_enabled() {
         return deadline.is_some_and(|d| Instant::now() >= d);
     }
     let now = Instant::now();
-    obs.gauge_max(Gauge::MaxFrontier, frontier as u64);
-    obs.gauge_set(Gauge::DedupOccupancy, dedup_occupancy as u64);
     let spent = match (budget, deadline) {
         (Some(b), Some(d)) => Some(b.saturating_sub(d.saturating_duration_since(now))),
         _ => None,
@@ -841,73 +842,80 @@ pub(crate) fn poll_observe(
     deadline.is_some_and(|d| now >= d)
 }
 
-/// Take one exploration step of process `p` on `m` and, when `tally` is
-/// live, count it ([`count_step`]) — the one place a machine step becomes
-/// metrics. Replays (`Dfs::start`, `render`) step the machine directly
-/// and stay uncounted.
+/// Take the exploration step `elem` on `m` and count it into `tally`
+/// ([`count_step`]) — the one place a machine step becomes metrics.
+/// Replays (`Dfs::start`, `render`) step the machine directly and stay
+/// uncounted. Only a crash needs a look at the machine before it steps:
+/// a draining crash commits a whole buffer in one step.
 #[inline]
 pub(crate) fn step_counted<P: Process, T>(
     tally: &mut Tally,
     m: &mut Machine<P>,
-    p: ProcId,
+    elem: SchedElem,
     step: impl FnOnce(&mut Machine<P>) -> (StepOutcome, T),
 ) -> (StepOutcome, T) {
-    let before = tally
-        .is_live()
-        .then(|| (*m.counters().proc(p.index()), m.process(p).obs_pc()));
+    let p = elem.proc;
+    let crash = elem
+        .crash
+        .then(|| (m.counters().proc(p.index()).commits, m.process(p).obs_pc()));
     let (out, rest) = step(m);
-    if let (Some((counters, pc)), StepOutcome::Stepped(event)) = (&before, &out) {
-        count_step(tally, m, event, counters, *pc);
+    if let StepOutcome::Stepped(event) = &out {
+        count_step(tally, m, event, crash);
     }
     (out, rest)
 }
 
-/// Count the step that produced `event`, given its process's counters
-/// and pc from `before` it. `wbmem` classified the step when it raised
-/// those [`ProcCounters`], so the classes are read back as what the step
-/// added to them, next to the three things they do not hold: whether the
-/// process returned, how deep a write left its buffer, and where its
-/// program counter stood.
+/// Count the step that produced `event` by its kind: the class `wbmem`
+/// raised a counter of when it took the step. An SC write commits at
+/// once, so a `Commit` of a machine that buffers nothing is a write too.
+/// A crash is counted by what it added to its process's commit counter,
+/// given with the process's pc from `crash` before it.
 ///
-/// Hot-pc hits go to the pc each of the step's events left the process
-/// at: the step's end, except that the commits of a draining crash happen
-/// where the process crashed, before the crash moves it to its recovery
-/// entry.
+/// Hot-pc hits, kept only for an enabled recorder, go to the pc each of
+/// the step's events left the process at: the step's end, except that
+/// the commits of a draining crash happen where the process crashed,
+/// before the crash moves it to its recovery entry.
 fn count_step<P: Process>(
     tally: &mut Tally,
     m: &Machine<P>,
     event: &Event,
-    before: &ProcCounters,
-    pc_before: Option<u32>,
+    crash: Option<(u64, Option<u32>)>,
 ) {
     let (p, i) = (event.proc, event.proc.index());
-    let after = m.counters().proc(i);
-    let commits = after.commits - before.commits;
-    let crashes = after.crashes - before.crashes;
-    tally.add(Metric::Reads, after.reads - before.reads);
-    tally.add(
-        Metric::BufferReads,
-        after.buffer_reads - before.buffer_reads,
-    );
-    tally.add(Metric::Commits, commits);
-    tally.add(Metric::CasOps, after.cas_ops - before.cas_ops);
-    tally.add(Metric::SwapOps, after.swap_ops - before.swap_ops);
-    let steps = ProcSteps {
-        fences: after.fences - before.fences,
-        crashes,
-    };
-    tally.proc_steps(i, steps);
-    if after.writes > before.writes {
-        tally.on_write(m.buffer(p).len() as u64);
+    let mut steps = ProcSteps::default();
+    match event.kind {
+        EventKind::Read { from_memory, .. } => {
+            tally.incr(Metric::Reads);
+            tally.add(Metric::BufferReads, u64::from(!from_memory));
+        }
+        EventKind::Write { .. } => tally.on_write(m.buffer(p).len() as u64),
+        EventKind::Commit { .. } => {
+            tally.incr(Metric::Commits);
+            if !m.config().model.buffers_writes() {
+                tally.on_write(0);
+            }
+        }
+        EventKind::Fence => steps.fences = 1,
+        EventKind::Cas { .. } => tally.incr(Metric::CasOps),
+        EventKind::Swap { .. } => tally.incr(Metric::SwapOps),
+        EventKind::Return { .. } => tally.incr(Metric::Returns),
+        EventKind::Crash { .. } => {
+            let (before, pc) = crash.expect("only a crash element crashes");
+            let commits = m.counters().proc(i).commits - before;
+            tally.add(Metric::Commits, commits);
+            steps.crashes = 1;
+            if let (Some(pc), true) = (pc, commits > 0) {
+                tally.hot_pc(i, pc, commits);
+            }
+        }
     }
-    if matches!(event.kind, EventKind::Return { .. }) {
-        tally.incr(Metric::Returns);
+    if steps != ProcSteps::default() {
+        tally.proc_steps(i, steps);
     }
-    if let (Some(pc), true) = (pc_before, crashes > 0 && commits > 0) {
-        tally.hot_pc(i, pc, commits);
-    }
-    if let Some(pc) = m.process(p).obs_pc() {
-        tally.hot_pc(i, pc, 1);
+    if tally.counts_hot_pcs() {
+        if let Some(pc) = m.process(p).obs_pc() {
+            tally.hot_pc(i, pc, 1);
+        }
     }
 }
 
@@ -968,6 +976,7 @@ pub(crate) fn run_meta_of(config: &CheckConfig, root_fp: u128) -> RunMeta {
 /// still stands, only the resume artifact is lost.
 pub(crate) fn write_checkpoint(
     obs: &Recorder,
+    tally: &mut Tally,
     policy: &CheckpointPolicy,
     snap: &Snapshot,
 ) -> Option<PathBuf> {
@@ -980,8 +989,8 @@ pub(crate) fn write_checkpoint(
     for attempt in 1..=3u32 {
         match snap.write_atomic(&policy.path) {
             Ok(bytes) => {
-                obs.incr(Metric::CheckpointWritten);
-                obs.add(Metric::CheckpointBytes, bytes);
+                tally.incr(Metric::CheckpointWritten);
+                tally.add(Metric::CheckpointBytes, bytes);
                 let bytes = ("bytes", J::U(bytes));
                 obs.event("checkpoint", &[path(), bytes, forks(), states()]);
                 written = Some(policy.path.clone());
@@ -1043,9 +1052,10 @@ pub fn check<P: Process>(initial: &Machine<P>, config: &CheckConfig) -> Verdict 
 
 /// One run of `config.engine` — from the root, or continuing the
 /// validated checkpoint `seed` loads ([`crate::resume`]) — stamped with
-/// the elapsed time and the recorder's metrics. A checkpoint policy on a
-/// termination-checking run is refused before `seed` is read: the
-/// termination check runs on one walk's graph, which no snapshot holds.
+/// the elapsed time and the run's own counts, which then go to the
+/// recorder. A checkpoint policy on a termination-checking run is refused
+/// before `seed` is read: the termination check runs on one walk's graph,
+/// which no snapshot holds.
 pub(crate) fn dispatch<P: Process>(
     initial: &Machine<P>,
     config: &CheckConfig,
@@ -1068,48 +1078,51 @@ pub(crate) fn dispatch<P: Process>(
     let root = bounded_root(initial, config);
     let (root, obs) = (root.as_ref(), &config.recorder);
     let resumed = seed.as_ref().map(|snap| snap.metrics);
+    let mut totals = obs.tally();
     let mut verdict = match (config.engine, seed) {
         // `resume` refuses the oracle before it gets here.
-        (Engine::CloneDfs, _) => check_clone_dfs(root, config, deadline),
-        (Engine::Undo | Engine::Dpor { .. }, None) => sequential(root, config, deadline),
-        (_, seed) => check_shared(root, config, deadline, seed),
-    };
-    verdict.stats_mut().elapsed = start.elapsed();
-    if obs.is_enabled() {
-        use ftobs::J;
-        // A resumed Ok/Inconclusive verdict describes the combined run,
-        // so its metrics merge the interrupted run's snapshot with this
-        // one's. Every other verdict came from a standalone sequential
-        // rerun (counters reset first) and stands alone.
-        let own = obs.snapshot();
-        verdict.stats_mut().metrics = match (&verdict, resumed) {
-            (Verdict::Ok(_) | Verdict::Inconclusive(..), Some(prior)) => prior.merged(&own),
-            _ => own,
-        };
-        let mut fields = vec![
-            ("engine", J::s(config.engine.label())),
-            ("verdict", J::s(verdict.label())),
-        ];
-        if resumed.is_some() {
-            fields.push(("resumed", J::B(true)));
+        (Engine::CloneDfs, _) => check_clone_dfs(root, config, deadline, &mut totals),
+        (Engine::Undo | Engine::Dpor { .. }, None) => {
+            sequential(root, config, deadline, &mut totals)
         }
-        fields.push(("elapsed_ms", J::U(start.elapsed().as_millis() as u64)));
-        obs.emit_snapshot(&fields);
-        obs.flush();
+        (_, seed) => check_shared(root, config, deadline, seed, &mut totals),
+    };
+    // A resumed Ok/Inconclusive verdict describes the combined run, so
+    // its metrics merge the interrupted run's snapshot with this one's.
+    // Every other verdict came from a standalone sequential rerun and
+    // stands alone.
+    let own = totals.snapshot();
+    let metrics = match (&verdict, resumed) {
+        (Verdict::Ok(_) | Verdict::Inconclusive(..), Some(prior)) => prior.merged(&own),
+        _ => own,
+    };
+    let stats = verdict.stats_mut();
+    (stats.elapsed, stats.metrics) = (start.elapsed(), metrics);
+    obs.record(&totals);
+    use ftobs::J;
+    let mut fields = vec![
+        ("engine", J::s(config.engine.label())),
+        ("verdict", J::s(verdict.label())),
+    ];
+    if resumed.is_some() {
+        fields.push(("resumed", J::B(true)));
     }
+    fields.push(("elapsed_ms", J::U(start.elapsed().as_millis() as u64)));
+    obs.emit_snapshot(&fields);
+    obs.flush();
     verdict
 }
 
 /// The original engine: clone the machine at every transition. O(machine)
-/// per edge; kept as the differential oracle for the undo engine.
+/// per edge; kept as the differential oracle for the undo engine. Its one
+/// loop counts straight into the check's `tally`.
 fn check_clone_dfs<P: Process>(
     initial: &Machine<P>,
     config: &CheckConfig,
     deadline: Option<Instant>,
+    tally: &mut Tally,
 ) -> Verdict {
     let obs = &config.recorder;
-    // Flushed into the recorder on every exit path by its Drop impl.
-    let mut tally = obs.tally();
     let mut stats = Stats::default();
     let mut index = SearchIndex::default();
     let mut edges: Vec<(u32, u32)> = Vec::new();
@@ -1150,6 +1163,7 @@ fn check_clone_dfs<P: Process>(
         if iters & DEADLINE_POLL_MASK == 0
             && poll_observe(
                 obs,
+                tally,
                 &stats,
                 stack.len() + 1,
                 index.len(),
@@ -1172,7 +1186,7 @@ fn check_clone_dfs<P: Process>(
         let mut child = m.clone();
         stack.push((m, id, choices));
 
-        let (out, ()) = step_counted(&mut tally, &mut child, elem.proc, |m| (m.step(elem), ()));
+        let (out, ()) = step_counted(tally, &mut child, elem, |m| (m.step(elem), ()));
         if matches!(out, StepOutcome::NoOp) {
             tally.incr(Metric::NoopSteps);
             continue;
@@ -1223,7 +1237,7 @@ fn check_clone_dfs<P: Process>(
         stack.push((child, child_id, child_choices));
     }
 
-    obs.gauge_set(Gauge::DedupOccupancy, index.len() as u64);
+    tally.gauge_set(Gauge::DedupOccupancy, index.len() as u64);
     if config.check_termination {
         let can_finish = can_finish(index.len(), &edges, &terminal);
         if let Some(stuck) = can_finish.iter().position(|&c| !c) {
@@ -1239,7 +1253,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use simlocks::{build_mutex, FenceMask, LockKind};
-    use wbmem::MemoryModel;
+    use wbmem::{MemoryModel, ProcId};
 
     fn cfg() -> CheckConfig {
         CheckConfig::default()
@@ -1817,10 +1831,10 @@ mod tests {
             let (pending, crashed_at) = (m.buffer(p0).len() as u64, m.process(p0).obs_pc());
             let rec = Recorder::builder().quiet(true).heartbeat_ms(0).build();
             let mut tally = rec.tally();
-            step_counted(&mut tally, &mut m, p0, |m| {
+            step_counted(&mut tally, &mut m, SchedElem::crash(p0), |m| {
                 (m.step(SchedElem::crash(p0)), ())
             });
-            drop(tally);
+            rec.record(&tally);
             let pc = |pc: Option<u32>| pc.expect("a VmProc has a pc");
             let (crashed_at, entry) = (pc(crashed_at), pc(m.process(p0).obs_pc()));
             assert_ne!(crashed_at, entry);
@@ -1838,7 +1852,7 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// What makes classifying a step from its counters sound: whatever
+        /// What makes classifying a step from its event sound: whatever
         /// schedule runs through `step_counted` — crashes of either
         /// semantics, no-ops, a CAS lock, a swap lock, every model — the
         /// tally ends up holding exactly the machine's own `Counters`, and
@@ -1864,8 +1878,7 @@ mod tests {
                 CrashSemantics::DiscardBuffer
             };
             m.set_crash_bound(semantics, 2);
-            let rec = Recorder::builder().quiet(true).heartbeat_ms(0).build();
-            let mut tally = rec.tally();
+            let mut tally = Tally::default();
             for pick in picks {
                 let choices = m.choices();
                 // One pick in eight crashes a process whether or not it
@@ -1875,7 +1888,7 @@ mod tests {
                 } else {
                     choices[pick / 8 % choices.len()]
                 };
-                step_counted(&mut tally, &mut m, elem.proc, |m| {
+                step_counted(&mut tally, &mut m, elem, |m| {
                     if recorded {
                         (m.step_recorded(elem).0, ())
                     } else {
@@ -1883,8 +1896,7 @@ mod tests {
                     }
                 });
             }
-            drop(tally);
-            let (snap, total) = (rec.snapshot(), m.counters().total());
+            let (snap, total) = (tally.snapshot(), m.counters().total());
             let tallied = [
                 Metric::Reads, Metric::BufferReads, Metric::Writes, Metric::Commits,
                 Metric::Fences, Metric::CasOps, Metric::SwapOps, Metric::Crashes,

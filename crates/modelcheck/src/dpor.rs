@@ -410,7 +410,7 @@ mod tests {
                 remaining: 2,
                 ..SleepFrame::default()
             };
-            let (mut arena, mut tally) = (Vec::new(), ftobs::Recorder::disabled().tally());
+            let (mut arena, mut tally) = (Vec::new(), ftobs::Tally::default());
             let mut child = None;
             for (node, elem) in [(1, first), (2, SchedElem::op(ProcId(1)))] {
                 let edge = Edge {

@@ -32,7 +32,8 @@
 //! is the arena's tail (where the cycle proviso appends to it). What a
 //! step overwrote lives on the machine's own undo trail; a frame keeps
 //! the 16-byte [`UndoToken`] that rewinds it, and the walk counts its
-//! undos in the [`Tally`] it batches every per-edge counter in.
+//! undos in the [`Tally`] it batches every per-edge counter in; the
+//! frontier merges that tally into its check's totals when the walk ends.
 
 use std::time::Instant;
 
@@ -289,7 +290,8 @@ fn undo<P: Process>(m: &mut Machine<P>, tally: &mut Tally, token: UndoToken<P>) 
 pub(crate) struct Dfs<'a, P: Process, R: Reduction<P, N>, N> {
     m: Machine<P>,
     red: &'a mut R,
-    /// Batches the per-edge counters; flushed into the recorder on drop.
+    /// Batches the per-edge counters until the frontier merges them into
+    /// its check's totals.
     pub(crate) tally: Tally,
     arena: Vec<SchedElem>,
     scratch: Vec<SchedElem>,
@@ -448,7 +450,7 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
                 continue; // beyond the reorder bound: neither taken nor slept
             };
 
-            let (out, token) = step_counted(&mut self.tally, &mut self.m, elem.proc, |m| {
+            let (out, token) = step_counted(&mut self.tally, &mut self.m, elem, |m| {
                 if R::FOOTPRINTS {
                     m.step_recorded(elem)
                 } else {
@@ -538,11 +540,12 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
     }
 }
 
-/// The root state's expansion as the fork point a fresh run starts from.
+/// The root state's expansion as the fork point a fresh run starts from;
+/// its reduction decision is counted into `tally`.
 pub(crate) fn root_fork<P: Process, N, R: Reduction<P, N>>(
     initial: &Machine<P>,
     red: &mut R,
-    obs: &Recorder,
+    tally: &mut Tally,
 ) -> ForkPoint {
     let mut fork = ForkPoint {
         remaining: red.root_budget(),
@@ -551,13 +554,7 @@ pub(crate) fn root_fork<P: Process, N, R: Reduction<P, N>>(
     let mut frame = red.adopt(initial.fingerprint(), &mut fork);
     let mut choices = Vec::new();
     let enabled = initial.choices();
-    red.expand(
-        initial,
-        &enabled,
-        &mut frame,
-        &mut choices,
-        &mut obs.tally(),
-    );
+    red.expand(initial, &enabled, &mut frame, &mut choices, tally);
     if R::LIFO {
         choices.reverse();
     }
@@ -576,6 +573,9 @@ const ROOT: u32 = 0;
 /// counterexamples included — rendered in place.
 pub(crate) struct Local<'a> {
     config: &'a CheckConfig,
+    /// The check's totals: the root's counts until the walk ends, then
+    /// the walk's too.
+    totals: &'a mut Tally,
     deadline: Option<Instant>,
     stats: Stats,
     index: SearchIndex,
@@ -592,12 +592,10 @@ impl Local<'_> {
     /// `dispatch` refused the policy if the walk checks termination, so
     /// there is no graph to keep.
     fn checkpoint<P: Process, R: Reduction<P, u32>>(
-        &self,
-        dfs: &mut Dfs<'_, P, R, u32>,
+        &mut self,
+        dfs: &Dfs<'_, P, R, u32>,
     ) -> Option<std::path::PathBuf> {
         let policy = self.config.checkpoint.as_ref()?;
-        let obs = &self.config.recorder;
-        dfs.tally.flush();
         let mut visited: Vec<u128> = (0..self.index.len() as u32)
             .map(|id| self.index.fp_of(id))
             .collect();
@@ -610,11 +608,11 @@ impl Local<'_> {
                 terminal_states: self.stats.terminal_states as u64,
                 sleep_hits: dfs.sleep_hits() as u64,
             },
-            metrics: obs.snapshot(),
+            metrics: self.totals.snapshot().merged(&dfs.tally.snapshot()),
             forks: dfs.open_forks(),
             visited,
         };
-        write_checkpoint(obs, policy, &snap)
+        write_checkpoint(&self.config.recorder, self.totals, policy, &snap)
     }
 }
 
@@ -637,11 +635,12 @@ impl<P: Process> Frontier<P> for Local<'_> {
         let transitions = self.stats.transitions as u64;
         let mut stop = policy.is_some_and(|p| p.stop_requested(transitions));
         if !stop && iters & DEADLINE_POLL_MASK == 0 {
-            let states = self.stats.states;
+            let (depth, states) = (dfs.depth(), self.stats.states);
             stop = poll_observe(
                 &config.recorder,
+                &mut dfs.tally,
                 &self.stats,
-                dfs.depth(),
+                depth,
                 states,
                 config.budget,
                 self.deadline,
@@ -709,17 +708,20 @@ impl Local<'_> {
     }
 }
 
-/// The sequential engines: `reduction` × [`Local`], one task, the root's.
+/// The sequential engines: `reduction` × [`Local`], one task, the root's,
+/// counted into `totals`.
 pub(crate) fn run_local<P: Process, R: Reduction<P, u32>, V: Visitor<P>>(
     initial: &Machine<P>,
     config: &CheckConfig,
     deadline: Option<Instant>,
     mut reduction: R,
     visitor: &mut V,
+    totals: &mut Tally,
 ) -> Verdict {
     let obs = &config.recorder;
     let mut local = Local {
         config,
+        totals,
         deadline,
         stats: Stats::default(),
         index: SearchIndex::default(),
@@ -734,18 +736,19 @@ pub(crate) fn run_local<P: Process, R: Reduction<P, u32>, V: Visitor<P>>(
         .expect("the first id");
     debug_assert_eq!(root, ROOT);
     local.stats.states = 1;
-    obs.tally().on_state(0);
+    local.totals.on_state(0);
     if let Err(v) = visitor.state(initial) {
         return v(local.stats, render(initial, &[]));
     }
     let mut halt = None;
     if initial.all_done() {
         Frontier::<P>::terminal(&mut local, root);
-        obs.incr(Metric::TerminalStates);
+        local.totals.incr(Metric::TerminalStates);
     } else {
-        let task = root_fork(initial, &mut reduction, obs);
+        let task = root_fork(initial, &mut reduction, local.totals);
         let mut dfs = Dfs::start(initial, task, |_| root, &mut reduction, obs);
         halt = dfs.run(config, &mut local, visitor);
+        local.totals.merge(&dfs.tally);
     }
     let (stats, index) = (local.stats, &local.index);
     match halt {
@@ -757,7 +760,9 @@ pub(crate) fn run_local<P: Process, R: Reduction<P, u32>, V: Visitor<P>>(
             Verdict::Inconclusive(stats, coverage)
         }
         None => {
-            obs.gauge_set(Gauge::DedupOccupancy, stats.states as u64);
+            local
+                .totals
+                .gauge_set(Gauge::DedupOccupancy, stats.states as u64);
             let stuck = config.check_termination.then(|| local.stuck()).flatten();
             match stuck {
                 Some(mut schedules) => {
@@ -782,14 +787,15 @@ pub(crate) fn sequential<P: Process>(
     initial: &Machine<P>,
     config: &CheckConfig,
     deadline: Option<Instant>,
+    totals: &mut Tally,
 ) -> Verdict {
     let visitor = &mut Properties::new(config);
     match config.engine.reduction() {
-        Some(u32::MAX) => run_local(initial, config, deadline, NoReduction, visitor),
+        Some(u32::MAX) => run_local(initial, config, deadline, NoReduction, visitor, totals),
         bound => {
             let mut reduction = SleepAmple::<DenseHeads>::new(initial, config, bound);
             reduction.claim_root(ROOT);
-            run_local(initial, config, deadline, reduction, visitor)
+            run_local(initial, config, deadline, reduction, visitor, totals)
         }
     }
 }

@@ -11,6 +11,7 @@
 
 use std::collections::BTreeSet;
 
+use ftobs::Tally;
 use wbmem::{Machine, Process};
 
 use crate::checker::CheckConfig;
@@ -38,8 +39,8 @@ pub fn terminal_outcomes<P: Process>(
         check_termination: false,
         ..CheckConfig::default()
     };
-    let mut outcomes = Outcomes(BTreeSet::new());
-    let verdict = run_local(initial, &config, None, NoReduction, &mut outcomes);
+    let (mut outcomes, counts) = (Outcomes(BTreeSet::new()), &mut Tally::default());
+    let verdict = run_local(initial, &config, None, NoReduction, &mut outcomes, counts);
     verdict.is_ok().then_some(outcomes.0)
 }
 

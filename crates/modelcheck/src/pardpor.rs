@@ -22,8 +22,8 @@
 //!   into a bounded [`por::ForkQueue`]; an idle worker replays the path
 //!   and continues the frame as the owner would have.
 //! * **Verdict discipline** ([`check_shared`]): a violation, state-limit
-//!   overrun or worker panic cancels the sweep (metrics reset) and reruns
-//!   the sequential engine of the same reduction, so those verdicts are
+//!   overrun or worker panic cancels the sweep (its counts are dropped) and
+//!   reruns the sequential engine of the same reduction, so those verdicts are
 //!   bit-identical to it; a budget or stop trigger returns
 //!   [`Verdict::Inconclusive`] with the merged frontier checkpointed. One
 //!   worker is the sequential engine itself.
@@ -32,7 +32,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use ftobs::{Gauge, Metric};
+use ftobs::{Gauge, Metric, Tally};
 use por::{ForkPoint, ForkQueue, FpHeads, FpTable, Snapshot};
 use wbmem::{Machine, Process, SchedElem};
 
@@ -59,6 +59,8 @@ pub(crate) fn worker_count(threads: usize) -> usize {
 /// coordinator fills in.
 #[derive(Default)]
 struct Report {
+    /// The counts of every walk the worker ran.
+    tally: Tally,
     transitions: usize,
     /// All-done states first visited.
     terminals: usize,
@@ -80,6 +82,7 @@ struct Report {
 
 impl Report {
     fn absorb(&mut self, mut o: Report) {
+        self.tally.merge(&o.tally);
         self.transitions += o.transitions;
         self.terminals += o.terminals;
         self.violated |= o.violated;
@@ -111,11 +114,15 @@ struct Pool {
 /// the next checkpoint, so chains of interrupts keep summing. Under the
 /// termination check a fresh run is the sequential engine; `dispatch`
 /// refused the checkpoint policy, so no such run is ever resumed.
+///
+/// `totals` receives the counts of the run the verdict came from: the
+/// sweep's, or a sequential rerun's alone.
 pub(crate) fn check_shared<P: Process>(
     initial: &Machine<P>,
     config: &CheckConfig,
     deadline: Option<Instant>,
     resume: Option<Snapshot>,
+    totals: &mut Tally,
 ) -> Verdict {
     let obs = &config.recorder;
     let panicked = |context: &str, payload: Box<dyn std::any::Any + Send>| {
@@ -125,23 +132,20 @@ pub(crate) fn check_shared<P: Process>(
     // The sequential engine of the same reduction. User code (the
     // annotation invariant) runs inside every walk; a panic there must
     // surface as an error verdict, not abort the caller.
-    let seq = |config: &CheckConfig, context: &str| {
-        let run = || sequential(initial, config, deadline);
+    let seq = |config: &CheckConfig, context: &str, totals: &mut Tally| {
+        let run = || sequential(initial, config, deadline, totals);
         catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|p| panicked(context, p))
     };
-    // Reproduce a verdict sequentially: the partial sweep's metrics are
-    // dropped so the rerun's counts stand alone, and the checkpoint
-    // policy is stripped so a stop trigger cannot re-fire on the
-    // restarted transition count and cut the rerun short of the verdict
-    // it exists to reproduce.
+    // Reproduce a verdict sequentially, counting into the totals the
+    // sweep never reached: the rerun's counts stand alone. The
+    // checkpoint policy is stripped so a stop trigger cannot re-fire on
+    // the restarted transition count and cut the rerun short of the
+    // verdict it exists to reproduce.
     let unstoppable = || CheckConfig {
         checkpoint: None,
         ..config.clone()
     };
-    let rerun = |context: &str| {
-        obs.reset_counts();
-        seq(&unstoppable(), context)
-    };
+    let rerun = |context: &str, totals: &mut Tally| seq(&unstoppable(), context, totals);
 
     // `run` accumulates the whole exploration — the interrupted prior, if
     // any, plus this sweep — in the shape of the next checkpoint.
@@ -149,22 +153,24 @@ pub(crate) fn check_shared<P: Process>(
     let seeded = resume.is_some();
     let mut run = resume.unwrap_or_default();
     run.visited.push(root_fp);
+    // The root's counts, kept with the sweep's.
+    let mut root = Tally::default();
     // A resumed run skips the root checks: its work-list is the snapshot's
     // frontier, and the interrupted run already counted and checked the
     // root.
     if !seeded {
         if worker_count(config.engine.workers()) <= 1 || config.check_termination {
-            return seq(config, ""); // the sequential engine itself
+            return seq(config, "", totals); // the sequential engine itself
         }
         match catch_unwind(AssertUnwindSafe(|| Properties::new(config).state(initial))) {
             Ok(Ok(())) => {}
-            Ok(Err(_)) => return rerun(""),
+            Ok(Err(_)) => return rerun("", totals),
             Err(payload) => return panicked("root invariant: ", payload),
         }
-        obs.tally().on_state(0);
+        root.on_state(0);
         run.base.states = 1;
         if initial.all_done() {
-            obs.incr(Metric::TerminalStates);
+            root.incr(Metric::TerminalStates);
             run.base.terminal_states = 1;
         }
     }
@@ -174,7 +180,7 @@ pub(crate) fn check_shared<P: Process>(
     let (mut report, table) = sweep(initial, config, deadline, seed);
     if let Some(msg) = &report.panicked {
         // If the panic is deterministic the rerun hits it too.
-        return rerun(&format!("worker: {msg}; sequential rerun: "));
+        return rerun(&format!("worker: {msg}; sequential rerun: "), totals);
     }
 
     run.base.states = report.states as u64;
@@ -192,16 +198,18 @@ pub(crate) fn check_shared<P: Process>(
     let discard = report.states > config.max_states || report.violated;
 
     if discard {
-        return rerun("");
+        return rerun("", totals);
     }
+    totals.merge(&root);
+    totals.merge(&report.tally);
     if report.budget_hit {
         // Stopped short of a verdict: the merged frontier as a checkpoint.
         let checkpoint = config.checkpoint.as_ref().and_then(|policy| {
             run.meta = run_meta_of(config, root_fp);
-            run.metrics.merge(&obs.snapshot());
+            run.metrics.merge(&totals.snapshot());
             run.forks = std::mem::take(&mut report.forks);
             run.visited = table.export();
-            write_checkpoint(obs, policy, &run)
+            write_checkpoint(obs, totals, policy, &run)
         });
         let coverage = Coverage {
             frontier,
@@ -211,15 +219,15 @@ pub(crate) fn check_shared<P: Process>(
         return Verdict::Inconclusive(stats, coverage);
     }
 
-    obs.gauge_set(Gauge::DedupOccupancy, table.len() as u64);
+    totals.gauge_set(Gauge::DedupOccupancy, table.len() as u64);
     Verdict::Ok(stats)
 }
 
 /// Spawn `threads` workers over the seeded first-visit table and work
-/// queue, join them, and merge what they found; [`check_shared`] turns
-/// that into a verdict. `seed` is `(fingerprints already visited, fork
-/// points to start from — `None` for the root's expansion —, states
-/// already counted)`.
+/// queue, join them, and merge what they found, counts included;
+/// [`check_shared`] turns that into a verdict. `seed` is `(fingerprints
+/// already visited, fork points to start from — `None` for the root's
+/// expansion —, states already counted)`.
 fn sweep<P: Process>(
     initial: &Machine<P>,
     config: &CheckConfig,
@@ -244,14 +252,14 @@ fn sweep_with<P: Process, R: Reduction<P, u128>>(
     (visited, forks, states): (&[u128], Option<Vec<ForkPoint>>, usize),
     make: impl Fn() -> R + Sync,
 ) -> (Report, FpTable) {
-    let obs = &config.recorder;
+    let mut counted = Tally::default();
     let forks = match forks {
         Some(forks) => {
-            obs.add(Metric::ResumeReplayed, forks.len() as u64);
+            counted.add(Metric::ResumeReplayed, forks.len() as u64);
             forks
         }
         None if initial.all_done() => Vec::new(),
-        None => vec![root_fork(initial, &mut make(), obs)],
+        None => vec![root_fork(initial, &mut make(), &mut counted)],
     };
     let pool = Pool {
         table: FpTable::new(),
@@ -315,7 +323,8 @@ fn sweep_with<P: Process, R: Reduction<P, u128>>(
     report.budget_hit = pool.budget_hit.load(Ordering::SeqCst);
     // The contention counter sits past the deterministic range, so
     // snapshot equality with the sequential engines is unaffected.
-    obs.add(Metric::FpContention, pool.table.contention());
+    counted.add(Metric::FpContention, pool.table.contention());
+    report.tally.merge(&counted);
     (report, pool.table)
 }
 
@@ -341,12 +350,12 @@ impl<P: Process> Shared<'_, P> {
     fn run<R: Reduction<P, u128>>(mut self, mut reduction: R) -> Report {
         let (initial, config) = (self.initial, self.config);
         while let Some(task) = self.pool.queue.take() {
-            config.recorder.incr(Metric::ForkStolen);
-
             let obs = &config.recorder;
             let mut dfs = Dfs::start(initial, task, |fp| fp, &mut reduction, obs);
+            dfs.tally.incr(Metric::ForkStolen);
             let halt = dfs.run(config, &mut self, &mut Properties::new(config));
             let open = dfs.depth();
+            self.report.tally.merge(&dfs.tally);
             drop(dfs);
             match halt {
                 None | Some(Halt::Stopped) => {}
@@ -416,10 +425,12 @@ impl<P: Process> Frontier<P> for Shared<'_, P> {
             transitions: self.report.transitions,
             ..Stats::default()
         };
+        let frontier = dfs.depth() + pool.queue.len();
         let expired = poll_observe(
             &config.recorder,
+            &mut dfs.tally,
             &progress,
-            dfs.depth() + pool.queue.len(),
+            frontier,
             pool.table.len(),
             config.budget,
             self.deadline,
@@ -442,7 +453,7 @@ impl<P: Process> Frontier<P> for Shared<'_, P> {
                 // remainder at any time.
                 if pool.queue.publish(dfs.fork_at(k)).is_ok() {
                     dfs.close(k);
-                    config.recorder.incr(Metric::ForkPublished);
+                    dfs.tally.incr(Metric::ForkPublished);
                 }
             }
         }

@@ -17,7 +17,7 @@
 //!   to `ample_fallbacks` = the sum of its three reasons).
 
 use ftobs::Metric;
-use modelcheck::{check, CheckConfig, Engine, Recorder, Verdict};
+use modelcheck::{check, CheckConfig, Engine, Verdict};
 use simlocks::{build_mutex, build_ordering, FenceMask, LockKind, ObjectKind, OrderingInstance};
 use wbmem::{MemoryModel, ProcId, StepOutcome};
 
@@ -141,10 +141,7 @@ fn dpor_reaches_every_terminal_state_undo_does() {
     for (kind, n, model) in cells {
         let machine = build_mutex(kind, n, FenceMask::ALL).machine(model);
         let full = check(&machine, &reduced_config());
-        let counted = reduced_config()
-            .with_engine(DPOR)
-            .with_recorder(Recorder::builder().quiet(true).build());
-        let reduced = check(&machine, &counted);
+        let reduced = check(&machine, &reduced_config().with_engine(DPOR));
         assert!(full.is_ok() && reduced.is_ok(), "{kind} n={n} {model}");
         assert!(full.stats().terminal_states > 0, "{kind} n={n} {model}");
         assert_eq!(

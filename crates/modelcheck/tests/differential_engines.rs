@@ -226,8 +226,7 @@ fn engine_parameters_select_the_kernel_pair_they_name() {
                     check_termination: termination,
                     ..CheckConfig::default()
                 }
-                .with_engine(engine)
-                .with_recorder(modelcheck::Recorder::builder().quiet(true).build());
+                .with_engine(engine);
                 check(&inst.machine(MemoryModel::Pso), &config)
             };
             let (va, vb) = (run(a), run(b));

@@ -214,3 +214,69 @@ fn reduced_dpor_reports_fewer_transitions_than_its_diagnostic_mode() {
         "the reduced run must report reduction work"
     );
 }
+
+/// Counting needs no recorder: under `CheckConfig::default()` every engine
+/// fills `Stats.metrics` with its own counts, and the exhaustive ones
+/// agree bit for bit on the n = 2 matrix.
+#[test]
+fn every_engine_counts_without_a_recorder() {
+    let reduced = [
+        Engine::Dpor {
+            reorder_bound: None,
+        },
+        Engine::ParallelDpor {
+            threads: 2,
+            reorder_bound: None,
+        },
+    ];
+    for (kind, mask, name) in matrix() {
+        for model in [MemoryModel::Tso, MemoryModel::Pso] {
+            let m = build_mutex(kind, 2, mask).machine(model);
+            let mut exhaustive = Vec::new();
+            for (k, engine) in engines().into_iter().chain(reduced).enumerate() {
+                let stats = check(&m, &CheckConfig::default().with_engine(engine)).stats();
+                let counted = (stats.metrics.states(), stats.metrics.transitions());
+                let tag = format!("{name}/{model}/{}", engine.label());
+                assert_eq!(
+                    counted,
+                    (stats.states as u64, stats.transitions as u64),
+                    "{tag}"
+                );
+                if k < engines().len() {
+                    exhaustive.push(stats.metrics);
+                }
+            }
+            let drift = exhaustive.windows(2).position(|w| w[0] != w[1]);
+            assert_eq!(drift, None, "{name}/{model}: metrics drift");
+        }
+    }
+}
+
+/// A recorder attached to two checks holds the sum of their counts, and
+/// neither check's `Stats.metrics` holds the other's: 383 states of a
+/// fenced Peterson under `Undo`, then 505 of an unfenced one, whose
+/// `Parallel` sweep meets a violation and reruns `Undo`.
+#[test]
+fn a_recorder_shared_by_two_checks_holds_the_sum_of_theirs() {
+    let m = |mask| build_mutex(LockKind::Peterson, 2, mask).machine(MemoryModel::Pso);
+    let unfenced = CheckConfig {
+        check_termination: false,
+        ..CheckConfig::default()
+    };
+    for engine in [Engine::Undo, Engine::Parallel { threads: 2 }] {
+        let rec = quiet_recorder();
+        let fenced = CheckConfig::default().with_recorder(rec.clone());
+        let first = check(&m(FenceMask::ALL), &fenced);
+        let unfenced = unfenced
+            .clone()
+            .with_engine(engine)
+            .with_recorder(rec.clone());
+        let second = check(&m(FenceMask::NONE), &unfenced);
+        assert!(first.is_ok() && second.is_violation(), "{}", second.label());
+        let (a, b) = (first.stats(), second.stats());
+        assert_eq!((a.states, b.states), (383, 505), "{engine:?}");
+        assert_eq!(a.metrics.states(), 383, "{engine:?}");
+        assert_eq!(b.metrics.states(), 505, "{engine:?}");
+        assert_eq!(rec.snapshot().states(), 383 + 505, "{engine:?}");
+    }
+}

@@ -252,7 +252,6 @@ fn pardpor_agrees_under_reorder_bounds() {
 /// cells alike.
 #[test]
 fn diagnostic_mode_metrics_are_bit_identical() {
-    let quiet = || modelcheck::Recorder::builder().quiet(true).build();
     for (kind, mask, name) in [
         (LockKind::Peterson, FenceMask::ALL, "peterson_all"),
         (
@@ -265,24 +264,18 @@ fn diagnostic_mode_metrics_are_bit_identical() {
     ] {
         for model in [MemoryModel::Tso, MemoryModel::Pso] {
             let inst = build_mutex(kind, 2, mask);
-            let rec_seq = quiet();
             let seq = check(
                 &inst.machine(model),
-                &CheckConfig::default()
-                    .with_engine(Engine::Dpor {
-                        reorder_bound: Some(u32::MAX),
-                    })
-                    .with_recorder(rec_seq.clone()),
+                &CheckConfig::default().with_engine(Engine::Dpor {
+                    reorder_bound: Some(u32::MAX),
+                }),
             );
-            let rec_par = quiet();
             let par = check(
                 &inst.machine(model),
-                &CheckConfig::default()
-                    .with_engine(Engine::ParallelDpor {
-                        threads: 2,
-                        reorder_bound: Some(u32::MAX),
-                    })
-                    .with_recorder(rec_par.clone()),
+                &CheckConfig::default().with_engine(Engine::ParallelDpor {
+                    threads: 2,
+                    reorder_bound: Some(u32::MAX),
+                }),
             );
             assert_eq!(seq.label(), par.label(), "{name}/{model}: verdict labels");
             assert_eq!(
@@ -295,7 +288,7 @@ fn diagnostic_mode_metrics_are_bit_identical() {
                 par.stats().transitions,
                 "{name}/{model}: transitions"
             );
-            let (s, p) = (rec_seq.snapshot(), rec_par.snapshot());
+            let (s, p) = (seq.stats().metrics, par.stats().metrics);
             assert_eq!(
                 s,
                 p,

@@ -238,7 +238,6 @@ fn every_engine_resumes_across_the_full_n2_matrix() {
 /// bit for bit (deterministic projection).
 #[test]
 fn diagnostic_merged_metrics_are_bit_identical() {
-    let quiet = || modelcheck::Recorder::builder().quiet(true).build();
     let engines = [
         Engine::Undo,
         Engine::Dpor {
@@ -263,14 +262,13 @@ fn diagnostic_merged_metrics_are_bit_identical() {
         for engine in engines {
             let tag = format!("metrics_{}", engine.label());
             let config = base().with_engine(engine);
-            let fresh = check(&inst.machine(model), &config.clone().with_recorder(quiet()));
+            let fresh = check(&inst.machine(model), &config);
             let cut = (fresh.stats().transitions as u64 / 2).max(1);
             let path = ckpt_path(&tag);
             let stopped = check(
                 &inst.machine(model),
                 &config
                     .clone()
-                    .with_recorder(quiet())
                     .with_checkpoint(CheckpointPolicy::at(&path).stop_after(cut)),
             );
             let Verdict::Inconclusive(_, cov) = &stopped else {
@@ -279,11 +277,7 @@ fn diagnostic_merged_metrics_are_bit_identical() {
                 continue;
             };
             let cp = cov.checkpoint.clone().expect("checkpoint written");
-            let resumed = resume(
-                &inst.machine(model),
-                &config.clone().with_recorder(quiet()),
-                &cp,
-            );
+            let resumed = resume(&inst.machine(model), &config, &cp);
             assert_eq!(fresh.label(), resumed.label(), "{tag}: verdicts");
             if fresh.is_ok() {
                 assert_eq!(
@@ -314,7 +308,6 @@ fn diagnostic_merged_metrics_are_bit_identical() {
 /// both cells unclaimed.
 #[test]
 fn parallel_checkpoints_and_resumes_like_undo() {
-    let quiet = || modelcheck::Recorder::builder().quiet(true).build();
     let parallel = base().with_engine(Engine::Parallel { threads: 2 });
     for (kind, n, model) in [
         (LockKind::Peterson, 2, MemoryModel::Pso),
@@ -322,20 +315,19 @@ fn parallel_checkpoints_and_resumes_like_undo() {
     ] {
         let inst = build_mutex(kind, n, FenceMask::ALL);
         let m = inst.machine(model);
-        let undo = check(&m, &base().with_engine(Engine::Undo).with_recorder(quiet()));
+        let undo = check(&m, &base().with_engine(Engine::Undo));
         assert!(undo.is_ok(), "{kind}: reference cell is correct");
         let path = ckpt_path("parallel");
         let stopped = check(
             &m,
             &parallel
                 .clone()
-                .with_recorder(quiet())
                 .with_checkpoint(CheckpointPolicy::at(&path).stop_after(1)),
         );
         let cov = stopped.coverage().expect("the cut stops the sweep");
         assert!(stopped.stats().states < undo.stats().states, "{kind}: cut");
         let cp = cov.checkpoint.expect("and writes a checkpoint");
-        let resumed = resume(&m, &parallel.clone().with_recorder(quiet()), &cp);
+        let resumed = resume(&m, &parallel, &cp);
         assert!(resumed.is_ok(), "{kind}: {}", resumed.label());
         assert_eq!(undo.stats(), resumed.stats(), "{kind}: stats + metrics");
         let _ = std::fs::remove_file(&cp);

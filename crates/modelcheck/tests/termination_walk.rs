@@ -24,7 +24,7 @@
 //! ~1 s optimised, so they run under `cargo test --release` only.
 
 use ftobs::Metric;
-use modelcheck::{check, CheckConfig, Engine, Recorder, Verdict};
+use modelcheck::{check, CheckConfig, Engine, Verdict};
 use simlocks::{build_mutex, FenceMask, LockKind, OrderingInstance, ANNOT_IN_CS};
 use wbmem::{Machine, MemoryModel, ProcId, Process, SchedElem, StepOutcome};
 
@@ -43,7 +43,6 @@ fn config(engine: Engine) -> CheckConfig {
         ..CheckConfig::default()
     }
     .with_engine(engine)
-    .with_recorder(Recorder::builder().quiet(true).build())
 }
 
 /// Every element of `schedule` takes a real step from `m`.

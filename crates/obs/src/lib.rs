@@ -1,7 +1,8 @@
 //! `ftobs`: a zero-dependency metrics layer for the fence-trade
 //! exploration engines.
 //!
-//! Everything a checking run can tell you flows through one [`Recorder`]:
+//! Every check counts its own steps; a [`Recorder`] streams what one or
+//! more checks counted:
 //!
 //! - **Counters** (states, transitions, per-class machine steps — fences
 //!   β(E), commits, crashes — sleep-set hits, ample fallbacks, …),
@@ -16,12 +17,13 @@
 //! - **Hot-pc table**: per-process program-counter hit counts with
 //!   human-readable labels registered from `fencevm` programs.
 //!
-//! The zero-cost contract: [`Recorder::disabled`] carries no allocation
-//! and every method on it is a single branch, so instrumented code paths
-//! (the `modelcheck` engines, `por::expand`)
-//! pay nothing measurable when observability is off — `exp guards`
-//! in CI holds the enabled path to ≤5% and the disabled path to
-//! noise. [`MetricsSnapshot`] is `Copy` and its equality covers only the
+//! The first three are counted whether or not a recorder is attached:
+//! `modelcheck` fills `Stats.metrics` with the check's own totals and
+//! hands them to the recorder once, at the end. A recorder adds the last
+//! two, and only an enabled one costs anything: [`Recorder::disabled`]
+//! carries no allocation and every method on it is a single branch —
+//! `exp guards` in CI holds the enabled path to ≤5%.
+//! [`MetricsSnapshot`] is `Copy` and its equality covers only the
 //! deterministic counter subset, so `modelcheck::Stats` embeds one and
 //! the engine differential suites can assert bit-identical metrics across
 //! CloneDfs/Undo/Parallel/Dpor.

@@ -1,20 +1,18 @@
-//! The [`Recorder`]: one mutex-guarded [`MetricsSnapshot`], the engine-local
-//! [`Tally`] that batches into it, the hot-pc table, the heartbeat
-//! reporter, and the event stream to the optional JSONL sink.
+//! The [`Recorder`] — the summed counts of the checks attached to it,
+//! the hot-pc table, heartbeats and the event stream to the optional
+//! JSONL sink — and the [`Tally`] every check counts its own steps in.
 //!
-//! A recorder is either **disabled** — `inner == None`, every method is a
-//! branch-on-`None` and returns immediately, so threading it through the
-//! engines costs a predictable well-predicted branch per call site — or
-//! **enabled**, in which case everything it has counted lives in one
-//! [`MetricsSnapshot`] behind a `Mutex`. Nothing on an exploration's
-//! per-step path takes that lock: a walk counts into its own [`Tally`] —
-//! a snapshot-shaped delta in plain fields — and folds it in with
-//! [`MetricsSnapshot::merge`] when the task ends. The proptest suite
-//! checks that merge is associative and commutative, so how the work was
-//! split over tallies and in which order they were flushed never changes
-//! the totals. The recorder's own `incr`/`add`/`gauge_*` lock per call and
-//! are for cold sites (a checkpoint written, a fork point stolen, a CEGAR
-//! iteration, the poll-cadence gauges).
+//! Counting needs no recorder: each walk counts into a [`Tally`] and
+//! merges it into its check's totals when it ends; the totals become the
+//! verdict's `Stats.metrics` and reach the recorder once, through
+//! [`Recorder::record`]. Merging is associative and commutative (the
+//! proptest suite checks it), so neither how the work was split nor the
+//! merge order changes the totals, and a recorder shared by several
+//! checks holds the sum of theirs. A **disabled** recorder (`inner ==
+//! None`) returns from every method after one branch; an **enabled** one
+//! costs only what it alone keeps: hot-pc hits, events and heartbeats.
+//! Its own `incr`/`add` lock per call and are for cold sites outside a
+//! check (a CEGAR iteration, a decision of `por::expand`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -57,24 +55,10 @@ impl HotPcs {
     }
 }
 
-/// What has been counted: by a recorder in all (its store), or by one
-/// [`Tally`] since its last flush.
-#[derive(Debug, Default)]
-struct Counts {
-    totals: MetricsSnapshot,
-    hot_pc: HotPcs,
-}
-
-impl Counts {
-    fn merge(&mut self, other: &Counts) {
-        self.totals.merge(&other.totals);
-        self.hot_pc.merge(&other.hot_pc);
-    }
-}
-
 #[derive(Debug)]
 struct Inner {
-    store: Mutex<Counts>,
+    /// What every recorded tally, `incr`/`add` and heartbeat added up to.
+    store: Mutex<Tally>,
     pc_labels: Mutex<Vec<Vec<String>>>,
     meta: Vec<(String, J)>,
     start: Instant,
@@ -202,14 +186,13 @@ impl Recorder {
 
     /// The store of an enabled recorder. Its holders only add and copy
     /// integers, which leaves it valid at every step: a poisoned lock
-    /// still guards good data (and a [`Tally`] flushes from `Drop`, which
-    /// must not panic).
-    fn store(inner: &Inner) -> MutexGuard<'_, Counts> {
+    /// still guards good data.
+    fn store(inner: &Inner) -> MutexGuard<'_, Tally> {
         inner.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Add `delta` to a counter. Takes the store's lock: for cold call
-    /// sites; an exploration loop counts into a [`Tally`].
+    /// sites; a check counts into a [`Tally`].
     pub fn add(&self, m: Metric, delta: u64) {
         if let Some(inner) = &self.inner {
             Self::store(inner).totals.counters[m as usize] += delta;
@@ -221,30 +204,21 @@ impl Recorder {
         self.add(m, 1);
     }
 
-    /// Update a `max`-merged gauge.
-    pub fn gauge_max(&self, g: Gauge, value: u64) {
-        if let Some(inner) = &self.inner {
-            let slot = &mut Self::store(inner).totals.gauges[g as usize];
-            *slot = (*slot).max(value);
-        }
-    }
-
-    /// Overwrite a gauge (last write wins; used for occupancy-style
-    /// gauges sampled at snapshot time).
-    pub fn gauge_set(&self, g: Gauge, value: u64) {
-        if let Some(inner) = &self.inner {
-            Self::store(inner).totals.gauges[g as usize] = value;
-        }
-    }
-
-    /// Open an engine-local [`Tally`]: counts land in its plain fields
-    /// and reach the recorder when it is dropped (or on
-    /// [`Tally::flush`]).
+    /// An empty [`Tally`] for a walk whose check reports to this
+    /// recorder: it counts hot-pc hits too when the recorder is enabled.
     #[must_use]
     pub fn tally(&self) -> Tally {
         Tally {
-            rec: self.clone(),
-            counts: Counts::default(),
+            hot_pcs: self.is_enabled(),
+            ..Tally::default()
+        }
+    }
+
+    /// Add a check's totals: called once per check, before its closing
+    /// [`emit_snapshot`](Self::emit_snapshot).
+    pub fn record(&self, tally: &Tally) {
+        if let Some(inner) = &self.inner {
+            Self::store(inner).merge(tally);
         }
     }
 
@@ -302,23 +276,14 @@ impl Recorder {
             .join(";")
     }
 
-    /// Everything counted so far (what every flushed [`Tally`] and every
-    /// direct `incr`/`add`/`gauge_*` call has added up to).
+    /// Everything counted so far (what every [`record`](Self::record)ed
+    /// [`Tally`], every direct `incr`/`add` call and every heartbeat has
+    /// added up to).
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.inner
             .as_ref()
             .map_or_else(MetricsSnapshot::default, |inner| Self::store(inner).totals)
-    }
-
-    /// Zero every counter, histogram, gauge, and hot-pc cell, keeping
-    /// meta fields and the sink. Used by the parallel engine before its
-    /// sequential fallback rerun so totals stay bit-identical with the
-    /// other engines.
-    pub fn reset_counts(&self) {
-        if let Some(inner) = &self.inner {
-            *Self::store(inner) = Counts::default();
-        }
     }
 
     /// Emit one event: rendered as a flat JSON line and streamed to the
@@ -447,43 +412,34 @@ impl Recorder {
     }
 }
 
-/// An engine-local batch of counts: a [`MetricsSnapshot`]-shaped delta (plus
-/// hot-pc hits) in plain fields, folded into the recorder in one
-/// [`MetricsSnapshot::merge`] when dropped (or via [`Tally::flush`]).
+/// A check's counts, or one walk's: a [`MetricsSnapshot`] in plain fields,
+/// plus hot-pc hits when the tally was opened for an enabled recorder.
 ///
-/// An exploration counts every edge it walks — states, transitions,
-/// dedup hits, undos, the sleep and ample decisions of a reduction, and
-/// the machine step itself (reads, writes, fences β(E), crashes, …,
-/// classified by `modelcheck` from what the step added to
-/// `wbmem::Counters`). None of that may cost an atomic or a lock per
-/// edge, so each walk — each task of each parallel worker — owns one
-/// tally for its duration. Nothing reads the recorder's totals mid-walk
-/// (heartbeats report the `Progress` the engine hands them), and the
-/// engines flush before every point that does: a checkpoint, a counter
-/// reset, the final snapshot.
-#[derive(Debug)]
+/// A walk counts every edge — states, transitions, dedup hits, undos,
+/// reduction decisions, and the machine step itself (reads, writes,
+/// fences β(E), crashes, …). None of that may cost an atomic or a lock,
+/// so each walk — each task of each parallel worker — owns a tally.
+#[derive(Debug, Default)]
 pub struct Tally {
-    rec: Recorder,
-    counts: Counts,
+    totals: MetricsSnapshot,
+    hot_pc: HotPcs,
+    hot_pcs: bool,
 }
 
 impl Tally {
-    /// Whether the counts go anywhere. Callers skip work that only
-    /// exists to be counted (reading a step's counters and pc back) when
-    /// not; the mutators themselves are unconditional plain additions.
-    /// Whether a tally is live changes nothing in the walk itself: the
-    /// machine steps, and classifies (or, forgetful, does not classify)
-    /// its accesses, the same either way.
+    /// Whether [`hot_pc`](Self::hot_pc) keeps its hits: only in a tally
+    /// opened for an enabled recorder. Callers skip reading a step's pc
+    /// back when not.
     #[inline]
     #[must_use]
-    pub fn is_live(&self) -> bool {
-        self.rec.is_enabled()
+    pub fn counts_hot_pcs(&self) -> bool {
+        self.hot_pcs
     }
 
     /// Add `delta` to a counter.
     #[inline]
     pub fn add(&mut self, m: Metric, delta: u64) {
-        self.counts.totals.counters[m as usize] += delta;
+        self.totals.counters[m as usize] += delta;
     }
 
     /// Increment a counter by one.
@@ -492,13 +448,25 @@ impl Tally {
         self.add(m, 1);
     }
 
+    /// Update a `max`-merged gauge.
+    #[inline]
+    pub fn gauge_max(&mut self, g: Gauge, value: u64) {
+        let slot = &mut self.totals.gauges[g as usize];
+        *slot = (*slot).max(value);
+    }
+
+    /// Overwrite a gauge (an occupancy sampled when the walk ends).
+    #[inline]
+    pub fn gauge_set(&mut self, g: Gauge, value: u64) {
+        self.totals.gauges[g as usize] = value;
+    }
+
     /// Record a newly visited state at DFS depth `depth`.
     #[inline]
     pub fn on_state(&mut self, depth: u64) {
         self.incr(Metric::States);
-        self.counts.totals.frame_depth.buckets[bucket_index(depth)] += 1;
-        let max = &mut self.counts.totals.gauges[Gauge::MaxDepth as usize];
-        *max = (*max).max(depth);
+        self.totals.frame_depth.buckets[bucket_index(depth)] += 1;
+        self.gauge_max(Gauge::MaxDepth, depth);
     }
 
     /// Charge `steps` to process `proc` (processes beyond [`MAX_PROCS`]
@@ -507,7 +475,7 @@ impl Tally {
     pub fn proc_steps(&mut self, proc: usize, steps: ProcSteps) {
         self.add(Metric::Fences, steps.fences);
         self.add(Metric::Crashes, steps.crashes);
-        self.counts.totals.per_proc[proc.min(MAX_PROCS - 1)].merge(&steps);
+        self.totals.per_proc[proc.min(MAX_PROCS - 1)].merge(&steps);
     }
 
     /// Record a write that left its process's buffer `depth` entries deep
@@ -515,30 +483,29 @@ impl Tally {
     #[inline]
     pub fn on_write(&mut self, depth: u64) {
         self.incr(Metric::Writes);
-        self.counts.totals.buffer_depth.buckets[bucket_index(depth)] += 1;
-        let max = &mut self.counts.totals.gauges[Gauge::MaxBufferDepth as usize];
-        *max = (*max).max(depth);
+        self.totals.buffer_depth.buckets[bucket_index(depth)] += 1;
+        self.gauge_max(Gauge::MaxBufferDepth, depth);
     }
 
-    /// Add `hits` to the hot-pc cell of process `proc` at `pc`.
+    /// Add `hits` to the hot-pc cell of process `proc` at `pc`, if this
+    /// tally [counts hot pcs](Self::counts_hot_pcs).
     #[inline]
     pub fn hot_pc(&mut self, proc: usize, pc: u32, hits: u64) {
-        self.counts.hot_pc.hit(proc, pc, hits);
-    }
-
-    /// Fold the batched counts into the recorder and zero the batch.
-    /// Dropping the tally does the same.
-    pub fn flush(&mut self) {
-        if let Some(inner) = &self.rec.inner {
-            Recorder::store(inner).merge(&self.counts);
+        if self.hot_pcs {
+            self.hot_pc.hit(proc, pc, hits);
         }
-        self.counts = Counts::default();
     }
-}
 
-impl Drop for Tally {
-    fn drop(&mut self) {
-        self.flush();
+    /// Fold `other`'s counts into this tally.
+    pub fn merge(&mut self, other: &Tally) {
+        self.totals.merge(&other.totals);
+        self.hot_pc.merge(&other.hot_pc);
+    }
+
+    /// The counts as a snapshot (hot-pc hits are the recorder's alone).
+    #[must_use]
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        self.totals
     }
 }
 
@@ -560,24 +527,27 @@ mod tests {
     fn disabled_recorder_records_nothing() {
         let r = Recorder::disabled();
         r.incr(Metric::States);
-        r.gauge_max(Gauge::MaxFrontier, 4);
+        r.add(Metric::Heartbeats, 4);
         let mut t = r.tally();
-        assert!(!t.is_live());
+        assert!(!t.counts_hot_pcs());
         t.proc_steps(0, FENCE);
         t.hot_pc(0, 3, 1);
         t.on_state(5);
-        drop(t);
+        r.record(&t);
         r.maybe_heartbeat(&Progress::default());
         assert!(r.snapshot().is_empty());
         assert!(r.hot_pcs(4).is_empty());
         assert!(!r.is_enabled());
+        let snap = t.snapshot();
+        assert_eq!((snap.states(), snap.get(Metric::Fences)), (1, 1));
+        assert_eq!(snap.gauge(Gauge::MaxDepth), 5);
     }
 
     #[test]
     fn step_classification_counts() {
         let r = quiet();
         let mut t = r.tally();
-        assert!(t.is_live());
+        assert!(t.counts_hot_pcs());
         // p0: a buffered read; p1: a read from memory.
         t.add(Metric::Reads, 2);
         t.incr(Metric::BufferReads);
@@ -589,8 +559,9 @@ mod tests {
         t.hot_pc(0, 7, 1);
         let crashes = 1;
         t.proc_steps(1, ProcSteps { crashes, ..NONE });
-        drop(t);
+        r.record(&t);
         let s = r.snapshot();
+        assert_eq!(s, t.snapshot());
         assert_eq!(s.get(Metric::Reads), 2);
         assert_eq!(s.get(Metric::BufferReads), 1);
         assert_eq!(s.get(Metric::Writes), 1);
@@ -609,19 +580,20 @@ mod tests {
     fn shard_fold_matches_snapshot_counters() {
         // Counts split over several tallies (an empty one among them)
         // fold to what one tally would have held.
-        let (split, whole) = (quiet(), quiet());
-        let mut one = whole.tally();
+        let (mut split, mut one) = (Tally::default(), Tally::default());
         for chunk in [60, 0, 39, 1] {
-            let mut t = split.tally();
+            let mut t = Tally::default();
             for _ in 0..chunk {
                 t.incr(Metric::Transitions);
                 one.incr(Metric::Transitions);
             }
+            split.merge(&t);
         }
-        split.tally().on_state(2);
+        let mut t = Tally::default();
+        t.on_state(2);
+        split.merge(&t);
         one.on_state(2);
-        drop(one);
-        let (folded, expect) = (split.snapshot(), whole.snapshot());
+        let (folded, expect) = (split.snapshot(), one.snapshot());
         assert_eq!(folded, expect, "deterministic projection matches");
         assert_eq!(folded.frame_depth, expect.frame_depth);
         assert_eq!(folded.gauges, expect.gauges);
@@ -636,28 +608,23 @@ mod tests {
         t.add(Metric::SleepHits, 0);
         t.incr(Metric::AmpleApplied);
         t.add(Metric::AmpleFallbacks, 2);
-        assert!(r.snapshot().is_empty(), "nothing recorded before the flush");
-        t.flush();
-        t.incr(Metric::SleepHits);
-        drop(t);
+        t.hot_pc(0, 1, 1);
+        assert!(r.snapshot().is_empty(), "nothing recorded before `record`");
+        r.record(&t);
+        let mut u = r.tally();
+        u.incr(Metric::SleepHits);
+        u.hot_pc(0, 1, 2);
+        r.record(&u);
         let snap = r.snapshot();
         assert_eq!(snap.get(Metric::SleepHits), 4);
         assert_eq!(snap.get(Metric::AmpleApplied), 1);
         assert_eq!(snap.get(Metric::AmpleFallbacks), 2);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let r = quiet();
-        let mut t = r.tally();
-        t.proc_steps(0, FENCE);
-        t.hot_pc(0, 1, 1);
-        drop(t);
-        r.gauge_max(Gauge::MaxFrontier, 9);
-        assert!(!r.snapshot().is_empty() && !r.hot_pcs(4).is_empty());
-        r.reset_counts();
-        assert!(r.snapshot().is_empty());
-        assert!(r.hot_pcs(4).is_empty());
+        assert_eq!(r.hot_pcs(4), vec![(0, 1, 3, None)]);
+        assert_eq!(
+            t.snapshot().get(Metric::SleepHits),
+            3,
+            "a tally keeps its own"
+        );
     }
 
     #[test]

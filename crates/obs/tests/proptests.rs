@@ -86,7 +86,7 @@ proptest! {
         prop_assert_eq!(all_slots(&id.merged(&a)), all_slots(&a));
     }
 
-    /// The same operations split over k tallies on k threads, flushed in
+    /// The same operations split over k tallies on k threads, merged in
     /// any order, give the snapshot (and the hot-pc table) one tally gives.
     #[test]
     fn split_tallies_flushed_in_any_order_equal_one_tally(
@@ -113,8 +113,8 @@ proptest! {
         let whole = Recorder::builder().quiet(true).build();
         let mut one = whole.tally();
         ops.iter().for_each(|op| record(&mut one, op));
-        prop_assert!(whole.snapshot().is_empty(), "a tally holds its counts until flushed");
-        drop(one);
+        prop_assert!(whole.snapshot().is_empty(), "a tally holds its counts until recorded");
+        whole.record(&one);
 
         let split = Recorder::builder().quiet(true).build();
         let mut tallies: Vec<Tally> = std::thread::scope(|scope| {
@@ -136,8 +136,11 @@ proptest! {
         if reverse {
             tallies.reverse();
         }
-        tallies.into_iter().for_each(drop);
+        let mut totals = split.tally();
+        tallies.iter().for_each(|t| totals.merge(t));
+        split.record(&totals);
 
+        prop_assert_eq!(all_slots(&totals.snapshot()), all_slots(&one.snapshot()));
         prop_assert_eq!(all_slots(&split.snapshot()), all_slots(&whole.snapshot()));
         prop_assert_eq!(split.hot_pcs(usize::MAX), whole.hot_pcs(usize::MAX));
     }
