@@ -1,10 +1,9 @@
-//! **E16 — CEGAR fence synthesis and the fence/RMR Pareto frontier**
-//! (EXPERIMENTS.md E16).
+//! **E16 — CEGAR fence synthesis** (EXPERIMENTS.md E16).
 //!
 //! The rest of the bench suite *verifies* hand-placed fences; this
 //! experiment *discovers* placements from scratch. For fence-stripped
 //! Bakery and Tournament instances, `ftsynth::synthesize` runs the CEGAR
-//! loop (strip → check → reorder-edge cores → weighted hitting set →
+//! loop (strip → check → reorder-edge cores → fewest-fences hitting set →
 //! re-check → minimize) under PSO and TSO, then:
 //!
 //! 1. re-verifies every synthesized placement across engines and all
@@ -14,15 +13,11 @@
 //!    synthesized placement against the hand-fenced original and the
 //!    paper's `GT_f` analytic scales (`predicted_gt_fences` /
 //!    `predicted_gt_rmrs`): Bakery should sit at the O(1)-fence/O(n)-RMR
-//!    corner (`GT_1`), Tournament at O(log n)/O(log n) (`GT_{log n}`),
-//! 3. sweeps the hitting-set weighting from fence-averse to RMR-averse
-//!    (`ftsynth::pareto_explore`) — every sweep point is a placement that
-//!    re-verified clean, so the emitted curve consists exclusively of
-//!    correct algorithms.
+//!    corner (`GT_1`), Tournament at O(log n)/O(log n) (`GT_{log n}`).
 //!
-//! Tables land in `results/e16_synthesis.txt` and `results/e16_pareto.txt`,
-//! and synthesis counters stream to `results/obs/e16_synthesis.jsonl`
-//! for `exp obs-report`'s Synthesis section.
+//! The table lands in `results/e16_synthesis.txt`, and synthesis counters
+//! stream to `results/obs/e16_synthesis.jsonl` for `exp obs-report`'s
+//! Synthesis section.
 //!
 //! `--fast` runs only the n = 2 instances, and in that mode the run
 //! fails if a row differs in any cell — iterations, cores, states,
@@ -37,12 +32,9 @@ use crate::{f as fmt, Table};
 use fence_trade::analysis::{predicted_gt_fences, predicted_gt_rmrs};
 use fence_trade::prelude::*;
 use ftobs::{JsonlSink, Recorder};
-use ftsynth::{pareto_explore, solo_cost, synthesize, SynthConfig, Synthesis};
+use ftsynth::{synthesize, SynthConfig, Synthesis};
 
 const SOLO_STEPS: usize = 10_000_000;
-
-/// Fence-weight/RMR-weight pairs, fence-averse to RMR-averse.
-const SWEEP: [(u64, u64); 4] = [(1, 4), (1, 1), (4, 1), (8, 1)];
 
 fn synth_cfg(rec: Recorder) -> SynthConfig {
     SynthConfig {
@@ -138,99 +130,86 @@ pub fn run(fast: bool) {
         cells.push(("bakery", LockKind::Bakery, 3));
         cells.push(("tournament", LockKind::Tournament, 4));
     }
-    let mut pareto_src: Vec<(String, Synthesis)> = Vec::new();
 
-    {
-        for &(name, kind, n) in &cells {
-            let inst = build_mutex(kind, n, FenceMask::ALL);
-            let rec = Recorder::builder()
-                .meta("workload", format!("e16_synth_{name}{n}"))
-                .meta("engine", "cegar")
-                .sink(sink.clone())
-                .quiet(true)
-                .build();
-            let out = synthesize(&inst, &synth_cfg(rec.clone()));
-            rec.emit_snapshot(&[(
-                "verdict",
-                ftobs::J::s(if out.synthesis().is_some() {
-                    "synthesized"
-                } else {
-                    "failed"
-                }),
-            )]);
-            let Some(s) = out.synthesis() else {
-                crate::fail(
-                    &format!("e16: {} did not synthesize", inst.name),
-                    format!("{out:?}"),
-                );
-            };
-            // Exhaustive cross-check only where it is tractable.
-            let engines: Vec<Engine> = if n <= 2 {
-                vec![
-                    Engine::Undo,
-                    Engine::Dpor {
-                        reorder_bound: None,
-                    },
-                    Engine::ParallelDpor {
-                        threads: crate::parallelism().max(2),
-                        reorder_bound: None,
-                    },
-                ]
+    for &(name, kind, n) in &cells {
+        let inst = build_mutex(kind, n, FenceMask::ALL);
+        let rec = Recorder::builder()
+            .meta("workload", format!("e16_synth_{name}{n}"))
+            .meta("engine", "cegar")
+            .sink(sink.clone())
+            .quiet(true)
+            .build();
+        let out = synthesize(&inst, &synth_cfg(rec.clone()));
+        rec.emit_snapshot(&[(
+            "verdict",
+            ftobs::J::s(if out.synthesis().is_some() {
+                "synthesized"
             } else {
-                vec![Engine::ParallelDpor {
-                    threads: crate::parallelism().max(2),
-                    reorder_bound: None,
-                }]
-            };
-            let (beta, rho) = solo_cost(&s.instance, MemoryModel::Pso, SOLO_STEPS);
-            let orig = solo_passage(&inst, MemoryModel::Pso, SOLO_STEPS);
-            // The analytic corner each lock realizes: Bakery ≈ GT_1,
-            // Tournament ≈ GT_{log2 n} (f clamps to ≥ 1 at n = 2).
-            let f = match kind {
-                LockKind::Bakery => 1,
-                _ => ((n as f64).log2().round() as usize).max(1),
-            };
-            let row = [
-                name.to_string(),
-                n.to_string(),
-                s.iterations.to_string(),
-                s.cores.len().to_string(),
-                s.fences_inserted().to_string(),
-                verify(s, &engines),
-                beta.to_string(),
-                rho.to_string(),
-                fmt(orig.fences, 0),
-                fmt(orig.rmrs, 0),
-                format!("GT_{f}"),
-                fmt(predicted_gt_fences(f), 0),
-                fmt(predicted_gt_rmrs(n, f), 0),
-                s.total_states.to_string(),
-                s.seeded_refutations.to_string(),
-                s.full_checks.to_string(),
-                placement_cell(s),
-            ];
-            if fast {
-                // Iterations, cores and states move with the walk order
-                // of the inner checks, so the whole row is pinned.
-                let was = committed.iter().find(|r| r.starts_with(&row[..2]));
-                if was.map(Vec::as_slice) != Some(&row[..]) {
-                    crate::fail(
-                        &format!("e16: {name}{n} row moved"),
-                        format!("committed {was:?}, synthesized {row:?}"),
-                    );
-                }
-                if s.seeded_refutations == 0 {
-                    crate::fail(
-                        &format!("e16: {name}{n}"),
-                        "minimisation refuted no trial from a witness",
-                    );
-                }
+                "failed"
+            }),
+        )]);
+        let Some(s) = out.synthesis() else {
+            crate::fail(
+                &format!("e16: {} did not synthesize", inst.name),
+                format!("{out:?}"),
+            );
+        };
+        // Exhaustive cross-check only where it is tractable. (Under
+        // the termination check `ParallelDpor` runs sequential `Dpor`,
+        // so it would add a second run of the same walk.)
+        let dpor = Engine::Dpor {
+            reorder_bound: None,
+        };
+        let engines = if n <= 2 {
+            vec![Engine::Undo, dpor]
+        } else {
+            vec![dpor]
+        };
+        let synthesized = solo_passage(&s.instance, MemoryModel::Pso, SOLO_STEPS);
+        let orig = solo_passage(&inst, MemoryModel::Pso, SOLO_STEPS);
+        // The analytic corner each lock realizes: Bakery ≈ GT_1,
+        // Tournament ≈ GT_{log2 n} (f clamps to ≥ 1 at n = 2).
+        let f = match kind {
+            LockKind::Bakery => 1,
+            _ => ((n as f64).log2().round() as usize).max(1),
+        };
+        let row = [
+            name.to_string(),
+            n.to_string(),
+            s.iterations.to_string(),
+            s.cores.len().to_string(),
+            s.fences_inserted().to_string(),
+            verify(s, &engines),
+            fmt(synthesized.fences, 0),
+            fmt(synthesized.rmrs, 0),
+            fmt(orig.fences, 0),
+            fmt(orig.rmrs, 0),
+            format!("GT_{f}"),
+            fmt(predicted_gt_fences(f), 0),
+            fmt(predicted_gt_rmrs(n, f), 0),
+            s.total_states.to_string(),
+            s.seeded_refutations.to_string(),
+            s.full_checks.to_string(),
+            placement_cell(s),
+        ];
+        if fast {
+            // Iterations, cores and states move with the walk order
+            // of the inner checks, so the whole row is pinned.
+            let was = committed.iter().find(|r| r.starts_with(&row[..2]));
+            if was.map(Vec::as_slice) != Some(&row[..]) {
+                crate::fail(
+                    &format!("e16: {name}{n} row moved"),
+                    format!("committed {was:?}, synthesized {row:?}"),
+                );
             }
-            t.row(&row);
-            if n == 2 {
-                pareto_src.push((name.to_string(), s.clone()));
+            if s.seeded_refutations == 0 {
+                crate::fail(
+                    &format!("e16: {name}{n}"),
+                    "minimisation refuted no trial from a witness",
+                );
             }
         }
+        t.row(&row);
     }
     t.note(
         "Synthesis never sees the hand placement: it strips every fence and \
@@ -246,48 +225,4 @@ pub fn run(fast: bool) {
     } else {
         t.finish();
     }
-
-    // ---- Pareto sweep over the hitting-set weighting (n = 2). ----
-    let mut pt = Table::new(
-        "e16_pareto",
-        "E16: fence/RMR Pareto sweep — synthesis under swept site weights (n = 2, PSO)",
-        &[
-            "lock", "w_fence", "w_rmr", "fences", "beta", "rho", "iters", "states",
-        ],
-    );
-    for (name, s) in &pareto_src {
-        let rec = Recorder::builder()
-            .meta("workload", format!("e16_pareto_{name}2"))
-            .meta("engine", "cegar")
-            .sink(sink.clone())
-            .quiet(true)
-            .build();
-        let base = synth_cfg(rec.clone());
-        let points = pareto_explore(&s.baseline, &SWEEP, &base, MemoryModel::Pso, SOLO_STEPS);
-        rec.emit_snapshot(&[("verdict", ftobs::J::s("pareto"))]);
-        assert!(
-            !points.is_empty(),
-            "{name}: the Pareto sweep lost every point"
-        );
-        for p in &points {
-            pt.row(&[
-                name.clone(),
-                p.fence_weight.to_string(),
-                p.rmr_weight.to_string(),
-                p.fences_inserted.to_string(),
-                p.solo_fences.to_string(),
-                p.solo_rmrs.to_string(),
-                p.iterations.to_string(),
-                p.total_states.to_string(),
-            ]);
-        }
-    }
-    pt.note(
-        "Every row is a placement that re-verified clean under PSO and TSO — \
-         the sweep trades *which* correct placement the hitting set prefers, \
-         never correctness. At n = 2 the frontier is narrow (the tradeoff \
-         spectrum opens up with n); the full-matrix differential suite keeps \
-         each point honest.",
-    );
-    pt.finish();
 }

@@ -58,7 +58,7 @@ pub const REGISTRY: &[Experiment] = &[
     ("e12", "partial-order reduction factors", e12_reduction::run),
     ("e14", "engines × cells, time to a verdict", e14_engines::run),
     ("e15", "checkpoint/resume overhead", e15_resume::run),
-    ("e16", "CEGAR fence synthesis and the fence/RMR Pareto sweep", e16_synthesis::run),
+    ("e16", "CEGAR fence synthesis", e16_synthesis::run),
 ];
 
 /// What `exp --list` prints: one `id  title` line per registry entry.

@@ -40,6 +40,7 @@ pub fn run(files: &[PathBuf]) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
+    let root = crate::workspace_root();
     let mut lines: Vec<String> = Vec::new();
     let mut sources: Vec<String> = Vec::new();
     let mut truncated = 0usize;
@@ -73,7 +74,10 @@ pub fn run(files: &[PathBuf]) -> ExitCode {
                     );
                 }
                 lines.extend(scan.lines);
-                sources.push(p.display().to_string());
+                // Named from the workspace root, so the report does not
+                // depend on where the checkout lives.
+                let name = p.strip_prefix(&root).unwrap_or(p);
+                sources.push(name.display().to_string());
             }
             Err(e) => eprintln!("obs_report: skipping {}: {e}", p.display()),
         }

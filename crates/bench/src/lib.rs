@@ -229,7 +229,8 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-fn workspace_root() -> PathBuf {
+/// The workspace checkout this binary was built from.
+pub(crate) fn workspace_root() -> PathBuf {
     // crates/bench -> crates -> root
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .parent()

@@ -24,11 +24,6 @@
 //!   state reductions come from. [`ample::decide`] is the decision with
 //!   its [`ample::Fallback`] reason; a caller that counts reasons pairs it
 //!   with [`partition_into`].
-//! * [`conflict_counts`] — counterexample-core diagnostics: replay a
-//!   schedule, classify every step pair with the same independence
-//!   relation the reductions prune with, and tabulate per-register
-//!   conflict counts. Fence synthesis (`crates/synth`) uses these to
-//!   weight candidate fence sites.
 //! * [`step_weight`] — an optional reorder bound that restricts the
 //!   search to schedules with at most `k` steps where a program overtakes
 //!   its own pending stores (bound 0 ≡ SC-equivalent schedules).
@@ -53,7 +48,6 @@
 
 pub mod ample;
 pub mod bound;
-pub mod cores;
 pub mod expand;
 pub mod fork;
 pub mod fptable;
@@ -63,7 +57,6 @@ pub mod visited;
 
 pub use ample::select as select_ample;
 pub use bound::step_weight;
-pub use cores::conflict_counts;
 pub use expand::{expand, expand_into, partition_into, Expansion};
 pub use fork::{ForkPoint, ForkQueue};
 pub use fptable::FpTable;

@@ -23,12 +23,9 @@
 //!    process that steps into the stuck region
 //!    ([`modelcheck::Counterexample::alternates`]); each becomes a core
 //!    and a witness of its own in the same iteration.
-//! 4. Choose the next placement as a minimum-weight **hitting set** over
-//!    all accumulated cores ([`crate::hitting_set`]), weighting sites by
-//!    fence cost plus an RMR surcharge for stores to remote registers, and
-//!    breaking ties toward registers with high cross-process conflict
-//!    counts ([`por::conflict_counts`]). Repeat from 2.
-//! 5. Once safe, optionally **minimize**: drop any fence whose removal
+//! 4. Choose the next placement as a fewest-sites **hitting set** over all
+//!    accumulated cores ([`crate::hitting_set`]). Repeat from 2.
+//! 5. Once safe, **minimize**: drop any fence whose removal
 //!    keeps every model clean. A trial placement `P \ {s}` is first put to
 //!    the witnesses whose core it no longer hits: each is replayed onto
 //!    the trial candidate, step by legal step, and the ordinary check
@@ -61,8 +58,7 @@
 //!   the fence right after it drains the buffer before the process
 //!   advances. Each iteration therefore makes progress.
 //! * Acceptance rests **only** on a full check from the initial state that
-//!   came back clean; cores, witnesses, weights and rankings steer the
-//!   search.
+//!   came back clean; cores and witnesses only steer the search.
 //! * A fence is kept only on a `check` violation of the trial without it,
 //!   found from the initial state or from a state a replay reached by
 //!   legal transitions of that trial. The recorded pcs keep the replay
@@ -74,10 +70,10 @@
 //!   return — same trial order, and a trial is kept exactly when a
 //!   violation of it exists.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use fencevm::{insert_fences_after, strip_fences, Instr, Rewritten, Src, VmProc};
+use fencevm::{insert_fences_after, strip_fences, Rewritten, VmProc};
 use ftobs::{Metric, Recorder};
 use modelcheck::{all_ok, check, check_under_models, CheckConfig, Engine, ModelVerdict};
 use simlocks::OrderingInstance;
@@ -97,27 +93,10 @@ pub struct SynthConfig {
     pub models: Vec<MemoryModel>,
     /// State cap per inner check.
     pub max_states: usize,
-    /// Whether inner checks also require termination. On by default:
-    /// a placement that omits the trailing drain fence lets a process
-    /// return with its exit write still buffered — the write is orphaned
-    /// (committing is only schedulable before `ret`), the lock word never
-    /// clears, and every other process spins forever. Termination
-    /// counterexamples carry the same reorder edges as mutex ones (a
-    /// `Return` with pending writes is an overtaking edge), so the CEGAR
-    /// loop repairs both properties with one mechanism.
-    pub check_termination: bool,
     /// Crash-fault bound for the inner checks (0 = no crashes).
     pub max_crashes: u32,
     /// Crash semantics when `max_crashes > 0`.
     pub crash_semantics: CrashSemantics,
-    /// Cost of enabling any fence site (the Pareto explorer sweeps this
-    /// against `rmr_weight`).
-    pub fence_weight: u64,
-    /// Surcharge for fencing a store whose target register is remote to
-    /// the storing process (the forced commit is an RMR).
-    pub rmr_weight: u64,
-    /// Run the 1-minimality pass after the first safe placement.
-    pub minimize: bool,
     /// Recorder for `synth_iterations` / `fences_inserted` / `core_size`
     /// metrics.
     pub recorder: Recorder,
@@ -135,12 +114,8 @@ impl Default for SynthConfig {
         SynthConfig {
             models: vec![MemoryModel::Pso, MemoryModel::Tso],
             max_states: 2_000_000,
-            check_termination: true,
             max_crashes: 0,
             crash_semantics: CrashSemantics::DiscardBuffer,
-            fence_weight: 4,
-            rmr_weight: 1,
-            minimize: true,
             recorder: Recorder::disabled(),
         }
     }
@@ -152,6 +127,15 @@ impl SynthConfig {
     // shadow the synthesis-level rollup in `exp obs-report` with partially
     // updated duplicates. Inner-check volume is reported as
     // `Synthesis::total_states` instead.
+    //
+    // The inner checks also require termination: a placement that omits
+    // the trailing drain fence lets a process return with its exit write
+    // still buffered — the write is orphaned (committing is only
+    // schedulable before `ret`), the lock word never clears, and every
+    // other process spins forever. Termination counterexamples carry the
+    // same reorder edges as mutex ones (a `Return` with pending writes is
+    // an overtaking edge), so the loop repairs both properties with one
+    // mechanism.
     //
     // The engine is sequential `Dpor`: most inner checks end in a
     // violation, which a work-stealing sweep throws away and reruns
@@ -169,7 +153,7 @@ impl SynthConfig {
             reorder_bound: None,
         });
         cfg.max_states = self.max_states;
-        cfg.check_termination = self.check_termination;
+        cfg.check_termination = true;
         if self.max_crashes > 0 {
             cfg = cfg.with_crashes(self.crash_semantics, self.max_crashes);
         }
@@ -187,8 +171,7 @@ pub struct Synthesis {
     /// Per-process baseline pcs that received a fence, sorted.
     pub placement: Vec<Vec<usize>>,
     /// Refinement iterations used: candidate placements put to the
-    /// multi-model check (or, inside a Pareto sweep, answered by a verdict
-    /// an earlier sweep point paid for).
+    /// multi-model check.
     pub iterations: usize,
     /// Accumulated counterexample cores, in discovery order.
     pub cores: Vec<Core>,
@@ -199,8 +182,7 @@ pub struct Synthesis {
     /// violation found from a replayed witness, with no full check).
     pub seeded_refutations: usize,
     /// Multi-model checks run from the initial state: one per refinement
-    /// iteration (less those a Pareto sweep's earlier point had already
-    /// answered), plus every minimisation trial no witness refuted.
+    /// iteration, plus every minimisation trial no witness refuted.
     pub full_checks: usize,
 }
 
@@ -211,14 +193,10 @@ impl Synthesis {
         self.placement.iter().map(Vec::len).sum()
     }
 
-    /// The placement as flat [`Site`]s.
+    /// The placement as flat [`Site`]s, sorted.
     #[must_use]
     pub fn sites(&self) -> Vec<Site> {
-        self.placement
-            .iter()
-            .enumerate()
-            .flat_map(|(proc, pcs)| pcs.iter().map(move |&pc| Site { proc, pc }))
-            .collect()
+        sites_of(&self.placement)
     }
 }
 
@@ -288,24 +266,6 @@ fn build_candidate(
         .map(|r| Arc::new(r.program.clone()))
         .collect();
     (inst, rewrites)
-}
-
-/// The register a `Write` at `pc` stores to, if statically known.
-fn write_target(inst: &OrderingInstance, proc: usize, pc: usize) -> Option<RegId> {
-    match inst.programs[proc].instrs().get(pc) {
-        Some(Instr::Write {
-            addr: Src::Imm(r), ..
-        }) => u32::try_from(*r).ok().map(RegId),
-        _ => None,
-    }
-}
-
-/// Site weight: fence cost plus an RMR surcharge for remote stores.
-fn site_weight(cfg: &SynthConfig, baseline: &OrderingInstance, site: Site) -> u64 {
-    let remote = write_target(baseline, site.proc, site.pc)
-        .and_then(|reg| baseline.layout.owner(reg))
-        .is_some_and(|owner| owner != ProcId(site.proc as u32));
-    cfg.fence_weight + if remote { cfg.rmr_weight } else { 0 }
 }
 
 /// `candidate`'s initial machine under `model`, with `cfg`'s crash bound —
@@ -437,26 +397,12 @@ impl Witness {
     }
 }
 
-/// What synthesis has learned about one baseline: facts about the
-/// fence-free program, not about the weighting that steered to them, so
-/// [`crate::pareto_explore`] carries one pool across its sweep.
+/// What the refinement loop has learned about its baseline.
 #[derive(Default)]
-pub(crate) struct Pool {
+struct Pool {
     cores: Vec<Core>,
     /// `witnesses[i]` is the counterexample `cores[i]` was extracted from.
     witnesses: Vec<Witness>,
-    /// Per site, the highest conflict count of its store's register over
-    /// the counterexamples seen (the hitting set's tie-break).
-    tiebreak: BTreeMap<Site, u64>,
-    /// Placements a full check found clean under every model. Valid for
-    /// one baseline and one check configuration — the sweep's.
-    clean: BTreeSet<Vec<Vec<usize>>>,
-}
-
-/// Synthesize a fence placement for `inst` under `cfg` (see module docs).
-#[must_use]
-pub fn synthesize(inst: &OrderingInstance, cfg: &SynthConfig) -> SynthOutcome {
-    synthesize_with(inst, cfg, &mut Pool::default())
 }
 
 /// Inner-check volume of one [`synthesize`] call (see the [`Synthesis`]
@@ -477,66 +423,90 @@ fn placement_of(n: usize, sites: impl IntoIterator<Item = Site>) -> Vec<Vec<usiz
     placement
 }
 
-/// [`synthesize`], starting from — and adding to — what `pool` holds.
-/// Every call on one pool must share `inst` and the check-relevant part
-/// of `cfg` (models, engine, properties, crash bound); weights may differ.
-pub(crate) fn synthesize_with(
-    inst: &OrderingInstance,
-    cfg: &SynthConfig,
-    pool: &mut Pool,
-) -> SynthOutcome {
+/// A placement's sites, sorted — the order the minimisation tries them in.
+fn sites_of(placement: &[Vec<usize>]) -> Vec<Site> {
+    let mut sites: Vec<Site> = placement
+        .iter()
+        .enumerate()
+        .flat_map(|(proc, pcs)| pcs.iter().map(move |&pc| Site { proc, pc }))
+        .collect();
+    sites.sort_unstable();
+    sites
+}
+
+/// Synthesize a fence placement for `inst` under `cfg` (see module docs).
+#[must_use]
+pub fn synthesize(inst: &OrderingInstance, cfg: &SynthConfig) -> SynthOutcome {
+    let Refined {
+        baseline,
+        mut placement,
+        iterations,
+        pool,
+        mut effort,
+    } = match refine(inst, cfg) {
+        Ok(found) => found,
+        Err(outcome) => return outcome,
+    };
+    let check_cfg = cfg.check_config();
+    minimize(
+        &baseline,
+        &mut placement,
+        cfg,
+        &check_cfg,
+        &pool,
+        &mut effort,
+    );
+    let (instance, _) = build_candidate(&baseline, &placement);
+    let synthesis = Synthesis {
+        instance,
+        baseline,
+        iterations,
+        cores: pool.cores,
+        total_states: effort.total_states,
+        seeded_refutations: effort.seeded_refutations,
+        full_checks: effort.full_checks,
+        placement,
+    };
+    cfg.recorder
+        .add(Metric::FencesInserted, synthesis.fences_inserted() as u64);
+    SynthOutcome::Synthesized(Box::new(synthesis))
+}
+
+/// Where the refinement loop stops: the first placement every model
+/// accepts, not yet minimised, and what the loop learned on the way.
+struct Refined {
+    baseline: OrderingInstance,
+    placement: Vec<Vec<usize>>,
+    iterations: usize,
+    pool: Pool,
+    effort: Effort,
+}
+
+/// Steps 1–4 of the loop (see module docs). `Err` is the outcome of a run
+/// that found no placement.
+fn refine(inst: &OrderingInstance, cfg: &SynthConfig) -> Result<Refined, SynthOutcome> {
     let baseline = strip_instance(inst);
     let n = baseline.n;
     let check_cfg = cfg.check_config();
-    let mut weights: BTreeMap<Site, u64> = BTreeMap::new();
-    for &site in pool.cores.iter().flatten() {
-        weights
-            .entry(site)
-            .or_insert_with(|| site_weight(cfg, &baseline, site));
-    }
-    let chosen = hitting_set(&pool.cores, &weights, &pool.tiebreak, EXACT_LIMIT);
-    let mut placement = placement_of(n, chosen);
+    let mut pool = Pool::default();
+    let mut placement = vec![Vec::new(); n];
     let mut effort = Effort::default();
     let mut last_verdict = "ok";
 
     for iteration in 1..=MAX_ITERS {
         let (candidate, rewrites) = build_candidate(&baseline, &placement);
-        let known_clean = pool.clean.contains(&placement);
-        let verdicts = if known_clean {
-            Vec::new()
-        } else {
-            effort.full_checks += 1;
-            check_under_models(&candidate, &cfg.models, &check_cfg, true)
-        };
-        let ok = known_clean || all_ok(&verdicts);
+        effort.full_checks += 1;
+        let verdicts = check_under_models(&candidate, &cfg.models, &check_cfg, true);
         cfg.recorder.incr(Metric::SynthIterations);
         effort.total_states += states_of(&verdicts);
-        if ok {
-            pool.clean.insert(placement.clone());
-            if cfg.minimize {
-                minimize(
-                    &baseline,
-                    &mut placement,
-                    cfg,
-                    &check_cfg,
-                    pool,
-                    &mut effort,
-                );
-            }
-            let (instance, _) = build_candidate(&baseline, &placement);
-            let synthesis = Synthesis {
-                instance,
+        if all_ok(&verdicts) {
+            return Ok(Refined {
                 baseline,
-                iterations: iteration,
-                cores: pool.cores.clone(),
-                total_states: effort.total_states,
-                seeded_refutations: effort.seeded_refutations,
-                full_checks: effort.full_checks,
                 placement,
-            };
-            cfg.recorder
-                .add(Metric::FencesInserted, synthesis.fences_inserted() as u64);
-            return SynthOutcome::Synthesized(Box::new(synthesis));
+                iterations: iteration,
+                pool,
+                effort,
+            });
         }
         // Refine from the first non-ok verdict.
         let bad = verdicts
@@ -546,10 +516,10 @@ pub(crate) fn synthesize_with(
         last_verdict = bad.verdict.label();
         let Some(cex) = bad.verdict.counterexample() else {
             // Inconclusive (state cap / budget): nothing to refine with.
-            return SynthOutcome::Exhausted {
+            return Err(SynthOutcome::Exhausted {
                 iterations: iteration,
                 last_verdict,
-            };
+            });
         };
         let machine = machine_of(&candidate, bad.model, cfg);
         // One core and one witness per schedule the check handed back:
@@ -571,58 +541,25 @@ pub(crate) fn synthesize_with(
             if core.is_empty() && i == 0 {
                 // The violation needs no write-buffer reordering:
                 // unfixable by fences.
-                return SynthOutcome::Unfixable {
+                return Err(SynthOutcome::Unfixable {
                     model: bad.model,
                     verdict: last_verdict,
-                };
+                });
             }
             if core.is_empty() || pool.cores[known..].contains(&core) {
                 continue;
             }
             cfg.recorder.add(Metric::CoreSize, core.len() as u64);
-            // Weight new sites and fold the counterexample's conflict
-            // counts into the tie-break ranking.
-            for &site in &core {
-                weights
-                    .entry(site)
-                    .or_insert_with(|| site_weight(cfg, &baseline, site));
-            }
-            let conflicts = por::conflict_counts(&machine, schedule);
-            for &site in weights.keys() {
-                if let Some(reg) = write_target(&baseline, site.proc, site.pc) {
-                    if let Some(&c) = conflicts.get(&reg) {
-                        let e = pool.tiebreak.entry(site).or_insert(0);
-                        *e = (*e).max(c);
-                    }
-                }
-            }
             pool.cores.push(core);
             pool.witnesses
                 .push(Witness::record(&machine, &rewrites, schedule));
         }
-        let chosen = hitting_set(&pool.cores, &weights, &pool.tiebreak, EXACT_LIMIT);
-        placement = placement_of(n, chosen);
+        placement = placement_of(n, hitting_set(&pool.cores, EXACT_LIMIT));
     }
-    SynthOutcome::Exhausted {
+    Err(SynthOutcome::Exhausted {
         iterations: MAX_ITERS,
         last_verdict,
-    }
-}
-
-/// The placement's sites, the expensive ones first — the order the
-/// minimisation tries them in, so the survivors are the cheap ones.
-fn trial_order(
-    baseline: &OrderingInstance,
-    placement: &[Vec<usize>],
-    cfg: &SynthConfig,
-) -> Vec<Site> {
-    let mut sites: Vec<Site> = placement
-        .iter()
-        .enumerate()
-        .flat_map(|(proc, pcs)| pcs.iter().map(move |&pc| Site { proc, pc }))
-        .collect();
-    sites.sort_unstable_by_key(|&s| (std::cmp::Reverse(site_weight(cfg, baseline, s)), s));
-    sites
+    })
 }
 
 /// Drop every fence whose removal keeps all models clean. Afterwards the
@@ -640,39 +577,35 @@ fn minimize(
     placement: &mut [Vec<usize>],
     cfg: &SynthConfig,
     check_cfg: &CheckConfig,
-    pool: &mut Pool,
+    pool: &Pool,
     effort: &mut Effort,
 ) {
-    for site in trial_order(baseline, placement, cfg) {
+    for site in sites_of(placement) {
         let mut trial: Vec<Vec<usize>> = placement.to_vec();
         trial[site.proc].retain(|&pc| pc != site.pc);
-        if !pool.clean.contains(&trial) {
-            let (candidate, rewrites) = build_candidate(baseline, &trial);
-            let hits = |core: &Core| core.iter().any(|s| trial[s.proc].contains(&s.pc));
-            let mut unhit = pool.cores.iter().zip(&pool.witnesses);
-            let refuted = unhit.any(|(core, witness)| {
-                !hits(core)
-                    && witness
-                        .replay(&candidate, &rewrites, cfg)
-                        .is_some_and(|root| {
-                            let verdict = check(&root, check_cfg);
-                            effort.total_states += verdict.stats().states;
-                            verdict.is_violation()
-                        })
-            });
-            if refuted {
-                effort.seeded_refutations += 1;
-                continue;
-            }
-            effort.full_checks += 1;
-            let verdicts = check_under_models(&candidate, &cfg.models, check_cfg, true);
-            effort.total_states += states_of(&verdicts);
-            if !all_ok(&verdicts) {
-                continue;
-            }
-            pool.clean.insert(trial);
+        let (candidate, rewrites) = build_candidate(baseline, &trial);
+        let hits = |core: &Core| core.iter().any(|s| trial[s.proc].contains(&s.pc));
+        let mut unhit = pool.cores.iter().zip(&pool.witnesses);
+        let refuted = unhit.any(|(core, witness)| {
+            !hits(core)
+                && witness
+                    .replay(&candidate, &rewrites, cfg)
+                    .is_some_and(|root| {
+                        let verdict = check(&root, check_cfg);
+                        effort.total_states += verdict.stats().states;
+                        verdict.is_violation()
+                    })
+        });
+        if refuted {
+            effort.seeded_refutations += 1;
+            continue;
         }
-        placement[site.proc].retain(|&pc| pc != site.pc);
+        effort.full_checks += 1;
+        let verdicts = check_under_models(&candidate, &cfg.models, check_cfg, true);
+        effort.total_states += states_of(&verdicts);
+        if all_ok(&verdicts) {
+            placement[site.proc].retain(|&pc| pc != site.pc);
+        }
     }
 }
 
@@ -685,7 +618,7 @@ fn minimize_by_full_checks(
     cfg: &SynthConfig,
     check_cfg: &CheckConfig,
 ) {
-    for site in trial_order(baseline, placement, cfg) {
+    for site in sites_of(placement) {
         let mut trial: Vec<Vec<usize>> = placement.to_vec();
         trial[site.proc].retain(|&pc| pc != site.pc);
         let (candidate, _) = build_candidate(baseline, &trial);
@@ -757,14 +690,8 @@ mod tests {
         cfg: &SynthConfig,
     ) -> (OrderingInstance, Vec<Vec<usize>>, Pool) {
         let inst = build_mutex(kind, n, FenceMask::ALL);
-        let mut pool = Pool::default();
-        let cfg = SynthConfig {
-            minimize: false,
-            ..cfg.clone()
-        };
-        let out = synthesize_with(&inst, &cfg, &mut pool);
-        let s = out.synthesis().expect("synthesized");
-        (s.baseline.clone(), s.placement.clone(), pool)
+        let found = refine(&inst, cfg).expect("synthesized");
+        (found.baseline, found.placement, found.pool)
     }
 
     fn crash_cfg() -> SynthConfig {
@@ -782,7 +709,7 @@ mod tests {
         let mut fenced_sources = 0;
         for (kind, n) in [(LockKind::Peterson, 2), (LockKind::Ttas, 3)] {
             let (baseline, full, _) = unminimized(kind, n, &cfg);
-            let sites = trial_order(&baseline, &full, &cfg);
+            let sites = sites_of(&full);
             // Every proper prefix of the placement that still violates is
             // a source candidate, the fence-free baseline first.
             for kept in 0..sites.len() {
@@ -823,7 +750,7 @@ mod tests {
         ];
         for (kind, n, cfg) in cells {
             let check_cfg = cfg.check_config();
-            let (baseline, found, mut pool) = unminimized(kind, n, &cfg);
+            let (baseline, found, pool) = unminimized(kind, n, &cfg);
             // The loop's own placement (every trial should be refuted),
             // and a fence after every store (most trials drop theirs).
             let every_store = baseline.programs.iter().map(|p| fencevm::write_pcs(p));
@@ -831,7 +758,7 @@ mod tests {
                 let mut seeded = start.clone();
                 let mut effort = Effort::default();
                 let (b, c) = (&baseline, &check_cfg);
-                minimize(b, &mut seeded, &cfg, c, &mut pool, &mut effort);
+                minimize(b, &mut seeded, &cfg, c, &pool, &mut effort);
                 let mut oracle = start.clone();
                 minimize_by_full_checks(b, &mut oracle, &cfg, c);
                 // One trial order, so equal survivors mean equal decisions.
@@ -857,14 +784,13 @@ mod tests {
         // Mislabelled as hit by nothing, it is tried on every trial and
         // blocks on each that keeps one of those fences: no decision
         // changes, and only a trial that drops the last of them is its.
-        let mut lone = Pool {
+        let lone = Pool {
             cores: vec![Core::new()],
             witnesses: vec![witness.clone()],
-            ..Pool::default()
         };
         let (mut seeded, mut effort) = (placement.clone(), Effort::default());
         let (b, c) = (&baseline, &check_cfg);
-        minimize(b, &mut seeded, &cfg, c, &mut lone, &mut effort);
+        minimize(b, &mut seeded, &cfg, c, &lone, &mut effort);
         let mut oracle = placement.clone();
         minimize_by_full_checks(b, &mut oracle, &cfg, c);
         assert_eq!(seeded, oracle);
@@ -877,16 +803,20 @@ mod tests {
     fn the_inner_checks_walk_order_keeps_the_iteration_counts() {
         // Which counterexample a check meets first is its walk order's;
         // the back-first order takes bakery2 35, tournament2 and filter2
-        // 17 iterations each (see `check_config`).
-        for (kind, iterations) in [
-            (LockKind::Bakery, 5),
-            (LockKind::Tournament, 6),
-            (LockKind::Filter, 6),
-        ] {
-            let inst = build_mutex(kind, 2, FenceMask::ALL);
+        // 17, mcs3 9 iterations (see `check_config`).
+        let cells = [
+            (LockKind::Bakery, 2, 5, vec![vec![0, 10, 30], vec![10, 30]]),
+            (LockKind::Tournament, 2, 6, vec![vec![0, 1, 10]; 2]),
+            (LockKind::Filter, 2, 6, vec![vec![0, 1, 15]; 2]),
+            (LockKind::Ttas, 4, 2, vec![vec![7]; 4]),
+            (LockKind::Mcs, 3, 2, vec![vec![18]; 3]),
+        ];
+        for (kind, n, iterations, placement) in cells {
+            let inst = build_mutex(kind, n, FenceMask::ALL);
             let out = synthesize(&inst, &SynthConfig::default());
             let s = out.synthesis().expect("synthesized");
             assert_eq!(s.iterations, iterations, "{}", inst.name);
+            assert_eq!(s.placement, placement, "{}", inst.name);
         }
     }
 
@@ -912,7 +842,7 @@ mod tests {
         let mut stuck = 0;
         for (kind, n) in cells {
             let (baseline, full, _) = unminimized(kind, n, &cfg);
-            let sites = trial_order(&baseline, &full, &cfg);
+            let sites = sites_of(&full);
             for kept in 0..sites.len() {
                 let placement = placement_of(baseline.n, sites[..kept].iter().copied());
                 let (candidate, _) = build_candidate(&baseline, &placement);

@@ -1,20 +1,20 @@
-//! Weighted hitting set over counterexample cores.
+//! Minimum hitting set over counterexample cores.
 //!
 //! Each refinement iteration of the CEGAR loop contributes one **core**: a
 //! set of candidate fence sites such that fencing *any one of them* kills
 //! that iteration's counterexample. A placement is feasible iff it hits
-//! every accumulated core, so choosing the next placement is a weighted
+//! every accumulated core, so choosing the next placement is a
 //! hitting-set problem — NP-hard in general, tiny in practice (lock
 //! programs have a handful of stores).
 //!
-//! The solver runs greedy set-cover (best coverage-per-weight, with a
-//! deterministic conflict-count tie-break) and, when the site universe is
-//! small enough, an exact branch-and-bound seeded with the greedy bound.
-//! Greedy alone would be sound — the re-check validates every placement —
-//! but exactness is what makes the Pareto explorer's curves meaningful:
-//! the reported placement really is minimum-weight for its cores.
+//! The solver runs greedy set-cover (the site that covers the most
+//! uncovered cores, ties to the smallest site) and, when the site universe
+//! is small enough, an exact branch-and-bound seeded with the greedy
+//! bound. Greedy alone would be sound — the re-check validates every
+//! placement — but exactness keeps each candidate as small as its cores
+//! allow.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A candidate fence site: "insert a fence immediately after `pc` in
 /// process `proc`'s program" (pc in the synthesis baseline's index space).
@@ -36,68 +36,44 @@ impl std::fmt::Display for Site {
 /// core was extracted from.
 pub type Core = BTreeSet<Site>;
 
-/// Solve the weighted hitting set for `cores`.
+/// A fewest-sites hitting set for `cores`.
 ///
-/// `weight` gives each site's cost (missing sites default to 1; weights
-/// are clamped to ≥ 1 so ratios stay finite). `tiebreak` orders
-/// equally-scored greedy picks (higher first — the CEGAR loop passes
-/// per-register conflict counts). If the site universe has at most
-/// `exact_limit` sites, the greedy solution is refined by exact
-/// branch-and-bound.
+/// If the site universe has at most `exact_limit` sites, the greedy
+/// solution is refined by exact branch-and-bound, so the result has
+/// minimum cardinality.
 ///
 /// Returns the chosen sites, sorted. Empty input → empty placement.
 #[must_use]
-pub fn hitting_set(
-    cores: &[Core],
-    weight: &BTreeMap<Site, u64>,
-    tiebreak: &BTreeMap<Site, u64>,
-    exact_limit: usize,
-) -> Vec<Site> {
+pub fn hitting_set(cores: &[Core], exact_limit: usize) -> Vec<Site> {
     let cores: Vec<&Core> = cores.iter().filter(|c| !c.is_empty()).collect();
     if cores.is_empty() {
         return Vec::new();
     }
     let universe: BTreeSet<Site> = cores.iter().flat_map(|c| c.iter().copied()).collect();
-    let w = |s: Site| weight.get(&s).copied().unwrap_or(1).max(1);
-    let greedy = greedy_cover(&cores, &universe, &w, tiebreak);
+    let greedy = greedy_cover(&cores, &universe);
     if universe.len() <= exact_limit {
-        if let Some(exact) = branch_and_bound(&cores, &universe, &w, &greedy) {
+        if let Some(exact) = branch_and_bound(&cores, &greedy) {
             return exact;
         }
     }
     greedy
 }
 
-/// Total weight of a placement under `w`.
-fn total<F: Fn(Site) -> u64>(sites: &[Site], w: &F) -> u64 {
-    sites.iter().map(|&s| w(s)).sum()
-}
-
-fn greedy_cover<F: Fn(Site) -> u64>(
-    cores: &[&Core],
-    universe: &BTreeSet<Site>,
-    w: &F,
-    tiebreak: &BTreeMap<Site, u64>,
-) -> Vec<Site> {
+fn greedy_cover(cores: &[&Core], universe: &BTreeSet<Site>) -> Vec<Site> {
     let mut chosen: Vec<Site> = Vec::new();
     let mut uncovered: Vec<&Core> = cores.to_vec();
     while !uncovered.is_empty() {
-        // Pick the site with the best covered-per-weight ratio; ties go to
-        // the higher conflict count, then the smaller site (determinism).
+        // Pick the site that covers the most uncovered cores; ties go to
+        // the smaller site (determinism).
         let best = universe
             .iter()
             .filter(|s| !chosen.contains(s))
             .map(|&s| {
-                let covered = uncovered.iter().filter(|c| c.contains(&s)).count() as u64;
-                (
-                    covered * 1_000_000 / w(s),
-                    tiebreak.get(&s).copied().unwrap_or(0),
-                    std::cmp::Reverse(s),
-                    s,
-                )
+                let covered = uncovered.iter().filter(|c| c.contains(&s)).count();
+                (covered, std::cmp::Reverse(s))
             })
             .max()
-            .map(|(_, _, _, s)| s)
+            .map(|(_, std::cmp::Reverse(s))| s)
             .expect("non-empty universe with uncovered cores");
         debug_assert!(uncovered.iter().any(|c| c.contains(&best)));
         chosen.push(best);
@@ -107,28 +83,15 @@ fn greedy_cover<F: Fn(Site) -> u64>(
     chosen
 }
 
-/// Exact minimum-weight hitting set by branching on the sites of the first
-/// uncovered core, with the incumbent (greedy) weight as the bound. The
-/// node budget caps pathological inputs; `None` means the budget ran out
-/// and the caller should keep the greedy answer.
-fn branch_and_bound<F: Fn(Site) -> u64>(
-    cores: &[&Core],
-    universe: &BTreeSet<Site>,
-    w: &F,
-    incumbent: &[Site],
-) -> Option<Vec<Site>> {
-    let _ = universe;
-    let mut best: Vec<Site> = incumbent.to_vec();
-    let mut best_w = total(incumbent, w);
-    let mut budget = 200_000usize;
-    let mut partial: Vec<Site> = Vec::new();
-    fn recurse<F: Fn(Site) -> u64>(
+/// Exact minimum-cardinality hitting set by branching on the sites of the
+/// first uncovered core, with the incumbent (greedy) size as the bound.
+/// The node budget caps pathological inputs; `None` means the budget ran
+/// out and the caller should keep the greedy answer.
+fn branch_and_bound(cores: &[&Core], incumbent: &[Site]) -> Option<Vec<Site>> {
+    fn recurse(
         cores: &[&Core],
-        w: &F,
         partial: &mut Vec<Site>,
-        partial_w: u64,
         best: &mut Vec<Site>,
-        best_w: &mut u64,
         budget: &mut usize,
     ) -> bool {
         if *budget == 0 {
@@ -139,19 +102,17 @@ fn branch_and_bound<F: Fn(Site) -> u64>(
             .iter()
             .find(|c| !c.iter().any(|s| partial.contains(s)))
         else {
-            // Everything hit — new incumbent (strictly better by the prune).
+            // Everything hit — new incumbent (strictly smaller by the prune).
             *best = partial.clone();
             best.sort_unstable();
-            *best_w = partial_w;
             return true;
         };
         for &s in open.iter() {
-            let nw = partial_w + w(s);
-            if nw >= *best_w {
-                continue;
+            if partial.len() + 1 >= best.len() {
+                break;
             }
             partial.push(s);
-            let ok = recurse(cores, w, partial, nw, best, best_w, budget);
+            let ok = recurse(cores, partial, best, budget);
             partial.pop();
             if !ok {
                 return false;
@@ -159,21 +120,15 @@ fn branch_and_bound<F: Fn(Site) -> u64>(
         }
         true
     }
-    let complete = recurse(
-        cores,
-        w,
-        &mut partial,
-        0,
-        &mut best,
-        &mut best_w,
-        &mut budget,
-    );
-    complete.then_some(best)
+    let mut best = incumbent.to_vec();
+    let mut budget = 200_000usize;
+    recurse(cores, &mut Vec::new(), &mut best, &mut budget).then_some(best)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn s(proc: usize, pc: usize) -> Site {
         Site { proc, pc }
@@ -185,17 +140,7 @@ mod tests {
 
     #[test]
     fn empty_cores_need_no_sites() {
-        assert!(hitting_set(&[], &BTreeMap::new(), &BTreeMap::new(), 16).is_empty());
-    }
-
-    #[test]
-    fn single_core_picks_cheapest_site() {
-        let cores = [core(&[s(0, 1), s(0, 5)])];
-        let weight = BTreeMap::from([(s(0, 1), 10), (s(0, 5), 1)]);
-        assert_eq!(
-            hitting_set(&cores, &weight, &BTreeMap::new(), 16),
-            vec![s(0, 5)]
-        );
+        assert!(hitting_set(&[], 16).is_empty());
     }
 
     #[test]
@@ -205,64 +150,7 @@ mod tests {
             core(&[s(0, 2), s(0, 3)]),
             core(&[s(0, 2), s(1, 7)]),
         ];
-        assert_eq!(
-            hitting_set(&cores, &BTreeMap::new(), &BTreeMap::new(), 16),
-            vec![s(0, 2)]
-        );
-    }
-
-    #[test]
-    fn exact_matches_brute_force_minimum() {
-        // Several fixed instances; the solver's weight must equal the
-        // brute-force minimum over all subsets.
-        let u: Vec<Site> = (0..6).map(|i| s(i % 2, i)).collect();
-        let instances: Vec<(Vec<Core>, BTreeMap<Site, u64>)> = vec![
-            (
-                vec![
-                    core(&[u[0], u[1]]),
-                    core(&[u[1], u[2]]),
-                    core(&[u[2], u[3]]),
-                    core(&[u[3], u[4]]),
-                    core(&[u[4], u[5]]),
-                ],
-                BTreeMap::from([(u[1], 3), (u[3], 1), (u[4], 2)]),
-            ),
-            (
-                vec![
-                    core(&[u[0], u[2], u[4]]),
-                    core(&[u[1], u[3], u[5]]),
-                    core(&[u[0], u[5]]),
-                    core(&[u[2], u[3]]),
-                ],
-                BTreeMap::from([(u[0], 5), (u[2], 2), (u[5], 2)]),
-            ),
-        ];
-        for (cores, weight) in &instances {
-            let got = hitting_set(cores, weight, &BTreeMap::new(), 16);
-            let w = |x: Site| weight.get(&x).copied().unwrap_or(1).max(1);
-            let got_w: u64 = got.iter().map(|&x| w(x)).sum();
-            // Brute force over all subsets of the universe.
-            let univ: Vec<Site> = cores
-                .iter()
-                .flatten()
-                .copied()
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            let mut best = u64::MAX;
-            for bits in 0u32..(1 << univ.len()) {
-                let pick: Vec<Site> = univ
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| bits >> i & 1 == 1)
-                    .map(|(_, &x)| x)
-                    .collect();
-                if cores.iter().all(|c| pick.iter().any(|x| c.contains(x))) {
-                    best = best.min(pick.iter().map(|&x| w(x)).sum());
-                }
-            }
-            assert_eq!(got_w, best, "suboptimal placement {got:?}");
-        }
+        assert_eq!(hitting_set(&cores, 16), vec![s(0, 2)]);
     }
 
     #[test]
@@ -272,16 +160,39 @@ mod tests {
             core(&[s(1, 2)]),
             core(&[s(0, 3), s(1, 4), s(1, 2)]),
         ];
-        let got = hitting_set(&cores, &BTreeMap::new(), &BTreeMap::new(), 0);
+        let got = hitting_set(&cores, 0);
         for c in &cores {
             assert!(got.iter().any(|g| c.contains(g)), "core {c:?} unhit");
         }
     }
 
-    #[test]
-    fn tiebreak_prefers_higher_conflict_count() {
-        let cores = [core(&[s(0, 1), s(0, 2)])];
-        let tb = BTreeMap::from([(s(0, 1), 5), (s(0, 2), 50)]);
-        assert_eq!(hitting_set(&cores, &BTreeMap::new(), &tb, 0), vec![s(0, 2)]);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over random families of up to 6 cores on up to 8 sites, the
+        /// exact answer hits every core with as few sites as the
+        /// brute-force minimum, and the greedy one hits every core.
+        #[test]
+        fn exact_matches_brute_force_minimum(
+            masks in prop::collection::vec(1u16..256, 0..7),
+        ) {
+            let u: Vec<Site> = (0..8).map(|i| s(i % 2, i)).collect();
+            let of = |bits: u16| -> Vec<Site> {
+                (0..8).filter(|&i| bits >> i & 1 == 1).map(|i| u[i]).collect()
+            };
+            let cores: Vec<Core> = masks.iter().map(|&m| core(&of(m))).collect();
+            let hits_all = |pick: &[Site]| cores.iter().all(|c| pick.iter().any(|x| c.contains(x)));
+            let minimum = (0u16..256)
+                .map(of)
+                .filter(|pick| hits_all(pick))
+                .map(|pick| pick.len())
+                .min()
+                .expect("all eight sites hit every core");
+            let exact = hitting_set(&cores, 16);
+            prop_assert!(hits_all(&exact), "{exact:?} misses a core of {cores:?}");
+            prop_assert_eq!(exact.len(), minimum, "{:?} for {:?}", exact, cores);
+            let greedy = hitting_set(&cores, 0);
+            prop_assert!(hits_all(&greedy), "{greedy:?} misses a core of {cores:?}");
+        }
     }
 }

@@ -15,7 +15,7 @@
 //!   write-buffer inversions that enabled the bad interleaving — then
 //!   translate each edge's candidate fence sites back through the
 //!   insertion pc-map into a **counterexample core**;
-//! * pick the next placement as a minimum-weight **hitting set** over all
+//! * pick the next placement as a fewest-sites **hitting set** over all
 //!   accumulated cores ([`hitting_set`]: greedy plus exact
 //!   branch-and-bound for small universes), and repeat until every model
 //!   is clean;
@@ -24,24 +24,19 @@
 //!   and replayed onto the trial placements, so most trials are refuted by
 //!   a check started where the witness ends instead of a full search.
 //!
-//! [`pareto_explore`] sweeps the fence-cost/RMR-cost weighting and
-//! measures each synthesized placement's per-passage β (fences) and ρ
-//! (RMRs), reproducing the paper's tradeoff curve from synthesis alone —
-//! Bakery-style instances should recover the O(1)-fence/O(n)-RMR corner,
-//! tournament instances the O(log n)/O(log n) corner (experiment E16).
+//! The counterexamples alone decide the placement: no site costs more
+//! than another. Experiment E16 measures each synthesized placement's
+//! per-passage β (fences) and ρ (RMRs) against the paper's `GT_f` scales.
 //!
 //! Synthesis soundness rests entirely on checker verdicts — a clean full
 //! check to accept, a violation of the trial to keep a fence; every other
-//! ingredient (edges, cores, witnesses, weights, rankings) only steers
-//! the search.
+//! ingredient (edges, cores, witnesses) only steers the search.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cegar;
 pub mod hitting;
-pub mod pareto;
 
 pub use cegar::{strip_instance, synthesize, SynthConfig, SynthOutcome, Synthesis};
 pub use hitting::{hitting_set, Core, Site};
-pub use pareto::{pareto_explore, solo_cost, ParetoPoint};

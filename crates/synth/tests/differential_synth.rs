@@ -9,8 +9,6 @@
 //! * **Minimality** — stripping any single synthesized fence reintroduces
 //!   a violation under at least one of the synthesis models (the
 //!   1-minimality the final minimize pass guarantees by construction).
-//!   The proptest sweeps weightings, so minimality holds across the whole
-//!   Pareto sweep, not just the default cost model.
 
 use ftsynth::{synthesize, SynthConfig};
 use modelcheck::{all_ok, check, check_under_models, CheckConfig, Engine};
@@ -149,21 +147,15 @@ fn stripped_baselines_violate_under_pso() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Minimality witness across the weighting sweep: strip any single
-    /// synthesized fence and some synthesis model violates again.
+    /// Minimality witness: strip any single synthesized fence and some
+    /// synthesis model violates again.
     #[test]
     fn stripping_any_fence_reintroduces_violation(
         lock_idx in 0usize..LOCKS.len(),
-        fence_weight in 1u64..6,
-        rmr_weight in 0u64..4,
     ) {
         let kind = LOCKS[lock_idx];
         let input = build_mutex(kind, 2, FenceMask::ALL);
-        let cfg = SynthConfig {
-            fence_weight,
-            rmr_weight,
-            ..synth_cfg()
-        };
+        let cfg = synth_cfg();
         let out = synthesize(&input, &cfg);
         let s = out
             .synthesis()

@@ -23,13 +23,14 @@ stage "cargo fmt --check" \
 stage "cargo clippy --all-targets -- -D warnings" \
     cargo clippy --all-targets -- -D warnings
 
-stage "layering: wbmem (the paper's Section-2 machine) and lowerbound (its Section-5 encoder) do not depend on ftobs; no crate forecasts a run's size, writes trace spans, supervises workers with a watchdog, writes periodic/interrupt checkpoints or counts steps only for a recorder; the checker never reads locality" \
+stage "layering: wbmem (the paper's Section-2 machine) and lowerbound (its Section-5 encoder) do not depend on ftobs; no crate forecasts a run's size, writes trace spans, supervises workers with a watchdog, writes periodic/interrupt checkpoints, counts steps only for a recorder or weights fence sites; the checker never reads locality" \
     bash -c 'for c in wbmem lowerbound; do
             tree=$(cargo tree -p $c --offline -e normal) && ! grep -q ftobs <<< "$tree" || exit 1
         done
         ! grep -rqE "TreeEstimator|est_total_states|eta_ms|TraceCtx|SpanId|trace_ctx|trace_root" crates/*/src || exit 1
         ! grep -rqE "FT_WATCHDOG_MS|WatchdogTrips|every_transitions|on_interrupt" crates/*/src || exit 1
         ! grep -rqE "reset_counts|is_live" crates/*/src || exit 1
+        ! grep -rqE "pareto_explore|fence_weight|rmr_weight|conflict_counts" crates/*/src || exit 1
         ! grep -rqE "LocalityTracker|\.locality\(\)" crates/modelcheck/src'
 
 stage "cargo build --release" \
