@@ -26,7 +26,6 @@ pub fn run(_fast: bool) {
             .unwrap_or_else(|e| crate::fail("e15: creating results/obs/e15_resume.jsonl", e)),
     );
 
-    let threads = crate::parallelism().clamp(2, 4);
     let cells: Vec<(&str, LockKind, usize, Engine)> = vec![
         ("peterson2_pso", LockKind::Peterson, 2, Engine::Undo),
         (
@@ -42,15 +41,6 @@ pub fn run(_fast: bool) {
             LockKind::Filter,
             3,
             Engine::Dpor {
-                reorder_bound: None,
-            },
-        ),
-        (
-            "filter3_pso",
-            LockKind::Filter,
-            3,
-            Engine::ParallelDpor {
-                threads,
                 reorder_bound: None,
             },
         ),
@@ -166,11 +156,11 @@ pub fn run(_fast: bool) {
     t.note(format!(
         "Median of {TRIALS} trials. `split` = interrupted at half the transitions \
          (checkpoint written, fsynced, renamed) + resumed to completion (snapshot read, \
-         fingerprint table pre-seeded, frontier replayed). Reduced-mode overhead also \
-         includes re-exploring what the discarded worker-local dominance table would \
+         visited fingerprints re-indexed, frontier replayed). Reduced-mode overhead also \
+         includes re-exploring what the interrupted run's discarded dominance table would \
          have pruned; pure durability cost (write + read + replay) is what \
          `exp guards` gates, per MiB of snapshot, in the exact-partition diagnostic bound. \
-         `frontier` is the number of open fork points the snapshot serialized."
+         `frontier` is the number of open DFS frames at the cut."
     ));
     t.finish();
 }

@@ -154,9 +154,7 @@ pub fn run(fast: bool) {
                 format!("{out:?}"),
             );
         };
-        // Exhaustive cross-check only where it is tractable. (Under
-        // the termination check `ParallelDpor` runs sequential `Dpor`,
-        // so it would add a second run of the same walk.)
+        // Exhaustive cross-check only where it is tractable.
         let dpor = Engine::Dpor {
             reorder_bound: None,
         };

@@ -10,8 +10,6 @@
 //! |---|---|---|
 //! | checkpoint smoke | `filter3_pso`, `Dpor` | cut at half + resume == fresh verdict |
 //! | checkpoint overhead | `filter3_pso`, diagnostic bound | (split − uninterrupted) per MiB of snapshot ≤ the budget below |
-//! | pardpor dispatch | `filter3_pso` | `ParallelDpor{threads: 1}` ≤ ×1.05 of `Dpor` |
-//! | pardpor scaling | `gt_f24_pso` | `ParallelDpor` ≥ ×1.5 over `Dpor` (skipped where the cores were not there) |
 //! | obs enabled | `bakery3_pso`, `Undo` | live recorder ≤ ×1.05 of disabled |
 //!
 //! Noise defenses, all needed on a shared container: every figure is the
@@ -23,9 +21,9 @@
 
 use std::path::Path;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crate::timing::{median, paired_ratio, paired_rounds, Spent};
+use crate::timing::{median, paired_ratio, paired_rounds};
 use fence_trade::prelude::*;
 use ftobs::Recorder;
 
@@ -46,21 +44,6 @@ const CKPT_MAX_MS_PER_MIB: f64 = 30.0;
 const CKPT_ROUNDS: usize = 5;
 const CKPT_ATTEMPTS: usize = 3;
 
-/// E14's gates. Scaling is measured on `gt_f24_pso` (675 833 reduced
-/// states, ~0.5 s sequentially): the pool loses below ~50 ms, where its
-/// start-up is the measurement, and every smaller cell now finishes
-/// sooner than that (`tournament4_pso`: 62 073 states, ~40 ms). One paired
-/// round of this cell lasts as long as the five of `tournament4_pso` it
-/// replaces did, and a second-long run needs no median to settle.
-/// Dispatch pins what `ParallelDpor{threads: 1}` adds in front of the
-/// sequential engine at effectively zero.
-const PARDPOR_MIN_SPEEDUP: f64 = 1.5;
-const PARDPOR_MAX_DISPATCH: f64 = 1.05;
-const PARDPOR_THREADS: usize = 4;
-const PARDPOR_ROUNDS: usize = 5;
-const PARDPOR_SCALING_ROUNDS: usize = 1;
-const PARDPOR_ATTEMPTS: usize = 2;
-
 /// The observability budget of DESIGN §6: a live recorder costs ≤5 %.
 /// Both sides count every step the same way; what the live one adds is
 /// what a recorder alone keeps — a hot-pc hit per step, events, and the
@@ -75,14 +58,14 @@ const OBS_ITERS: usize = 3;
 const OBS_ATTEMPTS: usize = 2;
 
 /// What `iters` full explorations cost, each of which must verify.
-fn explore(inst: &OrderingInstance, cfg: &CheckConfig, iters: usize) -> Spent {
-    Spent::of(|| {
-        for _ in 0..iters {
-            let v = check(&inst.machine(MemoryModel::Pso), cfg);
-            assert!(v.is_ok(), "guard workloads verify: {}", v.label());
-            std::hint::black_box(v.stats().states);
-        }
-    })
+fn explore(inst: &OrderingInstance, cfg: &CheckConfig, iters: usize) -> Duration {
+    let start = Instant::now();
+    for _ in 0..iters {
+        let v = check(&inst.machine(MemoryModel::Pso), cfg);
+        assert!(v.is_ok(), "guard workloads verify: {}", v.label());
+        std::hint::black_box(v.stats().states);
+    }
+    start.elapsed()
 }
 
 /// Interrupt at `cut` transitions, then resume the checkpoint; the write
@@ -94,7 +77,7 @@ fn split_run(
     cut: u64,
     path: &Path,
 ) -> Option<(Duration, Verdict)> {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let policy = CheckpointPolicy::at(path).stop_after(cut);
     let stopped = check(
         &inst.machine(MemoryModel::Pso),
@@ -105,14 +88,10 @@ fn split_run(
     Some((start.elapsed(), v))
 }
 
-/// Print a gate's line (`status` is `ok`, `FAIL` or `skip`).
-fn line(status: &str, name: &str, detail: &str) {
-    println!("{status:<4} {name:<22} {detail}");
-}
-
 /// Print a gate's line and pass its outcome through.
 fn report(name: &str, ok: bool, detail: &str) -> bool {
-    line(if ok { "ok" } else { "FAIL" }, name, detail);
+    let status = if ok { "ok" } else { "FAIL" };
+    println!("{status:<4} {name:<22} {detail}");
     ok
 }
 
@@ -140,23 +119,6 @@ fn gate(
     }
     let detail = format!("{} (floor <= {})", seen.join(", "), show(max));
     report(name, ok, &detail)
-}
-
-/// What one attempt of the scaling gate says, given the speed-up it
-/// measured and what its parallel side spent. A speed-up cannot exceed the
-/// cores the run was actually granted, so an attempt whose parallel side
-/// used fewer CPU-seconds per wall-second than the floor could not have
-/// met it whatever the code did: that is an absent core (`skip`) — every
-/// attempt on a single-core host, some on a shared one — not a regression
-/// (`FAIL`).
-fn scaling_status(speedup: f64, parallel: Spent) -> &'static str {
-    if speedup >= PARDPOR_MIN_SPEEDUP {
-        "ok"
-    } else if parallel.utilisation() < PARDPOR_MIN_SPEEDUP {
-        "skip"
-    } else {
-        "FAIL"
-    }
 }
 
 fn checkpoint_gates() -> bool {
@@ -208,7 +170,7 @@ fn checkpoint_gates() -> bool {
                         .expect("the smoke gate saw a checkpoint")
                         .0
                 };
-                let pairs = paired_rounds(CKPT_ROUNDS, split, || explore(&inst, &exact, 1).wall);
+                let pairs = paired_rounds(CKPT_ROUNDS, split, || explore(&inst, &exact, 1));
                 #[allow(clippy::cast_precision_loss)]
                 let mib = std::fs::metadata(&path).map_or(0, |m| m.len()) as f64 / (1 << 20) as f64;
                 let extra_ms = |&(split, plain): &(Duration, Duration)| {
@@ -222,72 +184,6 @@ fn checkpoint_gates() -> bool {
     };
     let _ = std::fs::remove_file(&path);
     overhead
-}
-
-fn pardpor_gates() -> bool {
-    let cfg = |engine| {
-        CheckConfig {
-            check_termination: false,
-            max_states: 2_000_000,
-            ..CheckConfig::default()
-        }
-        .with_engine(engine)
-    };
-    let dpor = cfg(Engine::Dpor {
-        reorder_bound: None,
-    });
-    let pardpor = |threads| {
-        cfg(Engine::ParallelDpor {
-            threads,
-            reorder_bound: None,
-        })
-    };
-
-    let filter3 = build_mutex(LockKind::Filter, 3, FenceMask::ALL);
-    let one = pardpor(1);
-    let dispatch = gate(
-        "pardpor dispatch",
-        PARDPOR_MAX_DISPATCH,
-        times,
-        PARDPOR_ATTEMPTS,
-        || {
-            let den = || explore(&filter3, &dpor, 1).wall;
-            paired_ratio(PARDPOR_ROUNDS, || explore(&filter3, &one, 1).wall, den)
-        },
-    );
-
-    let gt_f24 = build_mutex(LockKind::Gt { f: 2 }, 4, FenceMask::ALL);
-    let many = pardpor(PARDPOR_THREADS.min(crate::available_cores()));
-    let mut attempts: Vec<(&str, String)> = Vec::new();
-    while attempts.len() < PARDPOR_ATTEMPTS && attempts.iter().all(|a| a.0 != "ok") {
-        let mut parallel = Spent::default();
-        let den = || {
-            let spent = explore(&gt_f24, &many, 1);
-            parallel += spent;
-            spent.wall
-        };
-        // dpor / pardpor: above 1 means the parallel engine is faster.
-        let num = || explore(&gt_f24, &dpor, 1).wall;
-        let speedup = paired_ratio(PARDPOR_SCALING_ROUNDS, num, den);
-        let seen = format!(
-            "{} at {:.2} cpu/wall",
-            times(speedup),
-            parallel.utilisation()
-        );
-        attempts.push((scaling_status(speedup, parallel), seen));
-    }
-    // One attempt that clears the floor passes; a miss with the cores
-    // there fails; attempts that never had them decide nothing.
-    let mut decided = ["ok", "FAIL", "skip"].into_iter();
-    let status = decided.find(|s| attempts.iter().any(|a| a.0 == *s));
-    let status = status.expect("at least one attempt");
-    let seen: Vec<String> = attempts.into_iter().map(|a| a.1).collect();
-    let floor = times(PARDPOR_MIN_SPEEDUP);
-    let judged = format!("judged where cpu/wall >= {PARDPOR_MIN_SPEEDUP}");
-    let detail = format!("{} (floor >= {floor}, {judged})", seen.join(", "));
-    line(status, "pardpor scaling", &detail);
-    let scaling = status != "FAIL";
-    dispatch && scaling
 }
 
 fn obs_gate() -> bool {
@@ -307,8 +203,8 @@ fn obs_gate() -> bool {
         .build();
     let enabled = disabled.clone().with_recorder(live);
     gate("obs enabled", OBS_MAX_OVERHEAD, times, OBS_ATTEMPTS, || {
-        let den = || explore(&inst, &disabled, OBS_ITERS).wall;
-        let num = || explore(&inst, &enabled, OBS_ITERS).wall;
+        let den = || explore(&inst, &disabled, OBS_ITERS);
+        let num = || explore(&inst, &enabled, OBS_ITERS);
         paired_ratio(OBS_ROUNDS, num, den)
     })
 }
@@ -316,33 +212,11 @@ fn obs_gate() -> bool {
 /// Run every gate.
 pub fn run() -> ExitCode {
     // Non-short-circuiting: every gate runs and reports.
-    if checkpoint_gates() & pardpor_gates() & obs_gate() {
+    if checkpoint_gates() & obs_gate() {
         println!("guards: OK");
         ExitCode::SUCCESS
     } else {
         eprintln!("guards: FAILED (see the FAIL lines above)");
         ExitCode::FAILURE
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_scaling_attempt_without_its_cores_is_a_skip_and_with_them_a_verdict() {
-        let parallel = |cpu, wall_ms| Spent {
-            wall: Duration::from_millis(wall_ms),
-            cpu,
-        };
-        // 0.28 CPU-s in 0.2 s: 1.4 cores. A ×1.5 speed-up was not on offer.
-        assert_eq!(scaling_status(1.2, parallel(0.28, 200)), "skip");
-        assert_eq!(scaling_status(0.7, parallel(0.20, 200)), "skip");
-        // 1.6 cores and still short of the floor: the engine's doing.
-        assert_eq!(scaling_status(1.2, parallel(0.32, 200)), "FAIL");
-        assert_eq!(scaling_status(1.49, parallel(0.40, 200)), "FAIL");
-        assert_eq!(scaling_status(1.5, parallel(0.40, 200)), "ok");
-        // A cleared floor stands even if a 10 ms CPU tick reads low.
-        assert_eq!(scaling_status(1.55, parallel(0.29, 200)), "ok");
     }
 }

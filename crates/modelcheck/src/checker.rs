@@ -6,25 +6,24 @@
 //! * [`Engine::CloneDfs`] — the original depth-first search that clones the
 //!   whole machine at every transition. Kept as the differential oracle;
 //!   it is the only engine with a loop of its own (in this file).
-//! * [`Engine::Undo`] (the default), [`Engine::Parallel`],
-//!   [`Engine::Dpor`] and [`Engine::ParallelDpor`] are the four
-//!   instantiations of the one search kernel (`kernel.rs`): no
-//!   reduction or sleep/ample sets (no sleep sets under the termination
-//!   check), on a local stack or a work-stealing frontier. Termination is
-//!   checked on the local stack only: the parallel engines run their
-//!   sequential twin under it. One machine is
+//! * [`Engine::Undo`] (the default) and [`Engine::Dpor`] are the two
+//!   instantiations of the one search kernel (`kernel.rs`): no reduction,
+//!   or sleep/ample sets (no sleep sets under the termination check).
+//!   [`Engine::Parallel`] and [`Engine::ParallelDpor`] are their names
+//!   with an ignored worker count. One machine is
 //!   stepped with [`Machine::step_recorded`] and rewound with
 //!   [`Machine::undo`], so backtracking costs O(step footprint) instead
 //!   of O(machine).
 //!
-//! `CloneDfs`, `Undo` and `Parallel` produce bit-identical verdicts and
-//! statistics; the two reducing engines trade the statistics contract for
-//! speed and keep verdicts bit-identical.
+//! `CloneDfs` and `Undo` produce bit-identical verdicts and statistics;
+//! the reducing engine trades the statistics contract for speed and keeps
+//! verdicts bit-identical.
 
 use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -35,7 +34,6 @@ use wbmem::{
 };
 
 use crate::kernel::sequential;
-use crate::pardpor::check_shared;
 
 /// Which exploration engine [`check`] runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -47,14 +45,11 @@ pub enum Engine {
     /// rewound in place.
     #[default]
     Undo,
-    /// [`Engine::Undo`]'s walk on the work-stealing frontier: a completed
-    /// sweep expands every reachable state exactly once, so its
-    /// statistics equal the sequential ones; a violation or state limit
-    /// cancels it and reruns [`Engine::Undo`], whose verdict (including
-    /// the counterexample) is returned verbatim. With one worker, and
-    /// under the termination check, this is exactly [`Engine::Undo`].
+    /// [`Engine::Undo`]'s walk, under its own label: verdicts,
+    /// statistics, metrics and checkpoints are `Undo`'s. The variant
+    /// stays while the `benchmark/` harness still constructs it.
     Parallel {
-        /// Worker count (`0` = available parallelism).
+        /// Ignored.
         threads: usize,
     },
     /// Dynamic partial-order reduction: sleep sets plus ample process
@@ -84,17 +79,12 @@ pub enum Engine {
         /// reduction's savings are measured against.
         reorder_bound: Option<u32>,
     },
-    /// Work-stealing parallel DPOR: [`Engine::Dpor`]'s walk (identical
-    /// pruning rules) on [`Engine::Parallel`]'s frontier. Verdicts are
-    /// bit-identical to [`Engine::Dpor`] with the same `reorder_bound`
-    /// (violations, limits and worker panics defer to a sequential
-    /// rerun); in the diagnostic mode this is [`Engine::Parallel`]'s
-    /// sweep. See `DESIGN.md` §7 for the fork-point protocol and the
-    /// soundness argument.
+    /// [`Engine::Dpor`]'s walk with the same `reorder_bound`, under its
+    /// own label: verdicts, statistics, metrics and checkpoints are
+    /// `Dpor`'s. The variant stays while the `benchmark/` harness still
+    /// constructs it.
     ParallelDpor {
-        /// Worker count (`0` = available parallelism). With one worker,
-        /// and under the termination check, this is exactly
-        /// [`Engine::Dpor`].
+        /// Ignored.
         threads: usize,
         /// Same meaning as [`Engine::Dpor::reorder_bound`], including
         /// the `Some(u32::MAX)` diagnostic mode.
@@ -112,15 +102,6 @@ impl Engine {
                 reorder_bound
             }
             Engine::CloneDfs | Engine::Undo | Engine::Parallel { .. } => Some(u32::MAX),
-        }
-    }
-
-    /// Workers the engine runs on (`0` = one per available core); the
-    /// sequential engines continue a checkpoint as one.
-    pub(crate) fn workers(&self) -> usize {
-        match *self {
-            Engine::Parallel { threads } | Engine::ParallelDpor { threads, .. } => threads,
-            Engine::CloneDfs | Engine::Undo | Engine::Dpor { .. } => 1,
         }
     }
 
@@ -389,8 +370,8 @@ impl fmt::Display for Counterexample {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Coverage {
     /// Open DFS frames (states with unexplored outgoing transitions) at the
-    /// moment the budget expired, summed over workers for the parallel
-    /// engine.
+    /// moment the budget expired, plus a resumed run's checkpointed fork
+    /// points it had not started.
     pub frontier: usize,
     /// Transitions the DPOR engine skipped as provably redundant (sleep-set
     /// and ample pruning); always `0` for the exhaustive engines. The hit
@@ -407,8 +388,8 @@ pub struct Coverage {
 /// opposed to a property verdict about the program under check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CheckError {
-    /// A parallel worker panicked and the deterministic sequential rerun
-    /// panicked too; carries the panic payload(s).
+    /// The walk panicked — in user code it runs (the annotation
+    /// invariant) or in itself; carries the panic message.
     Panic(String),
     /// The reachable state space exceeded the checker's dense-id capacity
     /// (`u32`); raise the abstraction or lower `max_states`.
@@ -468,7 +449,7 @@ pub enum Verdict {
     /// The wall-clock [`CheckConfig::budget`] expired before exploration
     /// finished; the properties held on the part that was covered.
     Inconclusive(Stats, Coverage),
-    /// The exploration itself failed (worker panic, id overflow, machine
+    /// The exploration itself failed (a panic, id overflow, machine
     /// error); no property verdict could be established.
     Error(Stats, CheckError),
 }
@@ -805,8 +786,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// How many loop iterations the sequential engines run between deadline
-/// polls (the parallel workers poll every 256).
+/// How many loop iterations the kernel runs between deadline polls.
 pub(crate) const DEADLINE_POLL_MASK: usize = 1024 - 1;
 
 /// The engines' shared poll point: update the walk's frontier and
@@ -923,7 +903,7 @@ fn count_step<P: Process>(
 /// checkpoint and validated on resume: a snapshot taken under one
 /// property/bound/crash configuration must not seed a run under another
 /// (the merged verdict would be meaningless). Deliberately excludes the
-/// budget, recorder, checkpoint policy, and worker count — those change
+/// budget, recorder and checkpoint policy — those change
 /// *how far and how observably* the space is explored, not *which* space
 /// with *which* properties.
 ///
@@ -1055,7 +1035,9 @@ pub fn check<P: Process>(initial: &Machine<P>, config: &CheckConfig) -> Verdict 
 /// the elapsed time and the run's own counts, which then go to the
 /// recorder. A checkpoint policy on a termination-checking run is refused
 /// before `seed` is read: the termination check runs on one walk's graph,
-/// which no snapshot holds.
+/// which no snapshot holds. User code (the annotation invariant) runs
+/// inside every walk: a panic there, or in the walk, is an error verdict,
+/// not an abort of the caller.
 pub(crate) fn dispatch<P: Process>(
     initial: &Machine<P>,
     config: &CheckConfig,
@@ -1079,17 +1061,18 @@ pub(crate) fn dispatch<P: Process>(
     let (root, obs) = (root.as_ref(), &config.recorder);
     let resumed = seed.as_ref().map(|snap| snap.metrics);
     let mut totals = obs.tally();
-    let mut verdict = match (config.engine, seed) {
+    let run = || match config.engine {
         // `resume` refuses the oracle before it gets here.
-        (Engine::CloneDfs, _) => check_clone_dfs(root, config, deadline, &mut totals),
-        (Engine::Undo | Engine::Dpor { .. }, None) => {
-            sequential(root, config, deadline, &mut totals)
-        }
-        (_, seed) => check_shared(root, config, deadline, seed, &mut totals),
+        Engine::CloneDfs => check_clone_dfs(root, config, deadline, &mut totals),
+        _ => sequential(root, config, deadline, seed, &mut totals),
     };
+    let mut verdict = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let msg = panic_message(payload.as_ref());
+        Verdict::Error(Stats::default(), CheckError::Panic(msg))
+    });
     // A resumed Ok/Inconclusive verdict describes the combined run, so
     // its metrics merge the interrupted run's snapshot with this one's.
-    // Every other verdict came from a standalone sequential rerun and
+    // Every other verdict came from a standalone rerun from the root and
     // stands alone.
     let own = totals.snapshot();
     let metrics = match (&verdict, resumed) {
@@ -1745,8 +1728,8 @@ mod tests {
 
     #[test]
     fn panicking_invariant_yields_an_error_not_an_abort() {
-        // Passes at the (CS-free) root so the workers actually spawn; the
-        // first critical-section state then panics inside a worker.
+        // Passes at the (CS-free) root; the first critical-section state
+        // then panics inside the walk, on every engine.
         fn exploding(annots: &[u64]) -> bool {
             assert!(
                 annots.iter().all(|&a| a != simlocks::ANNOT_IN_CS),
@@ -1755,19 +1738,26 @@ mod tests {
             true
         }
         let inst = build_mutex(LockKind::Ttas, 2, FenceMask::ALL);
-        let config = cfg()
-            .with_engine(Engine::Parallel { threads: 4 })
-            .with_invariant(exploding);
-        let v = check(&inst.machine(MemoryModel::Pso), &config);
-        match &v {
-            Verdict::Error(_, CheckError::Panic(msg)) => {
-                assert!(msg.contains("deliberate test panic"), "msg: {msg}");
+        let dpor = Engine::Dpor {
+            reorder_bound: None,
+        };
+        let pardpor = Engine::ParallelDpor {
+            threads: 4,
+            reorder_bound: None,
+        };
+        for engine in engines().into_iter().chain([dpor, pardpor]) {
+            let config = cfg().with_engine(engine).with_invariant(exploding);
+            let v = check(&inst.machine(MemoryModel::Pso), &config);
+            match &v {
+                Verdict::Error(_, CheckError::Panic(msg)) => {
+                    assert!(msg.contains("deliberate test panic"), "{engine:?}: {msg}");
+                }
+                other => panic!("{engine:?}: expected Error(Panic), got {}", other.label()),
             }
-            other => panic!("expected Error(Panic), got {}", other.label()),
+            assert!(!v.is_ok());
+            assert!(!v.is_violation());
+            assert!(v.error().is_some());
         }
-        assert!(!v.is_ok());
-        assert!(!v.is_violation());
-        assert!(v.error().is_some());
     }
 
     #[test]

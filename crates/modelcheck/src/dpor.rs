@@ -1,7 +1,6 @@
 //! The partial-order reduction ([`SleepAmple`]): the [`Reduction`] behind
-//! [`Engine::Dpor`](crate::Engine::Dpor) and
-//! [`Engine::ParallelDpor`](crate::Engine::ParallelDpor), pruning the
-//! kernel's walk with the `por` crate's machinery (DESIGN.md §5c).
+//! [`Engine::Dpor`](crate::Engine::Dpor), pruning the kernel's walk with
+//! the `por` crate's machinery (DESIGN.md §5c).
 //!
 //! * **Sleep sets** skip transitions whose effect was already explored on
 //!   an independent sibling branch. They prune *edges only* — every
@@ -30,11 +29,10 @@
 //!   choice at full budget.
 //! * **Dominance**: a state is re-entered unless a recorded visit used a
 //!   subset sleep set and at least as much budget ([`VisitTable`]). The
-//!   table is keyed by the frontier's node for the state — a dense id
-//!   under `Local`, the fingerprint under `Shared` — so it repeats no
-//!   lookup the frontier already made. It is never shared: a parallel
-//!   worker may re-explore a state a peer covered, which is less pruning,
-//!   never more. An unbounded termination check keeps no table.
+//!   table is keyed by the state's dense id, so it repeats no lookup the
+//!   walk already made. A resumed run starts it empty: it may re-explore
+//!   a state the interrupted run covered, which is less pruning, never
+//!   more. An unbounded termination check keeps no table.
 //!
 //! Per-frame state is three small buffers (sleep set, taken siblings,
 //! ample-excluded choices). They are recycled rather than allocated: a
@@ -44,20 +42,19 @@
 //! Whoever takes a spare frame overwrites every field.
 
 use ftobs::{Metric, Tally};
-use por::{step_weight, ForkPoint, Heads, SleepSet, VisitTable};
+use por::{step_weight, DenseHeads, ForkPoint, SleepSet, VisitTable};
 use wbmem::{Footprint, FpMap, Machine, MemoryModel, Process, SchedElem};
 
 use crate::checker::CheckConfig;
 use crate::kernel::{Edge, Reduction};
 
-/// Sleep sets + ample sets + reorder bound; see the module docs. `H` is
-/// how the frontier's nodes key the dominance table.
-pub(crate) struct SleepAmple<H: Heads> {
+/// Sleep sets + ample sets + reorder bound; see the module docs.
+pub(crate) struct SleepAmple {
     model: MemoryModel,
     mode: Mode,
     /// Reorder budget of the root state (`u32::MAX` = unbounded).
     budget: u32,
-    visited: VisitTable<H>,
+    visited: VisitTable<DenseHeads>,
     /// Fingerprints on the DFS stack (a multiset: re-exploration under a
     /// smaller sleep set can nest a state inside itself).
     on_stack: FpMap<u32>,
@@ -94,7 +91,7 @@ pub(crate) struct SleepFrame {
     remaining: u32,
 }
 
-impl<H: Heads> SleepAmple<H> {
+impl SleepAmple {
     pub(crate) fn new<P: Process>(
         initial: &Machine<P>,
         config: &CheckConfig,
@@ -116,10 +113,9 @@ impl<H: Heads> SleepAmple<H> {
         }
     }
 
-    /// Record the root's visit in the dominance table, as the sequential
-    /// engine does (a worker's table starts empty: its tasks' states were
-    /// claimed by whoever forked them). A first-visit walk keeps no table.
-    pub(crate) fn claim_root(&mut self, root: H::Key) {
+    /// Record the root's visit in the dominance table. A first-visit walk
+    /// keeps no table.
+    pub(crate) fn claim_root(&mut self, root: u32) {
         if self.mode != Mode::Ample {
             self.visited.try_claim(root, &SleepSet::new(), self.budget);
         }
@@ -131,7 +127,7 @@ impl<H: Heads> SleepAmple<H> {
     }
 }
 
-impl<P: Process, H: Heads> Reduction<P, H::Key> for SleepAmple<H> {
+impl<P: Process> Reduction<P> for SleepAmple {
     type Frame = SleepFrame;
     const LIFO: bool = false;
     const FOOTPRINTS: bool = true;
@@ -193,7 +189,7 @@ impl<P: Process, H: Heads> Reduction<P, H::Key> for SleepAmple<H> {
         &mut self,
         top: &mut SleepFrame,
         arena: &mut Vec<SchedElem>,
-        edge: &Edge<H::Key>,
+        edge: &Edge,
         tally: &mut Tally,
     ) -> Option<SleepFrame> {
         // Cycle proviso (C3): a reduced step that lands on a state still
@@ -348,7 +344,6 @@ mod tests {
         use super::{SleepAmple, SleepFrame};
         use crate::kernel::Reduction;
         use fencevm::{Asm, VmProc};
-        use por::DenseHeads;
         use wbmem::{Machine, MachineConfig, MemoryLayout, ProcId, RegId, SchedElem};
 
         let mut a = Asm::new("w2");
@@ -363,12 +358,12 @@ mod tests {
         let (op, commit) = (SchedElem::op(p), SchedElem::commit(p, RegId(0)));
 
         let admit = |bound: Option<u32>, elem| {
-            let red = SleepAmple::<DenseHeads>::new(&m, &cfg(), bound);
+            let red = SleepAmple::new(&m, &cfg(), bound);
             let frame = SleepFrame {
-                remaining: Reduction::<VmProc, u32>::root_budget(&red),
+                remaining: Reduction::<VmProc>::root_budget(&red),
                 ..SleepFrame::default()
             };
-            Reduction::<VmProc, u32>::admit(&red, &m, &frame, elem)
+            Reduction::<VmProc>::admit(&red, &m, &frame, elem)
         };
         assert_eq!(admit(None, op), Some(u32::MAX), "nothing to count");
         assert_eq!(admit(None, commit), Some(u32::MAX));
@@ -384,7 +379,6 @@ mod tests {
         use super::{SleepAmple, SleepFrame};
         use crate::kernel::{Edge, Reduction};
         use fencevm::{Asm, VmProc};
-        use por::DenseHeads;
         use wbmem::{Machine, MachineConfig, MemoryLayout, ProcId, SchedElem};
 
         // Two writers of distinct registers: their first steps commute.
@@ -404,7 +398,7 @@ mod tests {
                 check_termination,
                 ..cfg()
             };
-            let mut red = SleepAmple::<DenseHeads>::new(&m, &config, Some(2));
+            let mut red = SleepAmple::new(&m, &config, Some(2));
             red.claim_root(0);
             let mut top = SleepFrame {
                 remaining: 2,
@@ -421,9 +415,8 @@ mod tests {
                     fresh: true,
                     budget: 2,
                 };
-                let arrived = Reduction::<VmProc, u32>::arrive(
-                    &mut red, &mut top, &mut arena, &edge, &mut tally,
-                );
+                let arrived =
+                    Reduction::<VmProc>::arrive(&mut red, &mut top, &mut arena, &edge, &mut tally);
                 child = Some(arrived.expect("a first visit is entered"));
             }
             child.expect("two children").sleep.contains(first)

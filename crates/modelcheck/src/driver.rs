@@ -4,8 +4,8 @@
 //! candidate program correct under every memory model I care about, and if
 //! not, show me a counterexample.* This module packages that question over
 //! the existing [`check`] entry point, so synthesis inherits the whole
-//! `CheckConfig` surface — engine selection (`Dpor`/`ParallelDpor` for the
-//! inner loop, `Undo` for final re-verification), crash-fault bounds,
+//! `CheckConfig` surface — engine selection (`Dpor` for the inner loop,
+//! `Undo` for final re-verification), crash-fault bounds,
 //! wall-clock budgets, and checkpoint policies — without owning any
 //! exploration machinery of its own.
 

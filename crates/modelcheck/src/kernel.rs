@@ -4,41 +4,35 @@
 //!
 //! [`Dfs::run`] owns step → fingerprint → first visit → per-state
 //! [`Visitor`] → expand → undo on a single machine, and is statically
-//! generic over two axes (DESIGN.md §5a):
+//! generic over the [`Reduction`] that decides *which edges are walked*
+//! (DESIGN.md §5a): [`NoReduction`] (zero-sized — every enabled choice, in
+//! the oracle's order) or [`SleepAmple`] (sleep sets, ample sets, reorder
+//! bound). [`Local`] owns the states: dense [`SearchIndex`] ids with
+//! first-visit parents, exact stop points, the termination graph, and
+//! verdicts rendered in place. A state's id — its *node* — travels with
+//! every [`Edge`], so a reduction keys its own per-state data by it.
 //!
-//! * a [`Reduction`] decides *which edges are walked*: [`NoReduction`]
-//!   (zero-sized — every enabled choice, in the oracle's order) or
-//!   [`SleepAmple`] (sleep sets, ample sets, reorder bound);
-//! * a [`Frontier`] decides *who owns a state and when the walk stops*:
-//!   [`Local`] (dense ids, exact stop points, verdicts rendered in
-//!   place) or the work-stealing `Shared` frontier of [`crate::pardpor`].
-//!   Its name for a state — the *node* — travels with every [`Edge`], so
-//!   a reduction keys its own per-state data by it.
-//!
-//! The four kernel engines are the four pairs: `Undo` = `NoReduction` ×
-//! `Local`, `Parallel` = `NoReduction` × `Shared`, `Dpor` = `SleepAmple`
-//! × `Local`, `ParallelDpor` = `SleepAmple` × `Shared`. Termination is
-//! checked on `Local` alone, over the graph of the one walk it runs: the
-//! `Shared` engines run their `Local` twin under the check, since a task's
-//! cycle proviso cannot vouch for a cycle through two workers' tasks. An
-//! unbounded `Dpor` that checks termination keeps its ample sets and
-//! drops its sleep sets ([`sequential`]).
+//! `Undo` is `NoReduction`, `Dpor` is `SleepAmple`; `Parallel` and
+//! `ParallelDpor` run the same two walks. An unbounded `Dpor` that checks
+//! termination keeps its ample sets and drops its sleep sets
+//! ([`sequential`]).
 //!
 //! Every walk starts from a [`ForkPoint`] — a fresh run's is the root's
-//! expansion ([`root_fork`]) — and every open frame serializes back into
-//! one, which is all that checkpoints and donations are. Choices
-//! of all frames live in one arena: a frame owns the window
-//! `arena[lo..hi]` of choices still to take, and the top frame's region
-//! is the arena's tail (where the cycle proviso appends to it). What a
-//! step overwrote lives on the machine's own undo trail; a frame keeps
-//! the 16-byte [`UndoToken`] that rewinds it, and the walk counts its
-//! undos in the [`Tally`] it batches every per-edge counter in; the
-//! frontier merges that tally into its check's totals when the walk ends.
+//! expansion ([`root_fork`]), a resumed run's are the checkpoint's, walked
+//! in order — and every open frame serializes back into one, which is all
+//! a checkpoint is. Choices of all frames live in one arena: a frame owns
+//! the window `arena[lo..hi]` of choices still to take, and the top
+//! frame's region is the arena's tail (where the cycle proviso appends to
+//! it). What a step overwrote lives on the machine's own undo trail; a
+//! frame keeps the 16-byte [`UndoToken`] that rewinds it, and the walk
+//! counts its undos in the [`Tally`] it batches every per-edge counter in;
+//! [`run_local`] merges that tally into its check's totals when the walk
+//! ends.
 
 use std::time::Instant;
 
-use ftobs::{Gauge, Metric, Recorder, Tally};
-use por::{BaseCounts, DenseHeads, ForkPoint, Snapshot};
+use ftobs::{Gauge, Metric, MetricsSnapshot, Recorder, Tally};
+use por::{BaseCounts, ForkPoint, Snapshot};
 use wbmem::{Footprint, Machine, Process, SchedElem, StepOutcome, UndoToken};
 
 use crate::checker::{
@@ -100,16 +94,16 @@ impl<P: Process> Visitor<P> for Properties<'_> {
 }
 
 /// One executed edge, as a [`Reduction`] sees it.
-pub(crate) struct Edge<N> {
+pub(crate) struct Edge {
     pub(crate) elem: SchedElem,
     /// What the step touched — `Local`, whatever it touched, unless the
     /// reduction asks for [`Reduction::FOOTPRINTS`].
     pub(crate) footprint: Footprint,
     /// Fingerprint of the state the edge landed on.
     pub(crate) to: u128,
-    /// The frontier's name for that state.
-    pub(crate) node: N,
-    /// Whether the frontier saw that state for the first time.
+    /// That state's dense id.
+    pub(crate) node: u32,
+    /// Whether the walk saw that state for the first time.
     pub(crate) fresh: bool,
     /// Reorder budget left after the step (from [`Reduction::admit`]).
     pub(crate) budget: u32,
@@ -117,9 +111,8 @@ pub(crate) struct Edge<N> {
 
 /// Which edges the walk takes. Owns the invariants of pruning: the
 /// exploration *order* (and with it bit-identity to the oracle when
-/// nothing is pruned), the dominance claim, and the cycle proviso. `N` is
-/// how the frontier it runs under names states.
-pub(crate) trait Reduction<P: Process, N> {
+/// nothing is pruned), the dominance claim, and the cycle proviso.
+pub(crate) trait Reduction<P: Process> {
     /// Per-frame reduction state.
     type Frame;
     /// Frames take choices from the back of their arena window — the
@@ -157,7 +150,7 @@ pub(crate) trait Reduction<P: Process, N> {
         &mut self,
         top: &mut Self::Frame,
         arena: &mut Vec<SchedElem>,
-        edge: &Edge<N>,
+        edge: &Edge,
         tally: &mut Tally,
     ) -> Option<Self::Frame>;
     /// Append the choices to walk from `frame`'s state — `m`'s current
@@ -184,7 +177,7 @@ pub(crate) trait Reduction<P: Process, N> {
 /// exhaustive engines bit-identical to it.
 pub(crate) struct NoReduction;
 
-impl<P: Process, N> Reduction<P, N> for NoReduction {
+impl<P: Process> Reduction<P> for NoReduction {
     type Frame = ();
     const LIFO: bool = true;
     const FOOTPRINTS: bool = false;
@@ -199,7 +192,7 @@ impl<P: Process, N> Reduction<P, N> for NoReduction {
         &mut self,
         _top: &mut (),
         _arena: &mut Vec<SchedElem>,
-        edge: &Edge<N>,
+        edge: &Edge,
         tally: &mut Tally,
     ) -> Option<()> {
         if !edge.fresh {
@@ -220,55 +213,20 @@ impl<P: Process, N> Reduction<P, N> for NoReduction {
     }
 }
 
-/// Who owns a state and when the walk stops. Owns the first-visit gate
-/// (state counting and property checks happen once per state), the
-/// stop/checkpoint discipline, and — [`Local`] only — the termination
-/// graph.
-pub(crate) trait Frontier<P: Process>: Sized {
-    /// How a state is named: a dense id, or its fingerprint.
-    type Node: Copy;
-
-    /// Loop iterations between [`poll`](Self::poll)s, minus one (a
-    /// power-of-two mask; `0` polls before every iteration).
-    fn poll_mask(&self) -> usize;
-    /// Called before loop iteration `iters`; `true` stops the walk
-    /// ([`Halt::Stopped`]) with the details recorded in the frontier.
-    fn poll<R: Reduction<P, Self::Node>>(
-        &mut self,
-        dfs: &mut Dfs<'_, P, R, Self::Node>,
-        iters: usize,
-    ) -> bool;
-    /// An effective step was executed.
-    fn transition(&mut self);
-    /// The step `elem` from `from` landed on `fp`: its node and whether
-    /// this is the state's first visit (recording the edge under the
-    /// termination check). `None` once node names run out.
-    fn visit(&mut self, fp: u128, from: Self::Node, elem: SchedElem) -> Option<(Self::Node, bool)>;
-    /// The reduction refused a choice at `from` (the reorder bound): the
-    /// termination graph is missing that edge, so nothing may be concluded
-    /// from `from` failing to finish in it. The shared frontier, which
-    /// never runs under the termination check, ignores this.
-    fn refused(&mut self, _from: Self::Node) {}
-    /// Count a first-visited state; returns the total so far.
-    fn count_state(&mut self) -> usize;
-    /// A first-visited state is all-done.
-    fn terminal(&mut self, node: Self::Node);
-}
-
 /// Why [`Dfs::run`] returned before exhausting its task.
-pub(crate) enum Halt<N> {
-    /// The visitor rejected the state `N`.
-    Violation(Violation, N),
+pub(crate) enum Halt {
+    /// The visitor rejected the state with this id.
+    Violation(Violation, u32),
     /// More than `max_states` states were counted.
     StateLimit,
-    /// [`Frontier::visit`] ran out of node names.
+    /// The dense `u32` ids ran out.
     TooManyStates,
-    /// [`Frontier::poll`] stopped the walk.
+    /// [`Local::poll`] stopped the walk.
     Stopped,
 }
 
-struct Frame<P, N, S> {
-    node: N,
+struct Frame<P, S> {
+    node: u32,
     /// `arena[start..]` is this frame's region while it is on top;
     /// `arena[lo..hi]` are the choices still to take.
     start: usize,
@@ -287,15 +245,15 @@ fn undo<P: Process>(m: &mut Machine<P>, tally: &mut Tally, token: UndoToken<P>) 
 }
 
 /// One task's walk: a machine, its DFS stack, and the choice arena.
-pub(crate) struct Dfs<'a, P: Process, R: Reduction<P, N>, N> {
+pub(crate) struct Dfs<'a, P: Process, R: Reduction<P>> {
     m: Machine<P>,
     red: &'a mut R,
-    /// Batches the per-edge counters until the frontier merges them into
+    /// Batches the per-edge counters until [`run_local`] merges them into
     /// its check's totals.
     pub(crate) tally: Tally,
     arena: Vec<SchedElem>,
     scratch: Vec<SchedElem>,
-    frames: Vec<Frame<P, N, R::Frame>>,
+    frames: Vec<Frame<P, R::Frame>>,
     /// The schedule from the root to the top frame's state: frame `i` is
     /// reached by its first `base + i` elements. This is the *stack*
     /// path, not the first-visit parent chain: fork points replay it to
@@ -304,20 +262,20 @@ pub(crate) struct Dfs<'a, P: Process, R: Reduction<P, N>, N> {
     base: usize,
 }
 
-impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
+impl<'a, P: Process, R: Reduction<P>> Dfs<'a, P, R> {
     /// Re-materialize `task` — its state named by `node` — on a clone of
     /// `initial` by replaying its path — outside [`step_counted`], so
     /// replays never reach the step metrics. The clone forgets its
     /// locality tracker ([`Machine::forget_locality`]): a walk computes
-    /// states, not what one execution through them costs. The replayed ancestors
-    /// re-seed the reduction's on-stack set, so the cycle proviso fires
-    /// for a thief exactly where it would have for the donor. A path that
-    /// fails to replay is a logic error (the coordinator catches the
-    /// panic).
+    /// states, not what one execution through them costs. The replayed
+    /// ancestors re-seed the reduction's on-stack set, so the cycle
+    /// proviso fires for a resumed task exactly where it would have for
+    /// the interrupted walk. A path that fails to replay is a logic error
+    /// (`dispatch` turns the panic into an error verdict).
     pub(crate) fn start(
         initial: &Machine<P>,
         mut task: ForkPoint,
-        node: impl FnOnce(u128) -> N,
+        node: impl FnOnce(u128) -> u32,
         red: &'a mut R,
         obs: &Recorder,
     ) -> Self {
@@ -368,22 +326,10 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
         self.red.sleep_hits()
     }
 
-    /// Choices frame `i` has still to take.
-    fn open(&self, i: usize) -> usize {
-        self.frames[i].hi - self.frames[i].lo
-    }
-
-    /// The bottom-most frame below the top with choices to take — the
-    /// largest subtrees sit lowest, and the owner keeps its top frame so
-    /// it never strands itself.
-    pub(crate) fn donor(&self) -> Option<usize> {
-        (0..self.frames.len() - 1).find(|&i| self.open(i) > 0)
-    }
-
     /// Frame `i`'s unexplored remainder as a fork point: its choices in
     /// exploration order plus the exact reduction state, so whoever
     /// continues it prunes no more and no less than this walk would.
-    pub(crate) fn fork_at(&self, i: usize) -> ForkPoint {
+    fn fork_at(&self, i: usize) -> ForkPoint {
         let f = &self.frames[i];
         let mut choices = self.arena[f.lo..f.hi].to_vec();
         if R::LIFO {
@@ -399,30 +345,27 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
         fork
     }
 
-    /// Frame `i`'s remainder now belongs to someone else.
-    pub(crate) fn close(&mut self, i: usize) {
-        self.frames[i].lo = self.frames[i].hi;
-    }
-
-    /// Every open frame with choices to take, as fork points.
+    /// Every open frame with choices to take, as fork points, bottom
+    /// first.
     pub(crate) fn open_forks(&self) -> Vec<ForkPoint> {
+        let open = |i: &usize| self.frames[*i].lo < self.frames[*i].hi;
         (0..self.frames.len())
-            .filter(|&i| self.open(i) > 0)
+            .filter(open)
             .map(|i| self.fork_at(i))
             .collect()
     }
 
     /// Walk the task to exhaustion, or until something halts it.
-    pub(crate) fn run<F: Frontier<P, Node = N>, V: Visitor<P>>(
+    pub(crate) fn run<V: Visitor<P>>(
         &mut self,
         config: &CheckConfig,
-        frontier: &mut F,
+        local: &mut Local<'_>,
         visitor: &mut V,
-    ) -> Option<Halt<N>> {
-        let (poll_mask, mut iters) = (frontier.poll_mask(), 0usize);
+    ) -> Option<Halt> {
+        let (poll_mask, mut iters) = (local.poll_mask(), 0usize);
         while !self.frames.is_empty() {
             iters += 1;
-            if iters & poll_mask == 0 && frontier.poll(self, iters) {
+            if iters & poll_mask == 0 && local.poll(self, iters) {
                 return Some(Halt::Stopped);
             }
             let depth = self.frames.len();
@@ -446,7 +389,7 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
                 self.arena[top.lo - 1]
             };
             let Some(budget) = self.red.admit(&self.m, &top.red, elem) else {
-                frontier.refused(top.node);
+                local.refused(top.node);
                 continue; // beyond the reorder bound: neither taken nor slept
             };
 
@@ -462,10 +405,10 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
                 undo(&mut self.m, &mut self.tally, token);
                 continue;
             }
-            frontier.transition();
+            local.stats.transitions += 1;
             self.tally.incr(Metric::Transitions);
             let fp = self.m.fingerprint();
-            let Some((node, fresh)) = frontier.visit(fp, top.node, elem) else {
+            let Some((node, fresh)) = local.visit(fp, top.node, elem) else {
                 return Some(Halt::TooManyStates);
             };
             let edge = Edge {
@@ -490,14 +433,15 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
             let done = self.m.all_done();
             if fresh {
                 self.tally.on_state(depth as u64);
-                if frontier.count_state() > config.max_states {
+                local.stats.states += 1;
+                if local.stats.states > config.max_states {
                     return Some(Halt::StateLimit);
                 }
                 if let Err(v) = visitor.state(&self.m) {
                     return Some(Halt::Violation(v, node));
                 }
                 if done {
-                    frontier.terminal(node);
+                    local.terminal(node);
                     self.tally.incr(Metric::TerminalStates);
                     if let Err(v) = visitor.terminal(&self.m) {
                         return Some(Halt::Violation(v, node));
@@ -542,7 +486,7 @@ impl<'a, P: Process, R: Reduction<P, N>, N: Copy> Dfs<'a, P, R, N> {
 
 /// The root state's expansion as the fork point a fresh run starts from;
 /// its reduction decision is counted into `tally`.
-pub(crate) fn root_fork<P: Process, N, R: Reduction<P, N>>(
+pub(crate) fn root_fork<P: Process, R: Reduction<P>>(
     initial: &Machine<P>,
     red: &mut R,
     tally: &mut Tally,
@@ -563,62 +507,41 @@ pub(crate) fn root_fork<P: Process, N, R: Reduction<P, N>>(
     fork
 }
 
-/// The id [`Local`] gives the root: the first one a [`SearchIndex`] hands
-/// out.
+/// The id [`Local`] gives the root of a fresh run: the first one a
+/// [`SearchIndex`] hands out.
 const ROOT: u32 = 0;
 
-/// The single-threaded frontier: dense [`SearchIndex`] ids with
-/// first-visit parents, stop triggers polled at every transition
-/// boundary (so the `stop_after` cut is exact), and verdicts —
-/// counterexamples included — rendered in place.
+/// Who owns the walk's states and when it stops: dense [`SearchIndex`]
+/// ids with first-visit parents, stop triggers polled at every
+/// transition boundary (so the `stop_after` cut is exact), the
+/// termination graph, and verdicts — counterexamples included — rendered
+/// in place.
 pub(crate) struct Local<'a> {
     config: &'a CheckConfig,
-    /// The check's totals: the root's counts until the walk ends, then
-    /// the walk's too.
+    /// The check's totals: the root's counts until the first walk ends,
+    /// then every finished walk's too.
     totals: &'a mut Tally,
     deadline: Option<Instant>,
+    /// Fingerprint of the (crash-bounded) root, which keys checkpoints.
+    root_fp: u128,
+    /// Counts so far, a resumed run's predecessors' included.
     stats: Stats,
+    /// What a resumed run starts from (zero for a fresh one): the counts
+    /// and metrics of the runs before it.
+    base: BaseCounts,
+    prior: MetricsSnapshot,
+    /// Fork points not yet started, the next one last.
+    pending: Vec<ForkPoint>,
     index: SearchIndex,
     edges: Vec<(u32, u32)>,
     terminal: Vec<u32>,
     /// States with an out-edge the reorder bound refused.
     refused: Vec<u32>,
-    /// Set when [`Frontier::poll`] stops the walk.
+    /// Set when [`poll`](Self::poll) stops the walk.
     coverage: Option<Coverage>,
 }
 
 impl Local<'_> {
-    /// Serialize the live walk into a durable [`Snapshot`] and write it.
-    /// `dispatch` refused the policy if the walk checks termination, so
-    /// there is no graph to keep.
-    fn checkpoint<P: Process, R: Reduction<P, u32>>(
-        &mut self,
-        dfs: &Dfs<'_, P, R, u32>,
-    ) -> Option<std::path::PathBuf> {
-        let policy = self.config.checkpoint.as_ref()?;
-        let mut visited: Vec<u128> = (0..self.index.len() as u32)
-            .map(|id| self.index.fp_of(id))
-            .collect();
-        visited.sort_unstable();
-        let snap = Snapshot {
-            meta: run_meta_of(self.config, self.index.fp_of(0)),
-            base: BaseCounts {
-                states: self.stats.states as u64,
-                transitions: self.stats.transitions as u64,
-                terminal_states: self.stats.terminal_states as u64,
-                sleep_hits: dfs.sleep_hits() as u64,
-            },
-            metrics: self.totals.snapshot().merged(&dfs.tally.snapshot()),
-            forks: dfs.open_forks(),
-            visited,
-        };
-        write_checkpoint(&self.config.recorder, self.totals, policy, &snap)
-    }
-}
-
-impl<P: Process> Frontier<P> for Local<'_> {
-    type Node = u32;
-
     fn poll_mask(&self) -> usize {
         // Stop triggers are checked at every transition boundary, so the
         // deterministic `stop_after` cut is exact.
@@ -628,12 +551,16 @@ impl<P: Process> Frontier<P> for Local<'_> {
         }
     }
 
+    /// Called before loop iteration `iters`: `true` stops the walk
+    /// ([`Halt::Stopped`]), with its coverage — and checkpoint — recorded.
+    /// The `stop_after` cut counts this run's own transitions, so a
+    /// resumed run makes progress before the cut can fire again.
     #[inline(never)]
-    fn poll<R: Reduction<P, u32>>(&mut self, dfs: &mut Dfs<'_, P, R, u32>, iters: usize) -> bool {
+    fn poll<P: Process, R: Reduction<P>>(&mut self, dfs: &mut Dfs<'_, P, R>, iters: usize) -> bool {
         let config = self.config;
         let policy = config.checkpoint.as_ref();
-        let transitions = self.stats.transitions as u64;
-        let mut stop = policy.is_some_and(|p| p.stop_requested(transitions));
+        let own = self.stats.transitions as u64 - self.base.transitions;
+        let mut stop = policy.is_some_and(|p| p.stop_requested(own));
         if !stop && iters & DEADLINE_POLL_MASK == 0 {
             let (depth, states) = (dfs.depth(), self.stats.states);
             stop = poll_observe(
@@ -648,18 +575,49 @@ impl<P: Process> Frontier<P> for Local<'_> {
         }
         if stop {
             self.coverage = Some(Coverage {
-                frontier: dfs.depth(),
-                sleep_hits: dfs.sleep_hits(),
+                frontier: dfs.depth() + self.pending.len(),
+                sleep_hits: self.base.sleep_hits as usize + dfs.sleep_hits(),
                 checkpoint: self.checkpoint(dfs),
             });
         }
         stop
     }
 
-    fn transition(&mut self) {
-        self.stats.transitions += 1;
+    /// Serialize the live walk into a durable [`Snapshot`] and write it:
+    /// the open frames, then the fork points not yet started.
+    /// `dispatch` refused the policy if the walk checks termination, so
+    /// there is no graph to keep.
+    fn checkpoint<P: Process, R: Reduction<P>>(
+        &mut self,
+        dfs: &Dfs<'_, P, R>,
+    ) -> Option<std::path::PathBuf> {
+        let policy = self.config.checkpoint.as_ref()?;
+        let mut visited: Vec<u128> = (0..self.index.len() as u32)
+            .map(|id| self.index.fp_of(id))
+            .collect();
+        visited.sort_unstable();
+        let mut forks = dfs.open_forks();
+        forks.extend(self.pending.iter().rev().cloned());
+        let snap = Snapshot {
+            meta: run_meta_of(self.config, self.root_fp),
+            base: BaseCounts {
+                states: self.stats.states as u64,
+                transitions: self.stats.transitions as u64,
+                terminal_states: self.stats.terminal_states as u64,
+                sleep_hits: self.base.sleep_hits + dfs.sleep_hits() as u64,
+            },
+            metrics: (self.prior)
+                .merged(&self.totals.snapshot())
+                .merged(&dfs.tally.snapshot()),
+            forks,
+            visited,
+        };
+        write_checkpoint(&self.config.recorder, self.totals, policy, &snap)
     }
 
+    /// The step `elem` from `from` landed on `fp`: its id and whether
+    /// this is the state's first visit (recording the edge under the
+    /// termination check). `None` once the ids run out.
     fn visit(&mut self, fp: u128, from: u32, elem: SchedElem) -> Option<(u32, bool)> {
         let (id, new) = self.index.id_of(fp, Some((from, elem)))?;
         if self.config.check_termination {
@@ -668,24 +626,21 @@ impl<P: Process> Frontier<P> for Local<'_> {
         Some((id, new))
     }
 
+    /// The reduction refused a choice at `from` (the reorder bound): the
+    /// termination graph is missing that edge, so nothing may be concluded
+    /// from `from` failing to finish in it.
     fn refused(&mut self, from: u32) {
         if self.config.check_termination {
             self.refused.push(from);
         }
     }
 
-    fn count_state(&mut self) -> usize {
-        self.stats.states += 1;
-        self.stats.states
-    }
-
+    /// A first-visited state is all-done.
     fn terminal(&mut self, id: u32) {
         self.stats.terminal_states += 1;
         self.terminal.push(id);
     }
-}
 
-impl Local<'_> {
     /// After an exhausted walk: the schedules to the states that cannot
     /// finish — the smallest-id one first, then one per further process
     /// whose step enters the stuck region ([`SearchIndex::stuck_entries`])
@@ -708,47 +663,106 @@ impl Local<'_> {
     }
 }
 
-/// The sequential engines: `reduction` × [`Local`], one task, the root's,
-/// counted into `totals`.
-pub(crate) fn run_local<P: Process, R: Reduction<P, u32>, V: Visitor<P>>(
+/// The engines' one walk: `reduction` × [`Local`], counted into `totals`.
+/// A fresh run checks the root and walks its expansion. A run `seed`ed
+/// from a checkpoint continues it instead: the checkpoint's fingerprints
+/// become parentless ids (so states counted and property-checked before
+/// the interrupt are not counted or checked again), its counts and
+/// metrics are where this run's start, and its fork points are walked in
+/// order, each counted as [`Metric::ResumeReplayed`]. A seeded run that
+/// meets a violation or the state limit reruns [`sequential`] from the
+/// root, without the checkpoint policy, so those verdicts — the
+/// counterexample included — are bit-identical to an uninterrupted run's;
+/// the rerun's counts stand alone.
+pub(crate) fn run_local<P: Process, R: Reduction<P>, V: Visitor<P>>(
     initial: &Machine<P>,
     config: &CheckConfig,
     deadline: Option<Instant>,
+    seed: Option<Snapshot>,
     mut reduction: R,
     visitor: &mut V,
     totals: &mut Tally,
 ) -> Verdict {
     let obs = &config.recorder;
+    let seeded = seed.is_some();
     let mut local = Local {
         config,
         totals,
         deadline,
+        root_fp: initial.fingerprint(),
         stats: Stats::default(),
+        base: BaseCounts::default(),
+        prior: MetricsSnapshot::default(),
+        pending: Vec::new(),
         index: SearchIndex::default(),
         edges: Vec::new(),
         terminal: Vec::new(),
         refused: Vec::new(),
         coverage: None,
     };
-    let (root, _) = local
-        .index
-        .id_of(initial.fingerprint(), None)
-        .expect("the first id");
-    debug_assert_eq!(root, ROOT);
-    local.stats.states = 1;
-    local.totals.on_state(0);
-    if let Err(v) = visitor.state(initial) {
-        return v(local.stats, render(initial, &[]));
+    match seed {
+        None => {
+            let (root, _) = local
+                .index
+                .id_of(local.root_fp, None)
+                .expect("the first id");
+            debug_assert_eq!(root, ROOT);
+            local.stats.states = 1;
+            local.totals.on_state(0);
+            if let Err(v) = visitor.state(initial) {
+                return v(local.stats, render(initial, &[]));
+            }
+            if initial.all_done() {
+                local.terminal(root);
+                local.totals.incr(Metric::TerminalStates);
+            } else {
+                let fork = root_fork(initial, &mut reduction, local.totals);
+                local.pending.push(fork);
+            }
+        }
+        Some(snap) => {
+            for &fp in &snap.visited {
+                if local.index.id_of(fp, None).is_none() {
+                    return Verdict::Error(local.stats, CheckError::TooManyStates);
+                }
+            }
+            local.stats = Stats {
+                states: snap.base.states as usize,
+                transitions: snap.base.transitions as usize,
+                terminal_states: snap.base.terminal_states as usize,
+                ..Stats::default()
+            };
+            (local.base, local.prior) = (snap.base, snap.metrics);
+            local.pending = snap.forks;
+            local.pending.reverse();
+        }
     }
     let mut halt = None;
-    if initial.all_done() {
-        Frontier::<P>::terminal(&mut local, root);
-        local.totals.incr(Metric::TerminalStates);
-    } else {
-        let task = root_fork(initial, &mut reduction, local.totals);
-        let mut dfs = Dfs::start(initial, task, |_| root, &mut reduction, obs);
+    while let Some(task) = local.pending.pop() {
+        if seeded {
+            local.totals.incr(Metric::ResumeReplayed);
+        }
+        let index = &mut local.index;
+        let node = |fp| {
+            index
+                .id_of(fp, None)
+                .expect("a fork point's state has an id")
+                .0
+        };
+        let mut dfs = Dfs::start(initial, task, node, &mut reduction, obs);
         halt = dfs.run(config, &mut local, visitor);
         local.totals.merge(&dfs.tally);
+        if halt.is_some() {
+            break;
+        }
+    }
+    if seeded && matches!(halt, Some(Halt::Violation(..) | Halt::StateLimit)) {
+        *local.totals = obs.tally();
+        let unstoppable = CheckConfig {
+            checkpoint: None,
+            ..config.clone()
+        };
+        return sequential(initial, &unstoppable, deadline, None, local.totals);
     }
     let (stats, index) = (local.stats, &local.index);
     match halt {
@@ -776,26 +790,41 @@ pub(crate) fn run_local<P: Process, R: Reduction<P, u32>, V: Visitor<P>>(
     }
 }
 
-/// The sequential engine of `config.engine`'s reduction, checking
-/// `config`'s properties: the diagnostic bound `Some(u32::MAX)` selects
-/// the exhaustive walk ([`Engine::Undo`](crate::Engine::Undo) itself),
-/// anything else the reduced one. Under the termination check that walk
-/// puts nothing to sleep; unbounded, it keeps its ample sets and enters
-/// each state once, which keeps a stuck state in the graph the check
-/// reads whenever the machine has one (DESIGN.md §5c).
+/// The walk of `config.engine`'s reduction, checking `config`'s
+/// properties from the root or from the checkpoint `seed`: the diagnostic
+/// bound `Some(u32::MAX)` selects the exhaustive walk
+/// ([`Engine::Undo`](crate::Engine::Undo) itself), anything else the
+/// reduced one. Under the termination check that walk puts nothing to
+/// sleep; unbounded, it keeps its ample sets and enters each state once,
+/// which keeps a stuck state in the graph the check reads whenever the
+/// machine has one (DESIGN.md §5c).
 pub(crate) fn sequential<P: Process>(
     initial: &Machine<P>,
     config: &CheckConfig,
     deadline: Option<Instant>,
+    seed: Option<Snapshot>,
     totals: &mut Tally,
 ) -> Verdict {
     let visitor = &mut Properties::new(config);
     match config.engine.reduction() {
-        Some(u32::MAX) => run_local(initial, config, deadline, NoReduction, visitor, totals),
+        Some(u32::MAX) => run_local(
+            initial,
+            config,
+            deadline,
+            seed,
+            NoReduction,
+            visitor,
+            totals,
+        ),
         bound => {
-            let mut reduction = SleepAmple::<DenseHeads>::new(initial, config, bound);
-            reduction.claim_root(ROOT);
-            run_local(initial, config, deadline, reduction, visitor, totals)
+            let mut reduction = SleepAmple::new(initial, config, bound);
+            // A resumed run's table starts empty: the interrupted run
+            // claimed the snapshot's states, and re-entering one prunes
+            // less, never more.
+            if seed.is_none() {
+                reduction.claim_root(ROOT);
+            }
+            run_local(initial, config, deadline, seed, reduction, visitor, totals)
         }
     }
 }

@@ -42,7 +42,6 @@ pub mod driver;
 pub mod elision;
 mod kernel;
 pub mod outcomes;
-mod pardpor;
 mod resume;
 
 pub use checker::{

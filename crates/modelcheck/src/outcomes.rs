@@ -40,7 +40,15 @@ pub fn terminal_outcomes<P: Process>(
         ..CheckConfig::default()
     };
     let (mut outcomes, counts) = (Outcomes(BTreeSet::new()), &mut Tally::default());
-    let verdict = run_local(initial, &config, None, NoReduction, &mut outcomes, counts);
+    let verdict = run_local(
+        initial,
+        &config,
+        None,
+        None,
+        NoReduction,
+        &mut outcomes,
+        counts,
+    );
     verdict.is_ok().then_some(outcomes.0)
 }
 

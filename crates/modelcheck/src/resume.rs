@@ -6,23 +6,22 @@
 //! exploration from the serialized frontier until a definitive verdict
 //! (or the next interrupt).
 //!
-//! Every checkpointing engine resumes through the seeded work-stealing
-//! coordinator ([`crate::pardpor`]): a fork point carries its frame's
-//! choices in exploration order plus the exact reduction state, so any
-//! worker continues it as its owner would have. `Engine::Undo` and
-//! `Engine::Dpor` resume as one worker with their own reduction — for
-//! `Undo` that executes exactly its edge multiset, so interrupted +
-//! resumed metrics sum bit-identically to an uninterrupted run's — and
-//! the parallel engines resume with their original worker count.
+//! A resumed run re-enters the kernel's one walk (`run_local`) seeded
+//! from the snapshot: a fork point carries its frame's choices in
+//! exploration order plus the exact reduction state, so the walk
+//! continues each as the interrupted one would have, in the order the
+//! snapshot lists them. For `Undo` that executes exactly the edges the
+//! interrupted run did not, so interrupted + resumed metrics sum
+//! bit-identically to an uninterrupted run's.
 //!
-//! Soundness: the snapshot's visited fingerprints pre-seed the
-//! first-visit table, so states counted and property-checked before the
+//! Soundness: the snapshot's visited fingerprints become the resumed
+//! run's first ids, so states counted and property-checked before the
 //! interrupt are not re-counted or re-checked, and every state not yet
 //! expanded is reachable from some serialized fork point. The resumed
 //! run's dominance pruning starts from an empty table, which can only
-//! *reduce* pruning. Violations and state limits found after a resume
-//! defer to the usual sequential rerun, so those verdicts are
-//! bit-identical to an uninterrupted run's.
+//! *reduce* pruning. A violation or state limit found after a resume
+//! reruns the walk from the root, so those verdicts are bit-identical to
+//! an uninterrupted run's.
 //!
 //! A snapshot carries no termination graph: the termination check reads
 //! one walk's whole graph, and checkpointing is refused under it.
@@ -65,8 +64,7 @@ fn validate_meta(meta: &RunMeta, expect: &RunMeta) -> Result<(), String> {
             "program mismatch: checkpoint was written for a different initial state".to_string(),
         );
     }
-    // Every kernel engine can continue a checkpoint (a sequential one as
-    // one worker, a parallel one as itself); the oracle has no
+    // Every kernel engine can continue a checkpoint; the oracle has no
     // serialized form.
     if expect.engine == Engine::CloneDfs.label() {
         let label = &expect.engine;

@@ -9,7 +9,8 @@
 //!
 //! * with the permutation check on (and the mutex check off, so nothing
 //!   but return values can fail), `Engine::Dpor` and
-//!   `Engine::ParallelDpor` agree with the `CloneDfs` oracle on counters
+//!   `Engine::ParallelDpor` (its walk, under another label) agree with the
+//!   `CloneDfs` oracle on counters
 //!   guarded by a correct lock and by the same lock with its fences
 //!   stripped, and a violation they report replays on a fresh machine;
 //! * `Stats::terminal_states` under `Engine::Dpor` equals `Engine::Undo`'s

@@ -208,10 +208,10 @@ fn engines_agree_on_crash_schedules() {
     }
 }
 
-/// The four kernel engines are the four `Reduction` × `Frontier` pairs;
-/// the degenerate parameters of each must select the pair they name:
-/// one worker *is* the sequential engine, and the diagnostic bound *is*
-/// the exhaustive walk — statistics and deterministic metrics included.
+/// The kernel has two walks, `Undo`'s and `Dpor`'s; the parameters that
+/// name one must select it: `Parallel` *is* `Undo` and `ParallelDpor`
+/// *is* `Dpor` with the same bound, and the diagnostic bound *is* the
+/// exhaustive walk — statistics and deterministic metrics included.
 #[test]
 fn engine_parameters_select_the_kernel_pair_they_name() {
     let same = |a: Engine, b: Engine, termination: bool| {

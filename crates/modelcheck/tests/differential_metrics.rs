@@ -42,19 +42,11 @@ fn matrix() -> Vec<(LockKind, FenceMask, &'static str)> {
 }
 
 fn run(engine: Engine, kind: LockKind, mask: FenceMask, model: MemoryModel) -> (Verdict, Recorder) {
-    run_under(CheckConfig::default(), engine, kind, mask, model)
-}
-
-fn run_under(
-    config: CheckConfig,
-    engine: Engine,
-    kind: LockKind,
-    mask: FenceMask,
-    model: MemoryModel,
-) -> (Verdict, Recorder) {
     let inst = build_mutex(kind, 2, mask);
     let rec = quiet_recorder();
-    let config = config.with_engine(engine).with_recorder(rec.clone());
+    let config = CheckConfig::default()
+        .with_engine(engine)
+        .with_recorder(rec.clone());
     (check(&inst.machine(model), &config), rec)
 }
 
@@ -112,37 +104,6 @@ fn all_engines_emit_bit_identical_metrics_on_the_n2_matrix() {
                 }
             }
         }
-    }
-}
-
-/// `Engine::Parallel { threads: 2 }` is a real two-worker sweep with no
-/// reduction even on the smallest cell (fork points are taken off the
-/// queue), and because the shared first-visit table partitions the edge
-/// multiset between the workers, the merged metrics still equal
-/// `Engine::Undo`'s bit for bit. The check is left out of both runs:
-/// under it `Engine::Parallel` runs `Engine::Undo` itself.
-#[test]
-fn two_worker_exhaustive_sweep_runs_on_the_workers_and_matches_undo() {
-    let safety = || CheckConfig {
-        check_termination: false,
-        ..CheckConfig::default()
-    };
-    for (kind, mask, name) in matrix() {
-        let (undo, undo_rec) = run_under(safety(), Engine::Undo, kind, mask, MemoryModel::Pso);
-        let (par, par_rec) = run_under(
-            safety(),
-            Engine::Parallel { threads: 2 },
-            kind,
-            mask,
-            MemoryModel::Pso,
-        );
-        assert_eq!(undo.label(), par.label(), "{name}");
-        assert_eq!(undo.stats(), par.stats(), "{name}: stamped stats + metrics");
-        assert_eq!(undo_rec.snapshot(), par_rec.snapshot(), "{name}: recorders");
-        // A violating sweep defers to the sequential rerun, which resets
-        // the sweep's counters.
-        let stolen = par_rec.snapshot().get(ftobs::Metric::ForkStolen);
-        assert_eq!(stolen > 0, par.is_ok(), "{name}: {stolen} tasks taken");
     }
 }
 
@@ -254,8 +215,8 @@ fn every_engine_counts_without_a_recorder() {
 
 /// A recorder attached to two checks holds the sum of their counts, and
 /// neither check's `Stats.metrics` holds the other's: 383 states of a
-/// fenced Peterson under `Undo`, then 505 of an unfenced one, whose
-/// `Parallel` sweep meets a violation and reruns `Undo`.
+/// fenced Peterson under `Undo`, then 505 of an unfenced one, which meets
+/// a violation (under `Parallel`, `Undo`'s walk too).
 #[test]
 fn a_recorder_shared_by_two_checks_holds_the_sum_of_theirs() {
     let m = |mask| build_mutex(LockKind::Peterson, 2, mask).machine(MemoryModel::Pso);

@@ -6,10 +6,10 @@
 //! on every lock × model × fence-mask × crash configuration, for all
 //! three checkpointing engines. In the exhaustive modes (`Engine::Undo`,
 //! diagnostic-bound DPOR) the combined run must additionally count the
-//! exact same states/transitions and — because the global first-visit
-//! table partitions the executed edge multiset between the interrupted
-//! and resumed halves — merge to a **bit-identical** deterministic
-//! metrics snapshot.
+//! exact same states/transitions and — because the visited fingerprints
+//! the resumed walk is seeded with partition the executed edge multiset
+//! between the interrupted and resumed halves — merge to a
+//! **bit-identical** deterministic metrics snapshot.
 //!
 //! Torn, corrupt, or mismatched checkpoints must surface as the typed
 //! [`CheckError::Checkpoint`] — never a panic, and never a silent fresh
@@ -115,8 +115,7 @@ fn compare_resumed(
         }
         other => {
             // The cut landed after the last expansion (only frame pops
-            // remained), or a parallel worker raced to the verdict
-            // first; either way the verdict must already agree.
+            // remained); the verdict must already agree.
             assert_eq!(
                 fresh.label(),
                 other.label(),
@@ -293,19 +292,12 @@ fn diagnostic_merged_metrics_are_bit_identical() {
     }
 }
 
-/// `Engine::Parallel` used to ignore the checkpoint policy and was
-/// refused by `resume`. On the shared coordinator it stops, snapshots
-/// and resumes like every other kernel engine: interrupted + resumed
-/// equals the uninterrupted `Engine::Undo` run in statistics and
-/// deterministic metrics, and an expired budget is inconclusive.
-/// The oracle keeps its typed refusal.
-///
-/// The cut is at one transition. A parallel worker reads the cut and
-/// syncs its transitions only when it polls, every 256 iterations, so a
-/// cut deeper in the walk may fire late or not at all. At one
-/// transition the worker holding the root fires it at its first poll,
-/// before it has donated anything, and 256 iterations leave states of
-/// both cells unclaimed.
+/// `Engine::Parallel` stops, snapshots and resumes like every other
+/// kernel engine: interrupted + resumed equals the uninterrupted
+/// `Engine::Undo` run in statistics and deterministic metrics, and an
+/// expired budget is inconclusive. The oracle keeps its typed refusal.
+/// The cut is at one transition, which leaves states of both cells
+/// unvisited.
 #[test]
 fn parallel_checkpoints_and_resumes_like_undo() {
     let parallel = base().with_engine(Engine::Parallel { threads: 2 });
@@ -379,6 +371,43 @@ fn chained_interrupts_converge() {
     assert_eq!(fresh.stats().states, verdict.stats().states);
     assert_eq!(fresh.stats().transitions, verdict.stats().transitions);
     let _ = std::fs::remove_file(&path);
+}
+
+/// A violation met after a resume reruns the walk from the root: the
+/// verdict, its counterexample and its statistics are the uninterrupted
+/// run's, on both walks.
+#[test]
+fn a_violation_after_a_resume_is_the_uninterrupted_runs() {
+    let mask = FenceMask::only(&[simlocks::peterson::SITE_VICTIM]);
+    let m = build_mutex(LockKind::Peterson, 2, mask).machine(MemoryModel::Pso);
+    let dpor = Engine::Dpor {
+        reorder_bound: None,
+    };
+    for engine in [Engine::Undo, dpor] {
+        let config = base().with_engine(engine);
+        let fresh = check(&m, &config);
+        assert!(fresh.is_violation(), "{engine:?}: {}", fresh.label());
+        let path = ckpt_path("violation");
+        let policy = CheckpointPolicy::at(&path).stop_after(1);
+        let stopped = check(&m, &config.clone().with_checkpoint(policy));
+        let cp = stopped
+            .coverage()
+            .and_then(|c| c.checkpoint)
+            .expect("the cut fires before the violation");
+        let resumed = resume(&m, &config, &cp);
+        assert_eq!(fresh.label(), resumed.label(), "{engine:?}");
+        assert_eq!(
+            fresh.stats(),
+            resumed.stats(),
+            "{engine:?}: stats + metrics"
+        );
+        assert_eq!(
+            fresh.counterexample().map(|c| &c.schedule),
+            resumed.counterexample().map(|c| &c.schedule),
+            "{engine:?}: counterexample"
+        );
+        let _ = std::fs::remove_file(&cp);
+    }
 }
 
 /// A cut the run never reaches must not write a checkpoint — the verdict

@@ -3,8 +3,7 @@
 //! The check is a reverse-reachability pass over the graph the walk
 //! builds. An unbounded `Engine::Dpor` builds it with ample sets and no
 //! sleep sets, entering each state once; `Engine::ParallelDpor` runs that
-//! same walk (its cycle proviso is per task, so it cannot build the graph
-//! itself). Checked here on every E12/E12b cell and the fence-free n = 2
+//! same walk. Checked here on every E12/E12b cell and the fence-free n = 2
 //! masks, under TSO and PSO:
 //!
 //! * every label is `Engine::Undo`'s;

@@ -87,10 +87,12 @@ pub enum Metric {
     UndoSteps,
     /// Heartbeat events emitted.
     Heartbeats,
-    /// Fork points published into the work-stealing queue (parallel DPOR;
-    /// scheduling-dependent, like every counter past `DETERMINISTIC_END`).
+    /// Fork points published into a work-stealing queue. No engine has
+    /// one any more, so this reads 0; it stays because stored snapshots
+    /// and the pinned reports name every counter.
     ForkPublished,
-    /// Fork points stolen and re-materialized by an idle worker.
+    /// Fork points stolen by an idle worker; reads 0, like
+    /// [`ForkPublished`](Self::ForkPublished).
     ForkStolen,
     /// Fingerprint-table contention events (failed claim CASes plus
     /// occupied slots stepped over while probing).

@@ -418,7 +418,7 @@ impl Recorder {
 /// A walk counts every edge — states, transitions, dedup hits, undos,
 /// reduction decisions, and the machine step itself (reads, writes,
 /// fences β(E), crashes, …). None of that may cost an atomic or a lock,
-/// so each walk — each task of each parallel worker — owns a tally.
+/// so each walk owns a tally.
 #[derive(Debug, Default)]
 pub struct Tally {
     totals: MetricsSnapshot,

@@ -1,12 +1,11 @@
 //! A lock-free sharded fingerprint table.
 //!
-//! The parallel engines dedup states by `u128` fingerprint. The seed
-//! implementation (`Vec<Mutex<HashSet<u128>>>`) serializes every insert
-//! behind a shard mutex; under work stealing the visited set is the one
-//! piece of state *every* worker touches on *every* transition, so it is
-//! the contention hot spot. This table replaces it with open-addressing
-//! probe sequences over `(AtomicU64, AtomicU64)` slot pairs and a single
-//! CAS per claimed state — no locks anywhere on the insert path.
+//! No engine uses this table (the checker's one walk keys states by dense
+//! ids); the `benchmark/` harness still times its insert path. Threads
+//! that share a visited set touch it on every transition, so this table
+//! claims a fingerprint with open-addressing probe sequences over
+//! `(AtomicU64, AtomicU64)` slot pairs and a single CAS per claimed state
+//! — no locks anywhere on the insert path.
 //!
 //! ## Layout
 //!
@@ -165,9 +164,7 @@ impl FpTable {
     /// # Panics
     ///
     /// If every segment of the target shard is saturated — a state count
-    /// far beyond any configurable budget. Callers (the parallel
-    /// engines) treat worker panics as a cancel-and-rerun-sequentially
-    /// event, so even this absurd corner stays sound.
+    /// far beyond any configurable budget.
     pub fn insert(&self, fp: u128) -> bool {
         let shard = &self.shards[(fp >> 64) as usize & (SHARDS - 1)];
         let (w0, w1) = encode(fp);

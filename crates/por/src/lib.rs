@@ -27,14 +27,12 @@
 //! * [`step_weight`] — an optional reorder bound that restricts the
 //!   search to schedules with at most `k` steps where a program overtakes
 //!   its own pending stores (bound 0 ≡ SC-equivalent schedules).
-//! * [`FpTable`] / [`ForkPoint`] / [`ForkQueue`] — shared state for the
-//!   *parallel* explorers: a lock-free sharded fingerprint table (the
-//!   per-transition dedup hot path) and the serialized DFS continuations
-//!   work-stealing workers trade through a bounded queue.
-//! * [`Snapshot`] — a versioned, checksummed, atomically written on-disk
-//!   image of an interrupted exploration (fork-point frontier + visited
-//!   fingerprints + run metadata), the substrate of the checker's
-//!   checkpoint/resume support.
+//! * [`Snapshot`] / [`ForkPoint`] — a versioned, checksummed, atomically
+//!   written on-disk image of an interrupted exploration (its open DFS
+//!   frames as replayable continuations + visited fingerprints + run
+//!   metadata), the substrate of the checker's checkpoint/resume support.
+//! * [`FpTable`] — a lock-free sharded fingerprint table. No engine uses
+//!   it; the `benchmark/` harness still times its insert path.
 //!
 //! Independence is decided by [`wbmem::Footprint`]s, reported by the
 //! machine for every schedule choice; soundness of the relation per memory
@@ -58,7 +56,7 @@ pub mod visited;
 pub use ample::select as select_ample;
 pub use bound::step_weight;
 pub use expand::{expand, expand_into, partition_into, Expansion};
-pub use fork::{ForkPoint, ForkQueue};
+pub use fork::ForkPoint;
 pub use fptable::FpTable;
 pub use sleep::SleepSet;
 pub use snapshot::{BaseCounts, RunMeta, Snapshot, SnapshotError};

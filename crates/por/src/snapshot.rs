@@ -3,8 +3,7 @@
 //!
 //! A budgeted or interrupted run dies holding exactly three things worth
 //! keeping: the *frontier* (the unexplored remainders of its DFS frames,
-//! already serializable as [`ForkPoint`]s — the same continuation
-//! relocation the work-stealing engine trades between threads), the
+//! serialized as [`ForkPoint`]s), the
 //! *visited set* (fingerprints of states already counted and checked),
 //! and the *bookkeeping* a final verdict needs (deterministic metric
 //! counts). [`Snapshot`] packages those plus
@@ -145,9 +144,9 @@ pub struct Snapshot {
     pub metrics: MetricsSnapshot,
     /// The unexplored frontier, as replayable continuations.
     pub forks: Vec<ForkPoint>,
-    /// Fingerprints of every state already counted, sorted (the export
-    /// is shard-order-independent). Pre-seeding the resumed run's table
-    /// with these keeps states counted exactly once across both runs.
+    /// Fingerprints of every state already counted, sorted. They become
+    /// the resumed run's first state ids, which keeps states counted
+    /// exactly once across both runs.
     pub visited: Vec<u128>,
 }
 

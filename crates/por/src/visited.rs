@@ -25,9 +25,10 @@
 //! exception, and the window is a handful of pairs).
 //!
 //! What varies is how a state finds the head of its list ([`Heads`]): by
-//! fingerprint through a hash map ([`FpHeads`], the default), or — when
-//! the caller already names states by dense ids handed out in first-visit
-//! order — by plain indexing ([`DenseHeads`]), where a first visit is an
+//! fingerprint through a hash map ([`FpHeads`], the default, which the
+//! `benchmark/` harness times), or — when the caller already names states
+//! by dense ids handed out in first-visit order, as the checker's walk
+//! does — by plain indexing ([`DenseHeads`]), where a first visit is an
 //! append and a revisit touches no hash at all.
 
 use wbmem::{Footprint, FpMap, SchedElem};

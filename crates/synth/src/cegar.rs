@@ -137,10 +137,7 @@ impl SynthConfig {
     // an overtaking edge), so the loop repairs both properties with one
     // mechanism.
     //
-    // The engine is sequential `Dpor`: most inner checks end in a
-    // violation, which a work-stealing sweep throws away and reruns
-    // sequentially (E16 tournament4 on 2 cores: 15.9 s, against 46.2 s
-    // through `ParallelDpor` × 2). With the termination check on it keeps
+    // The engine is `Dpor`. With the termination check on it keeps
     // its ample sets and puts nothing to sleep, which leaves a stuck state
     // in the graph it walks whenever the candidate has one. It walks
     // front-first, not in `Undo`'s back-first order. The order decides

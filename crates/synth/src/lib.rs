@@ -8,8 +8,7 @@
 //! * strip every fence from the input programs
 //!   ([`fencevm::strip_fences`]);
 //! * model-check the candidate under the configured memory models
-//!   (`Engine::Dpor` / `ParallelDpor` via
-//!   [`modelcheck::check_under_models`]);
+//!   (`Engine::Dpor` via [`modelcheck::check_under_models`]);
 //! * on a violation, replay the counterexample on the unreduced machine
 //!   and extract its **reorder edges** ([`wbmem::reorder_edges`]) — the
 //!   write-buffer inversions that enabled the bad interleaving — then

@@ -106,16 +106,16 @@ impl<P: Process> Machine<P> {
     /// Re-materialize a previously explored state by replaying `path`
     /// from the current configuration: every element must be one of the
     /// state's [`choices`](Self::choices) and must produce an effective
-    /// step. This is the work-stealing explorers' fork-point replay —
-    /// O(path) instead of cloning another worker's machine, validated
+    /// step. This is how a resumed walk re-materializes a checkpointed
+    /// fork point — O(path) on a fresh machine, validated
     /// against [`choices_into`](Self::choices_into) at each step so a
     /// stale or corrupted path is detected instead of silently steered
     /// into a different state. `scratch` is the caller's reusable choice
     /// buffer.
     ///
     /// Returns `true` iff the whole path applied. On `false` the machine
-    /// is left mid-path; callers must discard it (the explorers treat
-    /// this as a logic error and panic into their sequential fallback).
+    /// is left mid-path; callers must discard it (the checker treats this
+    /// as a logic error: the panic becomes an error verdict).
     #[must_use]
     pub fn replay_path(&mut self, path: &[SchedElem], scratch: &mut Vec<SchedElem>) -> bool {
         for &e in path {

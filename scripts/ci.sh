@@ -3,7 +3,8 @@
 #
 # Usage: scripts/ci.sh
 # Environment: FT_THREADS caps the worker count of the parallel sweeps the
-# tests and experiments run (default: available cores).
+# tests and experiments run over independent cells (default: available
+# cores). The checker itself spawns no thread.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,7 +24,7 @@ stage "cargo fmt --check" \
 stage "cargo clippy --all-targets -- -D warnings" \
     cargo clippy --all-targets -- -D warnings
 
-stage "layering: wbmem (the paper's Section-2 machine) and lowerbound (its Section-5 encoder) do not depend on ftobs; no crate forecasts a run's size, writes trace spans, supervises workers with a watchdog, writes periodic/interrupt checkpoints, counts steps only for a recorder or weights fence sites; the checker never reads locality" \
+stage "layering: wbmem (the paper's Section-2 machine) and lowerbound (its Section-5 encoder) do not depend on ftobs; no crate forecasts a run's size, writes trace spans, supervises workers with a watchdog, writes periodic/interrupt checkpoints, counts steps only for a recorder, weights fence sites or brings back the work-stealing frontier; the checker never reads locality" \
     bash -c 'for c in wbmem lowerbound; do
             tree=$(cargo tree -p $c --offline -e normal) && ! grep -q ftobs <<< "$tree" || exit 1
         done
@@ -31,6 +32,7 @@ stage "layering: wbmem (the paper's Section-2 machine) and lowerbound (its Secti
         ! grep -rqE "FT_WATCHDOG_MS|WatchdogTrips|every_transitions|on_interrupt" crates/*/src || exit 1
         ! grep -rqE "reset_counts|is_live" crates/*/src || exit 1
         ! grep -rqE "pareto_explore|fence_weight|rmr_weight|conflict_counts" crates/*/src || exit 1
+        ! grep -rqE "ForkQueue|check_shared|worker_count|fn donor" crates/*/src || exit 1
         ! grep -rqE "LocalityTracker|\.locality\(\)" crates/modelcheck/src'
 
 stage "cargo build --release" \
@@ -45,16 +47,15 @@ stage "lowerbound by_definition over every permutation of four (debug, where the
 stage "simlocks reread_by_walking, long variant in release: plain steps (with the idle-read memo) against recorded steps at n = 8 and 16 with ten times the schedules (tier-1 runs n = 4 and 8)" \
     cargo test -q --release -p simlocks --test reread_by_walking -- --ignored
 
-stage "differential_resume over the full n = 2 lock × model × fence-mask × crash matrix for Undo, Dpor and ParallelDpor, each interrupted at a transition cut and resumed (tier-1 runs a fixed sample per engine)" \
+stage "differential_resume over the full n = 2 lock × model × fence-mask × crash matrix for each engine the suite names, each interrupted at a transition cut and resumed (tier-1 runs a fixed sample per engine)" \
     cargo test -q -p modelcheck --test differential_resume -- --ignored
 
 stage "the termination walk in release: termination_walk with its n = 3 cells (ignored unoptimised), and differential_termination's 4 000 random livelocking programs (ignored in tier-1)" \
     bash -c 'cargo test -q --release -p modelcheck --test termination_walk || exit 1
         cargo test -q --release -p modelcheck --test differential_termination -- --include-ignored'
 
-stage "the two suites that read FT_THREADS, at FT_THREADS=2 (parallel sweeps/engine)" \
-    env FT_THREADS=2 cargo test -q -p modelcheck --test differential_pardpor \
-        -p fence-trade --test integration_locks_models
+stage "integration_locks_models, whose cell sweep reads FT_THREADS, at FT_THREADS=2" \
+    env FT_THREADS=2 cargo test -q -p fence-trade --test integration_locks_models
 
 stage "benchmark/ package builds and its smoke test passes (bench_probe calls wbmem/por signatures directly)" \
     bash -c 'cd benchmark && cargo test --offline'
@@ -71,7 +72,7 @@ stage "exp --fast all: E1–E12 regenerate every pinned table under results/ byt
 stage "exp obs-report (renders the JSONL the E12/E15/E16 runs just wrote)" \
     bash -c "cargo run --release -p ft-bench -- obs-report > /dev/null"
 
-stage "exp guards: every wall-clock gate (checkpoint smoke + cost per snapshot MiB, pardpor dispatch ≤5% + scaling ≥1.5x where the cores were granted, live-recorder overhead ≤5%)" \
+stage "exp guards: every wall-clock gate (checkpoint smoke + cost per snapshot MiB, live-recorder overhead ≤5%)" \
     cargo run --release -p ft-bench -- guards
 
 echo "CI green."
