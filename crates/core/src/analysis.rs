@@ -37,6 +37,10 @@ pub fn solo_passage(inst: &OrderingInstance, model: MemoryModel, max_steps: usiz
 
 /// Measure the **average contended** passage: all `n` processes run under a
 /// fair round-robin scheduler to completion; totals are divided by `n`.
+/// The rotation ([`simlocks::run_to_completion`]) skips a spinner until
+/// the register it re-reads is stored to, so the run costs its effective
+/// steps; `max_steps` still bounds the elements of the full rotation,
+/// skipped ones included.
 ///
 /// # Panics
 ///

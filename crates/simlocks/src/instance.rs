@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use fencevm::{Asm, Program, VmProc};
-use wbmem::{Machine, MachineConfig, MemoryLayout, MemoryModel, ProcId, SchedElem};
+use wbmem::{Machine, MachineConfig, MemoryLayout, MemoryModel, ProcId};
 
 use crate::alloc::RegAlloc;
 use crate::bakery::Bakery;
@@ -92,26 +92,12 @@ impl OrderingInstance {
 /// Each round gives one `(p, ⊥)` element to every process that has not
 /// returned, in id order; a process leaves the rotation with its return,
 /// so no element is spent on a finished one. `max_steps` counts the
-/// elements issued, and every one of them is an effective step. Spinning
-/// processes mostly re-read an unchanged register, which
-/// [`Machine::step`] answers from the process's idle-read memo.
+/// elements issued. This is [`Machine::run_round_robin`], which skips a
+/// spinner re-reading an unchanged register until a store to that register
+/// wakes it, and counts the reads it skipped in one add: a contended run
+/// costs its effective steps, not its elements.
 pub fn run_to_completion(m: &mut Machine<VmProc>, max_steps: usize) -> bool {
-    let mut live: Vec<ProcId> = (0..m.n())
-        .map(ProcId::from)
-        .filter(|&p| !m.is_done(p))
-        .collect();
-    let mut budget = max_steps;
-    while !live.is_empty() && budget > 0 {
-        live.retain(|&p| {
-            if budget == 0 {
-                return true;
-            }
-            budget -= 1;
-            m.step(SchedElem::op(p));
-            !m.is_done(p)
-        });
-    }
-    live.is_empty()
+    m.run_round_robin(max_steps)
 }
 
 /// Build the per-process programs for `lock` protecting `object`.
@@ -400,6 +386,7 @@ pub fn build_mutex(kind: LockKind, n: usize, fences: FenceMask) -> OrderingInsta
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wbmem::SchedElem;
 
     #[test]
     fn every_lock_keeps_its_locals_inline_alone_and_around_a_counter() {
@@ -533,28 +520,24 @@ mod tests {
 
     #[test]
     fn contended_queue_entries_match_return_order() {
-        let n = 6;
-        let inst = build_ordering(LockKind::Tournament, 8, ObjectKind::Queue);
-        let _ = n;
+        let n = 8;
+        let inst = build_ordering(LockKind::Tournament, n, ObjectKind::Queue);
+        // `ObjectKind::Queue` allocates its tail and then its n slots, after
+        // the lock's registers.
+        let mut alloc = RegAlloc::new();
+        let _ = LockKind::Tournament.build(&mut alloc, n, FenceMask::ALL);
+        let tail = u32::try_from(alloc.len()).unwrap();
         let mut m = inst.machine(MemoryModel::Pso);
         assert!(run_to_completion(&mut m, 10_000_000));
-        // Queue slot k holds 1 + (id of the process that returned k).
-        let tail_base = inst.layout.assigned_len(); // not the tail register; compute from returns instead
-        let _ = tail_base;
-        let rets = m.return_values();
-        for (proc, ret) in rets.iter().enumerate() {
-            let k = ret.unwrap();
-            // find queue registers: they are the last n+1 allocated; slot k
-            // is at (total - (8 + 1)) + 1 + k ... recovered via memory scan:
-            // look for the register holding 1 + proc.
-            let mut found = false;
-            for reg in 0..4096u32 {
-                if m.memory(wbmem::RegId(reg)).payload() == 1 + proc as u64 {
-                    found = true;
-                    break;
-                }
-            }
-            assert!(found, "queue entry for p{proc} (rank {k}) not found");
+        assert_eq!(m.memory(wbmem::RegId(tail)).payload(), n as u64, "tail");
+        // Slot k holds 1 + the id of the process that returned k.
+        for (who, ret) in m.return_values().into_iter().enumerate() {
+            let k = u32::try_from(ret.expect("every process returned")).unwrap();
+            assert_eq!(
+                m.memory(wbmem::RegId(tail + 1 + k)).payload(),
+                1 + who as u64,
+                "slot {k}"
+            );
         }
     }
 

@@ -12,6 +12,8 @@
 //!   machine, the small [`UndoToken`] it hands out, and `undo`;
 //! * `crash` — crash steps;
 //! * `solo` — running one process alone, for real or as a question;
+//! * `rotation` — running every process in rotation, with idle spinners
+//!   parked until their register is written;
 //! * `choices` — the enabled schedule elements and their dependence
 //!   footprints.
 
@@ -27,6 +29,7 @@ use crate::value::Value;
 
 mod choices;
 mod crash;
+mod rotation;
 mod solo;
 mod step;
 #[cfg(test)]

@@ -54,7 +54,9 @@ impl<P: Process> Machine<P> {
     /// and observing it again changes nothing. Every other step of `p`
     /// drops the memo, and so does [`step_recorded`](Self::step_recorded),
     /// which never sets it, and [`undo`](Self::undo), so a search walks the
-    /// full rule.
+    /// full rule. [`run_round_robin`](Self::run_round_robin) goes further
+    /// and skips a process with its memo set until its register is
+    /// stored to.
     pub fn step(&mut self, elem: SchedElem) -> StepOutcome {
         self.fp = None;
         if let Some(out) = self.reread(elem) {

@@ -44,8 +44,9 @@ stage "cargo test -q" \
 stage "lowerbound by_definition over every permutation of four (debug, where the decoder re-checks every memo hit; tier-1 runs a fixed sample)" \
     cargo test -q -p lowerbound --test by_definition -- --ignored
 
-stage "simlocks reread_by_walking, long variant in release: plain steps (with the idle-read memo) against recorded steps at n = 8 and 16 with ten times the schedules (tier-1 runs n = 4 and 8)" \
-    cargo test -q --release -p simlocks --test reread_by_walking -- --ignored
+stage "simlocks reread_by_walking and parked_rotation, long variants in release: plain steps (with the idle-read memo) against recorded steps at n = 8 and 16 with ten times the schedules (tier-1 runs n = 4 and 8); the parked rotation against the full rotation at n = 64 and 256 (tier-1 runs n ≤ 32)" \
+    bash -c 'cargo test -q --release -p simlocks --test reread_by_walking -- --ignored || exit 1
+        cargo test -q --release -p simlocks --test parked_rotation -- --ignored'
 
 stage "differential_resume over the full n = 2 lock × model × fence-mask × crash matrix for each engine the suite names, each interrupted at a transition cut and resumed (tier-1 runs a fixed sample per engine)" \
     cargo test -q -p modelcheck --test differential_resume -- --ignored
