@@ -1,5 +1,5 @@
-//! The one entry point of `ft-bench`: every experiment, the wall-clock
-//! gates and the observability report.
+//! The one entry point of `ft-bench`: every experiment and the wall-clock
+//! gates.
 //!
 //! ```text
 //! exp [--fast] [e1 e3 … | all]   run experiments (default: all) in this process,
@@ -10,21 +10,20 @@
 //!                                ignore it
 //! exp --list                     ids and titles
 //! exp guards                    every wall-clock gate CI holds
-//! exp obs-report [FILES]         results/obs/*.jsonl → results/obs/report.md
 //! ```
 //!
-//! Run it as `cargo run --release -p ft-bench -- <arguments>`.
+//! Run it as `cargo run --release -p ft-bench -- <arguments>` from inside
+//! the checkout: the tables go to `results/` of the workspace the working
+//! directory is in.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ft_bench::experiments::{self, guards, obs_report, REGISTRY};
+use ft_bench::experiments::{self, guards, REGISTRY};
 
 fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}");
     eprintln!(
-        "usage: exp [--fast] [ID… | all] | --list | guards | \
-         obs-report [FILES]\n\
+        "usage: exp [--fast] [ID… | all] | --list | guards\n\
          --fast cuts down e14 (one round, writes nothing) and e16 (n = 2 only)"
     );
     ExitCode::FAILURE
@@ -47,15 +46,15 @@ fn main() -> ExitCode {
     }
     match words.split_first() {
         Some((&"guards", _)) => guards::run(),
-        Some((&"obs-report", files)) => {
-            let files: Vec<PathBuf> = files.iter().map(PathBuf::from).collect();
-            obs_report::run(&files)
-        }
         _ => {
             let selected = match experiments::select(&words) {
                 Ok(selected) => selected,
                 Err(e) => return usage(&e),
             };
+            if let Err(e) = ft_bench::workspace_root() {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
             let fast = flag("--fast");
             // Only a full sweep is the record `results/manifest.txt` keeps.
             let manifest = (!fast && selected.len() == REGISTRY.len())

@@ -29,24 +29,12 @@ fn crash_check(
     sem: CrashSemantics,
     crashes: u32,
 ) -> Verdict {
-    crash_check_observed(kind, n, model, sem, crashes, &ftobs::Recorder::disabled())
-}
-
-fn crash_check_observed(
-    kind: LockKind,
-    n: usize,
-    model: MemoryModel,
-    sem: CrashSemantics,
-    crashes: u32,
-    rec: &ftobs::Recorder,
-) -> Verdict {
     let cfg = CheckConfig {
         check_termination: true,
         max_states: 5_000_000,
         ..CheckConfig::default()
     }
-    .with_crashes(sem, crashes)
-    .with_recorder(rec.clone());
+    .with_crashes(sem, crashes);
     let inst = build_mutex(kind, n, FenceMask::ALL);
     check(&inst.machine(model), &cfg)
 }
@@ -131,18 +119,13 @@ pub fn run(_fast: bool) {
     t2.finish();
 
     // ---- The checker's counterexample for the naive lock, saved as a
-    // replayable artifact (with the metrics snapshot at failure time). ----
-    let cex_rec = ftobs::Recorder::builder()
-        .meta("workload", "e11_cex_ttas_crash")
-        .quiet(true)
-        .build();
-    if let Verdict::NoTermination(_, cex) = crash_check_observed(
+    // replayable artifact (with the check's metrics at failure time). ----
+    if let Verdict::NoTermination(stats, cex) = crash_check(
         LockKind::Ttas,
         2,
         MemoryModel::Pso,
         CrashSemantics::DiscardBuffer,
         1,
-        &cex_rec,
     ) {
         println!(
             "NO-TERMINATION counterexample for naive ttas (PSO, ≤1 crash, \
@@ -160,7 +143,7 @@ pub fn run(_fast: bool) {
              reaches a state that cannot terminate",
             traced,
             &cex.schedule,
-            &cex_rec,
+            &stats.metrics,
         );
         println!("saved replayable counterexample to {}\n", path.display());
     }

@@ -19,27 +19,9 @@
 //! the tables are byte-pinned in CI; what the engines cost in wall-clock
 //! is E14's to say.
 
-use std::sync::Arc;
-
 use super::DPOR;
 use crate::{f as fmt, Table};
 use fence_trade::prelude::*;
-use ftobs::{JsonlSink, Recorder};
-
-/// Attach a per-cell recorder to `cfg`: events stream to the shared
-/// `results/obs/e12_reduction.jsonl` sink, tagged with the workload and
-/// the engine label so `exp obs-report` can group them. Quiet — cells run
-/// under `par_map`, and interleaved stderr heartbeats would be noise; the
-/// JSONL stream keeps everything.
-fn with_obs(cfg: CheckConfig, sink: &Arc<JsonlSink>, workload: &str) -> CheckConfig {
-    let rec = Recorder::builder()
-        .meta("workload", workload)
-        .meta("engine", cfg.engine.label())
-        .sink(sink.clone())
-        .quiet(true)
-        .build();
-    cfg.with_recorder(rec)
-}
 
 fn factor(full: usize, reduced: usize) -> String {
     if reduced == 0 {
@@ -52,14 +34,7 @@ fn factor(full: usize, reduced: usize) -> String {
 /// One table of `n`-process locks under PSO: the exhaustive engine capped
 /// at 2M states (the budget the factor is measured against) beside the
 /// reduced engine run to its verdict.
-fn capped_vs_reduced(
-    sink: &Arc<JsonlSink>,
-    table: &str,
-    title: &str,
-    n: usize,
-    locks: &[(&str, LockKind)],
-    note: &str,
-) {
+fn capped_vs_reduced(table: &str, title: &str, n: usize, locks: &[(&str, LockKind)], note: &str) {
     let cap = CheckConfig {
         check_termination: false,
         max_states: 2_000_000,
@@ -78,12 +53,8 @@ fn capped_vs_reduced(
     );
     let rows = crate::par_map(locks, |&(name, kind)| {
         let pso = build_mutex(kind, n, FenceMask::ALL).machine(MemoryModel::Pso);
-        let wl = format!("e12_{name}{n}_pso");
-        let full = check(&pso, &with_obs(cap.clone(), sink, &wl));
-        let red = check(
-            &pso,
-            &with_obs(uncapped.clone().with_engine(DPOR), sink, &wl),
-        );
+        let full = check(&pso, &cap);
+        let red = check(&pso, &uncapped.clone().with_engine(DPOR));
         (name, full, red)
     });
     for (name, full, red) in &rows {
@@ -107,18 +78,6 @@ fn capped_vs_reduced(
 }
 
 pub fn run(_fast: bool) {
-    // One JSONL stream for the whole experiment, and one progress recorder
-    // (`exp obs-report` renders the result).
-    let sink = Arc::new(
-        JsonlSink::create(crate::obs_dir().join("e12_reduction.jsonl"))
-            .unwrap_or_else(|e| crate::fail("e12: creating results/obs/e12_reduction.jsonl", e)),
-    );
-    let progress = Recorder::builder()
-        .meta("experiment", "e12")
-        .sink(sink.clone())
-        .heartbeat_ms(0)
-        .build();
-
     // ---- Section 1: reduction factors at n = 2. ----
     let base = CheckConfig {
         check_termination: false, // ample pruning on (see DESIGN.md)
@@ -146,12 +105,8 @@ pub fn run(_fast: bool) {
     }
     let rows = crate::par_map(&cells, |&(name, kind, model)| {
         let inst = build_mutex(kind, 2, FenceMask::ALL);
-        let wl = format!("e12_{}2_{}", name, model.to_string().to_lowercase());
-        let full = check(&inst.machine(model), &with_obs(base.clone(), &sink, &wl));
-        let red = check(
-            &inst.machine(model),
-            &with_obs(base.clone().with_engine(DPOR), &sink, &wl),
-        );
+        let full = check(&inst.machine(model), &base);
+        let red = check(&inst.machine(model), &base.clone().with_engine(DPOR));
         (name, model, full, red)
     });
     for (name, model, full, red) in &rows {
@@ -180,15 +135,11 @@ pub fn run(_fast: bool) {
     t.finish();
 
     // ---- A DPOR counterexample, saved as a replayable artifact (the
-    // artifact carries the recorder's metrics snapshot at failure time). ----
+    // artifact carries the check's metrics at failure time). ----
     let witness = FenceMask::only(&[simlocks::peterson::SITE_VICTIM]);
     let inst = build_mutex(LockKind::Peterson, 2, witness);
-    let cex_cfg = with_obs(
-        base.clone().with_engine(DPOR),
-        &sink,
-        "e12_cex_peterson_pso",
-    );
-    if let Verdict::MutexViolation(_, cex) = check(&inst.machine(MemoryModel::Pso), &cex_cfg) {
+    let cex_cfg = base.with_engine(DPOR);
+    if let Verdict::MutexViolation(stats, cex) = check(&inst.machine(MemoryModel::Pso), &cex_cfg) {
         let traced = inst
             .machine_from(MachineConfig::new(MemoryModel::Pso, inst.layout.clone()).with_trace());
         let path = crate::save_counterexample(
@@ -197,14 +148,13 @@ pub fn run(_fast: bool) {
              victim fence only, PSO) — replays on the unreduced machine",
             traced,
             &cex.schedule,
-            &cex_cfg.recorder,
+            &stats.metrics,
         );
-        progress.info(&format!("saved DPOR counterexample to {}", path.display()));
+        println!("saved DPOR counterexample to {}\n", path.display());
     }
 
     // ---- Section 2: n = 3 — where exhaustive checking hits the wall. ----
     capped_vs_reduced(
-        &sink,
         "e12b_reduction_n3",
         "E12b: three processes",
         3,
@@ -222,7 +172,6 @@ pub fn run(_fast: bool) {
 
     // ---- Section 3: n = 4 — past the exhaustive engine's reach. ----
     capped_vs_reduced(
-        &sink,
         "e12c_reduction_n4",
         "E12c: four processes",
         4,
@@ -235,6 +184,4 @@ pub fn run(_fast: bool) {
          configuration the seed checker could not finish at its 2M-state \
          budget, completed as a full proof by the reduced engine.",
     );
-
-    progress.flush();
 }

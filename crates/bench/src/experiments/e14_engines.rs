@@ -166,7 +166,8 @@ pub fn run(fast: bool) {
     if fast {
         return;
     }
-    let path = crate::workspace_root().join("BENCH_explore.json");
+    let root = crate::workspace_root().unwrap_or_else(|e| crate::fail("e14", e));
+    let path = root.join("BENCH_explore.json");
     if let Err(e) = std::fs::write(&path, json) {
         crate::fail(&format!("e14: writing {}", path.display()), e);
     }
@@ -194,7 +195,7 @@ mod tests {
     fn parsed_rows(json: &str) -> Vec<BTreeMap<String, String>> {
         let body = json.lines().skip_while(|l| !l.contains("\"results\""));
         let lines = body.skip(1).take_while(|l| l.trim() != "]");
-        let parse = |l: &str| ftobs::report::parse_line(l.trim().trim_end_matches(','));
+        let parse = |l: &str| ftobs::parse_line(l.trim().trim_end_matches(','));
         lines
             .map(|l| parse(l).unwrap_or_else(|| panic!("not a flat object: {l}")))
             .collect()

@@ -4,28 +4,17 @@
 //! to disk), and resumed from that snapshot — and tabulate the combined
 //! interrupted+resumed wall clock against the uninterrupted baseline,
 //! along with the snapshot size and the serialized frontier it carried.
-//!
-//! Every run records into `results/obs/e15_resume.jsonl`, so
-//! `exp obs-report` renders the `checkpoint_written` / `checkpoint_bytes` /
-//! `resume_replayed` counters in its Resilience table from real data.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::timing::median;
 use fence_trade::prelude::*;
-use ftobs::JsonlSink;
 
 /// Runs per cell and side; the table holds their medians.
 const TRIALS: usize = 3;
 
 #[allow(clippy::cast_precision_loss)]
 pub fn run(_fast: bool) {
-    let sink = Arc::new(
-        JsonlSink::create(crate::obs_dir().join("e15_resume.jsonl"))
-            .unwrap_or_else(|e| crate::fail("e15: creating results/obs/e15_resume.jsonl", e)),
-    );
-
     let cells: Vec<(&str, LockKind, usize, Engine)> = vec![
         ("peterson2_pso", LockKind::Peterson, 2, Engine::Undo),
         (
@@ -83,14 +72,6 @@ pub fn run(_fast: bool) {
         let mut ckpt_bytes = 0u64;
         let mut frontier = 0usize;
         for _ in 0..TRIALS {
-            let rec = ftobs::Recorder::builder()
-                .meta("workload", workload)
-                .meta("engine", engine.label())
-                .sink(sink.clone())
-                .heartbeat_ms(0)
-                .quiet(true)
-                .build();
-
             let start = Instant::now();
             let fresh = check(&inst.machine(MemoryModel::Pso), &cfg);
             fresh_ms.push(start.elapsed().as_secs_f64() * 1e3);
@@ -99,7 +80,6 @@ pub fn run(_fast: bool) {
             let stopped = check(
                 &inst.machine(MemoryModel::Pso),
                 &cfg.clone()
-                    .with_recorder(rec.clone())
                     .with_checkpoint(CheckpointPolicy::at(&path).stop_after(cut)),
             );
             let Some(cov) = stopped.coverage() else {
@@ -118,11 +98,7 @@ pub fn run(_fast: bool) {
                     format!("{workload}/{}: checkpoint write failed", engine.label()),
                 );
             };
-            let resumed = resume(
-                &inst.machine(MemoryModel::Pso),
-                &cfg.clone().with_recorder(rec.clone()),
-                &cp,
-            );
+            let resumed = resume(&inst.machine(MemoryModel::Pso), &cfg, &cp);
             split_ms.push(start.elapsed().as_secs_f64() * 1e3);
             if resumed.label() != fresh.label() {
                 crate::fail(
@@ -137,7 +113,6 @@ pub fn run(_fast: bool) {
             }
             ckpt_bytes = std::fs::metadata(&cp).map(|m| m.len()).unwrap_or(0);
             frontier = cov.frontier;
-            rec.emit_snapshot(&[("verdict", ftobs::J::s(resumed.label()))]);
         }
         let fresh = median(fresh_ms);
         let split = median(split_ms);

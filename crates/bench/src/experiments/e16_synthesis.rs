@@ -15,9 +15,7 @@
 //!    `predicted_gt_rmrs`): Bakery should sit at the O(1)-fence/O(n)-RMR
 //!    corner (`GT_1`), Tournament at O(log n)/O(log n) (`GT_{log n}`).
 //!
-//! The table lands in `results/e16_synthesis.txt`, and synthesis counters
-//! stream to `results/obs/e16_synthesis.jsonl` for `exp obs-report`'s
-//! Synthesis section.
+//! The table lands in `results/e16_synthesis.txt`.
 //!
 //! `--fast` runs only the n = 2 instances, and in that mode the run
 //! fails if a row differs in any cell — iterations, cores, states,
@@ -26,21 +24,17 @@
 //! from a witness; its two-row table is printed, not written over the
 //! committed four rows it was compared with.
 
-use std::sync::Arc;
-
 use crate::{f as fmt, Table};
 use fence_trade::analysis::{predicted_gt_fences, predicted_gt_rmrs};
 use fence_trade::prelude::*;
-use ftobs::{JsonlSink, Recorder};
 use ftsynth::{synthesize, SynthConfig, Synthesis};
 
 const SOLO_STEPS: usize = 10_000_000;
 
-fn synth_cfg(rec: Recorder) -> SynthConfig {
+fn synth_cfg() -> SynthConfig {
     SynthConfig {
         models: vec![MemoryModel::Pso, MemoryModel::Tso],
         max_states: 20_000_000,
-        recorder: rec,
         ..SynthConfig::default()
     }
 }
@@ -92,10 +86,6 @@ fn committed_rows() -> Vec<Vec<String>> {
 pub fn run(fast: bool) {
     // Read before the table below overwrites it.
     let committed = if fast { committed_rows() } else { Vec::new() };
-    let sink = Arc::new(
-        JsonlSink::create(crate::obs_dir().join("e16_synthesis.jsonl"))
-            .unwrap_or_else(|e| crate::fail("e16: creating results/obs/e16_synthesis.jsonl", e)),
-    );
     let mut t = Table::new(
         "e16_synthesis",
         "E16: CEGAR fence synthesis — placements, verification, solo cost vs GT_f scale",
@@ -133,21 +123,7 @@ pub fn run(fast: bool) {
 
     for &(name, kind, n) in &cells {
         let inst = build_mutex(kind, n, FenceMask::ALL);
-        let rec = Recorder::builder()
-            .meta("workload", format!("e16_synth_{name}{n}"))
-            .meta("engine", "cegar")
-            .sink(sink.clone())
-            .quiet(true)
-            .build();
-        let out = synthesize(&inst, &synth_cfg(rec.clone()));
-        rec.emit_snapshot(&[(
-            "verdict",
-            ftobs::J::s(if out.synthesis().is_some() {
-                "synthesized"
-            } else {
-                "failed"
-            }),
-        )]);
+        let out = synthesize(&inst, &synth_cfg());
         let Some(s) = out.synthesis() else {
             crate::fail(
                 &format!("e16: {} did not synthesize", inst.name),

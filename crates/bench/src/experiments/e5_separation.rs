@@ -56,18 +56,11 @@ pub fn run(_fast: bool) {
     t.finish();
 
     // Print the PSO counterexample for the separating placement and save
-    // it under `results/` as a replayable artifact. The check runs with a
-    // recorder so the artifact carries the metrics snapshot at failure.
+    // it under `results/` as a replayable artifact, with the check's
+    // metrics at failure.
     let witness = FenceMask::only(&[SITE_VICTIM, SITE_RELEASE]);
     let inst = build_mutex(LockKind::Peterson, 2, witness);
-    let cex_rec = ftobs::Recorder::builder()
-        .meta("workload", "e5_cex_peterson_pso")
-        .quiet(true)
-        .build();
-    if let Verdict::MutexViolation(_, cex) = check(
-        &inst.machine(MemoryModel::Pso),
-        &cfg.clone().with_recorder(cex_rec.clone()),
-    ) {
+    if let Verdict::MutexViolation(stats, cex) = check(&inst.machine(MemoryModel::Pso), &cfg) {
         println!("PSO counterexample for {}:\n{cex}", witness.describe(3));
         let traced = inst
             .machine_from(MachineConfig::new(MemoryModel::Pso, inst.layout.clone()).with_trace());
@@ -79,7 +72,7 @@ pub fn run(_fast: bool) {
             ),
             traced,
             &cex.schedule,
-            &cex_rec,
+            &stats.metrics,
         );
         println!("saved replayable counterexample to {}\n", path.display());
     }

@@ -1,7 +1,7 @@
 //! **`exp guards`** — every wall-clock gate CI holds, in one subcommand.
 //!
 //! Reads no tuning knobs: it runs every gate, prints one line per gate
-//! with the measured ratio and its floor, and exits non-zero if any gate
+//! with the measured figure and its floor, and exits non-zero if any gate
 //! failed — so one red gate does not hide the ones after it. Floors and
 //! trial counts are the constants below; a floor is changed in this file,
 //! with its reason, or not at all.
@@ -10,10 +10,9 @@
 //! |---|---|---|
 //! | checkpoint smoke | `filter3_pso`, `Dpor` | cut at half + resume == fresh verdict |
 //! | checkpoint overhead | `filter3_pso`, diagnostic bound | (split − uninterrupted) per MiB of snapshot ≤ the budget below |
-//! | obs enabled | `bakery3_pso`, `Undo` | live recorder ≤ ×1.05 of disabled |
 //!
 //! Noise defenses, all needed on a shared container: every figure is the
-//! median over paired alternating rounds (see [`paired_ratio`]), and a
+//! median over paired alternating rounds (see [`paired_rounds`]), and a
 //! gate is re-measured up to its attempt count
 //! and passes as soon as one attempt clears the floor — a genuine
 //! regression fails every attempt, a multi-second ambient load spike does
@@ -23,9 +22,8 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use crate::timing::{median, paired_ratio, paired_rounds};
+use crate::timing::{median, paired_rounds};
 use fence_trade::prelude::*;
-use ftobs::Recorder;
 
 /// The durability budget: what a stop-and-resume adds (snapshot encode,
 /// write, fsync, read, decode, frontier replay) per MiB of snapshot, in the
@@ -43,19 +41,6 @@ use ftobs::Recorder;
 const CKPT_MAX_MS_PER_MIB: f64 = 30.0;
 const CKPT_ROUNDS: usize = 5;
 const CKPT_ATTEMPTS: usize = 3;
-
-/// The observability budget of DESIGN §6: a live recorder costs ≤5 %.
-/// Both sides count every step the same way; what the live one adds is
-/// what a recorder alone keeps — a hot-pc hit per step, events, and the
-/// heartbeat's clock read per poll. The workload is deliberately large (~66k
-/// states): on sub-millisecond checks the fixed cost of rendering the
-/// final `snapshot` event dominates and the ratio measures JSON
-/// encoding. A timing is 3 explorations so a round lasts long enough for
-/// the ratio to settle.
-const OBS_MAX_OVERHEAD: f64 = 1.05;
-const OBS_ROUNDS: usize = 8;
-const OBS_ITERS: usize = 3;
-const OBS_ATTEMPTS: usize = 2;
 
 /// What `iters` full explorations cost, each of which must verify.
 fn explore(inst: &OrderingInstance, cfg: &CheckConfig, iters: usize) -> Duration {
@@ -93,11 +78,6 @@ fn report(name: &str, ok: bool, detail: &str) -> bool {
     let status = if ok { "ok" } else { "FAIL" };
     println!("{status:<4} {name:<22} {detail}");
     ok
-}
-
-/// How a ratio prints.
-fn times(x: f64) -> String {
-    format!("x{x:.3}")
 }
 
 /// Measure up to `attempts` times, stopping at the first attempt that
@@ -186,33 +166,9 @@ fn checkpoint_gates() -> bool {
     overhead
 }
 
-fn obs_gate() -> bool {
-    let inst = build_mutex(LockKind::Bakery, 3, FenceMask::ALL);
-    let disabled = CheckConfig {
-        check_termination: false,
-        max_states: 500_000,
-        ..CheckConfig::default()
-    }
-    .with_engine(Engine::Undo); // the default recorder is `Recorder::disabled()`
-
-    // Quiet and heartbeat-free: measure the recording, not stderr I/O.
-    let live = Recorder::builder()
-        .meta("workload", "guards_bakery3_pso")
-        .quiet(true)
-        .heartbeat_ms(0)
-        .build();
-    let enabled = disabled.clone().with_recorder(live);
-    gate("obs enabled", OBS_MAX_OVERHEAD, times, OBS_ATTEMPTS, || {
-        let den = || explore(&inst, &disabled, OBS_ITERS);
-        let num = || explore(&inst, &enabled, OBS_ITERS);
-        paired_ratio(OBS_ROUNDS, num, den)
-    })
-}
-
 /// Run every gate.
 pub fn run() -> ExitCode {
-    // Non-short-circuiting: every gate runs and reports.
-    if checkpoint_gates() & obs_gate() {
+    if checkpoint_gates() {
         println!("guards: OK");
         ExitCode::SUCCESS
     } else {

@@ -1,8 +1,7 @@
 //! The experiments behind every table under `results/`, one module each,
 //! and [`REGISTRY`] — the only list of them. The `exp` binary selects from
 //! it by id and runs the selection in this process through
-//! [`run_selected`]; `guards` and `obs_report` are its other
-//! subcommands.
+//! [`run_selected`]; `guards` is its other subcommand.
 
 use std::fmt::Write as _;
 use std::panic::catch_unwind;
@@ -25,7 +24,6 @@ pub mod e7_fences;
 pub mod e8_ablation;
 pub mod e9_cas;
 pub mod guards;
-pub mod obs_report;
 
 /// The reduced sequential engine, unbounded: what E12 counts and E14 times.
 const DPOR: modelcheck::Engine = modelcheck::Engine::Dpor {

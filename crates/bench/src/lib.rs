@@ -107,11 +107,9 @@ impl Table {
 /// the schedule's **reorder edges** (`reorder-edge:` lines via
 /// [`wbmem::reorder_edges`] — the write-buffer program-order inversions
 /// that enabled the violation, the same edges fence synthesis refines on),
-/// and — when `recorder` is enabled — a `metrics:` line carrying the
-/// [`ftobs::MetricsSnapshot`] at failure time as one flat JSON object.
-/// The save is also routed through the recorder's event log as a
-/// `counterexample` event, so JSONL streams record that (and where) an
-/// artifact was written.
+/// and a `metrics:` line carrying `metrics` — the verdict's
+/// [`ftobs::MetricsSnapshot`], its counts at failure time — as one flat
+/// JSON object.
 ///
 /// `m` must be configured the way the checker ran (same model, same crash
 /// bound) *plus* trace recording
@@ -124,7 +122,7 @@ pub fn save_counterexample<P: wbmem::Process>(
     header: &str,
     mut m: wbmem::Machine<P>,
     schedule: &[wbmem::SchedElem],
-    recorder: &ftobs::Recorder,
+    metrics: &ftobs::MetricsSnapshot,
 ) -> PathBuf {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -154,27 +152,17 @@ pub fn save_counterexample<P: wbmem::Process>(
     for edge in &edges {
         let _ = writeln!(out, "reorder-edge: {edge}");
     }
-    if recorder.is_enabled() {
-        let snap = recorder.snapshot();
-        let fields = snap.to_json_fields();
-        let refs: Vec<(&str, &ftobs::J)> = fields.iter().map(|(k, v)| (k.as_str(), v)).collect();
-        let _ = writeln!(
-            out,
-            "metrics: {}",
-            ftobs::encode_line(refs, std::iter::empty())
-        );
-    }
+    let fields = metrics.to_json_fields();
+    let refs = fields.iter().map(|(k, v)| (k.as_str(), v));
+    let _ = writeln!(
+        out,
+        "metrics: {}",
+        ftobs::encode_line(refs, std::iter::empty())
+    );
     let path = results_dir().join(format!("{name}.txt"));
     if let Err(e) = fs::write(&path, &out) {
         eprintln!("warning: could not write {}: {e}", path.display());
     }
-    recorder.event(
-        "counterexample",
-        &[
-            ("artifact", ftobs::J::s(path.display().to_string())),
-            ("schedule_len", ftobs::J::U(schedule.len() as u64)),
-        ],
-    );
     path
 }
 
@@ -204,15 +192,6 @@ pub fn parse_counterexample_schedule(text: &str) -> Vec<wbmem::SchedElem> {
         .collect()
 }
 
-/// The `results/obs/` directory for JSONL event streams and rendered
-/// observability reports (created on demand).
-#[must_use]
-pub fn obs_dir() -> PathBuf {
-    let dir = results_dir().join("obs");
-    let _ = fs::create_dir_all(&dir);
-    dir
-}
-
 /// Fail the running experiment with a one-line diagnostic. Experiments
 /// share a process, so this unwinds instead of exiting:
 /// [`experiments::run_selected`] catches it, marks the experiment `FAILED`
@@ -222,21 +201,52 @@ pub fn fail(context: &str, err: impl std::fmt::Display) -> ! {
 }
 
 /// The repository `results/` directory (created on demand).
+///
+/// # Panics
+///
+/// Outside a workspace checkout (see [`workspace_root`]).
 #[must_use]
 pub fn results_dir() -> PathBuf {
-    let dir = workspace_root().join("results");
+    let root = workspace_root().unwrap_or_else(|e| fail("results", e));
+    let dir = root.join("results");
     let _ = fs::create_dir_all(&dir);
     dir
 }
 
-/// The workspace checkout this binary was built from.
-pub(crate) fn workspace_root() -> PathBuf {
-    // crates/bench -> crates -> root
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(std::path::Path::parent)
-        .expect("workspace root exists")
-        .to_path_buf()
+/// The workspace checkout `exp` runs in: the working directory or the
+/// nearest directory above it whose `Cargo.toml` has a `[workspace]`
+/// table. It is looked up where the process runs, not where the binary
+/// was built, so a copy of the checkout that reuses another's `target/`
+/// writes its tables into itself.
+///
+/// # Errors
+///
+/// When no directory from the working directory up holds such a
+/// `Cargo.toml`, or the working directory cannot be read.
+pub fn workspace_root() -> Result<PathBuf, String> {
+    let cwd = std::env::current_dir().map_err(|e| format!("reading the working directory: {e}"))?;
+    cwd.ancestors()
+        .find(|dir| {
+            fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| declares_workspace(&text))
+        })
+        .map(std::path::Path::to_path_buf)
+        .ok_or_else(|| {
+            format!(
+                "no Cargo.toml with a [workspace] table in {} or above it: \
+                 run exp from inside the fence-trade checkout",
+                cwd.display()
+            )
+        })
+}
+
+/// Whether a manifest's text opens a `[workspace]` table (or a
+/// `[workspace.…]` one, which implies it).
+fn declares_workspace(manifest: &str) -> bool {
+    manifest.lines().any(|line| {
+        line.trim()
+            .strip_prefix("[workspace")
+            .is_some_and(|rest| rest.starts_with(']') || rest.starts_with('.'))
+    })
 }
 
 /// `count` seeded random permutations of `0..n`.
@@ -371,6 +381,20 @@ mod tests {
         // Whatever FT_THREADS says (this process may inherit one), the
         // effective worker count is clamped to the detected cores.
         assert!(parallelism() <= available_cores());
+    }
+
+    #[test]
+    fn only_a_workspace_table_marks_the_root() {
+        assert!(declares_workspace("[workspace]\nmembers = []\n"));
+        assert!(declares_workspace(
+            "  [workspace.package]\nversion = \"1\"\n"
+        ));
+        // A member's manifest inherits from the workspace but opens no
+        // table of it.
+        assert!(!declares_workspace("[package]\nversion.workspace = true\n"));
+        assert!(!declares_workspace("[workspaces]\n"));
+        let root = workspace_root().expect("tests run inside the checkout");
+        assert!(root.join("crates/bench").is_dir(), "{}", root.display());
     }
 
     #[test]

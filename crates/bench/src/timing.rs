@@ -3,9 +3,8 @@
 //!
 //! Two pieces: [`Spent`] (wall-clock of a call next to the process
 //! CPU-seconds it used, so a core that was not there is visible) and
-//! [`paired_rounds`] / [`paired_ratio`] (two sides timed in alternating
-//! rounds so they share whatever the machine was doing, compared round by
-//! round).
+//! [`paired_rounds`] (two sides timed in alternating rounds so they share
+//! whatever the machine was doing, compared round by round).
 
 use std::time::{Duration, Instant};
 
@@ -90,20 +89,6 @@ pub fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Median of per-round `num/den` wall-clock ratios over [`paired_rounds`].
-/// Per-round ratios cancel slow load drift,
-/// whereas comparing each side's best-of-rounds lets one lucky quiet
-/// window inflate the ratio for the whole run.
-pub fn paired_ratio(
-    rounds: usize,
-    num: impl FnMut() -> Duration,
-    den: impl FnMut() -> Duration,
-) -> f64 {
-    let pairs = paired_rounds(rounds, num, den);
-    let ratio = |&(n, d): &(Duration, Duration)| n.as_secs_f64() / d.as_secs_f64().max(1e-12);
-    median(pairs.iter().map(ratio).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,14 +97,14 @@ mod tests {
     const MS: fn(u64) -> Duration = Duration::from_millis;
 
     #[test]
-    fn paired_ratio_is_the_median_of_per_round_ratios_over_alternating_rounds() {
+    fn paired_rounds_alternate_which_side_goes_first_after_a_warm_up() {
         // The calls in the order they happen: 'n' and 'd'.
         let order = RefCell::new(String::new());
         let mut nums = [MS(10), MS(90), MS(40), MS(20), MS(30)].into_iter();
         // The first `den` value is the warm-up: were it counted, it would
         // be a ratio of its own.
         let mut dens = [MS(1), MS(10), MS(30), MS(20), MS(5), MS(10)].into_iter();
-        let ratio = paired_ratio(
+        let pairs = paired_rounds(
             5,
             || {
                 order.borrow_mut().push('n');
@@ -135,9 +120,8 @@ mod tests {
             "d nd dn nd dn nd".replace(' ', ""),
             "warm-up first, then the side that goes first alternates"
         );
-        // Per-round ratios 1, 3, 2, 4, 3: a mean would read 2.6, the ratio
-        // of the two sides' minima 2.
-        assert!((ratio - 3.0).abs() < 1e-9, "median of ratios, got {ratio}");
+        let expect = [(10, 10), (90, 30), (40, 20), (20, 5), (30, 10)].map(|(n, d)| (MS(n), MS(d)));
+        assert_eq!(pairs, expect, "each round pairs the calls made in it");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! carries the metrics snapshot taken at failure time.
 
 use ft_bench::{parse_counterexample_schedule, save_counterexample};
-use modelcheck::{check, CheckConfig, Engine, Recorder, Verdict};
+use modelcheck::{check, CheckConfig, Engine, Verdict};
 use simlocks::{build_mutex, FenceMask, LockKind, ANNOT_IN_CS};
 use wbmem::{MachineConfig, MemoryModel};
 
@@ -14,13 +14,10 @@ fn saved_artifact_replays_to_the_same_verdict() {
     // mutual exclusion under PSO.
     let witness = FenceMask::only(&[simlocks::peterson::SITE_VICTIM]);
     let inst = build_mutex(LockKind::Peterson, 2, witness);
-    let rec = Recorder::builder().quiet(true).build();
-    let cfg = CheckConfig::default()
-        .with_engine(Engine::Dpor {
-            reorder_bound: None,
-        })
-        .with_recorder(rec.clone());
-    let Verdict::MutexViolation(_, cex) = check(&inst.machine(MemoryModel::Pso), &cfg) else {
+    let cfg = CheckConfig::default().with_engine(Engine::Dpor {
+        reorder_bound: None,
+    });
+    let Verdict::MutexViolation(stats, cex) = check(&inst.machine(MemoryModel::Pso), &cfg) else {
         panic!("the witness placement must violate mutex under PSO");
     };
 
@@ -31,7 +28,7 @@ fn saved_artifact_replays_to_the_same_verdict() {
         "test: replayable artifact round-trip",
         traced,
         &cex.schedule,
-        &rec,
+        &stats.metrics,
     );
     let text = std::fs::read_to_string(&path).expect("artifact written");
     let _ = std::fs::remove_file(&path); // test scratch, not a results deliverable
@@ -45,13 +42,13 @@ fn saved_artifact_replays_to_the_same_verdict() {
         .lines()
         .find_map(|l| l.strip_prefix("metrics: "))
         .expect("artifact has a metrics line");
-    let fields = ftobs::report::parse_line(metrics_line).expect("metrics line is flat JSON");
+    let fields = ftobs::parse_line(metrics_line).expect("metrics line is flat JSON");
     let states: u64 = fields["states"].parse().expect("states field");
     assert!(states > 0, "snapshot saw the search");
     assert_eq!(
         states,
-        rec.snapshot().states(),
-        "artifact snapshot matches the recorder at failure time"
+        stats.metrics.states(),
+        "artifact snapshot matches the verdict's metrics"
     );
 
     // The artifact annotates the write-buffer inversions that enabled the

@@ -136,24 +136,6 @@ impl Program {
         self.instrs.iter().filter(|i| i.is_memory()).count()
     }
 
-    /// A short human-readable label for program point `pc` (the rendered
-    /// instruction, truncated), for observability displays such as the
-    /// `ftobs` hot-pc table. Out-of-range pcs label as `pc<N>`.
-    #[must_use]
-    pub fn pc_label(&self, pc: usize) -> String {
-        match self.instrs.get(pc) {
-            Some(ins) => ins.to_string().chars().take(24).collect(),
-            None => format!("pc{pc}"),
-        }
-    }
-
-    /// Labels for every program point, indexed by pc (see
-    /// [`pc_label`](Self::pc_label)).
-    #[must_use]
-    pub fn pc_labels(&self) -> Vec<String> {
-        (0..self.instrs.len()).map(|pc| self.pc_label(pc)).collect()
-    }
-
     /// Number of `Fence` instructions in the program text (static fence
     /// sites, not dynamic fence steps).
     #[must_use]

@@ -27,7 +27,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use ftobs::{Gauge, Metric, MetricsSnapshot, ProcSteps, Progress, Recorder, Tally};
+use ftobs::{Gauge, Metric, MetricsSnapshot, ProcSteps, Recorder};
 use por::{RunMeta, Snapshot};
 use wbmem::{
     CrashSemantics, Event, EventKind, Machine, MachineError, Process, SchedElem, StepOutcome,
@@ -154,10 +154,9 @@ pub struct CheckConfig {
     /// [`Verdict::InvariantViolation`] with a counterexample. A plain `fn`
     /// pointer keeps the configuration `Clone`/`Debug`.
     pub annotation_invariant: Option<fn(&[u64]) -> bool>,
-    /// Observability stream. A check counts its steps whether or not a
-    /// recorder is attached ([`Stats::metrics`]); [`check`] adds those
-    /// counts to the recorder once, before its closing `snapshot` event.
-    /// An enabled recorder also keeps hot-pc hits, events and heartbeats.
+    /// Where the check's counts are summed as well. A check counts its
+    /// steps whether or not a recorder is attached ([`Stats::metrics`]);
+    /// [`check`] adds those counts to the recorder once, when it ends.
     /// The default, [`Recorder::disabled`], is a no-op.
     pub recorder: Recorder,
     /// Durable checkpointing (see [`CheckpointPolicy`]). When set, every
@@ -224,7 +223,7 @@ impl CheckConfig {
         self
     }
 
-    /// This configuration with an observability recorder (see
+    /// This configuration with a recorder that sums its counts (see
     /// [`CheckConfig::recorder`]).
     #[must_use]
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
@@ -790,36 +789,17 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub(crate) const DEADLINE_POLL_MASK: usize = 1024 - 1;
 
 /// The engines' shared poll point: update the walk's frontier and
-/// dedup-occupancy gauges, offer the recorder a (rate-limited) heartbeat,
-/// and report whether the wall-clock deadline has passed. With a disabled
-/// recorder there is no clock read unless a deadline exists.
+/// dedup-occupancy gauges and report whether the wall-clock deadline has
+/// passed. There is no clock read unless a deadline exists.
 pub(crate) fn poll_observe(
-    obs: &Recorder,
-    tally: &mut Tally,
-    stats: &Stats,
+    tally: &mut MetricsSnapshot,
     frontier: usize,
     dedup_occupancy: usize,
-    budget: Option<Duration>,
     deadline: Option<Instant>,
 ) -> bool {
     tally.gauge_max(Gauge::MaxFrontier, frontier as u64);
     tally.gauge_set(Gauge::DedupOccupancy, dedup_occupancy as u64);
-    if !obs.is_enabled() {
-        return deadline.is_some_and(|d| Instant::now() >= d);
-    }
-    let now = Instant::now();
-    let spent = match (budget, deadline) {
-        (Some(b), Some(d)) => Some(b.saturating_sub(d.saturating_duration_since(now))),
-        _ => None,
-    };
-    obs.maybe_heartbeat(&Progress {
-        states: stats.states as u64,
-        transitions: stats.transitions as u64,
-        frontier: frontier as u64,
-        budget,
-        spent,
-    });
-    deadline.is_some_and(|d| now >= d)
+    deadline.is_some_and(|d| Instant::now() >= d)
 }
 
 /// Take the exploration step `elem` on `m` and count it into `tally`
@@ -829,15 +809,14 @@ pub(crate) fn poll_observe(
 /// a draining crash commits a whole buffer in one step.
 #[inline]
 pub(crate) fn step_counted<P: Process, T>(
-    tally: &mut Tally,
+    tally: &mut MetricsSnapshot,
     m: &mut Machine<P>,
     elem: SchedElem,
     step: impl FnOnce(&mut Machine<P>) -> (StepOutcome, T),
 ) -> (StepOutcome, T) {
-    let p = elem.proc;
     let crash = elem
         .crash
-        .then(|| (m.counters().proc(p.index()).commits, m.process(p).obs_pc()));
+        .then(|| m.counters().proc(elem.proc.index()).commits);
     let (out, rest) = step(m);
     if let StepOutcome::Stepped(event) = &out {
         count_step(tally, m, event, crash);
@@ -849,17 +828,12 @@ pub(crate) fn step_counted<P: Process, T>(
 /// raised a counter of when it took the step. An SC write commits at
 /// once, so a `Commit` of a machine that buffers nothing is a write too.
 /// A crash is counted by what it added to its process's commit counter,
-/// given with the process's pc from `crash` before it.
-///
-/// Hot-pc hits, kept only for an enabled recorder, go to the pc each of
-/// the step's events left the process at: the step's end, except that
-/// the commits of a draining crash happen where the process crashed,
-/// before the crash moves it to its recovery entry.
+/// which stood at `crash` before it.
 fn count_step<P: Process>(
-    tally: &mut Tally,
+    tally: &mut MetricsSnapshot,
     m: &Machine<P>,
     event: &Event,
-    crash: Option<(u64, Option<u32>)>,
+    crash: Option<u64>,
 ) {
     let (p, i) = (event.proc, event.proc.index());
     let mut steps = ProcSteps::default();
@@ -880,22 +854,13 @@ fn count_step<P: Process>(
         EventKind::Swap { .. } => tally.incr(Metric::SwapOps),
         EventKind::Return { .. } => tally.incr(Metric::Returns),
         EventKind::Crash { .. } => {
-            let (before, pc) = crash.expect("only a crash element crashes");
-            let commits = m.counters().proc(i).commits - before;
-            tally.add(Metric::Commits, commits);
+            let before = crash.expect("only a crash element crashes");
+            tally.add(Metric::Commits, m.counters().proc(i).commits - before);
             steps.crashes = 1;
-            if let (Some(pc), true) = (pc, commits > 0) {
-                tally.hot_pc(i, pc, commits);
-            }
         }
     }
     if steps != ProcSteps::default() {
         tally.proc_steps(i, steps);
-    }
-    if tally.counts_hot_pcs() {
-        if let Some(pc) = m.process(p).obs_pc() {
-            tally.hot_pc(i, pc, 1);
-        }
     }
 }
 
@@ -951,47 +916,27 @@ pub(crate) fn run_meta_of(config: &CheckConfig, root_fp: u128) -> RunMeta {
 
 /// Write `snap` to the policy's path, retrying transient I/O failures
 /// with exponential backoff (3 attempts: immediately, +10ms, +50ms).
-/// Returns the path on success; on final failure emits a
-/// `checkpoint_failed` event and returns `None` — the run's verdict
-/// still stands, only the resume artifact is lost.
+/// Returns the path on success and `None` on final failure — the run's
+/// verdict still stands, only the resume artifact is lost, which the
+/// verdict's [`Coverage::checkpoint`] shows.
 pub(crate) fn write_checkpoint(
-    obs: &Recorder,
-    tally: &mut Tally,
+    tally: &mut MetricsSnapshot,
     policy: &CheckpointPolicy,
     snap: &Snapshot,
 ) -> Option<PathBuf> {
-    use ftobs::J;
-    let path = || ("path", J::s(policy.path.display().to_string()));
-    let forks = || ("forks", J::U(snap.forks.len() as u64));
-    let states = || ("states", J::U(snap.base.states));
     let mut delay = Duration::from_millis(10);
-    let mut written = None;
-    for attempt in 1..=3u32 {
-        match snap.write_atomic(&policy.path) {
-            Ok(bytes) => {
-                tally.incr(Metric::CheckpointWritten);
-                tally.add(Metric::CheckpointBytes, bytes);
-                let bytes = ("bytes", J::U(bytes));
-                obs.event("checkpoint", &[path(), bytes, forks(), states()]);
-                written = Some(policy.path.clone());
-                break;
-            }
-            Err(e) if attempt < 3 => {
-                let attempt = ("attempt", J::U(u64::from(attempt)));
-                obs.event(
-                    "checkpoint_retry",
-                    &[attempt, ("error", J::s(e.to_string()))],
-                );
-                std::thread::sleep(delay);
-                delay *= 5;
-            }
-            Err(e) => obs.event(
-                "checkpoint_failed",
-                &[path(), ("error", J::s(e.to_string()))],
-            ),
+    for attempt in 1..=3 {
+        if let Ok(bytes) = snap.write_atomic(&policy.path) {
+            tally.incr(Metric::CheckpointWritten);
+            tally.add(Metric::CheckpointBytes, bytes);
+            return Some(policy.path.clone());
+        }
+        if attempt < 3 {
+            std::thread::sleep(delay);
+            delay *= 5;
         }
     }
-    written
+    None
 }
 
 /// `initial` with the configured crash bound applied: the root every
@@ -1058,9 +1003,9 @@ pub(crate) fn dispatch<P: Process>(
     let start = Instant::now();
     let deadline = config.budget.map(|b| start + b);
     let root = bounded_root(initial, config);
-    let (root, obs) = (root.as_ref(), &config.recorder);
+    let root = root.as_ref();
     let resumed = seed.as_ref().map(|snap| snap.metrics);
-    let mut totals = obs.tally();
+    let mut totals = MetricsSnapshot::default();
     let run = || match config.engine {
         // `resume` refuses the oracle before it gets here.
         Engine::CloneDfs => check_clone_dfs(root, config, deadline, &mut totals),
@@ -1074,25 +1019,13 @@ pub(crate) fn dispatch<P: Process>(
     // its metrics merge the interrupted run's snapshot with this one's.
     // Every other verdict came from a standalone rerun from the root and
     // stands alone.
-    let own = totals.snapshot();
     let metrics = match (&verdict, resumed) {
-        (Verdict::Ok(_) | Verdict::Inconclusive(..), Some(prior)) => prior.merged(&own),
-        _ => own,
+        (Verdict::Ok(_) | Verdict::Inconclusive(..), Some(prior)) => prior.merged(&totals),
+        _ => totals,
     };
     let stats = verdict.stats_mut();
     (stats.elapsed, stats.metrics) = (start.elapsed(), metrics);
-    obs.record(&totals);
-    use ftobs::J;
-    let mut fields = vec![
-        ("engine", J::s(config.engine.label())),
-        ("verdict", J::s(verdict.label())),
-    ];
-    if resumed.is_some() {
-        fields.push(("resumed", J::B(true)));
-    }
-    fields.push(("elapsed_ms", J::U(start.elapsed().as_millis() as u64)));
-    obs.emit_snapshot(&fields);
-    obs.flush();
+    config.recorder.record(&totals);
     verdict
 }
 
@@ -1103,9 +1036,8 @@ fn check_clone_dfs<P: Process>(
     initial: &Machine<P>,
     config: &CheckConfig,
     deadline: Option<Instant>,
-    tally: &mut Tally,
+    tally: &mut MetricsSnapshot,
 ) -> Verdict {
-    let obs = &config.recorder;
     let mut stats = Stats::default();
     let mut index = SearchIndex::default();
     let mut edges: Vec<(u32, u32)> = Vec::new();
@@ -1144,15 +1076,7 @@ fn check_clone_dfs<P: Process>(
     while let Some((m, id, mut choices)) = stack.pop() {
         iters += 1;
         if iters & DEADLINE_POLL_MASK == 0
-            && poll_observe(
-                obs,
-                tally,
-                &stats,
-                stack.len() + 1,
-                index.len(),
-                config.budget,
-                deadline,
-            )
+            && poll_observe(tally, stack.len() + 1, index.len(), deadline)
         {
             return Verdict::Inconclusive(
                 stats,
@@ -1806,10 +1730,11 @@ mod tests {
         assert_eq!(find_stuck(0, &[], &[]), None);
     }
 
-    /// Under `DrainBuffer` the commits of a crash step happen at the pc the
-    /// process crashed at, and only the crash itself at its recovery entry.
+    /// Under `DrainBuffer` a crash step commits its process's whole
+    /// buffer, and those commits are counted with the crash; under
+    /// `DiscardBuffer` it commits nothing.
     #[test]
-    fn a_draining_crash_charges_its_commits_to_the_pc_it_crashed_at() {
+    fn a_draining_crash_counts_its_commits_and_the_crash() {
         let p0 = ProcId(0);
         let inst = build_mutex(LockKind::RecoverableBakery, 2, FenceMask::NONE);
         for semantics in [CrashSemantics::DrainBuffer, CrashSemantics::DiscardBuffer] {
@@ -1818,25 +1743,18 @@ mod tests {
             while m.buffer(p0).len() < 2 {
                 assert!(m.step(SchedElem::op(p0)).event().is_some(), "p0 got stuck");
             }
-            let (pending, crashed_at) = (m.buffer(p0).len() as u64, m.process(p0).obs_pc());
-            let rec = Recorder::builder().quiet(true).heartbeat_ms(0).build();
-            let mut tally = rec.tally();
-            step_counted(&mut tally, &mut m, SchedElem::crash(p0), |m| {
+            let pending = m.buffer(p0).len() as u64;
+            let mut snap = MetricsSnapshot::default();
+            step_counted(&mut snap, &mut m, SchedElem::crash(p0), |m| {
                 (m.step(SchedElem::crash(p0)), ())
             });
-            rec.record(&tally);
-            let pc = |pc: Option<u32>| pc.expect("a VmProc has a pc");
-            let (crashed_at, entry) = (pc(crashed_at), pc(m.process(p0).obs_pc()));
-            assert_ne!(crashed_at, entry);
-            let (hot, snap) = (rec.hot_pcs(8), rec.snapshot());
-            if semantics == CrashSemantics::DrainBuffer {
-                let expect = [(0, crashed_at, pending, None), (0, entry, 1, None)];
-                assert_eq!(hot, expect);
-                assert_eq!(snap.get(Metric::Commits), pending);
-            } else {
-                assert_eq!(hot, [(0, entry, 1, None)]);
-                assert_eq!(snap.get(Metric::Commits), 0);
-            }
+            assert!(m.buffer(p0).is_empty());
+            let commits = match semantics {
+                CrashSemantics::DrainBuffer => pending,
+                CrashSemantics::DiscardBuffer => 0,
+            };
+            assert_eq!(snap.get(Metric::Commits), commits);
+            assert_eq!(snap.get(Metric::Crashes), 1);
             assert_eq!(snap.per_proc[0].crashes, 1);
         }
     }
@@ -1868,7 +1786,7 @@ mod tests {
                 CrashSemantics::DiscardBuffer
             };
             m.set_crash_bound(semantics, 2);
-            let mut tally = Tally::default();
+            let mut tally = MetricsSnapshot::default();
             for pick in picks {
                 let choices = m.choices();
                 // One pick in eight crashes a process whether or not it
@@ -1886,7 +1804,7 @@ mod tests {
                     }
                 });
             }
-            let (snap, total) = (tally.snapshot(), m.counters().total());
+            let (snap, total) = (tally, m.counters().total());
             let tallied = [
                 Metric::Reads, Metric::BufferReads, Metric::Writes, Metric::Commits,
                 Metric::Fences, Metric::CasOps, Metric::SwapOps, Metric::Crashes,

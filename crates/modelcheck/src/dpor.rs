@@ -41,7 +41,7 @@
 //! [`arrive`](Reduction::arrive) builds the next child in one of those.
 //! Whoever takes a spare frame overwrites every field.
 
-use ftobs::{Metric, Tally};
+use ftobs::{Metric, MetricsSnapshot};
 use por::{step_weight, DenseHeads, ForkPoint, SleepSet, VisitTable};
 use wbmem::{Footprint, FpMap, Machine, MemoryModel, Process, SchedElem};
 
@@ -121,7 +121,7 @@ impl SleepAmple {
         }
     }
 
-    fn sleep_hit(&mut self, tally: &mut Tally) {
+    fn sleep_hit(&mut self, tally: &mut MetricsSnapshot) {
         self.sleep_hits += 1;
         tally.incr(Metric::SleepHits);
     }
@@ -190,7 +190,7 @@ impl<P: Process> Reduction<P> for SleepAmple {
         top: &mut SleepFrame,
         arena: &mut Vec<SchedElem>,
         edge: &Edge,
-        tally: &mut Tally,
+        tally: &mut MetricsSnapshot,
     ) -> Option<SleepFrame> {
         // Cycle proviso (C3): a reduced step that lands on a state still
         // on the stack could postpone the pruned processes forever around
@@ -248,7 +248,7 @@ impl<P: Process> Reduction<P> for SleepAmple {
         choices: &[SchedElem],
         frame: &mut SleepFrame,
         arena: &mut Vec<SchedElem>,
-        tally: &mut Tally,
+        tally: &mut MetricsSnapshot,
     ) {
         debug_assert!(frame.excluded.is_empty(), "expanding a frame twice");
         let ample = self.mode != Mode::Budget;
@@ -404,7 +404,7 @@ mod tests {
                 remaining: 2,
                 ..SleepFrame::default()
             };
-            let (mut arena, mut tally) = (Vec::new(), ftobs::Tally::default());
+            let (mut arena, mut tally) = (Vec::new(), ftobs::MetricsSnapshot::default());
             let mut child = None;
             for (node, elem) in [(1, first), (2, SchedElem::op(ProcId(1)))] {
                 let edge = Edge {

@@ -25,13 +25,13 @@
 //! frame's region is the arena's tail (where the cycle proviso appends to
 //! it). What a step overwrote lives on the machine's own undo trail; a
 //! frame keeps the 16-byte [`UndoToken`] that rewinds it, and the walk
-//! counts its undos in the [`Tally`] it batches every per-edge counter in;
-//! [`run_local`] merges that tally into its check's totals when the walk
-//! ends.
+//! counts its undos in the [`MetricsSnapshot`] it batches every per-edge
+//! counter in; [`run_local`] merges that tally into its check's totals
+//! when the walk ends.
 
 use std::time::Instant;
 
-use ftobs::{Gauge, Metric, MetricsSnapshot, Recorder, Tally};
+use ftobs::{Gauge, Metric, MetricsSnapshot};
 use por::{BaseCounts, ForkPoint, Snapshot};
 use wbmem::{Footprint, Machine, Process, SchedElem, StepOutcome, UndoToken};
 
@@ -151,7 +151,7 @@ pub(crate) trait Reduction<P: Process> {
         top: &mut Self::Frame,
         arena: &mut Vec<SchedElem>,
         edge: &Edge,
-        tally: &mut Tally,
+        tally: &mut MetricsSnapshot,
     ) -> Option<Self::Frame>;
     /// Append the choices to walk from `frame`'s state — `m`'s current
     /// one, with `choices` enabled — to the arena. Under the termination
@@ -163,7 +163,7 @@ pub(crate) trait Reduction<P: Process> {
         choices: &[SchedElem],
         frame: &mut Self::Frame,
         arena: &mut Vec<SchedElem>,
-        tally: &mut Tally,
+        tally: &mut MetricsSnapshot,
     );
     /// Edges pruned as redundant so far.
     fn sleep_hits(&self) -> usize {
@@ -193,7 +193,7 @@ impl<P: Process> Reduction<P> for NoReduction {
         _top: &mut (),
         _arena: &mut Vec<SchedElem>,
         edge: &Edge,
-        tally: &mut Tally,
+        tally: &mut MetricsSnapshot,
     ) -> Option<()> {
         if !edge.fresh {
             tally.incr(Metric::DedupHits);
@@ -207,7 +207,7 @@ impl<P: Process> Reduction<P> for NoReduction {
         choices: &[SchedElem],
         _frame: &mut (),
         arena: &mut Vec<SchedElem>,
-        _tally: &mut Tally,
+        _tally: &mut MetricsSnapshot,
     ) {
         arena.extend_from_slice(choices);
     }
@@ -239,7 +239,7 @@ struct Frame<P, S> {
 }
 
 /// Rewind `m` over the step `token` records, counting the undo.
-fn undo<P: Process>(m: &mut Machine<P>, tally: &mut Tally, token: UndoToken<P>) {
+fn undo<P: Process>(m: &mut Machine<P>, tally: &mut MetricsSnapshot, token: UndoToken<P>) {
     tally.incr(Metric::UndoSteps);
     m.undo(token);
 }
@@ -250,7 +250,7 @@ pub(crate) struct Dfs<'a, P: Process, R: Reduction<P>> {
     red: &'a mut R,
     /// Batches the per-edge counters until [`run_local`] merges them into
     /// its check's totals.
-    pub(crate) tally: Tally,
+    pub(crate) tally: MetricsSnapshot,
     arena: Vec<SchedElem>,
     scratch: Vec<SchedElem>,
     frames: Vec<Frame<P, R::Frame>>,
@@ -277,7 +277,6 @@ impl<'a, P: Process, R: Reduction<P>> Dfs<'a, P, R> {
         mut task: ForkPoint,
         node: impl FnOnce(u128) -> u32,
         red: &'a mut R,
-        obs: &Recorder,
     ) -> Self {
         let mut m = initial.clone();
         m.forget_locality();
@@ -308,7 +307,7 @@ impl<'a, P: Process, R: Reduction<P>> Dfs<'a, P, R> {
         Dfs {
             m,
             red,
-            tally: obs.tally(),
+            tally: MetricsSnapshot::default(),
             arena,
             scratch,
             frames: vec![root],
@@ -489,7 +488,7 @@ impl<'a, P: Process, R: Reduction<P>> Dfs<'a, P, R> {
 pub(crate) fn root_fork<P: Process, R: Reduction<P>>(
     initial: &Machine<P>,
     red: &mut R,
-    tally: &mut Tally,
+    tally: &mut MetricsSnapshot,
 ) -> ForkPoint {
     let mut fork = ForkPoint {
         remaining: red.root_budget(),
@@ -520,7 +519,7 @@ pub(crate) struct Local<'a> {
     config: &'a CheckConfig,
     /// The check's totals: the root's counts until the first walk ends,
     /// then every finished walk's too.
-    totals: &'a mut Tally,
+    totals: &'a mut MetricsSnapshot,
     deadline: Option<Instant>,
     /// Fingerprint of the (crash-bounded) root, which keys checkpoints.
     root_fp: u128,
@@ -563,15 +562,7 @@ impl Local<'_> {
         let mut stop = policy.is_some_and(|p| p.stop_requested(own));
         if !stop && iters & DEADLINE_POLL_MASK == 0 {
             let (depth, states) = (dfs.depth(), self.stats.states);
-            stop = poll_observe(
-                &config.recorder,
-                &mut dfs.tally,
-                &self.stats,
-                depth,
-                states,
-                config.budget,
-                self.deadline,
-            );
+            stop = poll_observe(&mut dfs.tally, depth, states, self.deadline);
         }
         if stop {
             self.coverage = Some(Coverage {
@@ -606,13 +597,11 @@ impl Local<'_> {
                 terminal_states: self.stats.terminal_states as u64,
                 sleep_hits: self.base.sleep_hits + dfs.sleep_hits() as u64,
             },
-            metrics: (self.prior)
-                .merged(&self.totals.snapshot())
-                .merged(&dfs.tally.snapshot()),
+            metrics: self.prior.merged(self.totals).merged(&dfs.tally),
             forks,
             visited,
         };
-        write_checkpoint(&self.config.recorder, self.totals, policy, &snap)
+        write_checkpoint(self.totals, policy, &snap)
     }
 
     /// The step `elem` from `from` landed on `fp`: its id and whether
@@ -681,9 +670,8 @@ pub(crate) fn run_local<P: Process, R: Reduction<P>, V: Visitor<P>>(
     seed: Option<Snapshot>,
     mut reduction: R,
     visitor: &mut V,
-    totals: &mut Tally,
+    totals: &mut MetricsSnapshot,
 ) -> Verdict {
-    let obs = &config.recorder;
     let seeded = seed.is_some();
     let mut local = Local {
         config,
@@ -749,7 +737,7 @@ pub(crate) fn run_local<P: Process, R: Reduction<P>, V: Visitor<P>>(
                 .expect("a fork point's state has an id")
                 .0
         };
-        let mut dfs = Dfs::start(initial, task, node, &mut reduction, obs);
+        let mut dfs = Dfs::start(initial, task, node, &mut reduction);
         halt = dfs.run(config, &mut local, visitor);
         local.totals.merge(&dfs.tally);
         if halt.is_some() {
@@ -757,7 +745,7 @@ pub(crate) fn run_local<P: Process, R: Reduction<P>, V: Visitor<P>>(
         }
     }
     if seeded && matches!(halt, Some(Halt::Violation(..) | Halt::StateLimit)) {
-        *local.totals = obs.tally();
+        *local.totals = MetricsSnapshot::default();
         let unstoppable = CheckConfig {
             checkpoint: None,
             ..config.clone()
@@ -803,7 +791,7 @@ pub(crate) fn sequential<P: Process>(
     config: &CheckConfig,
     deadline: Option<Instant>,
     seed: Option<Snapshot>,
-    totals: &mut Tally,
+    totals: &mut MetricsSnapshot,
 ) -> Verdict {
     let visitor = &mut Properties::new(config);
     match config.engine.reduction() {

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeSet;
 
-use ftobs::Tally;
+use ftobs::MetricsSnapshot;
 use wbmem::{Machine, Process};
 
 use crate::checker::CheckConfig;
@@ -39,7 +39,7 @@ pub fn terminal_outcomes<P: Process>(
         check_termination: false,
         ..CheckConfig::default()
     };
-    let (mut outcomes, counts) = (Outcomes(BTreeSet::new()), &mut Tally::default());
+    let (mut outcomes, counts) = (Outcomes(BTreeSet::new()), &mut MetricsSnapshot::default());
     let verdict = run_local(
         initial,
         &config,

@@ -85,8 +85,8 @@ fn validate_meta(meta: &RunMeta, expect: &RunMeta) -> Result<(), String> {
 /// silently starting over.
 ///
 /// On success the returned verdict describes the *combined* exploration:
-/// state/transition counts include the interrupted run's, and (when the
-/// recorder is enabled) the metrics snapshot is the merge of both runs.
+/// state/transition counts include the interrupted run's, and its
+/// `Stats::metrics` is the merge of both runs' counts.
 /// If the resumed run is interrupted again (its `config` may carry a
 /// fresh [`crate::CheckpointPolicy`]), the new checkpoint folds the
 /// prior totals in, so chains of interrupts keep summing correctly.

@@ -11,10 +11,6 @@ use modelcheck::{check, CheckConfig, Engine, MetricsSnapshot, Recorder, Verdict}
 use simlocks::{build_mutex, FenceMask, LockKind};
 use wbmem::MemoryModel;
 
-fn quiet_recorder() -> Recorder {
-    Recorder::builder().quiet(true).build()
-}
-
 fn engines() -> [Engine; 4] {
     [
         Engine::CloneDfs,
@@ -43,7 +39,7 @@ fn matrix() -> Vec<(LockKind, FenceMask, &'static str)> {
 
 fn run(engine: Engine, kind: LockKind, mask: FenceMask, model: MemoryModel) -> (Verdict, Recorder) {
     let inst = build_mutex(kind, 2, mask);
-    let rec = quiet_recorder();
+    let rec = Recorder::enabled();
     let config = CheckConfig::default()
         .with_engine(engine)
         .with_recorder(rec.clone());
@@ -113,7 +109,7 @@ fn crash_workload_metrics_agree_and_count_crashes() {
     let mut baseline: Option<MetricsSnapshot> = None;
     for engine in engines {
         let inst = build_mutex(LockKind::RecoverableTtas, 2, FenceMask::ALL);
-        let rec = quiet_recorder();
+        let rec = Recorder::enabled();
         let config = CheckConfig {
             check_termination: false,
             max_states: 200_000,
@@ -141,7 +137,7 @@ fn reduced_dpor_reports_fewer_transitions_than_its_diagnostic_mode() {
         check_termination: false, // enable ample pruning
         ..CheckConfig::default()
     };
-    let rec_full = quiet_recorder();
+    let rec_full = Recorder::enabled();
     let full = check(
         &inst.machine(MemoryModel::Pso),
         &base
@@ -151,7 +147,7 @@ fn reduced_dpor_reports_fewer_transitions_than_its_diagnostic_mode() {
             })
             .with_recorder(rec_full.clone()),
     );
-    let rec_red = quiet_recorder();
+    let rec_red = Recorder::enabled();
     let reduced = check(
         &inst.machine(MemoryModel::Pso),
         &base
@@ -225,7 +221,7 @@ fn a_recorder_shared_by_two_checks_holds_the_sum_of_theirs() {
         ..CheckConfig::default()
     };
     for engine in [Engine::Undo, Engine::Parallel { threads: 2 }] {
-        let rec = quiet_recorder();
+        let rec = Recorder::enabled();
         let fenced = CheckConfig::default().with_recorder(rec.clone());
         let first = check(&m(FenceMask::ALL), &fenced);
         let unfenced = unfenced

@@ -426,6 +426,44 @@ fn unreached_cut_writes_no_checkpoint() {
     assert!(!path.exists(), "no stop, no snapshot");
 }
 
+/// A checkpoint that cannot be written costs the resume artifact, not the
+/// run: the stopped check still returns its coverage, with no checkpoint
+/// in it and none counted.
+#[test]
+fn a_failed_checkpoint_write_leaves_coverage_without_a_checkpoint() {
+    let inst = build_mutex(LockKind::Peterson, 2, FenceMask::ALL);
+    // A regular file where the checkpoint's directory should be.
+    let blocker = ckpt_path("blocker");
+    std::fs::write(&blocker, b"not a directory").expect("temp file");
+    let path = blocker.join("unwritable.ckpt");
+    for engine in [
+        Engine::Undo,
+        Engine::Dpor {
+            reorder_bound: None,
+        },
+    ] {
+        let verdict = check(
+            &inst.machine(MemoryModel::Pso),
+            &base()
+                .with_engine(engine)
+                .with_checkpoint(CheckpointPolicy::at(&path).stop_after(100)),
+        );
+        let coverage = verdict
+            .coverage()
+            .unwrap_or_else(|| panic!("{engine:?}: stopped at the cut, got {}", verdict.label()));
+        assert_eq!(coverage.checkpoint, None, "{engine:?}");
+        let metrics = verdict.stats().metrics;
+        assert_eq!(
+            metrics.get(ftobs::Metric::CheckpointWritten),
+            0,
+            "{engine:?}"
+        );
+        assert_eq!(metrics.get(ftobs::Metric::CheckpointBytes), 0, "{engine:?}");
+    }
+    assert!(!path.exists());
+    let _ = std::fs::remove_file(&blocker);
+}
+
 // --- corrupt / mismatched checkpoints ---
 
 /// Produce a real checkpoint to corrupt, together with the config that

@@ -1,32 +1,23 @@
-//! Flat JSONL event encoding and the file sink.
+//! Flat JSON lines: [`encode_line`] renders one, [`parse_line`] reads one
+//! back.
 //!
-//! Events are single-line JSON objects with only scalar values (string /
-//! integer / float / bool / null) — no nesting — so they can be parsed
-//! back by the dependency-free scanner in [`crate::report`] and grepped
-//! with line tools. Every event carries `t_ms` (milliseconds since the
-//! recorder was created) and `kind`, followed by the recorder's static
-//! meta fields (e.g. `engine`, `workload`) and the event's own fields.
+//! A line is a single JSON object with only scalar values (string /
+//! integer / float / bool / null) — no nesting — so the dependency-free
+//! scanner here parses it and line tools grep it. A counterexample
+//! artifact's `metrics:` line and every row of `BENCH_explore.json` have
+//! this shape.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{BufWriter, Write as _};
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::collections::BTreeMap;
 
-/// A scalar JSON value for one event field.
+/// A scalar JSON value for one field of a line.
 #[derive(Clone, Debug, PartialEq)]
 pub enum J {
     /// String (escaped on encode).
     S(String),
     /// Unsigned integer.
     U(u64),
-    /// Signed integer.
-    I(i64),
-    /// Float, rendered with up to 3 decimals.
+    /// Float, rendered with up to 3 decimals (`null` if not finite).
     F(f64),
-    /// Boolean.
-    B(bool),
-    /// Null.
-    N,
 }
 
 impl J {
@@ -47,9 +38,6 @@ impl J {
             J::U(v) => {
                 let _ = write!(out, "{v}");
             }
-            J::I(v) => {
-                let _ = write!(out, "{v}");
-            }
             J::F(v) => {
                 if v.is_finite() {
                     let _ = write!(out, "{v:.3}");
@@ -57,13 +45,11 @@ impl J {
                     out.push_str("null");
                 }
             }
-            J::B(v) => out.push_str(if *v { "true" } else { "false" }),
-            J::N => out.push_str("null"),
         }
     }
 }
 
-pub(crate) fn escape_into(s: &str, out: &mut String) {
+fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -104,96 +90,107 @@ pub fn encode_line<'a>(
     out
 }
 
-/// JSONL file sink, written crash-safely.
-///
-/// Lines are flushed to the OS as they are written (line-buffered), so a
-/// crashed process loses at most the line being written — and only that
-/// line can be torn, which the report scanner skips and counts rather
-/// than erroring on. A [`create`](Self::create)d sink additionally
-/// streams into a `<path>.partial` sibling and atomically renames it to
-/// the final name on close (drop), so the final path either holds a
-/// complete stream or nothing; a leftover `.partial` file is the
-/// recognizable signature of a crashed run.
-#[derive(Debug)]
-pub struct JsonlSink {
-    path: PathBuf,
-    /// Temp path the stream is being written to; renamed to `path` on
-    /// drop. `None` for append-mode sinks, which write in place.
-    partial: Option<PathBuf>,
-    file: Mutex<BufWriter<File>>,
-}
-
-impl JsonlSink {
-    /// Open `path` for appending, creating parent directories on demand.
-    /// Appending writes in place (there is existing content an atomic
-    /// rename would orphan); each line is still flushed as written.
-    pub fn append(path: impl AsRef<Path>) -> std::io::Result<JsonlSink> {
-        let path = path.as_ref().to_path_buf();
-        if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir)?;
+/// Parse one flat JSON object line (scalar values only — the shape
+/// [`encode_line`] writes) into key → raw-value pairs. String values are
+/// unescaped; numbers/bools/null keep their literal text. Returns `None`
+/// on malformed input.
+#[must_use]
+pub fn parse_line(line: &str) -> Option<BTreeMap<String, String>> {
+    let mut out = BTreeMap::new();
+    let bytes = line.trim().as_bytes();
+    let mut i = 0usize;
+    let skip_ws = |bytes: &[u8], mut i: usize| {
+        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
+            i += 1;
         }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(JsonlSink {
-            path,
-            partial: None,
-            file: Mutex::new(BufWriter::new(file)),
-        })
+        i
+    };
+    i = skip_ws(bytes, i);
+    if i >= bytes.len() || bytes[i] != b'{' {
+        return None;
     }
-
-    /// Open a fresh stream that will land at `path` when the sink is
-    /// dropped, creating parents on demand. Until then the bytes live in
-    /// `<path>.partial`; a stale final file from a previous run is
-    /// removed up front so readers never mix runs.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<JsonlSink> {
-        let path = path.as_ref().to_path_buf();
-        if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir)?;
+    i += 1;
+    loop {
+        i = skip_ws(bytes, i);
+        if i < bytes.len() && bytes[i] == b'}' {
+            return Some(out);
         }
-        let mut partial = path.clone().into_os_string();
-        partial.push(".partial");
-        let partial = PathBuf::from(partial);
-        let file = File::create(&partial)?;
-        match fs::remove_file(&path) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+        let (key, next) = parse_string(bytes, i)?;
+        i = skip_ws(bytes, next);
+        if i >= bytes.len() || bytes[i] != b':' {
+            return None;
         }
-        Ok(JsonlSink {
-            path,
-            partial: Some(partial),
-            file: Mutex::new(BufWriter::new(file)),
-        })
-    }
-
-    /// Write one line (newline appended) and flush it. Errors are
-    /// swallowed — losing telemetry must never fail the run being
-    /// observed.
-    pub fn write_line(&self, line: &str) {
-        let mut f = self.file.lock().expect("unpoisoned");
-        let _ = f.write_all(line.as_bytes());
-        let _ = f.write_all(b"\n");
-        let _ = f.flush();
-    }
-
-    /// Flush buffered lines to disk.
-    pub fn flush(&self) {
-        let _ = self.file.lock().expect("unpoisoned").flush();
+        i = skip_ws(bytes, i + 1);
+        let (value, next) = if i < bytes.len() && bytes[i] == b'"' {
+            parse_string(bytes, i)?
+        } else {
+            let start = i;
+            while i < bytes.len() && bytes[i] != b',' && bytes[i] != b'}' {
+                i += 1;
+            }
+            (
+                String::from_utf8_lossy(&bytes[start..i]).trim().to_string(),
+                i,
+            )
+        };
+        out.insert(key, value);
+        i = skip_ws(bytes, next);
+        match bytes.get(i) {
+            Some(b',') => i += 1,
+            Some(b'}') => return Some(out),
+            _ => return None,
+        }
     }
 }
 
-impl Drop for JsonlSink {
-    fn drop(&mut self) {
-        {
-            let mut f = self.file.lock().expect("unpoisoned");
-            let _ = f.flush();
-            let _ = f.get_ref().sync_all();
+/// Parse a JSON string starting at `bytes[i] == b'"'`; returns the
+/// unescaped contents and the index just past the closing quote.
+fn parse_string(bytes: &[u8], i: usize) -> Option<(String, usize)> {
+    if bytes.get(i) != Some(&b'"') {
+        return None;
+    }
+    let mut s = String::new();
+    let mut i = i + 1;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'"' => return Some((s, i + 1)),
+            b'\\' => {
+                i += 1;
+                match bytes.get(i)? {
+                    b'"' => s.push('"'),
+                    b'\\' => s.push('\\'),
+                    b'n' => s.push('\n'),
+                    b'r' => s.push('\r'),
+                    b't' => s.push('\t'),
+                    b'u' => {
+                        let hex = std::str::from_utf8(bytes.get(i + 1..i + 5)?).ok()?;
+                        let code = u32::from_str_radix(hex, 16).ok()?;
+                        s.push(char::from_u32(code)?);
+                        i += 4;
+                    }
+                    _ => return None,
+                }
+                i += 1;
+            }
+            c => {
+                // Multi-byte UTF-8 sequences pass through byte-wise.
+                let start = i;
+                let len = utf8_len(c);
+                let chunk = bytes.get(start..start + len)?;
+                s.push_str(std::str::from_utf8(chunk).ok()?);
+                i += len;
+            }
         }
-        if let Some(partial) = &self.partial {
-            // Publish the completed stream under its final name. Errors
-            // are swallowed like every other sink error; the .partial
-            // file then survives as the crashed-run artifact it is.
-            let _ = fs::rename(partial, &self.path);
-        }
+    }
+    None
+}
+
+const fn utf8_len(first: u8) -> usize {
+    match first {
+        0x00..=0x7f => 1,
+        0xc0..=0xdf => 2,
+        0xe0..=0xef => 3,
+        _ => 4,
     }
 }
 
@@ -221,39 +218,21 @@ mod tests {
     }
 
     #[test]
-    fn created_sink_publishes_on_drop() {
-        let dir = std::env::temp_dir().join(format!("ftobs_sink_test_{}", std::process::id()));
-        let path = dir.join("events.jsonl");
-        let sink = JsonlSink::create(&path).expect("create");
-        sink.write_line(r#"{"kind":"a"}"#);
-        // While the sink is live, the stream is in the .partial sibling
-        // (already flushed line by line) and the final path is absent.
-        assert!(!path.exists(), "final path appears only on close");
-        let partial = dir.join("events.jsonl.partial");
-        assert_eq!(
-            std::fs::read_to_string(&partial).expect("partial readable"),
-            "{\"kind\":\"a\"}\n",
-            "lines are flushed as written"
-        );
-        drop(sink);
-        assert!(!partial.exists(), "partial renamed away on close");
-        assert_eq!(
-            std::fs::read_to_string(&path).expect("final readable"),
-            "{\"kind\":\"a\"}\n"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn create_removes_stale_final_file() {
-        let dir = std::env::temp_dir().join(format!("ftobs_stale_test_{}", std::process::id()));
-        let path = dir.join("events.jsonl");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(&path, "old run\n").unwrap();
-        let sink = JsonlSink::create(&path).expect("create");
-        assert!(!path.exists(), "stale stream removed up front");
-        drop(sink);
-        assert_eq!(std::fs::read_to_string(&path).expect("final"), "");
-        let _ = std::fs::remove_dir_all(&dir);
+    fn parse_roundtrips_recorder_lines() {
+        let line = r#"{"t_ms":12,"kind":"snapshot","engine":"undo","states":345,"rate":1.500,"ok":true,"none":null,"msg":"a\"b"}"#;
+        let f = parse_line(line).expect("parses");
+        assert_eq!(f["kind"], "snapshot");
+        assert_eq!(f["engine"], "undo");
+        assert_eq!(f["states"], "345");
+        assert_eq!(f["rate"], "1.500");
+        assert_eq!(f["ok"], "true");
+        assert_eq!(f["none"], "null");
+        assert_eq!(f["msg"], "a\"b");
+        let (engine, n) = (J::s("a\"b"), J::U(7));
+        let encoded = encode_line([("engine", &engine)], [("n", &n)]);
+        let back = parse_line(&encoded).expect("an encoded line parses");
+        assert_eq!((back["engine"].as_str(), back["n"].as_str()), ("a\"b", "7"));
+        assert!(parse_line("not json").is_none());
+        assert!(parse_line("{\"unterminated\":").is_none());
     }
 }

@@ -1,35 +1,25 @@
-//! `ftobs`: a zero-dependency metrics layer for the fence-trade
+//! `ftobs`: a zero-dependency counting layer for the fence-trade
 //! exploration engines.
 //!
-//! Every check counts its own steps; a [`Recorder`] streams what one or
-//! more checks counted:
+//! Every check counts its own steps into one [`MetricsSnapshot`] shape:
 //!
 //! - **Counters** (states, transitions, per-class machine steps — fences
 //!   β(E), commits, crashes — sleep-set hits, ample fallbacks, …),
-//!   batched per walk in a [`Tally`] so no exploration step touches
-//!   shared memory to count;
+//!   counted per walk so no exploration step touches shared memory;
 //! - **Histograms** (write-buffer depth, DFS depth) with log-scale
 //!   buckets and bit-exact mergeable snapshots;
-//! - **Gauges** (frontier high-water mark, dedup-table occupancy);
-//! - **Events**: flat single-line JSON records streamed to an optional
-//!   shared JSONL file sink, including a rate-limited `heartbeat`
-//!   (states/sec, frontier, budget clock) and a final `snapshot` rollup;
-//! - **Hot-pc table**: per-process program-counter hit counts with
-//!   human-readable labels registered from `fencevm` programs.
+//! - **Gauges** (frontier high-water mark, dedup-table occupancy).
 //!
-//! The first three are counted whether or not a recorder is attached:
-//! `modelcheck` fills `Stats.metrics` with the check's own totals and
-//! hands them to the recorder once, at the end. A recorder adds the last
-//! two, and only an enabled one costs anything: [`Recorder::disabled`]
-//! carries no allocation and every method on it is a single branch —
-//! `exp guards` in CI holds the enabled path to ≤5%.
-//! [`MetricsSnapshot`] is `Copy` and its equality covers only the
-//! deterministic counter subset, so `modelcheck::Stats` embeds one and
-//! the engine differential suites can assert bit-identical metrics across
-//! CloneDfs/Undo/Parallel/Dpor.
-//!
-//! Offline report rendering for the JSONL streams lives in [`report`]
-//! (driven by `exp obs-report` in `crates/bench`).
+//! `modelcheck` fills `Stats.metrics` with a check's totals whether or
+//! not a [`Recorder`] is attached; an enabled recorder is only the sum of
+//! the totals of the checks it is attached to, and a disabled one
+//! ([`Recorder::disabled`]) carries no allocation. [`MetricsSnapshot`] is
+//! `Copy` and its equality covers only the deterministic counter subset,
+//! so `modelcheck::Stats` embeds one and the engine differential suites
+//! can assert bit-identical metrics across CloneDfs/Undo/Dpor.
+//! [`encode_line`] renders a snapshot as one flat JSON line (a
+//! counterexample artifact's `metrics:` line) and [`parse_line`] reads it
+//! back.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,11 +27,10 @@
 pub mod events;
 pub mod metrics;
 pub mod recorder;
-pub mod report;
 
-pub use events::{encode_line, JsonlSink, J};
+pub use events::{encode_line, parse_line, J};
 pub use metrics::{
-    bucket_floor, bucket_index, hist_field, Gauge, HistSnapshot, Metric, MetricsSnapshot,
-    ProcSteps, GAUGES, HIST_BUCKETS, MAX_PROCS, METRICS,
+    bucket_index, Gauge, HistSnapshot, Metric, MetricsSnapshot, ProcSteps, GAUGES, HIST_BUCKETS,
+    MAX_PROCS, METRICS,
 };
-pub use recorder::{Progress, Recorder, RecorderBuilder, Tally, DEFAULT_HEARTBEAT_MS, MAX_PCS};
+pub use recorder::Recorder;

@@ -1,6 +1,6 @@
 //! Metric taxonomy and the mergeable, `Copy` [`MetricsSnapshot`].
 //!
-//! Every quantity the recorder tracks is either a **counter** (monotone,
+//! Every quantity a check counts is either a **counter** (monotone,
 //! summed on merge), a **gauge** (last/max value, maxed on merge), or a
 //! **histogram** (log-bucketed counts, summed bucket-wise on merge). The
 //! snapshot packs all of them into fixed-size arrays so it stays `Copy`
@@ -85,17 +85,14 @@ pub enum Metric {
     AmpleProvisoUpgrades,
     /// Undo-log pops (engine-specific; CloneDfs performs none).
     UndoSteps,
-    /// Heartbeat events emitted.
-    Heartbeats,
-    /// Fork points published into a work-stealing queue. No engine has
-    /// one any more, so this reads 0; it stays because stored snapshots
-    /// and the pinned reports name every counter.
-    ForkPublished,
-    /// Fork points stolen by an idle worker; reads 0, like
-    /// [`ForkPublished`](Self::ForkPublished).
+    /// Fork points stolen by an idle worker. No engine has a
+    /// work-stealing queue any more, so this reads 0; it stays because
+    /// `benchmark/` names it.
     ForkStolen,
     /// Fingerprint-table contention events (failed claim CASes plus
-    /// occupied slots stepped over while probing).
+    /// occupied slots stepped over while probing). No engine probes a
+    /// shared table any more, so this reads 0; it stays because
+    /// `benchmark/` names it.
     FpContention,
     /// Checkpoints successfully written to disk.
     CheckpointWritten,
@@ -103,14 +100,6 @@ pub enum Metric {
     CheckpointBytes,
     /// Fork points replayed while resuming from a checkpoint.
     ResumeReplayed,
-    /// Fence-synthesis CEGAR refinement iterations completed.
-    SynthIterations,
-    /// Fences inserted by synthesized placements (cumulative across
-    /// refinement iterations).
-    FencesInserted,
-    /// Candidate fence sites accumulated into counterexample cores
-    /// (cumulative core sizes).
-    CoreSize,
 }
 
 /// All counters, in `repr(usize)` order.
@@ -137,27 +126,23 @@ pub const METRICS: [Metric; Metric::COUNT] = [
     Metric::AmpleFallbackConflict,
     Metric::AmpleProvisoUpgrades,
     Metric::UndoSteps,
-    Metric::Heartbeats,
-    Metric::ForkPublished,
     Metric::ForkStolen,
     Metric::FpContention,
     Metric::CheckpointWritten,
     Metric::CheckpointBytes,
     Metric::ResumeReplayed,
-    Metric::SynthIterations,
-    Metric::FencesInserted,
-    Metric::CoreSize,
 ];
 
 impl Metric {
     /// Total number of counters.
-    pub const COUNT: usize = Metric::CoreSize as usize + 1;
+    pub const COUNT: usize = Metric::ResumeReplayed as usize + 1;
 
     /// Counters with index `< DETERMINISTIC_END` compare in snapshot
     /// equality; the rest are traversal- or timing-dependent.
     pub const DETERMINISTIC_END: usize = Metric::UndoSteps as usize;
 
-    /// Snake-case name used as the JSONL field key.
+    /// Snake-case name: the key of the counter's JSON field and of its
+    /// checkpoint entry.
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
@@ -183,16 +168,11 @@ impl Metric {
             Metric::AmpleFallbackConflict => "ample_fallback_conflict",
             Metric::AmpleProvisoUpgrades => "ample_proviso_upgrades",
             Metric::UndoSteps => "undo_steps",
-            Metric::Heartbeats => "heartbeats",
-            Metric::ForkPublished => "fork_published",
             Metric::ForkStolen => "fork_stolen",
             Metric::FpContention => "fp_contention",
             Metric::CheckpointWritten => "checkpoint_written",
             Metric::CheckpointBytes => "checkpoint_bytes",
             Metric::ResumeReplayed => "resume_replayed",
-            Metric::SynthIterations => "synth_iterations",
-            Metric::FencesInserted => "fences_inserted",
-            Metric::CoreSize => "core_size",
         }
     }
 }
@@ -215,7 +195,8 @@ impl Gauge {
     /// Total number of gauges.
     pub const COUNT: usize = Gauge::MaxBufferDepth as usize + 1;
 
-    /// Snake-case name used as the JSONL field key.
+    /// Snake-case name: the key of the gauge's JSON field and of its
+    /// checkpoint entry.
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
@@ -248,16 +229,6 @@ pub const fn bucket_index(v: u64) -> usize {
     }
 }
 
-/// Inclusive lower bound of a bucket's value range (for report rendering).
-#[must_use]
-pub const fn bucket_floor(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else {
-        1u64 << (i - 1)
-    }
-}
-
 /// A merged, immutable histogram: per-bucket counts on a log scale.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct HistSnapshot {
@@ -277,12 +248,6 @@ impl HistSnapshot {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
-    }
-
-    /// Index of the highest non-empty bucket, if any sample was recorded.
-    #[must_use]
-    pub fn max_bucket(&self) -> Option<usize> {
-        self.buckets.iter().rposition(|&c| c > 0)
     }
 }
 
@@ -307,7 +272,13 @@ impl ProcSteps {
     }
 }
 
-/// A point-in-time, mergeable rollup of everything a recorder has seen.
+/// A check's counts, or one walk's, or the sum a recorder holds.
+///
+/// A walk counts every edge — states, transitions, dedup hits, undos,
+/// reduction decisions, and the machine step itself (reads, writes,
+/// fences β(E), crashes, …) — into a snapshot it owns, so no count costs
+/// an atomic or a lock, and merges it into its check's totals when it
+/// ends.
 ///
 /// `Copy` by construction (fixed-size arrays only) so it can live inside
 /// `modelcheck::Stats`. Merging two snapshots sums counters, per-process
@@ -367,8 +338,8 @@ impl MetricsSnapshot {
         self.get(Metric::Transitions)
     }
 
-    /// True when nothing has been recorded (e.g. the recorder was
-    /// disabled); lets callers skip rendering empty snapshots.
+    /// True when nothing has been counted (e.g. the recorder was
+    /// disabled).
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.counters.iter().all(|&c| c == 0) && self.gauges.iter().all(|&g| g == 0)
@@ -396,6 +367,57 @@ impl MetricsSnapshot {
         self
     }
 
+    /// Add `delta` to a counter.
+    #[inline]
+    pub fn add(&mut self, m: Metric, delta: u64) {
+        self.counters[m as usize] += delta;
+    }
+
+    /// Increment a counter by one.
+    #[inline]
+    pub fn incr(&mut self, m: Metric) {
+        self.add(m, 1);
+    }
+
+    /// Update a `max`-merged gauge.
+    #[inline]
+    pub fn gauge_max(&mut self, g: Gauge, value: u64) {
+        let slot = &mut self.gauges[g as usize];
+        *slot = (*slot).max(value);
+    }
+
+    /// Overwrite a gauge (an occupancy sampled when the walk ends).
+    #[inline]
+    pub fn gauge_set(&mut self, g: Gauge, value: u64) {
+        self.gauges[g as usize] = value;
+    }
+
+    /// Count a newly visited state at DFS depth `depth`.
+    #[inline]
+    pub fn on_state(&mut self, depth: u64) {
+        self.incr(Metric::States);
+        self.frame_depth.buckets[bucket_index(depth)] += 1;
+        self.gauge_max(Gauge::MaxDepth, depth);
+    }
+
+    /// Charge `steps` to process `proc` (processes beyond [`MAX_PROCS`]
+    /// fold into the last per-process slot) and to the totals.
+    #[inline]
+    pub fn proc_steps(&mut self, proc: usize, steps: ProcSteps) {
+        self.add(Metric::Fences, steps.fences);
+        self.add(Metric::Crashes, steps.crashes);
+        self.per_proc[proc.min(MAX_PROCS - 1)].merge(&steps);
+    }
+
+    /// Count a write that left its process's buffer `depth` entries deep
+    /// (`0` for an SC write, which commits at once).
+    #[inline]
+    pub fn on_write(&mut self, depth: u64) {
+        self.incr(Metric::Writes);
+        self.buffer_depth.buckets[bucket_index(depth)] += 1;
+        self.gauge_max(Gauge::MaxBufferDepth, depth);
+    }
+
     /// The deterministic projection compared by `PartialEq`: counters below
     /// [`Metric::DETERMINISTIC_END`], per-process steps, and the
     /// write-buffer depth histogram. Exposed so tests can state exactly
@@ -413,8 +435,9 @@ impl MetricsSnapshot {
         (det, self.per_proc, self.buffer_depth)
     }
 
-    /// Render the snapshot as flat JSONL fields (zero-valued per-process
-    /// slots and empty histograms are omitted to keep lines compact).
+    /// Render the snapshot as flat JSON fields, one per counter and gauge
+    /// (zero-valued per-process slots and empty histograms are omitted to
+    /// keep lines compact).
     #[must_use]
     pub fn to_json_fields(&self) -> Vec<(String, crate::events::J)> {
         use crate::events::J;
@@ -449,10 +472,9 @@ impl MetricsSnapshot {
     }
 }
 
-/// Compact `count@bucket` encoding for a histogram JSONL field, e.g.
-/// `"3@0,17@2,1@5"`. Parsed back by [`crate::report::parse_hist`].
-#[must_use]
-pub fn hist_field(h: &HistSnapshot) -> String {
+/// Compact `count@bucket` encoding for a histogram field, e.g.
+/// `"3@0,17@2,1@5"`.
+fn hist_field(h: &HistSnapshot) -> String {
     let mut parts = Vec::new();
     for (i, &c) in h.buckets.iter().enumerate() {
         if c > 0 {
@@ -489,7 +511,8 @@ mod tests {
         assert_eq!(bucket_index(4), 3);
         assert_eq!(bucket_index(u64::MAX), HIST_BUCKETS - 1);
         for i in 1..HIST_BUCKETS - 1 {
-            assert_eq!(bucket_index(bucket_floor(i)), i);
+            let floor = 1u64 << (i - 1);
+            assert_eq!((bucket_index(floor), bucket_index(2 * floor - 1)), (i, i));
         }
     }
 

@@ -1,11 +1,11 @@
 //! Property-based tests for the metrics algebra: snapshot merging must be
 //! associative and commutative with [`MetricsSnapshot::default`] as the
 //! identity (counters, per-process steps and histograms add; gauges max),
-//! and counts batched in any number of tallies, flushed in any order, must
-//! add up to what one tally holds, bit for bit. These are the laws that
+//! and counts split over any number of walks, merged in any order, must
+//! add up to what one walk counts, bit for bit. These are the laws that
 //! make the totals of a multi-threaded exploration trustworthy.
 
-use ftobs::{Gauge, Metric, MetricsSnapshot, ProcSteps, Recorder, Tally, HIST_BUCKETS, MAX_PROCS};
+use ftobs::{Gauge, Metric, MetricsSnapshot, ProcSteps, Recorder, HIST_BUCKETS, MAX_PROCS};
 use proptest::prelude::*;
 
 /// Flat slot count of one snapshot (counters + per-proc pairs + two
@@ -86,8 +86,8 @@ proptest! {
         prop_assert_eq!(all_slots(&id.merged(&a)), all_slots(&a));
     }
 
-    /// The same operations split over k tallies on k threads, merged in
-    /// any order, give the snapshot (and the hot-pc table) one tally gives.
+    /// The same operations split over k snapshots on k threads, merged in
+    /// any order, give the snapshot one walk counts.
     #[test]
     fn split_tallies_flushed_in_any_order_equal_one_tally(
         ops in prop::collection::vec((0usize..4, 0u64..7, 0u32..16), 1..200),
@@ -96,7 +96,7 @@ proptest! {
         reverse in any::<bool>(),
     ) {
         // One operation per mutator a walk uses, `pc` doubling as depth.
-        let record = |t: &mut Tally, &(p, tag, pc): &(usize, u64, u32)| {
+        let record = |t: &mut MetricsSnapshot, &(p, tag, pc): &(usize, u64, u32)| {
             let depth = u64::from(pc);
             match tag {
                 0 => t.add(Metric::Reads, depth),
@@ -107,23 +107,21 @@ proptest! {
                 5 => t.on_state(depth),
                 _ => {}
             }
-            t.hot_pc(p, pc, 1 + depth % 2);
         };
 
-        let whole = Recorder::builder().quiet(true).build();
-        let mut one = whole.tally();
+        let whole = Recorder::enabled();
+        let mut one = MetricsSnapshot::default();
         ops.iter().for_each(|op| record(&mut one, op));
-        prop_assert!(whole.snapshot().is_empty(), "a tally holds its counts until recorded");
+        prop_assert!(whole.snapshot().is_empty(), "a walk holds its counts until recorded");
         whole.record(&one);
 
-        let split = Recorder::builder().quiet(true).build();
-        let mut tallies: Vec<Tally> = std::thread::scope(|scope| {
+        let split = Recorder::enabled();
+        let mut tallies: Vec<MetricsSnapshot> = std::thread::scope(|scope| {
             let handles: Vec<_> = ops
                 .chunks(ops.len().div_ceil(k))
                 .map(|chunk| {
-                    let rec = split.clone();
                     scope.spawn(move || {
-                        let mut t = rec.tally();
+                        let mut t = MetricsSnapshot::default();
                         chunk.iter().for_each(|op| record(&mut t, op));
                         t
                     })
@@ -136,13 +134,12 @@ proptest! {
         if reverse {
             tallies.reverse();
         }
-        let mut totals = split.tally();
+        let mut totals = MetricsSnapshot::default();
         tallies.iter().for_each(|t| totals.merge(t));
         split.record(&totals);
 
-        prop_assert_eq!(all_slots(&totals.snapshot()), all_slots(&one.snapshot()));
+        prop_assert_eq!(all_slots(&totals), all_slots(&one));
         prop_assert_eq!(all_slots(&split.snapshot()), all_slots(&whole.snapshot()));
-        prop_assert_eq!(split.hot_pcs(usize::MAX), whole.hot_pcs(usize::MAX));
     }
 
     /// The equality projection ignores exactly the traversal-dependent

@@ -59,7 +59,10 @@ pub const MAGIC: [u8; 6] = *b"FTCKPT";
 /// went from (fences, RMRs, crashes) to (fences, crashes). v8 dropped the
 /// 8-byte trace span id from each fork point, v9 the termination graph
 /// (edges and terminals) after the visited set, and with it the
-/// `watchdog_trips` counter.
+/// `watchdog_trips` counter. `heartbeats`, `fork_published`,
+/// `synth_iterations`, `fences_inserted` and `core_size` left without a
+/// bump, like `solo_retries`: no check counted them, so no v9 file names
+/// them.
 pub const VERSION: u32 = 9;
 
 /// Why a checkpoint could not be written or read back.

@@ -569,6 +569,10 @@ mod tests {
         ] {
             let (n, passages) = (3usize, 4usize);
             let inst = build_steady_state(kind, n, passages);
+            // The counter is the one register allocated after the lock's.
+            let mut alloc = RegAlloc::new();
+            let _ = kind.build(&mut alloc, n, FenceMask::ALL);
+            let counter = wbmem::RegId(u32::try_from(alloc.len()).unwrap());
             for model in [MemoryModel::Tso, MemoryModel::Pso] {
                 let mut m = inst.machine(model);
                 assert!(
@@ -576,13 +580,10 @@ mod tests {
                     "{} stuck",
                     inst.name
                 );
-                // The counter register is the last allocated one; find it by
-                // scanning: its final payload must be n * passages.
-                let expect = (n * passages) as u64;
-                let found = (0..256u32).any(|r| m.memory(wbmem::RegId(r)).payload() == expect);
-                assert!(
-                    found,
-                    "{}: counter never reached {expect} under {model}",
+                assert_eq!(
+                    m.memory(counter).payload(),
+                    (n * passages) as u64,
+                    "{}: the counter under {model}",
                     inst.name
                 );
             }

@@ -74,7 +74,6 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use fencevm::{insert_fences_after, strip_fences, Rewritten, VmProc};
-use ftobs::{Metric, Recorder};
 use modelcheck::{all_ok, check, check_under_models, CheckConfig, Engine, ModelVerdict};
 use simlocks::OrderingInstance;
 use wbmem::{
@@ -97,9 +96,6 @@ pub struct SynthConfig {
     pub max_crashes: u32,
     /// Crash semantics when `max_crashes > 0`.
     pub crash_semantics: CrashSemantics,
-    /// Recorder for `synth_iterations` / `fences_inserted` / `core_size`
-    /// metrics.
-    pub recorder: Recorder,
 }
 
 /// Refinement iteration cap.
@@ -116,19 +112,12 @@ impl Default for SynthConfig {
             max_states: 2_000_000,
             max_crashes: 0,
             crash_semantics: CrashSemantics::DiscardBuffer,
-            recorder: Recorder::disabled(),
         }
     }
 }
 
 impl SynthConfig {
-    // The recorder is deliberately NOT threaded into the inner checks:
-    // the checker emits its own per-engine snapshot events, which would
-    // shadow the synthesis-level rollup in `exp obs-report` with partially
-    // updated duplicates. Inner-check volume is reported as
-    // `Synthesis::total_states` instead.
-    //
-    // The inner checks also require termination: a placement that omits
+    // The inner checks require termination: a placement that omits
     // the trailing drain fence lets a process return with its exit write
     // still buffered — the write is orphaned (committing is only
     // schedulable before `ret`), the lock word never clears, and every
@@ -464,8 +453,6 @@ pub fn synthesize(inst: &OrderingInstance, cfg: &SynthConfig) -> SynthOutcome {
         full_checks: effort.full_checks,
         placement,
     };
-    cfg.recorder
-        .add(Metric::FencesInserted, synthesis.fences_inserted() as u64);
     SynthOutcome::Synthesized(Box::new(synthesis))
 }
 
@@ -494,7 +481,6 @@ fn refine(inst: &OrderingInstance, cfg: &SynthConfig) -> Result<Refined, SynthOu
         let (candidate, rewrites) = build_candidate(&baseline, &placement);
         effort.full_checks += 1;
         let verdicts = check_under_models(&candidate, &cfg.models, &check_cfg, true);
-        cfg.recorder.incr(Metric::SynthIterations);
         effort.total_states += states_of(&verdicts);
         if all_ok(&verdicts) {
             return Ok(Refined {
@@ -546,7 +532,6 @@ fn refine(inst: &OrderingInstance, cfg: &SynthConfig) -> Result<Refined, SynthOu
             if core.is_empty() || pool.cores[known..].contains(&core) {
                 continue;
             }
-            cfg.recorder.add(Metric::CoreSize, core.len() as u64);
             pool.cores.push(core);
             pool.witnesses
                 .push(Witness::record(&machine, &rewrites, schedule));

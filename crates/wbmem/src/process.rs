@@ -209,13 +209,12 @@ pub trait Process: Clone + Eq + std::hash::Hash + Send + Sync {
         FutureAccess::all()
     }
 
-    /// The process's current program counter for observability, if the
-    /// process has a meaningful one. The machine never reads it: the
-    /// model checker does, around each exploration step it counts, to
-    /// fill its recorder's hot-pc table. The default — `None` — opts out;
-    /// interpreted processes (the `fencevm` VM) report their pc so
-    /// per-label hit counts can be attributed. Purely diagnostic: never
-    /// affects semantics, hashing, or equality.
+    /// The process's current program counter, if the process has a
+    /// meaningful one. The machine's steps never read it: reorder-edge
+    /// extraction ([`crate::reorder_edges`]) does, to name the pcs a fence
+    /// could be inserted after. The default — `None` — opts out;
+    /// interpreted processes (the `fencevm` VM) report their pc. Purely
+    /// diagnostic: never affects semantics, hashing, or equality.
     fn obs_pc(&self) -> Option<u32> {
         None
     }
