@@ -10,7 +10,7 @@ pub mod experiments;
 mod timing;
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -215,9 +215,9 @@ pub fn results_dir() -> PathBuf {
 
 /// The workspace checkout `exp` runs in: the working directory or the
 /// nearest directory above it whose `Cargo.toml` has a `[workspace]`
-/// table. It is looked up where the process runs, not where the binary
-/// was built, so a copy of the checkout that reuses another's `target/`
-/// writes its tables into itself.
+/// table listing members. It is looked up where the process runs, not
+/// where the binary was built, so a copy of the checkout that reuses
+/// another's `target/` writes its tables into itself.
 ///
 /// # Errors
 ///
@@ -225,28 +225,56 @@ pub fn results_dir() -> PathBuf {
 /// `Cargo.toml`, or the working directory cannot be read.
 pub fn workspace_root() -> Result<PathBuf, String> {
     let cwd = std::env::current_dir().map_err(|e| format!("reading the working directory: {e}"))?;
-    cwd.ancestors()
+    workspace_root_above(&cwd)
+}
+
+/// [`workspace_root`] looked up from `dir`.
+fn workspace_root_above(dir: &Path) -> Result<PathBuf, String> {
+    dir.ancestors()
         .find(|dir| {
-            fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| declares_workspace(&text))
+            fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| lists_members(&text))
         })
-        .map(std::path::Path::to_path_buf)
+        .map(Path::to_path_buf)
         .ok_or_else(|| {
             format!(
-                "no Cargo.toml with a [workspace] table in {} or above it: \
+                "no Cargo.toml with a [workspace] table listing members in {} or above it: \
                  run exp from inside the fence-trade checkout",
-                cwd.display()
+                dir.display()
             )
         })
 }
 
-/// Whether a manifest's text opens a `[workspace]` table (or a
-/// `[workspace.…]` one, which implies it).
-fn declares_workspace(manifest: &str) -> bool {
-    manifest.lines().any(|line| {
-        line.trim()
-            .strip_prefix("[workspace")
-            .is_some_and(|rest| rest.starts_with(']') || rest.starts_with('.'))
-    })
+/// Whether a manifest's `[workspace]` table lists at least one member. An
+/// empty `[workspace]` table, as in `benchmark/Cargo.toml`, only keeps a
+/// package out of the workspace around it, and does not make a root.
+fn lists_members(manifest: &str) -> bool {
+    let mut in_workspace = false;
+    let mut in_members = false;
+    for line in manifest.lines() {
+        let line = line.split('#').next().unwrap_or_default().trim();
+        let items = if in_members {
+            line
+        } else if line.starts_with('[') {
+            in_workspace = line == "[workspace]";
+            continue;
+        } else if let Some(value) = line
+            .strip_prefix("members")
+            .and_then(|rest| rest.trim_start().strip_prefix('='))
+            .filter(|_| in_workspace)
+        {
+            value.trim_start().strip_prefix('[').unwrap_or_default()
+        } else {
+            continue;
+        };
+        let (items, closed) = items
+            .split_once(']')
+            .map_or((items, false), |(i, _)| (i, true));
+        if items.contains(['"', '\'']) {
+            return true;
+        }
+        in_members = !closed;
+    }
+    false
 }
 
 /// `count` seeded random permutations of `0..n`.
@@ -385,16 +413,39 @@ mod tests {
 
     #[test]
     fn only_a_workspace_table_marks_the_root() {
-        assert!(declares_workspace("[workspace]\nmembers = []\n"));
-        assert!(declares_workspace(
-            "  [workspace.package]\nversion = \"1\"\n"
+        assert!(lists_members("[workspace]\nmembers = [\"a\"]\n"));
+        assert!(lists_members(
+            "[workspace]\nresolver = \"2\"\nmembers = [ # the crates\n  # none yet\n\n  'a',\n]\n"
         ));
         // A member's manifest inherits from the workspace but opens no
         // table of it.
-        assert!(!declares_workspace("[package]\nversion.workspace = true\n"));
-        assert!(!declares_workspace("[workspaces]\n"));
+        assert!(!lists_members("[package]\nversion.workspace = true\n"));
+        assert!(!lists_members("[workspaces]\nmembers = [\"a\"]\n"));
+        assert!(!lists_members("[workspace.package]\nversion = \"1\"\n"));
+        assert!(!lists_members(
+            "[workspace]\n[dependencies]\nmembers = [\"a\"]\n"
+        ));
         let root = workspace_root().expect("tests run inside the checkout");
         assert!(root.join("crates/bench").is_dir(), "{}", root.display());
+    }
+
+    #[test]
+    fn an_empty_workspace_table_is_not_the_root() {
+        // `benchmark/` opts out of the workspace with an empty table, as
+        // does a manifest that lists no members.
+        assert!(!lists_members("[package]\nname = \"b\"\n\n[workspace]\n"));
+        assert!(!lists_members("[workspace]\nmembers = []\n"));
+        assert!(!lists_members("[workspace]\nmembers = [\n  # none\n]\n"));
+        let root = workspace_root().expect("tests run inside the checkout");
+        assert_eq!(
+            workspace_root_above(&root.join("benchmark")),
+            Ok(root.clone()),
+            "exp run from benchmark/ writes into its own results/"
+        );
+        assert_eq!(
+            workspace_root_above(&root.join("crates/bench/src")),
+            Ok(root)
+        );
     }
 
     #[test]

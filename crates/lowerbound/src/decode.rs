@@ -167,20 +167,27 @@ fn smallest_buffered(buf: &WriteBuffer) -> Option<RegId> {
     }
 }
 
-/// Whether `p` would enter a final state running alone from `m`.
+/// Whether `p` would enter a final state running alone from `m`, with
+/// every register the deciding solo run read from memory left in `reads`
+/// (sorted, without repeats).
 fn solo_terminates(
     m: &Machine<VmProc>,
     p: ProcId,
     opts: &DecodeOptions,
+    reads: &mut Vec<RegId>,
 ) -> Result<bool, DecodeError> {
     // Retry-with-backoff: an `Unknown` within the bound usually just means
     // the bound was too small for this (terminating) solo run, so double it
     // up to the cap before giving up. The bound history is only touched
-    // once a retry happens; the common first-try verdict allocates nothing.
+    // once a retry happens; `reads` keeps its allocation between runs.
     let mut bound = opts.solo_bound.max(1);
     let mut tried = Vec::new();
     loop {
-        match m.solo_outcome(p, bound) {
+        reads.clear();
+        let outcome = m.solo_outcome_reading(p, bound, |reg| reads.push(reg));
+        reads.sort_unstable();
+        reads.dedup();
+        match outcome {
             SoloOutcome::Terminates { .. } => return Ok(true),
             SoloOutcome::Diverges { .. } => return Ok(false),
             SoloOutcome::Unknown => {
@@ -197,25 +204,37 @@ fn solo_terminates(
     }
 }
 
-/// Solo-termination verdicts, reused between commits.
+/// One process's solo verdict and the registers whose memory it depends on.
+#[derive(Clone, Debug, Default)]
+struct SoloVerdict {
+    terminates: Option<bool>,
+    /// Sorted: the registers the solo run read from memory, and those the
+    /// process has committed along that run since.
+    reads: Vec<RegId>,
+}
+
+/// Solo-termination verdicts, reused across steps and commits.
 ///
 /// A verdict for `p` depends only on `p`'s program state, `p`'s buffer and
-/// shared memory. Until the next `Commit` event, shared memory is fixed and
-/// `p`'s buffer only changes by `p`'s own writes, so every state `p` reaches
-/// lies on the solo path the verdict was computed on and inherits it. Each
-/// verdict is therefore stamped with the number of commits seen so far and
-/// recomputed only when that number has moved.
+/// the memory of the registers its solo run read from memory. `p`'s own
+/// operation steps move it along that very solo path, so every state it
+/// reaches inherits the verdict, and reads no register outside the set. So
+/// does `p`'s commit of the register its solo run would commit next (`p` at
+/// a fence, the register its buffer drains first): the run reads that
+/// register back from its own commit, which now sits in memory, so the
+/// register joins the set. A commit by `q` to `R` therefore drops `q`'s own
+/// verdict only if the commit left `q`'s solo path (a hidden commit), and
+/// otherwise only the verdicts whose set holds `R`; every other verdict
+/// survives it.
 #[derive(Clone, Debug)]
 struct SoloMemo {
-    memory_version: u64,
-    verdicts: Vec<Option<(u64, bool)>>,
+    verdicts: Vec<SoloVerdict>,
 }
 
 impl SoloMemo {
     fn new(n: usize) -> Self {
         SoloMemo {
-            memory_version: 0,
-            verdicts: vec![None; n],
+            verdicts: vec![SoloVerdict::default(); n],
         }
     }
 
@@ -225,19 +244,44 @@ impl SoloMemo {
         p: ProcId,
         opts: &DecodeOptions,
     ) -> Result<bool, DecodeError> {
-        if let Some((version, verdict)) = self.verdicts[p.index()] {
-            if version == self.memory_version {
-                debug_assert_eq!(
-                    solo_terminates(m, p, opts),
+        let slot = &mut self.verdicts[p.index()];
+        if let Some(verdict) = slot.terminates {
+            if cfg!(debug_assertions) {
+                let mut fresh = Vec::new();
+                assert_eq!(
+                    solo_terminates(m, p, opts, &mut fresh),
                     Ok(verdict),
                     "stale solo verdict for {p}"
                 );
-                return Ok(verdict);
+                assert!(
+                    fresh.iter().all(|r| slot.reads.binary_search(r).is_ok()),
+                    "{p}'s solo run read {fresh:?}, outside its kept read set {:?}",
+                    slot.reads
+                );
+            }
+            return Ok(verdict);
+        }
+        let verdict = solo_terminates(m, p, opts, &mut slot.reads)?;
+        slot.terminates = Some(verdict);
+        Ok(verdict)
+    }
+
+    /// Forget the verdicts a commit by `q` to `reg` may have changed;
+    /// `solo_step` says whether the commit is the next step of `q`'s solo
+    /// run.
+    fn committed(&mut self, q: ProcId, reg: RegId, solo_step: bool) {
+        for (i, slot) in self.verdicts.iter_mut().enumerate() {
+            let at = slot.reads.binary_search(&reg);
+            if i != q.index() {
+                if at.is_ok() {
+                    slot.terminates = None;
+                }
+            } else if !solo_step {
+                slot.terminates = None;
+            } else if let Err(at) = at {
+                slot.reads.insert(at, reg);
             }
         }
-        let verdict = solo_terminates(m, p, opts)?;
-        self.verdicts[p.index()] = Some((self.memory_version, verdict));
-        Ok(verdict)
     }
 }
 
@@ -338,11 +382,13 @@ impl Decoder {
     }
 
     /// Append `step` to the execution and do the per-step bookkeeping:
-    /// invalidate solo verdicts on a commit, note first-empty stacks, and
-    /// checkpoint if the watched stack is among them.
-    fn record(&mut self, step: DecodedStep) {
-        if matches!(step.event.kind, EventKind::Commit { .. }) {
-            self.solo.memory_version += 1;
+    /// drop the solo verdicts a commit may have changed, note first-empty
+    /// stacks, and checkpoint if the watched stack is among them.
+    /// `solo_step` says whether the step is the next step of its process's
+    /// solo run.
+    fn record(&mut self, step: DecodedStep, solo_step: bool) {
+        if let EventKind::Commit { reg, .. } = step.event.kind {
+            self.solo.committed(step.event.proc, reg, solo_step);
         }
         let out = &mut self.out;
         out.steps.push(step);
@@ -393,6 +439,10 @@ impl Decoder {
                 let pstar = q.unwrap_or(p);
                 let hidden = q.is_some();
                 let pre_len = m.buffer(pstar).len();
+                // `p` is at a fence: its solo run commits next, and this
+                // very register unless `smallest_buffered` is not the one
+                // the buffer drains first (TSO).
+                let solo_step = !hidden && m.buffer(p).fence_commit_target() == Some(r);
 
                 let event = match m.step(SchedElem::commit(pstar, r)) {
                     StepOutcome::Stepped(e) => e,
@@ -438,11 +488,14 @@ impl Decoder {
                     }
                 }
 
-                self.record(DecodedStep {
-                    elem: SchedElem::commit(pstar, r),
-                    event,
-                    hidden,
-                });
+                self.record(
+                    DecodedStep {
+                        elem: SchedElem::commit(pstar, r),
+                        event,
+                        hidden,
+                    },
+                    solo_step,
+                );
                 continue;
             }
 
@@ -545,11 +598,16 @@ impl Decoder {
                 _ => {} // (D2e)
             }
 
-            self.record(DecodedStep {
-                elem: SchedElem::op(p),
-                event,
-                hidden: false,
-            });
+            // An operation step is the next step of `p`'s solo run (under
+            // SC, a write is also its commit).
+            self.record(
+                DecodedStep {
+                    elem: SchedElem::op(p),
+                    event,
+                    hidden: false,
+                },
+                true,
+            );
         }
     }
 }
@@ -890,6 +948,105 @@ mod tests {
         }
         let msg = err.to_string();
         assert!(msg.contains("[1, 2, 4]"), "message: {msg}");
+    }
+
+    #[test]
+    fn a_commit_drops_only_the_solo_verdicts_that_read_its_register() {
+        // p0 buffers R2, reads R0 from memory, buffers R2 again and fences:
+        // its solo run reads R0 and nothing else from memory. p1 writes
+        // R1, R2 and R0.
+        use std::sync::Arc;
+        let mut alloc = simlocks::RegAlloc::new();
+        for _ in 0..3 {
+            alloc.alloc(None);
+        }
+        let p0 = {
+            let mut asm = fencevm::Asm::new("p0");
+            let t = asm.local("t");
+            asm.write(2i64, 1i64);
+            asm.read(0i64, t);
+            asm.write(2i64, 2i64);
+            asm.fence();
+            asm.ret(0i64);
+            Arc::new(asm.assemble())
+        };
+        let p1 = {
+            let mut asm = fencevm::Asm::new("p1");
+            asm.write(1i64, 1i64);
+            asm.write(2i64, 1i64);
+            asm.write(0i64, 1i64);
+            asm.fence();
+            asm.ret(1i64);
+            Arc::new(asm.assemble())
+        };
+        let inst = simlocks::OrderingInstance {
+            name: "read-scope".into(),
+            n: 2,
+            programs: vec![p0, p1],
+            layout: alloc.into_layout(),
+            fence_sites: 0,
+        };
+        let mut m = tagged_machine(&inst);
+        let opts = DecodeOptions::default();
+        let mut memo = SoloMemo::new(2);
+        let (p0, p1) = (ProcId(0), ProcId(1));
+        // Commit `q`'s buffered `reg` and tell the memo, as `Decoder::run`
+        // does: the commit is a solo step when `q` is at a fence and `reg`
+        // drains first.
+        let commit = |m: &mut Machine<VmProc>, memo: &mut SoloMemo, q: ProcId, reg: u32| {
+            let solo_step = matches!(m.poised(q), Poised::Fence)
+                && m.buffer(q).fence_commit_target() == Some(RegId(reg));
+            let event = match m.step(SchedElem::commit(q, RegId(reg))) {
+                StepOutcome::Stepped(e) => e,
+                StepOutcome::NoOp => panic!("{q} could not commit R{reg}"),
+            };
+            let EventKind::Commit { reg, .. } = event.kind else {
+                panic!("not a commit: {event:?}");
+            };
+            memo.committed(event.proc, reg, solo_step);
+        };
+
+        // Whether p0's next `terminates` is a memo hit (in debug builds,
+        // checked against a fresh solo run) rather than a solo run.
+        let kept = |memo: &SoloMemo| memo.verdicts[0].terminates.is_some();
+
+        m.step(SchedElem::op(p0)); // p0 buffers R2
+        assert_eq!(memo.terminates(&m, p0, &opts), Ok(true));
+        assert_eq!(memo.verdicts[0].reads, vec![RegId(0)]);
+
+        // A commit outside p0's read set keeps its verdict.
+        m.step(SchedElem::op(p1)); // p1 buffers R1
+        commit(&mut m, &mut memo, p1, 1);
+        assert!(kept(&memo), "a commit to R1 dropped p0's verdict");
+        assert_eq!(memo.terminates(&m, p0, &opts), Ok(true));
+
+        // p0's own commit before its fence drops it, though R2 is not in
+        // the set: its solo run would read R0 first.
+        commit(&mut m, &mut memo, p0, 2);
+        assert!(!kept(&memo), "p0's off-path commit kept its verdict");
+        assert_eq!(memo.terminates(&m, p0, &opts), Ok(true));
+
+        // A commit to R0 drops it.
+        m.step(SchedElem::op(p1)); // p1 buffers R2
+        m.step(SchedElem::op(p1)); // p1 buffers R0
+        commit(&mut m, &mut memo, p1, 0);
+        assert!(!kept(&memo), "a commit to R0 kept p0's verdict");
+        assert_eq!(memo.terminates(&m, p0, &opts), Ok(true));
+
+        // At the fence, p0's commit is its solo run's next step: the
+        // verdict stays, and now depends on R2 too.
+        m.step(SchedElem::op(p0)); // p0 reads R0
+        m.step(SchedElem::op(p0)); // p0 buffers R2
+        assert!(kept(&memo), "p0's own operation steps dropped its verdict");
+        commit(&mut m, &mut memo, p0, 2);
+        assert!(kept(&memo), "p0's fence commit dropped its verdict");
+        assert_eq!(memo.terminates(&m, p0, &opts), Ok(true));
+        assert_eq!(memo.verdicts[0].reads, vec![RegId(0), RegId(2)]);
+
+        // So a commit to R2 by p1 drops it.
+        commit(&mut m, &mut memo, p1, 2);
+        assert!(!kept(&memo), "a commit to R2 kept p0's verdict");
+        assert_eq!(memo.terminates(&m, p0, &opts), Ok(true));
     }
 
     #[test]

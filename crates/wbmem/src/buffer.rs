@@ -22,8 +22,19 @@ use crate::value::Value;
 
 /// The pending writes of a PSO buffer: at most one per register,
 /// sorted by register. Dereferences to the sorted slice.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, PartialEq, Eq, Hash)]
 pub struct PsoWrites(Vec<(RegId, Value)>);
+
+impl Clone for PsoWrites {
+    fn clone(&self) -> Self {
+        PsoWrites(self.0.clone())
+    }
+
+    /// Reuses `self`'s allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl PsoWrites {
     fn position(&self, reg: RegId) -> Result<usize, usize> {
@@ -58,7 +69,7 @@ impl std::ops::Deref for PsoWrites {
 }
 
 /// A process's write buffer, with model-specific structure.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub enum WriteBuffer {
     /// SC: writes are never buffered.
     Sc,
@@ -66,6 +77,25 @@ pub enum WriteBuffer {
     Tso(VecDeque<(RegId, Value)>),
     /// PSO: unordered pending writes, one per register.
     Pso(PsoWrites),
+}
+
+impl Clone for WriteBuffer {
+    fn clone(&self) -> Self {
+        match self {
+            WriteBuffer::Sc => WriteBuffer::Sc,
+            WriteBuffer::Tso(q) => WriteBuffer::Tso(q.clone()),
+            WriteBuffer::Pso(m) => WriteBuffer::Pso(m.clone()),
+        }
+    }
+
+    /// Reuses `self`'s allocation when both buffers are of one model.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (WriteBuffer::Tso(q), WriteBuffer::Tso(src)) => q.clone_from(src),
+            (WriteBuffer::Pso(m), WriteBuffer::Pso(src)) => m.clone_from(src),
+            (this, _) => *this = source.clone(),
+        }
+    }
 }
 
 /// How to reverse one buffer mutation (see [`WriteBuffer::push_recorded`]

@@ -211,7 +211,12 @@ pub enum SoloOutcome {
     /// The process provably never finishes alone: its solo execution
     /// revisited a configuration (it is spinning on unchanged memory).
     Diverges {
-        /// Steps taken before the revisit was detected.
+        /// Steps taken before the revisit was detected. That is not the
+        /// step of the first revisit: a run that first returns to an
+        /// earlier configuration at step `t` is caught at some step up to
+        /// about `3t`, when it meets the one configuration the check keeps
+        /// (see [`Machine::solo_outcome_reading`]). A `max_steps` below
+        /// the detection step yields [`Unknown`](Self::Unknown).
         steps: usize,
     },
     /// The step bound was exhausted without termination or a revisit.

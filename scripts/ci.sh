@@ -42,12 +42,13 @@ stage "cargo build --release" \
 stage "cargo test -q" \
     cargo test -q
 
-stage "lowerbound by_definition over every permutation of four (debug, where the decoder re-checks every memo hit; tier-1 runs a fixed sample)" \
+stage "lowerbound by_definition over every permutation of four (debug, where the decoder re-checks every memo hit; ~8 s on a 2-core host; tier-1 runs a fixed sample)" \
     cargo test -q -p lowerbound --test by_definition -- --ignored
 
-stage "simlocks reread_by_walking and parked_rotation, long variants in release: plain steps (with the idle-read memo) against recorded steps at n = 8 and 16 with ten times the schedules (tier-1 runs n = 4 and 8); the parked rotation against the full rotation at n = 64 and 256 (tier-1 runs n ≤ 32)" \
+stage "simlocks reread_by_walking, parked_rotation and solo_by_walking, long variants in release: plain steps (with the idle-read memo) against recorded steps at n = 8 and 16 with ten times the schedules (tier-1 runs n = 4 and 8); the parked rotation against the full rotation at n = 64 and 256 (tier-1 runs n ≤ 32); Brent's solo check against the set-of-states check on every state of longer walks at n = 8 (tier-1 runs n = 4)" \
     bash -c 'cargo test -q --release -p simlocks --test reread_by_walking -- --ignored || exit 1
-        cargo test -q --release -p simlocks --test parked_rotation -- --ignored'
+        cargo test -q --release -p simlocks --test parked_rotation -- --ignored || exit 1
+        cargo test -q --release -p simlocks --test solo_by_walking -- --ignored'
 
 stage "differential_resume over the full n = 2 lock × model × fence-mask × crash matrix for each engine the suite names, each interrupted at a transition cut and resumed (tier-1 runs a fixed sample per engine)" \
     cargo test -q -p modelcheck --test differential_resume -- --ignored
