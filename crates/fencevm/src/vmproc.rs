@@ -41,9 +41,15 @@ impl Clone for Locals {
         }
     }
 
-    /// Reuses a spilled vector's allocation.
+    /// Copies inline locals in place and reuses a spilled vector's
+    /// allocation.
+    #[inline]
     fn clone_from(&mut self, source: &Self) {
         match (self, source) {
+            (Locals::Inline { len, vals }, Locals::Inline { len: l, vals: v }) => {
+                *len = *l;
+                *vals = *v;
+            }
             (Locals::Heap(v), Locals::Heap(from)) => v.clone_from(from),
             (this, source) => *this = source.clone(),
         }
@@ -125,6 +131,7 @@ impl Clone for VmProc {
     /// instance — the machine's undo trail saves and restores a process
     /// this way on every step — the shared program's reference count is
     /// not touched.
+    #[inline]
     fn clone_from(&mut self, source: &Self) {
         if !Arc::ptr_eq(&self.prog, &source.prog) {
             self.prog = Arc::clone(&source.prog);

@@ -441,7 +441,14 @@ impl Decoder {
                 let pre_len = m.buffer(pstar).len();
                 // `p` is at a fence: its solo run commits next, and this
                 // very register unless `smallest_buffered` is not the one
-                // the buffer drains first (TSO).
+                // the buffer drains first (TSO). A hidden commit is `q`'s,
+                // off its solo path, hence `!hidden`. No decode observes
+                // that guard, so no test pins it: without it `q` would keep
+                // its verdict with `r` added to its read set — which is
+                // sound too, since committing its own buffered write
+                // changes nothing `q` reads — and `p`, still commit-enabled
+                // on `r`, commits `r` before any D2 step asks for a verdict,
+                // which drops `q`'s through that set either way.
                 let solo_step = !hidden && m.buffer(p).fence_commit_target() == Some(r);
 
                 let event = match m.step(SchedElem::commit(pstar, r)) {

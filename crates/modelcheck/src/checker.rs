@@ -594,6 +594,58 @@ pub(crate) fn render<P: Process>(initial: &Machine<P>, sched: &[SchedElem]) -> C
     }
 }
 
+/// Append-only per-id storage whose elements never move: id `i` lives in
+/// segment `k = ⌊log₂(i + FIRST)⌋ − log₂ FIRST`, and segment `k` holds
+/// `FIRST << k` ids, allocated whole when the first of them is pushed.
+/// Growing allocates one new segment and copies nothing, and a small
+/// check allocates one small segment.
+struct Segmented<T> {
+    segs: Vec<Vec<T>>,
+    len: usize,
+}
+
+impl<T> Default for Segmented<T> {
+    fn default() -> Self {
+        Segmented {
+            segs: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T> Segmented<T> {
+    /// Ids in the first segment.
+    const FIRST: usize = 1 << 6;
+
+    /// The segment holding `id`, and `id`'s offset in it.
+    #[inline]
+    fn locate(id: usize) -> (usize, usize) {
+        let x = id + Self::FIRST;
+        let top = x.ilog2();
+        ((top - Self::FIRST.ilog2()) as usize, x - (1 << top))
+    }
+
+    fn push(&mut self, value: T) {
+        let (seg, _) = Self::locate(self.len);
+        if seg == self.segs.len() {
+            self.segs.push(Vec::with_capacity(Self::FIRST << seg));
+        }
+        self.segs[seg].push(value);
+        self.len += 1;
+    }
+
+    #[inline]
+    fn get(&self, id: usize) -> &T {
+        let (seg, off) = Self::locate(id);
+        &self.segs[seg][off]
+    }
+
+    /// Every element, in id order.
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.segs.iter().flatten()
+    }
+}
+
 /// Dense state ids plus first-visit parents, for counterexample replay.
 ///
 /// The first-visit test is one open-addressing table of 8-byte slots over
@@ -602,15 +654,15 @@ pub(crate) fn render<P: Process>(initial: &Machine<P>, sched: &[SchedElem]) -> C
 /// for the full 128-bit comparison — only where the tag already agrees.
 /// The table is kept at most three-quarters full — probes are cheap next
 /// to the cache miss a bigger table costs — and rebuilt from `fps` when it
-/// grows.
+/// grows. The per-id arrays are [`Segmented`]: they grow without moving.
 #[derive(Default)]
 pub(crate) struct SearchIndex {
     /// Power-of-two many slots (none before the first id); `0` is empty.
     slots: Vec<u64>,
-    parents: Vec<Option<(u32, SchedElem)>>,
+    parents: Segmented<Option<(u32, SchedElem)>>,
     /// Fingerprint per dense id, so checkpointing can re-key the id-based
     /// edge/terminal lists by stable fingerprints.
-    fps: Vec<u128>,
+    fps: Segmented<u128>,
 }
 
 impl SearchIndex {
@@ -638,7 +690,7 @@ impl SearchIndex {
         fp: u128,
         parent: Option<(u32, SchedElem)>,
     ) -> Option<(u32, bool)> {
-        if self.fps.len() * 4 >= self.slots.len() * 3 {
+        if self.fps.len * 4 >= self.slots.len() * 3 {
             self.grow();
         }
         let mask = self.slots.len() - 1;
@@ -651,12 +703,12 @@ impl SearchIndex {
             }
             #[allow(clippy::cast_possible_truncation)]
             let id = slot as u32;
-            if slot & !0xFFFF_FFFF == tagged && self.fps[id as usize] == fp {
+            if slot & !0xFFFF_FFFF == tagged && *self.fps.get(id as usize) == fp {
                 return Some((id, false));
             }
             i = (i + 1) & mask;
         }
-        let id = u32::try_from(self.fps.len()).ok()?;
+        let id = u32::try_from(self.fps.len).ok()?;
         self.slots[i] = tagged | u64::from(id);
         self.parents.push(parent);
         self.fps.push(fp);
@@ -667,7 +719,7 @@ impl SearchIndex {
         let doubled = (self.slots.len() * 2).max(Self::MIN_SLOTS);
         self.slots = vec![0; doubled];
         let mask = doubled - 1;
-        for (id, &fp) in (0u64..).zip(&self.fps) {
+        for (id, &fp) in (0u64..).zip(self.fps.iter()) {
             let (home, tagged) = Self::home_and_tag(fp);
             let mut i = home & mask;
             while self.slots[i] != 0 {
@@ -678,12 +730,12 @@ impl SearchIndex {
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.fps.len()
+        self.fps.len
     }
 
     /// The fingerprint a dense id was allocated for.
     pub(crate) fn fp_of(&self, id: u32) -> u128 {
-        self.fps[id as usize]
+        *self.fps.get(id as usize)
     }
 
     /// Where first-visit edges enter the stuck region `!can_finish`: per
@@ -708,7 +760,7 @@ impl SearchIndex {
     pub(crate) fn path_to(&self, id: u32) -> Vec<SchedElem> {
         let mut sched = Vec::new();
         let mut cur = id;
-        while let Some((p, e)) = self.parents[cur as usize] {
+        while let Some((p, e)) = *self.parents.get(cur as usize) {
             sched.push(e);
             cur = p;
         }
@@ -803,10 +855,13 @@ pub(crate) fn poll_observe(
 }
 
 /// Take the exploration step `elem` on `m` and count it into `tally`
-/// ([`count_step`]) — the one place a machine step becomes metrics.
-/// Replays (`Dfs::start`, `render`) step the machine directly and stay
-/// uncounted. Only a crash needs a look at the machine before it steps:
-/// a draining crash commits a whole buffer in one step.
+/// ([`count_step`]) — the one place a machine step becomes metrics. The
+/// machine a search walks has [forgotten](Machine::forget_locality) its
+/// accounting, so the count comes from the step's event, never from the
+/// machine's counters. Replays (`Dfs::start`, `render`) step the machine
+/// directly and stay uncounted. Only a crash needs a look at the machine
+/// before it steps: a draining crash commits its whole buffer in one
+/// step.
 #[inline]
 pub(crate) fn step_counted<P: Process, T>(
     tally: &mut MetricsSnapshot,
@@ -814,12 +869,13 @@ pub(crate) fn step_counted<P: Process, T>(
     elem: SchedElem,
     step: impl FnOnce(&mut Machine<P>) -> (StepOutcome, T),
 ) -> (StepOutcome, T) {
-    let crash = elem
-        .crash
-        .then(|| m.counters().proc(elem.proc.index()).commits);
+    let drained = elem.crash.then(|| match m.config().crash_semantics {
+        CrashSemantics::DrainBuffer => m.buffer(elem.proc).len() as u64,
+        CrashSemantics::DiscardBuffer => 0,
+    });
     let (out, rest) = step(m);
     if let StepOutcome::Stepped(event) = &out {
-        count_step(tally, m, event, crash);
+        count_step(tally, m, event, drained);
     }
     (out, rest)
 }
@@ -827,13 +883,13 @@ pub(crate) fn step_counted<P: Process, T>(
 /// Count the step that produced `event` by its kind: the class `wbmem`
 /// raised a counter of when it took the step. An SC write commits at
 /// once, so a `Commit` of a machine that buffers nothing is a write too.
-/// A crash is counted by what it added to its process's commit counter,
-/// which stood at `crash` before it.
+/// A crash commits what it `drained`: the writes its process had
+/// buffered, under [`CrashSemantics::DrainBuffer`], or none.
 fn count_step<P: Process>(
     tally: &mut MetricsSnapshot,
     m: &Machine<P>,
     event: &Event,
-    crash: Option<u64>,
+    drained: Option<u64>,
 ) {
     let (p, i) = (event.proc, event.proc.index());
     let mut steps = ProcSteps::default();
@@ -854,8 +910,10 @@ fn count_step<P: Process>(
         EventKind::Swap { .. } => tally.incr(Metric::SwapOps),
         EventKind::Return { .. } => tally.incr(Metric::Returns),
         EventKind::Crash { .. } => {
-            let before = crash.expect("only a crash element crashes");
-            tally.add(Metric::Commits, m.counters().proc(i).commits - before);
+            tally.add(
+                Metric::Commits,
+                drained.expect("only a crash element crashes"),
+            );
             steps.crashes = 1;
         }
     }
@@ -1030,8 +1088,13 @@ pub(crate) fn dispatch<P: Process>(
 }
 
 /// The original engine: clone the machine at every transition. O(machine)
-/// per edge; kept as the differential oracle for the undo engine. Its one
-/// loop counts straight into the check's `tally`.
+/// per edge; kept as the differential oracle for the undo engine. It takes
+/// plain steps and rehashes every fingerprint from scratch, sharing no
+/// step or hash path with the walks it checks. A child is cloned into a
+/// spent machine from `spare` ([`Clone::clone_from`]) — one dropped after
+/// a no-op, a repeat or a terminal state, or popped exhausted — so the
+/// walk allocates about once per state, for its choices. Its one loop
+/// counts straight into the check's `tally`.
 fn check_clone_dfs<P: Process>(
     initial: &Machine<P>,
     config: &CheckConfig,
@@ -1072,6 +1135,7 @@ fn check_clone_dfs<P: Process>(
     root.forget_locality();
     stack.push((root, root_id, root_choices));
 
+    let mut spare: Vec<Machine<P>> = Vec::new();
     let mut iters = 0usize;
     while let Some((m, id, mut choices)) = stack.pop() {
         iters += 1;
@@ -1087,15 +1151,23 @@ fn check_clone_dfs<P: Process>(
             );
         }
         let Some(elem) = choices.pop() else {
+            spare.push(m);
             continue;
         };
         // Put the remainder back before descending.
-        let mut child = m.clone();
+        let mut child = match spare.pop() {
+            Some(mut child) => {
+                child.clone_from(&m);
+                child
+            }
+            None => m.clone(),
+        };
         stack.push((m, id, choices));
 
         let (out, ()) = step_counted(tally, &mut child, elem, |m| (m.step(elem), ()));
         if matches!(out, StepOutcome::NoOp) {
             tally.incr(Metric::NoopSteps);
+            spare.push(child);
             continue;
         }
         stats.transitions += 1;
@@ -1109,6 +1181,7 @@ fn check_clone_dfs<P: Process>(
         }
         if !fresh {
             tally.incr(Metric::DedupHits);
+            spare.push(child);
             continue;
         }
         stats.states += 1;
@@ -1133,6 +1206,7 @@ fn check_clone_dfs<P: Process>(
                     render(initial, &index.path_to(child_id)),
                 );
             }
+            spare.push(child);
             continue; // no choices from a terminal state
         }
 
@@ -1220,6 +1294,54 @@ mod tests {
         for (&fp, &id) in &reference {
             assert_eq!(index.id_of(fp, None), Some((id, false)));
         }
+    }
+
+    #[test]
+    fn search_index_keeps_ids_parents_and_fingerprints_across_segments() {
+        type Ids = Segmented<u128>;
+        let first = Ids::FIRST;
+        assert_eq!(Ids::locate(0), (0, 0));
+        assert_eq!(Ids::locate(first - 1), (0, first - 1));
+        assert_eq!(Ids::locate(first), (1, 0));
+        assert_eq!(Ids::locate(3 * first - 1), (1, 2 * first - 1));
+        assert_eq!(Ids::locate(3 * first), (2, 0));
+        assert_eq!(Ids::locate(7 * first), (3, 0));
+
+        // A binary tree of 5 000 states, six segments deep: state i's
+        // first-visit parent is i / 2, reached by a step of process i % 3.
+        let n = 5_000u32;
+        let fp = |i: u32| u128::from(i).wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835) | 1;
+        let elem = |i: u32| SchedElem::op(wbmem::ProcId(i % 3));
+        let mut index = SearchIndex::default();
+        for i in 0..n {
+            let parent = (i > 0).then(|| (i / 2, elem(i)));
+            assert_eq!(index.id_of(fp(i), parent), Some((i, true)));
+        }
+        assert_eq!(index.len(), n as usize);
+        assert_eq!(index.fps.segs.len(), 7);
+        for i in 0..n {
+            assert_eq!(index.fp_of(i), fp(i));
+            assert_eq!(index.id_of(fp(i), None), Some((i, false)));
+        }
+        let boundaries = (0..7).map(|k| ((first << k) - first) as u32);
+        for id in boundaries.flat_map(|b| [b.saturating_sub(1), b, b + 1]) {
+            let mut expect = Vec::new();
+            let mut j = id;
+            while j > 0 {
+                expect.push(elem(j));
+                j /= 2;
+            }
+            expect.reverse();
+            assert_eq!(index.path_to(id), expect, "path to {id}");
+        }
+        // Everything from the third segment on is stuck: it is entered
+        // from the second, by each process's first step there.
+        let stuck = 3 * first as u32;
+        let can_finish: Vec<bool> = (0..n).map(|i| i < stuck).collect();
+        assert_eq!(
+            index.stuck_entries(&can_finish),
+            vec![stuck, stuck + 1, stuck + 2]
+        );
     }
 
     #[test]
@@ -1732,13 +1854,18 @@ mod tests {
 
     /// Under `DrainBuffer` a crash step commits its process's whole
     /// buffer, and those commits are counted with the crash; under
-    /// `DiscardBuffer` it commits nothing.
+    /// `DiscardBuffer` it commits nothing. Alike on a machine that forgot
+    /// its accounting, as the one a search walks has.
     #[test]
     fn a_draining_crash_counts_its_commits_and_the_crash() {
         let p0 = ProcId(0);
         let inst = build_mutex(LockKind::RecoverableBakery, 2, FenceMask::NONE);
-        for semantics in [CrashSemantics::DrainBuffer, CrashSemantics::DiscardBuffer] {
+        let semantics = [CrashSemantics::DrainBuffer, CrashSemantics::DiscardBuffer];
+        for (semantics, forget) in semantics.into_iter().flat_map(|s| [(s, false), (s, true)]) {
             let mut m = inst.machine(MemoryModel::Pso);
+            if forget {
+                m.forget_locality();
+            }
             m.set_crash_bound(semantics, 1);
             while m.buffer(p0).len() < 2 {
                 assert!(m.step(SchedElem::op(p0)).event().is_some(), "p0 got stuck");
@@ -1756,6 +1883,29 @@ mod tests {
             assert_eq!(snap.get(Metric::Commits), commits);
             assert_eq!(snap.get(Metric::Crashes), 1);
             assert_eq!(snap.per_proc[0].crashes, 1);
+        }
+    }
+
+    /// A search counts a draining crash's commits, though the machine it
+    /// walks counts nothing: RecoverableBakery, n = 2, under TSO with one
+    /// draining crash per process, reads the same commit count under the
+    /// kernel and the oracle.
+    #[test]
+    fn a_search_counts_the_commits_of_draining_crashes() {
+        let machine =
+            build_mutex(LockKind::RecoverableBakery, 2, FenceMask::ALL).machine(MemoryModel::Tso);
+        for engine in [Engine::Undo, Engine::CloneDfs] {
+            let config = CheckConfig {
+                check_termination: false,
+                max_crashes: 1,
+                crash_semantics: CrashSemantics::DrainBuffer,
+                ..cfg()
+            }
+            .with_engine(engine);
+            let v = check(&machine, &config);
+            assert!(v.is_ok(), "{engine:?}: {}", v.label());
+            assert_eq!(v.stats().states, 10_730, "{engine:?}");
+            assert_eq!(v.stats().metrics.get(Metric::Commits), 5_391, "{engine:?}");
         }
     }
 

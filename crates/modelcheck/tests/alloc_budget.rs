@@ -111,6 +111,31 @@ fn the_exhaustive_walk_allocates_only_to_grow_its_tables() {
 }
 
 #[test]
+fn the_oracle_allocates_about_once_per_state() {
+    // The oracle clones a machine per transition, into a spent one it
+    // keeps for reuse, and allocates a choice vector per state: about one
+    // allocation per state (10 090 over 9 796 states when recorded). It
+    // made 157 400 when every transition cloned a fresh machine.
+    let machine = build_mutex(LockKind::Ttas, 4, FenceMask::ALL).machine(MemoryModel::Pso);
+    let config = CheckConfig {
+        check_termination: false,
+        max_states: 1_000_000,
+        ..CheckConfig::default()
+    }
+    .with_engine(Engine::CloneDfs);
+    let before = ALLOCATIONS.with(Cell::get);
+    let verdict = check(&machine, &config);
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert!(verdict.is_ok(), "{}", verdict.label());
+    let states = verdict.stats().states as u64;
+    println!("ttas4_pso clone_dfs: {allocations} allocations over {states} states");
+    assert!(
+        allocations * 2 <= states * 3,
+        "ttas4_pso clone_dfs: {allocations} allocations over {states} states"
+    );
+}
+
+#[test]
 fn the_reduced_walk_stays_within_its_allocation_budget() {
     // Recorded at the commit that stopped ample sets falling back for a
     // return: gt_f23 1 493 allocations over 26 830 transitions, tournament4

@@ -147,9 +147,22 @@ impl fmt::Display for ProcCounters {
 }
 
 /// Per-process and aggregate step counts for an execution.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Counters {
     per_proc: Vec<ProcCounters>,
+}
+
+impl Clone for Counters {
+    fn clone(&self) -> Self {
+        Counters {
+            per_proc: self.per_proc.clone(),
+        }
+    }
+
+    /// Reuses `self`'s allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.per_proc.clone_from(&source.per_proc);
+    }
 }
 
 impl Counters {

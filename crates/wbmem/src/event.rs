@@ -189,9 +189,22 @@ impl fmt::Display for Event {
 }
 
 /// A recorded execution: the sequence of events, in order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<Event>,
+}
+
+impl Clone for Trace {
+    fn clone(&self) -> Self {
+        Trace {
+            events: self.events.clone(),
+        }
+    }
+
+    /// Reuses `self`'s allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.events.clone_from(&source.events);
+    }
 }
 
 impl Trace {

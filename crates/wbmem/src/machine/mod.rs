@@ -92,7 +92,7 @@ impl std::fmt::Display for MachineError {
 impl std::error::Error for MachineError {}
 
 /// Static machine parameters.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct MachineConfig {
     /// Memory model governing buffering and commit order.
     pub model: MemoryModel,
@@ -111,6 +111,33 @@ pub struct MachineConfig {
     /// injection entirely: crash elements are no-ops and
     /// [`choices`](Machine::choices) never offers them.
     pub max_crashes: u32,
+}
+
+impl Clone for MachineConfig {
+    fn clone(&self) -> Self {
+        MachineConfig {
+            layout: self.layout.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses `self`'s layout allocations.
+    fn clone_from(&mut self, source: &Self) {
+        let MachineConfig {
+            model,
+            ref layout,
+            tag_writes,
+            record_trace,
+            crash_semantics,
+            max_crashes,
+        } = *source;
+        self.layout.clone_from(layout);
+        self.model = model;
+        self.tag_writes = tag_writes;
+        self.record_trace = record_trace;
+        self.crash_semantics = crash_semantics;
+        self.max_crashes = max_crashes;
+    }
 }
 
 impl MachineConfig {
@@ -152,7 +179,7 @@ impl MachineConfig {
 }
 
 /// One process's slot in a configuration.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct ProcSlot<P> {
     prog: P,
     buffer: WriteBuffer,
@@ -173,6 +200,35 @@ struct ProcSlot<P> {
     /// of the process, and an undo of one, drops it. Not state: no key,
     /// fingerprint or equality reads it.
     idle_read: Option<Value>,
+}
+
+impl<P: Clone> Clone for ProcSlot<P> {
+    fn clone(&self) -> Self {
+        ProcSlot {
+            prog: self.prog.clone(),
+            buffer: self.buffer.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses `self`'s program and buffer allocations.
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        let ProcSlot {
+            ref prog,
+            ref buffer,
+            returned,
+            crashes,
+            fp,
+            idle_read,
+        } = *source;
+        self.prog.clone_from(prog);
+        self.buffer.clone_from(buffer);
+        self.returned = returned;
+        self.crashes = crashes;
+        self.fp = fp;
+        self.idle_read = idle_read;
+    }
 }
 
 /// The result of applying one schedule element.
@@ -266,7 +322,13 @@ fn entry_fp(tag: u64, reg: RegId, value: Option<Value>) -> u128 {
 ///
 /// See the [crate docs](crate) for the model; see [`Machine::step`] for the
 /// step rule.
-#[derive(Clone, Debug)]
+///
+/// A clone is the same configuration — counters, trace, locality tracker
+/// (or its absence) and kept fingerprint included — with an empty undo
+/// trail. [`Clone::clone_from`] gives the same machine into an existing
+/// one, reusing its allocations and, for a `fencevm` process running the
+/// same program, leaving the shared program's reference count alone.
+#[derive(Debug)]
 pub struct Machine<P: Process> {
     config: MachineConfig,
     mem: RegMap<Value>,
@@ -282,6 +344,48 @@ pub struct Machine<P: Process> {
     /// [`fingerprint`](Self::fingerprint)).
     fp: Option<u128>,
     trail: Trail<P>,
+}
+
+impl<P: Process> Clone for Machine<P> {
+    fn clone(&self) -> Self {
+        Machine {
+            config: self.config.clone(),
+            mem: self.mem.clone(),
+            procs: self.procs.clone(),
+            locality: self.locality.clone(),
+            counters: self.counters.clone(),
+            trace: self.trace.clone(),
+            next_nonce: self.next_nonce,
+            fp: self.fp,
+            trail: Trail::default(),
+        }
+    }
+
+    /// Field by field into `self`'s allocations; `self`'s trail is
+    /// emptied (its storage kept), so its tokens are void, as if `self`
+    /// were a fresh clone.
+    fn clone_from(&mut self, source: &Self) {
+        let Machine {
+            ref config,
+            ref mem,
+            ref procs,
+            ref locality,
+            ref counters,
+            ref trace,
+            next_nonce,
+            fp,
+            trail: _,
+        } = *source;
+        self.config.clone_from(config);
+        self.mem.clone_from(mem);
+        self.procs.clone_from(procs);
+        self.locality.clone_from(locality);
+        self.counters.clone_from(counters);
+        self.trace.clone_from(trace);
+        self.next_nonce = next_nonce;
+        self.fp = fp;
+        self.trail.clear();
+    }
 }
 
 impl<P: Process> Machine<P> {
@@ -454,14 +558,16 @@ impl<P: Process> Machine<P> {
         self.locality.as_ref()
     }
 
-    /// Stop classifying steps as local or remote, for good: drop the
-    /// locality tracker. From here on no read or store probes a cache or
-    /// moves commit ownership, and every read, commit, CAS and swap counts
-    /// as local — the counters still count every operation, but no
-    /// `remote_*` counter or ρ rises again. The state, its fingerprint and
-    /// the enabled choices are those of a machine that kept the tracker;
-    /// clones inherit the absence. A search, which explores states rather
-    /// than one execution's cost, calls this on the machine it walks.
+    /// Stop accounting for good: drop the locality tracker and freeze the
+    /// [`counters`](Self::counters). From here on no read or store probes
+    /// a cache or moves commit ownership, every event reports a local
+    /// step, and no step raises a counter (nor an undo lowers one: the
+    /// counters keep what they held when the tracker was dropped). The
+    /// state, its fingerprint and the enabled choices are those of a
+    /// machine that kept both, and so are the events but for their
+    /// `remote` flags; clones inherit the absence. A search, which
+    /// explores states rather than one execution's cost, calls this on
+    /// the machine it walks and counts steps from their events.
     pub fn forget_locality(&mut self) {
         self.locality = None;
     }

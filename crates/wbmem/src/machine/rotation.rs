@@ -175,8 +175,13 @@ impl<P: Process> Machine<P> {
         }
     }
 
-    /// Count `k` idle re-reads of process `i`, parked at its poised read.
+    /// Count `k` idle re-reads of process `i`, parked at its poised read
+    /// (nothing, on a machine that [forgot](Self::forget_locality) its
+    /// accounting).
     fn charge_idle_reads(&mut self, i: usize, k: u64) {
+        if self.locality.is_none() {
+            return;
+        }
         let slot = &self.procs[i];
         let Poised::Read(reg) = slot.prog.poised() else {
             unreachable!("a parked process is poised to read");

@@ -617,17 +617,18 @@ fn solo_outcome_handles_cas() {
     ));
 }
 
-/// Capture everything a correct undo must restore — not just the
-/// behavioural state, but accounting, locality, trace, and nonces.
-pub(super) fn full_snapshot(
-    m: &Machine<Script>,
-) -> (
-    StateKey<Script>,
+/// Everything a correct undo must restore — not just the behavioural
+/// state, but accounting, locality, trace, and nonces.
+pub(super) type FullSnapshot<P> = (
+    StateKey<P>,
     Counters,
     Option<LocalityTracker>,
     Vec<Event>,
     u64,
-) {
+);
+
+/// Capture a [`FullSnapshot`].
+pub(super) fn full_snapshot<P: Process>(m: &Machine<P>) -> FullSnapshot<P> {
     (
         m.state_key(),
         m.counters().clone(),
@@ -1117,5 +1118,209 @@ fn footprint_prediction_matches_actual_steps() {
             let mut m = Machine::new(cfg, scripts());
             assert_footprints_predict_steps(&mut m, 5);
         }
+    }
+}
+
+// ---------- clone_from ----------
+
+/// A [`Script`] whose reads of register 0 spin while they return ⊥: the
+/// process stays poised at the read, unchanged, so a plain step there
+/// leaves its idle-read memo set.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct SpinScript(Script);
+
+impl Process for SpinScript {
+    fn poised(&self) -> Poised {
+        self.0.poised()
+    }
+    fn advance(&mut self, read: Option<Value>) {
+        self.advance_idle(read);
+    }
+    fn advance_idle(&mut self, read: Option<Value>) -> bool {
+        if self.0.poised() == Poised::Read(r(0)) && read == Some(Value::Bot) {
+            return true;
+        }
+        self.0.advance(read);
+        false
+    }
+    fn recoverable(&self) -> bool {
+        true
+    }
+    fn crash_recover(&mut self) {
+        self.0.crash_recover();
+    }
+}
+
+/// One machine to walk: its scripts, configuration, whether it forgets
+/// its locality tracker, and the walk.
+type WalkSpec = (Vec<Vec<Poised>>, MachineConfig, bool, Vec<(u8, usize)>);
+
+fn arb_walk_spec() -> impl proptest::Strategy<Value = WalkSpec> {
+    use proptest::prelude::*;
+    let op = prop_oneof![
+        (0u32..3).prop_map(|i| Poised::Read(r(i))),
+        (0u32..3, 0u64..3).prop_map(|(i, v)| Poised::Write(r(i), Value::Int(v))),
+        Just(Poised::Fence),
+        (0u32..3, 0u64..3, 0u64..3).prop_map(|(i, expected, new)| Poised::Cas {
+            reg: r(i),
+            expected,
+            new: Value::Int(new),
+        }),
+        (0u32..3, 0u64..3).prop_map(|(i, new)| Poised::Swap {
+            reg: r(i),
+            new: Value::Int(new),
+        }),
+    ];
+    let scripts = prop::collection::vec(prop::collection::vec(op, 0..8), 1..4);
+    let config = (
+        prop::sample::select(MemoryModel::ALL.to_vec()),
+        prop::sample::select(vec![
+            None,
+            Some(CrashSemantics::DiscardBuffer),
+            Some(CrashSemantics::DrainBuffer),
+        ]),
+        (any::<bool>(), any::<bool>()),
+        prop::collection::vec(prop::option::of(0u32..3), 3),
+    )
+        .prop_map(|(model, crash, (tagged, traced), owners)| {
+            let layout = (0u32..)
+                .zip(owners)
+                .filter_map(|(i, o)| o.map(|o| (r(i), p(o))))
+                .collect();
+            let mut config = MachineConfig::new(model, layout);
+            if let Some(semantics) = crash {
+                config = config.with_crashes(semantics, 1);
+            }
+            config.tag_writes = tagged;
+            config.record_trace = traced;
+            config
+        });
+    let walk = prop::collection::vec((0u8..4, 0usize..16), 0..40);
+    (scripts, config, any::<bool>(), walk)
+}
+
+/// What undoing every outstanding recorded step must return a machine to.
+type Base = (FullSnapshot<SpinScript>, u128);
+
+fn base(m: &Machine<SpinScript>) -> Base {
+    (full_snapshot(m), m.fingerprint())
+}
+
+/// Run `calls` on `m`: plain steps (only while no recorded step is
+/// outstanding), recorded steps, crashes and undos. Returns the tokens of
+/// the recorded steps still outstanding, and the machine as it was before
+/// the first of them.
+fn walk(m: &mut Machine<SpinScript>, calls: &[(u8, usize)]) -> (Vec<UndoToken<SpinScript>>, Base) {
+    let mut tokens = Vec::new();
+    let mut before = base(m);
+    for &(call, pick) in calls {
+        let choices = m.choices();
+        let elem = match call {
+            2 => {
+                if let Some(token) = tokens.pop() {
+                    m.undo(token);
+                }
+                continue;
+            }
+            3 => SchedElem::crash(ProcId::from(pick % m.n())),
+            _ if choices.is_empty() => continue,
+            _ => choices[pick % choices.len()],
+        };
+        if call == 0 && tokens.is_empty() {
+            m.step(elem);
+            before = base(m);
+        } else {
+            tokens.push(m.step_recorded(elem).1);
+        }
+    }
+    (tokens, before)
+}
+
+fn walked(spec: &WalkSpec) -> (Machine<SpinScript>, Vec<UndoToken<SpinScript>>, Base) {
+    let (scripts, config, forget, calls) = spec;
+    let procs = scripts
+        .iter()
+        .zip(0..)
+        .map(|(ops, ret)| {
+            let mut ops = ops.clone();
+            ops.push(Poised::Return(ret));
+            SpinScript(Script::new(ops))
+        })
+        .collect();
+    let mut m = Machine::new(config.clone(), procs);
+    if *forget {
+        m.forget_locality();
+    }
+    let (tokens, before) = walk(&mut m, calls);
+    (m, tokens, before)
+}
+
+/// Everything a clone must reproduce: the state and its fingerprint
+/// (kept or not), the accounting, tracker, trace and nonce, the enabled
+/// choices, every idle-read memo, and the configuration.
+#[allow(clippy::type_complexity)]
+fn cloned_view(
+    m: &Machine<SpinScript>,
+) -> (
+    FullSnapshot<SpinScript>,
+    u128,
+    Option<u128>,
+    Vec<SchedElem>,
+    Vec<Option<Value>>,
+    (MemoryModel, MemoryLayout, bool, bool, CrashSemantics, u32),
+) {
+    let c = m.config();
+    (
+        full_snapshot(m),
+        m.fingerprint(),
+        m.fp,
+        m.choices(),
+        (0..m.n()).map(|i| m.idle_read(ProcId::from(i))).collect(),
+        (
+            c.model,
+            c.layout.clone(),
+            c.tag_writes,
+            c.record_trace,
+            c.crash_semantics,
+            c.max_crashes,
+        ),
+    )
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+    /// `clone_from` gives what `clone` gives, into a machine of another
+    /// program, process count, model, crash setting, tagging, tracing and
+    /// locality — a walked one with recorded steps outstanding: the same
+    /// configuration, accounting, trace, memos and choices, an empty
+    /// trail, and from there the same walk. The source, untouched, still
+    /// undoes its own recorded steps back to where its last plain step
+    /// left it.
+    #[test]
+    fn clone_from_gives_what_clone_gives(
+        source in arb_walk_spec(),
+        target in arb_walk_spec(),
+        more in proptest::collection::vec((0u8..4, 0usize..16), 0..20),
+    ) {
+        let (mut src, mut tokens, before) = walked(&source);
+        let (mut dst, _void, _) = walked(&target);
+        let mut fresh = src.clone();
+        dst.clone_from(&src);
+        proptest::prop_assert!(dst.trail.is_empty());
+        proptest::prop_assert!(dst.kept_fingerprint_is_current());
+        proptest::prop_assert_eq!(cloned_view(&dst), cloned_view(&fresh));
+        proptest::prop_assert_eq!(cloned_view(&dst), cloned_view(&src));
+
+        let (a, _) = walk(&mut dst, &more);
+        let (b, _) = walk(&mut fresh, &more);
+        proptest::prop_assert_eq!(a.len(), b.len());
+        proptest::prop_assert_eq!(cloned_view(&dst), cloned_view(&fresh));
+
+        while let Some(token) = tokens.pop() {
+            src.undo(token);
+        }
+        proptest::prop_assert!(src.trail.is_empty());
+        proptest::prop_assert_eq!(base(&src), before);
     }
 }

@@ -164,9 +164,9 @@ impl<P: Clone> SavedProgs<P> {
 /// The machine's undo trail: everything [`Machine::step_recorded`] saves
 /// and [`Machine::undo`] restores, in LIFO storage that is reused as the
 /// search backtracks, so a step moves nothing bulky and allocates only
-/// while the trail reaches a new depth. Cloning a trail yields an empty
-/// one: tokens name positions on the trail of the machine that issued
-/// them.
+/// while the trail reaches a new depth. A cloned machine starts with an
+/// empty trail: tokens name positions on the trail of the machine that
+/// issued them.
 #[derive(Debug)]
 pub(super) struct Trail<P> {
     steps: Vec<StepRecord>,
@@ -185,9 +185,20 @@ impl<P> Default for Trail<P> {
     }
 }
 
-impl<P> Clone for Trail<P> {
-    fn clone(&self) -> Self {
-        Trail::default()
+impl<P> Trail<P> {
+    /// Drop every recorded step, keeping the storage for reuse.
+    pub(super) fn clear(&mut self) {
+        self.steps.clear();
+        self.pre.clear();
+        for saved in &mut self.progs {
+            saved.live = 0;
+        }
+    }
+
+    /// Whether the trail holds no recorded step.
+    #[cfg(test)]
+    pub(super) fn is_empty(&self) -> bool {
+        self.steps.is_empty() && self.pre.is_empty() && self.progs.iter().all(|s| s.live == 0)
     }
 }
 
@@ -265,8 +276,12 @@ impl<P: Process> Machine<P> {
         let p = token.footprint.proc;
         let i = p.index();
         self.procs[i].idle_read = None;
-        // A crash restores the counters wholesale below, over this.
-        self.counters.proc_mut(i).unbump(rec.did);
+        // A crash restores the counters wholesale below, over this. A
+        // machine that forgot its accounting leaves them alone.
+        let counting = self.locality.is_some();
+        if counting {
+            self.counters.proc_mut(i).unbump(rec.did);
+        }
         if rec.did & DID_NONCE != 0 {
             self.next_nonce -= 1;
         }
@@ -296,7 +311,9 @@ impl<P: Process> Machine<P> {
                 PreImage::Crash(crash) => {
                     self.procs[i].buffer = crash.buffer;
                     self.procs[i].crashes = crash.crashes;
-                    *self.counters.proc_mut(i) = crash.counters;
+                    if counting {
+                        *self.counters.proc_mut(i) = crash.counters;
+                    }
                 }
             }
         }
@@ -308,8 +325,13 @@ impl<P: Process> Machine<P> {
         debug_assert!(self.kept_fingerprint_is_current());
     }
 
-    /// Raise `p`'s counters named by `bits` ([`bit`](crate::counters::bit)).
+    /// Raise `p`'s counters named by `bits` ([`bit`](crate::counters::bit)),
+    /// unless the machine [forgot](Machine::forget_locality) its locality
+    /// and with it its accounting.
     pub(super) fn count<const REC: bool>(&mut self, p: ProcId, bits: u32, acc: &mut StepAcc) {
+        if self.locality.is_none() {
+            return;
+        }
         self.counters.proc_mut(p.index()).bump(bits);
         if REC {
             acc.did |= bits;

@@ -167,10 +167,25 @@ impl FlatKey for RegId {
 /// tombstones, so a table that filled and emptied probes like a fresh
 /// one). It allocates nothing until the first insert and only when it
 /// grows afterwards. Equality is by content, not by layout.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct FlatTable<K, V> {
     slots: Vec<Option<(K, V)>>,
     len: usize,
+}
+
+impl<K: Clone, V: Clone> Clone for FlatTable<K, V> {
+    fn clone(&self) -> Self {
+        FlatTable {
+            slots: self.slots.clone(),
+            len: self.len,
+        }
+    }
+
+    /// Reuses `self`'s slot array.
+    fn clone_from(&mut self, source: &Self) {
+        self.slots.clone_from(&source.slots);
+        self.len = source.len;
+    }
 }
 
 impl<K, V> Default for FlatTable<K, V> {
@@ -282,11 +297,28 @@ pub const DENSE_REGS: usize = 1 << 16;
 /// to the largest small id stored and never shrinks; equality is by
 /// content, so a map that grew a slot and emptied it again equals one that
 /// never did.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct RegMap<T> {
     dense: Vec<Option<T>>,
     stray: FlatTable<RegId, T>,
     len: usize,
+}
+
+impl<T: Clone> Clone for RegMap<T> {
+    fn clone(&self) -> Self {
+        RegMap {
+            dense: self.dense.clone(),
+            stray: self.stray.clone(),
+            len: self.len,
+        }
+    }
+
+    /// Reuses `self`'s allocations.
+    fn clone_from(&mut self, source: &Self) {
+        self.dense.clone_from(&source.dense);
+        self.stray.clone_from(&source.stray);
+        self.len = source.len;
+    }
 }
 
 impl<T> Default for RegMap<T> {
@@ -356,9 +388,22 @@ impl<T: Copy + Eq> Eq for RegMap<T> {}
 
 /// The DSM partition: which process's local memory segment each register
 /// lives in.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct MemoryLayout {
     owners: RegMap<ProcId>,
+}
+
+impl Clone for MemoryLayout {
+    fn clone(&self) -> Self {
+        MemoryLayout {
+            owners: self.owners.clone(),
+        }
+    }
+
+    /// Reuses `self`'s allocations.
+    fn clone_from(&mut self, source: &Self) {
+        self.owners.clone_from(&source.owners);
+    }
 }
 
 impl MemoryLayout {

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use wbmem::rmr::LocalityTracker;
 use wbmem::{
-    Counters, CrashSemantics, Event, FpSet, Machine, MachineConfig, MemoryLayout, MemoryModel,
-    Poised, ProcCounters, ProcId, Process, RegId, SchedElem, StateKey, StepOutcome, Value,
+    Counters, CrashSemantics, Event, EventKind, FpSet, Machine, MachineConfig, MemoryLayout,
+    MemoryModel, Poised, ProcId, Process, RegId, SchedElem, StateKey, StepOutcome, Value,
     WriteBuffer,
 };
 
@@ -319,29 +319,20 @@ proptest! {
 
 // ---------- forgetting locality ----------
 
-/// The counters a machine keeps whether or not it classifies locality.
-fn counted(c: &ProcCounters) -> [u64; 8] {
-    [
-        c.fences,
-        c.reads,
-        c.buffer_reads,
-        c.writes,
-        c.commits,
-        c.cas_ops,
-        c.swap_ops,
-        c.crashes,
-    ]
-}
-
-/// The counters only a machine that classifies locality raises.
-fn remote(c: &ProcCounters) -> [u64; 5] {
-    [
-        c.rmrs,
-        c.remote_reads,
-        c.remote_commits,
-        c.remote_cas,
-        c.remote_swaps,
-    ]
+/// `out` as a machine that forgot its locality tracker reports it: every
+/// step local.
+fn local(out: StepOutcome) -> StepOutcome {
+    let StepOutcome::Stepped(mut event) = out else {
+        return out;
+    };
+    if let EventKind::Read { remote, .. }
+    | EventKind::Commit { remote, .. }
+    | EventKind::Cas { remote, .. }
+    | EventKind::Swap { remote, .. } = &mut event.kind
+    {
+        *remote = false;
+    }
+    StepOutcome::Stepped(event)
 }
 
 /// Everything an undo back to a point must restore.
@@ -370,8 +361,8 @@ proptest! {
     /// space as one that kept it: driven by the same plain steps,
     /// recorded steps, crash elements and undos, under every model and
     /// both crash semantics, the two agree after every call on the state,
-    /// its fingerprint, the enabled choices and every counter but the
-    /// remote ones, which the forgetful machine never raises. Undoing
+    /// its fingerprint, the enabled choices and the events, while the
+    /// forgetful machine's counters stay zero: it accounts for nothing. Undoing
     /// every recorded step restores each machine exactly, its own caches,
     /// ownership and trace included. A plain step is taken only with no
     /// recorded step outstanding, and moves the point the undos return to.
@@ -404,23 +395,19 @@ proptest! {
                 _ => Some(choices[pick % choices.len()]),
             };
             if let Some(elem) = elem {
-                let stepped = |out: &StepOutcome| out.event().is_some();
                 if call == 0 && tokens.is_empty() {
-                    prop_assert_eq!(stepped(&kept.step(elem)), stepped(&forgot.step(elem)));
+                    prop_assert_eq!(local(kept.step(elem)), forgot.step(elem));
                     start = (full_snapshot(&kept), full_snapshot(&forgot));
                 } else {
                     let (a, b) = (kept.step_recorded(elem), forgot.step_recorded(elem));
-                    prop_assert_eq!(stepped(&a.0), stepped(&b.0));
+                    prop_assert_eq!(local(a.0), b.0);
                     tokens.push((a.1, b.1));
                 }
             }
             prop_assert_eq!(kept.state_key(), forgot.state_key());
             prop_assert_eq!(kept.fingerprint(), forgot.fingerprint());
             prop_assert_eq!(kept.choices(), forgot.choices());
-            for (a, b) in kept.counters().iter().zip(forgot.counters().iter()) {
-                prop_assert_eq!(counted(a), counted(b));
-                prop_assert_eq!(remote(b), [0; 5]);
-            }
+            prop_assert_eq!(forgot.counters(), &Counters::new(forgot.n()));
         }
         while let Some((a, b)) = tokens.pop() {
             kept.undo(a);
