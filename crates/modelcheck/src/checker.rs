@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use ftobs::{Gauge, Metric, MetricsSnapshot, ProcSteps, Recorder};
-use por::{RunMeta, Snapshot};
+use por::{RunMeta, Segmented, Snapshot};
 use wbmem::{
     CrashSemantics, Event, EventKind, Machine, MachineError, Process, SchedElem, StepOutcome,
 };
@@ -594,58 +594,6 @@ pub(crate) fn render<P: Process>(initial: &Machine<P>, sched: &[SchedElem]) -> C
     }
 }
 
-/// Append-only per-id storage whose elements never move: id `i` lives in
-/// segment `k = ⌊log₂(i + FIRST)⌋ − log₂ FIRST`, and segment `k` holds
-/// `FIRST << k` ids, allocated whole when the first of them is pushed.
-/// Growing allocates one new segment and copies nothing, and a small
-/// check allocates one small segment.
-struct Segmented<T> {
-    segs: Vec<Vec<T>>,
-    len: usize,
-}
-
-impl<T> Default for Segmented<T> {
-    fn default() -> Self {
-        Segmented {
-            segs: Vec::new(),
-            len: 0,
-        }
-    }
-}
-
-impl<T> Segmented<T> {
-    /// Ids in the first segment.
-    const FIRST: usize = 1 << 6;
-
-    /// The segment holding `id`, and `id`'s offset in it.
-    #[inline]
-    fn locate(id: usize) -> (usize, usize) {
-        let x = id + Self::FIRST;
-        let top = x.ilog2();
-        ((top - Self::FIRST.ilog2()) as usize, x - (1 << top))
-    }
-
-    fn push(&mut self, value: T) {
-        let (seg, _) = Self::locate(self.len);
-        if seg == self.segs.len() {
-            self.segs.push(Vec::with_capacity(Self::FIRST << seg));
-        }
-        self.segs[seg].push(value);
-        self.len += 1;
-    }
-
-    #[inline]
-    fn get(&self, id: usize) -> &T {
-        let (seg, off) = Self::locate(id);
-        &self.segs[seg][off]
-    }
-
-    /// Every element, in id order.
-    fn iter(&self) -> impl Iterator<Item = &T> {
-        self.segs.iter().flatten()
-    }
-}
-
 /// Dense state ids plus first-visit parents, for counterexample replay.
 ///
 /// The first-visit test is one open-addressing table of 8-byte slots over
@@ -690,7 +638,7 @@ impl SearchIndex {
         fp: u128,
         parent: Option<(u32, SchedElem)>,
     ) -> Option<(u32, bool)> {
-        if self.fps.len * 4 >= self.slots.len() * 3 {
+        if self.fps.len() * 4 >= self.slots.len() * 3 {
             self.grow();
         }
         let mask = self.slots.len() - 1;
@@ -708,7 +656,7 @@ impl SearchIndex {
             }
             i = (i + 1) & mask;
         }
-        let id = u32::try_from(self.fps.len).ok()?;
+        let id = u32::try_from(self.fps.len()).ok()?;
         self.slots[i] = tagged | u64::from(id);
         self.parents.push(parent);
         self.fps.push(fp);
@@ -730,7 +678,7 @@ impl SearchIndex {
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.fps.len
+        self.fps.len()
     }
 
     /// The fingerprint a dense id was allocated for.
@@ -1298,14 +1246,7 @@ mod tests {
 
     #[test]
     fn search_index_keeps_ids_parents_and_fingerprints_across_segments() {
-        type Ids = Segmented<u128>;
-        let first = Ids::FIRST;
-        assert_eq!(Ids::locate(0), (0, 0));
-        assert_eq!(Ids::locate(first - 1), (0, first - 1));
-        assert_eq!(Ids::locate(first), (1, 0));
-        assert_eq!(Ids::locate(3 * first - 1), (1, 2 * first - 1));
-        assert_eq!(Ids::locate(3 * first), (2, 0));
-        assert_eq!(Ids::locate(7 * first), (3, 0));
+        let first = Segmented::<u128>::FIRST;
 
         // A binary tree of 5 000 states, six segments deep: state i's
         // first-visit parent is i / 2, reached by a step of process i % 3.
@@ -1318,7 +1259,7 @@ mod tests {
             assert_eq!(index.id_of(fp(i), parent), Some((i, true)));
         }
         assert_eq!(index.len(), n as usize);
-        assert_eq!(index.fps.segs.len(), 7);
+        assert_eq!(index.fps.segments(), 7);
         for i in 0..n {
             assert_eq!(index.fp_of(i), fp(i));
             assert_eq!(index.id_of(fp(i), None), Some((i, false)));

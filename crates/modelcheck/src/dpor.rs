@@ -34,16 +34,25 @@
 //!   a state the interrupted run covered, which is less pruning, never
 //!   more. An unbounded termination check keeps no table.
 //!
+//! Every per-state datum is indexed by the dense id the kernel hands out
+//! with each [`Edge`] — the state's *node* — so none of it is hashed: the
+//! dominance table's heads, and the on-stack multiset the cycle proviso
+//! reads, a count per node (re-exploration under a smaller sleep set can
+//! nest a state inside itself). Both grow in [`Segmented`] arrays that
+//! never move.
+//!
 //! Per-frame state is three small buffers (sleep set, taken siblings,
-//! ample-excluded choices). They are recycled rather than allocated: a
-//! [`SleepFrame`] the kernel hands back — popped off the stack, or never
-//! pushed — joins a spare list with its buffers intact, and
-//! [`arrive`](Reduction::arrive) builds the next child in one of those.
-//! Whoever takes a spare frame overwrites every field.
+//! ample-excluded choices) and a budget, in a [`SleepFrame`] the
+//! reduction keeps on its own stack, indexed by DFS depth; the kernel's
+//! frame holds only its depth. The slots above the top keep their
+//! buffers: [`arrive`](Reduction::arrive) builds the next child's sleep
+//! set in place in the slot above the top and overwrites every field, so
+//! a child that is never entered, or never pushed, leaves nothing to hand
+//! back, and a frame is never moved or copied.
 
 use ftobs::{Metric, MetricsSnapshot};
-use por::{step_weight, DenseHeads, ForkPoint, SleepSet, VisitTable};
-use wbmem::{Footprint, FpMap, Machine, MemoryModel, Process, SchedElem};
+use por::{step_weight, DenseHeads, ForkPoint, Segmented, SleepSet, VisitTable};
+use wbmem::{Footprint, Machine, MemoryModel, Process, SchedElem};
 
 use crate::checker::CheckConfig;
 use crate::kernel::{Edge, Reduction};
@@ -55,12 +64,12 @@ pub(crate) struct SleepAmple {
     /// Reorder budget of the root state (`u32::MAX` = unbounded).
     budget: u32,
     visited: VisitTable<DenseHeads>,
-    /// Fingerprints on the DFS stack (a multiset: re-exploration under a
-    /// smaller sleep set can nest a state inside itself).
-    on_stack: FpMap<u32>,
+    /// How often each node is on the DFS stack (zero past the end).
+    on_stack: Segmented<u32>,
     sleep_hits: usize,
-    /// Frames that left the walk, kept for their buffers.
-    spare: Vec<SleepFrame>,
+    /// The open frames' reduction state by DFS depth, the task's own
+    /// state at 0; slots above the top are kept for their buffers.
+    frames: Vec<SleepFrame>,
 }
 
 /// What prunes a [`SleepAmple`] walk, fixed by the check it serves.
@@ -79,7 +88,6 @@ enum Mode {
 /// The reduction state of one DFS frame.
 #[derive(Default)]
 pub(crate) struct SleepFrame {
-    fp: u128,
     /// Sleep set the state was entered with.
     sleep: SleepSet,
     /// Siblings already explored from this state, with their footprints —
@@ -107,9 +115,9 @@ impl SleepAmple {
             mode,
             budget: reorder_bound.unwrap_or(u32::MAX),
             visited: VisitTable::default(),
-            on_stack: FpMap::default(),
+            on_stack: Segmented::default(),
             sleep_hits: 0,
-            spare: Vec::new(),
+            frames: Vec::new(),
         }
     }
 
@@ -120,96 +128,112 @@ impl SleepAmple {
             self.visited.try_claim(root, &SleepSet::new(), self.budget);
         }
     }
+}
 
-    fn sleep_hit(&mut self, tally: &mut MetricsSnapshot) {
-        self.sleep_hits += 1;
-        tally.incr(Metric::SleepHits);
-    }
+/// The first slept choice of `frame` that is not enabled at `m`'s state
+/// with the footprint it was put to sleep with, if any. There is none: the
+/// [`VisitTable`] compares sleep sets by choice on that account (`por`'s
+/// `sleep` module docs).
+fn stale_sleep_entry<P: Process>(
+    m: &Machine<P>,
+    choices: &[SchedElem],
+    frame: &SleepFrame,
+) -> Option<(SchedElem, Footprint)> {
+    frame
+        .sleep
+        .iter()
+        .find(|&(e, fp)| !choices.contains(&e) || m.choice_footprint(e) != fp)
 }
 
 impl<P: Process> Reduction<P> for SleepAmple {
-    type Frame = SleepFrame;
+    /// The frame's depth: its slot in [`SleepAmple::frames`].
+    type Frame = u32;
     const LIFO: bool = false;
     const FOOTPRINTS: bool = true;
 
-    fn begin_task(&mut self) {
-        self.on_stack.clear();
-    }
-
-    fn on_stack(&mut self, fp: impl FnOnce() -> u128) {
-        *self.on_stack.entry(fp()).or_insert(0) += 1;
-    }
-
-    fn off_stack(&mut self, frame: SleepFrame) {
-        match self.on_stack.get_mut(&frame.fp) {
-            Some(1) => {
-                self.on_stack.remove(&frame.fp);
-            }
-            Some(c) => *c -= 1,
-            None => unreachable!("frame fingerprint missing from the stack set"),
+    fn on_stack(&mut self, node: u32) {
+        let node = node as usize;
+        if node >= self.on_stack.len() {
+            self.on_stack.resize(node, 0);
+            self.on_stack.push(1);
+        } else {
+            *self.on_stack.get_mut(node) += 1;
         }
-        self.spare.push(frame);
     }
 
-    fn discard(&mut self, frame: SleepFrame) {
-        self.spare.push(frame);
+    fn off_stack(&mut self, node: u32) {
+        let count = self.on_stack.get_mut(node as usize);
+        debug_assert!(*count > 0, "node {node} left a stack it was not on");
+        *count -= 1;
     }
 
     fn root_budget(&self) -> u32 {
         self.budget
     }
 
-    fn adopt(&mut self, fp: u128, task: &mut ForkPoint) -> SleepFrame {
-        SleepFrame {
-            fp,
-            sleep: std::mem::take(&mut task.sleep),
-            taken: std::mem::take(&mut task.taken),
-            excluded: std::mem::take(&mut task.excluded),
-            remaining: task.remaining,
+    fn adopt(&mut self, task: &mut ForkPoint) -> u32 {
+        if self.frames.is_empty() {
+            self.frames.push(SleepFrame::default());
         }
+        let frame = &mut self.frames[0];
+        frame.sleep = std::mem::take(&mut task.sleep);
+        frame.taken = std::mem::take(&mut task.taken);
+        frame.excluded = std::mem::take(&mut task.excluded);
+        frame.remaining = task.remaining;
+        0
     }
 
-    fn describe(frame: &SleepFrame, fork: &mut ForkPoint) {
-        fork.sleep = frame.sleep.clone();
-        fork.taken = frame.taken.clone();
-        fork.excluded = frame.excluded.clone();
+    fn describe(&self, frame: u32, fork: &mut ForkPoint) {
+        let frame = &self.frames[frame as usize];
+        fork.sleep.clone_from(&frame.sleep);
+        fork.taken.clone_from(&frame.taken);
+        fork.excluded.clone_from(&frame.excluded);
         fork.remaining = frame.remaining;
     }
 
-    fn admit(&self, m: &Machine<P>, frame: &SleepFrame, elem: SchedElem) -> Option<u32> {
+    fn admit(&self, m: &Machine<P>, frame: u32, elem: SchedElem) -> Option<u32> {
         // Unbounded, there is no budget to spend: an arrival that had
         // overtaken less must not look like a better visit.
         if self.budget == u32::MAX {
             return Some(u32::MAX);
         }
-        frame.remaining.checked_sub(step_weight(m, elem))
+        let remaining = self.frames[frame as usize].remaining;
+        remaining.checked_sub(step_weight(m, elem))
     }
 
     fn arrive(
         &mut self,
-        top: &mut SleepFrame,
+        top: u32,
         arena: &mut Vec<SchedElem>,
         edge: &Edge,
         tally: &mut MetricsSnapshot,
-    ) -> Option<SleepFrame> {
+    ) -> Option<u32> {
+        let depth = top as usize + 1;
+        if self.frames.len() == depth {
+            self.frames.push(SleepFrame::default());
+        }
+        let (below, above) = self.frames.split_at_mut(depth);
+        let (top, child) = (&mut below[depth - 1], &mut above[0]);
         // Cycle proviso (C3): a reduced step that lands on a state still
         // on the stack could postpone the pruned processes forever around
         // the cycle; fall back to full expansion of this frame.
-        if !top.excluded.is_empty() && self.on_stack.contains_key(&edge.to) {
+        let node = edge.node as usize;
+        let stack = &self.on_stack;
+        if !top.excluded.is_empty() && node < stack.len() && *stack.get(node) > 0 {
             tally.incr(Metric::AmpleProvisoUpgrades);
             for e in top.excluded.drain(..) {
                 if top.sleep.contains(e) {
-                    self.sleep_hit(tally);
+                    self.sleep_hits += 1;
+                    tally.incr(Metric::SleepHits);
                 } else {
                     arena.push(e);
                 }
             }
         }
-        // Sleep set for the child: surviving inherited entries, plus every
-        // already-explored sibling that is independent of this step (none
-        // is kept when nothing may sleep, so the set stays empty). The
-        // child's frame is a recycled one; every field is overwritten.
-        let mut child = self.spare.pop().unwrap_or_default();
+        // Sleep set for the child, built in the slot above the top:
+        // surviving inherited entries, plus every already-explored sibling
+        // that is independent of this step (none is kept when nothing may
+        // sleep, so the set stays empty).
         top.sleep
             .inherit_into(edge.footprint, self.model, &mut child.sleep);
         for &(se, sf) in &top.taken {
@@ -230,27 +254,32 @@ impl<P: Process> Reduction<P> for SleepAmple {
             if self.mode == Mode::Ample {
                 tally.incr(Metric::DedupHits);
             } else {
-                self.sleep_hit(tally);
+                self.sleep_hits += 1;
+                tally.incr(Metric::SleepHits);
             }
-            self.spare.push(child);
             return None;
         }
-        child.fp = edge.to;
         child.taken.clear();
         child.excluded.clear();
         child.remaining = edge.budget;
-        Some(child)
+        Some(u32::try_from(depth).expect("DFS depth fits in u32"))
     }
 
     fn expand(
         &mut self,
         m: &Machine<P>,
         choices: &[SchedElem],
-        frame: &mut SleepFrame,
+        frame: u32,
         arena: &mut Vec<SchedElem>,
         tally: &mut MetricsSnapshot,
     ) {
+        let frame = &mut self.frames[frame as usize];
         debug_assert!(frame.excluded.is_empty(), "expanding a frame twice");
+        debug_assert_eq!(
+            stale_sleep_entry(m, choices, frame),
+            None,
+            "a slept choice is disabled or changed its footprint"
+        );
         let ample = self.mode != Mode::Budget;
         let decision = ample.then(|| por::ample::decide(m, choices));
         let slept = por::partition_into(
@@ -341,7 +370,7 @@ mod tests {
 
     #[test]
     fn an_unbounded_walk_spends_no_budget() {
-        use super::{SleepAmple, SleepFrame};
+        use super::SleepAmple;
         use crate::kernel::Reduction;
         use fencevm::{Asm, VmProc};
         use wbmem::{Machine, MachineConfig, MemoryLayout, ProcId, RegId, SchedElem};
@@ -358,12 +387,13 @@ mod tests {
         let (op, commit) = (SchedElem::op(p), SchedElem::commit(p, RegId(0)));
 
         let admit = |bound: Option<u32>, elem| {
-            let red = SleepAmple::new(&m, &cfg(), bound);
-            let frame = SleepFrame {
+            let mut red = SleepAmple::new(&m, &cfg(), bound);
+            let mut task = por::ForkPoint {
                 remaining: Reduction::<VmProc>::root_budget(&red),
-                ..SleepFrame::default()
+                ..por::ForkPoint::default()
             };
-            Reduction::<VmProc>::admit(&red, &m, &frame, elem)
+            let frame = Reduction::<VmProc>::adopt(&mut red, &mut task);
+            Reduction::<VmProc>::admit(&red, &m, frame, elem)
         };
         assert_eq!(admit(None, op), Some(u32::MAX), "nothing to count");
         assert_eq!(admit(None, commit), Some(u32::MAX));
@@ -376,7 +406,7 @@ mod tests {
 
     #[test]
     fn a_termination_check_puts_nothing_to_sleep() {
-        use super::{SleepAmple, SleepFrame};
+        use super::SleepAmple;
         use crate::kernel::{Edge, Reduction};
         use fencevm::{Asm, VmProc};
         use wbmem::{Machine, MachineConfig, MemoryLayout, ProcId, SchedElem};
@@ -400,29 +430,123 @@ mod tests {
             };
             let mut red = SleepAmple::new(&m, &config, Some(2));
             red.claim_root(0);
-            let mut top = SleepFrame {
+            let mut task = por::ForkPoint {
                 remaining: 2,
-                ..SleepFrame::default()
+                ..por::ForkPoint::default()
             };
+            let top = Reduction::<VmProc>::adopt(&mut red, &mut task);
             let (mut arena, mut tally) = (Vec::new(), ftobs::MetricsSnapshot::default());
             let mut child = None;
             for (node, elem) in [(1, first), (2, SchedElem::op(ProcId(1)))] {
                 let edge = Edge {
                     elem,
                     footprint: m.choice_footprint(elem),
-                    to: u128::from(node),
                     node,
                     fresh: true,
                     budget: 2,
                 };
                 let arrived =
-                    Reduction::<VmProc>::arrive(&mut red, &mut top, &mut arena, &edge, &mut tally);
+                    Reduction::<VmProc>::arrive(&mut red, top, &mut arena, &edge, &mut tally);
                 child = Some(arrived.expect("a first visit is entered"));
             }
-            child.expect("two children").sleep.contains(first)
+            let child = child.expect("two children") as usize;
+            red.frames[child].sleep.contains(first)
         };
         assert!(second_child_sleeps(false), "the reduced walk sleeps it");
         assert!(!second_child_sleeps(true), "a termination check does not");
+    }
+
+    /// Every slept choice is enabled, with the footprint it went to sleep
+    /// with, at every state the reduced walk expands (`SleepAmple::expand`
+    /// asserts it in debug builds) — the contract the choice-only
+    /// `VisitTable` rests on — on the E12 n = 2 matrix: every lock family
+    /// under SC, TSO and PSO, fully fenced and fence-free, without crashes
+    /// and with one crash of either semantics.
+    #[test]
+    #[cfg_attr(
+        not(debug_assertions),
+        ignore = "the footprint check is a debug assertion"
+    )]
+    fn slept_choices_keep_their_footprints_on_the_n2_matrix() {
+        use wbmem::CrashSemantics;
+
+        let kinds = [
+            LockKind::Peterson,
+            LockKind::Bakery,
+            LockKind::BakeryPaperListing,
+            LockKind::Tournament,
+            LockKind::Gt { f: 2 },
+            LockKind::Ttas,
+            LockKind::Mcs,
+            LockKind::Filter,
+            LockKind::RecoverableTtas,
+            LockKind::RecoverableBakery,
+        ];
+        let crashes = [
+            (CrashSemantics::DiscardBuffer, 0),
+            (CrashSemantics::DiscardBuffer, 1),
+            (CrashSemantics::DrainBuffer, 1),
+        ];
+        let base = CheckConfig {
+            check_termination: false,
+            max_states: 1_000_000,
+            ..cfg()
+        };
+        let (mut checks, mut slept) = (0, 0);
+        for kind in kinds {
+            for mask in [FenceMask::ALL, FenceMask::NONE] {
+                let inst = build_mutex(kind, 2, mask);
+                for model in [MemoryModel::Sc, MemoryModel::Tso, MemoryModel::Pso] {
+                    for (semantics, max_crashes) in crashes {
+                        let config = base.clone().with_crashes(semantics, max_crashes);
+                        let v = check(&inst.machine(model), &config);
+                        assert!(!matches!(v, Verdict::StateLimit(_)), "{}", inst.name);
+                        slept += v.stats().metrics.get(ftobs::Metric::SleepHits);
+                        checks += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checks, 180);
+        assert!(slept > 10_000, "the matrix sleeps: {slept} sleep hits");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "changed its footprint")]
+    fn a_stale_sleep_footprint_is_caught_in_debug_builds() {
+        use super::SleepAmple;
+        use crate::kernel::Reduction;
+        use fencevm::{Asm, VmProc};
+        use wbmem::{
+            Footprint, FootprintKind, Machine, MachineConfig, MemoryLayout, ProcId, RegId,
+            SchedElem,
+        };
+
+        let writer = |reg: i64| {
+            let mut a = Asm::new("w");
+            a.write(reg, 1i64);
+            a.fence();
+            a.ret(0i64);
+            VmProc::new(a.assemble().into())
+        };
+        let config = MachineConfig::new(MemoryModel::Pso, MemoryLayout::unowned());
+        let m = Machine::new(config, vec![writer(0), writer(1)]);
+        let second = SchedElem::op(ProcId(1));
+        // Its write enters the buffer (`Local`); the forged entry says it
+        // reads register 1.
+        let forged = Footprint {
+            proc: ProcId(1),
+            kind: FootprintKind::Read(RegId(1)),
+        };
+        assert_ne!(m.choice_footprint(second), forged);
+        let mut red = SleepAmple::new(&m, &cfg(), None);
+        let mut task = por::ForkPoint::default();
+        task.sleep.insert(second, forged);
+        let frame = Reduction::<VmProc>::adopt(&mut red, &mut task);
+        let (mut arena, mut tally) = (Vec::new(), ftobs::MetricsSnapshot::default());
+        let choices = m.choices();
+        Reduction::<VmProc>::expand(&mut red, &m, &choices, frame, &mut arena, &mut tally);
     }
 
     #[test]

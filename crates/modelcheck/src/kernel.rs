@@ -99,9 +99,7 @@ pub(crate) struct Edge {
     /// What the step touched — `Local`, whatever it touched, unless the
     /// reduction asks for [`Reduction::FOOTPRINTS`].
     pub(crate) footprint: Footprint,
-    /// Fingerprint of the state the edge landed on.
-    pub(crate) to: u128,
-    /// That state's dense id.
+    /// The dense id of the state the edge landed on.
     pub(crate) node: u32,
     /// Whether the walk saw that state for the first time.
     pub(crate) fresh: bool,
@@ -113,8 +111,9 @@ pub(crate) struct Edge {
 /// exploration *order* (and with it bit-identity to the oracle when
 /// nothing is pruned), the dominance claim, and the cycle proviso.
 pub(crate) trait Reduction<P: Process> {
-    /// Per-frame reduction state.
-    type Frame;
+    /// What a kernel frame keeps of its reduction state: a handle the
+    /// reduction resolves, or the state itself if it is that small.
+    type Frame: Copy;
     /// Frames take choices from the back of their arena window — the
     /// oracle's `Vec::pop` order — instead of the front.
     const LIFO: bool;
@@ -122,33 +121,31 @@ pub(crate) trait Reduction<P: Process> {
     /// the walk never asks the machine to predict one.
     const FOOTPRINTS: bool;
 
-    /// A task starts: forget the previous task's DFS stack.
-    fn begin_task(&mut self) {}
-    /// The state fingerprinted by `fp` joined the DFS stack: a replayed
-    /// ancestor of the task's state, that state itself, or a pushed child.
-    fn on_stack(&mut self, _fp: impl FnOnce() -> u128) {}
-    /// `frame` left the DFS stack.
-    fn off_stack(&mut self, _frame: Self::Frame) {}
-    /// A frame [`arrive`](Self::arrive) returned never joined the stack:
-    /// its state had nothing to expand.
-    fn discard(&mut self, _frame: Self::Frame) {}
+    /// The state with id `node` joined the DFS stack: a replayed ancestor
+    /// of the task's state, that state itself, or a pushed child.
+    fn on_stack(&mut self, _node: u32) {}
+    /// One of its entries left it again (a frame popped, or a replayed
+    /// ancestor when its task is exhausted).
+    fn off_stack(&mut self, _node: u32) {}
     /// Reorder budget of the root state.
     fn root_budget(&self) -> u32 {
         u32::MAX
     }
-    /// The frame that continues `task` at its state `fp`.
-    fn adopt(&mut self, fp: u128, task: &mut ForkPoint) -> Self::Frame;
+    /// The bottom frame of a walk, continuing `task` at its state.
+    fn adopt(&mut self, task: &mut ForkPoint) -> Self::Frame;
     /// Copy `frame`'s reduction state into the fork point serializing it.
-    fn describe(_frame: &Self::Frame, _fork: &mut ForkPoint) {}
+    fn describe(&self, _frame: Self::Frame, _fork: &mut ForkPoint) {}
     /// Whether `elem` may be taken from `frame`'s state, and the reorder
     /// budget left if it is.
-    fn admit(&self, m: &Machine<P>, frame: &Self::Frame, elem: SchedElem) -> Option<u32>;
-    /// `edge` was taken from `top`: the child's frame if its state must
-    /// be (re)explored, `None` (counted as pruned) if it is covered. May
-    /// append reinstated choices for `top` to the arena's tail.
+    fn admit(&self, m: &Machine<P>, frame: Self::Frame, elem: SchedElem) -> Option<u32>;
+    /// `edge` was taken from `top`, the top frame: the child's frame if
+    /// its state must be (re)explored, `None` (counted as pruned) if it is
+    /// covered. The child's frame is the one above `top` until the walk
+    /// pushes it, which it does only if the state has choices to expand.
+    /// May append reinstated choices for `top` to the arena's tail.
     fn arrive(
         &mut self,
-        top: &mut Self::Frame,
+        top: Self::Frame,
         arena: &mut Vec<SchedElem>,
         edge: &Edge,
         tally: &mut MetricsSnapshot,
@@ -161,7 +158,7 @@ pub(crate) trait Reduction<P: Process> {
         &mut self,
         m: &Machine<P>,
         choices: &[SchedElem],
-        frame: &mut Self::Frame,
+        frame: Self::Frame,
         arena: &mut Vec<SchedElem>,
         tally: &mut MetricsSnapshot,
     );
@@ -182,15 +179,15 @@ impl<P: Process> Reduction<P> for NoReduction {
     const LIFO: bool = true;
     const FOOTPRINTS: bool = false;
 
-    fn adopt(&mut self, _fp: u128, _task: &mut ForkPoint) {}
+    fn adopt(&mut self, _task: &mut ForkPoint) {}
 
-    fn admit(&self, _m: &Machine<P>, _frame: &(), _elem: SchedElem) -> Option<u32> {
+    fn admit(&self, _m: &Machine<P>, _frame: (), _elem: SchedElem) -> Option<u32> {
         Some(u32::MAX)
     }
 
     fn arrive(
         &mut self,
-        _top: &mut (),
+        _top: (),
         _arena: &mut Vec<SchedElem>,
         edge: &Edge,
         tally: &mut MetricsSnapshot,
@@ -205,7 +202,7 @@ impl<P: Process> Reduction<P> for NoReduction {
         &mut self,
         _m: &Machine<P>,
         choices: &[SchedElem],
-        _frame: &mut (),
+        _frame: (),
         arena: &mut Vec<SchedElem>,
         _tally: &mut MetricsSnapshot,
     ) {
@@ -260,6 +257,9 @@ pub(crate) struct Dfs<'a, P: Process, R: Reduction<P>> {
     /// restore the exact reduction state.
     path: Vec<SchedElem>,
     base: usize,
+    /// The ids of the states that path passes before the task's own,
+    /// which stay on the reduction's stack until the task is exhausted.
+    ancestors: Vec<u32>,
 }
 
 impl<'a, P: Process, R: Reduction<P>> Dfs<'a, P, R> {
@@ -268,36 +268,39 @@ impl<'a, P: Process, R: Reduction<P>> Dfs<'a, P, R> {
     /// replays never reach the step metrics. The clone forgets its
     /// locality tracker ([`Machine::forget_locality`]): a walk computes
     /// states, not what one execution through them costs. The replayed
-    /// ancestors re-seed the reduction's on-stack set, so the cycle
-    /// proviso fires for a resumed task exactly where it would have for
-    /// the interrupted walk. A path that fails to replay is a logic error
-    /// (`dispatch` turns the panic into an error verdict).
+    /// ancestors — named by `node`, which maps a fingerprint to its id —
+    /// re-seed the reduction's on-stack set, so the cycle proviso fires
+    /// for a resumed task exactly where it would have for the interrupted
+    /// walk. A path that fails to replay is a logic error (`dispatch` turns
+    /// the panic into an error verdict).
     pub(crate) fn start(
         initial: &Machine<P>,
         mut task: ForkPoint,
-        node: impl FnOnce(u128) -> u32,
+        mut node: impl FnMut(u128) -> u32,
         red: &'a mut R,
     ) -> Self {
         let mut m = initial.clone();
         m.forget_locality();
         let mut scratch = Vec::new();
-        red.begin_task();
+        let mut ancestors = Vec::with_capacity(task.path.len());
         for e in &task.path {
-            red.on_stack(|| m.fingerprint());
+            let id = node(m.fingerprint());
+            red.on_stack(id);
+            ancestors.push(id);
             assert!(
                 m.replay_path(std::slice::from_ref(e), &mut scratch),
                 "fork-point path failed to replay"
             );
         }
-        let fp = m.fingerprint();
-        red.on_stack(|| fp);
-        let frame = red.adopt(fp, &mut task);
+        let own = node(m.fingerprint());
+        red.on_stack(own);
+        let frame = red.adopt(&mut task);
         let mut arena = std::mem::take(&mut task.choices);
         if R::LIFO {
             arena.reverse();
         }
         let root = Frame {
-            node: node(fp),
+            node: own,
             start: 0,
             lo: 0,
             hi: arena.len(),
@@ -313,6 +316,7 @@ impl<'a, P: Process, R: Reduction<P>> Dfs<'a, P, R> {
             frames: vec![root],
             base: task.path.len(),
             path: task.path,
+            ancestors,
         }
     }
 
@@ -340,7 +344,7 @@ impl<'a, P: Process, R: Reduction<P>> Dfs<'a, P, R> {
             remaining: u32::MAX,
             ..ForkPoint::default()
         };
-        R::describe(&f.red, &mut fork);
+        self.red.describe(f.red, &mut fork);
         fork
     }
 
@@ -372,7 +376,7 @@ impl<'a, P: Process, R: Reduction<P>> Dfs<'a, P, R> {
             if top.lo == top.hi {
                 // Frame exhausted: rewind to the parent state.
                 let frame = self.frames.pop().expect("non-empty stack");
-                self.red.off_stack(frame.red);
+                self.red.off_stack(frame.node);
                 self.arena.truncate(frame.start);
                 if let Some(token) = frame.token {
                     undo(&mut self.m, &mut self.tally, token);
@@ -387,7 +391,7 @@ impl<'a, P: Process, R: Reduction<P>> Dfs<'a, P, R> {
                 top.lo += 1;
                 self.arena[top.lo - 1]
             };
-            let Some(budget) = self.red.admit(&self.m, &top.red, elem) else {
+            let Some(budget) = self.red.admit(&self.m, top.red, elem) else {
                 local.refused(top.node);
                 continue; // beyond the reorder bound: neither taken nor slept
             };
@@ -413,18 +417,17 @@ impl<'a, P: Process, R: Reduction<P>> Dfs<'a, P, R> {
             let edge = Edge {
                 elem,
                 footprint: token.footprint(),
-                to: fp,
                 node,
                 fresh,
                 budget,
             };
             let child = self
                 .red
-                .arrive(&mut top.red, &mut self.arena, &edge, &mut self.tally);
+                .arrive(top.red, &mut self.arena, &edge, &mut self.tally);
             if !R::LIFO {
                 top.hi = self.arena.len();
             }
-            let Some(mut child) = child else {
+            let Some(child) = child else {
                 undo(&mut self.m, &mut self.tally, token);
                 continue;
             };
@@ -450,7 +453,6 @@ impl<'a, P: Process, R: Reduction<P>> Dfs<'a, P, R> {
             if done {
                 // Nothing to expand (fresh, or re-entered under a
                 // smaller sleep set).
-                self.red.discard(child);
                 undo(&mut self.m, &mut self.tally, token);
                 continue;
             }
@@ -464,11 +466,11 @@ impl<'a, P: Process, R: Reduction<P>> Dfs<'a, P, R> {
             self.red.expand(
                 &self.m,
                 &self.scratch,
-                &mut child,
+                child,
                 &mut self.arena,
                 &mut self.tally,
             );
-            self.red.on_stack(|| fp);
+            self.red.on_stack(node);
             self.path.push(elem);
             self.frames.push(Frame {
                 node,
@@ -478,6 +480,9 @@ impl<'a, P: Process, R: Reduction<P>> Dfs<'a, P, R> {
                 token: Some(token),
                 red: child,
             });
+        }
+        for &node in &self.ancestors {
+            self.red.off_stack(node);
         }
         None
     }
@@ -494,14 +499,14 @@ pub(crate) fn root_fork<P: Process, R: Reduction<P>>(
         remaining: red.root_budget(),
         ..ForkPoint::default()
     };
-    let mut frame = red.adopt(initial.fingerprint(), &mut fork);
+    let frame = red.adopt(&mut fork);
     let mut choices = Vec::new();
     let enabled = initial.choices();
-    red.expand(initial, &enabled, &mut frame, &mut choices, tally);
+    red.expand(initial, &enabled, frame, &mut choices, tally);
     if R::LIFO {
         choices.reverse();
     }
-    R::describe(&frame, &mut fork);
+    red.describe(frame, &mut fork);
     fork.choices = choices;
     fork
 }

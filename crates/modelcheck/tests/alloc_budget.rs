@@ -2,23 +2,29 @@
 //! check against a bound logarithmic in its transitions, counted — never
 //! timed — by a counting global allocator, so the numbers repeat exactly on
 //! any host. `Engine::Undo` allocates only
-//! while its tables grow; `Engine::Dpor` recycles its frame buffers and
-//! keeps its dominance table flat, which leaves growth too (the walk this
-//! replaced made ≈ 9.5 allocations per transition on these cells). The
-//! same allocator tracks live bytes, which bounds what building and running
-//! a 256- or 1024-process instance may cost.
+//! while its tables grow, crash steps included; `Engine::Dpor` recycles its
+//! frame buffers and keeps its dominance table flat, which leaves growth
+//! too (the walk this replaced made ≈ 9.5 allocations per transition on
+//! these cells). The allocator also counts the bytes `realloc` had to
+//! carry over — the old size of every reallocation — which a table grown
+//! in segments that never move does not add to. It tracks live bytes too,
+//! which bounds what building and running a 256- or 1024-process instance
+//! may cost.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use modelcheck::{check, CheckConfig, Engine};
 use simlocks::{build_mutex, build_ordering, run_to_completion, FenceMask, LockKind, ObjectKind};
-use wbmem::{MemoryModel, ProcId, SoloOutcome};
+use wbmem::{CrashSemantics, MemoryModel, ProcId, SoloOutcome};
 
 thread_local! {
     /// Allocations made by this thread (tests run on threads of their
     /// own, and the sequential engines on their caller's).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread's reallocations carried over: the old size of
+    /// each, whether or not the block moved.
+    static MOVED: Cell<u64> = const { Cell::new(0) };
     /// Bytes this thread has allocated and not yet freed, and the highest
     /// that figure has been.
     static LIVE: Cell<usize> = const { Cell::new(0) };
@@ -62,6 +68,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        MOVED.with(|n| n.set(n.get() + layout.size() as u64));
         shrank(layout.size());
         grew(new_size);
         // SAFETY: as for `dealloc`; `new_size` is the caller's to get right.
@@ -72,42 +79,63 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Assert that one full PSO mutex check of `lock` at `n` processes under
-/// `engine` makes at most `a`·log₂(transitions) + `b` allocations: a walk
-/// allocates to double its tables, so the count grows with the logarithm
-/// of the walk. An absolute budget, because a ratio to the transition
-/// count rises whenever a sharper reduction shrinks the walk.
-fn assert_allocates_only_to_grow(
-    label: &str,
-    (lock, n): (LockKind, usize),
-    engine: Engine,
-    (a, b): (u64, u64),
-) {
-    let machine = build_mutex(lock, n, FenceMask::ALL).machine(MemoryModel::Pso);
-    let config = CheckConfig {
+/// A mutex check under `engine` without the termination check.
+fn mutex_check(engine: Engine) -> CheckConfig {
+    CheckConfig {
         check_termination: false,
         max_states: 1_000_000,
         ..CheckConfig::default()
     }
-    .with_engine(engine);
-    let before = ALLOCATIONS.with(Cell::get);
-    let verdict = check(&machine, &config);
-    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    .with_engine(engine)
+}
+
+/// Assert that one full PSO check of `lock` at `n` processes under
+/// `config` makes at most `a`·log₂(transitions) + `b` allocations: a walk
+/// allocates to double its tables, so the count grows with the logarithm
+/// of the walk. An absolute budget, because a ratio to the transition
+/// count rises whenever a sharper reduction shrinks the walk. Returns the
+/// bytes its reallocations carried over.
+fn assert_allocates_only_to_grow(
+    label: &str,
+    (lock, n): (LockKind, usize),
+    config: &CheckConfig,
+    (a, b): (u64, u64),
+) -> u64 {
+    let machine = build_mutex(lock, n, FenceMask::ALL).machine(MemoryModel::Pso);
+    let before = (ALLOCATIONS.with(Cell::get), MOVED.with(Cell::get));
+    let verdict = check(&machine, config);
+    let allocations = ALLOCATIONS.with(Cell::get) - before.0;
+    let moved = MOVED.with(Cell::get) - before.1;
     assert!(verdict.is_ok(), "{}", verdict.label());
     let transitions = verdict.stats().transitions;
     let budget = a * u64::from(transitions.ilog2()) + b;
-    println!("{label}: {allocations} allocations over {transitions} transitions");
+    println!(
+        "{label}: {allocations} allocations over {transitions} transitions, {moved} bytes moved"
+    );
     assert!(
         allocations <= budget,
         "{label}: {allocations} allocations over {transitions} transitions, budget {budget}"
     );
+    moved
 }
 
 #[test]
 fn the_exhaustive_walk_allocates_only_to_grow_its_tables() {
     // Recorded: 92 allocations over 34 500 transitions — about six tables
     // (visited set, arena, stack, trail, …) doubling fifteen times.
-    assert_allocates_only_to_grow("ttas4_pso undo", (LockKind::Ttas, 4), Engine::Undo, (8, 0));
+    let config = mutex_check(Engine::Undo);
+    assert_allocates_only_to_grow("ttas4_pso undo", (LockKind::Ttas, 4), &config, (8, 0));
+}
+
+#[test]
+fn crash_steps_allocate_only_to_grow_the_trail() {
+    // One discarding crash per process on the recoverable Bakery lock, on
+    // ttas4's budget. Recorded: 87 allocations over 25 669 transitions;
+    // 6 175 while every recorded crash boxed its pre-image and the wiped
+    // buffer was replaced by a fresh one.
+    let config = mutex_check(Engine::Undo).with_crashes(CrashSemantics::DiscardBuffer, 1);
+    let cell = (LockKind::RecoverableBakery, 2);
+    assert_allocates_only_to_grow("rbakery2_pso undo crash1", cell, &config, (8, 0));
 }
 
 #[test]
@@ -142,14 +170,24 @@ fn the_reduced_walk_stays_within_its_allocation_budget() {
     // 1 053 over 72 573. `b` pays for what the reduction adds per DFS
     // depth rather than per doubling: a frame's three small buffers, sized
     // once and recycled from then on.
-    let dpor = Engine::Dpor {
+    //
+    // Bytes moved by `realloc` have bounds of their own: the dominance
+    // table, the on-stack counts and the state index grow in segments that
+    // never move, which leaves the DFS stack, the choice arena and the
+    // frames' small buffers. Recorded: gt_f23 48 824, tournament4 54 816;
+    // 848 664 and 5 048 192 while the dominance table grew by `realloc`.
+    let config = mutex_check(Engine::Dpor {
         reorder_bound: None,
-    };
-    for (label, cell) in [
-        ("gt_f23_pso dpor", (LockKind::Gt { f: 2 }, 3)),
-        ("tournament4_pso dpor", (LockKind::Tournament, 4)),
+    });
+    for (label, cell, max_moved) in [
+        ("gt_f23_pso dpor", (LockKind::Gt { f: 2 }, 3), 56 << 10),
+        ("tournament4_pso dpor", (LockKind::Tournament, 4), 64 << 10),
     ] {
-        assert_allocates_only_to_grow(label, cell, dpor, (32, 1400));
+        let moved = assert_allocates_only_to_grow(label, cell, &config, (32, 1400));
+        assert!(
+            moved <= max_moved,
+            "{label}: {moved} bytes moved by realloc, bound {max_moved}"
+        );
     }
 }
 

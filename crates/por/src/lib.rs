@@ -15,7 +15,7 @@
 //!   is re-entered iff no recorded visit used a subset sleep set (and, for
 //!   bounded runs, at least as much remaining budget). One flat table,
 //!   keyed by fingerprint ([`FpHeads`]) or by the caller's dense state ids
-//!   ([`DenseHeads`]).
+//!   ([`DenseHeads`]), grown in [`Segmented`] arrays that never move.
 //! * [`select_ample`] / [`expand`] / [`expand_into`] — state-level
 //!   pruning. When every pending choice of one process is invisible to
 //!   the per-state properties and independent of every other process's
@@ -49,6 +49,7 @@ pub mod bound;
 pub mod expand;
 pub mod fork;
 pub mod fptable;
+pub mod segmented;
 pub mod sleep;
 pub mod snapshot;
 pub mod visited;
@@ -58,6 +59,7 @@ pub use bound::step_weight;
 pub use expand::{expand, expand_into, partition_into, Expansion};
 pub use fork::ForkPoint;
 pub use fptable::FpTable;
+pub use segmented::Segmented;
 pub use sleep::SleepSet;
 pub use snapshot::{BaseCounts, RunMeta, Snapshot, SnapshotError};
 pub use visited::{DenseHeads, FpHeads, Heads, VisitTable};

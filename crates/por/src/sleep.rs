@@ -13,7 +13,12 @@
 //! steps that can change a choice's footprint are steps whose own
 //! footprint conflicts with it — and those wake (remove) the entry via
 //! [`SleepSet::inherit`]. A surviving entry therefore still denotes the
-//! same transition it did when it was put to sleep.
+//! same transition it did when it was put to sleep, and its footprint is
+//! the one its choice has at every state the entry reaches: two sleep sets
+//! of one state agree on the footprint of every choice they share. That is
+//! why the [`VisitTable`](crate::VisitTable) records choices only (the
+//! reduced walk of the `modelcheck` crate asserts it in debug builds at
+//! every state it expands).
 
 use wbmem::{Footprint, MemoryModel, SchedElem};
 
@@ -35,11 +40,35 @@ fn key(e: SchedElem) -> (u32, u8, u32, u32) {
     (e.proc.0, u8::from(e.crash), has_reg, reg)
 }
 
+/// Whether every choice of `a` appears in `b`, both sorted by [`key`]: the
+/// subset test of two sleep sets of one state, whose shared choices carry
+/// the same footprint (the module docs) — how the
+/// [`VisitTable`](crate::VisitTable) compares the choices it stores.
+pub(crate) fn choices_subset(
+    a: impl ExactSizeIterator<Item = SchedElem>,
+    mut b: impl ExactSizeIterator<Item = SchedElem>,
+) -> bool {
+    if a.len() > b.len() {
+        return false;
+    }
+    'outer: for mine in a {
+        for theirs in b.by_ref() {
+            if theirs == mine {
+                continue 'outer;
+            }
+            if key(theirs) > key(mine) {
+                return false;
+            }
+        }
+        return false;
+    }
+    true
+}
+
 /// Whether every entry of `a` (element *and* footprint) appears in `b`,
 /// both sorted by [`key`]: the subset test behind
-/// [`SleepSet::is_subset_of`], on the slices the
-/// [`VisitTable`](crate::VisitTable) stores its recorded sets as.
-pub(crate) fn is_subset(a: &[(SchedElem, Footprint)], b: &[(SchedElem, Footprint)]) -> bool {
+/// [`SleepSet::is_subset_of`].
+fn is_subset(a: &[(SchedElem, Footprint)], b: &[(SchedElem, Footprint)]) -> bool {
     if a.len() > b.len() {
         return false;
     }

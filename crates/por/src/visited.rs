@@ -17,12 +17,22 @@
 //! # Layout
 //!
 //! The table is probed once per walked edge, so it is flat: every
-//! recorded visit is one 16-byte `Entry` in a single `Vec`, and its
-//! sleep set is a window of one append-only slab of `(choice, footprint)`
-//! pairs. A state's visits — an antichain under the rule above — form a
-//! linked list through `Entry::next`; a visit that a later one dominates
-//! is unlinked (its slab window is not reclaimed: re-exploration is the
-//! exception, and the window is a handful of pairs).
+//! recorded visit is one 16-byte `Entry`, and its sleep set is a window of
+//! one append-only slab of choices. A state's visits — an antichain under
+//! the rule above — form a linked list through `Entry::next`; a visit that
+//! a later one dominates is unlinked (its slab window is not reclaimed:
+//! re-exploration is the exception, and the window is a handful of
+//! choices). Heads, entries and slab are [`Segmented`]: they grow in
+//! segments that never move, so growing copies nothing, and no window
+//! straddles two segments.
+//!
+//! The slab holds the slept *choices* only, 16 bytes each, not their
+//! footprints: a surviving sleep entry carries the footprint its choice
+//! has at the state it reaches (the [`sleep`](crate::sleep) module docs),
+//! so two sleep sets of one state agree on the footprint of every choice
+//! they share, and compare by choice. A caller must keep that contract:
+//! the footprint of an entry of `sleep` in [`VisitTable::try_claim`] is
+//! the one its choice has at the state claimed.
 //!
 //! What varies is how a state finds the head of its list ([`Heads`]): by
 //! fingerprint through a hash map ([`FpHeads`], the default, which the
@@ -31,9 +41,10 @@
 //! does — by plain indexing ([`DenseHeads`]), where a first visit is an
 //! append and a revisit touches no hash at all.
 
-use wbmem::{Footprint, FpMap, SchedElem};
+use wbmem::{FpMap, SchedElem};
 
-use crate::sleep::{is_subset, SleepSet};
+use crate::segmented::Segmented;
+use crate::sleep::{choices_subset, SleepSet};
 
 /// "No entry": the end of a list, or a state without one.
 const NIL: u32 = u32::MAX;
@@ -41,7 +52,7 @@ const NIL: u32 = u32::MAX;
 /// One recorded exploration of a state.
 #[derive(Clone, Copy, Debug)]
 struct Entry {
-    /// The sleep set is `slab[off..off + len]`.
+    /// The sleep set's choices are the slab window `off..off + len`.
     off: u32,
     len: u32,
     remaining: u32,
@@ -72,7 +83,7 @@ impl Heads for FpHeads {
 /// States named by dense ids: `0, 1, 2, …` in (roughly) first-visit
 /// order, so the heads are a plain array.
 #[derive(Debug, Default)]
-pub struct DenseHeads(Vec<u32>);
+pub struct DenseHeads(Segmented<u32>);
 
 impl Heads for DenseHeads {
     type Key = u32;
@@ -80,9 +91,10 @@ impl Heads for DenseHeads {
     fn slot(&mut self, id: u32) -> &mut u32 {
         let id = id as usize;
         if id >= self.0.len() {
-            self.0.resize(id + 1, NIL);
+            self.0.resize(id, NIL);
+            self.0.push(NIL);
         }
-        &mut self.0[id]
+        self.0.get_mut(id)
     }
 }
 
@@ -90,8 +102,8 @@ impl Heads for DenseHeads {
 #[derive(Debug, Default)]
 pub struct VisitTable<H = FpHeads> {
     heads: H,
-    entries: Vec<Entry>,
-    slab: Vec<(SchedElem, Footprint)>,
+    entries: Segmented<Entry>,
+    slab: Segmented<SchedElem>,
     /// States claimed at least once.
     states: usize,
     /// Entries still linked into some state's list.
@@ -110,13 +122,16 @@ impl<H: Heads> VisitTable<H> {
     /// Whether the state `key`, reached with `sleep` and `remaining`
     /// reorder budget, must be (re)explored. Claiming records the visit
     /// and unlinks recorded visits the new one dominates, so the
-    /// per-state list stays an antichain.
+    /// per-state list stays an antichain. Every entry of `sleep` must
+    /// carry the footprint its choice has at the state (the module docs'
+    /// Layout).
     ///
     /// # Panics
     ///
     /// If the table outgrows its 32-bit entry or slab offsets.
     pub fn try_claim(&mut self, key: H::Key, sleep: &SleepSet, remaining: u32) -> bool {
         let sleep = sleep.entries();
+        let slept = || sleep.iter().map(|&(e, _)| e);
         let head = self.heads.slot(key);
         if *head == NIL {
             self.states += 1;
@@ -125,8 +140,8 @@ impl<H: Heads> VisitTable<H> {
             // unlinked, so a refused claim leaves the list as it was.
             let mut at = *head;
             while at != NIL {
-                let e = self.entries[at as usize];
-                if e.remaining >= remaining && is_subset(window(&self.slab, e), sleep) {
+                let e = *self.entries.get(at as usize);
+                if e.remaining >= remaining && choices_subset(window(&self.slab, e), slept()) {
                     return false;
                 }
                 at = e.next;
@@ -134,12 +149,12 @@ impl<H: Heads> VisitTable<H> {
             // Unlink the recorded visits the new one dominates.
             let (mut at, mut prev) = (*head, NIL);
             while at != NIL {
-                let e = self.entries[at as usize];
-                if remaining >= e.remaining && is_subset(sleep, window(&self.slab, e)) {
+                let e = *self.entries.get(at as usize);
+                if remaining >= e.remaining && choices_subset(slept(), window(&self.slab, e)) {
                     if prev == NIL {
                         *head = e.next;
                     } else {
-                        self.entries[prev as usize].next = e.next;
+                        self.entries.get_mut(prev as usize).next = e.next;
                     }
                     self.live -= 1;
                 } else {
@@ -149,14 +164,13 @@ impl<H: Heads> VisitTable<H> {
             }
         }
         let entry = Entry {
-            off: offset(self.slab.len()),
+            off: offset(self.slab.push_window(slept())),
             len: offset(sleep.len()),
             remaining,
             next: *head,
         };
         *head = offset(self.entries.len());
         self.entries.push(entry);
-        self.slab.extend_from_slice(sleep);
         self.live += 1;
         true
     }
@@ -190,9 +204,9 @@ fn offset(n: usize) -> u32 {
         .expect("visit table outgrew its u32 offsets")
 }
 
-/// The sleep set `e` was recorded with.
-fn window(slab: &[(SchedElem, Footprint)], e: Entry) -> &[(SchedElem, Footprint)] {
-    &slab[e.off as usize..][..e.len as usize]
+/// The choices of the sleep set `e` was recorded with.
+fn window(slab: &Segmented<SchedElem>, e: Entry) -> impl ExactSizeIterator<Item = SchedElem> + '_ {
+    slab.window(e.off as usize, e.len as usize).iter().copied()
 }
 
 #[cfg(test)]
@@ -250,6 +264,35 @@ mod tests {
         assert!(!t.try_claim(7, &z, 0), "poorer arrival is dominated");
         assert!(t.try_claim(7, &z, 3), "richer arrival must re-enter");
         assert_eq!(t.total_entries(), 1, "richer visit pruned the poorer");
+    }
+
+    #[test]
+    fn choice_only_windows_keep_dominance_across_segments() {
+        // The three tests above, state by state, on enough states that the
+        // heads, entries and slab span several segments (the slab skips a
+        // segment's tail rather than split a window).
+        let mut t = VisitTable::<DenseHeads>::default();
+        let states = 400u32;
+        for id in 0..states {
+            let k = id % 6;
+            let pairs: Vec<(u32, u32)> = (0..=k + 1).map(|p| (p, id % 5 + p)).collect();
+            let small = sleeping(&pairs[..pairs.len() - 1]);
+            let big = sleeping(&pairs);
+            assert!(t.try_claim(id, &big, 5));
+            assert!(t.try_claim(id, &small, 5), "subset sleep re-explores");
+            assert!(!t.try_claim(id, &big, 5), "superset sleep is dominated");
+            assert!(!t.try_claim(id, &small, 4), "poorer arrival is dominated");
+            assert!(t.try_claim(id, &small, 6), "richer arrival re-explores");
+            assert!(t.try_claim(id, &sleeping(&[(9, 9)]), 1), "incomparable");
+            assert!(!t.try_claim(id, &big, 6));
+        }
+        assert_eq!(t.len(), states as usize);
+        assert_eq!(t.total_entries(), 2 * states as usize);
+        assert!(t.slab.segments() >= 4 && t.entries.segments() >= 4);
+        // Every window reads back the choices it was recorded with.
+        for id in (0..states).step_by(37) {
+            assert!(!t.try_claim(id, &sleeping(&[(9, 9), (10, 1)]), 0));
+        }
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! a small universe — so states are revisited with equal, nested and
 //! incomparable sleep sets and budgets — must get the same answer from
 //! both after every call, under the fingerprint and the dense keying
-//! alike.
+//! alike. The reference compares footprints too; the flat table stores
+//! choices only, which its contract allows because a choice has one
+//! footprint at a state (`por::sleep`'s module docs), so each state's
+//! footprints here are a fixed function of the state.
 
 use proptest::prelude::*;
 
@@ -68,6 +71,11 @@ fn choice(i: usize, alt: bool) -> (SchedElem, Footprint) {
     (elem, Footprint { proc: p, kind })
 }
 
+/// The footprints of state `id`'s choices: bit `i` picks choice `i`'s.
+fn alts_of(id: u32) -> u8 {
+    (id.wrapping_mul(37) + 11) as u8
+}
+
 /// The sleep set holding choice `i` iff bit `i` of `members`, with the
 /// footprint bit `i` of `alts` selects.
 fn sleep_set(members: u8, alts: u8) -> SleepSet {
@@ -90,14 +98,14 @@ proptest! {
 
     #[test]
     fn flat_tables_answer_like_the_table_by_definition(
-        claims in prop::collection::vec((0u32..8, 0u8..64, 0u8..64, 0usize..4), 0..80)
+        claims in prop::collection::vec((0u32..8, 0u8..64, 0usize..4), 0..80)
     ) {
         let mut reference = ByDefinition::default();
         let mut by_fp = VisitTable::new();
         let mut dense = VisitTable::<DenseHeads>::default();
         prop_assert!(by_fp.is_empty() && dense.is_empty());
-        for (id, members, alts, budget) in claims {
-            let (sleep, remaining) = (sleep_set(members, alts), BUDGETS[budget]);
+        for (id, members, budget) in claims {
+            let (sleep, remaining) = (sleep_set(members, alts_of(id)), BUDGETS[budget]);
             let expect = reference.try_claim(fingerprint(id), &sleep, remaining);
             prop_assert_eq!(by_fp.try_claim(fingerprint(id), &sleep, remaining), expect);
             prop_assert_eq!(dense.try_claim(id, &sleep, remaining), expect);

@@ -260,6 +260,25 @@ impl WriteBuffer {
         }
     }
 
+    /// Remove and return the write a fence commits next
+    /// ([`fence_commit_target`](Self::fence_commit_target)'s).
+    pub fn pop_drain(&mut self) -> Option<(RegId, Value)> {
+        match self {
+            WriteBuffer::Sc => None,
+            WriteBuffer::Tso(q) => q.pop_front(),
+            WriteBuffer::Pso(m) => (!m.is_empty()).then(|| m.0.remove(0)),
+        }
+    }
+
+    /// Drop every pending write, keeping the allocation.
+    pub fn clear(&mut self) {
+        match self {
+            WriteBuffer::Sc => {}
+            WriteBuffer::Tso(q) => q.clear(),
+            WriteBuffer::Pso(m) => m.0.clear(),
+        }
+    }
+
     /// Remove and return the pending write to `reg`, if committable.
     pub fn take(&mut self, reg: RegId) -> Option<Value> {
         match self {
@@ -391,6 +410,29 @@ mod tests {
         assert_eq!(b.take(r(2)), None); // not the head
         assert_eq!(b.take(r(9)), Some(v(1)));
         assert_eq!(b.commit_choices(), vec![r(2)]);
+    }
+
+    #[test]
+    fn pop_drain_takes_the_fence_order_and_clear_empties() {
+        for model in [MemoryModel::Tso, MemoryModel::Pso] {
+            let mut b = WriteBuffer::new(model);
+            b.push(r(3), v(1));
+            b.push(r(1), v(2));
+            b.push(r(2), v(3));
+            let order: Vec<_> = b.iter().collect();
+            let mut popped = Vec::new();
+            while let Some(write) = b.pop_drain() {
+                popped.push(write);
+            }
+            assert_eq!(popped, order, "{model}");
+            assert!(b.is_empty());
+            b.push(r(0), v(4));
+            b.clear();
+            assert!(b.is_empty() && b.pop_drain().is_none());
+        }
+        let mut sc = WriteBuffer::new(MemoryModel::Sc);
+        assert!(sc.pop_drain().is_none());
+        sc.clear();
     }
 
     #[test]

@@ -3,12 +3,10 @@
 
 use super::trail::StepAcc;
 use super::{CrashSemantics, Machine, ProcSlot, StepOutcome};
-use crate::buffer::WriteBuffer;
 use crate::counters::bit;
 use crate::event::EventKind;
 use crate::process::Process;
-use crate::reg::{ProcId, RegId};
-use crate::value::Value;
+use crate::reg::ProcId;
 
 impl<P: Process> Machine<P> {
     /// Whether `slot`'s process may be crashed now: crash injection is on,
@@ -28,22 +26,25 @@ impl<P: Process> Machine<P> {
         acc: &mut StepAcc,
     ) -> StepOutcome {
         let i = p.index();
-        // The buffer is empty afterwards under either semantics.
-        let empty = WriteBuffer::new(self.config.model);
-        let buffer = std::mem::replace(&mut self.procs[i].buffer, empty);
-        // A draining crash flushes in fence-drain order: FIFO under TSO,
-        // smallest register first under PSO. Each commit is charged and
-        // traced like any other, and its pre-images land on the trail
-        // above the crash record, which must therefore be logged first.
-        let pending: Vec<(RegId, Value)> = match self.config.crash_semantics {
-            CrashSemantics::DrainBuffer => buffer.iter().collect(),
-            CrashSemantics::DiscardBuffer => Vec::new(),
+        // The buffer is empty afterwards under either semantics. Its
+        // pre-image is logged first: a draining crash flushes in
+        // fence-drain order — FIFO under TSO, smallest register first
+        // under PSO — charging and tracing each commit like any other, and
+        // their pre-images land on the trail above the crash record.
+        self.buffer_wiped::<REC>(p, acc);
+        let lost = match self.config.crash_semantics {
+            CrashSemantics::DrainBuffer => {
+                while let Some((reg, value)) = self.procs[i].buffer.pop_drain() {
+                    self.commit_to_memory::<REC>(p, reg, value, acc);
+                }
+                0
+            }
+            CrashSemantics::DiscardBuffer => {
+                let lost = self.procs[i].buffer.len();
+                self.procs[i].buffer.clear();
+                lost
+            }
         };
-        let lost = buffer.len() - pending.len();
-        self.buffer_wiped::<REC>(p, buffer, acc);
-        for (reg, value) in pending {
-            self.commit_to_memory::<REC>(p, reg, value, acc);
-        }
         self.save_prog::<REC>(p, acc);
         self.procs[i].prog.crash_recover();
         self.procs[i].crashes += 1;

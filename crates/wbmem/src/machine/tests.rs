@@ -974,6 +974,44 @@ fn undo_restores_crash_steps_exactly() {
 }
 
 #[test]
+fn crash_records_nest_and_are_reused() {
+    // Two crashes live on the trail at once, then a third, after both were
+    // undone, overwrites the first one's record with another buffer.
+    let w = |a: u64, b: u64| {
+        Script::new(vec![
+            Poised::Write(r(0), Value::Int(a)),
+            Poised::Write(r(1), Value::Int(b)),
+            Poised::Return(0),
+        ])
+    };
+    for model in [MemoryModel::Tso, MemoryModel::Pso] {
+        for semantics in [CrashSemantics::DiscardBuffer, CrashSemantics::DrainBuffer] {
+            let cfg = MachineConfig::new(model, MemoryLayout::unowned())
+                .with_trace()
+                .with_crashes(semantics, 1);
+            let mut m = Machine::new(cfg, vec![w(1, 2), w(3, 4)]);
+            for e in [p(0), p(0), p(1)] {
+                m.step(SchedElem::op(e));
+            }
+            let before = full_snapshot(&m);
+            let (_, first) = m.step_recorded(SchedElem::crash(p(0)));
+            let after_first = full_snapshot(&m);
+            let (_, second) = m.step_recorded(SchedElem::crash(p(1)));
+            m.undo(second);
+            assert_eq!(full_snapshot(&m), after_first, "{model} {semantics:?}");
+            m.undo(first);
+            assert_eq!(full_snapshot(&m), before, "{model} {semantics:?}");
+            m.step(SchedElem::op(p(1)));
+            let before = full_snapshot(&m);
+            let (_, again) = m.step_recorded(SchedElem::crash(p(1)));
+            m.undo(again);
+            assert_eq!(full_snapshot(&m), before, "{model} {semantics:?}");
+            assert!(m.trail.is_empty());
+        }
+    }
+}
+
+#[test]
 fn undo_restores_tso_same_register_drain() {
     // A TSO drain can commit the same register twice; the LIFO rollback
     // must restore the intermediate value correctly.

@@ -113,17 +113,52 @@ enum PreImage {
     Buffer(BufferUndo),
     /// What a crash wiped. A crash exceeds every per-step bound — a drain
     /// commits the whole buffer, charging a commit each — so the buffer and
-    /// the counters are restored wholesale from this boxed record; the
-    /// cells and ownership entries the drain overwrote follow it as
-    /// ordinary pre-images.
-    Crash(Box<CrashUndo>),
+    /// the counters are restored wholesale from the newest record of the
+    /// trail's [`SavedCrashes`]; the cells and ownership entries the drain
+    /// overwrote follow it as ordinary pre-images.
+    Crash,
 }
 
+/// A crashed process's buffer, counters and crash count before the crash.
 #[derive(Debug)]
 struct CrashUndo {
     buffer: WriteBuffer,
     counters: ProcCounters,
     crashes: u32,
+}
+
+/// The crash records of the trail, oldest first. Records above `live` are
+/// kept for reuse: saving into one copies the buffer into the record's
+/// own allocation, so a crash step allocates only while the trail reaches
+/// a new number of crashes.
+#[derive(Debug, Default)]
+struct SavedCrashes {
+    slots: Vec<CrashUndo>,
+    live: usize,
+}
+
+impl SavedCrashes {
+    fn save(&mut self, buffer: &WriteBuffer, counters: ProcCounters, crashes: u32) {
+        match self.slots.get_mut(self.live) {
+            Some(slot) => {
+                slot.buffer.clone_from(buffer);
+                slot.counters = counters;
+                slot.crashes = crashes;
+            }
+            None => self.slots.push(CrashUndo {
+                buffer: buffer.clone(),
+                counters,
+                crashes,
+            }),
+        }
+        self.live += 1;
+    }
+
+    /// The newest record, which the caller restores from.
+    fn pop(&mut self) -> &CrashUndo {
+        self.live -= 1;
+        &self.slots[self.live]
+    }
 }
 
 /// One process's saved program states, oldest first. Slots above `live`
@@ -173,6 +208,7 @@ pub(super) struct Trail<P> {
     pre: Vec<PreImage>,
     /// Indexed by process; sized on first use.
     progs: Vec<SavedProgs<P>>,
+    crashes: SavedCrashes,
 }
 
 impl<P> Default for Trail<P> {
@@ -181,6 +217,7 @@ impl<P> Default for Trail<P> {
             steps: Vec::new(),
             pre: Vec::new(),
             progs: Vec::new(),
+            crashes: SavedCrashes::default(),
         }
     }
 }
@@ -193,12 +230,16 @@ impl<P> Trail<P> {
         for saved in &mut self.progs {
             saved.live = 0;
         }
+        self.crashes.live = 0;
     }
 
     /// Whether the trail holds no recorded step.
     #[cfg(test)]
     pub(super) fn is_empty(&self) -> bool {
-        self.steps.is_empty() && self.pre.is_empty() && self.progs.iter().all(|s| s.live == 0)
+        self.steps.is_empty()
+            && self.pre.is_empty()
+            && self.progs.iter().all(|s| s.live == 0)
+            && self.crashes.live == 0
     }
 }
 
@@ -308,8 +349,9 @@ impl<P: Process> Machine<P> {
                     }
                 }
                 PreImage::Buffer(undo) => self.procs[i].buffer.apply_undo(undo),
-                PreImage::Crash(crash) => {
-                    self.procs[i].buffer = crash.buffer;
+                PreImage::Crash => {
+                    let crash = self.trail.crashes.pop();
+                    self.procs[i].buffer.clone_from(&crash.buffer);
                     self.procs[i].crashes = crash.crashes;
                     if counting {
                         *self.counters.proc_mut(i) = crash.counters;
@@ -468,29 +510,25 @@ impl<P: Process> Machine<P> {
         self.trail.pre.push(PreImage::Buffer(undo));
     }
 
-    /// Log that a crash wiped `buffer` off `p`: the wholesale pre-image a
-    /// crash is undone from ([`PreImage::Crash`]).
-    pub(super) fn buffer_wiped<const REC: bool>(
-        &mut self,
-        p: ProcId,
-        buffer: WriteBuffer,
-        acc: &mut StepAcc,
-    ) {
+    /// Log that a crash is about to wipe `p`'s buffer: the wholesale
+    /// pre-image a crash is undone from ([`PreImage::Crash`]).
+    pub(super) fn buffer_wiped<const REC: bool>(&mut self, p: ProcId, acc: &mut StepAcc) {
         if !REC {
             return;
         }
         let i = p.index();
+        let buffer = &self.procs[i].buffer;
         acc.did |= DID_CRASH;
-        if let WriteBuffer::Pso(entries) = &buffer {
+        if let WriteBuffer::Pso(entries) = buffer {
             for &(reg, v) in entries.iter() {
                 acc.fp_delta ^= entry_fp(FP_BUFFERED | i as u64, reg, Some(v));
             }
         }
-        self.trail.pre.push(PreImage::Crash(Box::new(CrashUndo {
-            buffer,
-            counters: *self.counters.proc(i),
-            crashes: self.procs[i].crashes,
-        })));
+        let counters = *self.counters.proc(i);
+        self.trail
+            .crashes
+            .save(buffer, counters, self.procs[i].crashes);
+        self.trail.pre.push(PreImage::Crash);
     }
 }
 
