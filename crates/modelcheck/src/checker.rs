@@ -665,7 +665,16 @@ impl SearchIndex {
 
     fn grow(&mut self) {
         let doubled = (self.slots.len() * 2).max(Self::MIN_SLOTS);
-        self.slots = vec![0; doubled];
+        if doubled <= self.slots.capacity() {
+            // A kept allocation (a cleared index's) holds the doubled
+            // table: zero it in place.
+            self.slots.clear();
+            self.slots.resize(doubled, 0);
+        } else {
+            // Past the capacity a `resize` would `realloc`, copying the
+            // dead table; a fresh zeroed one copies nothing.
+            self.slots = vec![0; doubled];
+        }
         let mask = doubled - 1;
         for (id, &fp) in (0u64..).zip(self.fps.iter()) {
             let (home, tagged) = Self::home_and_tag(fp);
@@ -679,6 +688,23 @@ impl SearchIndex {
 
     pub(crate) fn len(&self) -> usize {
         self.fps.len()
+    }
+
+    /// Forget every state, keeping the slot table's allocation for
+    /// [`grow`](Self::grow) to rebuild in and the segments for the ids
+    /// handed out next.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.parents.clear();
+        self.fps.clear();
+    }
+
+    /// Heap bytes allocated: slots, parents and fingerprints.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.slots.capacity() * size_of::<u64>()
+            + self.parents.capacity() * size_of::<Option<(u32, SchedElem)>>()
+            + self.fps.capacity() * size_of::<u128>()
     }
 
     /// The fingerprint a dense id was allocated for.
@@ -976,6 +1002,13 @@ pub(crate) fn bounded_root<'a, P: Process>(
 /// replayed from the initial machine to render them. The only exception is
 /// a wall-clock [`CheckConfig::budget`], whose expiry point is inherently
 /// timing-dependent.
+///
+/// A check's per-state tables outlive it: when they take 1–64 MiB, the
+/// check leaves them, emptied but allocated, to the next check on the
+/// calling thread, which then allocates only past them. Up to 64 MiB so
+/// stays allocated on the thread between checks, until the next check
+/// replaces or frees it or the thread exits. A run that writes or resumes
+/// a checkpoint keeps none, and frees what it finds.
 #[must_use]
 pub fn check<P: Process>(initial: &Machine<P>, config: &CheckConfig) -> Verdict {
     dispatch(initial, config, || Ok(None))
@@ -1241,6 +1274,35 @@ mod tests {
         assert!(index.len() * 4 <= index.slots.len() * 3 + 4);
         for (&fp, &id) in &reference {
             assert_eq!(index.id_of(fp, None), Some((id, false)));
+        }
+    }
+
+    #[test]
+    fn a_cleared_search_index_grows_in_its_kept_table_and_answers_as_a_new_one() {
+        let fp = |i: u32| u128::from(i).wrapping_mul(0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835) | 1;
+        let parent = |i: u32| (i > 0).then(|| (i / 2, SchedElem::op(wbmem::ProcId(i % 3))));
+        let mut index = SearchIndex::default();
+        for i in 0..5_000 {
+            index.id_of(fp(i), parent(i));
+        }
+        let (table, capacity) = (index.slots.as_ptr(), index.slots.capacity());
+        index.clear();
+        assert_eq!(index.len(), 0);
+        // A smaller run, each state offered twice: the same ids, parents
+        // and paths as a new index gives, in the table the last run left.
+        let mut fresh = SearchIndex::default();
+        let offers = (0..3_000).chain((0..3_000).rev());
+        for i in offers {
+            assert_eq!(index.id_of(fp(i), parent(i)), fresh.id_of(fp(i), parent(i)));
+        }
+        assert_eq!(
+            (index.slots.as_ptr(), index.slots.capacity()),
+            (table, capacity)
+        );
+        assert_eq!(index.slots.len(), fresh.slots.len());
+        for id in (0..3_000).step_by(97) {
+            assert_eq!(index.path_to(id), fresh.path_to(id));
+            assert_eq!(index.fp_of(id), fresh.fp_of(id));
         }
     }
 

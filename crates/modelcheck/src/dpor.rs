@@ -39,7 +39,9 @@
 //! dominance table's heads, and the on-stack multiset the cycle proviso
 //! reads, a count per node (re-exploration under a smaller sleep set can
 //! nest a state inside itself). Both grow in [`Segmented`] arrays that
-//! never move.
+//! never move, taken from the thread's [spare](crate::spare) and
+//! [stowed](SleepAmple::stow) back: they come empty, and may hold segments
+//! a check before this one allocated.
 //!
 //! Per-frame state is three small buffers (sleep set, taken siblings,
 //! ample-excluded choices) and a budget, in a [`SleepFrame`] the
@@ -56,6 +58,7 @@ use wbmem::{Footprint, Machine, MemoryModel, Process, SchedElem};
 
 use crate::checker::CheckConfig;
 use crate::kernel::{Edge, Reduction};
+use crate::spare::Tables;
 
 /// Sleep sets + ample sets + reorder bound; see the module docs.
 pub(crate) struct SleepAmple {
@@ -100,11 +103,18 @@ pub(crate) struct SleepFrame {
 }
 
 impl SleepAmple {
+    /// The reduction for `config`'s check of `initial`, keeping its
+    /// per-node data in the dominance table and on-stack counts it takes
+    /// from `tables`, which come empty.
     pub(crate) fn new<P: Process>(
         initial: &Machine<P>,
         config: &CheckConfig,
         reorder_bound: Option<u32>,
+        tables: &mut Tables,
     ) -> Self {
+        let visited = std::mem::take(&mut tables.visited);
+        let on_stack = std::mem::take(&mut tables.on_stack);
+        debug_assert!(visited.is_empty() && on_stack.is_empty());
         let mode = match (config.check_termination, reorder_bound) {
             (false, _) => Mode::Reduce,
             (true, None) => Mode::Ample,
@@ -114,11 +124,17 @@ impl SleepAmple {
             model: initial.config().model,
             mode,
             budget: reorder_bound.unwrap_or(u32::MAX),
-            visited: VisitTable::default(),
-            on_stack: Segmented::default(),
+            visited,
+            on_stack,
             sleep_hits: 0,
             frames: Vec::new(),
         }
+    }
+
+    /// Hand the dominance table and the on-stack counts back to `tables`.
+    pub(crate) fn stow(&mut self, tables: &mut Tables) {
+        tables.visited = std::mem::take(&mut self.visited);
+        tables.on_stack = std::mem::take(&mut self.on_stack);
     }
 
     /// Record the root's visit in the dominance table. A first-visit walk
@@ -387,7 +403,7 @@ mod tests {
         let (op, commit) = (SchedElem::op(p), SchedElem::commit(p, RegId(0)));
 
         let admit = |bound: Option<u32>, elem| {
-            let mut red = SleepAmple::new(&m, &cfg(), bound);
+            let mut red = SleepAmple::new(&m, &cfg(), bound, &mut crate::spare::Tables::default());
             let mut task = por::ForkPoint {
                 remaining: Reduction::<VmProc>::root_budget(&red),
                 ..por::ForkPoint::default()
@@ -428,7 +444,8 @@ mod tests {
                 check_termination,
                 ..cfg()
             };
-            let mut red = SleepAmple::new(&m, &config, Some(2));
+            let mut red =
+                SleepAmple::new(&m, &config, Some(2), &mut crate::spare::Tables::default());
             red.claim_root(0);
             let mut task = por::ForkPoint {
                 remaining: 2,
@@ -540,7 +557,7 @@ mod tests {
             kind: FootprintKind::Read(RegId(1)),
         };
         assert_ne!(m.choice_footprint(second), forged);
-        let mut red = SleepAmple::new(&m, &cfg(), None);
+        let mut red = SleepAmple::new(&m, &cfg(), None, &mut crate::spare::Tables::default());
         let mut task = por::ForkPoint::default();
         task.sleep.insert(second, forged);
         let frame = Reduction::<VmProc>::adopt(&mut red, &mut task);

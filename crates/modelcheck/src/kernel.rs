@@ -9,8 +9,11 @@
 //! the oracle's order) or [`SleepAmple`] (sleep sets, ample sets, reorder
 //! bound). [`Local`] owns the states: dense [`SearchIndex`] ids with
 //! first-visit parents, exact stop points, the termination graph, and
-//! verdicts rendered in place. A state's id — its *node* — travels with
-//! every [`Edge`], so a reduction keys its own per-state data by it.
+//! verdicts rendered in place. The per-state tables — [`Local`]'s
+//! [`Graph`] and the reduction's — come from the thread's
+//! [spare](crate::spare), and the check leaves them to the next one. A
+//! state's id — its *node* — travels with every [`Edge`], so a reduction
+//! keys its own per-state data by it.
 //!
 //! `Undo` is `NoReduction`, `Dpor` is `SleepAmple`; `Parallel` and
 //! `ParallelDpor` run the same two walks. An unbounded `Dpor` that checks
@@ -41,6 +44,7 @@ use crate::checker::{
     Coverage, SearchIndex, Stats, Verdict, DEADLINE_POLL_MASK,
 };
 use crate::dpor::SleepAmple;
+use crate::spare;
 
 /// The property a visited state broke, as the constructor of its verdict
 /// (e.g. [`Verdict::MutexViolation`]).
@@ -515,6 +519,41 @@ pub(crate) fn root_fork<P: Process, R: Reduction<P>>(
 /// [`SearchIndex`] hands out.
 const ROOT: u32 = 0;
 
+/// [`Local`]'s per-state tables: the states' ids and first-visit parents,
+/// and the termination graph — its edges, its terminal states and the
+/// states the reorder bound refused an edge at.
+#[derive(Default)]
+pub(crate) struct Graph {
+    index: SearchIndex,
+    edges: Vec<(u32, u32)>,
+    terminal: Vec<u32>,
+    refused: Vec<u32>,
+}
+
+impl Graph {
+    /// Forget every state, keeping what is allocated.
+    pub(crate) fn clear(&mut self) {
+        self.index.clear();
+        self.edges.clear();
+        self.terminal.clear();
+        self.refused.clear();
+    }
+
+    /// Heap bytes allocated.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.index.heap_bytes()
+            + self.edges.capacity() * size_of::<(u32, u32)>()
+            + (self.terminal.capacity() + self.refused.capacity()) * size_of::<u32>()
+    }
+
+    /// Allocate room for `n` termination edges.
+    #[cfg(test)]
+    pub(crate) fn reserve_edges(&mut self, n: usize) {
+        self.edges.reserve_exact(n);
+    }
+}
+
 /// Who owns the walk's states and when it stops: dense [`SearchIndex`]
 /// ids with first-visit parents, stop triggers polled at every
 /// transition boundary (so the `stop_after` cut is exact), the
@@ -536,11 +575,7 @@ pub(crate) struct Local<'a> {
     prior: MetricsSnapshot,
     /// Fork points not yet started, the next one last.
     pending: Vec<ForkPoint>,
-    index: SearchIndex,
-    edges: Vec<(u32, u32)>,
-    terminal: Vec<u32>,
-    /// States with an out-edge the reorder bound refused.
-    refused: Vec<u32>,
+    graph: Graph,
     /// Set when [`poll`](Self::poll) stops the walk.
     coverage: Option<Coverage>,
 }
@@ -588,9 +623,8 @@ impl Local<'_> {
         dfs: &Dfs<'_, P, R>,
     ) -> Option<std::path::PathBuf> {
         let policy = self.config.checkpoint.as_ref()?;
-        let mut visited: Vec<u128> = (0..self.index.len() as u32)
-            .map(|id| self.index.fp_of(id))
-            .collect();
+        let index = &self.graph.index;
+        let mut visited: Vec<u128> = (0..index.len() as u32).map(|id| index.fp_of(id)).collect();
         visited.sort_unstable();
         let mut forks = dfs.open_forks();
         forks.extend(self.pending.iter().rev().cloned());
@@ -613,9 +647,9 @@ impl Local<'_> {
     /// this is the state's first visit (recording the edge under the
     /// termination check). `None` once the ids run out.
     fn visit(&mut self, fp: u128, from: u32, elem: SchedElem) -> Option<(u32, bool)> {
-        let (id, new) = self.index.id_of(fp, Some((from, elem)))?;
+        let (id, new) = self.graph.index.id_of(fp, Some((from, elem)))?;
         if self.config.check_termination {
-            self.edges.push((from, id));
+            self.graph.edges.push((from, id));
         }
         Some((id, new))
     }
@@ -625,14 +659,14 @@ impl Local<'_> {
     /// from `from` failing to finish in it.
     fn refused(&mut self, from: u32) {
         if self.config.check_termination {
-            self.refused.push(from);
+            self.graph.refused.push(from);
         }
     }
 
     /// A first-visited state is all-done.
     fn terminal(&mut self, id: u32) {
         self.stats.terminal_states += 1;
-        self.terminal.push(id);
+        self.graph.terminal.push(id);
     }
 
     /// After an exhausted walk: the schedules to the states that cannot
@@ -645,15 +679,21 @@ impl Local<'_> {
     /// at may finish through what was not walked, and so may everything
     /// that reaches it. The full search refuses nothing.
     fn stuck(&self) -> Option<Vec<Vec<SchedElem>>> {
-        let finish: Vec<u32> = self.terminal.iter().chain(&self.refused).copied().collect();
-        let can_finish = can_finish(self.index.len(), &self.edges, &finish);
+        let Graph {
+            index,
+            edges,
+            terminal,
+            refused,
+        } = &self.graph;
+        let finish: Vec<u32> = terminal.iter().chain(refused).copied().collect();
+        let can_finish = can_finish(index.len(), edges, &finish);
         let first = can_finish.iter().position(|&c| !c)? as u32;
-        let mut entries = self.index.stuck_entries(&can_finish);
+        let mut entries = index.stuck_entries(&can_finish);
         if entries.is_empty() {
             entries.push(first); // the root: nothing enters it
         }
         debug_assert_eq!(entries[0], first);
-        Some(entries.iter().map(|&id| self.index.path_to(id)).collect())
+        Some(entries.iter().map(|&id| index.path_to(id)).collect())
     }
 }
 
@@ -667,17 +707,20 @@ impl Local<'_> {
 /// meets a violation or the state limit reruns [`sequential`] from the
 /// root, without the checkpoint policy, so those verdicts — the
 /// counterexample included — are bit-identical to an uninterrupted run's;
-/// the rerun's counts stand alone.
+/// the rerun's counts stand alone. The walk's [`Graph`] comes empty, and
+/// goes back with the verdict.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_local<P: Process, R: Reduction<P>, V: Visitor<P>>(
     initial: &Machine<P>,
     config: &CheckConfig,
     deadline: Option<Instant>,
     seed: Option<Snapshot>,
-    mut reduction: R,
+    graph: Graph,
+    reduction: &mut R,
     visitor: &mut V,
     totals: &mut MetricsSnapshot,
-) -> Verdict {
-    let seeded = seed.is_some();
+) -> (Verdict, Graph) {
+    debug_assert_eq!(graph.index.len(), 0, "a walk's graph comes empty");
     let mut local = Local {
         config,
         totals,
@@ -687,15 +730,29 @@ pub(crate) fn run_local<P: Process, R: Reduction<P>, V: Visitor<P>>(
         base: BaseCounts::default(),
         prior: MetricsSnapshot::default(),
         pending: Vec::new(),
-        index: SearchIndex::default(),
-        edges: Vec::new(),
-        terminal: Vec::new(),
-        refused: Vec::new(),
+        graph,
         coverage: None,
     };
+    let verdict = walk(initial, seed, reduction, visitor, &mut local);
+    (verdict, local.graph)
+}
+
+/// [`run_local`]'s walk, from `seed` or the root: apart only so that
+/// `run_local` gets the graph back on every path, and inlined into it.
+#[inline(always)]
+fn walk<P: Process, R: Reduction<P>, V: Visitor<P>>(
+    initial: &Machine<P>,
+    seed: Option<Snapshot>,
+    reduction: &mut R,
+    visitor: &mut V,
+    local: &mut Local<'_>,
+) -> Verdict {
+    let (config, deadline) = (local.config, local.deadline);
+    let seeded = seed.is_some();
     match seed {
         None => {
             let (root, _) = local
+                .graph
                 .index
                 .id_of(local.root_fp, None)
                 .expect("the first id");
@@ -709,13 +766,13 @@ pub(crate) fn run_local<P: Process, R: Reduction<P>, V: Visitor<P>>(
                 local.terminal(root);
                 local.totals.incr(Metric::TerminalStates);
             } else {
-                let fork = root_fork(initial, &mut reduction, local.totals);
+                let fork = root_fork(initial, reduction, local.totals);
                 local.pending.push(fork);
             }
         }
         Some(snap) => {
             for &fp in &snap.visited {
-                if local.index.id_of(fp, None).is_none() {
+                if local.graph.index.id_of(fp, None).is_none() {
                     return Verdict::Error(local.stats, CheckError::TooManyStates);
                 }
             }
@@ -735,15 +792,15 @@ pub(crate) fn run_local<P: Process, R: Reduction<P>, V: Visitor<P>>(
         if seeded {
             local.totals.incr(Metric::ResumeReplayed);
         }
-        let index = &mut local.index;
+        let index = &mut local.graph.index;
         let node = |fp| {
             index
                 .id_of(fp, None)
                 .expect("a fork point's state has an id")
                 .0
         };
-        let mut dfs = Dfs::start(initial, task, node, &mut reduction);
-        halt = dfs.run(config, &mut local, visitor);
+        let mut dfs = Dfs::start(initial, task, node, reduction);
+        halt = dfs.run(config, local, visitor);
         local.totals.merge(&dfs.tally);
         if halt.is_some() {
             break;
@@ -757,13 +814,14 @@ pub(crate) fn run_local<P: Process, R: Reduction<P>, V: Visitor<P>>(
         };
         return sequential(initial, &unstoppable, deadline, None, local.totals);
     }
-    let (stats, index) = (local.stats, &local.index);
+    let (stats, index) = (local.stats, &local.graph.index);
     match halt {
         Some(Halt::Violation(v, id)) => v(stats, render(initial, &index.path_to(id))),
         Some(Halt::StateLimit) => Verdict::StateLimit(stats),
         Some(Halt::TooManyStates) => Verdict::Error(stats, CheckError::TooManyStates),
         Some(Halt::Stopped) => {
-            let coverage = local.coverage.expect("poll records coverage when it stops");
+            let coverage = local.coverage.take();
+            let coverage = coverage.expect("poll records coverage when it stops");
             Verdict::Inconclusive(stats, coverage)
         }
         None => {
@@ -790,7 +848,8 @@ pub(crate) fn run_local<P: Process, R: Reduction<P>, V: Visitor<P>>(
 /// reduced one. Under the termination check that walk puts nothing to
 /// sleep; unbounded, it keeps its ample sets and enters each state once,
 /// which keeps a stuck state in the graph the check reads whenever the
-/// machine has one (DESIGN.md §5c).
+/// machine has one (DESIGN.md §5c). Its per-state tables are the thread's
+/// spare, unless the run writes or resumes a checkpoint.
 pub(crate) fn sequential<P: Process>(
     initial: &Machine<P>,
     config: &CheckConfig,
@@ -799,25 +858,33 @@ pub(crate) fn sequential<P: Process>(
     totals: &mut MetricsSnapshot,
 ) -> Verdict {
     let visitor = &mut Properties::new(config);
-    match config.engine.reduction() {
-        Some(u32::MAX) => run_local(
-            initial,
-            config,
-            deadline,
-            seed,
-            NoReduction,
-            visitor,
-            totals,
-        ),
+    // Declared before the tables, the reduction drops after their
+    // hand-off, so its frame buffers are freed after the tables: freed
+    // first, they left `synth`'s small checks a more fragmented heap and
+    // its peak RSS ~2 % higher.
+    let mut reduced = None;
+    let keep = config.checkpoint.is_none() && seed.is_none();
+    let mut tables = spare::take(keep);
+    let graph = std::mem::take(&mut tables.graph);
+    let (verdict, graph) = match config.engine.reduction() {
+        Some(u32::MAX) => {
+            let red = &mut NoReduction;
+            run_local(initial, config, deadline, seed, graph, red, visitor, totals)
+        }
         bound => {
-            let mut reduction = SleepAmple::new(initial, config, bound);
+            let red = reduced.insert(SleepAmple::new(initial, config, bound, &mut tables));
             // A resumed run's table starts empty: the interrupted run
             // claimed the snapshot's states, and re-entering one prunes
             // less, never more.
             if seed.is_none() {
-                reduction.claim_root(ROOT);
+                red.claim_root(ROOT);
             }
-            run_local(initial, config, deadline, seed, reduction, visitor, totals)
+            let walked = run_local(initial, config, deadline, seed, graph, red, visitor, totals);
+            red.stow(&mut tables);
+            walked
         }
-    }
+    };
+    tables.graph = graph;
+    spare::give_back(tables, keep);
+    verdict
 }

@@ -43,6 +43,7 @@ pub mod elision;
 mod kernel;
 pub mod outcomes;
 mod resume;
+mod spare;
 
 pub use checker::{
     check, CheckConfig, CheckError, CheckpointPolicy, Counterexample, Coverage, Engine, Stats,

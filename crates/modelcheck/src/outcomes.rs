@@ -15,7 +15,7 @@ use ftobs::MetricsSnapshot;
 use wbmem::{Machine, Process};
 
 use crate::checker::CheckConfig;
-use crate::kernel::{run_local, NoReduction, Violation, Visitor};
+use crate::kernel::{run_local, Graph, NoReduction, Violation, Visitor};
 
 /// One observable outcome: sorted `(register, payload)` memory pairs plus
 /// per-process return values. Payloads (not tagged values) so outcomes are
@@ -40,12 +40,13 @@ pub fn terminal_outcomes<P: Process>(
         ..CheckConfig::default()
     };
     let (mut outcomes, counts) = (Outcomes(BTreeSet::new()), &mut MetricsSnapshot::default());
-    let verdict = run_local(
+    let (verdict, _) = run_local(
         initial,
         &config,
         None,
         None,
-        NoReduction,
+        Graph::default(),
+        &mut NoReduction,
         &mut outcomes,
         counts,
     );

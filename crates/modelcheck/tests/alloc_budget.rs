@@ -25,13 +25,22 @@ thread_local! {
     /// Bytes this thread's reallocations carried over: the old size of
     /// each, whether or not the block moved.
     static MOVED: Cell<u64> = const { Cell::new(0) };
+    /// Allocations and reallocations by this thread of at least
+    /// [`LARGE`] bytes.
+    static LARGE_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     /// Bytes this thread has allocated and not yet freed, and the highest
     /// that figure has been.
     static LIVE: Cell<usize> = const { Cell::new(0) };
     static PEAK: Cell<usize> = const { Cell::new(0) };
 }
 
+/// An allocation a table makes, never a frame or a small buffer.
+const LARGE: usize = 64 << 10;
+
 fn grew(bytes: usize) {
+    if bytes >= LARGE {
+        LARGE_ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    }
     let live = LIVE.with(|l| {
         l.set(l.get() + bytes);
         l.get()
@@ -187,6 +196,77 @@ fn the_reduced_walk_stays_within_its_allocation_budget() {
         assert!(
             moved <= max_moved,
             "{label}: {moved} bytes moved by realloc, bound {max_moved}"
+        );
+    }
+}
+
+/// On a thread of its own, which starts with no tables to reuse: PSO
+/// checks of the fully fenced `cells` under `config`, in order. Returns
+/// the last check's allocations of at least [`LARGE`] bytes and the bytes
+/// its reallocations carried over.
+fn last_of_checks_on_a_new_thread(cells: &[(LockKind, usize)], config: &CheckConfig) -> (u64, u64) {
+    let (cells, config) = (cells.to_vec(), config.clone());
+    std::thread::spawn(move || {
+        let mut last = (0, 0);
+        for (lock, n) in cells {
+            let machine = build_mutex(lock, n, FenceMask::ALL).machine(MemoryModel::Pso);
+            let before = (LARGE_ALLOCATIONS.with(Cell::get), MOVED.with(Cell::get));
+            let verdict = check(&machine, &config);
+            assert!(verdict.is_ok(), "{}", verdict.label());
+            last = (
+                LARGE_ALLOCATIONS.with(Cell::get) - before.0,
+                MOVED.with(Cell::get) - before.1,
+            );
+        }
+        last
+    })
+    .join()
+    .expect("the checks run")
+}
+
+#[test]
+fn a_second_check_on_the_thread_allocates_no_table() {
+    // A check leaves its per-state tables to the next check on its
+    // thread, so a check no larger than the one before it allocates no
+    // table: nothing of 64 KiB or more. Without the thread's spare, each
+    // of these second checks would allocate its state index and its
+    // segments again. What `realloc` still carries over is the DFS
+    // stack's, the frames' small buffers' and the machine's undo trail's
+    // growth, which a check on a new thread moves too: the tables add
+    // nothing to it.
+    let dpor = mutex_check(Engine::Dpor {
+        reorder_bound: None,
+    });
+    let undo = mutex_check(Engine::Undo);
+    let (tournament4, gt_f23, filter3) = (
+        (LockKind::Tournament, 4),
+        (LockKind::Gt { f: 2 }, 3),
+        (LockKind::Filter, 3),
+    );
+    for (label, first, second, config) in [
+        (
+            "gt_f23_pso dpor after tournament4_pso dpor",
+            tournament4,
+            gt_f23,
+            &dpor,
+        ),
+        (
+            "filter3_pso undo after filter3_pso undo",
+            filter3,
+            filter3,
+            &undo,
+        ),
+    ] {
+        let (large, moved) = last_of_checks_on_a_new_thread(&[first, second], config);
+        let (_, moved_alone) = last_of_checks_on_a_new_thread(&[second], config);
+        println!(
+            "{label}: {large} allocations of >= {LARGE} bytes, {moved} bytes moved \
+             ({moved_alone} on a new thread)"
+        );
+        assert_eq!(large, 0, "{label}: allocations of >= {LARGE} bytes");
+        assert!(
+            moved <= moved_alone,
+            "{label}: {moved} bytes moved by realloc, {moved_alone} on a new thread"
         );
     }
 }

@@ -10,6 +10,10 @@
 //! ([`push_window`](Segmented::push_window)) — never straddles two
 //! segments: when the current segment's tail is too short for it, the
 //! window starts the next segment and the tail's ids stay unused.
+//!
+//! [`clear`](Segmented::clear) empties the table and keeps its segments
+//! for the ids stored next, so a table reused for another run of ids
+//! allocates only past the segments the last run filled.
 
 /// Append-only storage indexed by dense ids; see the module docs.
 #[derive(Debug)]
@@ -56,6 +60,30 @@ impl<T> Segmented<T> {
     #[must_use]
     pub fn segments(&self) -> usize {
         self.segs.len()
+    }
+
+    /// Elements the allocated segments hold, stored or not.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.segs.iter().map(Vec::capacity).sum()
+    }
+
+    /// Store nothing, and keep each segment allocated whole for the ids
+    /// stored next. A segment a window skipped whole was allocated empty:
+    /// it is dropped with every later one, so no later push into a kept
+    /// segment reallocates.
+    pub fn clear(&mut self) {
+        let whole = self
+            .segs
+            .iter()
+            .zip(0..)
+            .take_while(|(seg, k)| seg.capacity() >= Self::FIRST << k)
+            .count();
+        self.segs.truncate(whole);
+        for seg in &mut self.segs {
+            seg.clear();
+        }
+        self.len = 0;
     }
 
     /// The segment `len` falls in, allocated if it is the next one.
@@ -231,5 +259,44 @@ mod tests {
         assert_eq!(Ids::locate(start).1, 0);
         assert_eq!(ids.window(start, 4 * first).len(), 4 * first);
         assert_eq!(ids.len(), start + 4 * first);
+    }
+
+    #[test]
+    fn clear_keeps_whole_segments_and_drops_a_skipped_one() {
+        let first = Ids::FIRST;
+        let mut ids = Ids::default();
+        for i in 0..(3 * first as u32) {
+            ids.push(i);
+        }
+        // Segment 2 holds 4·FIRST ids, too few for a window of 5·FIRST, so
+        // the window skips it whole and starts segment 3.
+        let start = ids.push_window(0..(5 * first as u32));
+        assert_eq!(Ids::locate(start), (3, 0));
+        assert_eq!(ids.segments(), 4);
+        let capacity = ids.capacity();
+        ids.clear();
+        assert!(ids.is_empty() && ids.iter().next().is_none());
+        assert_eq!(ids.segments(), 2, "the skipped segment and the rest go");
+        assert_eq!(ids.capacity(), 3 * first);
+        assert!(capacity > ids.capacity());
+        // Refilled, the kept segments stay where they were and every
+        // segment is exactly as large as it was allocated: no push grew
+        // one by `realloc`, as pushes into the skipped, empty one would.
+        let kept: Vec<*const u32> = ids.segs.iter().map(|seg| seg.as_ptr()).collect();
+        for i in 0..(7 * first as u32) {
+            ids.push(i + 1);
+        }
+        assert!((0..7 * first).all(|i| *ids.get(i) == i as u32 + 1));
+        assert!(kept
+            .iter()
+            .zip(&ids.segs)
+            .all(|(&p, seg)| p == seg.as_ptr()));
+        assert!(ids
+            .segs
+            .iter()
+            .zip(0..)
+            .all(|(seg, k)| seg.capacity() == first << k));
+        let start = ids.push_window(0..3);
+        assert_eq!(ids.window(start, 3), &[0, 1, 2]);
     }
 }

@@ -66,6 +66,8 @@ pub trait Heads: Default {
     type Key: Copy;
     /// The head of `key`'s list, [`u32::MAX`] for a state never claimed.
     fn slot(&mut self, key: Self::Key) -> &mut u32;
+    /// Forget every state, keeping what is allocated.
+    fn clear(&mut self);
 }
 
 /// States named by their 128-bit fingerprint.
@@ -77,6 +79,10 @@ impl Heads for FpHeads {
 
     fn slot(&mut self, fp: u128) -> &mut u32 {
         self.0.entry(fp).or_insert(NIL)
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
     }
 }
 
@@ -95,6 +101,10 @@ impl Heads for DenseHeads {
             self.0.push(NIL);
         }
         self.0.get_mut(id)
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
     }
 }
 
@@ -193,6 +203,28 @@ impl<H: Heads> VisitTable<H> {
     #[must_use]
     pub fn total_entries(&self) -> usize {
         self.live
+    }
+
+    /// Forget every recorded visit, keeping the heads', entries' and
+    /// slab's segments for the claims that come next: a cleared table
+    /// answers every claim as a new one does.
+    pub fn clear(&mut self) {
+        self.heads.clear();
+        self.entries.clear();
+        self.slab.clear();
+        self.states = 0;
+        self.live = 0;
+    }
+}
+
+impl VisitTable<DenseHeads> {
+    /// Heap bytes allocated: heads, entries and slab.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.heads.0.capacity() * size_of::<u32>()
+            + self.entries.capacity() * size_of::<Entry>()
+            + self.slab.capacity() * size_of::<SchedElem>()
     }
 }
 

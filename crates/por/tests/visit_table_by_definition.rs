@@ -7,7 +7,8 @@
 //! alike. The reference compares footprints too; the flat table stores
 //! choices only, which its contract allows because a choice has one
 //! footprint at a state (`por::sleep`'s module docs), so each state's
-//! footprints here are a fixed function of the state.
+//! footprints here are a fixed function of the state. A table cleared
+//! between runs of claims must answer each run as a new table does.
 
 use proptest::prelude::*;
 
@@ -115,6 +116,32 @@ proptest! {
             ] {
                 prop_assert_eq!(len, reference.len());
                 prop_assert_eq!(total, reference.total_entries());
+            }
+        }
+    }
+
+    #[test]
+    fn a_cleared_table_answers_like_a_new_one(
+        runs in prop::collection::vec(
+            prop::collection::vec((0u32..300, 0u8..64, 0usize..4), 0..120),
+            1..5,
+        )
+    ) {
+        // Ids up to 300 so a run spans several segments, and the runs
+        // differ in length, so a run may end short of or past the
+        // segments the one before filled.
+        let mut reused = VisitTable::<DenseHeads>::default();
+        for claims in runs {
+            reused.clear();
+            prop_assert!(reused.is_empty());
+            prop_assert_eq!(reused.total_entries(), 0);
+            let mut reference = ByDefinition::default();
+            for (id, members, budget) in claims {
+                let (sleep, remaining) = (sleep_set(members, alts_of(id)), BUDGETS[budget]);
+                let expect = reference.try_claim(fingerprint(id), &sleep, remaining);
+                prop_assert_eq!(reused.try_claim(id, &sleep, remaining), expect);
+                prop_assert_eq!(reused.len(), reference.len());
+                prop_assert_eq!(reused.total_entries(), reference.total_entries());
             }
         }
     }

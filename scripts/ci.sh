@@ -24,7 +24,7 @@ stage "cargo fmt --check" \
 stage "cargo clippy --all-targets -- -D warnings" \
     cargo clippy --all-targets -- -D warnings
 
-stage "layering: wbmem (the paper's Section-2 machine) and lowerbound (its Section-5 encoder) do not depend on ftobs; no crate forecasts a run's size, writes trace spans, supervises workers with a watchdog, writes periodic/interrupt checkpoints, counts steps only for a recorder, streams events, weights fence sites or brings back the work-stealing frontier; the checker never reads locality, nor (outside its test modules) the counters of the machine it walks, which forgot its accounting; the search kernel and the reduced walk key no per-state data by fingerprint (no FpMap or FpSet in kernel.rs or dpor.rs: states are named by their dense ids)" \
+stage "layering: wbmem (the paper's Section-2 machine) and lowerbound (its Section-5 encoder) do not depend on ftobs; no crate forecasts a run's size, writes trace spans, supervises workers with a watchdog, writes periodic/interrupt checkpoints, counts steps only for a recorder, streams events, weights fence sites or brings back the work-stealing frontier; the checker never reads locality, nor (outside its test modules) the counters of the machine it walks, which forgot its accounting; the search kernel and the reduced walk key no per-state data by fingerprint (no FpMap or FpSet in kernel.rs or dpor.rs: states are named by their dense ids); the one thread-local of modelcheck and por is the spare tables in modelcheck/src/spare.rs (no thread_local! in another file of either crate's sources)" \
     bash -c 'for c in wbmem lowerbound; do
             tree=$(cargo tree -p $c --offline -e normal) && ! grep -q ftobs <<< "$tree" || exit 1
         done
@@ -36,6 +36,7 @@ stage "layering: wbmem (the paper's Section-2 machine) and lowerbound (its Secti
         ! grep -rqE "JsonlSink|maybe_heartbeat|hot_pc|emit_snapshot|obs_report|RecorderBuilder" crates/*/src || exit 1
         ! grep -rqE "LocalityTracker|\.locality\(\)" crates/modelcheck/src || exit 1
         ! grep -qE "FpMap|FpSet" crates/modelcheck/src/kernel.rs crates/modelcheck/src/dpor.rs || exit 1
+        ! grep -rl "thread_local!" crates/modelcheck/src crates/por/src | grep -qv "^crates/modelcheck/src/spare.rs$" || exit 1
         ! awk "/^#\[cfg\(test\)\]/ { nextfile } /\.counters\(\)/ { print FILENAME \": \" \$0; found = 1 } END { exit !found }" crates/modelcheck/src/*.rs'
 
 stage "cargo build --release" \
